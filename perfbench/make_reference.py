@@ -6,9 +6,7 @@ their checkable summaries to ``perfbench/reference.json``. Run it from the
 root of a source checkout only when the package's results are meant to
 change; the file pins the results of the commit it was made at.
 
-    python3 perfbench/make_reference.py [WORKLOAD ...]
-
-Naming workloads re-records only theirs and keeps the other entries.
+    python3 perfbench/make_reference.py
 """
 
 from __future__ import annotations
@@ -25,16 +23,11 @@ sys.path[:0] = [str(ROOT / "src"), str(HERE)]
 import workloads as W  # noqa: E402
 
 
-def main(only: list[str]) -> int:
+def main() -> int:
     ref: dict = {}
-    if only:
-        with open(HERE / "reference.json", encoding="utf-8") as fh:
-            ref = {k: v for k, v in json.load(fh).items() if k.split(":")[0] not in only}
     for workload, slots in W.SLOTS.items():
-        if only and workload not in only:
-            continue
         for v in range(W.VARIANTS):
-            setup = W.Setup(workload, 0, [v] * len(slots), active=False)
+            setup = W.Setup(workload, 0, [v] * len(slots))
             for job in setup.jobs:
                 if job.id not in ref:
                     ref[job.id] = job.run()
@@ -42,7 +35,7 @@ def main(only: list[str]) -> int:
     workdir = ROOT / ".perfbench" / "tmp" / "reference"
     workdir.mkdir(parents=True, exist_ok=True)
     try:
-        for name in W.CLI_COMMANDS if not only or "cli-readme" in only else ():
+        for name in W.CLI_COMMANDS:
             _, rc, stdout = W.run_cli(name, ROOT, workdir)
             ref[f"cli-readme:{name}"] = W.cli_summary(name, rc, stdout, workdir)
             print(name, rc, flush=True)
@@ -55,4 +48,4 @@ def main(only: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -3,10 +3,11 @@
 Run from the root of a source checkout (the package is imported from
 ``src/``, nothing needs installing):
 
-    python3 perfbench/run.py --workload scan-derivation --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload scan-derivation --seed 1 --seconds 12 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
-metrics from a traced round (see ``tracer.py``). The last line of standard
+metrics from a traced round (see ``tracer.py``). End-to-end times are in
+seconds at a reference host speed (see ``clock.py``). The last line of standard
 output is the result object; the line before it carries the environment
 record and the metric details. Every run also stores its full record under
 ``.perfbench/results/``. Two directories of such records are compared with
@@ -34,10 +35,12 @@ import time
 from importlib import metadata
 from pathlib import Path
 
+from clock import Clock, Sampler, write_samples
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = ROOT / ".perfbench"
-SETUP_PROBES = 3
+SETUP_PROBES = 5
 IMPORT_PROBES = 3
 
 
@@ -115,7 +118,9 @@ def child_env() -> dict:
 # --------------------------------------------------------------------------
 
 
-def _time_until_ready(cmd: list[str]) -> float:
+def _time_until_ready(cmd: list[str], samples: Path) -> tuple[float, list[float]]:
+    """(seconds until the child's first line, less its sampling; the
+    kernel samples the child took up to then)."""
     t0 = time.perf_counter()
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, env=child_env(), cwd=ROOT)
@@ -129,23 +134,37 @@ def _time_until_ready(cmd: list[str]) -> float:
             proc.wait()
     if proc.returncode != 0 or not (line == "ready\n" or line.startswith("orliczlat ")):
         raise BenchError(f"set-up probe {cmd[1:]} failed ({proc.returncode}): {err[-400:]}")
-    return ready
+    rec = json.loads(samples.read_text())
+    samples.unlink()
+    return ready - rec["busy_s"], rec["kernels"]
 
 
-def setup_seconds(workload: str, seed: int) -> list[float]:
-    """Cold set-up times, each in a fresh interpreter."""
+def setup_seconds(workload: str, seed: int, clock: Clock) -> list[float]:
+    """Cold set-up times in reference seconds, each in a fresh interpreter
+    that samples the kernel itself."""
+    samples = _samples_file()
     if workload == "cli-readme":
-        cmd = [sys.executable, "-m", "orliczlat.cli", "--version"]
+        cmd = [sys.executable, str(HERE / "clock.py"), str(samples), "--", "--version"]
     else:
-        cmd = [sys.executable, str(HERE / "run.py"), "--setup-probe",
+        cmd = [sys.executable, str(HERE / "run.py"), "--setup-probe", str(samples),
                "--workload", workload, "--seed", str(seed)]
-    return [_time_until_ready(cmd) for _ in range(SETUP_PROBES)]
+    out = []
+    for _ in range(SETUP_PROBES):
+        ready, kernels = _time_until_ready(cmd, samples)
+        out.append(ready * clock.scale(kernels))
+    return out
 
 
-def setup_probe(workload: str, seed: int) -> int:
+def _samples_file() -> Path:
+    (OUT / "tmp").mkdir(parents=True, exist_ok=True)
+    return OUT / "tmp" / f"samples-{os.getpid()}.json"
+
+
+def setup_probe(workload: str, seed: int, sampler: Sampler, samples: str) -> int:
     from workloads import Setup
 
     Setup(workload, seed)
+    write_samples(sampler, samples)
     print("ready", flush=True)
     return 0
 
@@ -157,7 +176,8 @@ def setup_probe(workload: str, seed: int) -> int:
 
 class Tally:
     def __init__(self) -> None:
-        self.latencies: list[float] = []
+        self.latencies: list[float] = []  # reference seconds
+        self.walls: list[float] = []  # wall seconds
         self.slots: list = []  # slot of each latency: job position or CLI command
         self.labels: dict = {}  # slot -> job id or command name
         self.attempted = 0
@@ -169,9 +189,6 @@ class Tally:
         self.failed += 1
         if len(self.errors) < 20:
             self.errors.append(what)
-
-
-MIN_ROUNDS = 2
 
 
 def _check(tally: Tally, label: str, summary: dict, ref: dict | None,
@@ -188,19 +205,20 @@ def _check(tally: Tally, label: str, summary: dict, ref: dict | None,
 
 
 def run_rounds(seconds: float, one_round) -> tuple[float, int]:
-    """Complete rounds, at least MIN_ROUNDS, until the next one would end
-    past ``seconds`` (by its expected length); returns (wall seconds, rounds)."""
+    """Complete rounds, at least one, until the next one would end past
+    ``seconds`` (by its expected length); returns (wall seconds, rounds)."""
     t0 = time.perf_counter()
     rounds = 0
     while True:
         one_round(rounds)
         rounds += 1
         elapsed = time.perf_counter() - t0
-        if rounds >= MIN_ROUNDS and elapsed + 0.5 * elapsed / rounds >= seconds:
+        if elapsed + 0.5 * elapsed / rounds >= seconds:
             return elapsed, rounds
 
 
-def inprocess_round(setup, tally: Tally, reference: dict, seed: int, r: int) -> None:
+def inprocess_round(setup, clock: Clock, tally: Tally, reference: dict, seed: int,
+                    r: int) -> None:
     from orliczlat.errors import ResourceLimitError
     from workloads import round_order, rule_violations
 
@@ -208,26 +226,23 @@ def inprocess_round(setup, tally: Tally, reference: dict, seed: int, r: int) -> 
     for i in order:
         job = setup.jobs[i]
         tally.attempted += 1
-        t0 = time.perf_counter()
-        try:
-            summary = job.run()
-            error = None
-        except ResourceLimitError as exc:
-            error = f"budget exceeded: {exc}"
-        except Exception as exc:  # any raise is a failed op; keep measuring
-            error = f"{type(exc).__name__}: {exc}"
-        tally.latencies.append(time.perf_counter() - t0)
+        # any raise is a failed op; keep measuring
+        summary, exc, wall, scale = clock.run(job.run)
+        tally.latencies.append(wall * scale)
+        tally.walls.append(wall)
         tally.slots.append(i)
         tally.labels[i] = job.id
-        if error is not None:
-            tally.fail(f"{job.id}: {error}")
+        if exc is not None:
+            kind = ("budget exceeded" if isinstance(exc, ResourceLimitError)
+                    else type(exc).__name__)
+            tally.fail(f"{job.id}: {kind}: {exc}")
             continue
         if i not in tally.pairs_by_slot:
             tally.pairs_by_slot[i] = setup.pair_count(job, summary)
         _check(tally, job.id, summary, reference.get(job.id), rule_violations(job.spec, summary))
 
 
-def cli_round(workdir: Path, tally: Tally, reference: dict, seed: int, r: int,
+def cli_round(workdir: Path, clock: Clock, tally: Tally, reference: dict, seed: int, r: int,
               spans_dir: Path | None = None) -> None:
     from workloads import (
         CLI_ROUND, cli_pair_count, cli_rule_violations, cli_summary, round_order, run_cli)
@@ -237,14 +252,23 @@ def cli_round(workdir: Path, tally: Tally, reference: dict, seed: int, r: int,
         name = CLI_ROUND[i]
         for leftover in workdir.iterdir():
             leftover.unlink()
-        spans = spans_dir / f"{i}-{name}.npz" if spans_dir is not None else None
         tally.attempted += 1
-        try:
-            wall, rc, stdout = run_cli(name, ROOT, workdir, spans)
-        except subprocess.TimeoutExpired:
+        if spans_dir is None:
+            samples = _samples_file()
+            done, exc, wall, scale = clock.run_child(
+                lambda: run_cli(name, ROOT, workdir, samples=samples), samples)
+        else:
+            spans = spans_dir / f"{i}-{name}.npz"
+            done, exc, wall, scale = clock.run(
+                lambda: run_cli(name, ROOT, workdir, traced_spans=spans))
+        if isinstance(exc, subprocess.TimeoutExpired):
             tally.fail(f"{name}: timed out")
             continue
-        tally.latencies.append(wall)
+        if exc is not None:
+            raise exc
+        _, rc, stdout = done
+        tally.latencies.append(wall * scale)
+        tally.walls.append(wall)
         tally.slots.append(i)
         tally.labels[i] = name
         try:
@@ -264,7 +288,8 @@ def cli_round(workdir: Path, tally: Tally, reference: dict, seed: int, r: int,
 
 
 def e2e(workload: str, seed: int, seconds: float, reference: dict) -> tuple[dict, Tally, dict]:
-    setups = setup_seconds(workload, seed)
+    clock = Clock()
+    setups = setup_seconds(workload, seed, clock)
     tally = Tally()
     info: dict = {"setup_samples_s": setups}
     if workload == "cli-readme":
@@ -272,7 +297,7 @@ def e2e(workload: str, seed: int, seconds: float, reference: dict) -> tuple[dict
         workdir.mkdir(parents=True, exist_ok=True)
         try:
             wall, rounds = run_rounds(
-                seconds, lambda r: cli_round(workdir, tally, reference, seed, r))
+                seconds, lambda r: cli_round(workdir, clock, tally, reference, seed, r))
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
     else:
@@ -280,25 +305,33 @@ def e2e(workload: str, seed: int, seconds: float, reference: dict) -> tuple[dict
 
         setup = Setup(workload, seed)
         wall, rounds = run_rounds(
-            seconds, lambda r: inprocess_round(setup, tally, reference, seed, r))
-    # Throughput from the per-slot median latencies: the length of a round
-    # at each op's typical speed, which a burst of machine noise in one
-    # round does not move.
+            seconds, lambda r: inprocess_round(setup, clock, tally, reference, seed, r))
+    # Every latency metric comes from the per-slot median latencies: the
+    # throughput from a round at those medians, the percentiles from two
+    # such rounds, so that they land on the same slots however many rounds
+    # the host allowed.
     by_slot: dict = {}
-    for slot, latency in zip(tally.slots, tally.latencies):
+    walls: dict = {}
+    for slot, latency, w in zip(tally.slots, tally.latencies, tally.walls):
         by_slot.setdefault(slot, []).append(latency)
-    round_s = sum(statistics.median(v) for v in by_slot.values())
-    value, pct, beyond = tail(tally.latencies)
+        walls.setdefault(slot, []).append(w)
+    medians = [statistics.median(v) for v in by_slot.values()]
+    round_s = sum(medians)
+    value, pct, beyond = tail(medians * 2)
     info.update(rounds=rounds, wall_s=wall, ops=len(tally.latencies), median_round_s=round_s,
                 op_tail_percentile=pct, op_tail_samples_beyond=beyond,
                 fail_frac=tally.failed / max(1, tally.attempted), errors=tally.errors,
+                kernel_s={"median": statistics.median(clock.kernels),
+                          "min": min(clock.kernels), "max": max(clock.kernels)},
                 op_latencies_s={f"{k}:{tally.labels[k]}": [round(x, 6) for x in v]
-                                for k, v in sorted(by_slot.items())})
+                                for k, v in sorted(by_slot.items())},
+                op_wall_s={f"{k}:{tally.labels[k]}": [round(x, 6) for x in v]
+                           for k, v in sorted(walls.items())})
     metrics = {
         "setup_s": (statistics.median(setups), "s"),
         "ops_per_s": (len(by_slot) / round_s, "1/s"),
         "pairs_per_s": (sum(tally.pairs_by_slot.values()) / round_s, "1/s"),
-        "op_p50_s": (statistics.median(tally.latencies), "s"),
+        "op_p50_s": (statistics.median(medians), "s"),
         "op_tail_s": (value, "s"),
         "peak_rss_mb": (peak_rss_mb(), "MB"),
     }
@@ -311,33 +344,37 @@ def e2e(workload: str, seed: int, seconds: float, reference: dict) -> tuple[dict
 
 
 def _import_profile() -> dict:
-    """-X importtime of the CLI's import path: outermost cumulative times."""
-    samples: dict[str, list[float]] = {"numpy": [], "scipy": [], "orliczlat": []}
+    """-X importtime of the CLI's import path, split without overlap: a
+    module's own time counts for the nearest of numpy, scipy and orliczlat
+    among itself and the modules that imported it. So import.orliczlat_s
+    leaves out numpy and scipy although orliczlat imports them first."""
+    pkgs = ("numpy", "scipy", "orliczlat")
+    samples: dict[str, list[float]] = {pkg: [] for pkg in pkgs}
     for _ in range(IMPORT_PROBES):
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-c", "import orliczlat.cli"],
             capture_output=True, text=True, env=child_env(), cwd=ROOT, timeout=120)
         if proc.returncode != 0:
             raise BenchError(f"import probe failed: {proc.stderr[-400:]}")
-        rows = []
-        for line in proc.stderr.splitlines():
+        totals = dict.fromkeys(pkgs, 0)
+        # Rows list each module after the modules it imported, indented one
+        # level deeper; walked backwards, a module's importer comes first.
+        importers: list[tuple[int, str | None]] = []
+        for line in reversed(proc.stderr.splitlines()):
             if not line.startswith("import time:") or "imported package" in line:
                 continue
-            _, cum, name = line[len("import time:"):].split("|")
+            own, _, name = line[len("import time:"):].split("|")
             depth = len(name) - len(name.lstrip(" "))
-            rows.append((int(cum), depth, name.strip()))
-        for pkg in samples:
-            def ours(mod: str) -> bool:
-                return mod == pkg or mod.startswith(pkg + ".")
-
-            total = 0
-            for i, (cum, depth, name) in enumerate(rows):
-                if not ours(name):
-                    continue
-                parent = next((n for _, d, n in rows[i + 1:] if d < depth), None)
-                if parent is None or not ours(parent):
-                    total += cum
-            samples[pkg].append(total / 1e6)
+            name = name.strip()
+            while importers and importers[-1][0] >= depth:
+                importers.pop()
+            owner = next((p for p in pkgs if name == p or name.startswith(p + ".")),
+                         importers[-1][1] if importers else None)
+            importers.append((depth, owner))
+            if owner is not None:
+                totals[owner] += int(own)
+        for pkg in pkgs:
+            samples[pkg].append(totals[pkg] / 1e6)
     return {f"import.{pkg}_s": (statistics.median(v), "s") for pkg, v in samples.items()}
 
 
@@ -350,13 +387,14 @@ def traced(workload: str, seed: int, reference: dict) -> tuple[dict, Tally, dict
     if trace_dir.exists():
         shutil.rmtree(trace_dir)
     trace_dir.mkdir(parents=True)
+    clock = Clock(sample=False)
     plain, tally = Tally(), Tally()
     if workload == "cli-readme":
         workdir = OUT / "tmp" / f"cli-{os.getpid()}"
         workdir.mkdir(parents=True, exist_ok=True)
         try:
-            cli_round(workdir, plain, reference, seed, 0)
-            cli_round(workdir, tally, reference, seed, 0, spans_dir=trace_dir)
+            cli_round(workdir, clock, plain, reference, seed, 0)
+            cli_round(workdir, clock, tally, reference, seed, 0, spans_dir=trace_dir)
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
         parts = [dict(np.load(p)) for p in sorted(trace_dir.glob("*.npz"))]
@@ -364,11 +402,11 @@ def traced(workload: str, seed: int, reference: dict) -> tuple[dict, Tally, dict
         from workloads import Setup
 
         setup = Setup(workload, seed)
-        inprocess_round(setup, plain, reference, seed, 0)
+        inprocess_round(setup, clock, plain, reference, seed, 0)
         t = tr.Tracer()
         t.install()
         try:
-            inprocess_round(setup, tally, reference, seed, 0)
+            inprocess_round(setup, clock, tally, reference, seed, 0)
         finally:
             t.uninstall()
         t.save(str(trace_dir / "spans.npz"))
@@ -387,7 +425,7 @@ def traced(workload: str, seed: int, reference: dict) -> tuple[dict, Tally, dict
     by_layer["finsupp.construct"] = summary["_counters"]["construct_s"]
     if workload == "cli-readme":
         by_layer["process_start_and_import"] = (
-            sum(tally.latencies) - summary["cli.main"]["total_s"])
+            sum(tally.walls) - summary["cli.main"]["total_s"])
     counts = {k: metrics[k][0] for k in tr.STEADY_COUNTS}
     count_file = OUT / "counts" / f"{workload}-seed{seed}-{code_digest()}.json"
     info = {"spans_dir": str(trace_dir.relative_to(ROOT)), "counts": counts,
@@ -409,15 +447,21 @@ def traced(workload: str, seed: int, reference: dict) -> tuple[dict, Tally, dict
 # --------------------------------------------------------------------------
 
 
-def _load_results(directory: Path) -> dict:
-    out: dict = {}
+def _load_results(directory: Path) -> tuple[dict, dict]:
+    """({(metric, workload): [values]}, {workload: [failed, attempted]})."""
+    values: dict = {}
+    fails: dict = {}
     for path in sorted(directory.glob("*.json")):
         rec = json.loads(path.read_text())
         if rec.get("trace") != 0:
             continue
-        for name, m in rec["result"]["metrics"].items():
-            out.setdefault((name, rec["workload"]), []).append(m["value"])
-    return out
+        result = rec["result"]
+        counts = fails.setdefault(rec["workload"], [0, 0])
+        counts[0] += result["failed"]
+        counts[1] += result["attempted"]
+        for name, m in result["metrics"].items():
+            values.setdefault((name, rec["workload"]), []).append(m["value"])
+    return values, fails
 
 
 def _iqr_share(values: list[float]) -> float:
@@ -428,10 +472,12 @@ def _iqr_share(values: list[float]) -> float:
 
 
 def compare(old_dir: Path, new_dir: Path) -> int:
-    """Verdict per (metric, workload): better, worse, unchanged or unresolved."""
+    """Verdict per (metric, workload): better, worse, unchanged or unresolved.
+    Every metric of a workload whose new side fails a larger share of its
+    ops is worse: a tree that fails fast must not read as a faster one."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
-    old, new = _load_results(old_dir), _load_results(new_dir)
+    (old, old_fails), (new, new_fails) = _load_results(old_dir), _load_results(new_dir)
     rows = []
     for key in sorted(set(old) & set(new)):
         name, workload = key
@@ -444,7 +490,10 @@ def compare(old_dir: Path, new_dir: Path) -> int:
         cost_a, cost_b = [sign * x for x in a], [sign * x for x in b]  # lower is better
         worse_by = sign * (mb - ma) / ma  # > 0 means the new side is worse
         spread = max(_iqr_share(a), _iqr_share(b))
-        if max(cost_b) < min(cost_a):
+        fa, fb = old_fails[workload], new_fails[workload]
+        if fb[0] * fa[1] > fa[0] * fb[1]:
+            verdict = "worse"
+        elif max(cost_b) < min(cost_a):
             verdict = "better"
         elif min(cost_b) > max(cost_a) and worse_by > bound:
             verdict = "worse"
@@ -458,9 +507,10 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             verdict = "unchanged"
         rows.append({"metric": name, "workload": workload, "old_median": ma,
                      "new_median": mb, "change": (mb - ma) / ma, "spread": spread,
-                     "bound": bound, "verdict": verdict})
+                     "bound": bound, "old_failed": fa, "new_failed": fb, "verdict": verdict})
         print(f"{workload:18s} {name:12s} {ma:12.6g} -> {mb:12.6g} "
-              f"({(mb - ma) / ma:+7.2%}, spread {spread:6.2%}, bound {bound:.0%}) {verdict}")
+              f"({(mb - ma) / ma:+7.2%}, spread {spread:6.2%}, bound {bound:.0%}, "
+              f"failed {fa[0]}/{fa[1]} -> {fb[0]}/{fb[1]}) {verdict}")
     print(json.dumps({"compare": rows}))
     return 1 if any(r["verdict"] == "worse" for r in rows) else 0
 
@@ -477,8 +527,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--compare", nargs=2, metavar=("OLD_DIR", "NEW_DIR"))
-    ap.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--setup-probe", metavar="SAMPLES", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.setup_probe:
+        sampler = Sampler()
+        sampler.start()
 
     if args.compare:
         return compare(Path(args.compare[0]), Path(args.compare[1]))
@@ -487,14 +540,14 @@ def main(argv: list[str] | None = None) -> int:
         print("perfbench: no src/orliczlat next to perfbench/; run from a source checkout",
               file=sys.stderr)
         return 2
-    sys.path[:0] = [str(ROOT / "src"), str(HERE)]
+    sys.path.insert(0, str(ROOT / "src"))
     from workloads import WORKLOADS, load_reference
 
     if args.workload not in WORKLOADS:
         print(f"perfbench: --workload must be one of {', '.join(WORKLOADS)}", file=sys.stderr)
         return 2
     if args.setup_probe:
-        return setup_probe(args.workload, args.seed)
+        return setup_probe(args.workload, args.seed, sampler, args.setup_probe)
 
     import orliczlat
 

@@ -8,9 +8,9 @@ round. Every job in the pool has a reference result in ``reference.json``
 recorded from the package itself, so each op is checked however the seed
 falls.
 
-Rounds are kept short (a third to a half of a run) so that each slot is
-measured at least twice per run and per-slot medians can absorb bursts of
-machine noise.
+An in-process round takes a third to a half of a run on a quiet host and
+a whole run on a slow one; a cli-readme round (the six commands, the quick
+ones three times) takes a whole run.
 """
 
 from __future__ import annotations
@@ -38,64 +38,61 @@ WEIGHTS = (
 POLY04, POLY07, SUBEXP_A, SUBEXP_L = WEIGHTS
 
 
-# Each round mixes C cheap and E expensive jobs with E >= 7 and C >= 1.5 E,
-# so that with two or more rounds per run the median op falls inside the
-# cheap cluster and the tail (11th largest op) inside the expensive one.
+# A run reports its op percentiles over two rounds at each slot's median
+# latency (see run.py): the median slot and the 6th most expensive one.
+# Each round therefore has V very expensive slots, K slots of one spec just
+# below them with V + K >= 6, and C cheaper slots with C > V + K: the median
+# op is then always a C slot and the tail always a K slot. Costs below are
+# in seconds at the reference speed (see clock.py).
 
 
 def _deriv_slots() -> list[dict]:
-    # 12 cheap jobs (ladders topping at r=256, every weight and p) and 7
-    # expensive ones: five ladders to r=512, one to r=1024 and one d=2
-    # ladder to r=32, whose supports reach 4225 points.
+    # V: one d=2 ladder to r=32 (supports of up to 4225 points, 1.2 s).
+    # K: five d=1 ladders to r=512 of one spec (0.34-0.38 s).
+    # C: seven d=1 ladders to r=256 covering every other weight and p
+    # (0.18-0.23 s).
     def job(w, p, dim, radii):
         return dict(op="derivation", weight=w, p=p, dim=dim, radii=radii, trials=8)
 
-    cheap = [(w, p) for w in WEIGHTS for p in (1.5, 3.0)] + [
-        (POLY04, 1.5), (POLY07, 3.0), (SUBEXP_A, 1.5), (SUBEXP_L, 3.0)]
-    slots = [job(w, p, 1, [16, 64, 256]) for w, p in cheap]
-    # the r=512 jobs share one weight family so that their costs match
-    slots += [job(w, p, 1, [32, 128, 512]) for w, p in (
-        (POLY04, 1.5), (POLY04, 3.0), (POLY07, 1.5), (POLY07, 3.0), (POLY04, 1.5))]
-    slots += [job(POLY04, 1.5, 1, [64, 256, 1024]), job(POLY07, 1.5, 2, [2, 8, 32])]
+    slots = [job(w, p, 1, [16, 64, 256]) for w in WEIGHTS for p in (1.5, 3.0)
+             if (w, p) != (POLY04, 1.5)]
+    slots += [job(POLY04, 1.5, 1, [32, 128, 512]) for _ in range(5)]
+    slots.append(job(POLY07, 1.5, 2, [2, 8, 32]))
     return slots
 
 
 def _algebra_slots() -> list[dict]:
-    # 12 cheap jobs (d=1, r=48), 6 medium ones of one cost (d=2, r=8) and
-    # one of the two largest, by seed parity: d=1 r=512 or d=2 r=16, whose
-    # ball self-convolutions take 1.05M and 1.19M products (below
-    # MAX_CONV_OPS) and cost about the same.
+    # V: conv_inclusion at d=2 r=16, whose ball self-convolution takes
+    # 1.19M products, below MAX_CONV_OPS (2.3 s).
+    # K: nine d=2 r=6 submult scans of one spec (0.24-0.27 s, by seed); the
+    # tail lands on the middle one.
+    # C: thirteen d=1 r=48 scans, sparse random pairs next to small dense
+    # balls: submult (0.14-0.16 s) for every weight and three again,
+    # l1_module for every weight and conv_inclusion at p 1.5 and 2
+    # (0.11-0.14 s).
     def job(op, w, p, dim, radius):
         spec = dict(op=op, p=p, dim=dim, radius=radius, trials=8)
         if w is not None:
             spec["weight"] = w
         return spec
 
-    slots = [job(op, w, p, 1, 48) for op, p in (("submult", 1.5), ("l1_module", 3.0))
-             for w in WEIGHTS]
-    slots += [job("submult", POLY04, 3.0, 1, 48), job("l1_module", POLY07, 1.5, 1, 48),
-              job("conv_inclusion", None, 1.5, 1, 48), job("conv_inclusion", None, 2.0, 1, 48)]
-    slots += [job(op, POLY07, p, 2, 8) for op in ("submult", "l1_module")
-              for p in (1.5, 3.0, 1.5)]
-    slots += [job("conv_inclusion", None, 1.5, 1, 512), job("conv_inclusion", None, 2.0, 2, 16)]
+    slots = [job("submult", w, 1.5, 1, 48) for w in WEIGHTS + (POLY04, POLY07, SUBEXP_A)]
+    slots += [job("l1_module", w, 3.0, 1, 48) for w in WEIGHTS]
+    slots += [job("conv_inclusion", None, p, 1, 48) for p in (1.5, 2.0)]
+    slots += [job("submult", POLY07, 1.5, 2, 6) for _ in range(9)]
+    slots.append(job("conv_inclusion", None, 2.0, 2, 16))
     return slots
 
 
 def _battery_slots() -> list[dict]:
-    # Closed-form pairs (indices 0-5) are cheap, the four numerically
-    # conjugated pairs (6-9) expensive: 12 cheap and 9 expensive ops. The
-    # cost gap is wide enough that C >= E + 2 keeps the median cheap.
-    slots = [dict(op="battery", index=i) for _ in range(2) for i in range(10)]
-    slots.append(dict(op="pointwise", p=1.5, dim=1, radius=16, trials=8))
+    # V: two pointwise inclusion scans on power(1.5) (0.87-0.95 s).
+    # K: the four numerically conjugated catalog pairs (0.49-0.62 s; the
+    # tail is the cheapest).
+    # C: the six closed-form pairs twice (0.05-0.06 s).
+    slots = [dict(op="battery", index=i) for i in range(6) for _ in range(2)]
+    slots += [dict(op="battery", index=i) for i in range(6, 10)]
+    slots += [dict(op="pointwise", p=1.5, dim=1, radius=16, trials=8) for _ in range(2)]
     return slots
-
-
-def active_slots(workload: str, seed: int) -> list[int]:
-    """Indices of the slots a run of this seed uses."""
-    n = len(SLOTS[workload])
-    if workload == "scan-algebra":
-        return list(range(n - 2)) + [n - 2 + seed % 2]
-    return list(range(n))
 
 
 SLOTS = {
@@ -123,10 +120,10 @@ CLI_COMMANDS = {
                         "--radii", "16,64,256", "--trials", "200"],
     "verify": ["verify", "--out", "battery.csv"],
 }
-# One round: the three quick commands twice, so the median op is a quick
-# command (mostly process start and imports) rather than the midpoint
-# between a quick and a scanning one.
-CLI_ROUND = ("classify", "conjugate", "norm") * 2 + (
+# One round: the three quick commands three times, so that the median op
+# and the tail (the 6th slowest command) are quick commands (mostly process
+# start and imports) from the middle of their cluster.
+CLI_ROUND = ("classify", "conjugate", "norm") * 3 + (
     "certify-algebra", "derivation-scan", "verify")
 
 # Relative tolerances for float comparisons against the reference.
@@ -179,8 +176,7 @@ class Setup:
     """Everything built before the first timed op: imports, pairs,
     weights, contexts, derivations and ``catalog()``."""
 
-    def __init__(self, workload: str, seed: int, variants: list[int] | None = None,
-                 active: bool = True):
+    def __init__(self, workload: str, seed: int, variants: list[int] | None = None):
         from orliczlat import young
 
         self.workload = workload
@@ -191,10 +187,9 @@ class Setup:
         self._der: dict = {}
         self._n_candidates: dict = {}
         variants = variants if variants is not None else choose_variants(workload, seed)
-        slots = SLOTS[workload]
         self.jobs: list[Job] = [
-            self._make_job(workload, i, variants[i], slots[i])
-            for i in (active_slots(workload, seed) if active else range(len(slots)))
+            self._make_job(workload, i, variants[i], spec)
+            for i, spec in enumerate(SLOTS[workload])
         ]
 
     # cached builders -------------------------------------------------------
@@ -387,12 +382,17 @@ def cli_env(root: Path) -> dict:
     return env
 
 
-def run_cli(name: str, root: Path, workdir: Path, traced_spans: Path | None = None):
-    """Run one README command cold; returns (wall seconds, rc, stdout)."""
-    if traced_spans is None:
-        head = [sys.executable, "-m", "orliczlat.cli"]
-    else:
+def run_cli(name: str, root: Path, workdir: Path, traced_spans: Path | None = None,
+            samples: Path | None = None):
+    """Run one README command cold, plainly, under the tracer (spans to
+    ``traced_spans``) or sampling the host's speed (kernel times to
+    ``samples``, see clock.py); returns (wall seconds, rc, stdout)."""
+    if traced_spans is not None:
         head = [sys.executable, str(HERE / "tracer.py"), str(traced_spans), "--"]
+    elif samples is not None:
+        head = [sys.executable, str(HERE / "clock.py"), str(samples), "--"]
+    else:
+        head = [sys.executable, "-m", "orliczlat.cli"]
     stdin = NORM_STDIN if name == "norm" else ""
     t0 = time.perf_counter()
     proc = subprocess.run(

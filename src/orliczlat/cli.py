@@ -59,12 +59,25 @@ def _parse_json_flag(text: str, what: str) -> dict:
     return obj
 
 
-def _as_list(value, coerce) -> list:
+def _num(coerce, value, what: str):
+    """coerce(value), reporting a value that does not convert as a config error."""
+    try:
+        return coerce(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what}: cannot read {value!r} as {coerce.__name__}") from exc
+
+
+def _as_list(value, coerce, what: str) -> list:
     if value is None:
         return []
     if isinstance(value, (list, tuple)):
-        return [coerce(v) for v in value]
-    return [coerce(value)]
+        return [_num(coerce, v, what) for v in value]
+    return [_num(coerce, value, what)]
+
+
+def _split(text: str, coerce, what: str) -> list:
+    """A comma-separated flag value as a list; empty items are dropped."""
+    return _as_list([v for v in text.split(",") if v], coerce, what)
 
 
 def _emit(table: ReportTable, out: str | None, fmt: str) -> None:
@@ -77,11 +90,11 @@ def _emit(table: ReportTable, out: str | None, fmt: str) -> None:
 
 
 def _cmd_classify(config: dict, seed: int) -> tuple[ReportTable, int]:
-    ps = _as_list(config.get("p"), float)
+    ps = _as_list(config.get("p"), float, "p")
     weights = config.get("weights", [])
     if isinstance(weights, Mapping):
         weights = [weights]
-    dims = _as_list(config.get("dim", 1), int)
+    dims = _as_list(config.get("dim", 1), int, "dim")
     if not ps or not weights or not dims:
         table = ReportTable(
             columns=["p", "weight", "dim", "verdict", "d_over_q", "half", "beta", "evidence"],
@@ -135,13 +148,13 @@ def _cmd_conjugate(config: dict, seed: int) -> tuple[ReportTable, int]:
         ys = [
             float(v)
             for v in np.geomspace(
-                float(ygrid.get("min", 1e-3)),
-                float(ygrid.get("max", 1e2)),
-                int(ygrid.get("points", 40)),
+                _num(float, ygrid.get("min", 1e-3), "y.min"),
+                _num(float, ygrid.get("max", 1e2), "y.max"),
+                _num(int, ygrid.get("points", 40), "y.points"),
             )
         ]
     else:
-        ys = [float(v) for v in ygrid]
+        ys = _as_list(ygrid, float, "y")
     pair = pair_from_spec(young_spec, validate=False)
     has_closed = pair.conjugation_mode == "closed_form"
     rows = []
@@ -220,18 +233,20 @@ def _cmd_certify_algebra(config: dict, seed: int) -> tuple[ReportTable, int]:
     weight_spec = config.get("weight")
     if not isinstance(young_spec, Mapping) or not isinstance(weight_spec, Mapping):
         raise InvalidInputError("certify-algebra needs 'young' and 'weight' specs")
-    trials = int(config.get("trials", 60))
+    trials = _num(int, config.get("trials", 60), "trials")
     if trials <= 0:
         raise InvalidInputError("trials must be positive")
     ctx = AlgebraContext(
-        pair_from_spec(young_spec), weight_from_spec(weight_spec), int(config.get("dim", 1))
+        pair_from_spec(young_spec),
+        weight_from_spec(weight_spec),
+        _num(int, config.get("dim", 1), "dim"),
     )
     report = submult_estimate(
         ctx,
-        int(config.get("radius", 64)),
+        _num(int, config.get("radius", 64), "radius"),
         trials,
         seed,
-        max_support=int(config.get("max_support", 40)),
+        max_support=_num(int, config.get("max_support", 40), "max_support"),
     )
     for row in report.per_radius:
         print(f"radius={row['radius']:4d} max_ratio={row['max_ratio']:.6g} ({row['argmax']})")
@@ -247,21 +262,21 @@ def _cmd_derivation_scan(config: dict, seed: int) -> tuple[ReportTable, int]:
     weight_spec = config.get("weight")
     if not isinstance(young_spec, Mapping) or not isinstance(weight_spec, Mapping):
         raise InvalidInputError("derivation-scan needs 'young' and 'weight' specs")
-    trials = int(config.get("trials", 200))
+    trials = _num(int, config.get("trials", 200), "trials")
     if trials <= 0:
         raise InvalidInputError("trials must be positive")
-    dim = int(config.get("dim", 1))
-    radii = _as_list(config.get("radii", [16, 64, 256]), int)
-    coeffs = _as_list(config.get("xi", [1.0] + [0.0] * (dim - 1)), complex)
+    dim = _num(int, config.get("dim", 1), "dim")
+    radii = _as_list(config.get("radii", [16, 64, 256]), int, "radii")
+    if not radii or min(radii) < 1:
+        raise InvalidInputError(f"radii must be a nonempty list of integers >= 1, got {radii}")
+    coeffs = _as_list(config.get("xi", [1.0] + [0.0] * (dim - 1)), complex, "xi")
     if len(coeffs) != dim:
         raise InvalidInputError(f"xi has {len(coeffs)} coefficients for dim {dim}")
     ctx = AlgebraContext(pair_from_spec(young_spec), weight_from_spec(weight_spec), dim)
-    d = Derivation.with_ball_window(
-        Homomorphism(tuple(coeffs)), dim, int(config.get("window_radius", 1))
-    )
-    report = derivation_norm_scan(
-        ctx, d, radii, trials, seed, max_support=int(config.get("max_support", 40))
-    )
+    window = _num(int, config.get("window_radius", 1), "window_radius")
+    d = Derivation.with_ball_window(Homomorphism(tuple(coeffs)), dim, window)
+    max_support = _num(int, config.get("max_support", 40), "max_support")
+    report = derivation_norm_scan(ctx, d, radii, trials, seed, max_support=max_support)
     for row in report.per_radius:
         print(f"radius={row['radius']:4d} max_ratio={row['max_ratio']:.6g} ({row['argmax']})")
     print(f"trend: {report.trend} [certificate: {report.certificate}]")
@@ -274,7 +289,7 @@ def _cmd_derivation_scan(config: dict, seed: int) -> tuple[ReportTable, int]:
 def _cmd_verify(config: dict, seed: int) -> tuple[ReportTable, int]:
     pairs = catalog()
     if "families" in config:
-        wanted = set(_as_list(config["families"], str))
+        wanted = set(_as_list(config["families"], str, "families"))
         pairs = [p for p in pairs if p.phi.label in wanted]
     rows_raw = run_battery(pairs) if pairs else []
     rows = [
@@ -372,11 +387,11 @@ def _merge_flags(args: argparse.Namespace, config: dict) -> dict:
     cmd = args.command
     if cmd == "classify":
         if args.p is not None:
-            config["p"] = [float(v) for v in args.p.split(",") if v]
+            config["p"] = _split(args.p, float, "--p")
         if args.weight is not None:
             config["weights"] = [_parse_json_flag(w, "--weight") for w in args.weight]
         if args.dim is not None:
-            config["dim"] = [int(v) for v in args.dim.split(",") if v]
+            config["dim"] = _split(args.dim, int, "--dim")
     elif cmd == "conjugate":
         if args.young is not None:
             config["young"] = _parse_json_flag(args.young, "--young")
@@ -410,16 +425,16 @@ def _merge_flags(args: argparse.Namespace, config: dict) -> dict:
         if args.dim is not None:
             config["dim"] = args.dim
         if args.radii is not None:
-            config["radii"] = [int(v) for v in args.radii.split(",") if v]
+            config["radii"] = _split(args.radii, int, "--radii")
         if args.trials is not None:
             config["trials"] = args.trials
         if args.window_radius is not None:
             config["window_radius"] = args.window_radius
         if args.xi is not None:
-            config["xi"] = [float(v) for v in args.xi.split(",") if v]
+            config["xi"] = _split(args.xi, float, "--xi")
     elif cmd == "verify":
         if args.families is not None:
-            config["families"] = [v for v in args.families.split(",") if v]
+            config["families"] = _split(args.families, str, "--families")
     return config
 
 

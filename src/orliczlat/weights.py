@@ -237,7 +237,10 @@ def weight_from_spec(spec: Mapping[str, object]) -> Weight:
     """Construct a weight from {"family": id, <params>} (CLI-shared naming)."""
     if "family" not in spec:
         raise InvalidInputError(f"weight spec missing 'family': {spec!r}")
-    params = {k: float(v) for k, v in spec.items() if k != "family"}  # type: ignore[arg-type]
+    try:
+        params = {k: float(v) for k, v in spec.items() if k != "family"}  # type: ignore[arg-type]
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"non-numeric parameter in weight spec {spec!r}") from exc
     return make_weight(str(spec["family"]), **params)
 
 

@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ConjugateInfiniteError,
@@ -80,13 +79,17 @@ class YoungFunction:
 
     ``fn`` must accept a nonnegative float. ``derivative``, when given, is
     the closed-form derivative; otherwise :meth:`d` falls back to central
-    differences with step h = max(1e-6, 1e-6*x).
+    differences with step h = max(1e-6, 1e-6*x). ``array_fn``, when given,
+    evaluates ``fn`` elementwise on a float64 array with numpy, so overflow
+    yields +inf as ``fn`` does; :meth:`values` uses it.
     """
 
     fn: Callable[[float], float]
     derivative: Callable[[float], float] | None = None
     label: str = "custom"
     params: Mapping[str, float] = field(default_factory=dict)
+    array_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    _inverses: dict[float, float] = field(default_factory=dict, init=False, repr=False)
 
     def __call__(self, x: float) -> float:
         if x < 0:
@@ -103,8 +106,26 @@ class YoungFunction:
         lo = max(0.0, x - h)
         return (self(x + h) - self(lo)) / (x + h - lo)
 
-    def values(self, xs: Iterable[float]) -> list[float]:
-        return [self(x) for x in xs]
+    def values(self, xs: Iterable[float] | np.ndarray) -> list[float]:
+        """Phi at each abscissa: one pass of ``array_fn`` if there is one.
+
+        Without an array form every element goes through :meth:`__call__`
+        as a Python float. Callers that may overflow the array form wrap
+        the call in ``np.errstate(over="ignore")``.
+        """
+        if self.array_fn is None:
+            return [self(x) for x in (xs.tolist() if isinstance(xs, np.ndarray) else xs)]
+        arr = np.asarray(xs, dtype=float)
+        if arr.size and arr.min() < 0:
+            raise InvalidInputError(f"Young function evaluated at negative x={arr.min()!r}")
+        return self.array_fn(arr).tolist()
+
+    def inverse(self, y: float) -> float:
+        """Memoised :func:`inverse` of this function at ``y``."""
+        x = self._inverses.get(y)
+        if x is None:
+            x = self._inverses[y] = inverse(self, y)
+        return x
 
     def describe(self) -> str:
         if self.params:
@@ -124,7 +145,8 @@ class YoungFunction:
         v0 = self(0.0)
         if v0 != 0.0:
             raise InvalidInputError(f"{self.describe()}: value at 0 is {v0!r}, expected 0")
-        vals = self.values(xs)
+        with np.errstate(over="ignore"):
+            vals = self.values(xs)
         if not vals[0] > 0.0:
             raise InvalidInputError(f"{self.describe()}: not positive at x={xs[0]:g}")
         for a, b, va, vb in zip(xs, xs[1:], vals, vals[1:]):
@@ -160,16 +182,28 @@ def conjugate_with_argmax(phi: YoungFunction, y: float) -> tuple[float, float]:
     (for convex Phi with Phi(0)=0 the slope is nondecreasing and bounds the
     derivative from below, so the maximiser lies inside the bracket), then
     ternary search on the concave map x -> x*y - Phi(x).
+
+    Every abscissa visited is nonnegative, so the objective calls
+    ``phi.fn`` directly with the overflow guard of :meth:`YoungFunction.__call__`
+    inlined; the values are those of ``phi(x)``, without two call frames
+    per evaluation.
     """
     if y < 0:
         raise InvalidInputError(f"conjugate requested at negative y={y!r}")
     if y == 0.0:
         return 0.0, 0.0
 
+    fn = phi.fn
+    isinf = math.isinf
+    neg_inf = -math.inf
+
     def g(x: float) -> float:
-        v = phi(x)
-        if math.isinf(v):
-            return -math.inf
+        try:
+            v = float(fn(x))
+        except OverflowError:
+            return neg_inf
+        if isinf(v):
+            return neg_inf
         return x * y - v
 
     hi = 1.0
@@ -365,6 +399,10 @@ def from_density(
     unbounded; monotonicity is probed on a grid before any quadrature.
     Integrals use adaptive quadrature at 1e-9 relative accuracy.
     """
+    # scipy.integrate is most of the package's import time and only this
+    # constructor needs it.
+    from scipy.integrate import quad
+
     probe = [0.0] + default_grid(41)
     vals = [_guarded(varphi, x) for x in probe]
     if vals[0] != 0.0:
@@ -515,6 +553,9 @@ def sqrt_transform(psi: YoungFunction, grid: Sequence[float] | None = None) -> Y
             else None
         ),
         label=f"sqrt[{psi.describe()}]",
+        array_fn=(
+            (lambda xs: psi.array_fn(np.sqrt(xs))) if psi.array_fn is not None else None
+        ),
     )
 
 
@@ -552,6 +593,7 @@ def _power(p: float) -> YoungFunction:
         derivative=lambda x: x ** (p - 1.0),
         label="power",
         params={"p": p},
+        array_fn=lambda xs: xs ** p / p,
     )
 
 
@@ -664,7 +706,10 @@ def young_from_spec(spec: Mapping[str, object]) -> YoungFunction:
     maker = _FAMILIES.get(family)
     if maker is None:
         raise InvalidInputError(f"unknown young family {family!r} (known: {catalog_ids()})")
-    kwargs = {k: float(v) for k, v in spec.items() if k != "family"}  # type: ignore[arg-type]
+    try:
+        kwargs = {k: float(v) for k, v in spec.items() if k != "family"}  # type: ignore[arg-type]
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"non-numeric parameter in young spec {spec!r}") from exc
     try:
         return maker(**kwargs)
     except TypeError as exc:

@@ -156,6 +156,46 @@ def test_derivation_scan_trials_zero_exit_2():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("classify", "--p", "abc", "--weight", '{"family":"polynomial","beta":0.5}'),
+        ("classify", "--p", "1.5", "--weight", '{"family":"polynomial","beta":"x"}'),
+        ("conjugate", "--young", '{"family":"power","p":"two"}'),
+        ("derivation-scan", "--young", '{"family":"power","p":1.5}',
+         "--weight", '{"family":"polynomial","beta":0.6}', "--radii", "0"),
+    ],
+    ids=["p-not-a-number", "weight-param-not-a-number", "young-param-not-a-number",
+         "radius-zero"],
+)
+def test_bad_values_exit_2_without_traceback(args):
+    r = run_cli(*args)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "config error" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_config_radius_below_one_exit_2(tmp_path):
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({
+        "young": {"family": "power", "p": 1.5},
+        "weight": {"family": "polynomial", "beta": 0.6},
+        "radii": [4, 0],
+    }))
+    assert main(["derivation-scan", str(cfg)]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, orliczlat.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
 def test_budget_exceeded_exit_3():
     # radius 4000 keeps the ball indicator in the adversarial pool (8001
     # points) whose self-convolution blows the product budget

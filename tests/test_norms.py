@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from conftest import seeded_rng
-from orliczlat.errors import NumericalFailureError
+from orliczlat.algebra import flip
+from orliczlat.errors import InvalidInputError, NumericalFailureError
 from orliczlat.finsupp import FinSuppFn
 from orliczlat.norms import (
     holder_check,
@@ -17,7 +21,7 @@ from orliczlat.norms import (
 )
 from orliczlat.sampling import random_finsupp
 from orliczlat.weights import polynomial_weight
-from orliczlat.young import YoungFunction, inverse, young_from_spec
+from orliczlat.young import YoungFunction, inverse, sqrt_transform, young_from_spec
 
 
 def power_lux_closed_form(p: float, f: FinSuppFn) -> float:
@@ -104,6 +108,107 @@ def test_luxemburg_norm_axioms(power_pair_15):
         assert luxemburg_norm(phi, f + g) <= (
             luxemburg_norm(phi, f) + luxemburg_norm(phi, g)
         ) * (1.0 + 1e-9)
+
+
+# -- array modular ---------------------------------------------------------------
+
+
+def scalar_luxemburg(phi, f: FinSuppFn) -> float:
+    """The Luxemburg bisection evaluated one entry at a time through phi(x)."""
+    if f.is_zero:
+        return 0.0
+    mags = [abs(v) for _, v in f]
+    m, n = max(mags), len(mags)
+
+    def mod_at(k: float) -> float:
+        return math.fsum(phi(a / k) for a in mags)
+
+    lo = m / inverse(phi, 1.0)
+    hi = m / inverse(phi, 1.0 / n) if n > 1 else lo
+    if mod_at(lo) <= 1.0:
+        return lo
+    for _ in range(200):
+        if hi - lo <= 1e-13 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if mod_at(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def scalar_only(phi: YoungFunction) -> YoungFunction:
+    return dataclasses.replace(phi, array_fn=None)
+
+
+def complex_finsupp(n: int, rng: np.random.Generator, distinct: int | None = None) -> FinSuppFn:
+    """n entries at random points of Z^1.
+
+    With ``distinct`` the magnitudes repeat ``distinct`` random values on
+    random axes and signs, which keeps numeric conjugates (one optimiser
+    solve per distinct abscissa) affordable at large n.
+    """
+    pts = rng.choice(10 * n, size=n, replace=False) - 5 * n
+    if distinct is None:
+        vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    else:
+        mags = rng.uniform(0.1, 3.0, size=distinct)[rng.integers(0, distinct, size=n)]
+        vals = mags * np.array([1, -1, 1j, -1j])[rng.integers(0, 4, size=n)]
+    return FinSuppFn(1, {(int(p),): complex(v) for p, v in zip(pts, vals)})
+
+
+def test_luxemburg_bit_identical_under_reordering(catalog_pairs):
+    numeric = next(p.psi for p in catalog_pairs if p.conjugation_mode == "numerical")
+    phis = [young_from_spec({"family": "power", "p": p}) for p in (1.5, 2.0, 3.0)]
+    for phi in phis + [numeric]:
+        for t in range(5):
+            f = complex_finsupp(30, seeded_rng(8, t))
+            reversed_f = FinSuppFn(1, dict(reversed(list(f.entries.items()))))
+            got = luxemburg_norm(phi, f)
+            assert luxemburg_norm(phi, flip(f)) == got, phi.describe()
+            assert luxemburg_norm(phi, reversed_f) == got, phi.describe()
+
+
+def test_luxemburg_matches_scalar_bisection(catalog_pairs):
+    phis = [pair.phi for pair in catalog_pairs] + [pair.psi for pair in catalog_pairs]
+    for size in (1, 6, 40, 1000):
+        f = complex_finsupp(size, seeded_rng(9, size), distinct=50 if size > 40 else None)
+        for phi in phis:
+            got = luxemburg_norm(phi, f)
+            ref = scalar_luxemburg(phi, f)
+            assert abs(got - ref) <= 1e-13 * ref, (phi.describe(), size, got, ref)
+            # a single entry returns m / Phi^-1(1), whose modular is 1 up to rounding
+            assert modular(phi, f.scale(1.0 / got)) <= 1.0 + 1e-12, (phi.describe(), size)
+
+
+def test_array_forms_match_scalar_forms():
+    xs = np.concatenate([np.geomspace(1e-8, 1e4, 400), seeded_rng(10).uniform(0.0, 3.0, 400)])
+    powers = [young_from_spec({"family": "power", "p": p}) for p in (1.5, 2.0, 3.0)]
+    transforms = [sqrt_transform(young_from_spec({"family": "power", "p": q})) for q in (2.0, 3.0)]
+    for phi in powers + transforms:
+        assert phi.array_fn is not None, phi.describe()
+        got = phi.values(xs)
+        ref = [phi(float(x)) for x in xs]
+        for g, r, x in zip(got, ref, xs):
+            assert abs(g - r) <= 4e-16 * r, (phi.describe(), x, g, r)
+        with pytest.raises(InvalidInputError):
+            phi.values(np.array([1.0, -1e-3]))
+
+
+def test_power_overflow_reads_inf_on_both_paths():
+    # x**3 overflows at x > 5.6e102, so the modular of f and the first steps
+    # of the coarse bisection below (which starts from k = 1) are infinite.
+    # luxemburg_norm's own bracket keeps every abscissa below Phi^-1(1).
+    phi = young_from_spec({"family": "power", "p": 3.0})
+    f = FinSuppFn(1, {(0,): 1e200, (1,): 3.0, (2,): -1e150j})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert modular(phi, f) == modular(scalar_only(phi), f) == math.inf
+        assert naive_luxemburg(phi, f) == naive_luxemburg(scalar_only(phi), f)
+        got = luxemburg_norm(phi, f)
+    assert got == luxemburg_norm(scalar_only(phi), f)
+    assert got == pytest.approx(1e200 * power_lux_closed_form(3.0, f.scale(1e-200)), rel=1e-10)
 
 
 # -- orlicz ----------------------------------------------------------------------

@@ -142,6 +142,24 @@ def test_inverse_against_closed_form_grid():
             assert abs(phi(x) - y) <= 1e-10 * max(1.0, y)
 
 
+def test_inverse_method_memoises_bit_identical_values():
+    calls = []
+
+    def square(x: float) -> float:
+        calls.append(x)
+        return x * x
+
+    sq = YoungFunction(fn=square, label="square")
+    for y in (1.0, 1.0 / 7.0):
+        expected = inverse(sq, y)
+        calls.clear()
+        assert sq.inverse(y) == expected
+        assert calls
+        calls.clear()
+        assert sq.inverse(y) == expected
+        assert not calls
+
+
 # -- from_density ------------------------------------------------------------
 
 

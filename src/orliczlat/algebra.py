@@ -10,12 +10,10 @@ Reports carry ``certificate="empirical"`` to make this status explicit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
-    ConjugateInfiniteError,
     ConvexityError,
     PreconditionError,
     ResourceLimitError,
@@ -34,7 +32,6 @@ __all__ = [
     "classify_trend",
     "submult_estimate",
     "l1_module_check",
-    "sqrt_pair_inequality_check",
     "conv_inclusion_check",
     "pointwise_inclusion_check",
     "PLATEAU_MAX_GROWTH",
@@ -63,9 +60,7 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
     return FinSuppFn(f.dim, out)
 
 
-def flip(f: FinSuppFn) -> FinSuppFn:
-    """The reflection f(-x); an involution compatible with convolution."""
-    return FinSuppFn(f.dim, {tuple(-c for c in p): v for p, v in f})
+flip = FinSuppFn.flip
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,35 +224,6 @@ def _sqrt_pair(pair: ComplementaryPair) -> tuple[YoungFunction, YoungFunction]:
             f"sqrt transform rejected for {pair.psi.describe()}: {exc}"
         ) from exc
     return psi_tilde, numeric_conjugate(psi_tilde)
-
-
-def sqrt_pair_inequality_check(pair: ComplementaryPair, grid: Sequence[float]) -> bool:
-    """Pointwise comparisons tying Phi to the conjugate of Psi(sqrt(.)).
-
-    Checks Phi(x) <= T(2x^2/Phi(x)) and T(x^2/(4 Phi(x))) <= Phi(x) on the
-    grid, where T is the conjugate of the sqrt transform of Psi. Requires
-    the sqrt transform to be accepted.
-    """
-    _, phi_tilde = _sqrt_pair(pair)
-    phi = pair.phi
-    for x in grid:
-        fx = phi(x)
-        if fx <= 0.0 or math.isinf(fx):
-            continue
-        tol = 1e-6
-        try:
-            upper = phi_tilde(2.0 * x * x / fx)
-        except ConjugateInfiniteError:
-            upper = math.inf  # an infinite upper bound holds trivially
-        if fx > upper * (1.0 + tol):
-            return False
-        try:
-            lower = phi_tilde(x * x / (4.0 * fx))
-        except ConjugateInfiniteError:
-            return False
-        if lower > fx * (1.0 + tol):
-            return False
-    return True
 
 
 def conv_inclusion_check(

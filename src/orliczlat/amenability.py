@@ -32,11 +32,13 @@ from .algebra import AlgebraContext, ScanReport, _ratio_scan, convolve
 from .errors import InvalidInputError, PreconditionError
 from .finsupp import FinSuppFn, Point
 from .weights import (
+    RATIO_MARGIN,
     SeriesReport,
     Weight,
     ball,
     reciprocal_summability,
     shell_count,
+    slope_verdict,
     weight_from_spec,
 )
 from .young import YoungFunction
@@ -266,7 +268,7 @@ def _sampled_tail_behaviour(
     "diverges", "inconclusive", or "resolution-floor" when every sampled
     term is already a float zero (nothing can be said at this scale).
     Geometric decay is detected from anchor-local ratios, polynomial decay
-    from a log-log slope against the p-series boundary -1.
+    from a log-log slope through :func:`~orliczlat.weights.slope_verdict`.
     """
     anchors = _log_sampled_ints(n_max, 90)
     all_vals = [(n, term(n)) for n in anchors]
@@ -281,17 +283,13 @@ def _sampled_tail_behaviour(
         # positive head decayed to exact zero: the float sum terminates
         return "converges", -math.inf
     local = [(term(n + 1), v) for n, v in tail]
-    if all(v > 0 and nxt / v <= 1.0 - 1e-3 for nxt, v in local):
+    if all(v > 0 and nxt / v <= 1.0 - RATIO_MARGIN for nxt, v in local):
         return "converges", -math.inf
     pos = [(n, v) for n, v in tail if v > 0]
     if len(pos) < 4:
         return "inconclusive", 0.0
     slope = float(np.polyfit([math.log(n) for n, _ in pos], [math.log(v) for _, v in pos], 1)[0])
-    if slope <= -1.15:
-        return "converges", slope
-    if slope >= -0.85:
-        return "diverges", slope
-    return "inconclusive", slope
+    return slope_verdict(slope), slope
 
 
 def damped_form_in_orlicz(

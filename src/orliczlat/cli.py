@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,11 +43,15 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise InvalidInputError(f"config must be a JSON object, got {config!r}")
+    return config
 
 
 def _parse_json_flag(text: str, what: str) -> dict:
@@ -75,11 +80,6 @@ def _as_list(value, coerce, what: str) -> list:
     return [_num(coerce, value, what)]
 
 
-def _split(text: str, coerce, what: str) -> list:
-    """A comma-separated flag value as a list; empty items are dropped."""
-    return _as_list([v for v in text.split(",") if v], coerce, what)
-
-
 def _emit(table: ReportTable, out: str | None, fmt: str) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -91,22 +91,15 @@ def _emit(table: ReportTable, out: str | None, fmt: str) -> None:
 
 def _cmd_classify(config: dict, seed: int) -> tuple[ReportTable, int]:
     ps = _as_list(config.get("p"), float, "p")
-    weights = config.get("weights", [])
-    if isinstance(weights, Mapping):
+    weights = config.get("weights")
+    if isinstance(weights, Mapping) or weights and not isinstance(weights, list):
         weights = [weights]
     dims = _as_list(config.get("dim", 1), int, "dim")
-    if not ps or not weights or not dims:
-        table = ReportTable(
-            columns=["p", "weight", "dim", "verdict", "d_over_q", "half", "beta", "evidence"],
-            rows=[],
-            metadata=make_metadata("classify", config, seed, __version__),
-        )
-        return table, EXIT_OK
+    omegas = [weight_from_spec(w) for w in weights] if ps and weights and dims else []
     rows = []
     blocks = []
     for p in ps:
-        for wspec in weights:
-            omega = weight_from_spec(wspec)
+        for omega in omegas:
             for d in dims:
                 result = classify(p, omega, d)
                 rows.append(
@@ -131,7 +124,8 @@ def _cmd_classify(config: dict, seed: int) -> tuple[ReportTable, int]:
         print(
             f"p={row['p']:g} weight={row['weight']} dim={row['dim']} -> {row['verdict']}"
         )
-    print(json.dumps(blocks, indent=2, sort_keys=True))
+    if rows:
+        print(json.dumps(blocks, indent=2, sort_keys=True))
     return table, EXIT_OK
 
 
@@ -145,14 +139,13 @@ def _cmd_conjugate(config: dict, seed: int) -> tuple[ReportTable, int]:
     phi = young_from_spec(young_spec)
     ygrid = config.get("y", {"min": 1e-3, "max": 1e2, "points": 40})
     if isinstance(ygrid, Mapping):
-        ys = [
-            float(v)
-            for v in np.geomspace(
-                _num(float, ygrid.get("min", 1e-3), "y.min"),
-                _num(float, ygrid.get("max", 1e2), "y.max"),
-                _num(int, ygrid.get("points", 40), "y.points"),
-            )
-        ]
+        lo = _num(float, ygrid.get("min", 1e-3), "y.min")
+        hi = _num(float, ygrid.get("max", 1e2), "y.max")
+        points = _num(int, ygrid.get("points", 40), "y.points")
+        try:
+            ys = [float(v) for v in np.geomspace(lo, hi, points)]
+        except ValueError as exc:
+            raise InvalidInputError(f"bad y grid {dict(ygrid)!r}: {exc}") from exc
     else:
         ys = _as_list(ygrid, float, "y")
     pair = pair_from_spec(young_spec, validate=False)
@@ -213,6 +206,10 @@ def _cmd_norm(config: dict, seed: int) -> tuple[ReportTable, int]:
 
 
 def _scan_table(command: str, report, config: dict, seed: int) -> ReportTable:
+    """Print the scan per radius and return it as a report table."""
+    for row in report.per_radius:
+        print(f"radius={row['radius']:4d} max_ratio={row['max_ratio']:.6g} ({row['argmax']})")
+    print(f"trend: {report.trend} [certificate: {report.certificate}]")
     rows = [
         {
             "radius": row["radius"],
@@ -248,9 +245,6 @@ def _cmd_certify_algebra(config: dict, seed: int) -> tuple[ReportTable, int]:
         seed,
         max_support=_num(int, config.get("max_support", 40), "max_support"),
     )
-    for row in report.per_radius:
-        print(f"radius={row['radius']:4d} max_ratio={row['max_ratio']:.6g} ({row['argmax']})")
-    print(f"trend: {report.trend} [certificate: {report.certificate}]")
     return _scan_table("certify-algebra", report, config, seed), EXIT_OK
 
 
@@ -277,9 +271,6 @@ def _cmd_derivation_scan(config: dict, seed: int) -> tuple[ReportTable, int]:
     d = Derivation.with_ball_window(Homomorphism(tuple(coeffs)), dim, window)
     max_support = _num(int, config.get("max_support", 40), "max_support")
     report = derivation_norm_scan(ctx, d, radii, trials, seed, max_support=max_support)
-    for row in report.per_radius:
-        print(f"radius={row['radius']:4d} max_ratio={row['max_ratio']:.6g} ({row['argmax']})")
-    print(f"trend: {report.trend} [certificate: {report.certificate}]")
     return _scan_table("derivation-scan", report, config, seed), EXIT_OK
 
 
@@ -316,13 +307,85 @@ def _cmd_verify(config: dict, seed: int) -> tuple[ReportTable, int]:
     return table, (EXIT_OK if n_fail == 0 else EXIT_INVARIANT)
 
 
+# -- flags --------------------------------------------------------------------
+
+
+def _csv(coerce):
+    """A comma-separated flag value as a list; empty items are dropped."""
+    return lambda text, what: _as_list([v for v in text.split(",") if v], coerce, what)
+
+
+def _json_objects(texts: list[str], what: str) -> list[dict]:
+    return [_parse_json_flag(t, what) for t in texts]
+
+
+def _as_given(value, what: str):
+    return value
+
+
+@dataclass(frozen=True)
+class _Flag:
+    """A command flag and the config key it overrides.
+
+    ``coerce(value, flag)`` turns the parsed value into the config value;
+    a dotted key such as ``y.min`` sets one entry of a nested object.
+    ``options`` are the argparse keyword arguments.
+    """
+
+    flag: str
+    key: str
+    coerce: Callable[[Any, str], Any] = _as_given
+    options: Mapping[str, Any] = field(default_factory=dict)
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+_YOUNG = _Flag("--young", "young", _parse_json_flag, {"help": "young spec JSON"})
+_WEIGHT = _Flag("--weight", "weight", _parse_json_flag, {"help": "weight spec JSON"})
+_DIM = _Flag("--dim", "dim", options={"type": int})
+_TRIALS = _Flag("--trials", "trials", options={"type": int})
+
+class _Command(NamedTuple):
+    run: Callable[[dict, int], tuple[ReportTable, int]]
+    help: str
+    flags: tuple[_Flag, ...]
+
+
 _COMMANDS = {
-    "classify": _cmd_classify,
-    "conjugate": _cmd_conjugate,
-    "norm": _cmd_norm,
-    "certify-algebra": _cmd_certify_algebra,
-    "derivation-scan": _cmd_derivation_scan,
-    "verify": _cmd_verify,
+    "classify": _Command(_cmd_classify, "classification grid over (p, weight, dim)", (
+        _Flag("--p", "p", _csv(float), {"help": "comma-separated p values"}),
+        _Flag("--weight", "weights", _json_objects,
+              {"action": "append", "help": "weight spec JSON; repeatable"}),
+        _Flag("--dim", "dim", _csv(int), {"help": "comma-separated dimensions"}),
+    )),
+    "conjugate": _Command(_cmd_conjugate, "tabulate the numerical conjugate", (
+        _YOUNG,
+        _Flag("--ymin", "y.min", options={"type": float}),
+        _Flag("--ymax", "y.max", options={"type": float}),
+        _Flag("--points", "y.points", options={"type": int}),
+    )),
+    "norm": _Command(_cmd_norm, "norm of a sparse function", (
+        _YOUNG,
+        _WEIGHT,
+        _Flag("--kind", "kind", options={"choices": ("luxemburg", "orlicz")}),
+    )),
+    "certify-algebra": _Command(_cmd_certify_algebra, "submultiplicativity scan", (
+        _YOUNG, _WEIGHT, _DIM, _Flag("--radius", "radius", options={"type": int}), _TRIALS,
+    )),
+    "derivation-scan": _Command(_cmd_derivation_scan, "derivation boundedness scan", (
+        _YOUNG,
+        _WEIGHT,
+        _DIM,
+        _Flag("--radii", "radii", _csv(int), {"help": "comma-separated radii"}),
+        _TRIALS,
+        _Flag("--window-radius", "window_radius", options={"type": int}),
+        _Flag("--xi", "xi", _csv(float), {"help": "comma-separated coefficients"}),
+    )),
+    "verify": _Command(_cmd_verify, "run the catalog invariant battery", (
+        _Flag("--families", "families", _csv(str), {"help": "comma-separated family filter"}),
+    )),
 }
 
 
@@ -333,108 +396,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"orliczlat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp: argparse.ArgumentParser) -> None:
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp.add_argument("config", nargs="?", default=None, help="JSON config path or '-'")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="write the report table here")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    sp = sub.add_parser("classify", help="classification grid over (p, weight, dim)")
-    common(sp)
-    sp.add_argument("--p", default=None, help="comma-separated p values")
-    sp.add_argument("--weight", action="append", default=None, help="weight spec JSON; repeatable")
-    sp.add_argument("--dim", default=None, help="comma-separated dimensions")
-
-    sp = sub.add_parser("conjugate", help="tabulate the numerical conjugate")
-    common(sp)
-    sp.add_argument("--young", default=None, help="young spec JSON")
-    sp.add_argument("--ymin", type=float, default=None)
-    sp.add_argument("--ymax", type=float, default=None)
-    sp.add_argument("--points", type=int, default=None)
-
-    sp = sub.add_parser("norm", help="norm of a sparse function")
-    common(sp)
-    sp.add_argument("--young", default=None, help="young spec JSON")
-    sp.add_argument("--weight", default=None, help="weight spec JSON")
-    sp.add_argument("--kind", choices=("luxemburg", "orlicz"), default=None)
-
-    sp = sub.add_parser("certify-algebra", help="submultiplicativity scan")
-    common(sp)
-    sp.add_argument("--young", default=None)
-    sp.add_argument("--weight", default=None)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--radius", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-
-    sp = sub.add_parser("derivation-scan", help="derivation boundedness scan")
-    common(sp)
-    sp.add_argument("--young", default=None)
-    sp.add_argument("--weight", default=None)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--radii", default=None, help="comma-separated radii")
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--window-radius", type=int, default=None, dest="window_radius")
-    sp.add_argument("--xi", default=None, help="comma-separated coefficients")
-
-    sp = sub.add_parser("verify", help="run the catalog invariant battery")
-    common(sp)
-    sp.add_argument("--families", default=None, help="comma-separated family filter")
+        for fl in command.flags:
+            sp.add_argument(fl.flag, dest=fl.dest, default=None, **fl.options)
     return parser
 
 
-def _merge_flags(args: argparse.Namespace, config: dict) -> dict:
-    cmd = args.command
-    if cmd == "classify":
-        if args.p is not None:
-            config["p"] = _split(args.p, float, "--p")
-        if args.weight is not None:
-            config["weights"] = [_parse_json_flag(w, "--weight") for w in args.weight]
-        if args.dim is not None:
-            config["dim"] = _split(args.dim, int, "--dim")
-    elif cmd == "conjugate":
-        if args.young is not None:
-            config["young"] = _parse_json_flag(args.young, "--young")
-        ygrid = dict(config.get("y", {})) if isinstance(config.get("y", {}), Mapping) else {}
-        for key, val in (("min", args.ymin), ("max", args.ymax), ("points", args.points)):
-            if val is not None:
-                ygrid[key] = val
-        if ygrid:
-            config["y"] = ygrid
-    elif cmd == "norm":
-        if args.young is not None:
-            config["young"] = _parse_json_flag(args.young, "--young")
-        if args.weight is not None:
-            config["weight"] = _parse_json_flag(args.weight, "--weight")
-        if args.kind is not None:
-            config["kind"] = args.kind
-    elif cmd == "certify-algebra":
-        if args.young is not None:
-            config["young"] = _parse_json_flag(args.young, "--young")
-        if args.weight is not None:
-            config["weight"] = _parse_json_flag(args.weight, "--weight")
-        for key in ("dim", "radius", "trials"):
-            val = getattr(args, key)
-            if val is not None:
-                config[key] = val
-    elif cmd == "derivation-scan":
-        if args.young is not None:
-            config["young"] = _parse_json_flag(args.young, "--young")
-        if args.weight is not None:
-            config["weight"] = _parse_json_flag(args.weight, "--weight")
-        if args.dim is not None:
-            config["dim"] = args.dim
-        if args.radii is not None:
-            config["radii"] = _split(args.radii, int, "--radii")
-        if args.trials is not None:
-            config["trials"] = args.trials
-        if args.window_radius is not None:
-            config["window_radius"] = args.window_radius
-        if args.xi is not None:
-            config["xi"] = _split(args.xi, float, "--xi")
-    elif cmd == "verify":
-        if args.families is not None:
-            config["families"] = _split(args.families, str, "--families")
+def _apply_flags(args: argparse.Namespace, config: dict) -> dict:
+    """Override config keys with the flags that were given."""
+    for fl in _COMMANDS[args.command].flags:
+        value = getattr(args, fl.dest)
+        if value is None:
+            continue
+        value = fl.coerce(value, fl.flag)
+        key, _, sub = fl.key.partition(".")
+        if sub:
+            nested = config.get(key)
+            value = {**(nested if isinstance(nested, Mapping) else {}), sub: value}
+        config[key] = value
     return config
 
 
@@ -442,8 +426,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _merge_flags(args, _load_config(args.config))
-        table, code = _COMMANDS[args.command](config, args.seed)
+        config = _apply_flags(args, _load_config(args.config))
+        table, code = _COMMANDS[args.command].run(config, args.seed)
         _emit(table, args.out, args.format)
         return code
     except ResourceLimitError as exc:
@@ -454,6 +438,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except OverflowError as exc:
+        print(f"numerical failure: overflow ({exc})", file=sys.stderr)
         return EXIT_INVARIANT
     except OrliczError as exc:
         print(f"error: {exc}", file=sys.stderr)

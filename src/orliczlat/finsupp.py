@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 Point = tuple[int, ...]
@@ -98,8 +100,11 @@ class FinSuppFn:
     def max_abs(self) -> float:
         return max((abs(v) for v in self.entries.values()), default=0.0)
 
-    def magnitudes(self) -> list[float]:
-        return [abs(v) for v in self.entries.values()]
+    def magnitudes(self) -> np.ndarray:
+        """|f(s)| over the support in insertion order, equal to ``abs(complex)``
+        bit for bit (``np.hypot``; ``np.abs`` may differ in the last ulp)."""
+        vals = np.fromiter(self.entries.values(), dtype=complex, count=len(self.entries))
+        return np.hypot(vals.real, vals.imag)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -123,6 +128,10 @@ class FinSuppFn:
             self.dim,
             {p: v * big.entries[p] for p, v in small.entries.items() if p in big.entries},
         )
+
+    def flip(self) -> "FinSuppFn":
+        """The reflection f(-x); an involution compatible with convolution."""
+        return FinSuppFn(self.dim, {tuple(-c for c in p): v for p, v in self.entries.items()})
 
     def abs(self) -> "FinSuppFn":
         return FinSuppFn(self.dim, {p: abs(v) for p, v in self.entries.items()})
@@ -149,6 +158,6 @@ class FinSuppFn:
                 tuple(int(c) for c in pt): complex(float(val[0]), float(val[1]))
                 for pt, val in obj["entries"]
             }
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise InvalidInputError(f"malformed sparse-function object: {exc}") from exc
         return cls(dim, entries)

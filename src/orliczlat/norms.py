@@ -5,11 +5,12 @@ finite sum over the support. The Luxemburg norm is
 
     N_Phi(f) = inf{ k > 0 : sum Phi(|f(s)|/k) <= 1 },
 
-computed by bisection in k (the modular is monotone in k and the bracket
-endpoints are available in closed form from the largest entry). Each
-bisection step evaluates the modular as one array pass over the support
-(:meth:`YoungFunction.values`). The magnitudes are taken once with
-``np.hypot`` and the terms are added with ``math.fsum``: these match
+computed by bisection in k (:func:`~orliczlat.young.bisect`; the modular
+is monotone in k and the bracket endpoints are available in closed form
+from the largest entry). Each bisection step evaluates the modular as one
+array pass over the support (:meth:`YoungFunction.values`). The
+magnitudes are taken once (:meth:`FinSuppFn.magnitudes`, ``np.hypot``)
+and the terms are added with ``math.fsum``: these match
 Python's ``abs(complex)`` and exact summation bit for bit, so the norm does
 not depend on the order of the support. An array form of Phi may differ
 from its scalar form in the last ulp; the bisection stays because its fixed
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 from .finsupp import FinSuppFn, Point
-from .young import ComplementaryPair, YoungFunction
+from .young import ComplementaryPair, YoungFunction, bisect, expand
 
 __all__ = [
     "modular",
@@ -51,12 +52,6 @@ __all__ = [
 ]
 
 
-def _magnitudes(f: FinSuppFn) -> np.ndarray:
-    """|f(s)| over the support, equal to ``abs(complex)`` bit for bit."""
-    vals = np.fromiter(f.entries.values(), dtype=complex, count=len(f))
-    return np.hypot(vals.real, vals.imag)
-
-
 def _modular(phi: YoungFunction, mags: np.ndarray) -> float:
     """sum of Phi over the magnitudes; callers ignore numpy overflow, so it reads as inf."""
     return math.fsum(phi.values(mags))
@@ -65,18 +60,22 @@ def _modular(phi: YoungFunction, mags: np.ndarray) -> float:
 def modular(phi: YoungFunction, f: FinSuppFn) -> float:
     """sum of Phi(|f(s)|) over the support."""
     with np.errstate(over="ignore"):
-        return _modular(phi, _magnitudes(f))
+        return _modular(phi, f.magnitudes())
 
 
 def luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
     """Luxemburg norm by bisection; 0 for the zero function.
 
-    The returned k satisfies modular(f/k) <= 1 with the bracket narrowed to
-    relative width 1e-12, well inside the documented 1e-10 accuracy.
+    The bisection narrows the bracket [m/Phi^-1(1), m/Phi^-1(1/n)] (m the
+    largest magnitude, n the support size) to relative width 1e-13 and
+    returns its upper end k. modular(f/k) <= 1 holds up to the 1e-10
+    residual of :func:`~orliczlat.young.inverse`, which the bracket ends
+    carry, and rounding: a one-entry support returns m/Phi^-1(1) unchecked,
+    and its modular reads 1.0000000000000004 for x^2/2.
     """
     if f.is_zero:
         return 0.0
-    mags = _magnitudes(f)
+    mags = f.magnitudes()
     m = float(mags.max())
     n = len(mags)
     lo = m / phi.inverse(1.0)
@@ -84,14 +83,7 @@ def luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
     with np.errstate(over="ignore"):
         if _modular(phi, mags / lo) <= 1.0:
             return lo
-        for _ in range(200):
-            if hi - lo <= 1e-13 * hi:
-                break
-            mid = 0.5 * (lo + hi)
-            if _modular(phi, mags / mid) <= 1.0:
-                hi = mid
-            else:
-                lo = mid
+        _, hi = bisect(lambda k: _modular(phi, mags / k) <= 1.0, lo, hi, 1e-13)
     return hi
 
 
@@ -112,33 +104,18 @@ def orlicz_norm(pair: ComplementaryPair, f: FinSuppFn) -> float:
     if f.is_zero:
         return 0.0
     phi = pair.phi
-    mags = f.magnitudes()
+    mags = f.magnitudes().tolist()
 
     def constraint(t: float) -> float:
         return math.fsum(_dual_constraint_term(phi, a / t) for a in mags)
 
-    hi = max(max(mags), 1e-300)
-    for _ in range(400):
-        if constraint(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
+    hi = expand(lambda t: constraint(t) <= 1.0, max(max(mags), 1e-300), 2.0, 400)
+    if hi is None:
         raise NumericalFailureError("dual multiplier bracket failed to expand")
-    lo = hi
-    for _ in range(400):
-        lo *= 0.5
-        if constraint(lo) >= 1.0:
-            break
-    else:
+    lo = expand(lambda t: constraint(t) >= 1.0, hi * 0.5, 0.5, 400)
+    if lo is None:
         raise NumericalFailureError("dual multiplier bracket failed to shrink")
-    for _ in range(200):
-        if hi - lo <= 1e-13 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
+    _, hi = bisect(lambda t: constraint(t) <= 1.0, lo, hi, 1e-13)
     value = math.fsum(a * phi.d(a / hi) for a in mags)
 
     n_phi = luxemburg_norm(phi, f)
@@ -151,8 +128,21 @@ def orlicz_norm(pair: ComplementaryPair, f: FinSuppFn) -> float:
 
 
 def apply_weight(f: FinSuppFn, omega: Callable[[Point], float]) -> FinSuppFn:
-    """Pointwise product f(s) * omega(s)."""
-    return FinSuppFn(f.dim, {p: v * omega(p) for p, v in f})
+    """Pointwise product f(s) * omega(s).
+
+    Raises :class:`NumericalFailureError` naming the point where omega
+    overflows (or is otherwise not finite): the product is then no finite
+    function at all.
+    """
+    out = {}
+    for p, v in f:
+        w = omega(p)
+        if not math.isfinite(w):
+            raise NumericalFailureError(
+                f"weight is {w!r} at {p!r}: the weighted function is not finite"
+            )
+        out[p] = v * w
+    return FinSuppFn(f.dim, out)
 
 
 def weighted_norm(

@@ -19,6 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .errors import InvalidInputError
 from .finsupp import FinSuppFn, Point
 from .weights import Weight, ball, ball_size
 
@@ -38,6 +39,11 @@ def random_finsupp(
     rng: np.random.Generator,
     max_support: int = 40,
 ) -> FinSuppFn:
+    if not (1 <= max_support < 2**62 and 0 <= radius < 2**62):
+        raise InvalidInputError(
+            f"need 1 <= max_support and 0 <= radius, both below 2**62; "
+            f"got {max_support!r}, {radius!r}"
+        )
     size = int(rng.integers(1, max_support + 1))
     entries: dict[Point, complex] = {}
     pts = rng.integers(-radius, radius + 1, size=(size, dim))
@@ -50,10 +56,6 @@ def random_finsupp(
     if not entries:
         entries[(0,) * dim] = 1.0
     return FinSuppFn(dim, entries)
-
-
-def _flip(f: FinSuppFn) -> FinSuppFn:
-    return FinSuppFn(f.dim, {tuple(-c for c in p): v for p, v in f})
 
 
 def adversarial_candidates(
@@ -104,7 +106,7 @@ def scan_pairs(
 ) -> Iterator[tuple[str, FinSuppFn, FinSuppFn]]:
     """Adversarial pairs first, then ``trials`` seeded random pairs."""
     for kind, f in adversarial_candidates(dim, radius, omega, xi):
-        g = _flip(f)
+        g = f.flip()
         yield f"{kind}/flipped", f, g
         yield f"{kind}/same", f, f
     for t in range(trials):

@@ -21,7 +21,7 @@ from .algebra import _sqrt_pair
 from .errors import ConjugateInfiniteError, PreconditionError
 from .norms import luxemburg_norm, orlicz_norm
 from .sampling import random_finsupp, rng_for
-from .young import ComplementaryPair, catalog, default_grid, inverse
+from .young import ComplementaryPair, catalog, default_grid, inverse, young_inequality_margin
 
 __all__ = [
     "VerifyRow",
@@ -36,7 +36,6 @@ __all__ = [
 
 BATTERY_SEED = 592035
 
-YOUNG_GRID = [float(x) for x in np.geomspace(1e-4, 1e2, 50)]
 SANDWICH_GRID = default_grid(25)
 SQRT_GRID = [float(x) for x in np.geomspace(1e-3, 1e3, 25)]
 
@@ -49,17 +48,6 @@ class VerifyRow:
     worst_margin: float
     tolerance: float
     note: str = ""
-
-
-def young_inequality_margin(pair: ComplementaryPair, grid: Sequence[float] = YOUNG_GRID) -> float:
-    """Worst of (xy - Phi(x) - Psi(y)) / (1 + xy) over the grid."""
-    worst = -math.inf
-    psi_vals = [pair.psi(y) for y in grid]
-    for x in grid:
-        px = pair.phi(x)
-        for y, py in zip(grid, psi_vals):
-            worst = max(worst, (x * y - px - py) / (1.0 + x * y))
-    return worst
 
 
 def inverse_sandwich_margin(
@@ -149,34 +137,18 @@ def run_battery(
 ) -> list[VerifyRow]:
     """Run every invariant over the catalog (or the given pairs)."""
     todo = list(pairs) if pairs is not None else catalog()
+    trials = {"holder": holder_trials, "norm_sandwich": sandwich_trials}
     rows: list[VerifyRow] = []
     for pair in todo:
         name = pair.describe()
         for label, fn, tol in _CHECKS:
-            if label == "holder":
-                margin = fn(pair, trials=holder_trials)
-            elif label == "norm_sandwich":
-                margin = fn(pair, trials=sandwich_trials)
-            else:
-                margin = fn(pair)
+            margin = fn(pair, **({"trials": trials[label]} if label in trials else {}))
             rows.append(VerifyRow(label, name, margin <= tol, margin, tol))
         for oriented, tag in ((pair, "as-is"), (pair.swap(), "swapped")):
             margin = sqrt_pair_margin(oriented)
             if margin is None:
-                rows.append(
-                    VerifyRow(
-                        "sqrt_pair_inequalities",
-                        name,
-                        True,
-                        0.0,
-                        1e-6,
-                        note=f"{tag}: sqrt transform rejected, check vacuous",
-                    )
-                )
-            else:
-                rows.append(
-                    VerifyRow(
-                        "sqrt_pair_inequalities", name, margin <= 1e-6, margin, 1e-6, note=tag
-                    )
-                )
+                margin, tag = 0.0, f"{tag}: sqrt transform rejected, check vacuous"
+            rows.append(
+                VerifyRow("sqrt_pair_inequalities", name, margin <= 1e-6, margin, 1e-6, note=tag)
+            )
     return rows

@@ -48,6 +48,7 @@ __all__ = [
     "uv_decomposition_check",
     "reciprocal_summability",
     "shell_series_verdict",
+    "slope_verdict",
     "SeriesReport",
 ]
 
@@ -235,8 +236,8 @@ def make_weight(family: str, **params: float) -> Weight:
 
 def weight_from_spec(spec: Mapping[str, object]) -> Weight:
     """Construct a weight from {"family": id, <params>} (CLI-shared naming)."""
-    if "family" not in spec:
-        raise InvalidInputError(f"weight spec missing 'family': {spec!r}")
+    if not isinstance(spec, Mapping) or "family" not in spec:
+        raise InvalidInputError(f"weight spec needs an object with a 'family': {spec!r}")
     try:
         params = {k: float(v) for k, v in spec.items() if k != "family"}  # type: ignore[arg-type]
     except (TypeError, ValueError) as exc:
@@ -328,14 +329,24 @@ RATIO_MARGIN = 1e-3
 SLOPE_MARGIN = 0.15
 
 
+def slope_verdict(slope: float) -> str:
+    """Series verdict from the log-log slope of its terms against the
+    p-series boundary -1: "converges" at -1 - SLOPE_MARGIN or below,
+    "diverges" at -1 + SLOPE_MARGIN or above, "inconclusive" between."""
+    if slope <= -1.0 - SLOPE_MARGIN:
+        return "converges"
+    if slope >= -1.0 + SLOPE_MARGIN:
+        return "diverges"
+    return "inconclusive"
+
+
 def shell_series_verdict(terms: Sequence[float], *, window: int = 10) -> SeriesReport:
     """Heuristic convergence verdict for a positive shell series.
 
     ``terms[i]`` is the shell term at radius i+1. Geometric decay in the
     tail window gives "converges" with a completed estimate; a sustained
     non-decaying tail gives "diverges"; otherwise a log-log slope fit over
-    the last decade decides against the p-series boundary, with a margin
-    band reported as "inconclusive".
+    the last decade decides through :func:`slope_verdict`.
     """
     ts = [float(t) for t in terms]
     if any(t < 0 or math.isnan(t) for t in ts):
@@ -366,17 +377,15 @@ def shell_series_verdict(terms: Sequence[float], *, window: int = 10) -> SeriesR
     if len(xs) < 4:
         return SeriesReport("inconclusive", partial, None, "sparse-tail")
     slope = float(np.polyfit(xs, ys, 1)[0])
-    if slope <= -1.0 - SLOPE_MARGIN:
-        # geometric-tail completion only when the decay is clearly faster
-        # than any power law in the window
-        est = None
-        if ratios and max(ratios) <= 1.0 - RATIO_MARGIN and max(ratios) <= 0.9:
-            r = max(ratios)
-            est = partial + ts[-1] * r / (1.0 - r)
-        return SeriesReport("converges", partial, est, f"slope-test:{slope:.3f}")
-    if slope >= -1.0 + SLOPE_MARGIN:
-        return SeriesReport("diverges", partial, None, f"slope-test:{slope:.3f}")
-    return SeriesReport("inconclusive", partial, None, f"slope-test:{slope:.3f}")
+    verdict = slope_verdict(slope)
+    est = None
+    # geometric-tail completion only when the decay is clearly faster than
+    # any power law in the window
+    if (verdict == "converges" and ratios and max(ratios) <= 1.0 - RATIO_MARGIN
+            and max(ratios) <= 0.9):
+        r = max(ratios)
+        est = partial + ts[-1] * r / (1.0 - r)
+    return SeriesReport(verdict, partial, est, f"slope-test:{slope:.3f}")
 
 
 def reciprocal_summability(

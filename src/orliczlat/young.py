@@ -38,6 +38,9 @@ __all__ = [
     "conjugate",
     "conjugate_with_argmax",
     "inverse",
+    "bisect",
+    "expand",
+    "young_inequality_margin",
     "make_pair",
     "numeric_conjugate",
     "from_density",
@@ -278,6 +281,49 @@ def numeric_conjugate(phi: YoungFunction) -> YoungFunction:
     )
 
 
+def expand(
+    pred: Callable[[float], bool], start: float, factor: float, max_iter: int
+) -> float | None:
+    """The first ``start * factor**k`` (k < max_iter) where ``pred`` holds, or None."""
+    x = start
+    for _ in range(max_iter):
+        if pred(x):
+            return x
+        x *= factor
+    return None
+
+
+def bisect(
+    pred: Callable[[float], bool],
+    lo: float,
+    hi: float,
+    rtol: float,
+    floor: float = 0.0,
+    max_iter: int = 200,
+) -> tuple[float, float]:
+    """Halve [lo, hi] around the point where ``pred`` turns true.
+
+    ``pred`` must be false at ``lo`` and true at ``hi`` (monotone between);
+    a midpoint where it holds becomes the new ``hi``. Stops once
+    ``hi - lo <= rtol * max(floor, hi)``, after ``max_iter`` halvings, or
+    when ``lo`` and ``hi`` are adjacent floats, where every further halving
+    would leave them as they are; so ``rtol=0`` returns what all
+    ``max_iter`` halvings would. This is the one bisection of the package:
+    inverses, the Luxemburg norm and the Orlicz multiplier.
+    """
+    for _ in range(max_iter):
+        if hi - lo <= rtol * (hi if hi > floor else floor):
+            break
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: every further halving repeats this one
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def inverse(phi: YoungFunction, y: float) -> float:
     """Solve Phi(x) = y for x by bracketed bisection.
 
@@ -288,26 +334,35 @@ def inverse(phi: YoungFunction, y: float) -> float:
         raise InvalidInputError(f"inverse requested below Phi(0)=0, y={y!r}")
     if y == 0.0:
         return 0.0
-    hi = 1.0
-    for _ in range(4000):
-        if phi(hi) >= y:
-            break
-        hi *= 2.0
-    else:
+
+    def reaches(x: float) -> bool:
+        return phi(x) >= y
+
+    hi = expand(reaches, 1.0, 2.0, 4000)
+    if hi is None:
         raise NumericalFailureError(f"no bracket for inverse at y={y!r}")
-    lo = 0.0
-    for _ in range(200):
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if phi(mid) < y:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(reaches, 0.0, hi, 1e-15, floor=1.0)
     x = 0.5 * (lo + hi)
     if abs(phi(x) - y) <= 1e-10 * max(1.0, y):
         return x
     raise NumericalFailureError(f"inverse bisection stalled at y={y!r}")
+
+
+# Product-inequality grid of the invariant battery.
+YOUNG_GRID = [float(x) for x in np.geomspace(1e-4, 1e2, 50)]
+
+
+def young_inequality_margin(
+    pair: "ComplementaryPair", grid: Sequence[float] = YOUNG_GRID
+) -> float:
+    """Worst of (xy - Phi(x) - Psi(y)) / (1 + xy) over the grid."""
+    worst = -math.inf
+    psi_vals = [pair.psi(y) for y in grid]
+    for x in grid:
+        px = pair.phi(x)
+        for y, py in zip(grid, psi_vals):
+            worst = max(worst, (x * y - px - py) / (1.0 + x * y))
+    return worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,26 +385,17 @@ class ComplementaryPair:
         """The same pair with the roles of phi and psi exchanged."""
         return ComplementaryPair(self.psi, self.phi, self.conjugation_mode)
 
-    def phi_inv(self, x: float) -> float:
-        return inverse(self.phi, x)
-
-    def psi_inv(self, x: float) -> float:
-        return inverse(self.psi, x)
-
     def validate(self, grid: Sequence[float] | None = None) -> None:
         """Product inequality and inverse sandwich on a sampled grid."""
         xs = list(grid) if grid is not None else default_grid(13)
+        margin = young_inequality_margin(self, xs)
+        if margin > 1e-9:
+            raise InvalidInputError(
+                f"pair {self.describe()}: product inequality fails, "
+                f"worst (xy - Phi(x) - Psi(y)) / (1 + xy) = {margin:g}"
+            )
         for x in xs:
-            px = self.phi(x)
-            for y in xs:
-                bound = px + self.psi(y)
-                if x * y > bound + 1e-9 * (1.0 + x * y):
-                    raise InvalidInputError(
-                        f"pair {self.describe()}: product inequality fails at "
-                        f"({x:g},{y:g}): {x * y:g} > {bound:g}"
-                    )
-        for x in xs:
-            prod = self.phi_inv(x) * self.psi_inv(x)
+            prod = self.phi.inverse(x) * self.psi.inverse(x)
             if not (x <= prod * (1.0 + 1e-8) and prod <= 2.0 * x + 1e-8):
                 raise InvalidInputError(
                     f"pair {self.describe()}: inverse sandwich fails at {x:g}: "
@@ -416,18 +462,14 @@ def from_density(
     def varphi_inv(t: float) -> float:
         if t <= 0.0:
             return 0.0
-        hi = 1.0
-        for _ in range(4000):
-            if varphi(hi) >= t:
-                break
-            hi *= 2.0
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if varphi(mid) < t:
-                lo = mid
-            else:
-                hi = mid
+
+        def reaches(x: float) -> bool:
+            return varphi(x) >= t
+
+        hi = expand(reaches, 1.0, 2.0, 4000)
+        if hi is None:
+            raise NumericalFailureError(f"density never reaches {t!r}: no bracket for its inverse")
+        lo, hi = bisect(reaches, 0.0, hi, 0.0)
         return 0.5 * (lo + hi)
 
     def phi_fn(x: float) -> float:
@@ -700,8 +742,8 @@ def catalog_ids() -> list[str]:
 
 def young_from_spec(spec: Mapping[str, object]) -> YoungFunction:
     """Construct a catalog Young function from {"family": id, <params>}."""
-    if "family" not in spec:
-        raise InvalidInputError(f"young spec missing 'family': {spec!r}")
+    if not isinstance(spec, Mapping) or "family" not in spec:
+        raise InvalidInputError(f"young spec needs an object with a 'family': {spec!r}")
     family = str(spec["family"])
     maker = _FAMILIES.get(family)
     if maker is None:

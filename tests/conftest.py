@@ -2,6 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property and fuzz tests draw the same examples on every run.
+settings.register_profile("orliczlat", derandomize=True, deadline=None, database=None)
+settings.load_profile("orliczlat")
 
 from orliczlat.young import catalog, pair_from_spec
 

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orliczlat.cli import main
 from orliczlat.verify import young_inequality_margin
@@ -125,6 +129,19 @@ def test_norm_command_stdin():
     assert "luxemburg norm" in r.stdout
     value = float(r.stdout.split("=")[-1])
     assert value == pytest.approx(5.0 / math.sqrt(2.0), rel=1e-9)
+
+
+def test_norm_weight_overflow_is_numerical_failure_exit_1():
+    # e^{|x|} at x = 800 overflows: a numerical outcome, not a config error
+    cfg = {
+        "young": {"family": "power", "p": 2},
+        "weight": {"family": "subexp_alpha", "alpha": 1, "C": 1},
+        "f": {"dim": 1, "entries": [[[800], [1.0, 0.0]]]},
+    }
+    r = run_cli("norm", "-", inp=json.dumps(cfg))
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert "numerical failure" in r.stderr and "(800,)" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_certify_algebra_runs():
@@ -318,3 +335,216 @@ def test_main_entrypoint_in_process(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "WeaklyAmenable" in out
+
+
+# -- flag table -------------------------------------------------------------------
+
+# Configs small enough to run every command in well under a second.
+_BASE = {
+    "classify": {"p": [1.5], "weights": [{"family": "polynomial", "beta": 0.4}], "dim": [1]},
+    "conjugate": {"young": {"family": "power", "p": 2}, "y": {"points": 4}},
+    "norm": {
+        "young": {"family": "power", "p": 2},
+        "f": {"dim": 1, "entries": [[[0], [3.0, 0.0]], [[2], [0.0, 4.0]]]},
+    },
+    "certify-algebra": {
+        "young": {"family": "power", "p": 1.5},
+        "weight": {"family": "polynomial", "beta": 0.7},
+        "radius": 4,
+        "trials": 2,
+    },
+    "derivation-scan": {
+        "young": {"family": "power", "p": 1.5},
+        "weight": {"family": "polynomial", "beta": 0.6},
+        "radii": [2, 4],
+        "trials": 2,
+    },
+    "verify": {"families": ["power"]},
+}
+
+# (command, flag) -> (flag text, the config value it stands for)
+_FLAG_SAMPLES = {
+    ("classify", "--p"): ("1.5,3", [1.5, 3.0]),
+    ("classify", "--weight"): ('{"family":"polynomial","beta":0.8}',
+                               [{"family": "polynomial", "beta": 0.8}]),
+    ("classify", "--dim"): ("1,2", [1, 2]),
+    ("conjugate", "--young"): ('{"family":"power","p":3}', {"family": "power", "p": 3}),
+    ("conjugate", "--ymin"): ("0.01", 0.01),
+    ("conjugate", "--ymax"): ("5", 5.0),
+    ("conjugate", "--points"): ("6", 6),
+    ("norm", "--young"): ('{"family":"power","p":3}', {"family": "power", "p": 3}),
+    ("norm", "--weight"): ('{"family":"polynomial","beta":0.5}',
+                           {"family": "polynomial", "beta": 0.5}),
+    ("norm", "--kind"): ("orlicz", "orlicz"),
+    ("certify-algebra", "--young"): ('{"family":"power","p":2}', {"family": "power", "p": 2}),
+    ("certify-algebra", "--weight"): ('{"family":"polynomial","beta":0.9}',
+                                      {"family": "polynomial", "beta": 0.9}),
+    ("certify-algebra", "--dim"): ("2", 2),
+    ("certify-algebra", "--radius"): ("3", 3),
+    ("certify-algebra", "--trials"): ("3", 3),
+    ("derivation-scan", "--young"): ('{"family":"power","p":2}', {"family": "power", "p": 2}),
+    ("derivation-scan", "--weight"): ('{"family":"polynomial","beta":0.3}',
+                                      {"family": "polynomial", "beta": 0.3}),
+    ("derivation-scan", "--dim"): ("1", 1),
+    ("derivation-scan", "--radii"): ("3,5", [3, 5]),
+    ("derivation-scan", "--trials"): ("3", 3),
+    ("derivation-scan", "--window-radius"): ("2", 2),
+    ("derivation-scan", "--xi"): ("2.5", [2.5]),
+    ("verify", "--families"): ("power,entropy", ["power", "entropy"]),
+}
+
+
+def _with_key(config: dict, key: str, value) -> dict:
+    head, _, sub = key.partition(".")
+    out = {k: v for k, v in config.items() if k != head}
+    if sub:
+        value = {**config.get(head, {}), sub: value}
+    out[head] = value
+    return out
+
+
+def _without_key(config: dict, key: str) -> dict:
+    head, _, sub = key.partition(".")
+    if not sub:
+        return {k: v for k, v in config.items() if k != head}
+    return {**config, head: {k: v for k, v in config[head].items() if k != sub}}
+
+
+def test_every_table_flag_has_a_sample():
+    from orliczlat.cli import _COMMANDS
+
+    table = {(name, fl.flag) for name, cmd in _COMMANDS.items() for fl in cmd.flags}
+    assert table == set(_FLAG_SAMPLES)
+    assert len(table) == 23
+
+
+@pytest.mark.parametrize("command,flag", sorted(_FLAG_SAMPLES), ids=lambda v: v)
+def test_flag_and_config_key_give_identical_out_files(tmp_path, capsys, command, flag):
+    from orliczlat.cli import _COMMANDS
+
+    (entry,) = [fl for fl in _COMMANDS[command].flags if fl.flag == flag]
+    text, value = _FLAG_SAMPLES[command, flag]
+    outs = []
+    for name, config, extra in (
+        ("flag", _without_key(_BASE[command], entry.key), [flag, text]),
+        ("config", _with_key(_BASE[command], entry.key, value), []),
+    ):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / f"{name}.out.json"
+        code = main([command, str(cfg), *extra, "--seed", "3",
+                     "--out", str(out), "--format", "json"])
+        assert code == 0, capsys.readouterr()
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+# -- fuzz -------------------------------------------------------------------------
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.sampled_from([0.0, -1.5, 0.5, 2.5, 1e308, math.nan, math.inf, "", "x", "1.5", [], {}]),
+    st.lists(st.integers(-2, 3), max_size=3),
+)
+_YOUNG_SPEC = st.one_of(
+    _JUNK,
+    st.sampled_from([{"family": "power", "p": 1.5}, {"family": "entropy"}]),
+    st.fixed_dictionaries(
+        {"family": st.sampled_from(["power", "entropy", "cosh", "mystery", 3])},
+        optional={"p": _JUNK},
+    ),
+)
+_WEIGHT_SPEC = st.one_of(
+    _JUNK,
+    st.sampled_from([{"family": "polynomial", "beta": 0.6},
+                     {"family": "subexp_alpha", "alpha": 0.5, "C": 1.0}]),
+    st.fixed_dictionaries(
+        {"family": st.sampled_from(["polynomial", "subexp_alpha", "subexp_log", "bogus"])},
+        optional={k: _JUNK for k in ("beta", "alpha", "C", "gamma")},
+    ),
+)
+_F_OBJ = st.one_of(
+    _JUNK,
+    st.fixed_dictionaries(
+        {
+            "dim": _JUNK,
+            "entries": st.one_of(
+                _JUNK,
+                st.lists(st.tuples(st.lists(st.integers(-900, 900), max_size=2),
+                                   st.lists(_JUNK, max_size=3)), max_size=3),
+            ),
+        }
+    ),
+)
+_KEYS = {
+    "classify": {"p": _JUNK, "dim": _JUNK,
+                 "weights": st.one_of(_WEIGHT_SPEC, st.lists(_WEIGHT_SPEC, max_size=2))},
+    "conjugate": {"young": _YOUNG_SPEC, "y": st.one_of(
+        _JUNK, st.fixed_dictionaries({}, optional={"min": _JUNK, "max": _JUNK, "points": _JUNK}))},
+    "norm": {"young": _YOUNG_SPEC, "f": _F_OBJ, "kind": _JUNK, "weight": _WEIGHT_SPEC},
+    "certify-algebra": {"young": _YOUNG_SPEC, "weight": _WEIGHT_SPEC, "dim": _JUNK,
+                        "radius": _JUNK, "trials": _JUNK, "max_support": _JUNK},
+    "derivation-scan": {"young": _YOUNG_SPEC, "weight": _WEIGHT_SPEC, "dim": _JUNK,
+                        "radii": _JUNK, "trials": _JUNK, "window_radius": _JUNK, "xi": _JUNK,
+                        "max_support": _JUNK},
+    "verify": {"families": st.one_of(_JUNK, st.lists(st.sampled_from(["entropy", "x", ""]),
+                                                     max_size=2))},
+}
+_FLAG_TEXT = st.sampled_from(
+    ["", "x", "0", "-1", "2", "1.5,3", "nan", "inf", "{}", "[1]", "1,,x",
+     '{"family":"power","p":2}', '{"family":"polynomial","beta":0.6}']
+)
+
+
+@st.composite
+def _invocations(draw):
+    """A command with a working small config, one or two of whose keys are
+    replaced by junk (now and then a junk config), and up to one flag of
+    the command with junk text. Keys are never dropped: their defaults
+    (radius 64, 200 trials, the whole catalog) cost seconds."""
+    from orliczlat.cli import _COMMANDS
+
+    command = draw(st.sampled_from(sorted(_KEYS)))
+    if draw(st.integers(0, 7)) == 0:
+        config = draw(_JUNK)
+    else:
+        # the fuzz base for verify names no family, so the battery stays cheap
+        config = dict(_BASE[command]) if command != "verify" else {"families": ["x"]}
+        keys = draw(st.lists(st.sampled_from(sorted(_KEYS[command])), min_size=1, max_size=2,
+                             unique=True))
+        for key in keys:
+            config[key] = draw(_KEYS[command][key])
+    flags = draw(st.lists(st.sampled_from([fl.flag for fl in _COMMANDS[command].flags]),
+                          max_size=1))
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(_FLAG_TEXT)]
+    return argv, config
+
+
+@settings(max_examples=150)
+@given(_invocations())
+# inputs that once escaped as tracebacks
+@example((["certify-algebra"], {**_BASE["certify-algebra"], "max_support": 0}))
+@example((["derivation-scan"], {**_BASE["derivation-scan"], "max_support": 1e308}))
+@example((["classify"], {"p": [1.5], "weights": 5}))
+@example((["classify"], {"p": [3.0], "weights": {"family": "subexp_log", "gamma": 1e308, "C": 1}}))
+@example((["conjugate"], {"young": {"family": "power", "p": 2}, "y": {"points": -1}}))
+@example((["conjugate"], {"young": {"family": "power", "p": 2}, "y": {"min": 0}}))
+@example((["norm"], {**_BASE["norm"], "weight": 5}))
+@example((["norm"], {**_BASE["norm"], "f": {"dim": 1, "entries": [[[math.inf], [1, 0]]]}}))
+@example((["verify"], None))
+def test_fuzz_malformed_configs_and_flags_exit_cleanly(tmp_path_factory, invocation):
+    argv, config = invocation
+    cfg = tmp_path_factory.getbasetemp() / "fuzz.json"
+    cfg.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main([argv[0], str(cfg), *argv[1:]])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, config, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -9,6 +9,7 @@ from orliczlat.errors import (
     ConjugateInfiniteError,
     ConvexityError,
     InvalidInputError,
+    NumericalFailureError,
 )
 from orliczlat.young import (
     YoungFunction,
@@ -26,6 +27,24 @@ from orliczlat.young import (
     strong_equiv_check,
     young_from_spec,
 )
+
+
+def scalar_bisection_inverse(fn, y, *, halvings=200, rtol=1e-15):
+    """Independent bracket-and-halve solve of fn(x) = y, written out here so
+    the package's shared bisection is pinned against it bit for bit."""
+    hi = 1.0
+    while fn(hi) < y:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(halvings):
+        if hi - lo <= rtol * max(1.0, hi):
+            break
+        mid = 0.5 * (lo + hi)
+        if fn(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def brute_conjugate(phi, y, x_hi, n=200_001):
@@ -160,6 +179,16 @@ def test_inverse_method_memoises_bit_identical_values():
         assert not calls
 
 
+def test_inverse_matches_scalar_bisection_bit_for_bit(catalog_pairs):
+    ys = [float(y) for y in np.geomspace(1e-9, 1e9, 37)]
+    for pair in catalog_pairs:
+        for phi in (pair.phi, pair.psi):
+            for y in ys:
+                got = inverse(phi, y)
+                assert got == scalar_bisection_inverse(phi, y), (phi.describe(), y)
+                assert phi.inverse(y) == got, (phi.describe(), y)
+
+
 # -- from_density ------------------------------------------------------------
 
 
@@ -182,6 +211,30 @@ def test_from_density_exponential_density():
         assert pair.phi(x) == pytest.approx(math.exp(x) - x - 1.0, rel=1e-8)
         # conjugate of e^x - x - 1 is (1+y)ln(1+y) - y
         assert pair.psi(x) == pytest.approx((1 + x) * math.log1p(x) - x, rel=1e-8)
+
+
+def test_from_density_values_match_scalar_bisection_bit_for_bit():
+    from scipy.integrate import quad
+
+    for varphi in (lambda y: y ** 1.5, math.sinh):
+        pair = from_density(varphi, label="pin")
+
+        def varphi_inv(t, varphi=varphi):
+            # rtol 0: all 200 halvings (the width test fires only once lo == hi)
+            return scalar_bisection_inverse(varphi, t, rtol=0.0) if t > 0.0 else 0.0
+
+        for t in (1e-3, 0.5, 2.0, 40.0):
+            assert pair.psi.d(t) == varphi_inv(t), t
+            ref = quad(varphi_inv, 0.0, t, epsabs=0.0, epsrel=1e-9, limit=200)[0]
+            assert pair.psi(t) == ref, t
+
+
+def test_from_density_inverse_without_bracket_raises():
+    # x/(1+x) passes the monotonicity probe but never reaches 1
+    pair = from_density(lambda y: y / (1.0 + y), label="bounded", validate=False)
+    assert pair.psi.d(0.5) == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(NumericalFailureError):
+        pair.psi.d(2.0)
 
 
 def test_from_density_rejects_non_monotone():

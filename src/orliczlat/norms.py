@@ -30,6 +30,7 @@ silently wrong value.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -130,18 +131,19 @@ def orlicz_norm(pair: ComplementaryPair, f: FinSuppFn) -> float:
 def apply_weight(f: FinSuppFn, omega: Callable[[Point], float]) -> FinSuppFn:
     """Pointwise product f(s) * omega(s).
 
-    Raises :class:`NumericalFailureError` naming the point where omega
-    overflows (or is otherwise not finite): the product is then no finite
-    function at all.
+    Raises :class:`NumericalFailureError` naming the point where the
+    product overflows (a finite weight times a large value, or a weight
+    that is itself not finite): the product is then no finite function.
     """
     out = {}
     for p, v in f:
         w = omega(p)
-        if not math.isfinite(w):
+        vw = v * w
+        if not cmath.isfinite(vw):
             raise NumericalFailureError(
-                f"weight is {w!r} at {p!r}: the weighted function is not finite"
+                f"weighted value {vw!r} at {p!r} (weight {w!r}) is not finite"
             )
-        out[p] = v * w
+        out[p] = vw
     return FinSuppFn(f.dim, out)
 
 

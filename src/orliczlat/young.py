@@ -38,8 +38,6 @@ __all__ = [
     "conjugate",
     "conjugate_with_argmax",
     "inverse",
-    "bisect",
-    "expand",
     "young_inequality_margin",
     "make_pair",
     "numeric_conjugate",
@@ -299,19 +297,18 @@ def bisect(
     hi: float,
     rtol: float,
     floor: float = 0.0,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """Halve [lo, hi] around the point where ``pred`` turns true.
 
     ``pred`` must be false at ``lo`` and true at ``hi`` (monotone between);
     a midpoint where it holds becomes the new ``hi``. Stops once
-    ``hi - lo <= rtol * max(floor, hi)``, after ``max_iter`` halvings, or
-    when ``lo`` and ``hi`` are adjacent floats, where every further halving
-    would leave them as they are; so ``rtol=0`` returns what all
-    ``max_iter`` halvings would. This is the one bisection of the package:
-    inverses, the Luxemburg norm and the Orlicz multiplier.
+    ``hi - lo <= rtol * max(floor, hi)``, after 200 halvings, or when
+    ``lo`` and ``hi`` are adjacent floats, where every further halving
+    would leave them as they are; so ``rtol=0`` returns what all 200
+    halvings would. This is the one bisection of the package: inverses,
+    the Luxemburg norm and the Orlicz multiplier.
     """
-    for _ in range(max_iter):
+    for _ in range(200):
         if hi - lo <= rtol * (hi if hi > floor else floor):
             break
         mid = 0.5 * (lo + hi)
@@ -352,17 +349,26 @@ def inverse(phi: YoungFunction, y: float) -> float:
 YOUNG_GRID = [float(x) for x in np.geomspace(1e-4, 1e2, 50)]
 
 
-def young_inequality_margin(
-    pair: "ComplementaryPair", grid: Sequence[float] = YOUNG_GRID
-) -> float:
-    """Worst of (xy - Phi(x) - Psi(y)) / (1 + xy) over the grid."""
-    worst = -math.inf
+def _young_inequality_worst(
+    pair: "ComplementaryPair", grid: Sequence[float]
+) -> tuple[float, float, float]:
+    """Worst of (xy - Phi(x) - Psi(y)) / (1 + xy) over the grid, and its (x, y)."""
+    worst, wx, wy = -math.inf, math.nan, math.nan
     psi_vals = [pair.psi(y) for y in grid]
     for x in grid:
         px = pair.phi(x)
         for y, py in zip(grid, psi_vals):
-            worst = max(worst, (x * y - px - py) / (1.0 + x * y))
-    return worst
+            m = (x * y - px - py) / (1.0 + x * y)
+            if m > worst:
+                worst, wx, wy = m, x, y
+    return worst, wx, wy
+
+
+def young_inequality_margin(
+    pair: "ComplementaryPair", grid: Sequence[float] = YOUNG_GRID
+) -> float:
+    """Worst of (xy - Phi(x) - Psi(y)) / (1 + xy) over the grid."""
+    return _young_inequality_worst(pair, grid)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,11 +394,11 @@ class ComplementaryPair:
     def validate(self, grid: Sequence[float] | None = None) -> None:
         """Product inequality and inverse sandwich on a sampled grid."""
         xs = list(grid) if grid is not None else default_grid(13)
-        margin = young_inequality_margin(self, xs)
+        margin, x, y = _young_inequality_worst(self, xs)
         if margin > 1e-9:
             raise InvalidInputError(
-                f"pair {self.describe()}: product inequality fails, "
-                f"worst (xy - Phi(x) - Psi(y)) / (1 + xy) = {margin:g}"
+                f"pair {self.describe()}: product inequality fails at "
+                f"({x:g},{y:g}): {x * y:g} > {self.phi(x) + self.psi(y):g}"
             )
         for x in xs:
             prod = self.phi.inverse(x) * self.psi.inverse(x)

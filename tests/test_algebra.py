@@ -6,6 +6,7 @@ import pytest
 
 from conftest import seeded_rng
 from orliczlat.algebra import (
+    _sqrt_pair,
     AlgebraContext,
     classify_trend,
     conv_inclusion_check,
@@ -15,7 +16,11 @@ from orliczlat.algebra import (
     pointwise_inclusion_check,
     submult_estimate,
 )
-from orliczlat.errors import PreconditionError, ResourceLimitError
+from orliczlat.errors import (
+    ConjugateInfiniteError,
+    PreconditionError,
+    ResourceLimitError,
+)
 from orliczlat.finsupp import FinSuppFn
 from orliczlat.norms import luxemburg_norm, weighted_l1_norm
 from orliczlat.sampling import random_finsupp
@@ -174,10 +179,22 @@ def test_l1_module_plateau_unweighted_l2():
 
 
 def test_sqrt_pair_inequalities_power_and_entropy():
+    # Phi(x) <= T(2x^2/Phi(x)) and T(x^2/(4 Phi(x))) <= Phi(x), T the conjugate
+    # of Psi(sqrt(.)), each up to a relative 1e-6 at every grid point
     grid = [float(x) for x in default_grid(41, 1e-3, 1e3)]
     for spec in ({"family": "power", "p": 1.5}, {"family": "entropy"},
                  {"family": "power", "p": 2}):
-        assert sqrt_pair_margin(pair_from_spec(spec), grid) <= 1e-6, spec
+        pair = pair_from_spec(spec)
+        _, phi_tilde = _sqrt_pair(pair)
+        for x in grid:
+            fx = pair.phi(x)
+            try:
+                upper = phi_tilde(2.0 * x * x / fx)
+            except ConjugateInfiniteError:
+                upper = math.inf  # an infinite upper bound holds trivially
+            lower = phi_tilde(x * x / (4.0 * fx))
+            assert fx <= upper * (1.0 + 1e-6), (spec, x, fx, upper)
+            assert lower <= fx * (1.0 + 1e-6), (spec, x, fx, lower)
 
 
 def test_sqrt_pair_rejection_raises_precondition():
@@ -194,8 +211,6 @@ def test_conv_inclusion_single_atom_and_plateau():
     rep = conv_inclusion_check(pair, 32, trials=40, seed=13)
     assert rep.trend == "plateau", rep.per_radius
     # closed-form single-atom ratio
-    from orliczlat.algebra import _sqrt_pair
-
     psi_tilde, _ = _sqrt_pair(pair)
     d0 = FinSuppFn.delta(0)
     ratio = luxemburg_norm(pair.psi, d0) / (

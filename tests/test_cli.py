@@ -144,6 +144,19 @@ def test_norm_weight_overflow_is_numerical_failure_exit_1():
     assert "Traceback" not in r.stderr
 
 
+def test_norm_weighted_value_overflow_is_numerical_failure_exit_1():
+    # e^{700} ~ 1e304 is finite, but 1e300 times it is not
+    cfg = {
+        "young": {"family": "power", "p": 2},
+        "weight": {"family": "subexp_alpha", "alpha": 1, "C": 1},
+        "f": {"dim": 1, "entries": [[[700], [1e300, 0.0]]]},
+    }
+    r = run_cli("norm", "-", inp=json.dumps(cfg))
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert "numerical failure" in r.stderr and "(700,)" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_certify_algebra_runs():
     r = run_cli(
         "certify-algebra",

@@ -86,7 +86,6 @@ class ScanReport:
     max_ratio: float
     trend: str
     certificate: str = "empirical"
-    notes: str = ""
 
     def to_json_obj(self) -> dict:
         return {
@@ -96,7 +95,6 @@ class ScanReport:
             "per_radius": self.per_radius,
             "trend": self.trend,
             "certificate": self.certificate,
-            **({"notes": self.notes} if self.notes else {}),
         }
 
 
@@ -120,21 +118,32 @@ def _ratio_scan(
     op: str,
     params: dict,
     radii: Sequence[int],
-    ratio_fn,
+    top,
+    left,
+    right,
     dim: int,
     trials: int,
     seed: int,
+    *,
     omega: Weight | None = None,
     xi=None,
     max_support: int = 40,
 ) -> ScanReport:
+    """Worst top(f, g) / (left(f) right(g)) per radius over the seeded pairs.
+
+    This is the one bounded-bilinear-map scan: a pair where either norm
+    is 0 is skipped.
+    """
     per_radius = []
     for r in radii:
         best, best_kind = 0.0, ""
         for kind, f, g in scan_pairs(dim, r, trials, seed, omega=omega, xi=xi,
                                      max_support=max_support):
-            ratio = ratio_fn(f, g)
-            if ratio is not None and ratio > best:
+            nf, ng = left(f), right(g)
+            if nf == 0.0 or ng == 0.0:
+                continue
+            ratio = top(f, g) / (nf * ng)
+            if ratio > best:
                 best, best_kind = ratio, kind
         per_radius.append({"radius": r, "max_ratio": best, "argmax": best_kind})
     trend = classify_trend(per_radius[0]["max_ratio"], per_radius[-1]["max_ratio"])
@@ -161,23 +170,14 @@ def submult_estimate(
     weighted space is not a convolution algebra; a plateau only says the
     sampled pairs found no obstruction.
     """
-
-    def ratio(f: FinSuppFn, g: FinSuppFn) -> float | None:
-        nf, ng = ctx.weighted_luxemburg(f), ctx.weighted_luxemburg(g)
-        if nf == 0.0 or ng == 0.0:
-            return None
-        return ctx.weighted_luxemburg(convolve(f, g)) / (nf * ng)
-
     return _ratio_scan(
         "submult_estimate",
         {"context": ctx.describe(), "radius": radius, "trials": trials, "seed": seed},
         _radius_ladder(radius),
-        ratio,
-        ctx.dim,
-        trials,
-        seed,
-        omega=ctx.omega,
-        max_support=max_support,
+        lambda f, g: ctx.weighted_luxemburg(convolve(f, g)),
+        ctx.weighted_luxemburg,
+        ctx.weighted_luxemburg,
+        ctx.dim, trials, seed, omega=ctx.omega, max_support=max_support,
     )
 
 
@@ -195,24 +195,14 @@ def l1_module_check(
     expected to plateau unconditionally; it serves as a control experiment
     for the thresholds.
     """
-
-    def ratio(f: FinSuppFn, g: FinSuppFn) -> float | None:
-        nf = weighted_l1_norm(ctx.omega, f)
-        ng = ctx.weighted_luxemburg(g)
-        if nf == 0.0 or ng == 0.0:
-            return None
-        return ctx.weighted_luxemburg(convolve(f, g)) / (nf * ng)
-
     return _ratio_scan(
         "l1_module_check",
         {"context": ctx.describe(), "radius": radius, "trials": trials, "seed": seed},
         _radius_ladder(radius),
-        ratio,
-        ctx.dim,
-        trials,
-        seed,
-        omega=ctx.omega,
-        max_support=max_support,
+        lambda f, g: ctx.weighted_luxemburg(convolve(f, g)),
+        lambda f: weighted_l1_norm(ctx.omega, f),
+        ctx.weighted_luxemburg,
+        ctx.dim, trials, seed, omega=ctx.omega, max_support=max_support,
     )
 
 
@@ -238,23 +228,14 @@ def conv_inclusion_check(
     """Scan the convolution inclusion: N_Psi(u*f) / (N_T(u) N_Phi(f)) where
     T is the sqrt transform of Psi."""
     psi_tilde, _ = _sqrt_pair(pair)
-
-    def ratio(u: FinSuppFn, f: FinSuppFn) -> float | None:
-        nu = luxemburg_norm(psi_tilde, u)
-        nf = luxemburg_norm(pair.phi, f)
-        if nu == 0.0 or nf == 0.0:
-            return None
-        return luxemburg_norm(pair.psi, convolve(u, f)) / (nu * nf)
-
     return _ratio_scan(
         "conv_inclusion_check",
         {"pair": pair.describe(), "radius": radius, "trials": trials, "seed": seed},
         _radius_ladder(radius),
-        ratio,
-        dim,
-        trials,
-        seed,
-        max_support=max_support,
+        lambda u, f: luxemburg_norm(pair.psi, convolve(u, f)),
+        lambda u: luxemburg_norm(psi_tilde, u),
+        lambda f: luxemburg_norm(pair.phi, f),
+        dim, trials, seed, max_support=max_support,
     )
 
 
@@ -270,21 +251,12 @@ def pointwise_inclusion_check(
     """Scan the pointwise-product inclusion: N_Phi(u.g) / (N_T(u) N_Psi(g))
     where T is the conjugate of the sqrt transform of Psi."""
     _, phi_tilde = _sqrt_pair(pair)
-
-    def ratio(u: FinSuppFn, g: FinSuppFn) -> float | None:
-        nu = luxemburg_norm(phi_tilde, u)
-        ng = luxemburg_norm(pair.psi, g)
-        if nu == 0.0 or ng == 0.0:
-            return None
-        return luxemburg_norm(pair.phi, u.pointwise_mul(g)) / (nu * ng)
-
     return _ratio_scan(
         "pointwise_inclusion_check",
         {"pair": pair.describe(), "radius": radius, "trials": trials, "seed": seed},
         _radius_ladder(radius),
-        ratio,
-        dim,
-        trials,
-        seed,
-        max_support=max_support,
+        lambda u, g: luxemburg_norm(pair.phi, u.pointwise_mul(g)),
+        lambda u: luxemburg_norm(phi_tilde, u),
+        lambda g: luxemburg_norm(pair.psi, g),
+        dim, trials, seed, max_support=max_support,
     )

@@ -351,13 +351,6 @@ def derivation_norm_scan(
     regime no bounded extension exists and atoms pushed to the boundary of
     the ball make the worst case grow with the radius.
     """
-
-    def ratio(f: FinSuppFn, g: FinSuppFn) -> float | None:
-        nf, ng = ctx.weighted_luxemburg(f), ctx.weighted_luxemburg(g)
-        if nf == 0.0 or ng == 0.0:
-            return None
-        return abs(pairing(apply_derivation(d, f), g)) / (nf * ng)
-
     return _ratio_scan(
         "derivation_norm_scan",
         {
@@ -368,13 +361,10 @@ def derivation_norm_scan(
             "seed": seed,
         },
         list(radii),
-        ratio,
-        ctx.dim,
-        trials,
-        seed,
-        omega=ctx.omega,
-        xi=d.form,
-        max_support=max_support,
+        lambda f, g: abs(pairing(apply_derivation(d, f), g)),
+        ctx.weighted_luxemburg,
+        ctx.weighted_luxemburg,
+        ctx.dim, trials, seed, omega=ctx.omega, xi=d.form, max_support=max_support,
     )
 
 

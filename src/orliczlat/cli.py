@@ -282,7 +282,7 @@ def _cmd_verify(config: dict, seed: int) -> tuple[ReportTable, int]:
     if "families" in config:
         wanted = set(_as_list(config["families"], str, "families"))
         pairs = [p for p in pairs if p.phi.label in wanted]
-    rows_raw = run_battery(pairs) if pairs else []
+    rows_raw = run_battery(pairs)
     rows = [
         {
             "invariant": r.invariant,

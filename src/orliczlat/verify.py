@@ -50,25 +50,21 @@ class VerifyRow:
     note: str = ""
 
 
-def inverse_sandwich_margin(
-    pair: ComplementaryPair, grid: Sequence[float] = SANDWICH_GRID
-) -> float:
+def inverse_sandwich_margin(pair: ComplementaryPair) -> float:
     """Worst violation of x <= inv(Phi)(x)*inv(Psi)(x) <= 2x, relative to max(1, x)."""
     worst = -math.inf
-    for x in grid:
+    for x in SANDWICH_GRID:
         prod = inverse(pair.phi, x) * inverse(pair.psi, x)
         scale = max(1.0, x)
         worst = max(worst, (x - prod) / scale, (prod - 2.0 * x) / scale)
     return worst
 
 
-def norm_sandwich_margin(
-    pair: ComplementaryPair, trials: int = 50, seed: int = BATTERY_SEED
-) -> float:
-    """Worst relative escape of the Orlicz norm from [N, 2N] on random f."""
+def norm_sandwich_margin(pair: ComplementaryPair) -> float:
+    """Worst relative escape of the Orlicz norm from [N, 2N] on 50 random f."""
     worst = -math.inf
-    for t in range(trials):
-        rng = rng_for(seed, 1, t)
+    for t in range(50):
+        rng = rng_for(BATTERY_SEED, 1, t)
         f = random_finsupp(dim=1 + t % 2, radius=6, rng=rng, max_support=12)
         n = luxemburg_norm(pair.phi, f)
         o = orlicz_norm(pair, f)
@@ -76,15 +72,13 @@ def norm_sandwich_margin(
     return worst
 
 
-def holder_margin(
-    pair: ComplementaryPair, trials: int = 25, seed: int = BATTERY_SEED
-) -> float:
-    """Worst of (sum|fg| - bound) / (1 + bound) over seeded random pairs."""
+def holder_margin(pair: ComplementaryPair) -> float:
+    """Worst of (sum|fg| - bound) / (1 + bound) over 25 seeded random pairs."""
     from .norms import holder_check
 
     worst = -math.inf
-    for t in range(trials):
-        rng = rng_for(seed, 2, t)
+    for t in range(25):
+        rng = rng_for(BATTERY_SEED, 2, t)
         f = random_finsupp(dim=1, radius=5, rng=rng, max_support=10)
         g = random_finsupp(dim=1, radius=5, rng=rng, max_support=10)
         rep = holder_check(pair, f, g)
@@ -92,9 +86,7 @@ def holder_margin(
     return worst
 
 
-def sqrt_pair_margin(
-    pair: ComplementaryPair, grid: Sequence[float] = SQRT_GRID
-) -> float | None:
+def sqrt_pair_margin(pair: ComplementaryPair) -> float | None:
     """Worst relative violation of the sqrt-pair comparisons, or None when
     the sqrt transform of psi is rejected (the check is then vacuous)."""
     try:
@@ -103,7 +95,7 @@ def sqrt_pair_margin(
         return None
     worst = -math.inf
     phi = pair.phi
-    for x in grid:
+    for x in SQRT_GRID:
         fx = phi(x)
         if fx <= 0.0 or math.isinf(fx):
             continue
@@ -129,20 +121,14 @@ _CHECKS = (
 )
 
 
-def run_battery(
-    pairs: Sequence[ComplementaryPair] | None = None,
-    *,
-    holder_trials: int = 25,
-    sandwich_trials: int = 50,
-) -> list[VerifyRow]:
+def run_battery(pairs: Sequence[ComplementaryPair] | None = None) -> list[VerifyRow]:
     """Run every invariant over the catalog (or the given pairs)."""
     todo = list(pairs) if pairs is not None else catalog()
-    trials = {"holder": holder_trials, "norm_sandwich": sandwich_trials}
     rows: list[VerifyRow] = []
     for pair in todo:
         name = pair.describe()
         for label, fn, tol in _CHECKS:
-            margin = fn(pair, **({"trials": trials[label]} if label in trials else {}))
+            margin = fn(pair)
             rows.append(VerifyRow(label, name, margin <= tol, margin, tol))
         for oriented, tag in ((pair, "as-is"), (pair.swap(), "swapped")):
             margin = sqrt_pair_margin(oriented)

@@ -28,8 +28,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError
-from .finsupp import FinSuppFn, Point, as_point
+from .errors import InvalidInputError, NumericalFailureError, ResourceLimitError
+from .finsupp import Point, as_point
 from .young import YoungFunction
 
 __all__ = [
@@ -66,13 +66,13 @@ def ball_size(n: int, dim: int) -> int:
     return (2 * n + 1) ** dim
 
 
-def ball(n: int, dim: int, *, max_points: int = MAX_BALL_POINTS) -> list[Point]:
+def ball(n: int, dim: int) -> list[Point]:
     """All points with word length <= n, in lexicographic order."""
     if n < 0 or dim < 1:
         raise InvalidInputError(f"need n >= 0 and dim >= 1, got n={n!r}, dim={dim!r}")
-    if ball_size(n, dim) > max_points:
+    if ball_size(n, dim) > MAX_BALL_POINTS:
         raise ResourceLimitError(
-            f"ball({n}, dim={dim}) has {ball_size(n, dim)} points, budget {max_points}"
+            f"ball({n}, dim={dim}) has {ball_size(n, dim)} points, budget {MAX_BALL_POINTS}"
         )
     return list(itertools.product(range(-n, n + 1), repeat=dim))
 
@@ -232,6 +232,10 @@ def make_weight(family: str, **params: float) -> Weight:
         return maker(**params)
     except TypeError as exc:
         raise InvalidInputError(f"bad parameters for weight {family!r}: {params}") from exc
+    except OverflowError as exc:
+        raise NumericalFailureError(
+            f"weight {family!r} with {params} overflows ({exc})"
+        ) from exc
 
 
 def weight_from_spec(spec: Mapping[str, object]) -> Weight:
@@ -260,28 +264,20 @@ def submult_constant(omega: Weight, n: int, dim: int = 1) -> float:
     return best
 
 
-def _as_evaluator(u: FinSuppFn | Callable[[Point], float]) -> Callable[[Point], float]:
-    if isinstance(u, FinSuppFn):
-        def ev(p: Point) -> float:
-            v = u[p]
-            if v.imag != 0.0 or v.real < 0.0:
-                raise InvalidInputError(f"decomposition term not nonnegative at {p!r}")
-            return v.real
-        return ev
-
-    def ev_call(p: Point) -> float:
+def _as_evaluator(u: Callable[[Point], float]) -> Callable[[Point], float]:
+    def ev(p: Point) -> float:
         v = float(u(p))
         if v < 0.0:
             raise InvalidInputError(f"decomposition term not nonnegative at {p!r}")
         return v
 
-    return ev_call
+    return ev
 
 
 def uv_decomposition_check(
     omega: Weight,
-    u: FinSuppFn | Callable[[Point], float],
-    v: FinSuppFn | Callable[[Point], float],
+    u: Callable[[Point], float],
+    v: Callable[[Point], float],
     n: int,
     dim: int = 1,
 ) -> bool:
@@ -340,13 +336,14 @@ def slope_verdict(slope: float) -> str:
     return "inconclusive"
 
 
-def shell_series_verdict(terms: Sequence[float], *, window: int = 10) -> SeriesReport:
+def shell_series_verdict(terms: Sequence[float]) -> SeriesReport:
     """Heuristic convergence verdict for a positive shell series.
 
     ``terms[i]`` is the shell term at radius i+1. Geometric decay in the
-    tail window gives "converges" with a completed estimate; a sustained
-    non-decaying tail gives "diverges"; otherwise a log-log slope fit over
-    the last decade decides through :func:`slope_verdict`.
+    tail window (the last 10 ratios) gives "converges" with a completed
+    estimate; a sustained non-decaying tail gives "diverges"; otherwise a
+    log-log slope fit over the last decade decides through
+    :func:`slope_verdict`.
     """
     ts = [float(t) for t in terms]
     if any(t < 0 or math.isnan(t) for t in ts):
@@ -361,9 +358,9 @@ def shell_series_verdict(terms: Sequence[float], *, window: int = 10) -> SeriesR
     if popped:
         # the tail underflowed to exact zero: the float sum is complete
         return SeriesReport("converges", partial, partial, "zero-tail")
-    if len(ts) < window + 1:
+    if len(ts) < 11:
         return SeriesReport("inconclusive", partial, None, "too-few-terms")
-    tail = ts[-(window + 1):]
+    tail = ts[-11:]
     ratios = [b / a for a, b in zip(tail, tail[1:])] if all(t > 0 for t in tail) else []
     if ratios and all(r >= 1.0 - 1e-12 for r in ratios):
         return SeriesReport("diverges", partial, None, "non-decaying-tail")

@@ -311,7 +311,7 @@ def bisect(
     for _ in range(200):
         if hi - lo <= rtol * (hi if hi > floor else floor):
             break
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi would overflow near the top of the range
         if mid == lo or mid == hi:
             break  # adjacent floats: every further halving repeats this one
         if pred(mid):
@@ -364,11 +364,9 @@ def _young_inequality_worst(
     return worst, wx, wy
 
 
-def young_inequality_margin(
-    pair: "ComplementaryPair", grid: Sequence[float] = YOUNG_GRID
-) -> float:
-    """Worst of (xy - Phi(x) - Psi(y)) / (1 + xy) over the grid."""
-    return _young_inequality_worst(pair, grid)[0]
+def young_inequality_margin(pair: "ComplementaryPair") -> float:
+    """Worst of (xy - Phi(x) - Psi(y)) / (1 + xy) over ``YOUNG_GRID``."""
+    return _young_inequality_worst(pair, YOUNG_GRID)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,28 +407,17 @@ class ComplementaryPair:
                 )
 
 
-def make_pair(
-    phi: YoungFunction,
-    psi: YoungFunction | None = None,
-    *,
-    validate: bool = True,
-) -> ComplementaryPair:
+def make_pair(phi: YoungFunction, *, validate: bool = True) -> ComplementaryPair:
     """Pair ``phi`` with its conjugate.
 
-    When ``psi`` is not supplied, a catalog member with a known conjugate
-    gets the closed form, anything else the numerical conjugate. The pair
-    invariants are checked on the validation grid unless disabled.
+    A catalog member with a known conjugate gets the closed form, anything
+    else the numerical conjugate. The pair invariants are checked on the
+    validation grid unless disabled.
     """
     phi.validate()
-    if psi is not None:
-        mode = "closed_form"
-    else:
-        psi = _closed_form_conjugate(phi)
-        if psi is not None:
-            mode = "closed_form"
-        else:
-            psi = numeric_conjugate(phi)
-            mode = "numerical"
+    psi, mode = _closed_form_conjugate(phi), "closed_form"
+    if psi is None:
+        psi, mode = numeric_conjugate(phi), "numerical"
     pair = ComplementaryPair(phi, psi, mode)
     if validate:
         if mode == "closed_form":
@@ -497,8 +484,8 @@ def from_density(
     return pair
 
 
-def delta2_estimate(phi: YoungFunction, x_max: float, *, points_per_decade: int = 24) -> float:
-    """Sup of Phi(2x)/Phi(x) over a log grid in (0, x_max].
+def delta2_estimate(phi: YoungFunction, x_max: float) -> float:
+    """Sup of Phi(2x)/Phi(x) over a log grid in (0, x_max], 24 points per decade.
 
     Returns the sup when it has stabilised (relative growth below 1e-3 over
     the last decade of the grid), else ``math.inf`` as the unbounded flag.
@@ -507,7 +494,7 @@ def delta2_estimate(phi: YoungFunction, x_max: float, *, points_per_decade: int 
         raise InvalidInputError("x_max must be positive")
     lo = min(1e-8, x_max * 1e-10)
     decades = math.log10(x_max / lo)
-    n = max(16, int(decades * points_per_decade))
+    n = max(16, int(decades * 24))
     xs = np.geomspace(lo, x_max, n)
     sup_head = 0.0
     sup_all = 0.0
@@ -645,22 +632,25 @@ def _power(p: float) -> YoungFunction:
     )
 
 
-def _cosh_pow(p: float) -> YoungFunction:
+def _raised(
+    label: str, base: Callable[[float], float], dbase: Callable[[float], float], p: float
+) -> YoungFunction:
+    """The family member base(x)**p with derivative p base**(p-1) dbase;
+    at p = 1 it is ``base`` itself, so the base member costs no power."""
     if p < 1:
-        raise InvalidInputError(f"cosh family needs p >= 1, got {p!r}")
+        raise InvalidInputError(f"{label} family needs p >= 1, got {p!r}")
     if p == 1.0:
-        return YoungFunction(
-            fn=_coshm1,
-            derivative=math.sinh,
-            label="cosh",
-            params={"p": 1.0},
-        )
+        return YoungFunction(fn=base, derivative=dbase, label=label, params={"p": 1.0})
     return YoungFunction(
-        fn=lambda x: _coshm1(x) ** p,
-        derivative=lambda x: p * _coshm1(x) ** (p - 1.0) * math.sinh(x),
-        label="cosh",
+        fn=lambda x: base(x) ** p,
+        derivative=lambda x: p * base(x) ** (p - 1.0) * dbase(x),
+        label=label,
         params={"p": p},
     )
+
+
+def _cosh_pow(p: float) -> YoungFunction:
+    return _raised("cosh", _coshm1, math.sinh, p)
 
 
 def _cosh_conjugate() -> YoungFunction:
@@ -684,41 +674,17 @@ def _entropy() -> YoungFunction:
 
 
 def _exp_taylor(p: float) -> YoungFunction:
-    if p < 1:
-        raise InvalidInputError(f"exp_taylor family needs p >= 1, got {p!r}")
-    if p == 1.0:
-        return YoungFunction(
-            fn=_expm1mx,
-            derivative=lambda x: math.expm1(x),
-            label="exp_taylor",
-            params={"p": 1.0},
-        )
-    return YoungFunction(
-        fn=lambda x: _expm1mx(x) ** p,
-        derivative=lambda x: p * _expm1mx(x) ** (p - 1.0) * math.expm1(x),
-        label="exp_taylor",
-        params={"p": p},
-    )
+    return _raised("exp_taylor", _expm1mx, math.expm1, p)
 
 
 def _square_log(p: float) -> YoungFunction:
-    if p < 1:
-        raise InvalidInputError(f"square_log family needs p >= 1, got {p!r}")
-
     def base(x: float) -> float:
         return x * x * math.log1p(x)
 
     def dbase(x: float) -> float:
         return 2.0 * x * math.log1p(x) + x * x / (1.0 + x)
 
-    if p == 1.0:
-        return YoungFunction(fn=base, derivative=dbase, label="square_log", params={"p": 1.0})
-    return YoungFunction(
-        fn=lambda x: base(x) ** p,
-        derivative=lambda x: p * base(x) ** (p - 1.0) * dbase(x),
-        label="square_log",
-        params={"p": p},
-    )
+    return _raised("square_log", base, dbase, p)
 
 
 def _exp_power(p: float) -> YoungFunction:
@@ -772,12 +738,7 @@ def _closed_form_conjugate(phi: YoungFunction) -> YoungFunction | None:
     if phi.label == "cosh" and float(phi.params.get("p", 1.0)) == 1.0:
         return _cosh_conjugate()
     if phi.label == "entropy":
-        return YoungFunction(
-            fn=_expm1mx,
-            derivative=lambda y: math.expm1(y),
-            label="exp_taylor",
-            params={"p": 1.0},
-        )
+        return _exp_taylor(1.0)
     if phi.label == "exp_taylor" and float(phi.params.get("p", 1.0)) == 1.0:
         return _entropy()
     return None

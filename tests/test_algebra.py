@@ -16,6 +16,13 @@ from orliczlat.algebra import (
     pointwise_inclusion_check,
     submult_estimate,
 )
+from orliczlat.amenability import (
+    Derivation,
+    Homomorphism,
+    apply_derivation,
+    derivation_norm_scan,
+    pairing,
+)
 from orliczlat.errors import (
     ConjugateInfiniteError,
     PreconditionError,
@@ -23,7 +30,7 @@ from orliczlat.errors import (
 )
 from orliczlat.finsupp import FinSuppFn
 from orliczlat.norms import luxemburg_norm, weighted_l1_norm
-from orliczlat.sampling import random_finsupp
+from orliczlat.sampling import random_finsupp, scan_pairs
 from orliczlat.verify import sqrt_pair_margin
 from orliczlat.weights import polynomial_weight, subexp_alpha_weight
 from orliczlat.young import default_grid, inverse, pair_from_spec
@@ -200,7 +207,7 @@ def test_sqrt_pair_inequalities_power_and_entropy():
 def test_sqrt_pair_rejection_raises_precondition():
     pair = pair_from_spec({"family": "power", "p": 3})  # psi is x^1.5/1.5
     # the comparison is vacuous when the sqrt transform is rejected ...
-    assert sqrt_pair_margin(pair, default_grid(11, 1e-2, 1e2)) is None
+    assert sqrt_pair_margin(pair) is None
     # ... and the scans that need the transform refuse to run
     with pytest.raises(PreconditionError):
         conv_inclusion_check(pair, 8, 4, 1)
@@ -247,3 +254,80 @@ def test_submult_plateau_subexponential():
     ctx = AlgebraContext(pair, subexp_alpha_weight(0.5, 1.0), 1)
     rep = submult_estimate(ctx, 48, trials=40, seed=14)
     assert rep.trend == "plateau", rep.per_radius
+
+
+# -- the shared bilinear-bound scan ---------------------------------------------------------
+
+
+def _loop_scan(radii, ratio, dim, trials, seed, omega=None, xi=None):
+    """Worst ratio per radius, written out as a plain loop over scan_pairs."""
+    rows = []
+    for r in radii:
+        best, best_kind = 0.0, ""
+        for kind, f, g in scan_pairs(dim, r, trials, seed, omega=omega, xi=xi):
+            value = ratio(f, g)
+            if value is not None and value > best:
+                best, best_kind = value, kind
+        rows.append({"radius": r, "max_ratio": best, "argmax": best_kind})
+    return rows
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 4), (2, 2)])
+def test_every_scan_matches_a_loop_over_scan_pairs(dim, radius):
+    trials, seed = 3, 17
+    pair = pair_from_spec({"family": "power", "p": 1.5})
+    ctx = AlgebraContext(pair, polynomial_weight(0.7), dim)
+    der = Derivation.with_ball_window(Homomorphism.basis(dim), dim)
+    psi_tilde, phi_tilde = _sqrt_pair(pair)
+    lux = ctx.weighted_luxemburg
+    radii = sorted({max(1, radius // 4), max(1, radius // 2), radius})
+
+    def submult(f, g):
+        nf, ng = lux(f), lux(g)
+        if nf == 0.0 or ng == 0.0:
+            return None
+        return lux(convolve(f, g)) / (nf * ng)
+
+    def l1_module(f, g):
+        nf = weighted_l1_norm(ctx.omega, f)
+        ng = lux(g)
+        if nf == 0.0 or ng == 0.0:
+            return None
+        return lux(convolve(f, g)) / (nf * ng)
+
+    def conv_inclusion(u, f):
+        nu = luxemburg_norm(psi_tilde, u)
+        nf = luxemburg_norm(pair.phi, f)
+        if nu == 0.0 or nf == 0.0:
+            return None
+        return luxemburg_norm(pair.psi, convolve(u, f)) / (nu * nf)
+
+    def pointwise_inclusion(u, g):
+        nu = luxemburg_norm(phi_tilde, u)
+        ng = luxemburg_norm(pair.psi, g)
+        if nu == 0.0 or ng == 0.0:
+            return None
+        return luxemburg_norm(pair.phi, u.pointwise_mul(g)) / (nu * ng)
+
+    def derivation(f, g):
+        nf, ng = lux(f), lux(g)
+        if nf == 0.0 or ng == 0.0:
+            return None
+        return abs(pairing(apply_derivation(der, f), g)) / (nf * ng)
+
+    cases = [
+        (submult_estimate(ctx, radius, trials, seed),
+         _loop_scan(radii, submult, dim, trials, seed, ctx.omega)),
+        (l1_module_check(ctx, radius, trials, seed),
+         _loop_scan(radii, l1_module, dim, trials, seed, ctx.omega)),
+        (conv_inclusion_check(pair, radius, trials, seed, dim),
+         _loop_scan(radii, conv_inclusion, dim, trials, seed)),
+        (pointwise_inclusion_check(pair, radius, trials, seed, dim),
+         _loop_scan(radii, pointwise_inclusion, dim, trials, seed)),
+        (derivation_norm_scan(ctx, der, radii, trials, seed),
+         _loop_scan(radii, derivation, dim, trials, seed, ctx.omega, der.form)),
+    ]
+    for rep, expected in cases:
+        # repr pins every float bit for bit
+        assert repr(rep.per_radius) == repr(expected), rep.op
+        assert rep.max_ratio == max(row["max_ratio"] for row in expected), rep.op

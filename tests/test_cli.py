@@ -157,6 +157,16 @@ def test_norm_weighted_value_overflow_is_numerical_failure_exit_1():
     assert "Traceback" not in r.stderr
 
 
+def test_weight_constructor_overflow_names_family_exit_1():
+    # e^{C/ln(2)^gamma} at radius 1 exceeds the float range for gamma >~ 18
+    r = run_cli("classify", "--p", "3", "--weight",
+                '{"family":"subexp_log","gamma":50,"C":1}')
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert "numerical failure" in r.stderr
+    assert "subexp_log" in r.stderr and "gamma" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_certify_algebra_runs():
     r = run_cli(
         "certify-algebra",

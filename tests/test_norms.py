@@ -211,6 +211,17 @@ def test_power_overflow_reads_inf_on_both_paths():
     assert got == pytest.approx(1e200 * power_lux_closed_form(3.0, f.scale(1e-200)), rel=1e-10)
 
 
+def test_luxemburg_near_float_max_stays_finite():
+    # Two entries v under x^2/2 have norm exactly v. The bracket
+    # [v/sqrt(2), v] then sits near the top of the float range, where
+    # lo + hi overflows, so the bisection midpoint must not add them.
+    phi = young_from_spec({"family": "power", "p": 2.0})
+    for v in (1e308, 1.7e308):
+        got = luxemburg_norm(phi, FinSuppFn(1, {(0,): v, (1,): v}))
+        assert math.isfinite(got), v
+        assert abs(got - v) <= 1e-12 * v, (v, got)
+
+
 # -- orlicz ----------------------------------------------------------------------
 
 

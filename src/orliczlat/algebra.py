@@ -127,7 +127,6 @@ def _ratio_scan(
     *,
     omega: Weight | None = None,
     xi=None,
-    max_support: int = 40,
 ) -> ScanReport:
     """Worst top(f, g) / (left(f) right(g)) per radius over the seeded pairs.
 
@@ -137,8 +136,7 @@ def _ratio_scan(
     per_radius = []
     for r in radii:
         best, best_kind = 0.0, ""
-        for kind, f, g in scan_pairs(dim, r, trials, seed, omega=omega, xi=xi,
-                                     max_support=max_support):
+        for kind, f, g in scan_pairs(dim, r, trials, seed, omega=omega, xi=xi):
             nf, ng = left(f), right(g)
             if nf == 0.0 or ng == 0.0:
                 continue
@@ -161,8 +159,6 @@ def submult_estimate(
     radius: int,
     trials: int,
     seed: int,
-    *,
-    max_support: int = 40,
 ) -> ScanReport:
     """Scan ||f*g|| / (||f|| ||g||) in the weighted Luxemburg norm.
 
@@ -177,7 +173,7 @@ def submult_estimate(
         lambda f, g: ctx.weighted_luxemburg(convolve(f, g)),
         ctx.weighted_luxemburg,
         ctx.weighted_luxemburg,
-        ctx.dim, trials, seed, omega=ctx.omega, max_support=max_support,
+        ctx.dim, trials, seed, omega=ctx.omega,
     )
 
 
@@ -186,8 +182,6 @@ def l1_module_check(
     radius: int,
     trials: int,
     seed: int,
-    *,
-    max_support: int = 40,
 ) -> ScanReport:
     """Scan ||f*g||_{Phi,w} / (||f||_{1,w} ||g||_{Phi,w}).
 
@@ -202,7 +196,7 @@ def l1_module_check(
         lambda f, g: ctx.weighted_luxemburg(convolve(f, g)),
         lambda f: weighted_l1_norm(ctx.omega, f),
         ctx.weighted_luxemburg,
-        ctx.dim, trials, seed, omega=ctx.omega, max_support=max_support,
+        ctx.dim, trials, seed, omega=ctx.omega,
     )
 
 
@@ -222,8 +216,6 @@ def conv_inclusion_check(
     trials: int,
     seed: int,
     dim: int = 1,
-    *,
-    max_support: int = 40,
 ) -> ScanReport:
     """Scan the convolution inclusion: N_Psi(u*f) / (N_T(u) N_Phi(f)) where
     T is the sqrt transform of Psi."""
@@ -235,7 +227,7 @@ def conv_inclusion_check(
         lambda u, f: luxemburg_norm(pair.psi, convolve(u, f)),
         lambda u: luxemburg_norm(psi_tilde, u),
         lambda f: luxemburg_norm(pair.phi, f),
-        dim, trials, seed, max_support=max_support,
+        dim, trials, seed,
     )
 
 
@@ -245,8 +237,6 @@ def pointwise_inclusion_check(
     trials: int,
     seed: int,
     dim: int = 1,
-    *,
-    max_support: int = 40,
 ) -> ScanReport:
     """Scan the pointwise-product inclusion: N_Phi(u.g) / (N_T(u) N_Psi(g))
     where T is the conjugate of the sqrt transform of Psi."""
@@ -258,5 +248,5 @@ def pointwise_inclusion_check(
         lambda u, g: luxemburg_norm(pair.phi, u.pointwise_mul(g)),
         lambda u: luxemburg_norm(phi_tilde, u),
         lambda g: luxemburg_norm(pair.psi, g),
-        dim, trials, seed, max_support=max_support,
+        dim, trials, seed,
     )

@@ -36,12 +36,13 @@ from .weights import (
     SeriesReport,
     Weight,
     ball,
+    loglog_slope,
     reciprocal_summability,
     shell_count,
     slope_verdict,
     weight_from_spec,
 )
-from .young import YoungFunction
+from .young import YoungFunction, young_from_spec
 
 __all__ = [
     "Homomorphism",
@@ -187,15 +188,17 @@ class BoundednessReport:
     method: str
 
 
+# Radius horizons: the shell maxima of damped_form_bounded and the shell
+# series of damped_form_in_orlicz are read up to these radii.
+_BOUNDED_N_MAX = 10**6
+_MEMBERSHIP_N_MAX = 10**4
+
+
 def _log_sampled_ints(n_max: int, count: int = 240) -> list[int]:
     return [int(v) for v in np.unique(np.geomspace(1, n_max, count).astype(np.int64))]
 
 
-def damped_form_bounded(
-    dh: DampedHomomorphism,
-    mode: str = "analytic",
-    n_max: int = 10**6,
-) -> BoundednessReport:
+def damped_form_bounded(dh: DampedHomomorphism, mode: str = "analytic") -> BoundednessReport:
     """Is the damped form essentially bounded on the lattice?
 
     Analytic mode resolves the built-in families: for the polynomial
@@ -213,17 +216,16 @@ def damped_form_bounded(
             beta = float(dh.omega.params["beta"])
             exponent = 1.0 - 2.0 * beta
             if 2.0 * beta >= 1.0:
-                peak = 1.0 / (2.0 * beta - 1.0) if 2.0 * beta > 1.0 else float(n_max)
-                horizon = min(n_max, max(1000, int(3 * peak) + 1))
+                peak = 1.0 / (2.0 * beta - 1.0) if 2.0 * beta > 1.0 else float(_BOUNDED_N_MAX)
+                horizon = min(_BOUNDED_N_MAX, max(1000, int(3 * peak) + 1))
                 sup = max(dh.shell_max(n) for n in range(1, horizon + 1))
                 if 2.0 * beta == 1.0:
                     sup = max(sup, dh.xi.corner_amplitude())
                 return BoundednessReport("bounded", sup, exponent, "analytic:polynomial")
             return BoundednessReport("unbounded", None, exponent, "analytic:polynomial")
-        horizon = min(n_max, 200_000)
         sup = 0.0
         prev = -1.0
-        for n in range(1, horizon + 1):
+        for n in range(1, 200_001):
             v = dh.shell_max(n)
             sup = max(sup, v)
             if n > 1000 and v < prev and v < sup * 1e-6:
@@ -233,15 +235,13 @@ def damped_form_bounded(
     if mode not in ("analytic", "numeric"):
         raise InvalidInputError(f"unknown mode {mode!r}")
 
-    ns = _log_sampled_ints(n_max)
+    ns = _log_sampled_ints(_BOUNDED_N_MAX)
     vals = [dh.shell_max(n) for n in ns]
     sup = max(vals)
-    cut = math.sqrt(n_max)
-    xs = [math.log(n) for n, v in zip(ns, vals) if n >= cut and v > 0]
-    ys = [math.log(v) for n, v in zip(ns, vals) if n >= cut and v > 0]
-    if len(xs) < 4:
+    cut = math.sqrt(_BOUNDED_N_MAX)
+    slope = loglog_slope((n, v) for n, v in zip(ns, vals) if n >= cut)
+    if slope is None:
         return BoundednessReport("inconclusive", sup, None, "numeric:sparse")
-    slope = float(np.polyfit(xs, ys, 1)[0])
     if slope > 0.05:
         return BoundednessReport("unbounded", None, slope, "numeric:slope")
     if slope < -0.05:
@@ -259,9 +259,7 @@ class MembershipReport:
     method: str
 
 
-def _sampled_tail_behaviour(
-    term: Callable[[int], float], n_max: int
-) -> tuple[str, float]:
+def _sampled_tail_behaviour(term: Callable[[int], float]) -> tuple[str, float]:
     """Verdict for sum(term(n)) from log-sampled anchors.
 
     Returns (verdict, fitted slope) with verdict one of "converges",
@@ -270,13 +268,13 @@ def _sampled_tail_behaviour(
     Geometric decay is detected from anchor-local ratios, polynomial decay
     from a log-log slope through :func:`~orliczlat.weights.slope_verdict`.
     """
-    anchors = _log_sampled_ints(n_max, 90)
+    anchors = _log_sampled_ints(_MEMBERSHIP_N_MAX, 90)
     all_vals = [(n, term(n)) for n in anchors]
     if any(math.isinf(v) for _, v in all_vals):
         return "diverges", math.inf
     if all(v == 0.0 for _, v in all_vals):
         return "resolution-floor", 0.0
-    tail = [(n, v) for n, v in all_vals if n >= math.sqrt(n_max)]
+    tail = [(n, v) for n, v in all_vals if n >= math.sqrt(_MEMBERSHIP_N_MAX)]
     if len(tail) < 4:
         tail = all_vals[-6:]
     if all(v == 0.0 for _, v in tail):
@@ -285,19 +283,13 @@ def _sampled_tail_behaviour(
     local = [(term(n + 1), v) for n, v in tail]
     if all(v > 0 and nxt / v <= 1.0 - RATIO_MARGIN for nxt, v in local):
         return "converges", -math.inf
-    pos = [(n, v) for n, v in tail if v > 0]
-    if len(pos) < 4:
+    slope = loglog_slope(tail)
+    if slope is None:
         return "inconclusive", 0.0
-    slope = float(np.polyfit([math.log(n) for n, _ in pos], [math.log(v) for _, v in pos], 1)[0])
     return slope_verdict(slope), slope
 
 
-def damped_form_in_orlicz(
-    dh: DampedHomomorphism,
-    psi_tilde: YoungFunction,
-    n_max: int = 10**4,
-    dim: int | None = None,
-) -> MembershipReport:
+def damped_form_in_orlicz(dh: DampedHomomorphism, psi_tilde: YoungFunction) -> MembershipReport:
     """Does the damped form lie in the Orlicz space of ``psi_tilde``?
 
     Membership asks for SOME alpha > 0 with sum psi_tilde(alpha |xi_w|)
@@ -308,12 +300,12 @@ def damped_form_in_orlicz(
     """
     if dh.xi.is_zero:
         raise InvalidInputError("membership is trivial for the zero form")
-    d = dim if dim is not None else dh.xi.dim
+    d = dh.xi.dim
 
     def term_for(alpha: float) -> Callable[[int], float]:
         return lambda n: shell_count(n, d) * psi_tilde(alpha * dh.shell_max(n))
 
-    anchors = _log_sampled_ints(n_max, 90)
+    anchors = _log_sampled_ints(_MEMBERSHIP_N_MAX, 90)
     profile = [dh.shell_max(n) for n in anchors]
     tail = profile[len(profile) // 2:]
     tail_nondecaying = all(
@@ -323,7 +315,7 @@ def damped_form_in_orlicz(
     alphas = [2.0 ** (-k) for k in range(0, 41, 4)]
     divergent_seen = False
     for alpha in alphas:
-        verdict, _ = _sampled_tail_behaviour(term_for(alpha), n_max)
+        verdict, _ = _sampled_tail_behaviour(term_for(alpha))
         if verdict == "converges":
             return MembershipReport("yes", alpha, "shell-upper-bound")
         if verdict == "diverges":
@@ -341,8 +333,6 @@ def derivation_norm_scan(
     radii: Sequence[int],
     trials: int,
     seed: int,
-    *,
-    max_support: int = 40,
 ) -> ScanReport:
     """Scan |<D(f), g>| / (||f||_{Phi,w} ||g||_{Phi,w}) over seeded pairs.
 
@@ -364,7 +354,7 @@ def derivation_norm_scan(
         lambda f, g: abs(pairing(apply_derivation(d, f), g)),
         ctx.weighted_luxemburg,
         ctx.weighted_luxemburg,
-        ctx.dim, trials, seed, omega=ctx.omega, xi=d.form, max_support=max_support,
+        ctx.dim, trials, seed, omega=ctx.omega, xi=d.form,
     )
 
 
@@ -417,20 +407,19 @@ def decay_chain_check(
         if n * an > running * (1.0 + 1e-12) + 1e-300:
             chain_ok = False
             break
-    shell_series = summability
     amp = xi.corner_amplitude()
     witness = [n * amp * an for n, an in enumerate(a, start=1)]
     witness_sup = max(witness)
     witness_argmax = witness.index(witness_sup) + 1
     witness_ok = witness_argmax <= max(1, int(0.9 * n_max))
-    ok = monotone_ok and chain_ok and shell_series.verdict == "converges" and witness_ok
     return ChainReport(
         monotone_ok=monotone_ok,
         chain_ok=chain_ok,
-        shell_series=shell_series,
+        shell_series=summability,
         witness_sup=witness_sup,
         witness_argmax=witness_argmax,
-        ok=ok,
+        # the shell series converges: any other verdict raised above
+        ok=monotone_ok and chain_ok and witness_ok,
     )
 
 
@@ -487,6 +476,10 @@ def classify(
     q = p / (p - 1.0)
     thresholds = {"d_over_q": dim / q, "half": 0.5}
     params = {"p": p, "q": q, "dim": dim, "weight": omega.spec()}
+    sqrt_extends = (
+        f"q = {q:g} >= 2 so the square-root transform of the conjugate is "
+        "convex; the windowed derivation extends boundedly"
+    )
 
     if omega.family == "polynomial":
         beta = float(omega.params["beta"])
@@ -507,40 +500,31 @@ def classify(
             f"convolution algebra: beta*q = {beta * q:g} > d = {dim}, so the "
             "reciprocal weight is q-summable",
         ]
-        if p <= 2.0:
-            if beta < 0.5:
-                evidence.append(
-                    f"every nonzero linear form damps to ~ n^(1-2*beta) = "
-                    f"n^{1 - 2 * beta:g}, unbounded since beta < 1/2"
-                )
-                evidence.append(
-                    "no bounded damped homomorphism exists, which forces weak "
-                    "amenability on the power scale (simple functions are dense)"
-                )
-                return ClassificationResult(
-                    Verdict.WEAKLY_AMENABLE, thresholds, evidence, params
-                )
+        if p > 2.0:
+            evidence.append(
+                f"p = {p:g} > 2: the square-root transform of the base function is "
+                "convex and the q-summable reciprocal weight feeds the decay chain, "
+                "so a bounded derivation witness exists"
+            )
+        elif beta < 0.5:
+            evidence.append(
+                f"every nonzero linear form damps to ~ n^(1-2*beta) = "
+                f"n^{1 - 2 * beta:g}, unbounded since beta < 1/2"
+            )
+            evidence.append(
+                "no bounded damped homomorphism exists, which forces weak "
+                "amenability on the power scale (simple functions are dense)"
+            )
+            return ClassificationResult(
+                Verdict.WEAKLY_AMENABLE, thresholds, evidence, params
+            )
+        else:
             evidence.append(
                 f"the coordinate form damps to n/(1+n)^{2 * beta:g}, bounded since "
                 "beta >= 1/2"
             )
-            evidence.append(
-                f"q = {q:g} >= 2 so the square-root transform of the conjugate is "
-                "convex; the windowed derivation extends boundedly"
-            )
-            return ClassificationResult(
-                Verdict.NOT_WEAKLY_AMENABLE, thresholds, evidence, params
-            )
-        evidence.append(
-            f"p = {p:g} > 2: the square-root transform of the base function is "
-            "convex and the q-summable reciprocal weight feeds the decay chain, "
-            "so a bounded derivation witness exists"
-        )
-        return ClassificationResult(
-            Verdict.NOT_WEAKLY_AMENABLE, thresholds, evidence, params
-        )
-
-    if omega.family in ("subexp_alpha", "subexp_log"):
+            evidence.append(sqrt_extends)
+    elif omega.family in ("subexp_alpha", "subexp_log"):
         evidence = [
             f"subexponential weight {omega.describe()}: convolution algebra for "
             "every choice of parameters",
@@ -548,38 +532,29 @@ def classify(
             "super-polynomial weight decay), so a bounded damped form exists",
         ]
         if p <= 2.0:
-            evidence.append(
-                f"q = {q:g} >= 2 so the square-root transform of the conjugate is "
-                "convex; the windowed derivation extends boundedly"
+            evidence.append(sqrt_extends)
+        else:
+            probe = reciprocal_summability(
+                omega, young_from_spec({"family": "power", "p": q}), 1.0, 3000, dim
             )
-            return ClassificationResult(
-                Verdict.NOT_WEAKLY_AMENABLE, thresholds, evidence, params
-            )
-        from .young import young_from_spec
-
-        probe = reciprocal_summability(
-            omega, young_from_spec({"family": "power", "p": q}), 1.0, 3000, dim
-        )
-        if probe.verdict == "converges":
+            if probe.verdict != "converges":
+                return ClassificationResult(
+                    Verdict.UNDECIDED,
+                    thresholds,
+                    evidence,
+                    params,
+                    reason=f"summability probe returned {probe.verdict!r} for p > 2",
+                )
             evidence.append(
                 "reciprocal weight q-summable (shell-series probe converges), so "
                 "the decay chain applies for p > 2"
             )
-            return ClassificationResult(
-                Verdict.NOT_WEAKLY_AMENABLE, thresholds, evidence, params
-            )
+    else:
         return ClassificationResult(
             Verdict.UNDECIDED,
             thresholds,
-            evidence,
+            [],
             params,
-            reason=f"summability probe returned {probe.verdict!r} for p > 2",
+            reason=f"no analytic rule for weight family {omega.family!r}",
         )
-
-    return ClassificationResult(
-        Verdict.UNDECIDED,
-        thresholds,
-        [],
-        params,
-        reason=f"no analytic rule for weight family {omega.family!r}",
-    )
+    return ClassificationResult(Verdict.NOT_WEAKLY_AMENABLE, thresholds, evidence, params)

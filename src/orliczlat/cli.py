@@ -30,7 +30,7 @@ from .norms import weighted_norm
 from .reports import ReportTable, make_metadata
 from .verify import run_battery
 from .weights import weight_from_spec
-from .young import catalog, conjugate, pair_from_spec, young_from_spec
+from .young import catalog, conjugate, pair_from_spec
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -136,7 +136,7 @@ def _cmd_conjugate(config: dict, seed: int) -> tuple[ReportTable, int]:
     young_spec = config.get("young")
     if not isinstance(young_spec, Mapping):
         raise InvalidInputError("conjugate needs a 'young' spec, e.g. {'family':'power','p':2}")
-    phi = young_from_spec(young_spec)
+    pair = pair_from_spec(young_spec, validate=False)
     ygrid = config.get("y", {"min": 1e-3, "max": 1e2, "points": 40})
     if isinstance(ygrid, Mapping):
         lo = _num(float, ygrid.get("min", 1e-3), "y.min")
@@ -148,11 +148,10 @@ def _cmd_conjugate(config: dict, seed: int) -> tuple[ReportTable, int]:
             raise InvalidInputError(f"bad y grid {dict(ygrid)!r}: {exc}") from exc
     else:
         ys = _as_list(ygrid, float, "y")
-    pair = pair_from_spec(young_spec, validate=False)
     has_closed = pair.conjugation_mode == "closed_form"
     rows = []
     for y in ys:
-        numeric = conjugate(phi, y)
+        numeric = conjugate(pair.phi, y)
         closed = pair.psi(y) if has_closed else ""
         diff = abs(numeric - closed) if has_closed else ""
         rows.append({"y": y, "numeric": numeric, "closed_form": closed, "abs_diff": diff})
@@ -161,7 +160,7 @@ def _cmd_conjugate(config: dict, seed: int) -> tuple[ReportTable, int]:
         rows=rows,
         metadata=make_metadata("conjugate", config, seed, __version__),
     )
-    print(f"conjugate of {phi.describe()} on {len(ys)} points "
+    print(f"conjugate of {pair.phi.describe()} on {len(ys)} points "
           f"({'closed form available' if has_closed else 'numeric only'})")
     return table, EXIT_OK
 
@@ -238,13 +237,7 @@ def _cmd_certify_algebra(config: dict, seed: int) -> tuple[ReportTable, int]:
         weight_from_spec(weight_spec),
         _num(int, config.get("dim", 1), "dim"),
     )
-    report = submult_estimate(
-        ctx,
-        _num(int, config.get("radius", 64), "radius"),
-        trials,
-        seed,
-        max_support=_num(int, config.get("max_support", 40), "max_support"),
-    )
+    report = submult_estimate(ctx, _num(int, config.get("radius", 64), "radius"), trials, seed)
     return _scan_table("certify-algebra", report, config, seed), EXIT_OK
 
 
@@ -269,8 +262,7 @@ def _cmd_derivation_scan(config: dict, seed: int) -> tuple[ReportTable, int]:
     ctx = AlgebraContext(pair_from_spec(young_spec), weight_from_spec(weight_spec), dim)
     window = _num(int, config.get("window_radius", 1), "window_radius")
     d = Derivation.with_ball_window(Homomorphism(tuple(coeffs)), dim, window)
-    max_support = _num(int, config.get("max_support", 40), "max_support")
-    report = derivation_norm_scan(ctx, d, radii, trials, seed, max_support=max_support)
+    report = derivation_norm_scan(ctx, d, radii, trials, seed)
     return _scan_table("derivation-scan", report, config, seed), EXIT_OK
 
 

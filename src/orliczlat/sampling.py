@@ -102,7 +102,6 @@ def scan_pairs(
     seed: int,
     omega: Weight | None = None,
     xi: Callable[[Point], complex] | None = None,
-    max_support: int = 40,
 ) -> Iterator[tuple[str, FinSuppFn, FinSuppFn]]:
     """Adversarial pairs first, then ``trials`` seeded random pairs."""
     for kind, f in adversarial_candidates(dim, radius, omega, xi):
@@ -111,6 +110,6 @@ def scan_pairs(
         yield f"{kind}/same", f, f
     for t in range(trials):
         rng = rng_for(seed, radius, t)
-        f = random_finsupp(dim, radius, rng, max_support)
-        g = random_finsupp(dim, radius, rng, max_support)
+        f = random_finsupp(dim, radius, rng)
+        g = random_finsupp(dim, radius, rng)
         yield f"random[{t}]", f, g

@@ -123,12 +123,16 @@ class Weight:
         return {"family": self.family, **{k: float(v) for k, v in self.params.items()}}
 
 
-def _validate_radial(w: Weight, *, radius: int = 40) -> None:
+def _validate_radial(w: Weight) -> None:
+    """Check the weight axioms on the radii 0..40."""
+    radius = 40
     if w.radial(0) != 1.0:
         raise InvalidInputError(f"{w.describe()}: weight must be 1 at the origin")
     vals = [w.radial(n) for n in range(radius + 1)]
     for n, v in enumerate(vals):
-        if not v > 0.0 or not math.isfinite(v):
+        if math.isinf(v):
+            raise NumericalFailureError(f"weight {w.describe()} overflows at radius {n}")
+        if not v > 0.0:
             raise InvalidInputError(f"{w.describe()}: non-positive value at radius {n}")
         if v < 1.0 - 1e-12:
             raise InvalidInputError(f"{w.describe()}: 1/weight exceeds 1 at radius {n}")
@@ -336,6 +340,15 @@ def slope_verdict(slope: float) -> str:
     return "inconclusive"
 
 
+def loglog_slope(points: Iterable[tuple[float, float]]) -> float | None:
+    """Least-squares slope of log v against log n over the points (n, v)
+    with v > 0; None when fewer than four such points remain."""
+    pos = [(n, v) for n, v in points if v > 0]
+    if len(pos) < 4:
+        return None
+    return float(np.polyfit([math.log(n) for n, _ in pos], [math.log(v) for _, v in pos], 1)[0])
+
+
 def shell_series_verdict(terms: Sequence[float]) -> SeriesReport:
     """Heuristic convergence verdict for a positive shell series.
 
@@ -366,14 +379,9 @@ def shell_series_verdict(terms: Sequence[float]) -> SeriesReport:
         return SeriesReport("diverges", partial, None, "non-decaying-tail")
     n_hi = len(ts)
     n_lo = max(1, n_hi // 10)
-    xs, ys = [], []
-    for i in range(n_lo - 1, n_hi):
-        if ts[i] > 0:
-            xs.append(math.log(i + 1))
-            ys.append(math.log(ts[i]))
-    if len(xs) < 4:
+    slope = loglog_slope((i + 1, ts[i]) for i in range(n_lo - 1, n_hi))
+    if slope is None:
         return SeriesReport("inconclusive", partial, None, "sparse-tail")
-    slope = float(np.polyfit(xs, ys, 1)[0])
     verdict = slope_verdict(slope)
     est = None
     # geometric-tail completion only when the decay is clearly faster than

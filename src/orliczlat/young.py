@@ -557,7 +557,7 @@ def find_strong_equiv_constants(
     return None
 
 
-def sqrt_transform(psi: YoungFunction, grid: Sequence[float] | None = None) -> YoungFunction:
+def sqrt_transform(psi: YoungFunction) -> YoungFunction:
     """The function x -> Psi(sqrt(x)), verified to be a Young function.
 
     Convexity of the transform is equivalent to Psi'(x)/x being
@@ -565,10 +565,9 @@ def sqrt_transform(psi: YoungFunction, grid: Sequence[float] | None = None) -> Y
     raises :class:`ConvexityError` carrying the abscissa. For the power
     scale x^q/q this accepts exactly q >= 2.
     """
-    xs = list(grid) if grid is not None else default_grid(41)
     prev_ratio = None
     prev_x = None
-    for x in xs:
+    for x in default_grid(41):
         dv = psi.d(x)
         if not math.isfinite(dv):
             break

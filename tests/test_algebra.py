@@ -25,6 +25,7 @@ from orliczlat.amenability import (
 )
 from orliczlat.errors import (
     ConjugateInfiniteError,
+    InvalidInputError,
     PreconditionError,
     ResourceLimitError,
 )
@@ -254,6 +255,12 @@ def test_submult_plateau_subexponential():
     ctx = AlgebraContext(pair, subexp_alpha_weight(0.5, 1.0), 1)
     rep = submult_estimate(ctx, 48, trials=40, seed=14)
     assert rep.trend == "plateau", rep.per_radius
+
+
+@pytest.mark.parametrize("max_support, radius", [(0, 3), (2**62, 3), (5, -1), (5, 2**62)])
+def test_random_finsupp_rejects_out_of_range(max_support, radius):
+    with pytest.raises(InvalidInputError):
+        random_finsupp(1, radius, seeded_rng(26), max_support)
 
 
 # -- the shared bilinear-bound scan ---------------------------------------------------------

@@ -101,7 +101,7 @@ def test_damped_form_bounded_polynomial_both_modes():
     for beta, want in ((0.4, "unbounded"), (0.45, "unbounded"), (0.55, "bounded"), (0.6, "bounded")):
         dh = DampedHomomorphism(xi, polynomial_weight(beta))
         a = damped_form_bounded(dh, "analytic")
-        n = damped_form_bounded(dh, "numeric", 10**6)
+        n = damped_form_bounded(dh, "numeric")
         assert a.verdict == want, (beta, a)
         assert n.verdict == want, (beta, n)
 
@@ -117,7 +117,7 @@ def test_damped_form_bounded_sup_value():
 def test_damped_form_bounded_subexponential():
     dh = DampedHomomorphism(Homomorphism((1.0,)), subexp_alpha_weight(0.5, 1.0))
     assert damped_form_bounded(dh, "analytic").verdict == "bounded"
-    assert damped_form_bounded(dh, "numeric", 10**6).verdict == "bounded"
+    assert damped_form_bounded(dh, "numeric").verdict == "bounded"
     dh2 = DampedHomomorphism(Homomorphism((1.0,)), subexp_log_weight(1.0, 1.0))
     assert damped_form_bounded(dh2, "analytic").verdict == "bounded"
 
@@ -136,7 +136,7 @@ def test_damped_form_membership_yes():
     phi = young_from_spec({"family": "power", "p": 3})
     psi_tilde = numeric_conjugate(sqrt_transform(phi))
     dh = DampedHomomorphism(Homomorphism((1.0,)), polynomial_weight(2.0))
-    rep = damped_form_in_orlicz(dh, psi_tilde, 10**4)
+    rep = damped_form_in_orlicz(dh, psi_tilde)
     assert rep.verdict == "yes"
     assert rep.alpha is not None and rep.alpha > 0
 
@@ -145,7 +145,7 @@ def test_damped_form_membership_no_for_trivial_weight():
     phi = young_from_spec({"family": "power", "p": 3})
     psi_tilde = numeric_conjugate(sqrt_transform(phi))
     dh = DampedHomomorphism(Homomorphism((1.0,)), polynomial_weight(0.0))
-    rep = damped_form_in_orlicz(dh, psi_tilde, 10**4)
+    rep = damped_form_in_orlicz(dh, psi_tilde)
     assert rep.verdict == "no"
 
 

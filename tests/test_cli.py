@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -167,6 +168,19 @@ def test_weight_constructor_overflow_names_family_exit_1():
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("weight, radius", [
+    ('{"family":"subexp_alpha","alpha":1,"C":800}', 1),  # e^800
+    ('{"family":"polynomial","beta":400}', 5),  # 6^400
+])
+def test_weight_overflow_inside_checked_radii_exit_1(weight, radius):
+    r = run_cli("classify", "--p", "3", "--weight", weight)
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert "numerical failure" in r.stderr
+    assert json.loads(weight)["family"] in r.stderr
+    assert f"radius {radius}" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_certify_algebra_runs():
     r = run_cli(
         "certify-algebra",
@@ -261,6 +275,8 @@ def test_verify_full_catalog_passes(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["metadata"]["command"] == "verify"
     assert all(row["passed"] for row in payload["rows"])
+    golden = Path(__file__).resolve().parent / "golden" / "verify.json"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_verify_family_filter_and_empty(tmp_path):

@@ -1,0 +1,110 @@
+"""High-precision oracle for the catalog members without a closed-form
+conjugate: (cosh x - 1)^2, (e^x - x - 1)^2, x^2 ln(1+x) and e^{x^2} - 1.
+
+The oracle conjugate solves Phi'(x) = y for the maximiser in 50-digit
+arithmetic and returns x y - Phi(x); the oracle Luxemburg norm solves
+sum Phi(|f(s)| / k) = 1 for k the same way, under Phi and under the
+oracle conjugate.
+"""
+
+from __future__ import annotations
+
+import mpmath as mp
+import pytest
+
+from orliczlat.finsupp import FinSuppFn
+from orliczlat.norms import luxemburg_norm
+from orliczlat.young import catalog
+
+# (family, p) -> (Phi, Phi') in mpmath arithmetic.
+MEMBERS = {
+    ("cosh", 2.0): (
+        lambda x: (mp.cosh(x) - 1) ** 2,
+        lambda x: 2 * (mp.cosh(x) - 1) * mp.sinh(x),
+    ),
+    ("exp_taylor", 2.0): (
+        lambda x: (mp.exp(x) - x - 1) ** 2,
+        lambda x: 2 * (mp.exp(x) - x - 1) * (mp.exp(x) - 1),
+    ),
+    ("square_log", 1.0): (
+        lambda x: x * x * mp.log1p(x),
+        lambda x: 2 * x * mp.log1p(x) + x * x / (1 + x),
+    ),
+    ("exp_power", 2.0): (
+        lambda x: mp.expm1(x * x),
+        lambda x: 2 * x * mp.exp(x * x),
+    ),
+}
+
+YS = [10.0 ** (k / 2) for k in range(-6, 9)]  # 1e-3 ... 1e4
+
+ENTRIES = {(0,): 0.3 + 0.4j, (1,): -1.2, (3,): 2j, (-2,): 0.05 - 0.07j, (7,): 3.5 + 1.0j}
+
+
+def numeric_pairs():
+    return {
+        (pair.phi.label, float(pair.phi.params["p"])): pair
+        for pair in catalog()
+        if pair.conjugation_mode == "numerical"
+    }
+
+
+def increasing_root(fn, target, lo, hi):
+    """The x in [lo, hi] with fn(x) = target, for fn increasing there with
+    fn(lo) <= target <= fn(hi): 40 halvings, then the secant method."""
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return mp.findroot(lambda x: fn(x) - target, (lo + hi) / 2)
+
+
+def mp_conjugate(phi, dphi, y):
+    hi = mp.mpf(1)
+    while dphi(hi) < y:
+        hi *= 2
+    x = increasing_root(dphi, mp.mpf(y), mp.mpf(0), hi)
+    return x * y - phi(x)
+
+
+def mp_luxemburg(phi, mags):
+    """The k with sum Phi(m / k) = 1, found as 1/k."""
+
+    def modular(t):
+        return mp.fsum(phi(m * t) for m in mags)
+
+    hi = 1 / max(mags)
+    while modular(hi) < 1:
+        hi *= 2
+    return 1 / increasing_root(modular, 1, mp.mpf(0), hi)
+
+
+def test_oracle_covers_every_numeric_catalog_member():
+    assert set(numeric_pairs()) == set(MEMBERS)
+
+
+@pytest.mark.parametrize("key", sorted(MEMBERS))
+def test_numeric_conjugate_matches_mpmath(key):
+    pair = numeric_pairs()[key]
+    phi, dphi = MEMBERS[key]
+    with mp.workdps(50):
+        for y in YS:
+            exact = mp_conjugate(phi, dphi, y)
+            assert abs(pair.psi(y) - exact) <= 1e-12 * exact, (key, y)
+
+
+@pytest.mark.parametrize("key", sorted(MEMBERS))
+def test_luxemburg_norms_match_mpmath(key):
+    pair = numeric_pairs()[key]
+    phi, dphi = MEMBERS[key]
+    f = FinSuppFn(1, ENTRIES)
+    with mp.workdps(50):
+        mags = [mp.sqrt(mp.mpf(v.real) ** 2 + mp.mpf(v.imag) ** 2) for v in ENTRIES.values()]
+        for young, oracle in (
+            (pair.phi, phi),
+            (pair.psi, lambda y: mp_conjugate(phi, dphi, y)),
+        ):
+            exact = mp_luxemburg(oracle, mags)
+            assert abs(luxemburg_norm(young, f) - exact) <= 1e-12 * exact, (key, young.label)

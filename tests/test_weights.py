@@ -10,6 +10,7 @@ from orliczlat.errors import InvalidInputError, ResourceLimitError
 from orliczlat.weights import (
     ball,
     generic_weight,
+    loglog_slope,
     make_weight,
     polynomial_weight,
     reciprocal_summability,
@@ -244,3 +245,12 @@ def test_shell_series_verdict_edge_cases():
     assert shell_series_verdict([float(n) ** -0.3 for n in range(1, 200)]).verdict == "diverges"
     # the p-series boundary stays inconclusive
     assert shell_series_verdict([1.0 / n for n in range(1, 200)]).verdict == "inconclusive"
+
+
+def test_loglog_slope():
+    assert loglog_slope((n, float(n) ** -2) for n in range(1, 20)) == pytest.approx(-2.0, abs=1e-12)
+    # zero values are skipped, and four positive points are the minimum
+    assert loglog_slope([(1, 1.0), (2, 0.0), (3, 1.0 / 9), (4, 0.0), (5, 1.0 / 25), (6, 1.0 / 36)]) \
+        == pytest.approx(-2.0, abs=1e-12)
+    assert loglog_slope([(1, 1.0), (2, 0.25), (3, 0.0), (4, 1.0 / 16)]) is None
+    assert loglog_slope([]) is None

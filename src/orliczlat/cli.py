@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     NumericalFailureError,
     OrliczError,
     ResourceLimitError,
+    coerce,
 )
 from .finsupp import FinSuppFn
 from .norms import weighted_norm
@@ -42,48 +44,43 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        if path == "-":
-            config = json.load(sys.stdin)
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read config {path!r}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise InvalidInputError(f"config must be a JSON object, got {config!r}")
-    return config
+    return _parse_json_flag(text, f"config {path!r}")
 
 
 def _parse_json_flag(text: str, what: str) -> dict:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep nesting
         raise InvalidInputError(f"bad JSON for {what}: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{what} must be a JSON object, got {obj!r}")
     return obj
 
 
-def _num(coerce, value, what: str):
-    """coerce(value), reporting a value that does not convert as a config error."""
-    try:
-        return coerce(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{what}: cannot read {value!r} as {coerce.__name__}") from exc
-
-
-def _as_list(value, coerce, what: str) -> list:
+def _as_list(value, convert, what: str) -> list:
     if value is None:
         return []
     if isinstance(value, (list, tuple)):
-        return [_num(coerce, v, what) for v in value]
-    return [_num(coerce, value, what)]
+        return [coerce(convert, v, what) for v in value]
+    return [coerce(convert, value, what)]
+
+
+def _finite(value) -> float:
+    """float(value), refusing inf and nan: no conjugate table row is built there."""
+    if not np.isfinite(y := float(value)):
+        raise ValueError("not finite")
+    return y
 
 
 def _emit(table: ReportTable, out: str | None, fmt: str) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(table.render(fmt))
+        try:
+            Path(out).write_text(table.render(fmt), encoding="utf-8", newline="")
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write --out {out!r}: {exc}") from exc
 
 
 # -- classify ---------------------------------------------------------------
@@ -133,21 +130,18 @@ def _cmd_classify(config: dict, seed: int) -> tuple[ReportTable, int]:
 
 
 def _cmd_conjugate(config: dict, seed: int) -> tuple[ReportTable, int]:
-    young_spec = config.get("young")
-    if not isinstance(young_spec, Mapping):
-        raise InvalidInputError("conjugate needs a 'young' spec, e.g. {'family':'power','p':2}")
-    pair = pair_from_spec(young_spec, validate=False)
-    ygrid = config.get("y", {"min": 1e-3, "max": 1e2, "points": 40})
+    pair = pair_from_spec(config.get("young"), validate=False)
+    ygrid = config.get("y", {})
     if isinstance(ygrid, Mapping):
-        lo = _num(float, ygrid.get("min", 1e-3), "y.min")
-        hi = _num(float, ygrid.get("max", 1e2), "y.max")
-        points = _num(int, ygrid.get("points", 40), "y.points")
+        lo = coerce(_finite, ygrid.get("min", 1e-3), "y.min")
+        hi = coerce(_finite, ygrid.get("max", 1e2), "y.max")
+        points = coerce(int, ygrid.get("points", 40), "y.points")
         try:
             ys = [float(v) for v in np.geomspace(lo, hi, points)]
         except ValueError as exc:
             raise InvalidInputError(f"bad y grid {dict(ygrid)!r}: {exc}") from exc
     else:
-        ys = _as_list(ygrid, float, "y")
+        ys = _as_list(ygrid, _finite, "y")
     has_closed = pair.conjugation_mode == "closed_form"
     rows = []
     for y in ys:
@@ -169,13 +163,9 @@ def _cmd_conjugate(config: dict, seed: int) -> tuple[ReportTable, int]:
 
 
 def _cmd_norm(config: dict, seed: int) -> tuple[ReportTable, int]:
-    young_spec = config.get("young")
-    fobj = config.get("f")
-    if not isinstance(young_spec, Mapping) or not isinstance(fobj, Mapping):
-        raise InvalidInputError("norm needs 'young' and 'f' objects")
     kind = str(config.get("kind", "luxemburg"))
-    pair = pair_from_spec(young_spec)
-    f = FinSuppFn.from_json_obj(fobj)
+    pair = pair_from_spec(config.get("young"))
+    f = FinSuppFn.from_json_obj(config.get("f"))
     if "weight" in config:
         omega = weight_from_spec(config["weight"])
         wdesc = omega.describe()
@@ -225,19 +215,15 @@ def _scan_table(command: str, report, config: dict, seed: int) -> ReportTable:
 
 
 def _cmd_certify_algebra(config: dict, seed: int) -> tuple[ReportTable, int]:
-    young_spec = config.get("young")
-    weight_spec = config.get("weight")
-    if not isinstance(young_spec, Mapping) or not isinstance(weight_spec, Mapping):
-        raise InvalidInputError("certify-algebra needs 'young' and 'weight' specs")
-    trials = _num(int, config.get("trials", 60), "trials")
+    trials = coerce(int, config.get("trials", 60), "trials")
     if trials <= 0:
         raise InvalidInputError("trials must be positive")
     ctx = AlgebraContext(
-        pair_from_spec(young_spec),
-        weight_from_spec(weight_spec),
-        _num(int, config.get("dim", 1), "dim"),
+        pair_from_spec(config.get("young")),
+        weight_from_spec(config.get("weight")),
+        coerce(int, config.get("dim", 1), "dim"),
     )
-    report = submult_estimate(ctx, _num(int, config.get("radius", 64), "radius"), trials, seed)
+    report = submult_estimate(ctx, coerce(int, config.get("radius", 64), "radius"), trials, seed)
     return _scan_table("certify-algebra", report, config, seed), EXIT_OK
 
 
@@ -245,22 +231,17 @@ def _cmd_certify_algebra(config: dict, seed: int) -> tuple[ReportTable, int]:
 
 
 def _cmd_derivation_scan(config: dict, seed: int) -> tuple[ReportTable, int]:
-    young_spec = config.get("young")
-    weight_spec = config.get("weight")
-    if not isinstance(young_spec, Mapping) or not isinstance(weight_spec, Mapping):
-        raise InvalidInputError("derivation-scan needs 'young' and 'weight' specs")
-    trials = _num(int, config.get("trials", 200), "trials")
+    trials = coerce(int, config.get("trials", 200), "trials")
     if trials <= 0:
         raise InvalidInputError("trials must be positive")
-    dim = _num(int, config.get("dim", 1), "dim")
+    dim = coerce(int, config.get("dim", 1), "dim")
     radii = _as_list(config.get("radii", [16, 64, 256]), int, "radii")
     if not radii or min(radii) < 1:
         raise InvalidInputError(f"radii must be a nonempty list of integers >= 1, got {radii}")
     coeffs = _as_list(config.get("xi", [1.0] + [0.0] * (dim - 1)), complex, "xi")
-    if len(coeffs) != dim:
-        raise InvalidInputError(f"xi has {len(coeffs)} coefficients for dim {dim}")
-    ctx = AlgebraContext(pair_from_spec(young_spec), weight_from_spec(weight_spec), dim)
-    window = _num(int, config.get("window_radius", 1), "window_radius")
+    ctx = AlgebraContext(pair_from_spec(config.get("young")),
+                         weight_from_spec(config.get("weight")), dim)
+    window = coerce(int, config.get("window_radius", 1), "window_radius")
     d = Derivation.with_ball_window(Homomorphism(tuple(coeffs)), dim, window)
     report = derivation_norm_scan(ctx, d, radii, trials, seed)
     return _scan_table("derivation-scan", report, config, seed), EXIT_OK
@@ -302,9 +283,9 @@ def _cmd_verify(config: dict, seed: int) -> tuple[ReportTable, int]:
 # -- flags --------------------------------------------------------------------
 
 
-def _csv(coerce):
+def _csv(convert):
     """A comma-separated flag value as a list; empty items are dropped."""
-    return lambda text, what: _as_list([v for v in text.split(",") if v], coerce, what)
+    return lambda text, what: _as_list([v for v in text.split(",") if v], convert, what)
 
 
 def _json_objects(texts: list[str], what: str) -> list[dict]:

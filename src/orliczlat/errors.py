@@ -1,10 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one input boundary.
 
 The CLI maps these onto its exit-code contract: config problems exit 2,
 budget overruns exit 3, failed invariant batteries exit 1.
+Every outside value is read through :func:`coerce` and every
+``{"family": id, <params>}`` spec is built by :func:`from_spec`, so an
+unreadable value is always an :class:`InvalidInputError`.
 """
 
 from __future__ import annotations
+
+from typing import Any, Callable, Mapping
 
 
 class OrliczError(Exception):
@@ -47,3 +52,30 @@ class ResourceLimitError(OrliczError):
 
 class PreconditionError(OrliczError):
     """A diagnostic was invoked outside the regime where it is meaningful."""
+
+
+def coerce(convert: Callable[[Any], Any], value: Any, what: str) -> Any:
+    """convert(value); a value that does not convert, or overflows doing so, is a config error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{what}: cannot read {value!r} ({exc})") from exc
+
+
+def from_spec(what: str, families: Mapping[str, Callable[..., Any]], spec: Any) -> Any:
+    """``families[family](**params)`` for a ``{"family": id, <params>}`` spec of float params;
+    a maker that overflows on readable parameters is a numerical failure naming the family."""
+    if not isinstance(spec, Mapping) or "family" not in spec:
+        raise InvalidInputError(f"{what} spec needs an object with a 'family': {spec!r}")
+    family = str(spec["family"])
+    maker = families.get(family)
+    if maker is None:
+        raise InvalidInputError(f"unknown {what} family {family!r} (known: {sorted(families)})")
+    params = {k: coerce(float, v, f"{what} {family!r} parameter {k!r}")
+              for k, v in spec.items() if k != "family"}
+    try:
+        return maker(**params)
+    except TypeError as exc:
+        raise InvalidInputError(f"bad parameters for {what} {family!r}: {params}") from exc
+    except OverflowError as exc:
+        raise NumericalFailureError(f"{what} {family!r} with {params} overflows ({exc})") from exc

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError, ResourceLimitError
+from .errors import InvalidInputError, NumericalFailureError, ResourceLimitError, from_spec
 from .finsupp import Point, as_point
 from .young import YoungFunction
 
@@ -72,7 +72,7 @@ def ball(n: int, dim: int) -> list[Point]:
         raise InvalidInputError(f"need n >= 0 and dim >= 1, got n={n!r}, dim={dim!r}")
     if ball_size(n, dim) > MAX_BALL_POINTS:
         raise ResourceLimitError(
-            f"ball({n}, dim={dim}) has {ball_size(n, dim)} points, budget {MAX_BALL_POINTS}"
+            f"ball({n}, dim={dim}) has {2 * n + 1}^{dim} points, budget {MAX_BALL_POINTS}"
         )
     return list(itertools.product(range(-n, n + 1), repeat=dim))
 
@@ -166,7 +166,7 @@ def subexp_alpha_weight(alpha: float, C: float) -> Weight:
 
 
 def subexp_log_weight(gamma: float, C: float) -> Weight:
-    if gamma <= 0:
+    if not gamma > 0:  # also refuses NaN, which the horizon below cannot take
         raise InvalidInputError(f"subexp_log needs gamma > 0, got {gamma!r}")
     if C <= 0:
         raise InvalidInputError(f"subexp_log needs C > 0, got {C!r}")
@@ -227,30 +227,12 @@ _WEIGHT_FAMILIES: dict[str, Callable[..., Weight]] = {
 
 
 def make_weight(family: str, **params: float) -> Weight:
-    maker = _WEIGHT_FAMILIES.get(family)
-    if maker is None:
-        raise InvalidInputError(
-            f"unknown weight family {family!r} (known: {sorted(_WEIGHT_FAMILIES)})"
-        )
-    try:
-        return maker(**params)
-    except TypeError as exc:
-        raise InvalidInputError(f"bad parameters for weight {family!r}: {params}") from exc
-    except OverflowError as exc:
-        raise NumericalFailureError(
-            f"weight {family!r} with {params} overflows ({exc})"
-        ) from exc
+    return from_spec("weight", _WEIGHT_FAMILIES, {"family": family, **params})
 
 
 def weight_from_spec(spec: Mapping[str, object]) -> Weight:
     """Construct a weight from {"family": id, <params>} (CLI-shared naming)."""
-    if not isinstance(spec, Mapping) or "family" not in spec:
-        raise InvalidInputError(f"weight spec needs an object with a 'family': {spec!r}")
-    try:
-        params = {k: float(v) for k, v in spec.items() if k != "family"}  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"non-numeric parameter in weight spec {spec!r}") from exc
-    return make_weight(str(spec["family"]), **params)
+    return from_spec("weight", _WEIGHT_FAMILIES, spec)
 
 
 def submult_constant(omega: Weight, n: int, dim: int = 1) -> float:

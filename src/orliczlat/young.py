@@ -30,6 +30,7 @@ from .errors import (
     ConvexityError,
     InvalidInputError,
     NumericalFailureError,
+    from_spec,
 )
 
 __all__ = [
@@ -189,8 +190,8 @@ def conjugate_with_argmax(phi: YoungFunction, y: float) -> tuple[float, float]:
     inlined; the values are those of ``phi(x)``, without two call frames
     per evaluation.
     """
-    if y < 0:
-        raise InvalidInputError(f"conjugate requested at negative y={y!r}")
+    if not y >= 0:  # also refuses NaN
+        raise InvalidInputError(f"conjugate requested at negative or NaN y={y!r}")
     if y == 0.0:
         return 0.0, 0.0
 
@@ -327,8 +328,8 @@ def inverse(phi: YoungFunction, y: float) -> float:
     Requires strictly increasing continuous ``phi``; the residual satisfies
     |Phi(x) - y| <= 1e-10 * max(1, y).
     """
-    if y < 0:
-        raise InvalidInputError(f"inverse requested below Phi(0)=0, y={y!r}")
+    if not y >= 0:  # also refuses NaN
+        raise InvalidInputError(f"inverse requested below Phi(0)=0 or at NaN, y={y!r}")
     if y == 0.0:
         return 0.0
 
@@ -713,20 +714,7 @@ def catalog_ids() -> list[str]:
 
 def young_from_spec(spec: Mapping[str, object]) -> YoungFunction:
     """Construct a catalog Young function from {"family": id, <params>}."""
-    if not isinstance(spec, Mapping) or "family" not in spec:
-        raise InvalidInputError(f"young spec needs an object with a 'family': {spec!r}")
-    family = str(spec["family"])
-    maker = _FAMILIES.get(family)
-    if maker is None:
-        raise InvalidInputError(f"unknown young family {family!r} (known: {catalog_ids()})")
-    try:
-        kwargs = {k: float(v) for k, v in spec.items() if k != "family"}  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"non-numeric parameter in young spec {spec!r}") from exc
-    try:
-        return maker(**kwargs)
-    except TypeError as exc:
-        raise InvalidInputError(f"bad parameters for family {family!r}: {kwargs}") from exc
+    return from_spec("young", _FAMILIES, spec)
 
 
 def _closed_form_conjugate(phi: YoungFunction) -> YoungFunction | None:
@@ -748,27 +736,23 @@ def pair_from_spec(spec: Mapping[str, object], *, validate: bool = True) -> Comp
     return make_pair(young_from_spec(spec), validate=validate)
 
 
-_CATALOG_SPECS: tuple[tuple[str, dict[str, float]], ...] = (
-    ("power", {"p": 1.5}),
-    ("power", {"p": 2.0}),
-    ("power", {"p": 3.0}),
-    ("cosh", {"p": 1.0}),
-    ("entropy", {}),
-    ("exp_taylor", {"p": 1.0}),
-    ("cosh", {"p": 2.0}),
-    ("exp_taylor", {"p": 2.0}),
-    ("square_log", {"p": 1.0}),
-    ("exp_power", {"p": 2.0}),
+_CATALOG_SPECS: tuple[dict[str, object], ...] = (
+    {"family": "power", "p": 1.5},
+    {"family": "power", "p": 2.0},
+    {"family": "power", "p": 3.0},
+    {"family": "cosh", "p": 1.0},
+    {"family": "entropy"},
+    {"family": "exp_taylor", "p": 1.0},
+    {"family": "cosh", "p": 2.0},
+    {"family": "exp_taylor", "p": 2.0},
+    {"family": "square_log", "p": 1.0},
+    {"family": "exp_power", "p": 2.0},
 )
 
 
 @lru_cache(maxsize=1)
 def _catalog_cached() -> tuple[ComplementaryPair, ...]:
-    pairs = []
-    for family, params in _CATALOG_SPECS:
-        spec: dict[str, object] = {"family": family, **params}
-        pairs.append(pair_from_spec(spec))
-    return tuple(pairs)
+    return tuple(pair_from_spec(spec) for spec in _CATALOG_SPECS)
 
 
 def catalog() -> list[ComplementaryPair]:

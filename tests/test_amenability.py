@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from conftest import seeded_rng
@@ -112,6 +114,15 @@ def test_damped_form_bounded_sup_value():
     rep = damped_form_bounded(dh, "analytic")
     explicit = max(n / (1.0 + n) ** 1.2 for n in range(1, 10**6))
     assert rep.sup_estimate == pytest.approx(explicit, rel=1e-12)
+    # the l1 anchor (Bade-Curtis-Dales): n/(1+n)^(2 beta) peaks at
+    # n = 1/(2 beta - 1), so its sup over the integers is at a neighbour
+    for beta in (0.55, 0.75, 1.0, 2.0):
+        dh = DampedHomomorphism(Homomorphism((1.0,)), polynomial_weight(beta))
+        peak = 1.0 / (2.0 * beta - 1.0)
+        closed = max(n / (1.0 + n) ** (2.0 * beta) for n in (math.floor(peak), math.ceil(peak)))
+        rep = damped_form_bounded(dh, "analytic")
+        assert rep.verdict == "bounded"
+        assert rep.sup_estimate == pytest.approx(closed, rel=1e-12), beta
 
 
 def test_damped_form_bounded_subexponential():

@@ -218,9 +218,13 @@ def test_derivation_scan_trials_zero_exit_2():
         ("conjugate", "--young", '{"family":"power","p":"two"}'),
         ("derivation-scan", "--young", '{"family":"power","p":1.5}',
          "--weight", '{"family":"polynomial","beta":0.6}', "--radii", "0"),
+        ("classify", "--p", "3", "--weight", f'{{"family":"polynomial","beta":{10**400}}}'),
+        ("conjugate", "--young", f'{{"family":"power","p":{10**400}}}', "--points", "2"),
+        ("classify", "--p", "3", "--weight", '{"family":"subexp_log","gamma":NaN,"C":1}'),
     ],
     ids=["p-not-a-number", "weight-param-not-a-number", "young-param-not-a-number",
-         "radius-zero"],
+         "radius-zero", "weight-param-beyond-float", "young-param-beyond-float",
+         "weight-param-nan"],
 )
 def test_bad_values_exit_2_without_traceback(args):
     r = run_cli(*args)
@@ -478,6 +482,36 @@ def test_flag_and_config_key_give_identical_out_files(tmp_path, capsys, command,
     assert outs[0] == outs[1]
 
 
+# -- unreadable configs -----------------------------------------------------------
+
+_UNREADABLE_CONFIGS = {
+    "dim-inf": ("certify-algebra", {**_BASE["certify-algebra"], "dim": math.inf}),
+    "trials-inf": ("certify-algebra", {**_BASE["certify-algebra"], "trials": math.inf}),
+    "radii-inf": ("derivation-scan", {**_BASE["derivation-scan"], "radii": [2, math.inf]}),
+    "y-points-inf": ("conjugate", {**_BASE["conjugate"], "y": {"points": math.inf}}),
+    "y-nan": ("conjugate", {**_BASE["conjugate"], "y": [math.nan, 1.0]}),
+    "y-inf": ("conjugate", {**_BASE["conjugate"], "y": [1.0, math.inf]}),
+    "y-max-inf": ("conjugate", {**_BASE["conjugate"], "y": {"max": math.inf, "points": 3}}),
+    "not-utf8": ("classify", b'\xff\xfe{"p": [1.5]}'),
+    "nested-too-deep": ("classify", b"[" * 100_000),
+    "int-too-long": ("classify", b'{"p": [' + b"1" * 5000 + b"]}"),
+    "out-dir-missing": ("conjugate", _BASE["conjugate"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREADABLE_CONFIGS))
+def test_unreadable_config_exit_2_without_traceback(tmp_path, case):
+    command, config = _UNREADABLE_CONFIGS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+    out = tmp_path / ("missing" if case == "out-dir-missing" else "") / "out.csv"
+    r = run_cli(command, str(cfg), "--out", str(out))
+    assert r.returncode == 2, r.stdout + r.stderr
+    # one line: no traceback, and no numpy warning on the way
+    assert r.stderr.startswith("config error") and len(r.stderr.splitlines()) == 1, r.stderr
+    assert not out.exists()
+
+
 # -- fuzz -------------------------------------------------------------------------
 
 _JUNK = st.one_of(
@@ -575,6 +609,8 @@ def _invocations(draw):
 @example((["norm"], {**_BASE["norm"], "weight": 5}))
 @example((["norm"], {**_BASE["norm"], "f": {"dim": 1, "entries": [[[math.inf], [1, 0]]]}}))
 @example((["verify"], None))
+@example((["certify-algebra"], {**_BASE["certify-algebra"], "trials": math.inf}))
+@example((["classify"], {"p": [1.5], "weights": {"family": "polynomial", "beta": 10**400}}))
 def test_fuzz_malformed_configs_and_flags_exit_cleanly(tmp_path_factory, invocation):
     argv, config = invocation
     cfg = tmp_path_factory.getbasetemp() / "fuzz.json"
@@ -587,3 +623,6 @@ def test_fuzz_malformed_configs_and_flags_exit_cleanly(tmp_path_factory, invocat
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, config, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    # main's last-resort overflow handler: an overflow that reaches it was
+    # not classified where it arose
+    assert "numerical failure: overflow (" not in err.getvalue(), (argv, config)

@@ -95,7 +95,7 @@ def test_luxemburg_unit_modular_characterisation(catalog_pairs):
             assert m >= 1.0 - 1e-6
 
 
-def test_luxemburg_norm_axioms(power_pair_15):
+def test_luxemburg_norm_axioms(power_pair_15, catalog_pairs):
     phi = power_pair_15.phi
     for t in range(50):
         rng = seeded_rng(3, t)
@@ -108,6 +108,29 @@ def test_luxemburg_norm_axioms(power_pair_15):
         assert luxemburg_norm(phi, f + g) <= (
             luxemburg_norm(phi, f) + luxemburg_norm(phi, g)
         ) * (1.0 + 1e-9)
+    # every catalog pair, the Luxemburg norm under Phi and under Psi and the
+    # Orlicz norm: homogeneity, and translation invariance bit for bit (the
+    # norms see only the multiset of |f|, so neither the shift nor the
+    # insertion order may move the result)
+    for i, pair in enumerate(catalog_pairs):
+        norms = {
+            "luxemburg(phi)": lambda h: luxemburg_norm(pair.phi, h),
+            "luxemburg(psi)": lambda h: luxemburg_norm(pair.psi, h),
+            "orlicz": lambda h: orlicz_norm(pair, h),
+        }
+        for t in range(20):
+            rng = seeded_rng(4, i, t)
+            dim = 1 + t % 2
+            f = random_finsupp(dim, 6, rng, max_support=10)
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            shift = [int(s) for s in rng.integers(-50, 51, size=dim)]
+            moved = FinSuppFn(dim, {tuple(a + s for a, s in zip(x, shift)): v
+                                    for x, v in reversed(list(f))})
+            for name, norm in norms.items():
+                n = norm(f)
+                assert norm(f.scale(c)) == pytest.approx(abs(c) * n, rel=1e-12), (
+                    pair.phi.describe(), name, t)
+                assert norm(moved) == n, (pair.phi.describe(), name, t)
 
 
 # -- array modular ---------------------------------------------------------------

@@ -88,6 +88,9 @@ def test_ball_contents():
 def test_ball_budget():
     with pytest.raises(ResourceLimitError):
         ball(2000, 3)
+    # 3^10000 has more digits than Python will print: the message must not try
+    with pytest.raises(ResourceLimitError, match=r"3\^10000 points"):
+        ball(1, 10_000)
 
 
 def test_shell_count_matches_enumeration():
@@ -123,9 +126,13 @@ def test_weight_parameter_validation():
     with pytest.raises(InvalidInputError):
         subexp_log_weight(0.0, 1.0)
     with pytest.raises(InvalidInputError):
+        subexp_log_weight(math.nan, 1.0)
+    with pytest.raises(InvalidInputError):
         make_weight("nope")
     with pytest.raises(InvalidInputError):
         weight_from_spec({"beta": 1.0})
+    with pytest.raises(InvalidInputError):
+        weight_from_spec({"family": "polynomial", "beta": 10**400})  # beyond the float range
 
 
 def test_generic_weight():

@@ -104,6 +104,8 @@ def test_conjugate_negative_argument_rejected():
     phi = young_from_spec({"family": "power", "p": 2})
     with pytest.raises(InvalidInputError):
         conjugate(phi, -1.0)
+    with pytest.raises(InvalidInputError):
+        conjugate(phi, math.nan)
 
 
 # -- make_pair ---------------------------------------------------------------
@@ -150,6 +152,8 @@ def test_inverse_examples():
     assert inverse(p2, 0.0) == 0.0
     with pytest.raises(InvalidInputError):
         inverse(p2, -0.5)
+    with pytest.raises(InvalidInputError):
+        inverse(p2, math.nan)
 
 
 def test_inverse_against_closed_form_grid():
@@ -385,6 +389,8 @@ def test_catalog_unknown_family_rejected():
         young_from_spec({"family": "does-not-exist"})
     with pytest.raises(InvalidInputError):
         young_from_spec({"p": 2})
+    with pytest.raises(InvalidInputError):
+        young_from_spec({"family": "power", "p": 10**400})  # beyond the float range
 
 
 def test_exp_power_requires_p_above_one():

@@ -10,11 +10,16 @@ Reports carry ``certificate="empirical"`` to make this status explicit.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     ConvexityError,
+    NumericalFailureError,
     PreconditionError,
     ResourceLimitError,
 )
@@ -40,6 +45,16 @@ __all__ = [
 
 MAX_CONV_OPS = 10_000_000
 
+# Where convolve takes the plain loop instead of the array path (measured
+# crossovers, see CHANGES.md). Each entry of f costs the array path one
+# numpy pass over g of ~10 us, so it loses when g has fewer than
+# _ARRAY_MIN_ROW entries or the pair fewer than _ARRAY_MIN_OPS products.
+# Its box costs 17 bytes a cell: beyond _ARRAY_MAX_BOX_PER_OP cells per
+# product (sparse draws) it would outgrow the loop's dict.
+_ARRAY_MIN_ROW = 16
+_ARRAY_MIN_OPS = 128
+_ARRAY_MAX_BOX_PER_OP = 8
+
 # Trend thresholds: below the first is a plateau, at or above the second is
 # growth, anything between is reported as indeterminate.
 PLATEAU_MAX_GROWTH = 0.15
@@ -47,17 +62,105 @@ GROWTH_MIN = 0.25
 
 
 def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
-    """Exact sparse convolution (f*g)(x) = sum_y f(y) g(x-y)."""
+    """Exact sparse convolution (f*g)(x) = sum_y f(y) g(x-y).
+
+    The result is the one the plain double loop over f, then g, gives, bit
+    for bit and in the same key order:
+
+    - Each output key sums its terms in the iteration order of f, starting
+      from ``0j``, and for one key and one entry a of f exactly one entry b
+      of g contributes. So the array path walks the entries of f in order
+      and adds a*g into the bounding box of supp f + supp g with one
+      fancy-indexed ``+=`` per entry (the indices of one step are distinct).
+    - Products are formed from real arrays in CPython's complex-multiply
+      order, ``re = ar*br - ai*bi`` and ``im = ar*bi + ai*br``, and summed
+      into separate float64 arrays that start at 0.0; numpy's own complex
+      multiply differs from CPython's in the last ulp.
+    - Keys are listed in first-appearance order (``pairing`` sums in the
+      insertion order of its smaller argument): each step appends the
+      indices not seen before, in the iteration order of g.
+
+    Small pairs and boxes much larger than ``len(f) * len(g)`` take the
+    loop itself. Raises :class:`ResourceLimitError` above ``MAX_CONV_OPS``
+    products and :class:`NumericalFailureError` naming the first output
+    point, in key order, whose value overflows.
+    """
     f._check_dim(g)
     ops = len(f) * len(g)
     if ops > MAX_CONV_OPS:
         raise ResourceLimitError(f"convolution needs {ops} products, budget {MAX_CONV_OPS}")
+    if len(g) < _ARRAY_MIN_ROW or ops < _ARRAY_MIN_OPS:
+        return _convolve_loop(f, g)
+    f_lo, f_hi = _bounds(f)
+    g_lo, g_hi = _bounds(g)
+    extent = [fh - fl + gh - gl + 1 for fl, fh, gl, gh in zip(f_lo, f_hi, g_lo, g_hi)]
+    box = math.prod(extent)
+    if box > _ARRAY_MAX_BOX_PER_OP * ops:
+        return _convolve_loop(f, g)
+
+    g_at = np.array(_box_offsets(g, g_lo, extent), dtype=np.intp)
+    gv = np.fromiter(g.entries.values(), dtype=complex, count=len(g))
+    gr, gi = gv.real.copy(), gv.imag.copy()
+    re, im = np.zeros(box), np.zeros(box)
+    seen = np.zeros(box, dtype=bool)
+    fresh = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for shift, a in zip(_box_offsets(f, f_lo, extent), f.entries.values()):
+            at = g_at + shift
+            ar, ai = a.real, a.imag
+            re[at] += ar * gr - ai * gi
+            im[at] += ar * gi + ai * gr
+            new = at[~seen[at]]
+            seen[new] = True
+            fresh.append(new)
+    order = np.concatenate(fresh)
+    vals = np.empty(len(order), dtype=complex)
+    vals.real, vals.imag = re[order], im[order]
+    lo = [fl + gl for fl, gl in zip(f_lo, g_lo)]
+    axes = [[c + base for c in axis.tolist()]
+            for axis, base in zip(np.unravel_index(order, extent), lo)]
+    keys = list(zip(*axes))
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        i = int(bad.argmax())
+        raise _overflow(keys[i], vals[i])
+    return FinSuppFn(f.dim, dict(zip(keys, vals.tolist())))
+
+
+def _convolve_loop(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
     out: dict = {}
     for p, a in f:
         for q, b in g:
             key = tuple(x + y for x, y in zip(p, q))
-            out[key] = out.get(key, 0.0) + a * b
+            out[key] = out.get(key, 0j) + a * b
+    for key, v in out.items():
+        if not cmath.isfinite(v):
+            raise _overflow(key, v)
     return FinSuppFn(f.dim, out)
+
+
+def _overflow(key, value) -> NumericalFailureError:
+    return NumericalFailureError(f"convolution value {complex(value)!r} at {key!r} is not finite")
+
+
+def _bounds(f: FinSuppFn) -> tuple[list[int], list[int]]:
+    """Per-axis minimum and maximum of the support, as Python ints."""
+    axes = list(zip(*f.entries))
+    return [min(a) for a in axes], [max(a) for a in axes]
+
+
+def _box_offsets(f: FinSuppFn, lo: list[int], extent: list[int]) -> list[int]:
+    """Row-major offsets of p - lo in a box of the given extent, per point p of f.
+
+    The offset is linear in p, so the offset of p + q is the sum of theirs.
+    """
+    out = []
+    for p in f.entries:
+        at = 0
+        for c, base, n in zip(p, lo, extent):
+            at = at * n + (c - base)
+        out.append(at)
+    return out
 
 
 flip = FinSuppFn.flip

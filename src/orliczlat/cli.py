@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +32,7 @@ from .finsupp import FinSuppFn
 from .norms import weighted_norm
 from .reports import ReportTable, make_metadata
 from .verify import run_battery
-from .weights import weight_from_spec
+from .weights import MAX_BALL_POINTS, ball_size, weight_from_spec
 from .young import catalog, conjugate, pair_from_spec
 
 EXIT_OK = 0
@@ -73,6 +74,24 @@ def _finite(value) -> float:
     if not np.isfinite(y := float(value)):
         raise ValueError("not finite")
     return y
+
+
+def _read_dim(config: dict) -> int:
+    """The lattice dimension; one whose radius-1 ball is over budget is refused
+    before any point is built (3^d exceeds the budget once d reaches its bit length)."""
+    dim = coerce(int, config.get("dim", 1), "dim")
+    if dim >= MAX_BALL_POINTS.bit_length() or ball_size(1, dim) > MAX_BALL_POINTS:
+        raise ResourceLimitError(
+            f"dim {dim}: the radius-1 ball has 3^{dim} points, budget {MAX_BALL_POINTS}"
+        )
+    return dim
+
+
+def _check_out(out: str) -> None:
+    """Refuse an --out whose directory cannot take it, before any work is done."""
+    parent = Path(out).parent
+    if not (parent.is_dir() and os.access(parent, os.W_OK)):
+        raise InvalidInputError(f"cannot write --out {out!r}: no writable directory {str(parent)!r}")
 
 
 def _emit(table: ReportTable, out: str | None, fmt: str) -> None:
@@ -218,11 +237,9 @@ def _cmd_certify_algebra(config: dict, seed: int) -> tuple[ReportTable, int]:
     trials = coerce(int, config.get("trials", 60), "trials")
     if trials <= 0:
         raise InvalidInputError("trials must be positive")
-    ctx = AlgebraContext(
-        pair_from_spec(config.get("young")),
-        weight_from_spec(config.get("weight")),
-        coerce(int, config.get("dim", 1), "dim"),
-    )
+    dim = _read_dim(config)
+    ctx = AlgebraContext(pair_from_spec(config.get("young")),
+                         weight_from_spec(config.get("weight")), dim)
     report = submult_estimate(ctx, coerce(int, config.get("radius", 64), "radius"), trials, seed)
     return _scan_table("certify-algebra", report, config, seed), EXIT_OK
 
@@ -234,7 +251,7 @@ def _cmd_derivation_scan(config: dict, seed: int) -> tuple[ReportTable, int]:
     trials = coerce(int, config.get("trials", 200), "trials")
     if trials <= 0:
         raise InvalidInputError("trials must be positive")
-    dim = coerce(int, config.get("dim", 1), "dim")
+    dim = _read_dim(config)
     radii = _as_list(config.get("radii", [16, 64, 256]), int, "radii")
     if not radii or min(radii) < 1:
         raise InvalidInputError(f"radii must be a nonempty list of integers >= 1, got {radii}")
@@ -399,6 +416,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         config = _apply_flags(args, _load_config(args.config))
         table, code = _COMMANDS[args.command].run(config, args.seed)
         _emit(table, args.out, args.format)

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import math
+import operator
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import seeded_rng
+from orliczlat import algebra
 from orliczlat.algebra import (
     _sqrt_pair,
     AlgebraContext,
@@ -26,6 +31,7 @@ from orliczlat.amenability import (
 from orliczlat.errors import (
     ConjugateInfiniteError,
     InvalidInputError,
+    NumericalFailureError,
     PreconditionError,
     ResourceLimitError,
 )
@@ -38,13 +44,18 @@ from orliczlat.young import default_grid, inverse, pair_from_spec
 
 
 def conv_oracle(f: FinSuppFn, g: FinSuppFn) -> dict:
-    """Independent double-sum convolution."""
+    """Independent double-sum convolution, keys in first-appearance order."""
     out: dict = {}
     for p, a in f:
         for q, b in g:
-            key = tuple(x + y for x, y in zip(p, q))
-            out[key] = out.get(key, 0.0) + a * b
+            key = tuple(map(operator.add, p, q))
+            out[key] = out.get(key, 0j) + a * b
     return {k: v for k, v in out.items() if v != 0}
+
+
+def bits(entries) -> list:
+    """Keys in order with the exact bits of both parts of each value."""
+    return [(k, v.real.hex(), v.imag.hex()) for k, v in entries]
 
 
 # -- convolution ----------------------------------------------------------------
@@ -101,6 +112,84 @@ def test_convolve_budget():
     big = FinSuppFn.indicator([(k,) for k in range(4000)])
     with pytest.raises(ResourceLimitError):
         convolve(big, big)
+
+
+def test_convolve_overflow_is_numerical_failure_on_both_paths():
+    big = FinSuppFn.indicator([(k,) for k in range(20)]).scale(1e200)
+    atom = FinSuppFn.delta(0, 1e200)
+    for f, g, loop in ((big, big, False), (atom, atom, True)):
+        with mock.patch.object(algebra, "_convolve_loop", wraps=algebra._convolve_loop) as spy:
+            with pytest.raises(NumericalFailureError, match=r"at \(0,\)"):
+                convolve(f, g)
+        assert spy.called == loop
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_convolve_bit_identical_to_loop_on_scan_pools(dim):
+    # keys, their order and every bit of both parts, through pairing too:
+    # pairing sums in the insertion order of its smaller argument
+    d = Derivation.with_ball_window(Homomorphism((1.0, -0.5, 0.25)[:dim]), dim, 1)
+    for r in range(1, 21):
+        h = random_finsupp(dim, r, seeded_rng(25, dim, r))
+        for kind, f, g in scan_pairs(dim, r, 3, 26):
+            if len(f) * len(g) > algebra.MAX_CONV_OPS:
+                with pytest.raises(ResourceLimitError):
+                    convolve(f, g)
+                continue
+            want = conv_oracle(f, g)
+            got = convolve(f, g)
+            assert bits(got) == bits(want.items()), (dim, r, kind)
+            dh = {tuple(-c for c in p): v * d.form(p) for p, v in want.items()}
+            want_dfg = FinSuppFn(dim, conv_oracle(d.window, FinSuppFn(dim, dh)))
+            got_pair = pairing(apply_derivation(d, got), h)
+            want_pair = pairing(want_dfg, h)
+            assert got_pair.real.hex() == want_pair.real.hex(), (dim, r, kind)
+            assert got_pair.imag.hex() == want_pair.imag.hex(), (dim, r, kind)
+
+
+_PARTS = st.sampled_from([1.0, -1.0, 0.5, -2.0, 0.0, -0.0, 3.0, 1e-300, 0.1])
+
+
+def _line(n: int, dim: int, far: int, values: list[complex]) -> FinSuppFn:
+    """n points on the first axis, 0..n-2 and far, carrying the given values."""
+    xs = list(range(n - 1)) + [far]
+    return FinSuppFn(dim, {(x,) + (0,) * (dim - 1): v for x, v in zip(xs, values)})
+
+
+@given(
+    dim=st.sampled_from([1, 2]),
+    shape=st.sampled_from(["row", "ops", "box"]),
+    array=st.booleans(),
+    data=st.data(),
+)
+def test_convolve_bit_identical_to_loop_around_the_crossovers(dim, shape, array, data):
+    # a pair on each side of each constant that picks the path (array: the
+    # array path's side), with -0.0 parts and exact cancellations
+    row, ops, per_op = algebra._ARRAY_MIN_ROW, algebra._ARRAY_MIN_OPS, algebra._ARRAY_MAX_BOX_PER_OP
+    if shape == "row":  # len(g) around its minimum, plenty of products
+        nf, ng = 40, row if array else row - 1
+    elif shape == "ops":  # products around their minimum, g long enough
+        nf, ng = (ops // row, row) if array else (ops // row - 1, row)
+    else:  # box cells per product around their maximum
+        nf, ng = 20, 20
+    far_g, far_f = ng - 1, nf - 1
+    if shape == "box":  # box = far_f + far_g + 1 cells on the first axis
+        far_f = per_op * nf * ng - far_g - (1 if array else 0)
+    vals = st.builds(complex, _PARTS, _PARTS).filter(lambda v: v != 0)
+    f = _line(nf, dim, far_f, data.draw(st.lists(vals, min_size=nf, max_size=nf)))
+    g = _line(ng, dim, far_g, data.draw(st.lists(vals, min_size=ng, max_size=ng)))
+    with mock.patch.object(algebra, "_convolve_loop", wraps=algebra._convolve_loop) as spy:
+        got = convolve(f, g)
+    assert bits(got) == bits(conv_oracle(f, g).items())
+    assert spy.called != array
+
+
+def test_convolve_drops_exact_cancellations_like_the_loop():
+    f = FinSuppFn.indicator([(k,) for k in range(20)])
+    g = FinSuppFn(1, {(k,): (-1.0) ** k for k in range(16)})
+    got = convolve(f, g)
+    assert bits(got) == bits(conv_oracle(f, g).items())
+    assert len(got) < 35  # alternating sums over a full window cancel to 0
 
 
 # -- flip --------------------------------------------------------------------------

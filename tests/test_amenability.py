@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import seeded_rng
 from orliczlat.algebra import AlgebraContext, convolve, flip
@@ -262,6 +264,27 @@ def test_leibniz_seeded_triples_both_dims_and_weights():
             h = random_finsupp(d_dim, 5, rng, max_support=8)
             rep = leibniz_check(d, f, g, h)
             assert rep.ok, (d_dim, t, rep)
+
+
+_PART = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _leibniz_case(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    point = st.tuples(*[st.integers(-3, 3)] * dim)
+    value = st.builds(complex, _PART, _PART)
+    fns = [FinSuppFn(dim, draw(st.dictionaries(point, value, min_size=1, max_size=8)))
+           for _ in range(3)]
+    form = Homomorphism(tuple(draw(st.lists(value, min_size=dim, max_size=dim))))
+    return (Derivation.with_ball_window(form, dim, 1), *fns)
+
+
+@given(_leibniz_case())
+def test_leibniz_holds_on_drawn_triples(case):
+    d, f, g, h = case
+    rep = leibniz_check(d, f, g, h)
+    assert rep.ok, rep
 
 
 def test_leibniz_matches_raw_expansion_oracle():

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,22 @@ def test_budget_exceeded_exit_3():
     assert "budget" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["certify-algebra", "derivation-scan"])
+@pytest.mark.parametrize("dim", ["14", "1000000"])
+def test_dim_over_ball_budget_exit_3_before_any_work(capsys, command, dim):
+    # 3^14 points in the radius-1 ball already exceed MAX_BALL_POINTS; the
+    # refusal comes before xi or any scan point is built
+    start = time.perf_counter()
+    code = main([command, "--young", '{"family":"power","p":1.5}',
+                 "--weight", '{"family":"polynomial","beta":0.6}',
+                 "--radius" if command == "certify-algebra" else "--radii", "2",
+                 "--trials", "1", "--dim", dim])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "", out + err
+    assert err.startswith("budget exceeded") and "budget 2000000" in err, err
+
+
 def test_verify_full_catalog_passes(tmp_path):
     out = tmp_path / "verify.json"
     r = run_cli("verify", "--out", str(out), "--format", "json")
@@ -510,6 +527,8 @@ def test_unreadable_config_exit_2_without_traceback(tmp_path, case):
     # one line: no traceback, and no numpy warning on the way
     assert r.stderr.startswith("config error") and len(r.stderr.splitlines()) == 1, r.stderr
     assert not out.exists()
+    if case == "out-dir-missing":  # refused before the command runs
+        assert r.stdout == ""
 
 
 # -- fuzz -------------------------------------------------------------------------

@@ -234,13 +234,17 @@ def _ratio_scan(
     """Worst top(f, g) / (left(f) right(g)) per radius over the seeded pairs.
 
     This is the one bounded-bilinear-map scan: a pair where either norm
-    is 0 is skipped.
+    is 0 is skipped. A ``/same`` pair (g is f) under one norm on both
+    sides computes that norm once; ``==`` rather than ``is`` because each
+    access to a bound method such as ``ctx.weighted_luxemburg`` makes a new
+    method object.
     """
     per_radius = []
     for r in radii:
         best, best_kind = 0.0, ""
         for kind, f, g in scan_pairs(dim, r, trials, seed, omega=omega, xi=xi):
-            nf, ng = left(f), right(g)
+            nf = left(f)
+            ng = nf if g is f and right == left else right(g)
             if nf == 0.0 or ng == 0.0:
                 continue
             ratio = top(f, g) / (nf * ng)

@@ -7,16 +7,20 @@ finite sum over the support. The Luxemburg norm is
 
 computed by bisection in k (:func:`~orliczlat.young.bisect`; the modular
 is monotone in k and the bracket endpoints are available in closed form
-from the largest entry). Each bisection step evaluates the modular as one
-array pass over the support (:meth:`YoungFunction.values`). The
-magnitudes are taken once (:meth:`FinSuppFn.magnitudes`, ``np.hypot``)
-and the terms are added with ``math.fsum``: these match
-Python's ``abs(complex)`` and exact summation bit for bit, so the norm does
-not depend on the order of the support. An array form of Phi may differ
-from its scalar form in the last ulp; the bisection stays because its fixed
-grid of midpoints absorbs that noise, which can only flip the decision at a
-midpoint lying within an ulp of the root. The Orlicz
-norm is the dual expression
+from the largest entry). The modular is one array pass over the support
+(:meth:`YoungFunction.values`). The magnitudes are taken once
+(:meth:`FinSuppFn.magnitudes`, ``np.hypot``) and the terms are added with
+``math.fsum``: these match Python's ``abs(complex)`` and exact summation
+bit for bit, so the norm does not depend on the order of the support. An
+array form of Phi may differ from its scalar form in the last ulp; the
+bisection stays because its fixed grid of midpoints absorbs that noise,
+which can only flip the decision at a midpoint lying within an ulp of the
+root. Before bisecting, a few secant steps locate the root and two more
+modular values certify a narrow window around it; the bisection then
+answers every midpoint outside that window without evaluating the
+modular, and evaluates the rest as before, so it visits the same
+midpoints and returns the same float (see :func:`luxemburg_norm`). The
+Orlicz norm is the dual expression
 
     ||f||_Phi = sup{ sum |f v| : sum Psi(|v|) <= 1 },
 
@@ -64,6 +68,63 @@ def modular(phi: YoungFunction, f: FinSuppFn) -> float:
         return _modular(phi, f.magnitudes())
 
 
+# The root window. The exact modular F(k) = sum Phi(|f(s)|/k) is strictly
+# decreasing in k. Suppose the computed modular at every float k (rounded
+# quotients |f(s)|/k, Phi of each, fsum) is within relative eps of the exact
+# one: eps is a few ulps times the index x Phi'(x)/Phi(x) for the closed and
+# array forms (which agree to 4e-16 per term), and at most 1e-12 for the
+# numeric conjugates (their mpmath oracle). If the computed F(a) > 1 + MARGIN,
+# then for k <= a the exact F(k) >= F(a) > (1 + MARGIN)/(1 + eps), so the
+# computed F(k) > (1 + MARGIN)(1 - eps)/(1 + eps) > 1 as MARGIN > 2 eps: the
+# bisection's test F(k) <= 1 reads False there, and need not be evaluated.
+# The mirror argument covers k >= b once the computed F(b) < 1 - MARGIN.
+# Along log k, log F falls with slope at least 1 (x Phi'(x) >= Phi(x) for
+# convex Phi with Phi(0) = 0), so with WINDOW = 10 MARGIN both sides certify
+# once the estimate is within about 9e-11 of the root.
+WINDOW = 1e-10
+MARGIN = 1e-11
+_NO_WINDOW = (0.0, math.inf)
+
+
+def _root_window(
+    modular_at: Callable[[float], float], lo: float, hi: float, f_lo: float
+) -> tuple[float, float]:
+    """(below, above) with the computed modular > 1 at every k <= below and
+    <= 1 at every k >= above; (0, inf) when nothing is certified.
+
+    At most 4 secant steps on (log k, log F(k)) from the bracket ends
+    (exact to rounding after the first for a homogeneous Phi) give the
+    estimate est; a step that leaves the bracket ends them at the end it
+    passed, where the root lies when F(hi) rounds to about 1 (a constant
+    support). F at est*(1 -+ WINDOW) then certifies each side that clears
+    1 by MARGIN. The certificate holds for any est; a poor one certifies less.
+    """
+    f_hi = modular_at(hi)
+    if not (f_lo < math.inf and 0.0 < f_hi < math.inf):
+        return _NO_WINDOW
+    x_lo, x_hi = math.log(lo), math.log(hi)
+    x0, y0, x1, y1 = x_lo, math.log(f_lo), x_hi, math.log(f_hi)
+    for _ in range(4):
+        if y1 == y0:
+            return _NO_WINDOW
+        x = x1 - y1 * (x1 - x0) / (y1 - y0)
+        if not x_lo < x < x_hi:  # the root is at that end or the step is wild
+            est = lo if x <= x_lo else hi
+            break
+        est = math.exp(x)
+        f_est = modular_at(est)
+        if not 0.0 < f_est < math.inf:
+            return _NO_WINDOW
+        x0, y0, x1, y1 = x1, y1, x, math.log(f_est)
+        if abs(y1) < 1e-12:
+            break
+    a, b = est * (1.0 - WINDOW), est * (1.0 + WINDOW)
+    f_a, f_b = modular_at(a), modular_at(b)
+    if not (0.0 < f_a < math.inf and 0.0 < f_b < math.inf):
+        return _NO_WINDOW
+    return (a if f_a > 1.0 + MARGIN else 0.0), (b if f_b < 1.0 - MARGIN else math.inf)
+
+
 def luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
     """Luxemburg norm by bisection; 0 for the zero function.
 
@@ -73,6 +134,18 @@ def luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
     residual of :func:`~orliczlat.young.inverse`, which the bracket ends
     carry, and rounding: a one-entry support returns m/Phi^-1(1) unchecked,
     and its modular reads 1.0000000000000004 for x^2/2.
+
+    Before bisecting, :func:`_root_window` estimates the root by secant
+    steps on (log k, log F) and certifies a window (below, above) around
+    it with two more modular values; the predicate then reads False for
+    k <= below and True for k >= above without evaluating. The comment
+    above WINDOW shows that each skipped decision equals the computed one,
+    so the bisection visits the same midpoints and returns the same float
+    as with no window. A side that does not clear MARGIN stays open, and a
+    modular value met on the way that is not finite and positive drops the
+    window: the bisection then evaluates there as it would without one.
+    On the scan pools this takes 13-19 modular evaluations per call
+    instead of 35.
     """
     if f.is_zero:
         return 0.0
@@ -81,10 +154,18 @@ def luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
     n = len(mags)
     lo = m / phi.inverse(1.0)
     hi = m / phi.inverse(1.0 / n) if n > 1 else lo
+
+    def modular_at(k: float) -> float:
+        return _modular(phi, mags / k)
+
     with np.errstate(over="ignore"):
-        if _modular(phi, mags / lo) <= 1.0:
+        f_lo = modular_at(lo)
+        if f_lo <= 1.0:
             return lo
-        _, hi = bisect(lambda k: _modular(phi, mags / k) <= 1.0, lo, hi, 1e-13)
+        below, above = _root_window(modular_at, lo, hi, f_lo) if n > 1 else _NO_WINDOW
+        _, hi = bisect(
+            lambda k: k >= above or (k > below and modular_at(k) <= 1.0), lo, hi, 1e-13
+        )
     return hi
 
 

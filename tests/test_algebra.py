@@ -427,3 +427,39 @@ def test_every_scan_matches_a_loop_over_scan_pairs(dim, radius):
         # repr pins every float bit for bit
         assert repr(rep.per_radius) == repr(expected), rep.op
         assert rep.max_ratio == max(row["max_ratio"] for row in expected), rep.op
+
+
+def test_ratio_scan_norms_a_same_pair_once():
+    ctx = AlgebraContext(pair_from_spec({"family": "power", "p": 1.5}), polynomial_weight(0.7), 1)
+    # every access makes a new bound method, equal to the last one
+    assert ctx.weighted_luxemburg is not ctx.weighted_luxemburg
+    assert ctx.weighted_luxemburg == ctx.weighted_luxemburg
+    radii, trials, seed = [2, 4], 3, 17
+    expected, n_same = [], 0
+    for r in radii:
+        for kind, f, g in scan_pairs(1, r, trials, seed, omega=ctx.omega):
+            n_same += kind.endswith("/same")
+            expected += [f] if kind.endswith("/same") else [f, g]
+    assert n_same > 0
+
+    seen = []
+
+    def norm(f):
+        seen.append(f)
+        return ctx.weighted_luxemburg(f)
+
+    algebra._ratio_scan("count", {}, radii, lambda f, g: 1.0, norm, norm, 1, trials, seed,
+                        omega=ctx.omega)
+    assert seen == expected
+
+    # two different norms still run once each on a /same pair
+    seen.clear()
+    algebra._ratio_scan("count", {}, radii, lambda f, g: 1.0, norm, lambda g: norm(g), 1,
+                        trials, seed, omega=ctx.omega)
+    assert len(seen) == len(expected) + n_same
+
+    # the bound method itself is recognised: one weighted norm per /same pair
+    with mock.patch.object(algebra, "weighted_norm", wraps=algebra.weighted_norm) as wn:
+        algebra._ratio_scan("count", {}, radii, lambda f, g: 1.0, ctx.weighted_luxemburg,
+                            ctx.weighted_luxemburg, 1, trials, seed, omega=ctx.omega)
+    assert wn.call_count == len(expected)

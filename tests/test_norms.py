@@ -6,9 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import seeded_rng
-from orliczlat.algebra import flip
+from orliczlat import norms
+from orliczlat.algebra import _radius_ladder, flip
 from orliczlat.errors import InvalidInputError, NumericalFailureError
 from orliczlat.finsupp import FinSuppFn
 from orliczlat.norms import (
@@ -19,9 +22,16 @@ from orliczlat.norms import (
     weighted_l1_norm,
     weighted_norm,
 )
-from orliczlat.sampling import random_finsupp
+from orliczlat.sampling import random_finsupp, scan_pairs
 from orliczlat.weights import polynomial_weight
-from orliczlat.young import YoungFunction, inverse, sqrt_transform, young_from_spec
+from orliczlat.young import (
+    YoungFunction,
+    bisect,
+    inverse,
+    numeric_conjugate,
+    sqrt_transform,
+    young_from_spec,
+)
 
 
 def power_lux_closed_form(p: float, f: FinSuppFn) -> float:
@@ -243,6 +253,113 @@ def test_luxemburg_near_float_max_stays_finite():
         got = luxemburg_norm(phi, FinSuppFn(1, {(0,): v, (1,): v}))
         assert math.isfinite(got), v
         assert abs(got - v) <= 1e-12 * v, (v, got)
+
+
+def plain_luxemburg(phi: YoungFunction, f: FinSuppFn) -> float:
+    """Oracle: the Luxemburg norm with no root window, the array modular at
+    every bisection midpoint (``norms._modular`` is looked up per call, so
+    a test can count these evaluations)."""
+    if f.is_zero:
+        return 0.0
+    mags = f.magnitudes()
+    m = float(mags.max())
+    n = len(mags)
+    lo = m / phi.inverse(1.0)
+    hi = m / phi.inverse(1.0 / n) if n > 1 else lo
+    with np.errstate(over="ignore"):
+        if norms._modular(phi, mags / lo) <= 1.0:
+            return lo
+        _, hi = bisect(lambda k: norms._modular(phi, mags / k) <= 1.0, lo, hi, 1e-13)
+    return hi
+
+
+def outcome(norm, phi, f) -> str:
+    """The exact bits of the norm, or the name of the error it raised."""
+    try:
+        return norm(phi, f).hex()
+    except Exception as exc:  # both paths must raise the same error
+        return type(exc).__name__
+
+
+def scan_pool(dim: int, radius: int, trials: int, seed: int) -> list[FinSuppFn]:
+    """Every function that the scans at this radius draw, once each."""
+    pool = []
+    for r in _radius_ladder(radius):
+        for _, f, g in scan_pairs(dim, r, trials, seed):
+            pool += [f] if g is f else [f, g]
+    return pool
+
+
+def test_luxemburg_bit_identical_to_plain_bisection(catalog_pairs):
+    transforms = [sqrt_transform(young_from_spec({"family": "power", "p": q})) for q in (2.0, 3.0)]
+    closed = [pair.phi for pair in catalog_pairs] + transforms + [
+        pair.psi for pair in catalog_pairs if pair.conjugation_mode != "numerical"
+    ]
+    numeric = [pair.psi for pair in catalog_pairs if pair.conjugation_mode == "numerical"]
+    numeric += [numeric_conjugate(t) for t in transforms]
+    rng = seeded_rng(11)
+    extremes = [
+        FinSuppFn(1, {(i,): float(v) for i, v in enumerate(rng.uniform(0.1, 1.0, n) * scale)})
+        for scale in (1e-300, 1e-150, 1.0, 1e150, 4e307)
+        for n in (1, 2, 9)
+    ]
+    extremes += [
+        FinSuppFn(1, {(i,): 1.5 for i in range(300)}),
+        FinSuppFn(1, {(0,): 1e200, (1,): 3.0, (2,): -1e150j}),
+        FinSuppFn(1, {(0,): 1e-300, (5,): 4e307}),
+    ]
+    # numeric conjugates solve an optimiser per abscissa: smaller pools
+    cases = [
+        (closed, scan_pool(1, 16, 2, 101) + scan_pool(2, 4, 2, 101) + extremes),
+        (numeric, scan_pool(1, 8, 1, 101) + scan_pool(2, 2, 1, 101) + extremes),
+    ]
+    for phis, fs in cases:
+        for phi in phis:
+            for f in fs:
+                want = outcome(plain_luxemburg, phi, f)
+                assert outcome(luxemburg_norm, phi, f) == want, (phi.describe(), dict(f.entries))
+
+
+@settings(max_examples=60)
+@given(
+    p=st.floats(1.05, 40.0),
+    values=st.lists(
+        st.floats(1e-6, 1e6) | st.sampled_from([1e-300, 1.0, 4e307]), min_size=1, max_size=25
+    ),
+)
+def test_luxemburg_bit_identical_to_plain_bisection_drawn(p, values):
+    phi = young_from_spec({"family": "power", "p": p})
+    f = FinSuppFn(1, {(i,): v for i, v in enumerate(values)})
+    assert outcome(luxemburg_norm, phi, f) == outcome(plain_luxemburg, phi, f)
+
+
+# F at hi, at most 4 secant steps and the two certification points
+WINDOW_COST = 7
+
+
+def test_luxemburg_modular_evaluation_count(monkeypatch):
+    calls = [0]
+    counted = norms._modular
+
+    def counting(phi, mags):
+        calls[0] += 1
+        return counted(phi, mags)
+
+    monkeypatch.setattr(norms, "_modular", counting)
+    phi = young_from_spec({"family": "power", "p": 1.5})
+    pool = scan_pool(1, 48, 8, 101)
+    windowed = 0
+    for f in pool:
+        start = calls[0]
+        want = plain_luxemburg(phi, f)
+        plain = calls[0] - start
+        start = calls[0]
+        assert luxemburg_norm(phi, f) == want
+        used = calls[0] - start
+        assert used <= plain + WINDOW_COST, (plain, used, len(f))
+        windowed += used
+    # 35.4 per call with no window, 13.3 with it
+    assert windowed / len(pool) <= 15.0, windowed / len(pool)
 
 
 # -- orlicz ----------------------------------------------------------------------

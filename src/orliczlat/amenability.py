@@ -103,15 +103,16 @@ class Homomorphism:
 
 @dataclass(frozen=True, eq=False)
 class DampedHomomorphism:
-    """xi(s) / (omega(s) * omega(-s)) as a pointwise evaluator."""
+    """xi(s) / (omega(s) * omega(-s)) as a pointwise evaluator; omega is
+    radial, so omega(-s) = omega(s) exactly."""
 
     xi: Homomorphism
     omega: Weight
 
     def __call__(self, s: Point | Sequence[int]) -> complex:
         pt = tuple(int(c) for c in s)
-        neg = tuple(-c for c in pt)
-        return self.xi(pt) / (self.omega(pt) * self.omega(neg))
+        w = self.omega(pt)
+        return self.xi(pt) / (w * w)
 
     def shell_max(self, n: int) -> float:
         """Exact max of the damped magnitude over the shell of radius n."""

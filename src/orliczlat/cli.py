@@ -12,7 +12,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -31,7 +32,7 @@ from .errors import (
 from .finsupp import FinSuppFn
 from .norms import weighted_norm
 from .reports import ReportTable, make_metadata
-from .verify import run_battery
+from .verify import VerifyRow, run_battery
 from .weights import MAX_BALL_POINTS, ball_size, weight_from_spec
 from .young import catalog, conjugate, pair_from_spec
 
@@ -134,7 +135,6 @@ def _cmd_classify(config: dict, seed: int) -> tuple[ReportTable, int]:
     table = ReportTable(
         columns=["p", "weight", "dim", "verdict", "d_over_q", "half", "beta", "evidence"],
         rows=rows,
-        metadata=make_metadata("classify", config, seed, __version__),
     )
     for row in rows:
         print(
@@ -168,11 +168,7 @@ def _cmd_conjugate(config: dict, seed: int) -> tuple[ReportTable, int]:
         closed = pair.psi(y) if has_closed else ""
         diff = abs(numeric - closed) if has_closed else ""
         rows.append({"y": y, "numeric": numeric, "closed_form": closed, "abs_diff": diff})
-    table = ReportTable(
-        columns=["y", "numeric", "closed_form", "abs_diff"],
-        rows=rows,
-        metadata=make_metadata("conjugate", config, seed, __version__),
-    )
+    table = ReportTable(columns=["y", "numeric", "closed_form", "abs_diff"], rows=rows)
     print(f"conjugate of {pair.phi.describe()} on {len(ys)} points "
           f"({'closed form available' if has_closed else 'numeric only'})")
     return table, EXIT_OK
@@ -191,7 +187,7 @@ def _cmd_norm(config: dict, seed: int) -> tuple[ReportTable, int]:
     else:
         omega = lambda p: 1.0  # noqa: E731 - trivial weight
         wdesc = "1"
-    value = weighted_norm(pair if kind == "orlicz" else pair.phi, omega, f, kind)
+    value = weighted_norm(pair, omega, f, kind)
     rows = [
         {
             "young": pair.phi.describe(),
@@ -201,11 +197,7 @@ def _cmd_norm(config: dict, seed: int) -> tuple[ReportTable, int]:
             "value": value,
         }
     ]
-    table = ReportTable(
-        columns=["young", "weight", "kind", "support", "value"],
-        rows=rows,
-        metadata=make_metadata("norm", config, seed, __version__),
-    )
+    table = ReportTable(columns=["young", "weight", "kind", "support", "value"], rows=rows)
     print(f"{kind} norm = {value!r}")
     return table, EXIT_OK
 
@@ -213,7 +205,17 @@ def _cmd_norm(config: dict, seed: int) -> tuple[ReportTable, int]:
 # -- certify-algebra ----------------------------------------------------------
 
 
-def _scan_table(command: str, report, config: dict, seed: int) -> ReportTable:
+def _scan_context(config: dict, default_trials: int) -> tuple[AlgebraContext, int]:
+    """The scan's (pair, weight, dim) context and its positive trial count."""
+    trials = coerce(int, config.get("trials", default_trials), "trials")
+    if trials <= 0:
+        raise InvalidInputError("trials must be positive")
+    ctx = AlgebraContext(pair_from_spec(config.get("young")),
+                         weight_from_spec(config.get("weight")), _read_dim(config))
+    return ctx, trials
+
+
+def _scan_table(report) -> ReportTable:
     """Print the scan per radius and return it as a report table."""
     for row in report.per_radius:
         print(f"radius={row['radius']:4d} max_ratio={row['max_ratio']:.6g} ({row['argmax']})")
@@ -227,41 +229,29 @@ def _scan_table(command: str, report, config: dict, seed: int) -> ReportTable:
         }
         for row in report.per_radius
     ]
-    meta = make_metadata(command, config, seed, __version__)
-    meta["trend"] = report.trend
-    meta["certificate"] = report.certificate
+    meta = {"trend": report.trend, "certificate": report.certificate}
     return ReportTable(columns=["radius", "max_ratio", "argmax", "trend"], rows=rows, metadata=meta)
 
 
 def _cmd_certify_algebra(config: dict, seed: int) -> tuple[ReportTable, int]:
-    trials = coerce(int, config.get("trials", 60), "trials")
-    if trials <= 0:
-        raise InvalidInputError("trials must be positive")
-    dim = _read_dim(config)
-    ctx = AlgebraContext(pair_from_spec(config.get("young")),
-                         weight_from_spec(config.get("weight")), dim)
+    ctx, trials = _scan_context(config, 60)
     report = submult_estimate(ctx, coerce(int, config.get("radius", 64), "radius"), trials, seed)
-    return _scan_table("certify-algebra", report, config, seed), EXIT_OK
+    return _scan_table(report), EXIT_OK
 
 
 # -- derivation-scan ----------------------------------------------------------
 
 
 def _cmd_derivation_scan(config: dict, seed: int) -> tuple[ReportTable, int]:
-    trials = coerce(int, config.get("trials", 200), "trials")
-    if trials <= 0:
-        raise InvalidInputError("trials must be positive")
-    dim = _read_dim(config)
+    ctx, trials = _scan_context(config, 200)
     radii = _as_list(config.get("radii", [16, 64, 256]), int, "radii")
     if not radii or min(radii) < 1:
         raise InvalidInputError(f"radii must be a nonempty list of integers >= 1, got {radii}")
-    coeffs = _as_list(config.get("xi", [1.0] + [0.0] * (dim - 1)), complex, "xi")
-    ctx = AlgebraContext(pair_from_spec(config.get("young")),
-                         weight_from_spec(config.get("weight")), dim)
+    coeffs = _as_list(config.get("xi", [1.0] + [0.0] * (ctx.dim - 1)), complex, "xi")
     window = coerce(int, config.get("window_radius", 1), "window_radius")
-    d = Derivation.with_ball_window(Homomorphism(tuple(coeffs)), dim, window)
+    d = Derivation.with_ball_window(Homomorphism(tuple(coeffs)), ctx.dim, window)
     report = derivation_norm_scan(ctx, d, radii, trials, seed)
-    return _scan_table("derivation-scan", report, config, seed), EXIT_OK
+    return _scan_table(report), EXIT_OK
 
 
 # -- verify -------------------------------------------------------------------
@@ -273,22 +263,8 @@ def _cmd_verify(config: dict, seed: int) -> tuple[ReportTable, int]:
         wanted = set(_as_list(config["families"], str, "families"))
         pairs = [p for p in pairs if p.phi.label in wanted]
     rows_raw = run_battery(pairs)
-    rows = [
-        {
-            "invariant": r.invariant,
-            "pair": r.pair,
-            "passed": r.passed,
-            "worst_margin": r.worst_margin,
-            "tolerance": r.tolerance,
-            "note": r.note,
-        }
-        for r in rows_raw
-    ]
-    table = ReportTable(
-        columns=["invariant", "pair", "passed", "worst_margin", "tolerance", "note"],
-        rows=rows,
-        metadata=make_metadata("verify", config, seed, __version__),
-    )
+    table = ReportTable(columns=[f.name for f in fields(VerifyRow)],
+                        rows=[asdict(r) for r in rows_raw])
     n_fail = sum(1 for r in rows_raw if not r.passed)
     for r in rows_raw:
         status = "pass" if r.passed else "FAIL"
@@ -319,7 +295,8 @@ class _Flag:
 
     ``coerce(value, flag)`` turns the parsed value into the config value;
     a dotted key such as ``y.min`` sets one entry of a nested object.
-    ``options`` are the argparse keyword arguments.
+    ``options`` are the argparse keyword arguments; none is a ``type``, so a
+    number flag is read by :func:`~orliczlat.errors.coerce` like a config value.
     """
 
     flag: str
@@ -334,8 +311,10 @@ class _Flag:
 
 _YOUNG = _Flag("--young", "young", _parse_json_flag, {"help": "young spec JSON"})
 _WEIGHT = _Flag("--weight", "weight", _parse_json_flag, {"help": "weight spec JSON"})
-_DIM = _Flag("--dim", "dim", options={"type": int})
-_TRIALS = _Flag("--trials", "trials", options={"type": int})
+_INT = partial(coerce, int)
+_FLOAT = partial(coerce, float)
+_DIM = _Flag("--dim", "dim", _INT)
+_TRIALS = _Flag("--trials", "trials", _INT)
 
 class _Command(NamedTuple):
     run: Callable[[dict, int], tuple[ReportTable, int]]
@@ -352,9 +331,9 @@ _COMMANDS = {
     )),
     "conjugate": _Command(_cmd_conjugate, "tabulate the numerical conjugate", (
         _YOUNG,
-        _Flag("--ymin", "y.min", options={"type": float}),
-        _Flag("--ymax", "y.max", options={"type": float}),
-        _Flag("--points", "y.points", options={"type": int}),
+        _Flag("--ymin", "y.min", _FLOAT),
+        _Flag("--ymax", "y.max", _FLOAT),
+        _Flag("--points", "y.points", _INT),
     )),
     "norm": _Command(_cmd_norm, "norm of a sparse function", (
         _YOUNG,
@@ -362,7 +341,7 @@ _COMMANDS = {
         _Flag("--kind", "kind", options={"choices": ("luxemburg", "orlicz")}),
     )),
     "certify-algebra": _Command(_cmd_certify_algebra, "submultiplicativity scan", (
-        _YOUNG, _WEIGHT, _DIM, _Flag("--radius", "radius", options={"type": int}), _TRIALS,
+        _YOUNG, _WEIGHT, _DIM, _Flag("--radius", "radius", _INT), _TRIALS,
     )),
     "derivation-scan": _Command(_cmd_derivation_scan, "derivation boundedness scan", (
         _YOUNG,
@@ -370,7 +349,7 @@ _COMMANDS = {
         _DIM,
         _Flag("--radii", "radii", _csv(int), {"help": "comma-separated radii"}),
         _TRIALS,
-        _Flag("--window-radius", "window_radius", options={"type": int}),
+        _Flag("--window-radius", "window_radius", _INT),
         _Flag("--xi", "xi", _csv(float), {"help": "comma-separated coefficients"}),
     )),
     "verify": _Command(_cmd_verify, "run the catalog invariant battery", (
@@ -389,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, command in _COMMANDS.items():
         sp = sub.add_parser(name, help=command.help)
         sp.add_argument("config", nargs="?", default=None, help="JSON config path or '-'")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", default=0)
         sp.add_argument("--out", default=None, help="write the report table here")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         for fl in command.flags:
@@ -416,10 +395,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        seed = coerce(int, args.seed, "--seed")
         if args.out:
             _check_out(args.out)
         config = _apply_flags(args, _load_config(args.config))
-        table, code = _COMMANDS[args.command].run(config, args.seed)
+        table, code = _COMMANDS[args.command].run(config, seed)
+        table.metadata.update(make_metadata(args.command, config, seed, __version__))
         _emit(table, args.out, args.format)
         return code
     except ResourceLimitError as exc:

@@ -153,7 +153,9 @@ def luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
     m = float(mags.max())
     n = len(mags)
     lo = m / phi.inverse(1.0)
-    hi = m / phi.inverse(1.0 / n) if n > 1 else lo
+    if n == 1:  # the bracket [lo, lo] is already closed
+        return lo
+    hi = m / phi.inverse(1.0 / n)
 
     def modular_at(k: float) -> float:
         return _modular(phi, mags / k)
@@ -162,7 +164,7 @@ def luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
         f_lo = modular_at(lo)
         if f_lo <= 1.0:
             return lo
-        below, above = _root_window(modular_at, lo, hi, f_lo) if n > 1 else _NO_WINDOW
+        below, above = _root_window(modular_at, lo, hi, f_lo)
         _, hi = bisect(
             lambda k: k >= above or (k > below and modular_at(k) <= 1.0), lo, hi, 1e-13
         )

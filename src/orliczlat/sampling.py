@@ -69,12 +69,13 @@ def adversarial_candidates(
     cands.append(("corner-atom", FinSuppFn.delta(corner)))
     cands.append(("axis-atom", FinSuppFn.delta((radius,) + (0,) * (dim - 1))))
     if omega is not None and xi is not None:
-        # Atom where |xi| / (omega * flipped omega) peaks along the rays.
+        # Atom where |xi| / (omega * flipped omega) peaks along the rays;
+        # a radial weight is even, so the flipped value is omega(pt) again.
         best_pt, best_val = corner, -1.0
         for n in range(1, radius + 1):
             for pt in ((n,) * dim, (n,) + (0,) * (dim - 1)):
-                neg = tuple(-c for c in pt)
-                val = abs(xi(pt)) / (omega(pt) * omega(neg))
+                w = omega(pt)
+                val = abs(xi(pt)) / (w * w)
                 if val > best_val:
                     best_pt, best_val = pt, val
         cands.append(("damped-peak-atom", FinSuppFn.delta(best_pt)))
@@ -84,13 +85,12 @@ def adversarial_candidates(
         if radius >= 2:
             cands.append(("half-ball-indicator", FinSuppFn.indicator(ball(radius // 2, dim))))
         if omega is not None:
+            ws = {p: omega(p) for p in pts}
             cands.append(
-                ("inverse-weight-profile", FinSuppFn(dim, {p: 1.0 / omega(p) for p in pts}))
+                ("inverse-weight-profile", FinSuppFn(dim, {p: 1.0 / w for p, w in ws.items()}))
             )
             if xi is not None:
-                prof = {
-                    p: xi(p) / (omega(p) * omega(tuple(-c for c in p))) for p in pts
-                }
+                prof = {p: xi(p) / (w * w) for p, w in ws.items()}
                 cands.append(("damped-form-profile", FinSuppFn(dim, prof)))
     return cands
 

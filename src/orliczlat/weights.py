@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -235,18 +235,28 @@ def weight_from_spec(spec: Mapping[str, object]) -> Weight:
     return from_spec("weight", _WEIGHT_FAMILIES, spec)
 
 
-def submult_constant(omega: Weight, n: int, dim: int = 1) -> float:
-    """Exhaustive max of omega(s+t) / (omega(s) * omega(t)) over ball(n)^2."""
+def _ball_ratios(
+    omega: Weight, n: int, dim: int
+) -> tuple[list[Point], Iterator[tuple[Point, Point, float]]]:
+    """ball(n) and a scan of (s, t, omega(s+t) / (omega(s) * omega(t))) over
+    its pairs. The pair budget is checked and omega evaluated on the ball
+    here, before the caller evaluates anything of its own."""
     pts = ball(n, dim)
     if len(pts) ** 2 > MAX_PAIR_OPS:
         raise ResourceLimitError(f"{len(pts)}^2 pair evaluations exceed budget")
     vals = {p: omega(p) for p in pts}
+    return pts, (
+        (s, t, omega(tuple(a + b for a, b in zip(s, t))) / (vals[s] * vals[t]))
+        for s in pts
+        for t in pts
+    )
+
+
+def submult_constant(omega: Weight, n: int, dim: int = 1) -> float:
+    """Exhaustive max of omega(s+t) / (omega(s) * omega(t)) over ball(n)^2."""
     best = 0.0
-    for s in pts:
-        ws = vals[s]
-        for t in pts:
-            st = tuple(a + b for a, b in zip(s, t))
-            best = max(best, omega(st) / (ws * vals[t]))
+    for _, _, ratio in _ball_ratios(omega, n, dim)[1]:
+        best = max(best, ratio)
     return best
 
 
@@ -269,18 +279,12 @@ def uv_decomposition_check(
 ) -> bool:
     """True iff omega(s+t)/(omega(s)omega(t)) <= u(s) + v(t) on ball(n)^2."""
     ue, ve = _as_evaluator(u), _as_evaluator(v)
-    pts = ball(n, dim)
-    if len(pts) ** 2 > MAX_PAIR_OPS:
-        raise ResourceLimitError(f"{len(pts)}^2 pair evaluations exceed budget")
-    wvals = {p: omega(p) for p in pts}
+    pts, ratios = _ball_ratios(omega, n, dim)
     uvals = {p: ue(p) for p in pts}
     vvals = {p: ve(p) for p in pts}
-    for s in pts:
-        for t in pts:
-            st = tuple(a + b for a, b in zip(s, t))
-            ratio = omega(st) / (wvals[s] * wvals[t])
-            if ratio > uvals[s] + vvals[t] + 1e-12 * (1.0 + ratio):
-                return False
+    for s, t, ratio in ratios:
+        if ratio > uvals[s] + vvals[t] + 1e-12 * (1.0 + ratio):
+            return False
     return True
 
 

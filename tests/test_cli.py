@@ -222,16 +222,28 @@ def test_derivation_scan_trials_zero_exit_2():
         ("classify", "--p", "3", "--weight", f'{{"family":"polynomial","beta":{10**400}}}'),
         ("conjugate", "--young", f'{{"family":"power","p":{10**400}}}', "--points", "2"),
         ("classify", "--p", "3", "--weight", '{"family":"subexp_log","gamma":NaN,"C":1}'),
+        # a number flag is read like a config value, not by argparse
+        ("certify-algebra", "--dim", "abc"),
+        ("certify-algebra", "--trials", "abc"),
+        ("certify-algebra", "--radius", "1.5"),
+        ("derivation-scan", "--dim", "1e3"),
+        ("derivation-scan", "--window-radius", "x"),
+        ("conjugate", "--ymin", "xyz"),
+        ("conjugate", "--ymax", ""),
+        ("conjugate", "--points", "2.5"),
+        ("classify", "--p", "1.5", "--seed", "x"),
     ],
     ids=["p-not-a-number", "weight-param-not-a-number", "young-param-not-a-number",
          "radius-zero", "weight-param-beyond-float", "young-param-beyond-float",
-         "weight-param-nan"],
+         "weight-param-nan", "dim-flag", "trials-flag", "radius-flag", "scan-dim-flag",
+         "window-radius-flag", "ymin-flag", "ymax-flag", "points-flag", "seed-flag"],
 )
 def test_bad_values_exit_2_without_traceback(args):
     r = run_cli(*args)
     assert r.returncode == 2, r.stdout + r.stderr
-    assert "config error" in r.stderr
-    assert "Traceback" not in r.stderr
+    # one line, and no argparse usage block
+    assert r.stderr.startswith("config error:") and len(r.stderr.splitlines()) == 1, r.stderr
+    assert "usage:" not in r.stderr
 
 
 def test_config_radius_below_one_exit_2(tmp_path):
@@ -476,6 +488,8 @@ def test_every_table_flag_has_a_sample():
     table = {(name, fl.flag) for name, cmd in _COMMANDS.items() for fl in cmd.flags}
     assert table == set(_FLAG_SAMPLES)
     assert len(table) == 23
+    # flag values are converted by errors.coerce alone, never by argparse
+    assert not any("type" in fl.options for cmd in _COMMANDS.values() for fl in cmd.flags)
 
 
 @pytest.mark.parametrize("command,flag", sorted(_FLAG_SAMPLES), ids=lambda v: v)

@@ -362,6 +362,26 @@ def test_luxemburg_modular_evaluation_count(monkeypatch):
     assert windowed / len(pool) <= 15.0, windowed / len(pool)
 
 
+def test_luxemburg_atom_evaluates_no_modular(monkeypatch):
+    # the bracket of a one-entry support is [lo, lo]: a numeric conjugate
+    # would pay an optimiser solve for a modular value that decides nothing
+    calls = [0]
+    counted = norms._modular
+
+    def counting(phi, mags):
+        calls[0] += 1
+        return counted(phi, mags)
+
+    monkeypatch.setattr(norms, "_modular", counting)
+    phi = numeric_conjugate(young_from_spec({"family": "power", "p": 3.0}))
+    for value in (1e-300, 0.37, 2.5 - 1j, 4e307):
+        f = FinSuppFn.delta((3,), value)
+        want = plain_luxemburg(phi, f)
+        calls[0] = 0
+        assert luxemburg_norm(phi, f).hex() == want.hex()
+        assert calls[0] == 0, value
+
+
 # -- orlicz ----------------------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     ConvexityError,
+    InvalidInputError,
     NumericalFailureError,
     PreconditionError,
     ResourceLimitError,
@@ -213,8 +214,7 @@ def classify_trend(first: float, last: float) -> str:
 
 
 def _radius_ladder(radius: int) -> list[int]:
-    ladder = sorted({max(1, radius // 4), max(1, radius // 2), radius})
-    return ladder
+    return [max(1, radius // 4), max(1, radius // 2), radius]
 
 
 def _ratio_scan(
@@ -238,7 +238,15 @@ def _ratio_scan(
     sides computes that norm once; ``==`` rather than ``is`` because each
     access to a bound method such as ``ctx.weighted_luxemburg`` makes a new
     method object.
+
+    The radii are scanned in ascending order, each once; the trend needs
+    two distinct radii, and a radius below 1 is refused.
     """
+    radii = sorted(set(radii))
+    if not radii:
+        raise InvalidInputError(f"{op}: a scan needs at least one radius")
+    if radii[0] < 1:
+        raise InvalidInputError(f"{op}: radius {radii[0]} is below 1")
     per_radius = []
     for r in radii:
         best, best_kind = 0.0, ""
@@ -251,13 +259,13 @@ def _ratio_scan(
             if ratio > best:
                 best, best_kind = ratio, kind
         per_radius.append({"radius": r, "max_ratio": best, "argmax": best_kind})
-    trend = classify_trend(per_radius[0]["max_ratio"], per_radius[-1]["max_ratio"])
+    first, last = per_radius[0]["max_ratio"], per_radius[-1]["max_ratio"]
     return ScanReport(
         op=op,
         params=params,
         per_radius=per_radius,
         max_ratio=max(row["max_ratio"] for row in per_radius),
-        trend=trend,
+        trend=classify_trend(first, last) if len(radii) > 1 else "indeterminate",
     )
 
 

@@ -116,13 +116,8 @@ class DampedHomomorphism:
 
     def shell_max(self, n: int) -> float:
         """Exact max of the damped magnitude over the shell of radius n."""
-        if n == 0:
-            return 0.0
         r = self.omega.radial(n)
-        denom = r * r
-        if math.isinf(denom):
-            return 0.0
-        return n * self.xi.corner_amplitude() / denom
+        return n * self.xi.corner_amplitude() / (r * r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +184,7 @@ class BoundednessReport:
     method: str
 
 
-# Radius horizons: the shell maxima of damped_form_bounded and the shell
+# Radius horizons: the shell maxima of _slope_bounded and the shell
 # series of damped_form_in_orlicz are read up to these radii.
 _BOUNDED_N_MAX = 10**6
 _MEMBERSHIP_N_MAX = 10**4
@@ -199,31 +194,33 @@ def _log_sampled_ints(n_max: int, count: int = 240) -> list[int]:
     return [int(v) for v in np.unique(np.geomspace(1, n_max, count).astype(np.int64))]
 
 
-def damped_form_bounded(dh: DampedHomomorphism, mode: str = "analytic") -> BoundednessReport:
+def damped_form_bounded(dh: DampedHomomorphism) -> BoundednessReport:
     """Is the damped form essentially bounded on the lattice?
 
-    Analytic mode resolves the built-in families: for the polynomial
-    weight of order beta the damped form behaves like n^(1-2beta), so it
-    is bounded iff 2*beta >= 1; both subexponential families damp any
-    linear form to zero. Numeric mode fits a log-log slope to the exact
-    shell maxima: slope > 0.05 reads unbounded, slope < -0.05 (or a sup
-    attained away from the horizon) reads bounded, the rest inconclusive.
+    The weight family picks the method. For the polynomial weight of
+    order beta the shell maximum amp * n/(1+n)^(2beta) behaves like
+    n^(1-2beta): bounded iff 2*beta >= 1, with its sup at an integer
+    neighbour of n = 1/(2beta-1), or the limit amp when 2*beta = 1. Both
+    subexponential families damp any linear form to zero; their shell
+    maxima are searched until they have decayed. Other families take the
+    slope fit of :func:`_slope_bounded`.
     """
     if dh.xi.is_zero:
         raise InvalidInputError("the zero form is always bounded; need a nonzero one")
     family = dh.omega.family
-    if mode == "analytic" and family in ("polynomial", "subexp_alpha", "subexp_log"):
-        if family == "polynomial":
-            beta = float(dh.omega.params["beta"])
-            exponent = 1.0 - 2.0 * beta
-            if 2.0 * beta >= 1.0:
-                peak = 1.0 / (2.0 * beta - 1.0) if 2.0 * beta > 1.0 else float(_BOUNDED_N_MAX)
-                horizon = min(_BOUNDED_N_MAX, max(1000, int(3 * peak) + 1))
-                sup = max(dh.shell_max(n) for n in range(1, horizon + 1))
-                if 2.0 * beta == 1.0:
-                    sup = max(sup, dh.xi.corner_amplitude())
-                return BoundednessReport("bounded", sup, exponent, "analytic:polynomial")
+    if family == "polynomial":
+        beta = float(dh.omega.params["beta"])
+        exponent = 1.0 - 2.0 * beta
+        if 2.0 * beta > 1.0:
+            peak = 1.0 / (2.0 * beta - 1.0)
+            sup = max(dh.shell_max(n) for n in (math.floor(peak), math.ceil(peak)))
+        elif 2.0 * beta == 1.0:
+            sup = dh.xi.corner_amplitude()
+        else:
             return BoundednessReport("unbounded", None, exponent, "analytic:polynomial")
+        return BoundednessReport("bounded", sup, exponent, "analytic:polynomial")
+    if family in ("subexp_alpha", "subexp_log"):
+        # no closed form: for subexp_log, gamma > 1, shell_max need not be unimodal
         sup = 0.0
         prev = -1.0
         for n in range(1, 200_001):
@@ -233,9 +230,13 @@ def damped_form_bounded(dh: DampedHomomorphism, mode: str = "analytic") -> Bound
                 break
             prev = v
         return BoundednessReport("bounded", sup, None, f"analytic:{family}")
-    if mode not in ("analytic", "numeric"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
+    return _slope_bounded(dh)
 
+
+def _slope_bounded(dh: DampedHomomorphism) -> BoundednessReport:
+    """Fit a log-log slope to the exact shell maxima up to ``_BOUNDED_N_MAX``:
+    slope > 0.05 reads unbounded, slope < -0.05 (or a sup attained away
+    from the horizon) reads bounded, the rest inconclusive."""
     ns = _log_sampled_ints(_BOUNDED_N_MAX)
     vals = [dh.shell_max(n) for n in ns]
     sup = max(vals)
@@ -276,8 +277,6 @@ def _sampled_tail_behaviour(term: Callable[[int], float]) -> tuple[str, float]:
     if all(v == 0.0 for _, v in all_vals):
         return "resolution-floor", 0.0
     tail = [(n, v) for n, v in all_vals if n >= math.sqrt(_MEMBERSHIP_N_MAX)]
-    if len(tail) < 4:
-        tail = all_vals[-6:]
     if all(v == 0.0 for _, v in tail):
         # positive head decayed to exact zero: the float sum terminates
         return "converges", -math.inf

@@ -245,8 +245,6 @@ def _cmd_certify_algebra(config: dict, seed: int) -> tuple[ReportTable, int]:
 def _cmd_derivation_scan(config: dict, seed: int) -> tuple[ReportTable, int]:
     ctx, trials = _scan_context(config, 200)
     radii = _as_list(config.get("radii", [16, 64, 256]), int, "radii")
-    if not radii or min(radii) < 1:
-        raise InvalidInputError(f"radii must be a nonempty list of integers >= 1, got {radii}")
     coeffs = _as_list(config.get("xi", [1.0] + [0.0] * (ctx.dim - 1)), complex, "xi")
     window = coerce(int, config.get("window_radius", 1), "window_radius")
     d = Derivation.with_ball_window(Homomorphism(tuple(coeffs)), ctx.dim, window)

@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .algebra import _sqrt_pair
 from .errors import ConjugateInfiniteError, PreconditionError
-from .norms import luxemburg_norm, orlicz_norm
+from .norms import holder_check, luxemburg_norm, orlicz_norm
 from .sampling import random_finsupp, rng_for
 from .young import ComplementaryPair, catalog, default_grid, inverse, young_inequality_margin
 
@@ -37,7 +35,7 @@ __all__ = [
 BATTERY_SEED = 592035
 
 SANDWICH_GRID = default_grid(25)
-SQRT_GRID = [float(x) for x in np.geomspace(1e-3, 1e3, 25)]
+SQRT_GRID = default_grid(25, 1e-3, 1e3)
 
 
 @dataclass(frozen=True)
@@ -74,8 +72,6 @@ def norm_sandwich_margin(pair: ComplementaryPair) -> float:
 
 def holder_margin(pair: ComplementaryPair) -> float:
     """Worst of (sum|fg| - bound) / (1 + bound) over 25 seeded random pairs."""
-    from .norms import holder_check
-
     worst = -math.inf
     for t in range(25):
         rng = rng_for(BATTERY_SEED, 2, t)

@@ -350,11 +350,7 @@ def shell_series_verdict(terms: Sequence[float]) -> SeriesReport:
     if any(math.isinf(t) for t in ts):
         return SeriesReport("diverges", math.inf, None, "infinite-term")
     partial = math.fsum(ts)
-    popped = 0
-    while ts and ts[-1] == 0.0:
-        ts.pop()
-        popped += 1
-    if popped:
+    if ts and ts[-1] == 0.0:
         # the tail underflowed to exact zero: the float sum is complete
         return SeriesReport("converges", partial, partial, "zero-tail")
     if len(ts) < 11:

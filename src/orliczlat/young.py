@@ -347,7 +347,7 @@ def inverse(phi: YoungFunction, y: float) -> float:
 
 
 # Product-inequality grid of the invariant battery.
-YOUNG_GRID = [float(x) for x in np.geomspace(1e-4, 1e2, 50)]
+YOUNG_GRID = default_grid(50, 1e-4, 1e2)
 
 
 def _young_inequality_worst(
@@ -515,6 +515,16 @@ def delta2_estimate(phi: YoungFunction, x_max: float) -> float:
     return math.inf
 
 
+def _below(phi1: YoungFunction, phi2: YoungFunction, c: float, xs: Sequence[float]) -> bool:
+    """Phi1(c*x) <= Phi2(x) for every grid x, up to a relative 1e-12."""
+    return all(phi1(c * x) <= phi2(x) * (1.0 + 1e-12) + 1e-300 for x in xs)
+
+
+def _above(phi1: YoungFunction, phi2: YoungFunction, c: float, xs: Sequence[float]) -> bool:
+    """Phi2(x) <= Phi1(c*x) for every grid x, up to a relative 1e-12."""
+    return all(phi2(x) <= phi1(c * x) * (1.0 + 1e-12) + 1e-300 for x in xs)
+
+
 def strong_equiv_check(
     phi1: YoungFunction,
     phi2: YoungFunction,
@@ -527,12 +537,7 @@ def strong_equiv_check(
         raise InvalidInputError(f"need 0 < a <= b, got a={a!r}, b={b!r}")
     if len(grid) == 0:
         raise InvalidInputError("empty grid")
-    for x in grid:
-        lo, mid, hi = phi1(a * x), phi2(x), phi1(b * x)
-        slack = 1e-12 * (1.0 + abs(mid))
-        if not (lo <= mid + slack and mid <= hi + slack):
-            return False
-    return True
+    return _below(phi1, phi2, a, grid) and _above(phi1, phi2, b, grid)
 
 
 def find_strong_equiv_constants(
@@ -543,18 +548,14 @@ def find_strong_equiv_constants(
     """Grid-search constants (a, b) witnessing strong equivalence, or None."""
     xs = list(grid) if grid is not None else default_grid(41)
     candidates = [2.0 ** k for k in range(-24, 9)]
-    a_found = None
     for a in reversed(candidates):
-        if all(phi1(a * x) <= phi2(x) * (1.0 + 1e-12) + 1e-300 for x in xs):
-            a_found = a
+        if _below(phi1, phi2, a, xs):
             break
-    if a_found is None:
+    else:
         return None
     for b in candidates:
-        if b < a_found:
-            continue
-        if all(phi2(x) <= phi1(b * x) * (1.0 + 1e-12) + 1e-300 for x in xs):
-            return a_found, b
+        if b >= a and _above(phi1, phi2, b, xs):
+            return a, b
     return None
 
 

@@ -429,6 +429,28 @@ def test_every_scan_matches_a_loop_over_scan_pairs(dim, radius):
         assert rep.max_ratio == max(row["max_ratio"] for row in expected), rep.op
 
 
+def test_ratio_scan_reads_sorted_distinct_radii():
+    ctx = AlgebraContext(pair_from_spec({"family": "power", "p": 1.5}), polynomial_weight(0.4), 1)
+    der = Derivation.with_ball_window(Homomorphism.basis(1), 1)
+    ascending = derivation_norm_scan(ctx, der, [2, 4, 8], 5, 17)
+    for radii in ([8, 4, 2], [4, 8, 2, 8]):
+        rep = derivation_norm_scan(ctx, der, radii, 5, 17)
+        assert repr(rep.per_radius) == repr(ascending.per_radius)
+        assert rep.trend == ascending.trend
+    # one distinct radius has no trend; certify-algebra's ladder at radius 1 is [1, 1, 1]
+    for rep in (derivation_norm_scan(ctx, der, [4], 5, 17),
+                derivation_norm_scan(ctx, der, [4, 4], 5, 17),
+                submult_estimate(ctx, 1, 5, 17)):
+        assert len(rep.per_radius) == 1 and rep.trend == "indeterminate"
+    with pytest.raises(InvalidInputError, match="at least one radius"):
+        derivation_norm_scan(ctx, der, [], 5, 17)
+    with pytest.raises(InvalidInputError, match="radius 0 is below 1"):
+        derivation_norm_scan(ctx, der, [4, 0], 5, 17)
+    # the radius asked for, not the ladder [1, 1, -3] built from it
+    with pytest.raises(InvalidInputError, match="radius -3 is below 1"):
+        submult_estimate(ctx, -3, 5, 17)
+
+
 def test_ratio_scan_norms_a_same_pair_once():
     ctx = AlgebraContext(pair_from_spec({"family": "power", "p": 1.5}), polynomial_weight(0.7), 1)
     # every access makes a new bound method, equal to the last one

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import seeded_rng
+from orliczlat import amenability
 from orliczlat.algebra import AlgebraContext, convolve, flip
 from orliczlat.amenability import (
     ChainReport,
@@ -26,6 +29,7 @@ from orliczlat.finsupp import FinSuppFn
 from orliczlat.sampling import random_finsupp
 from orliczlat.weights import (
     ball,
+    generic_weight,
     polynomial_weight,
     subexp_alpha_weight,
     subexp_log_weight,
@@ -104,8 +108,8 @@ def test_damped_form_bounded_polynomial_both_modes():
     xi = Homomorphism((1.0,))
     for beta, want in ((0.4, "unbounded"), (0.45, "unbounded"), (0.55, "bounded"), (0.6, "bounded")):
         dh = DampedHomomorphism(xi, polynomial_weight(beta))
-        a = damped_form_bounded(dh, "analytic")
-        n = damped_form_bounded(dh, "numeric")
+        a = damped_form_bounded(dh)
+        n = amenability._slope_bounded(dh)
         assert a.verdict == want, (beta, a)
         assert n.verdict == want, (beta, n)
 
@@ -113,7 +117,7 @@ def test_damped_form_bounded_polynomial_both_modes():
 def test_damped_form_bounded_sup_value():
     # beta = 0.6: sup_n n/(1+n)^1.2 over the integers, attained near n = 5
     dh = DampedHomomorphism(Homomorphism((1.0,)), polynomial_weight(0.6))
-    rep = damped_form_bounded(dh, "analytic")
+    rep = damped_form_bounded(dh)
     explicit = max(n / (1.0 + n) ** 1.2 for n in range(1, 10**6))
     assert rep.sup_estimate == pytest.approx(explicit, rel=1e-12)
     # the l1 anchor (Bade-Curtis-Dales): n/(1+n)^(2 beta) peaks at
@@ -122,17 +126,58 @@ def test_damped_form_bounded_sup_value():
         dh = DampedHomomorphism(Homomorphism((1.0,)), polynomial_weight(beta))
         peak = 1.0 / (2.0 * beta - 1.0)
         closed = max(n / (1.0 + n) ** (2.0 * beta) for n in (math.floor(peak), math.ceil(peak)))
-        rep = damped_form_bounded(dh, "analytic")
+        rep = damped_form_bounded(dh)
         assert rep.verdict == "bounded"
         assert rep.sup_estimate == pytest.approx(closed, rel=1e-12), beta
 
 
+DAMPED_FORMS = [(1.0,), (1.0, 0.0), (1.0, -1.0), (0.3 + 2j, -1.5, 0.25)]
+
+
+@pytest.mark.parametrize("beta", [0.5 + 1e-4, 0.5 + 1e-3, 0.55, 0.6, 0.75, 1.0, 2.0])
+def test_damped_form_bounded_closed_form_matches_horizon_search(beta):
+    # the horizon search the closed form replaced, written out: every
+    # shell maximum up to three times the peak (at least 1000 radii)
+    peak = 1.0 / (2.0 * beta - 1.0)
+    horizon = min(10**6, max(1000, int(3 * peak) + 1))
+    for coeffs in DAMPED_FORMS:
+        dh = DampedHomomorphism(Homomorphism(coeffs), polynomial_weight(beta))
+        searched = max(dh.shell_max(n) for n in range(1, horizon + 1))
+        with mock.patch.object(DampedHomomorphism, "shell_max", autospec=True,
+                               side_effect=DampedHomomorphism.shell_max) as shell_max:
+            rep = damped_form_bounded(dh)
+        assert rep.sup_estimate == searched, (beta, coeffs)
+        assert shell_max.call_count <= 2
+
+
+def test_damped_form_bounded_at_half_is_the_corner_amplitude():
+    for coeffs in DAMPED_FORMS:
+        xi = Homomorphism(coeffs)
+        rep = damped_form_bounded(DampedHomomorphism(xi, polynomial_weight(0.5)))
+        assert (rep.verdict, rep.sup_estimate) == ("bounded", xi.corner_amplitude())
+
+
+def test_damped_form_bounded_peak_beyond_a_million_radii():
+    # peak 1/(2 beta - 1) = 2.5e6: a search stopped at 10^6 radii reads
+    # 0.9999934738171723 and misses the supremum
+    dh = DampedHomomorphism(Homomorphism((1.0,)), polynomial_weight(0.5 + 2e-7))
+    t0 = time.perf_counter()
+    rep = damped_form_bounded(dh)
+    assert time.perf_counter() - t0 < 0.5
+    assert rep.sup_estimate > 0.9999934738171723
+
+
+def test_damped_form_bounded_generic_weight_takes_the_slope_fit():
+    dh = DampedHomomorphism(Homomorphism((1.0,)), generic_weight(math.sqrt, label="sqrt-rate"))
+    assert damped_form_bounded(dh).method.startswith("numeric:")
+
+
 def test_damped_form_bounded_subexponential():
     dh = DampedHomomorphism(Homomorphism((1.0,)), subexp_alpha_weight(0.5, 1.0))
-    assert damped_form_bounded(dh, "analytic").verdict == "bounded"
-    assert damped_form_bounded(dh, "numeric").verdict == "bounded"
+    assert damped_form_bounded(dh).verdict == "bounded"
+    assert amenability._slope_bounded(dh).verdict == "bounded"
     dh2 = DampedHomomorphism(Homomorphism((1.0,)), subexp_log_weight(1.0, 1.0))
-    assert damped_form_bounded(dh2, "analytic").verdict == "bounded"
+    assert damped_form_bounded(dh2).verdict == "bounded"
 
 
 def test_damped_form_bounded_rejects_zero_form():
@@ -432,7 +477,7 @@ def test_classify_never_weakly_amenable_when_bounded_form_exists():
             verdict = classify(p, w, 1).verdict
             if verdict == "WeaklyAmenable":
                 dh = DampedHomomorphism(xi, w)
-                assert damped_form_bounded(dh, "analytic").verdict == "unbounded"
+                assert damped_form_bounded(dh).verdict == "unbounded"
     assert count == 30
 
 

@@ -232,11 +232,17 @@ def test_derivation_scan_trials_zero_exit_2():
         ("conjugate", "--ymax", ""),
         ("conjugate", "--points", "2.5"),
         ("classify", "--p", "1.5", "--seed", "x"),
+        # scan radii are checked by the scan itself, for both commands
+        ("certify-algebra", "--young", '{"family":"power","p":1.5}',
+         "--weight", '{"family":"polynomial","beta":0.6}', "--radius", "0"),
+        ("derivation-scan", "--young", '{"family":"power","p":1.5}',
+         "--weight", '{"family":"polynomial","beta":0.6}', "--radii", "0,4"),
     ],
     ids=["p-not-a-number", "weight-param-not-a-number", "young-param-not-a-number",
          "radius-zero", "weight-param-beyond-float", "young-param-beyond-float",
          "weight-param-nan", "dim-flag", "trials-flag", "radius-flag", "scan-dim-flag",
-         "window-radius-flag", "ymin-flag", "ymax-flag", "points-flag", "seed-flag"],
+         "window-radius-flag", "ymin-flag", "ymax-flag", "points-flag", "seed-flag",
+         "certify-radius-zero", "radii-zero-first"],
 )
 def test_bad_values_exit_2_without_traceback(args):
     r = run_cli(*args)

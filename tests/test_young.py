@@ -297,6 +297,20 @@ def test_strong_equiv_fails_for_different_powers():
         assert b / a > 1e3
 
 
+def test_strong_equiv_slack_is_relative_near_zero():
+    # both functions stay below 1e-12 on this grid: an absolute slack there
+    # would accept x^2/2 ~ x^3/3 with a = b = 1
+    p2 = young_from_spec({"family": "power", "p": 2})
+    p3 = young_from_spec({"family": "power", "p": 3})
+    grid = [float(x) for x in np.geomspace(1e-9, 1e-7, 21)]
+    assert not strong_equiv_check(p2, p3, 1.0, 1.0, grid)
+    a, b = find_strong_equiv_constants(p2, p3, grid)
+    assert (a, b) == (2.0 ** -16, 2.0 ** -11)
+    assert strong_equiv_check(p2, p3, a, b, grid)
+    assert not strong_equiv_check(p2, p3, 2 * a, b, grid)
+    assert not strong_equiv_check(p2, p3, a, b / 2, grid)
+
+
 def test_strong_equiv_empty_grid_rejected(entropy_pair):
     with pytest.raises(InvalidInputError):
         strong_equiv_check(entropy_pair.phi, entropy_pair.psi, 1.0, 1.0, [])

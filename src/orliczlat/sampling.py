@@ -14,6 +14,7 @@ Candidate pairs are emitted as (f, flip f) and (f, f).
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterator
 
@@ -69,11 +70,18 @@ def adversarial_candidates(
     cands.append(("corner-atom", FinSuppFn.delta(corner)))
     cands.append(("axis-atom", FinSuppFn.delta((radius,) + (0,) * (dim - 1))))
     if omega is not None and xi is not None:
-        # Atom where |xi| / (omega * flipped omega) peaks along the rays;
-        # a radial weight is even, so the flipped value is omega(pt) again.
+        # Atom where |xi| / (omega * flipped omega) peaks along the rays:
+        # the diagonal, the first axis and the cube vertex n*s, s the first
+        # sign pattern maximising |xi(s)| (the one corner_amplitude
+        # maximises), where |xi| takes its maximum on the shell of radius n.
+        # A ray met twice is walked once. A radial weight is even, so the
+        # flipped value is omega(pt) again.
+        vertex = max(itertools.product((1, -1), repeat=dim), key=lambda s: abs(xi(s)))
+        rays = dict.fromkeys(((1,) * dim, (1,) + (0,) * (dim - 1), vertex))
         best_pt, best_val = corner, -1.0
         for n in range(1, radius + 1):
-            for pt in ((n,) * dim, (n,) + (0,) * (dim - 1)):
+            for ray in rays:
+                pt = tuple(n * c for c in ray)
                 w = omega(pt)
                 val = abs(xi(pt)) / (w * w)
                 if val > best_val:

@@ -182,13 +182,19 @@ def conjugate_with_argmax(phi: YoungFunction, y: float) -> tuple[float, float]:
 
     Bracket expansion doubles x until the chord slope Phi(x)/x exceeds y
     (for convex Phi with Phi(0)=0 the slope is nondecreasing and bounds the
-    derivative from below, so the maximiser lies inside the bracket), then
-    ternary search on the concave map x -> x*y - Phi(x).
+    derivative from below, so the maximiser lies inside the bracket). With
+    a closed-form derivative the maximiser is the root of Phi'(x) = y,
+    found by :func:`_derivative_root` to about an ulp; the value is
+    max(0, x*y - Phi(x)) there. Without one, ternary search on the concave
+    map x -> x*y - Phi(x) narrows the bracket to relative width 1e-15 and
+    returns the best point it met, whose value is as sharp but whose
+    position is only good to about 1e-8, since the map is flat at its top.
 
     Every abscissa visited is nonnegative, so the objective calls
-    ``phi.fn`` directly with the overflow guard of :meth:`YoungFunction.__call__`
-    inlined; the values are those of ``phi(x)``, without two call frames
-    per evaluation.
+    ``phi.fn`` directly with the overflow guard of
+    :meth:`YoungFunction.__call__` inlined, and the root finder calls
+    ``_guarded(phi.derivative, x)`` as :meth:`YoungFunction.d` does; the
+    values are those of ``phi(x)`` and ``phi.d(x)``, with fewer call frames.
     """
     if not y >= 0:  # also refuses NaN
         raise InvalidInputError(f"conjugate requested at negative or NaN y={y!r}")
@@ -223,6 +229,10 @@ def conjugate_with_argmax(phi: YoungFunction, y: float) -> tuple[float, float]:
             break
         hi = min(hi * 2.0, BRACKET_CAP)
 
+    if phi.derivative is not None:
+        x = _derivative_root(phi.derivative, y, hi)
+        return max(0.0, g(x)), x
+
     lo = 0.0
     best_x, best_v = 0.0, 0.0
     for it in range(240):
@@ -249,6 +259,77 @@ def conjugate_with_argmax(phi: YoungFunction, y: float) -> tuple[float, float]:
     return max(0.0, best_v), best_x
 
 
+def _derivative_root(dphi: Callable[[float], float], y: float, hi: float) -> float:
+    """The maximiser of x*y - Phi(x) on [0, hi], as the root of Phi'(x) = y.
+
+    ``hi`` is the chord-slope bracket end, where Phi' >= y unless the
+    bracket stopped at the cap; there Phi' < y means the objective still
+    climbs, and ``hi`` is returned. Halving down from ``hi`` until
+    Phi'(lo) < y gives a bracket [lo, 2 lo]; when lo reaches 0 first,
+    Phi'(0+) >= y and the maximiser is 0.
+
+    Inside the bracket a secant on (log x, log Phi'(x)) through the last
+    two iterates (exact in one step for a power) picks each point. A step
+    that leaves the bracket, or that follows two steps which together
+    failed to halve it, is a halving step instead. A secant point closer
+    than 2e-16 relative to an end (at least an ulp), or past it by less,
+    moves that far inside, so once the secant has converged from one side
+    the next point lands on the other and the bracket closes. The search
+    stops at adjacent floats or a relative width of 2e-16 and returns the
+    bracket end where Phi' is closer to y: the root to about an ulp, where
+    the best value of the flat objective only gives it to about 1e-8.
+    """
+    log, exp, log1p, inf, nan = math.log, math.exp, math.log1p, math.inf, math.nan
+
+    def residual(d: float) -> float:
+        """log(Phi'/y), taken through the exact difference Phi' - y near
+        the root; NaN where it is no use to a secant."""
+        q = (d - y) / y
+        return log1p(q) if -1.0 < q < inf else nan
+
+    d_hi = _guarded(dphi, hi)
+    if not d_hi >= y:
+        return hi
+    lo = 0.5 * hi
+    while lo > 0.0 and (d_lo := _guarded(dphi, lo)) >= y:
+        hi, d_hi, lo = lo, d_lo, 0.5 * lo
+    if lo == 0.0:
+        return 0.0
+
+    x0, r0, x1, r1 = hi, residual(d_hi), lo, residual(d_lo)
+    width, steps = hi - lo, 0
+    for _ in range(200):
+        if hi - lo <= 2e-16 * hi:
+            break
+        x = 0.5 * lo + 0.5 * hi
+        if x == lo or x == hi:
+            break  # adjacent floats
+        if steps < 2 and r1 != r0:
+            step = -r1 * log(x1 / x0) / (r1 - r0)
+            if -1.0 < step < 1.0:  # False for NaN; the ends are a factor <= 2 apart
+                t = x1 * exp(step)
+                tol = 2e-16 * hi
+                if lo - tol < t < hi + tol:
+                    if t < lo + tol:
+                        t = lo + tol
+                    elif t > hi - tol:
+                        t = hi - tol
+                    if lo < t < hi:
+                        x = t
+        d = _guarded(dphi, x)
+        if d == y:
+            return x
+        if d > y:
+            hi, d_hi = x, d
+        else:
+            lo, d_lo = x, d
+        x0, r0, x1, r1 = x1, r1, x, residual(d)
+        steps += 1
+        if hi - lo <= 0.5 * width:
+            width, steps = hi - lo, 0
+    return lo if y - d_lo < d_hi - y else hi
+
+
 def conjugate(phi: YoungFunction, y: float) -> float:
     """Convex conjugate of ``phi`` at ``y``; see :func:`conjugate_with_argmax`."""
     return conjugate_with_argmax(phi, y)[0]
@@ -257,9 +338,11 @@ def conjugate(phi: YoungFunction, y: float) -> float:
 def numeric_conjugate(phi: YoungFunction) -> YoungFunction:
     """Conjugate of ``phi`` as an evaluator.
 
-    Values come from the bracket/ternary optimiser; the derivative is the
+    Values come from :func:`conjugate_with_argmax`; the derivative is the
     maximiser itself (the envelope rule for the conjugate of a strictly
-    convex function), which falls out of the same computation. Results are
+    convex function), which falls out of the same computation: the root of
+    Phi'(x) = y to about an ulp when ``phi`` has a derivative, the ternary
+    search's best point (about 1e-8) when it has none. Results are
     memoised per abscissa since downstream solvers revisit points.
     """
     cache: dict[float, tuple[float, float]] = {}

@@ -26,9 +26,10 @@ from orliczlat.amenability import (
 )
 from orliczlat.errors import InvalidInputError, PreconditionError
 from orliczlat.finsupp import FinSuppFn
-from orliczlat.sampling import random_finsupp
+from orliczlat.sampling import PROFILE_SUPPORT_CAP, adversarial_candidates, random_finsupp
 from orliczlat.weights import (
     ball,
+    ball_size,
     generic_weight,
     polynomial_weight,
     subexp_alpha_weight,
@@ -360,6 +361,59 @@ def test_derivation_scan_dichotomy_small():
     ctx_wa = AlgebraContext(pair, polynomial_weight(0.4), 1)
     rep = derivation_norm_scan(ctx_wa, d, [8, 16, 32], trials=40, seed=5)
     assert rep.trend == "growth", rep.per_radius
+
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(1.0, -1.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.5), (0.3 + 2j, -1.5, 0.25)]
+)
+def test_damped_peak_atom_sits_at_the_shell_maximum(coeffs):
+    # |xi| on the shell of radius n peaks at a cube vertex, so the atom
+    # found along the rays carries the largest damped shell maximum.
+    xi = Homomorphism(coeffs)
+    omega = polynomial_weight(1.2)
+    dh = DampedHomomorphism(xi, omega)
+    for radius in (1, 4, 16):
+        cands = dict(adversarial_candidates(len(coeffs), radius, omega, xi))
+        (pt,) = cands["damped-peak-atom"].support()
+        peak = max(dh.shell_max(n) for n in range(1, radius + 1))
+        assert abs(dh(pt)) == pytest.approx(peak, rel=1e-12), (coeffs, radius, pt)
+
+
+def test_damped_peak_atom_of_an_antidiagonal_form():
+    # xi = (1, -1) vanishes on the diagonal: the atom lands on the vertex
+    # ray (n, -n), where |xi| = 2n, not on the first axis, where it is n.
+    xi = Homomorphism((1.0, -1.0))
+    omega = polynomial_weight(1.2)
+    (pt,) = dict(adversarial_candidates(2, 16, omega, xi))["damped-peak-atom"].support()
+    assert pt == (1, -1)
+    pair = pair_from_spec({"family": "power", "p": 1.5})
+    ctx = AlgebraContext(pair, omega, 2)
+    ratios = {}
+    for form in (xi, Homomorphism((1.0, 0.0))):
+        d = Derivation.with_ball_window(form, 2, 1)
+        rep = derivation_norm_scan(ctx, d, [4, 8, 16], trials=40, seed=0)
+        assert {row["argmax"] for row in rep.per_radius} == {"damped-peak-atom/flipped"}
+        ratios[form.coeffs] = rep.max_ratio
+    assert ratios[xi.coeffs] == pytest.approx(0.650648, rel=1e-6)
+    assert ratios[(1.0, 0.0)] == pytest.approx(0.325324, rel=1e-6)
+
+
+def test_damped_peak_rays_walked_once_in_one_dimension():
+    # in d = 1 the diagonal, the axis and the vertex are one ray; at this
+    # radius the ball is past PROFILE_SUPPORT_CAP, so only the atom search
+    # evaluates the weight
+    omega = polynomial_weight(0.4)
+    calls = []
+
+    def counted(pt):
+        calls.append(pt)
+        return omega(pt)
+
+    radius = 5000
+    assert ball_size(radius, 1) > PROFILE_SUPPORT_CAP
+    adversarial_candidates(1, radius, counted, Homomorphism((1.0,)))
+    assert calls == [(n,) for n in range(1, radius + 1)]
 
 
 # -- decay chain -----------------------------------------------------------------------

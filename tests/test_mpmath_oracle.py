@@ -1,10 +1,10 @@
 """High-precision oracle for the catalog members without a closed-form
 conjugate: (cosh x - 1)^2, (e^x - x - 1)^2, x^2 ln(1+x) and e^{x^2} - 1.
 
-The oracle conjugate solves Phi'(x) = y for the maximiser in 50-digit
-arithmetic and returns x y - Phi(x); the oracle Luxemburg norm solves
-sum Phi(|f(s)| / k) = 1 for k the same way, under Phi and under the
-oracle conjugate.
+The oracle conjugate solves Phi'(x) = y for the maximiser (the oracle
+Psi'(y)) in 50-digit arithmetic and returns x y - Phi(x); the oracle
+Luxemburg norm solves sum Phi(|f(s)| / k) = 1 for k the same way, under
+Phi and under the oracle conjugate.
 """
 
 from __future__ import annotations
@@ -61,11 +61,16 @@ def increasing_root(fn, target, lo, hi):
     return mp.findroot(lambda x: fn(x) - target, (lo + hi) / 2)
 
 
-def mp_conjugate(phi, dphi, y):
+def mp_argmax(dphi, y):
+    """The maximiser of x y - Phi(x): the root of Phi'(x) = y."""
     hi = mp.mpf(1)
     while dphi(hi) < y:
         hi *= 2
-    x = increasing_root(dphi, mp.mpf(y), mp.mpf(0), hi)
+    return increasing_root(dphi, mp.mpf(y), mp.mpf(0), hi)
+
+
+def mp_conjugate(phi, dphi, y):
+    x = mp_argmax(dphi, y)
     return x * y - phi(x)
 
 
@@ -93,6 +98,17 @@ def test_numeric_conjugate_matches_mpmath(key):
         for y in YS:
             exact = mp_conjugate(phi, dphi, y)
             assert abs(pair.psi(y) - exact) <= 1e-12 * exact, (key, y)
+
+
+@pytest.mark.parametrize("key", sorted(MEMBERS))
+def test_numeric_conjugate_maximiser_matches_mpmath(key):
+    # Psi'(y) is the maximiser of x y - Phi(x), the root of Phi'(x) = y
+    pair = numeric_pairs()[key]
+    _, dphi = MEMBERS[key]
+    with mp.workdps(50):
+        for y in YS:
+            exact = mp_argmax(dphi, y)
+            assert abs(pair.psi.d(y) - exact) <= 1e-14 * exact, (key, y)
 
 
 @pytest.mark.parametrize("key", sorted(MEMBERS))

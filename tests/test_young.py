@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from orliczlat.errors import (
     ConjugateInfiniteError,
@@ -13,8 +16,10 @@ from orliczlat.errors import (
 )
 from orliczlat.young import (
     YoungFunction,
+    catalog,
     catalog_ids,
     conjugate,
+    conjugate_with_argmax,
     default_grid,
     delta2_estimate,
     find_strong_equiv_constants,
@@ -98,6 +103,32 @@ def test_conjugate_infinite_for_linear_growth():
     # below the asymptotic slope the sup is finite (and 0 for exactly-linear)
     assert conjugate(lin, 0.5) == 0.0
     assert conjugate(lin, 1.0) == 0.0
+
+
+@given(
+    index=st.integers(0, len(catalog()) - 1),
+    log_y=st.floats(-3.0, 1.3, allow_nan=False),
+)
+def test_conjugate_maximiser_is_the_root_of_the_derivative(index, log_y):
+    # Phi' crosses y within a few ulps of the returned maximiser (8 ulps
+    # covers the rounding of the closed-form derivatives; ternary search
+    # was about 1e-8 off, some 10^7 ulps)
+    phi = catalog()[index].phi
+    y = 10.0 ** log_y
+    value, x = conjugate_with_argmax(phi, y)
+    step = 8 * math.ulp(x)
+    assert phi.d(x - step) <= y <= phi.d(x + step), (phi.describe(), y, x)
+    assert value == max(0.0, x * y - phi(x))
+
+
+def test_conjugate_without_derivative_keeps_ternary_search_bits():
+    # a hand-built Phi with no derivative still takes the ternary search;
+    # the digest pins its values and maximisers (.hex()) over 101 abscissae
+    phi = YoungFunction(fn=lambda x: 2.0 * math.sinh(0.5 * x) ** 2 + x ** 3 / 3.0)
+    ys = [10.0 ** (k / 20) for k in range(-60, 41)]
+    rows = ";".join(f"{v.hex()},{x.hex()}" for v, x in (conjugate_with_argmax(phi, y) for y in ys))
+    digest = hashlib.sha256(rows.encode()).hexdigest()
+    assert digest == "273491ecd07f1f04acc5d98328dde728094b0f829d96d7c8ac24b41606133083"
 
 
 def test_conjugate_negative_argument_rejected():

@@ -92,13 +92,15 @@ class Homomorphism:
     def __call__(self, x: Point | Sequence[int]) -> complex:
         return sum(c * xi for c, xi in zip(self.coeffs, x))
 
+    def corner_vertex(self) -> tuple[int, ...]:
+        """The first sign pattern s, from (1, ..., 1), maximising |xi(s)|;
+        |xi| on the shell of radius n attains its maximum at n * s."""
+        return max(itertools.product((1, -1), repeat=self.dim), key=lambda s: abs(self(s)))
+
     def corner_amplitude(self) -> float:
-        """max over sign patterns of |sum +-c_i|; |xi| on the shell of
-        radius n attains its maximum n * corner_amplitude at a cube vertex."""
-        best = 0.0
-        for signs in itertools.product((1.0, -1.0), repeat=self.dim):
-            best = max(best, abs(sum(s * c for s, c in zip(signs, self.coeffs))))
-        return best
+        """max over sign patterns of |sum +-c_i|, the maximum of |xi| on
+        the shell of radius 1 (n times it on the shell of radius n)."""
+        return abs(self(self.corner_vertex()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,15 +14,17 @@ Candidate pairs are emitted as (f, flip f) and (f, f).
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .finsupp import FinSuppFn, Point
 from .weights import Weight, ball, ball_size
+
+if TYPE_CHECKING:
+    from .amenability import Homomorphism
 
 __all__ = ["rng_for", "random_finsupp", "adversarial_candidates", "scan_pairs"]
 
@@ -63,29 +65,25 @@ def adversarial_candidates(
     dim: int,
     radius: int,
     omega: Weight | None = None,
-    xi: Callable[[Point], complex] | None = None,
+    xi: Homomorphism | None = None,
 ) -> list[tuple[str, FinSuppFn]]:
     cands: list[tuple[str, FinSuppFn]] = []
     corner = (radius,) * dim
     cands.append(("corner-atom", FinSuppFn.delta(corner)))
     cands.append(("axis-atom", FinSuppFn.delta((radius,) + (0,) * (dim - 1))))
     if omega is not None and xi is not None:
-        # Atom where |xi| / (omega * flipped omega) peaks along the rays:
-        # the diagonal, the first axis and the cube vertex n*s, s the first
-        # sign pattern maximising |xi(s)| (the one corner_amplitude
-        # maximises), where |xi| takes its maximum on the shell of radius n.
-        # A ray met twice is walked once. A radial weight is even, so the
-        # flipped value is omega(pt) again.
-        vertex = max(itertools.product((1, -1), repeat=dim), key=lambda s: abs(xi(s)))
-        rays = dict.fromkeys(((1,) * dim, (1,) + (0,) * (dim - 1), vertex))
+        # Atom where |xi| / (omega * flipped omega) peaks along the vertex
+        # ray n*s, s = xi.corner_vertex(): omega is radial in max|c|, so it
+        # is one value on the shell of radius n, where |xi| peaks at n*s.
+        # A radial weight is even, so the flipped value is omega(pt) again.
+        vertex = xi.corner_vertex()
         best_pt, best_val = corner, -1.0
         for n in range(1, radius + 1):
-            for ray in rays:
-                pt = tuple(n * c for c in ray)
-                w = omega(pt)
-                val = abs(xi(pt)) / (w * w)
-                if val > best_val:
-                    best_pt, best_val = pt, val
+            pt = tuple(n * c for c in vertex)
+            w = omega(pt)
+            val = abs(xi(pt)) / (w * w)
+            if val > best_val:
+                best_pt, best_val = pt, val
         cands.append(("damped-peak-atom", FinSuppFn.delta(best_pt)))
     if ball_size(radius, dim) <= PROFILE_SUPPORT_CAP:
         pts = ball(radius, dim)
@@ -109,7 +107,7 @@ def scan_pairs(
     trials: int,
     seed: int,
     omega: Weight | None = None,
-    xi: Callable[[Point], complex] | None = None,
+    xi: Homomorphism | None = None,
 ) -> Iterator[tuple[str, FinSuppFn, FinSuppFn]]:
     """Adversarial pairs first, then ``trials`` seeded random pairs."""
     for kind, f in adversarial_candidates(dim, radius, omega, xi):

@@ -264,9 +264,10 @@ def _derivative_root(dphi: Callable[[float], float], y: float, hi: float) -> flo
 
     ``hi`` is the chord-slope bracket end, where Phi' >= y unless the
     bracket stopped at the cap; there Phi' < y means the objective still
-    climbs, and ``hi`` is returned. Halving down from ``hi`` until
-    Phi'(lo) < y gives a bracket [lo, 2 lo]; when lo reaches 0 first,
-    Phi'(0+) >= y and the maximiser is 0.
+    climbs, and ``hi`` is returned. The first halving of ``hi`` where
+    Phi'(lo) < y gives a bracket [lo, 2 lo], found in O(log k) evaluations
+    for k halvings (the count is doubled, then bisected); when lo reaches 0
+    first, Phi'(0+) >= y and the maximiser is 0.
 
     Inside the bracket a secant on (log x, log Phi'(x)) through the last
     two iterates (exact in one step for a power) picks each point. A step
@@ -279,7 +280,8 @@ def _derivative_root(dphi: Callable[[float], float], y: float, hi: float) -> flo
     bracket end where Phi' is closer to y: the root to about an ulp, where
     the best value of the flat objective only gives it to about 1e-8.
     """
-    log, exp, log1p, inf, nan = math.log, math.exp, math.log1p, math.inf, math.nan
+    log, exp, log1p, ldexp = math.log, math.exp, math.log1p, math.ldexp
+    inf, nan = math.inf, math.nan
 
     def residual(d: float) -> float:
         """log(Phi'/y), taken through the exact difference Phi' - y near
@@ -290,9 +292,28 @@ def _derivative_root(dphi: Callable[[float], float], y: float, hi: float) -> flo
     d_hi = _guarded(dphi, hi)
     if not d_hi >= y:
         return hi
-    lo = 0.5 * hi
-    while lo > 0.0 and (d_lo := _guarded(dphi, lo)) >= y:
-        hi, d_hi, lo = lo, d_lo, 0.5 * lo
+    top = hi
+
+    def probe(k: int) -> tuple[float, float]:
+        """top / 2**k and Phi' there; -inf once it underflows to 0."""
+        x = ldexp(top, -k)
+        return x, (_guarded(dphi, x) if x > 0.0 else -inf)
+
+    # Octave counts 1, 2, 4, ... below top until Phi' < y, then bisection
+    # of the count down to the first k with Phi'(top / 2**k) < y.
+    above, below = 0, 1
+    lo, d_lo = probe(below)
+    while d_lo >= y:
+        above, hi, d_hi = below, lo, d_lo
+        below *= 2
+        lo, d_lo = probe(below)
+    while below - above > 1:
+        k = (above + below) // 2
+        x, d = probe(k)
+        if d >= y:
+            above, hi, d_hi = k, x, d
+        else:
+            below, lo, d_lo = k, x, d
     if lo == 0.0:
         return 0.0
 

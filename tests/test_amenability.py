@@ -369,7 +369,7 @@ def test_derivation_scan_dichotomy_small():
 )
 def test_damped_peak_atom_sits_at_the_shell_maximum(coeffs):
     # |xi| on the shell of radius n peaks at a cube vertex, so the atom
-    # found along the rays carries the largest damped shell maximum.
+    # found along the vertex ray carries the largest damped shell maximum.
     xi = Homomorphism(coeffs)
     omega = polynomial_weight(1.2)
     dh = DampedHomomorphism(xi, omega)
@@ -400,9 +400,9 @@ def test_damped_peak_atom_of_an_antidiagonal_form():
 
 
 def test_damped_peak_rays_walked_once_in_one_dimension():
-    # in d = 1 the diagonal, the axis and the vertex are one ray; at this
-    # radius the ball is past PROFILE_SUPPORT_CAP, so only the atom search
-    # evaluates the weight
+    # the atom search walks the vertex ray alone; at this radius the ball
+    # is past PROFILE_SUPPORT_CAP, so only the atom search evaluates the
+    # weight
     omega = polynomial_weight(0.4)
     calls = []
 

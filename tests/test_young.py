@@ -131,6 +131,33 @@ def test_conjugate_without_derivative_keeps_ternary_search_bits():
     assert digest == "273491ecd07f1f04acc5d98328dde728094b0f829d96d7c8ac24b41606133083"
 
 
+_EXP_POWER_2 = young_from_spec({"family": "exp_power", "p": 2})
+
+
+@pytest.mark.parametrize(
+    "fn, dfn, y, argmax",
+    [
+        # about 1000 halvings below the bracket end 1
+        (_EXP_POWER_2.fn, _EXP_POWER_2.derivative, 1e-300, 5e-301),
+        # Phi'(0+) >= y: halves from the capped bracket end 1e12 down to 0
+        (lambda x: x, lambda x: 1.0, 1.0, 0.0),
+    ],
+)
+def test_conjugate_far_below_the_bracket_costs_few_evaluations(fn, dfn, y, argmax):
+    # the root-finder reaches a maximiser a thousand halvings or more below
+    # the chord-slope bracket end in O(log) evaluations
+    calls = []
+
+    def counted(f):
+        return lambda x: calls.append(x) or f(x)
+
+    phi = YoungFunction(fn=counted(fn), derivative=counted(dfn))
+    value, x = conjugate_with_argmax(phi, y)
+    assert (value, x) == conjugate_with_argmax(YoungFunction(fn=fn, derivative=dfn), y)
+    assert x == pytest.approx(argmax, rel=1e-15, abs=0.0)
+    assert len(calls) < 100, len(calls)
+
+
 def test_conjugate_negative_argument_rejected():
     phi = young_from_spec({"family": "power", "p": 2})
     with pytest.raises(InvalidInputError):

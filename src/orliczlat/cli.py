@@ -155,6 +155,8 @@ def _cmd_conjugate(config: dict, seed: int) -> tuple[ReportTable, int]:
         lo = coerce(_finite, ygrid.get("min", 1e-3), "y.min")
         hi = coerce(_finite, ygrid.get("max", 1e2), "y.max")
         points = coerce(int, ygrid.get("points", 40), "y.points")
+        if not (lo > 0.0 and hi > 0.0):
+            raise InvalidInputError(f"y.min and y.max must be positive, got {lo!r} and {hi!r}")
         try:
             ys = [float(v) for v in np.geomspace(lo, hi, points)]
         except ValueError as exc:

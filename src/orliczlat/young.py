@@ -77,17 +77,17 @@ def _guarded(fn: Callable[[float], float], x: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class YoungFunction:
-    """Evaluator for a convex function on [0, inf) with optional derivative.
+    """Evaluator for a convex function on [0, inf) and its derivative.
 
-    ``fn`` must accept a nonnegative float. ``derivative``, when given, is
-    the closed-form derivative; otherwise :meth:`d` falls back to central
-    differences with step h = max(1e-6, 1e-6*x). ``array_fn``, when given,
+    ``fn`` and ``derivative`` must accept a nonnegative float; a Young
+    function is always built with its derivative, which :meth:`d` returns
+    and the numeric conjugate solves for. ``array_fn``, when given,
     evaluates ``fn`` elementwise on a float64 array with numpy, so overflow
     yields +inf as ``fn`` does; :meth:`values` uses it.
     """
 
     fn: Callable[[float], float]
-    derivative: Callable[[float], float] | None = None
+    derivative: Callable[[float], float]
     label: str = "custom"
     params: Mapping[str, float] = field(default_factory=dict)
     array_fn: Callable[[np.ndarray], np.ndarray] | None = None
@@ -99,14 +99,10 @@ class YoungFunction:
         return _guarded(self.fn, x)
 
     def d(self, x: float) -> float:
-        """Derivative at x (closed form if available, else central differences)."""
+        """Derivative at x."""
         if x < 0:
             raise InvalidInputError(f"derivative requested at negative x={x!r}")
-        if self.derivative is not None:
-            return _guarded(self.derivative, x)
-        h = max(1e-6, 1e-6 * x)
-        lo = max(0.0, x - h)
-        return (self(x + h) - self(lo)) / (x + h - lo)
+        return _guarded(self.derivative, x)
 
     def values(self, xs: Iterable[float] | np.ndarray) -> list[float]:
         """Phi at each abscissa: one pass of ``array_fn`` if there is one.
@@ -182,37 +178,17 @@ def conjugate_with_argmax(phi: YoungFunction, y: float) -> tuple[float, float]:
 
     Bracket expansion doubles x until the chord slope Phi(x)/x exceeds y
     (for convex Phi with Phi(0)=0 the slope is nondecreasing and bounds the
-    derivative from below, so the maximiser lies inside the bracket). With
-    a closed-form derivative the maximiser is the root of Phi'(x) = y,
-    found by :func:`_derivative_root` to about an ulp; the value is
-    max(0, x*y - Phi(x)) there. Without one, ternary search on the concave
-    map x -> x*y - Phi(x) narrows the bracket to relative width 1e-15 and
-    returns the best point it met, whose value is as sharp but whose
-    position is only good to about 1e-8, since the map is flat at its top.
-
-    Every abscissa visited is nonnegative, so the objective calls
-    ``phi.fn`` directly with the overflow guard of
-    :meth:`YoungFunction.__call__` inlined, and the root finder calls
-    ``_guarded(phi.derivative, x)`` as :meth:`YoungFunction.d` does; the
-    values are those of ``phi(x)`` and ``phi.d(x)``, with fewer call frames.
+    derivative from below, so the maximiser lies inside the bracket). The
+    maximiser is the root of Phi'(x) = y, found by :func:`_derivative_root`
+    to about an ulp; the value is max(0, x*y - Phi(x)) there.
     """
     if not y >= 0:  # also refuses NaN
         raise InvalidInputError(f"conjugate requested at negative or NaN y={y!r}")
     if y == 0.0:
         return 0.0, 0.0
 
-    fn = phi.fn
-    isinf = math.isinf
-    neg_inf = -math.inf
-
     def g(x: float) -> float:
-        try:
-            v = float(fn(x))
-        except OverflowError:
-            return neg_inf
-        if isinf(v):
-            return neg_inf
-        return x * y - v
+        return x * y - phi(x)
 
     hi = 1.0
     while True:
@@ -229,34 +205,8 @@ def conjugate_with_argmax(phi: YoungFunction, y: float) -> tuple[float, float]:
             break
         hi = min(hi * 2.0, BRACKET_CAP)
 
-    if phi.derivative is not None:
-        x = _derivative_root(phi.derivative, y, hi)
-        return max(0.0, g(x)), x
-
-    lo = 0.0
-    best_x, best_v = 0.0, 0.0
-    for it in range(240):
-        # relative width so tiny maximisers (conjugates near 0) stay sharp
-        if hi - lo <= 1e-15 * hi:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        g1, g2 = g(m1), g(m2)
-        if g1 > best_v:
-            best_x, best_v = m1, g1
-        if g2 > best_v:
-            best_x, best_v = m2, g2
-        if it > 60 and best_v > 0.0 and abs(g1 - g2) <= 1e-15 * best_v:
-            break
-        if g1 < g2:
-            lo = m1
-        else:
-            hi = m2
-    mid = 0.5 * (lo + hi)
-    gm = g(mid)
-    if gm > best_v:
-        best_x, best_v = mid, gm
-    return max(0.0, best_v), best_x
+    x = _derivative_root(phi.derivative, y, hi)
+    return max(0.0, g(x)), x
 
 
 def _derivative_root(dphi: Callable[[float], float], y: float, hi: float) -> float:
@@ -362,9 +312,8 @@ def numeric_conjugate(phi: YoungFunction) -> YoungFunction:
     Values come from :func:`conjugate_with_argmax`; the derivative is the
     maximiser itself (the envelope rule for the conjugate of a strictly
     convex function), which falls out of the same computation: the root of
-    Phi'(x) = y to about an ulp when ``phi`` has a derivative, the ternary
-    search's best point (about 1e-8) when it has none. Results are
-    memoised per abscissa since downstream solvers revisit points.
+    Phi'(x) = y to about an ulp. Results are memoised per abscissa since
+    downstream solvers revisit points.
     """
     cache: dict[float, tuple[float, float]] = {}
 
@@ -687,11 +636,7 @@ def sqrt_transform(psi: YoungFunction) -> YoungFunction:
         prev_ratio, prev_x = ratio, x
     return YoungFunction(
         fn=lambda x: psi(math.sqrt(x)),
-        derivative=(
-            (lambda x: psi.derivative(math.sqrt(x)) / (2.0 * math.sqrt(x)) if x > 0 else 0.0)
-            if psi.derivative is not None
-            else None
-        ),
+        derivative=lambda x: psi.derivative(math.sqrt(x)) / (2.0 * math.sqrt(x)) if x > 0 else 0.0,
         label=f"sqrt[{psi.describe()}]",
         array_fn=(
             (lambda xs: psi.array_fn(np.sqrt(xs))) if psi.array_fn is not None else None

@@ -232,6 +232,9 @@ def test_derivation_scan_trials_zero_exit_2():
         ("conjugate", "--ymax", ""),
         ("conjugate", "--points", "2.5"),
         ("classify", "--p", "1.5", "--seed", "x"),
+        # a y range of mixed sign is refused before the grid is built
+        ("conjugate", "--young", '{"family":"power","p":2}', "--ymin", "-1", "--ymax", "1"),
+        ("conjugate", "--young", '{"family":"power","p":2}', "--ymin", "1", "--ymax", "-1"),
         # scan radii are checked by the scan itself, for both commands
         ("certify-algebra", "--young", '{"family":"power","p":1.5}',
          "--weight", '{"family":"polynomial","beta":0.6}', "--radius", "0"),
@@ -242,7 +245,7 @@ def test_derivation_scan_trials_zero_exit_2():
          "radius-zero", "weight-param-beyond-float", "young-param-beyond-float",
          "weight-param-nan", "dim-flag", "trials-flag", "radius-flag", "scan-dim-flag",
          "window-radius-flag", "ymin-flag", "ymax-flag", "points-flag", "seed-flag",
-         "certify-radius-zero", "radii-zero-first"],
+         "ymin-negative", "ymax-negative", "certify-radius-zero", "radii-zero-first"],
 )
 def test_bad_values_exit_2_without_traceback(args):
     r = run_cli(*args)
@@ -335,12 +338,16 @@ def test_battery_catches_downscaled_conjugate():
     pair = pair_from_spec({"family": "entropy"})
     up = ComplementaryPair(
         pair.phi,
-        YoungFunction(fn=lambda y: 3.0 * pair.psi(y), label="psi-up"),
+        YoungFunction(
+            fn=lambda y: 3.0 * pair.psi(y), derivative=lambda y: 3.0 * pair.psi.d(y), label="psi-up"
+        ),
         "closed_form",
     )
     down = ComplementaryPair(
         pair.phi,
-        YoungFunction(fn=lambda y: pair.psi(y) / 3.0, label="psi-down"),
+        YoungFunction(
+            fn=lambda y: pair.psi(y) / 3.0, derivative=lambda y: pair.psi.d(y) / 3.0, label="psi-down"
+        ),
         "closed_form",
     )
     assert young_inequality_margin(up) <= 1e-9

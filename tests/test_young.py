@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
@@ -111,24 +110,13 @@ def test_conjugate_infinite_for_linear_growth():
 )
 def test_conjugate_maximiser_is_the_root_of_the_derivative(index, log_y):
     # Phi' crosses y within a few ulps of the returned maximiser (8 ulps
-    # covers the rounding of the closed-form derivatives; ternary search
-    # was about 1e-8 off, some 10^7 ulps)
+    # covers the rounding of the closed-form derivatives)
     phi = catalog()[index].phi
     y = 10.0 ** log_y
     value, x = conjugate_with_argmax(phi, y)
     step = 8 * math.ulp(x)
     assert phi.d(x - step) <= y <= phi.d(x + step), (phi.describe(), y, x)
     assert value == max(0.0, x * y - phi(x))
-
-
-def test_conjugate_without_derivative_keeps_ternary_search_bits():
-    # a hand-built Phi with no derivative still takes the ternary search;
-    # the digest pins its values and maximisers (.hex()) over 101 abscissae
-    phi = YoungFunction(fn=lambda x: 2.0 * math.sinh(0.5 * x) ** 2 + x ** 3 / 3.0)
-    ys = [10.0 ** (k / 20) for k in range(-60, 41)]
-    rows = ";".join(f"{v.hex()},{x.hex()}" for v, x in (conjugate_with_argmax(phi, y) for y in ys))
-    digest = hashlib.sha256(rows.encode()).hexdigest()
-    assert digest == "273491ecd07f1f04acc5d98328dde728094b0f829d96d7c8ac24b41606133083"
 
 
 _EXP_POWER_2 = young_from_spec({"family": "exp_power", "p": 2})
@@ -179,7 +167,11 @@ def test_make_pair_power_p3():
 
 def test_make_pair_cosh_strongly_equivalent_to_x_log():
     pair = pair_from_spec({"family": "cosh", "p": 1})
-    xlog = YoungFunction(fn=lambda x: x * math.log1p(x), label="xlog1p")
+    xlog = YoungFunction(
+        fn=lambda x: x * math.log1p(x),
+        derivative=lambda x: math.log1p(x) + x / (1.0 + x),
+        label="xlog1p",
+    )
     consts = find_strong_equiv_constants(pair.psi, xlog)
     assert consts is not None
     a, b = consts
@@ -194,7 +186,7 @@ def test_make_pair_entropy_closed_form():
 
 
 def test_make_pair_rejects_invalid_young_function():
-    bad = YoungFunction(fn=lambda x: math.sqrt(x), label="concave")
+    bad = YoungFunction(fn=math.sqrt, derivative=lambda x: 0.5 / math.sqrt(x), label="concave")
     with pytest.raises(InvalidInputError):
         make_pair(bad)
 
@@ -230,7 +222,7 @@ def test_inverse_method_memoises_bit_identical_values():
         calls.append(x)
         return x * x
 
-    sq = YoungFunction(fn=square, label="square")
+    sq = YoungFunction(fn=square, derivative=lambda x: 2.0 * x, label="square")
     for y in (1.0, 1.0 / 7.0):
         expected = inverse(sq, y)
         calls.clear()
@@ -335,7 +327,9 @@ def test_strong_equiv_identity(entropy_pair):
 
 def test_strong_equiv_half_scaling(entropy_pair):
     psi = entropy_pair.psi
-    half = YoungFunction(fn=lambda x: psi(x / 2.0), label="half")
+    half = YoungFunction(
+        fn=lambda x: psi(x / 2.0), derivative=lambda x: psi.d(x / 2.0) / 2.0, label="half"
+    )
     assert strong_equiv_check(psi, half, 0.5, 1.0, default_grid(31))
 
 
@@ -387,15 +381,6 @@ def test_sqrt_transform_rejects_q_below_2():
     with pytest.raises(ConvexityError) as err:
         sqrt_transform(young_from_spec({"family": "power", "p": 1.5}))
     assert err.value.abscissa > 0
-
-
-def test_sqrt_transform_accepts_cosh_numeric_derivative():
-    # probe sinh(x)/x monotone with the numeric differentiator
-    coshfn = YoungFunction(
-        fn=lambda x: 2.0 * math.sinh(0.5 * x) ** 2, label="cosh-noderiv"
-    )
-    t = sqrt_transform(coshfn)
-    assert t(4.0) == pytest.approx(math.cosh(2.0) - 1.0, rel=1e-9)
 
 
 def test_sqrt_transform_catalog_acceptance_pattern(catalog_pairs):
@@ -468,6 +453,42 @@ def test_catalog_unknown_family_rejected():
 def test_exp_power_requires_p_above_one():
     with pytest.raises(InvalidInputError):
         young_from_spec({"family": "exp_power", "p": 1.0})
+
+
+def test_young_function_requires_its_derivative():
+    with pytest.raises(TypeError):
+        YoungFunction(fn=lambda x: x * x)
+
+
+def _catalog_members_and_sqrt_transforms() -> list[YoungFunction]:
+    """Every catalog Phi and Psi, numeric conjugates included, and the sqrt
+    transform of each one it accepts, once per description."""
+    members: dict[str, YoungFunction] = {}
+    for pair in catalog():
+        for yf in (pair.phi, pair.psi):
+            members.setdefault(yf.describe(), yf)
+            try:
+                t = sqrt_transform(yf)
+            except ConvexityError:
+                continue
+            members.setdefault(t.describe(), t)
+    return list(members.values())
+
+
+@pytest.mark.parametrize("yf", _catalog_members_and_sqrt_transforms(), ids=YoungFunction.describe)
+def test_derivative_matches_central_difference(yf):
+    # the derivative a Young function is built with is the only source of
+    # Phi', so of the conjugate maximiser, of Psi' and of the Orlicz
+    # multiplier; check it against the function it belongs to
+    checked = 0
+    for x in default_grid(41):
+        h = 1e-6 * x
+        lo, hi, d = yf(x - h), yf(x + h), yf.d(x)
+        if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(d)):
+            continue
+        assert d == pytest.approx((hi - lo) / (2.0 * h), rel=1e-5), (yf.describe(), x)
+        checked += 1
+    assert checked >= 30, checked
 
 
 # -- module invariants --------------------------------------------------------

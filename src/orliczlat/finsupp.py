@@ -43,6 +43,10 @@ class FinSuppFn:
 
     dim: int
     entries: Mapping[Point, complex] = field(default_factory=dict)
+    # memo of norms.luxemburg_norm, keyed by the Young function
+    _luxemburg: dict[object, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.dim < 1:

@@ -159,6 +159,21 @@ def test_norm_weighted_value_overflow_is_numerical_failure_exit_1():
     assert "Traceback" not in r.stderr
 
 
+def test_norm_orlicz_near_float_max_answers_and_above_it_exits_1():
+    # the multiplier search used to double t from 1e308 to inf (exit 1)
+    f = {"dim": 1, "entries": [[[0], [1e308, 0.0]]]}
+    cfg = {"young": {"family": "exp_taylor", "p": 2}, "kind": "orlicz", "f": f}
+    r = run_cli("norm", "-", inp=json.dumps(cfg))
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert float(r.stdout.split("=")[-1]) == pytest.approx(1.4565e308, rel=1e-4)
+    # 2.33e308 is no float
+    cfg["young"] = {"family": "exp_power", "p": 2}
+    r = run_cli("norm", "-", inp=json.dumps(cfg))
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert "numerical failure" in r.stderr and "overflows the float range" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_weight_constructor_overflow_names_family_exit_1():
     # e^{C/ln(2)^gamma} at radius 1 exceeds the float range for gamma >~ 18
     r = run_cli("classify", "--p", "3", "--weight",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import statistics
 import warnings
 
 import numpy as np
@@ -22,13 +23,17 @@ from orliczlat.norms import (
     weighted_l1_norm,
     weighted_norm,
 )
-from orliczlat.sampling import random_finsupp, scan_pairs
+from orliczlat.sampling import random_finsupp, rng_for, scan_pairs
+from orliczlat.verify import BATTERY_SEED, norm_sandwich_margin
 from orliczlat.weights import polynomial_weight
 from orliczlat.young import (
+    ComplementaryPair,
     YoungFunction,
     bisect,
+    expand,
     inverse,
     numeric_conjugate,
+    pair_from_spec,
     sqrt_transform,
     young_from_spec,
 )
@@ -418,6 +423,189 @@ def test_orlicz_gate_catches_wrong_derivative(power_pair_2):
     f = FinSuppFn(1, {(0,): 1.0, (1,): 2.0})
     with pytest.raises(NumericalFailureError):
         orlicz_norm(broken_pair, f)
+
+
+def plain_orlicz(pair: ComplementaryPair, f: FinSuppFn) -> float:
+    """Oracle: the Orlicz norm with no root window and no normalisation, the
+    constraint evaluated at every expand step and bisection midpoint
+    (``norms._dual_constraint`` is looked up per call, so a test can count
+    these evaluations)."""
+    if f.is_zero:
+        return 0.0
+    phi = pair.phi
+    mags = f.magnitudes().tolist()
+
+    def constraint(t: float) -> float:
+        return norms._dual_constraint(phi, mags, t)
+
+    hi = expand(lambda t: constraint(t) <= 1.0, max(max(mags), 1e-300), 2.0, 400)
+    if hi is None:
+        raise NumericalFailureError("dual multiplier bracket failed to expand")
+    lo = expand(lambda t: constraint(t) >= 1.0, hi * 0.5, 0.5, 400)
+    if lo is None:
+        raise NumericalFailureError("dual multiplier bracket failed to shrink")
+    _, hi = bisect(lambda t: constraint(t) <= 1.0, lo, hi, 1e-13)
+    value = math.fsum(a * phi.d(a / hi) for a in mags)
+    n_phi = plain_luxemburg(phi, f)
+    if not (n_phi * (1.0 - 1e-9) <= value <= 2.0 * n_phi * (1.0 + 1e-9)):
+        raise NumericalFailureError("escaped the window")
+    return value
+
+
+def orlicz_outcome_matches_plain(pair: ComplementaryPair, f: FinSuppFn) -> bool:
+    """The bits of orlicz_norm, or the name of its error, equal the plain
+    search's; where the plain search's final sum overflows (a raw
+    OverflowError from fsum), orlicz_norm names the overflow instead."""
+    got, want = outcome(orlicz_norm, pair, f), outcome(plain_orlicz, pair, f)
+    return got == ("NumericalFailureError" if want == "OverflowError" else want)
+
+
+def extreme_functions() -> list[FinSuppFn]:
+    """The extremes of test_luxemburg_bit_identical_to_plain_bisection."""
+    rng = seeded_rng(11)
+    extremes = [
+        FinSuppFn(1, {(i,): float(v) for i, v in enumerate(rng.uniform(0.1, 1.0, n) * scale)})
+        for scale in (1e-300, 1e-150, 1.0, 1e150, 4e307)
+        for n in (1, 2, 9)
+    ]
+    return extremes + [
+        FinSuppFn(1, {(i,): 1.5 for i in range(300)}),
+        FinSuppFn(1, {(0,): 1e200, (1,): 3.0, (2,): -1e150j}),
+        FinSuppFn(1, {(0,): 1e-300, (5,): 4e307}),
+    ]
+
+
+def test_orlicz_bit_identical_to_plain_bisection(catalog_pairs):
+    extremes = extreme_functions()
+    closed_pool = scan_pool(1, 16, 2, 101) + scan_pool(2, 4, 2, 101) + extremes
+    # a numeric Phi solves an optimiser per constraint term: a smaller pool
+    numeric_pool = scan_pool(1, 8, 1, 101) + scan_pool(2, 2, 1, 101) + extremes
+    for pair in catalog_pairs:
+        for oriented in (pair, pair.swap()):
+            numeric = oriented is not pair and pair.conjugation_mode == "numerical"
+            for f in numeric_pool if numeric else closed_pool:
+                assert orlicz_outcome_matches_plain(oriented, f), (
+                    oriented.describe(), dict(f.entries)
+                )
+
+
+@settings(max_examples=60)
+@given(
+    p=st.floats(1.05, 40.0),
+    values=st.lists(
+        st.floats(1e-6, 1e6) | st.sampled_from([1e-300, 1.0, 4e307]), min_size=1, max_size=25
+    ),
+)
+def test_orlicz_bit_identical_to_plain_bisection_drawn(p, values):
+    pair = pair_from_spec({"family": "power", "p": p})
+    f = FinSuppFn(1, {(i,): v for i, v in enumerate(values)})
+    assert orlicz_outcome_matches_plain(pair, f)
+
+
+def norm_sandwich_functions() -> list[FinSuppFn]:
+    """The 50 functions of verify.norm_sandwich_margin."""
+    return [
+        random_finsupp(dim=1 + t % 2, radius=6, rng=rng_for(BATTERY_SEED, 1, t), max_support=12)
+        for t in range(50)
+    ]
+
+
+def test_orlicz_constraint_evaluation_count(monkeypatch, catalog_pairs):
+    calls = [0]
+    counted = norms._dual_constraint
+
+    def counting(phi, mags, t):
+        calls[0] += 1
+        return counted(phi, mags, t)
+
+    monkeypatch.setattr(norms, "_dual_constraint", counting)
+    used = []
+    for pair in catalog_pairs:
+        for oriented in (pair, pair.swap()):
+            for f in norm_sandwich_functions():
+                start = calls[0]
+                want = plain_orlicz(oriented, f)
+                plain = calls[0] - start
+                start = calls[0]
+                assert orlicz_norm(oriented, f) == want
+                used.append(calls[0] - start)
+                assert used[-1] <= plain + WINDOW_COST, (oriented.describe(), plain, used[-1])
+    # a median of 46 with no window
+    assert statistics.median(used) <= 25, statistics.median(used)
+
+
+def test_orlicz_norm_near_float_max():
+    # the multiplier search used to double t from 1e308 to inf and fail to
+    # shrink its bracket; the norm of an atom c d0 is c Psi^-1(1)
+    for spec, want in (({"family": "exp_taylor", "p": 2}, 1.4565e308),
+                       ({"family": "square_log", "p": 1}, 1.6867e308)):
+        pair = pair_from_spec(spec)
+        got = orlicz_norm(pair, FinSuppFn.delta(0, 1e308))
+        assert got == pytest.approx(1e308 * inverse(pair.psi, 1.0), rel=1e-8), spec
+        assert got == pytest.approx(want, rel=1e-4), spec
+
+
+def test_orlicz_norm_above_float_max_names_the_overflow():
+    # 2.33e308 is no float: the gate would accept inf <= 2 N (1 + 1e-9) = inf
+    with pytest.raises(NumericalFailureError, match="overflows"):
+        orlicz_norm(pair_from_spec({"family": "exp_power", "p": 2}), FinSuppFn.delta(0, 1e308))
+    # this used to escape as a raw "intermediate overflow in fsum"
+    with pytest.raises(NumericalFailureError, match="overflows"):
+        orlicz_norm(
+            pair_from_spec({"family": "power", "p": 1.5}), FinSuppFn(1, {(0,): 1e308, (1,): 1e308})
+        )
+
+
+# -- Luxemburg memo ------------------------------------------------------------------
+
+
+def count_luxemburg_bodies(monkeypatch) -> list[int]:
+    """Count the runs of the Luxemburg norm's body behind its memo."""
+    calls = [0]
+    counted = norms._luxemburg_norm
+
+    def counting(phi, f):
+        calls[0] += 1
+        return counted(phi, f)
+
+    monkeypatch.setattr(norms, "_luxemburg_norm", counting)
+    return calls
+
+
+def test_holder_check_takes_each_luxemburg_norm_once(monkeypatch, power_pair_15):
+    calls = count_luxemburg_bodies(monkeypatch)
+    for t in range(5):
+        rng = seeded_rng(8, t)
+        f = random_finsupp(1, 4, rng, max_support=6)
+        g = random_finsupp(1, 4, rng, max_support=6)
+        calls[0] = 0
+        holder_check(power_pair_15, f, g)
+        assert calls[0] == 2, t  # N_Phi(f) and N_Psi(g); 4 without the memo
+
+
+def test_norm_sandwich_takes_one_luxemburg_norm_per_sample(monkeypatch, power_pair_15):
+    calls = count_luxemburg_bodies(monkeypatch)
+    norm_sandwich_margin(power_pair_15)
+    assert calls[0] == 50  # 100 without the memo
+
+
+def test_luxemburg_memo_leaves_equality_and_repr(power_pair_15):
+    f = FinSuppFn(1, {(0,): 1.0, (3,): -2.5j})
+    g = FinSuppFn(1, {(0,): 1.0, (3,): -2.5j})
+    before = repr(g)
+    norm = luxemburg_norm(power_pair_15.phi, f)
+    assert f == g and repr(f) == repr(g) == before
+    assert luxemburg_norm(power_pair_15.phi, g) == norm
+
+
+def test_luxemburg_norm_of_subnormals_is_positive():
+    # the bracket end m / Psi^-1(1) used to underflow to 0, so the norm read
+    # 0.0 after numpy's "divide by zero" warning
+    psi = pair_from_spec({"family": "exp_power", "p": 2}).psi
+    f = FinSuppFn(1, {(0,): 5e-324, (1,): 5e-324})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert luxemburg_norm(psi, f) > 0.0
 
 
 # -- weighted ---------------------------------------------------------------------

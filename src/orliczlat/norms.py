@@ -19,7 +19,7 @@ root. Before bisecting, a few secant steps locate the root and two more
 values certify a narrow window around it; the bisection then answers
 every midpoint outside that window without evaluating, and evaluates the
 rest as before, so it visits the same midpoints and returns the same
-float (:func:`_root_window`). The norm is memoised on the immutable f,
+float (:func:`_windowed_root`). The norm is memoised on the immutable f,
 keyed by Phi, so a caller that needs N_Phi(f) twice computes it once.
 The Orlicz norm is the dual expression
 
@@ -29,11 +29,17 @@ solved through its first-order conditions: the maximiser is v = Phi'(|f|/t)
 for the multiplier t at which the constraint binds, and the constraint
 value needs no Psi evaluations because Psi(Phi'(u)) = u*Phi'(u) - Phi(u)
 at conjugate points. The constraint falls in t as the modular falls in k,
-and the multiplier bisection goes through the same root window. Both
-searches run on the magnitudes divided by a power of two, which is exact
-and keeps their brackets inside the float range. Every Orlicz-norm result
-is gated by the equivalence N_Phi <= ||.||_Phi <= 2 N_Phi; a violation
-raises instead of returning a silently wrong value.
+and the multiplier is found by the same windowed bisection.
+
+Both searches run on one normalisation: with (m, e) = frexp(max |f|),
+they search over |f| / 2**e, whose largest entry m lies in [0.5, 1), and
+the k or t found for it stands for k * 2**e or t * 2**e. The division is
+exact in the normal range, so it changes no quotient |f|/k there, and it
+keeps every bracket end and quotient inside the float range from the
+subnormals up to the largest float. A norm beyond the float range raises
+:class:`NumericalFailureError` instead of reading inf. Every Orlicz-norm
+result is gated by the equivalence N_Phi <= ||.||_Phi <= 2 N_Phi; a
+violation raises instead of returning a silently wrong value.
 """
 
 from __future__ import annotations
@@ -95,55 +101,70 @@ def modular(phi: YoungFunction, f: FinSuppFn) -> float:
 # within about 9e-11 of the root.
 WINDOW = 1e-10
 MARGIN = 1e-11
-_NO_WINDOW = (0.0, math.inf)
 
 
-def _root_window(
-    value_at: Callable[[float], float], lo: float, hi: float, f_lo: float
-) -> tuple[float, float]:
-    """(below, above) with the computed F > 1 at every k <= below and <= 1
-    at every k >= above; (0, inf) when nothing is certified. F is
-    ``value_at``, a decreasing function of k (see the comment above
-    WINDOW), and f_lo its value at lo.
+def _windowed_root(F: Callable[[float], float], lo: float, hi: float, f_lo: float) -> float:
+    """The root of F(k) = 1 on [lo, hi] as :func:`bisect` finds it: the
+    upper end of the bracket narrowed to relative width 1e-13. F is a
+    decreasing function of k (see the comment above WINDOW) and f_lo > 1
+    its value at lo.
 
-    At most 4 secant steps on (log k, log F(k)) from the bracket ends
-    (exact to rounding after the first for a homogeneous Phi) give the
-    estimate est; a step that leaves the bracket ends them at the end it
-    passed, where the root lies when F(hi) rounds to about 1 (a constant
-    support). F at est*(1 -+ WINDOW) then certifies each side that clears
-    1 by MARGIN. The certificate holds for any est; a poor one certifies less.
+    Before bisecting, at most 4 secant steps on (log k, log F(k)) from the
+    bracket ends (exact to rounding after the first for a homogeneous Phi)
+    give the estimate est; a step that leaves the bracket ends them at the
+    end it passed, where the root lies when F(hi) rounds to about 1 (a
+    constant support). F at est*(1 -+ WINDOW) then certifies each side
+    that clears 1 by MARGIN: the window (below, above) with F > 1 at every
+    k <= below and F <= 1 at every k >= above. The bisection answers every
+    midpoint outside it without evaluating F, so it visits the same
+    midpoints and returns the same float as with no window. The
+    certificate holds for any est; a poor one certifies less, and a value
+    of F met on the way that is not finite and positive drops the window.
     """
-    f_hi = value_at(hi)
-    if not (f_lo < math.inf and 0.0 < f_hi < math.inf):
-        return _NO_WINDOW
-    x_lo, x_hi = math.log(lo), math.log(hi)
-    x0, y0, x1, y1 = x_lo, math.log(f_lo), x_hi, math.log(f_hi)
-    for _ in range(4):
-        if y1 == y0:
-            return _NO_WINDOW
-        x = x1 - y1 * (x1 - x0) / (y1 - y0)
-        if not x_lo < x < x_hi:  # the root is at that end or the step is wild
-            est = lo if x <= x_lo else hi
-            break
-        est = math.exp(x)
-        f_est = value_at(est)
-        if not 0.0 < f_est < math.inf:
-            return _NO_WINDOW
-        x0, y0, x1, y1 = x1, y1, x, math.log(f_est)
-        if abs(y1) < 1e-12:
-            break
-    a, b = est * (1.0 - WINDOW), est * (1.0 + WINDOW)
-    f_a, f_b = value_at(a), value_at(b)
-    if not (0.0 < f_a < math.inf and 0.0 < f_b < math.inf):
-        return _NO_WINDOW
-    return (a if f_a > 1.0 + MARGIN else 0.0), (b if f_b < 1.0 - MARGIN else math.inf)
+    below, above = 0.0, math.inf  # nothing certified
+    est = None
+    f_hi = F(hi)
+    if f_lo < math.inf and 0.0 < f_hi < math.inf:
+        x_lo, x_hi = math.log(lo), math.log(hi)
+        x0, y0, x1, y1 = x_lo, math.log(f_lo), x_hi, math.log(f_hi)
+        for _ in range(4):
+            if y1 == y0:
+                est = None
+                break
+            x = x1 - y1 * (x1 - x0) / (y1 - y0)
+            if not x_lo < x < x_hi:  # the root is at that end or the step is wild
+                est = lo if x <= x_lo else hi
+                break
+            est = math.exp(x)
+            f_est = F(est)
+            if not 0.0 < f_est < math.inf:
+                est = None
+                break
+            x0, y0, x1, y1 = x1, y1, x, math.log(f_est)
+            if abs(y1) < 1e-12:
+                break
+    if est is not None:
+        a, b = est * (1.0 - WINDOW), est * (1.0 + WINDOW)
+        f_a, f_b = F(a), F(b)
+        if 0.0 < f_a < math.inf and 0.0 < f_b < math.inf:
+            below = a if f_a > 1.0 + MARGIN else 0.0
+            above = b if f_b < 1.0 - MARGIN else math.inf
+    _, hi = bisect(lambda k: k >= above or (k > below and F(k) <= 1.0), lo, hi, 1e-13)
+    return hi
 
 
-def _ldexp_up(x: float, e: int) -> float:
-    """x * 2**e for e <= 0: exact in the normal range, rounded up among the
-    subnormals, so a nonzero function keeps a positive norm."""
-    y = math.ldexp(x, e)
-    return y if math.ldexp(y, -e) >= x else math.nextafter(y, math.inf)
+def _unscaled(k: float, e: int, phi: YoungFunction) -> float:
+    """The norm k found for |f| / 2**e, times 2**e: exact in the normal
+    range and rounded up among the subnormals, so a nonzero function keeps
+    a positive norm. Raises :class:`NumericalFailureError` above the float
+    range."""
+    try:
+        y = math.ldexp(k, e)
+    except OverflowError:
+        raise NumericalFailureError(
+            f"Luxemburg norm overflows the float range under {phi.describe()}"
+        ) from None
+    return y if math.ldexp(y, -e) >= k else math.nextafter(y, math.inf)
 
 
 def _luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
@@ -151,59 +172,41 @@ def _luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
     if f.is_zero:
         return 0.0
     mags = f.magnitudes()
-    m = float(mags.max())
-    e = 0
-    if m < 0.5:  # scaled up exactly, so no bracket end or quotient underflows
-        m, e = math.frexp(m)
-        mags = np.ldexp(mags, -e)
+    m, e = math.frexp(float(mags.max()))
     n = len(mags)
-    lo = m / phi.inverse(1.0)
-    if n == 1:  # the bracket [lo, lo] is already closed
-        return _ldexp_up(lo, e)
-    hi = m / phi.inverse(1.0 / n)
+    k = m / phi.inverse(1.0)  # the bracket's lower end; closed for one entry
+    if n > 1:
+        scaled = np.ldexp(mags, -e)
 
-    def modular_at(k: float) -> float:
-        return _modular(phi, mags / k)
+        def modular_at(k: float) -> float:
+            return _modular(phi, scaled / k)
 
-    with np.errstate(over="ignore"):
-        f_lo = modular_at(lo)
-        if f_lo <= 1.0:
-            return _ldexp_up(lo, e)
-        below, above = _root_window(modular_at, lo, hi, f_lo)
-        _, hi = bisect(
-            lambda k: k >= above or (k > below and modular_at(k) <= 1.0), lo, hi, 1e-13
-        )
-    return _ldexp_up(hi, e)
+        with np.errstate(over="ignore"):
+            f_lo = modular_at(k)
+            if not f_lo <= 1.0:
+                k = _windowed_root(modular_at, k, m / phi.inverse(1.0 / n), f_lo)
+    return _unscaled(k, e, phi)
 
 
 def luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
     """Luxemburg norm by bisection; 0 for the zero function.
 
-    When the largest magnitude m is below 0.5, the magnitudes are first
-    multiplied by the power of two that puts m in [0.5, 1), and the norm
-    found is divided by it. Both steps
-    are exact in the normal range, so they change no bit there; they keep
-    the bracket ends and the quotients nonzero for subnormal magnitudes,
-    and a norm among the subnormals is rounded up.
-
-    The bisection narrows the bracket [m/Phi^-1(1), m/Phi^-1(1/n)] (n the
-    support size) to relative width 1e-13 and returns its upper end k.
-    modular(f/k) <= 1 holds up to the 1e-10 residual of
+    The bisection runs on |f| / 2**e (see the module docstring) and
+    narrows the bracket [m/Phi^-1(1), m/Phi^-1(1/n)] (n the support size)
+    to relative width 1e-13; its upper end k, times 2**e, is the norm N.
+    That product is exact in the normal range and rounded up among the
+    subnormals, so a nonzero function keeps a positive norm; a norm beyond
+    the float range raises :class:`NumericalFailureError`.
+    modular(f/N) <= 1 holds up to the 1e-10 residual of
     :func:`~orliczlat.young.inverse`, which the bracket ends carry, and
-    rounding: a one-entry support returns m/Phi^-1(1) unchecked, and its
-    modular reads 1.0000000000000004 for x^2/2.
+    rounding: a one-entry support returns |f|/Phi^-1(1) unchecked, with no
+    modular evaluation, and its modular reads 1.0000000000000004 for x^2/2.
 
-    Before bisecting, :func:`_root_window` estimates the root by secant
-    steps on (log k, log F) and certifies a window (below, above) around
-    it with two more modular values; the predicate then reads False for
-    k <= below and True for k >= above without evaluating. The comment
+    The bisection goes through :func:`_windowed_root`, whose certified
+    window skips the modular at every midpoint outside it; the comment
     above WINDOW shows that each skipped decision equals the computed one,
-    so the bisection visits the same midpoints and returns the same float
-    as with no window. A side that does not clear MARGIN stays open, and a
-    modular value met on the way that is not finite and positive drops the
-    window: the bisection then evaluates there as it would without one.
-    On the scan pools this takes 13-19 modular evaluations per call
-    instead of 35.
+    so the norm is the float a plain bisection returns. On the scan pools
+    this takes 13-19 modular evaluations per call instead of 35.
 
     The result is memoised on f, keyed by phi (both are immutable), so a
     second norm of the same f under the same phi costs a dict lookup.
@@ -230,22 +233,19 @@ def _dual_constraint(phi: YoungFunction, mags: list[float], t: float) -> float:
 def orlicz_norm(pair: ComplementaryPair, f: FinSuppFn) -> float:
     """Orlicz norm of f under the pair (Phi, Psi); see the module docstring.
 
-    The multiplier t is sought for the magnitudes divided by the power of
-    two 2**e that puts the largest, m, in [0.5, 1): t / 2**e in place of t
-    gives the same quotients |f|/t, and it stays finite where t would pass
-    the top of the float range. The division is exact except for entries
-    that it takes below the normal range, about 1e-308 times m, whose
-    constraint terms are negligible beside 1. ``expand``
-    doubles t from max(m, 1e-300) until the constraint
+    The multiplier is sought for |f| / 2**e, so it is t / 2**e for the
+    multiplier t of f: the quotients |f|/t are the same, and the search
+    stays finite where t would pass the top of the float range. ``expand``
+    doubles it from max(m, 1e-300 / 2**e) until the constraint
     sum Psi(Phi'(|f|/t)) <= 1 holds and then halves it until the
-    constraint is >= 1; from that bracket :func:`bisect` narrows t to
-    relative width 1e-13 through the same :func:`_root_window` as the
-    Luxemburg norm, which reuses the constraint values at the two bracket
-    ends. The window skips only decisions it has certified, so the
+    constraint is >= 1; from that bracket :func:`_windowed_root` narrows it
+    to relative width 1e-13, reusing the constraint values at the two
+    bracket ends. The window skips only decisions it has certified, so the
     multiplier is the one a plain bisection finds; on the norm-sandwich
     functions a call takes a median of 23 constraint evaluations instead
     of 46. The value sum |f| Phi'(|f|/t) is then summed over the
-    magnitudes as given, so a term far below the largest still counts.
+    magnitudes as given, so a term that the division by 2**e takes below
+    the normal range still counts.
 
     Raises :class:`NumericalFailureError` if the norm exceeds the float
     range, or if the optimiser output falls outside the [N_Phi, 2 N_Phi]
@@ -273,10 +273,7 @@ def orlicz_norm(pair: ComplementaryPair, f: FinSuppFn) -> float:
     lo = expand(lambda t: constraint(t) >= 1.0, hi * 0.5, 0.5, 400)
     if lo is None:
         raise NumericalFailureError("dual multiplier bracket failed to shrink")
-    below, above = _root_window(constraint, lo, hi, constraint(lo))
-    _, hi = bisect(
-        lambda t: t >= above or (t > below and constraint(t) <= 1.0), lo, hi, 1e-13
-    )
+    hi = _windowed_root(constraint, lo, hi, constraint(lo))
     try:
         value = math.fsum(a * phi.d(b / hi) for a, b in zip(mags.tolist(), quotients))
     except OverflowError:  # the partial sums pass the float range

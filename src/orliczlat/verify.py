@@ -19,7 +19,7 @@ from .algebra import _sqrt_pair
 from .errors import ConjugateInfiniteError, PreconditionError
 from .norms import holder_check, luxemburg_norm, orlicz_norm
 from .sampling import random_finsupp, rng_for
-from .young import ComplementaryPair, catalog, default_grid, inverse, young_inequality_margin
+from .young import ComplementaryPair, catalog, default_grid, young_inequality_margin
 
 __all__ = [
     "VerifyRow",
@@ -52,7 +52,7 @@ def inverse_sandwich_margin(pair: ComplementaryPair) -> float:
     """Worst violation of x <= inv(Phi)(x)*inv(Psi)(x) <= 2x, relative to max(1, x)."""
     worst = -math.inf
     for x in SANDWICH_GRID:
-        prod = inverse(pair.phi, x) * inverse(pair.psi, x)
+        prod = pair.phi.inverse(x) * pair.psi.inverse(x)
         scale = max(1.0, x)
         worst = max(worst, (x - prod) / scale, (prod - 2.0 * x) / scale)
     return worst

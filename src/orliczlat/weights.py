@@ -21,6 +21,7 @@ polynomial-weight power-function case has an exact test (beta*q > d).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, ResourceLimitError, from_spec
 from .finsupp import Point, as_point
-from .young import YoungFunction
+from .young import YoungFunction, _guarded
 
 __all__ = [
     "word_length",
@@ -86,16 +87,6 @@ def shell_count(n: int, dim: int) -> int:
     return ball_size(n, dim) - ball_size(n - 1, dim)
 
 
-def _overflow_to_inf(fn: Callable[[int], float]) -> Callable[[int], float]:
-    def safe(n: int) -> float:
-        try:
-            return fn(n)
-        except OverflowError:
-            return math.inf
-
-    return safe
-
-
 @dataclass(frozen=True, eq=False)
 class Weight:
     """Radial weight on Z^d: value at x is ``radial(word_length(x))``.
@@ -110,7 +101,7 @@ class Weight:
     submult_C: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "radial", _overflow_to_inf(self.radial))
+        object.__setattr__(self, "radial", functools.partial(_guarded, self.radial))
 
     def __call__(self, x: Iterable[int] | int) -> float:
         return self.radial(word_length(x))

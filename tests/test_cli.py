@@ -174,6 +174,24 @@ def test_norm_orlicz_near_float_max_answers_and_above_it_exits_1():
     assert "Traceback" not in r.stderr
 
 
+def test_norm_near_float_max_is_finite_and_beyond_it_exits_1():
+    # the Luxemburg norm used to read inf here (exit 0), and the Orlicz
+    # norm's gate refused the window [inf, inf] (exit 1)
+    entries = [[[i], [v, 0.0]] for i, v in enumerate([1.0, 1.0, 1.0, 1.0, 4e307, 4e307])]
+    cfg = {"young": {"family": "power", "p": 1.0625}, "f": {"dim": 1, "entries": entries}}
+    for kind, want in (("luxemburg", 7.2544e307), ("orlicz", 9.0732e307)):
+        r = run_cli("norm", "-", "--kind", kind, inp=json.dumps(cfg))
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert float(r.stdout.split("=")[-1]) == pytest.approx(want, rel=1e-4), kind
+    # a Luxemburg norm of 2.7e308 used to read inf (exit 0)
+    cfg["f"]["entries"] = [[[i], [1.7e308, 0.0]] for i in range(3)]
+    for kind in ("luxemburg", "orlicz"):
+        r = run_cli("norm", "-", "--kind", kind, inp=json.dumps(cfg))
+        assert r.returncode == 1, r.stdout + r.stderr
+        assert r.stderr.count("numerical failure:") == 1, r.stderr
+        assert "overflows the float range" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_weight_constructor_overflow_names_family_exit_1():
     # e^{C/ln(2)^gamma} at radius 1 exceeds the float range for gamma >~ 18
     r = run_cli("classify", "--p", "3", "--weight",

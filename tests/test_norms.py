@@ -267,15 +267,16 @@ def plain_luxemburg(phi: YoungFunction, f: FinSuppFn) -> float:
     if f.is_zero:
         return 0.0
     mags = f.magnitudes()
-    m = float(mags.max())
+    m, e = math.frexp(float(mags.max()))
+    mags = np.ldexp(mags, -e)
     n = len(mags)
     lo = m / phi.inverse(1.0)
     hi = m / phi.inverse(1.0 / n) if n > 1 else lo
     with np.errstate(over="ignore"):
         if norms._modular(phi, mags / lo) <= 1.0:
-            return lo
+            return norms._unscaled(lo, e, phi)
         _, hi = bisect(lambda k: norms._modular(phi, mags / k) <= 1.0, lo, hi, 1e-13)
-    return hi
+    return norms._unscaled(hi, e, phi)
 
 
 def outcome(norm, phi, f) -> str:
@@ -302,17 +303,7 @@ def test_luxemburg_bit_identical_to_plain_bisection(catalog_pairs):
     ]
     numeric = [pair.psi for pair in catalog_pairs if pair.conjugation_mode == "numerical"]
     numeric += [numeric_conjugate(t) for t in transforms]
-    rng = seeded_rng(11)
-    extremes = [
-        FinSuppFn(1, {(i,): float(v) for i, v in enumerate(rng.uniform(0.1, 1.0, n) * scale)})
-        for scale in (1e-300, 1e-150, 1.0, 1e150, 4e307)
-        for n in (1, 2, 9)
-    ]
-    extremes += [
-        FinSuppFn(1, {(i,): 1.5 for i in range(300)}),
-        FinSuppFn(1, {(0,): 1e200, (1,): 3.0, (2,): -1e150j}),
-        FinSuppFn(1, {(0,): 1e-300, (5,): 4e307}),
-    ]
+    extremes = extreme_functions()
     # numeric conjugates solve an optimiser per abscissa: smaller pools
     cases = [
         (closed, scan_pool(1, 16, 2, 101) + scan_pool(2, 4, 2, 101) + extremes),
@@ -461,7 +452,8 @@ def orlicz_outcome_matches_plain(pair: ComplementaryPair, f: FinSuppFn) -> bool:
 
 
 def extreme_functions() -> list[FinSuppFn]:
-    """The extremes of test_luxemburg_bit_identical_to_plain_bisection."""
+    """Magnitudes from the subnormals to the top of the float range: the
+    extremes of both plain-bisection oracle tests."""
     rng = seeded_rng(11)
     extremes = [
         FinSuppFn(1, {(i,): float(v) for i, v in enumerate(rng.uniform(0.1, 1.0, n) * scale)})
@@ -472,6 +464,7 @@ def extreme_functions() -> list[FinSuppFn]:
         FinSuppFn(1, {(i,): 1.5 for i in range(300)}),
         FinSuppFn(1, {(0,): 1e200, (1,): 3.0, (2,): -1e150j}),
         FinSuppFn(1, {(0,): 1e-300, (5,): 4e307}),
+        FinSuppFn(1, {(i,): v for i, v in enumerate([1.0, 1.0, 1.0, 1.0, 4e307, 4e307])}),
     ]
 
 
@@ -554,6 +547,23 @@ def test_orlicz_norm_above_float_max_names_the_overflow():
         orlicz_norm(
             pair_from_spec({"family": "power", "p": 1.5}), FinSuppFn(1, {(0,): 1e308, (1,): 1e308})
         )
+
+
+def test_norms_near_float_max_are_finite_or_raise():
+    # the bracket end m / Phi^-1(1/6) of this f overflowed: its Luxemburg
+    # norm read inf, and the Orlicz norm's gate refused [inf, inf]
+    pair = pair_from_spec({"family": "power", "p": 1.0625})
+    f = FinSuppFn(1, {(i,): v for i, v in enumerate([1.0, 1.0, 1.0, 1.0, 4e307, 4e307])})
+    got = luxemburg_norm(pair.phi, f)
+    assert got == math.ldexp(luxemburg_norm(pair.phi, f.scale(2.0**-64)), 64)
+    assert got == pytest.approx(7.2544e307, rel=1e-4)
+    assert orlicz_norm(pair, f) == pytest.approx(9.0732e307, rel=1e-4)
+    # its Luxemburg norm 1.7e308 (3/p)^(1/p) is no float
+    g = FinSuppFn(1, {(i,): 1.7e308 for i in range(3)})
+    with pytest.raises(NumericalFailureError, match="overflows"):
+        luxemburg_norm(pair.phi, g)
+    with pytest.raises(NumericalFailureError, match="overflows"):
+        orlicz_norm(pair, g)
 
 
 # -- Luxemburg memo ------------------------------------------------------------------

@@ -146,6 +146,18 @@ def test_generic_weight():
         generic_weight(lambda n: 1.0 + n)  # does not vanish at 0
 
 
+def test_radial_overflow_reads_inf():
+    # a weight past the float range damps what it multiplies to zero
+    for w, n in (
+        (polynomial_weight(2.0), 10**200),
+        (subexp_alpha_weight(1.0, 1.0), 10**4),
+        (subexp_log_weight(0.5, 1.0), 10**6),
+        (generic_weight(lambda n: 3.0 * math.sqrt(n)), 10**7),
+    ):
+        assert w.radial(n) == math.inf, w.describe()
+        assert w((n, -1)) == math.inf, w.describe()
+
+
 def test_weight_symmetry():
     for w in (
         polynomial_weight(0.7),

@@ -176,61 +176,57 @@ class YoungFunction:
 def conjugate_with_argmax(phi: YoungFunction, y: float) -> tuple[float, float]:
     """Conjugate value sup{x*y - Phi(x)} and its maximiser.
 
-    Bracket expansion doubles x until the chord slope Phi(x)/x exceeds y
-    (for convex Phi with Phi(0)=0 the slope is nondecreasing and bounds the
-    derivative from below, so the maximiser lies inside the bracket). The
-    maximiser is the root of Phi'(x) = y, found by :func:`_derivative_root`
-    to about an ulp; the value is max(0, x*y - Phi(x)) there.
+    The maximiser is the root of Phi'(x) = y. :func:`expand` doubles x from
+    1 until Phi'(x) >= y, at most 40 times, or else takes the cap 1e12,
+    where Phi' < y means the objective still climbs: the sup is reported
+    infinite. It then halves from half that end until Phi' < y, taking
+    x = 0 as below y unevaluated. The octave [lo, 2 lo] goes with its two
+    Phi' values to :func:`_derivative_root`; if lo is 0, Phi'(0+) >= y and
+    the maximiser is 0. Phi is evaluated once, for max(0, x*y - Phi(x)).
     """
     if not y >= 0:  # also refuses NaN
         raise InvalidInputError(f"conjugate requested at negative or NaN y={y!r}")
     if y == 0.0:
         return 0.0, 0.0
+    slopes: dict[float, float] = {}  # Phi' once per bracket point
 
-    def g(x: float) -> float:
-        return x * y - phi(x)
+    def slope(x: float) -> float:
+        d = slopes.get(x)
+        if d is None:
+            d = slopes[x] = _guarded(phi.derivative, x)
+        return d
 
-    hi = 1.0
-    while True:
-        v = phi(hi)
-        if v / hi > y:
-            break
-        if hi >= BRACKET_CAP:
-            # Asymptotically linear case: if the objective is still climbing
-            # at the cap the sup is reported infinite; if it has flattened
-            # (slope exactly y in the tail) the sup over [0, cap] is it.
-            g_cap, g_half = g(hi), g(0.5 * hi)
-            if g_cap > g_half + 1e-9 * (1.0 + abs(g_cap)):
-                raise ConjugateInfiniteError(y, BRACKET_CAP)
-            break
-        hi = min(hi * 2.0, BRACKET_CAP)
-
-    x = _derivative_root(phi.derivative, y, hi)
-    return max(0.0, g(x)), x
+    hi = expand(lambda x: slope(x) >= y, 1.0, 2.0, 40)
+    if hi is None:
+        if not slope(BRACKET_CAP) >= y:
+            raise ConjugateInfiniteError(y, BRACKET_CAP)
+        hi = BRACKET_CAP
+    # hi / 2 < 2**39 halves to 0 in fewer than 1200 steps
+    lo = expand(lambda x: x == 0.0 or not slope(x) >= y, 0.5 * hi, 0.5, 1200)
+    x = 0.0
+    if lo > 0.0:
+        x = _derivative_root(phi.derivative, y, lo, slope(lo), slope(2.0 * lo))
+    return max(0.0, x * y - phi(x)), x
 
 
-def _derivative_root(dphi: Callable[[float], float], y: float, hi: float) -> float:
-    """The maximiser of x*y - Phi(x) on [0, hi], as the root of Phi'(x) = y.
+def _derivative_root(
+    dphi: Callable[[float], float], y: float, lo: float, d_lo: float, d_hi: float
+) -> float:
+    """The root of Phi'(x) = y in the octave [lo, 2 lo], to about an ulp.
 
-    ``hi`` is the chord-slope bracket end, where Phi' >= y unless the
-    bracket stopped at the cap; there Phi' < y means the objective still
-    climbs, and ``hi`` is returned. The first halving of ``hi`` where
-    Phi'(lo) < y gives a bracket [lo, 2 lo], found in O(log k) evaluations
-    for k halvings (the count is doubled, then bisected); when lo reaches 0
-    first, Phi'(0+) >= y and the maximiser is 0.
-
-    Inside the bracket a secant on (log x, log Phi'(x)) through the last
-    two iterates (exact in one step for a power) picks each point. A step
-    that leaves the bracket, or that follows two steps which together
-    failed to halve it, is a halving step instead. A secant point closer
-    than 2e-16 relative to an end (at least an ulp), or past it by less,
-    moves that far inside, so once the secant has converged from one side
-    the next point lands on the other and the bracket closes. The search
-    stops at adjacent floats or a relative width of 2e-16 and returns the
-    bracket end where Phi' is closer to y: the root to about an ulp, where
-    the best value of the flat objective only gives it to about 1e-8.
+    ``d_lo`` < y <= ``d_hi`` are Phi' at the two ends. A secant on
+    (log x, log Phi'(x)) through the last two iterates (exact in one step
+    for a power) picks each point. A step that leaves the bracket, or that
+    follows two steps which together failed to halve it, is a halving step
+    instead. A secant point closer than 2e-16 relative to an end (at least
+    an ulp), or past it by less, moves that far inside, so once the secant
+    has converged from one side the next point lands on the other and the
+    bracket closes. The search stops at adjacent floats or a relative
+    width of 2e-16 and returns the bracket end where Phi' is closer to y:
+    the root to about an ulp, where the best value of the flat objective
+    only gives it to about 1e-8.
     """
-    log, exp, log1p, ldexp = math.log, math.exp, math.log1p, math.ldexp
+    log, exp, log1p = math.log, math.exp, math.log1p
     inf, nan = math.inf, math.nan
 
     def residual(d: float) -> float:
@@ -239,34 +235,7 @@ def _derivative_root(dphi: Callable[[float], float], y: float, hi: float) -> flo
         q = (d - y) / y
         return log1p(q) if -1.0 < q < inf else nan
 
-    d_hi = _guarded(dphi, hi)
-    if not d_hi >= y:
-        return hi
-    top = hi
-
-    def probe(k: int) -> tuple[float, float]:
-        """top / 2**k and Phi' there; -inf once it underflows to 0."""
-        x = ldexp(top, -k)
-        return x, (_guarded(dphi, x) if x > 0.0 else -inf)
-
-    # Octave counts 1, 2, 4, ... below top until Phi' < y, then bisection
-    # of the count down to the first k with Phi'(top / 2**k) < y.
-    above, below = 0, 1
-    lo, d_lo = probe(below)
-    while d_lo >= y:
-        above, hi, d_hi = below, lo, d_lo
-        below *= 2
-        lo, d_lo = probe(below)
-    while below - above > 1:
-        k = (above + below) // 2
-        x, d = probe(k)
-        if d >= y:
-            above, hi, d_hi = k, x, d
-        else:
-            below, lo, d_lo = k, x, d
-    if lo == 0.0:
-        return 0.0
-
+    hi = 2.0 * lo
     x0, r0, x1, r1 = hi, residual(d_hi), lo, residual(d_lo)
     width, steps = hi - lo, 0
     for _ in range(200):
@@ -336,13 +305,37 @@ def numeric_conjugate(phi: YoungFunction) -> YoungFunction:
 def expand(
     pred: Callable[[float], bool], start: float, factor: float, max_iter: int
 ) -> float | None:
-    """The first ``start * factor**k`` (k < max_iter) where ``pred`` holds, or None."""
-    x = start
-    for _ in range(max_iter):
+    """The first point x_k (k < max_iter) where ``pred`` holds, or None.
+
+    ``factor`` is 2 or 1/2 and x_k = start * factor**k, taken as
+    ``ldexp(start, ±k)``, so a point past the float range reads inf. The
+    count k gallops (0, 1, 2, 4, ..., at most max_iter - 1) until ``pred``
+    holds and is then bisected between the last two counts, so for a
+    monotone ``pred`` the result is that of trying k = 0, 1, 2, ... in
+    turn, found in O(log k) calls. This is the one bracket search of the
+    package: the conjugate, inverses, the density inverse and the Orlicz
+    multiplier.
+    """
+    sign = 1 if factor > 1.0 else -1
+    # pred fails at count below and holds at count above, which stays
+    # max_iter until a point is found
+    below, above, found = -1, max_iter, None
+    while above - below > 1:
+        if found is not None:
+            k = (below + above) // 2
+        elif below > 1:
+            k = min(2 * below, max_iter - 1)
+        else:
+            k = below + 1
+        try:
+            x = math.ldexp(start, sign * k)
+        except OverflowError:
+            x = math.inf
         if pred(x):
-            return x
-        x *= factor
-    return None
+            above, found = k, x
+        else:
+            below = k
+    return found
 
 
 def bisect(

@@ -114,6 +114,26 @@ def test_conjugate_entropy_and_explicit_grid_with_zero(tmp_path):
     assert float(rows[2][2]) == pytest.approx(math.e - 2.0, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "young, y, value",
+    [
+        ('{"family":"power","p":2}', "1e12", 5e23),
+        ('{"family":"power","p":1.5}', "1e6", 1e18 / 3.0),
+    ],
+)
+def test_conjugate_with_its_maximiser_at_the_cap_is_finite(tmp_path, young, y, value):
+    # both suprema are attained at x = 1e12, so they are finite, not infinite
+    out = tmp_path / "c.csv"
+    r = run_cli(
+        "conjugate", "--young", young, "--ymin", y, "--ymax", y, "--points", "1",
+        "--out", str(out), "--format", "csv",
+    )
+    assert r.returncode == 0, r.stderr
+    cells = out.read_text().strip().splitlines()[1].split(",")
+    assert float(cells[1]) == pytest.approx(value, rel=1e-8)
+    assert float(cells[1]) == pytest.approx(float(cells[2]), rel=1e-8)
+
+
 def test_conjugate_unknown_family_exit_2():
     r = run_cli("conjugate", "--young", '{"family":"mystery"}')
     assert r.returncode == 2

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from orliczlat import young
 from orliczlat.errors import (
     ConjugateInfiniteError,
     ConvexityError,
@@ -125,15 +126,15 @@ _EXP_POWER_2 = young_from_spec({"family": "exp_power", "p": 2})
 @pytest.mark.parametrize(
     "fn, dfn, y, argmax",
     [
-        # about 1000 halvings below the bracket end 1
+        # about 1000 halvings below the upper bracket end 1
         (_EXP_POWER_2.fn, _EXP_POWER_2.derivative, 1e-300, 5e-301),
-        # Phi'(0+) >= y: halves from the capped bracket end 1e12 down to 0
+        # Phi'(0+) >= y: halves from the upper bracket end 1 down to 0
         (lambda x: x, lambda x: 1.0, 1.0, 0.0),
     ],
 )
 def test_conjugate_far_below_the_bracket_costs_few_evaluations(fn, dfn, y, argmax):
-    # the root-finder reaches a maximiser a thousand halvings or more below
-    # the chord-slope bracket end in O(log) evaluations
+    # the galloping bracket search reaches a maximiser a thousand halvings
+    # or more below the upper bracket end in O(log) evaluations
     calls = []
 
     def counted(f):
@@ -144,6 +145,155 @@ def test_conjugate_far_below_the_bracket_costs_few_evaluations(fn, dfn, y, argma
     assert (value, x) == conjugate_with_argmax(YoungFunction(fn=fn, derivative=dfn), y)
     assert x == pytest.approx(argmax, rel=1e-15, abs=0.0)
     assert len(calls) < 100, len(calls)
+
+
+@pytest.mark.parametrize(
+    "spec, swap, y",
+    [
+        ({"family": "power", "p": 2}, False, 1e12),
+        ({"family": "power", "p": 1.5}, False, 1e6),
+        ({"family": "power", "p": 1.3}, False, 3727.6),
+        # the conjugate of Psi = conj[square_log] is Phi, attained at 9.3e11
+        ({"family": "square_log", "p": 1}, True, 1.93e10),
+    ],
+)
+def test_conjugate_finite_with_its_maximiser_near_the_cap(spec, swap, y):
+    # sup{x*y - Phi(x)} = Psi(y) is attained at x = Psi'(y) <= 1e12, so it
+    # is finite although the objective climbs up to the cap
+    pair = pair_from_spec(spec, validate=False)
+    if swap:
+        pair = pair.swap()
+    value, x = conjugate_with_argmax(pair.phi, y)
+    assert x <= 1e12
+    assert x == pytest.approx(pair.psi.d(y), rel=1e-12)
+    assert value == pytest.approx(pair.psi(y), rel=1e-12)
+
+
+def plain_conjugate(phi, y):
+    """The conjugate as its chord-slope bracket found it, written out here so
+    the galloping bracket search is pinned against it bit for bit.
+
+    x doubles from 1 until the chord slope Phi(x)/x exceeds y (capped at
+    1e12, where this loop's verdict is not the package's), then halves one
+    octave at a time until Phi' < y; that octave goes to the package's root
+    finder."""
+    if y == 0.0:
+        return 0.0, 0.0
+    top = 1.0
+    while phi(top) / top <= y:
+        if top >= young.BRACKET_CAP:
+            raise ConjugateInfiniteError(y, top)
+        top = min(2.0 * top, young.BRACKET_CAP)
+    k, lo = 1, 0.5 * top
+    while lo > 0.0 and phi.d(lo) >= y:
+        k += 1
+        lo = math.ldexp(top, -k)
+    x = 0.0
+    if lo > 0.0:
+        x = young._derivative_root(phi.derivative, y, lo, phi.d(lo), phi.d(2.0 * lo))
+    return max(0.0, x * y - phi(x)), x
+
+
+# Solves from here up reach the cap band, where the chord-slope bracket of
+# plain_conjugate ends at 1e12 and its octaves are not powers of two.
+_CAP_BAND = 2.0 ** 37
+
+
+def _bits(phi, y):
+    """(value, maximiser) of both solvers as hex, or None in the cap band."""
+    try:
+        got = conjugate_with_argmax(phi, y)
+    except ConjugateInfiniteError:
+        return None
+    if got[1] >= _CAP_BAND:
+        return None
+    return [v.hex() for v in got], [v.hex() for v in plain_conjugate(phi, y)]
+
+
+def _oracle_functions() -> list[YoungFunction]:
+    """Every catalog Phi and Psi once, four more powers and two sqrt transforms."""
+    members = {f.describe(): f for pair in catalog() for f in (pair.phi, pair.psi)}
+    for p in (1.0625, 1.3, 7, 30):
+        members.setdefault(f"power(p={p:g})", young_from_spec({"family": "power", "p": p}))
+    return list(members.values()) + [
+        sqrt_transform(young_from_spec({"family": "power", "p": q})) for q in (2, 3)
+    ]
+
+
+@pytest.mark.parametrize("phi", _oracle_functions(), ids=YoungFunction.describe)
+def test_conjugate_bit_identical_to_the_chord_slope_bracket(phi):
+    ys = [0.0] + [10.0 ** (k / 7) for k in range(-2100, 85)]
+    compared = 0
+    for y in ys:
+        pair = _bits(phi, y)
+        if pair is not None:
+            assert pair[0] == pair[1], (phi.describe(), y)
+            compared += 1
+    assert compared >= 2000
+
+
+@given(
+    p=st.floats(1.01, 40.0, allow_nan=False),
+    log_y=st.floats(-300.0, 12.0, allow_nan=False),
+)
+def test_power_conjugate_bit_identical_to_the_chord_slope_bracket(p, log_y):
+    pair = _bits(young_from_spec({"family": "power", "p": p}), 10.0 ** log_y)
+    if pair is not None:
+        assert pair[0] == pair[1]
+
+
+def linear_expand(pred, start, factor, max_iter):
+    """The bracket search as a plain loop over start * factor**k, k = 0, 1, ..."""
+    x = start
+    for _ in range(max_iter):
+        if pred(x):
+            return x
+        x *= factor
+    return None
+
+
+@example(k0=1100, max_iter=1200, factor=2.0, exponent=0, mantissa=1.5)  # reads inf
+@example(k0=1100, max_iter=1200, factor=0.5, exponent=0, mantissa=1.0)  # reads 0
+@given(
+    k0=st.integers(0, 1200),
+    max_iter=st.integers(0, 1200),
+    factor=st.sampled_from([2.0, 0.5]),
+    exponent=st.integers(-60, 60),
+    mantissa=st.floats(1.0, 2.0, exclude_max=True),
+)
+def test_expand_gallops_to_the_linear_result(k0, max_iter, factor, exponent, mantissa):
+    # a halving into the subnormals rounds at every step of the loop but
+    # once in ldexp, so halvings start from a power of two
+    start = math.ldexp(mantissa if factor == 2.0 else 1.0, exponent)
+    threshold = start
+    for _ in range(k0):
+        threshold *= factor  # inf or 0 once past the float range
+
+    def pred(x):
+        calls.append(x)
+        return x >= threshold if factor == 2.0 else x <= threshold
+
+    calls = []
+    got = young.expand(pred, start, factor, max_iter)
+    assert len(calls) <= 2 * (k0 + 1).bit_length() + 1
+    assert got == linear_expand(pred, start, factor, max_iter)
+    if k0 < max_iter:
+        assert got == threshold  # inf or 0 past the float range
+    elif 0.0 < threshold < math.inf:
+        assert got is None
+
+
+def test_conjugate_evaluates_phi_once_per_solve(catalog_pairs):
+    for pair in catalog_pairs:
+        for f in (pair.phi, pair.psi):
+            calls = []
+            counted = YoungFunction(
+                fn=lambda x, fn=f.fn: calls.append(x) or fn(x), derivative=f.derivative
+            )
+            for y in (1e-3, 0.5, 2.0):
+                calls.clear()
+                assert conjugate_with_argmax(counted, y) == conjugate_with_argmax(f, y)
+                assert len(calls) == 1, (f.describe(), y)
 
 
 def test_conjugate_negative_argument_rejected():

@@ -75,6 +75,15 @@ def _guarded(fn: Callable[[float], float], x: float) -> float:
     return float(v)
 
 
+def _reaches(fn: Callable[[float], float], x: float, y: float) -> bool:
+    """fn(x) >= y, where :func:`expand` may look past its answer: there an
+    overflow, a NaN (inf - inf) and a numeric conjugate past its cap reach y."""
+    try:
+        return not fn(x) < y
+    except (OverflowError, ConjugateInfiniteError):
+        return True
+
+
 @dataclass(frozen=True, eq=False)
 class YoungFunction:
     """Evaluator for a convex function on [0, inf) and its derivative.
@@ -180,51 +189,42 @@ def conjugate_with_argmax(phi: YoungFunction, y: float) -> tuple[float, float]:
     1 until Phi'(x) >= y, at most 40 times, or else takes the cap 1e12,
     where Phi' < y means the objective still climbs: the sup is reported
     infinite. It then halves from half that end until Phi' < y, taking
-    x = 0 as below y unevaluated. The octave [lo, 2 lo] goes with its two
-    Phi' values to :func:`_derivative_root`; if lo is 0, Phi'(0+) >= y and
-    the maximiser is 0. Phi is evaluated once, for max(0, x*y - Phi(x)).
+    x = 0 as below y unevaluated. The octave [lo, 2 lo] goes to
+    :func:`_derivative_root`; if lo is 0, Phi'(0+) >= y and the maximiser
+    is 0. Phi is evaluated once, for max(0, x*y - Phi(x)).
     """
     if not y >= 0:  # also refuses NaN
         raise InvalidInputError(f"conjugate requested at negative or NaN y={y!r}")
     if y == 0.0:
         return 0.0, 0.0
-    slopes: dict[float, float] = {}  # Phi' once per bracket point
-
-    def slope(x: float) -> float:
-        d = slopes.get(x)
-        if d is None:
-            d = slopes[x] = _guarded(phi.derivative, x)
-        return d
-
-    hi = expand(lambda x: slope(x) >= y, 1.0, 2.0, 40)
+    dphi = phi.derivative
+    hi = expand(lambda x: _reaches(dphi, x, y), 1.0, 2.0, 40)
     if hi is None:
-        if not slope(BRACKET_CAP) >= y:
+        if not _reaches(dphi, BRACKET_CAP, y):
             raise ConjugateInfiniteError(y, BRACKET_CAP)
         hi = BRACKET_CAP
     # hi / 2 < 2**39 halves to 0 in fewer than 1200 steps
-    lo = expand(lambda x: x == 0.0 or not slope(x) >= y, 0.5 * hi, 0.5, 1200)
+    lo = expand(lambda x: x == 0.0 or not _reaches(dphi, x, y), 0.5 * hi, 0.5, 1200)
     x = 0.0
     if lo > 0.0:
-        x = _derivative_root(phi.derivative, y, lo, slope(lo), slope(2.0 * lo))
+        x = _derivative_root(dphi, y, lo)
     return max(0.0, x * y - phi(x)), x
 
 
-def _derivative_root(
-    dphi: Callable[[float], float], y: float, lo: float, d_lo: float, d_hi: float
-) -> float:
+def _derivative_root(dphi: Callable[[float], float], y: float, lo: float) -> float:
     """The root of Phi'(x) = y in the octave [lo, 2 lo], to about an ulp.
 
-    ``d_lo`` < y <= ``d_hi`` are Phi' at the two ends. A secant on
-    (log x, log Phi'(x)) through the last two iterates (exact in one step
-    for a power) picks each point. A step that leaves the bracket, or that
-    follows two steps which together failed to halve it, is a halving step
-    instead. A secant point closer than 2e-16 relative to an end (at least
-    an ulp), or past it by less, moves that far inside, so once the secant
-    has converged from one side the next point lands on the other and the
-    bracket closes. The search stops at adjacent floats or a relative
-    width of 2e-16 and returns the bracket end where Phi' is closer to y:
-    the root to about an ulp, where the best value of the flat objective
-    only gives it to about 1e-8.
+    Phi' < y at lo and Phi' >= y at 2 lo. A secant on (log x, log Phi'(x))
+    through the last two iterates (exact in one step for a power) picks
+    each point. A step that leaves the bracket, or that follows two steps
+    which together failed to halve it, is a halving step instead. A secant
+    point closer than 2e-16 relative to an end (at least an ulp), or past
+    it by less, moves that far inside, so once the secant has converged
+    from one side the next point lands on the other and the bracket
+    closes. The search stops at adjacent floats or a relative width of
+    2e-16 and returns the bracket end where Phi' is closer to y: the root
+    to about an ulp, where the best value of the flat objective only gives
+    it to about 1e-8.
     """
     log, exp, log1p = math.log, math.exp, math.log1p
     inf, nan = math.inf, math.nan
@@ -236,6 +236,7 @@ def _derivative_root(
         return log1p(q) if -1.0 < q < inf else nan
 
     hi = 2.0 * lo
+    d_lo, d_hi = _guarded(dphi, lo), _guarded(dphi, hi)
     x0, r0, x1, r1 = hi, residual(d_hi), lo, residual(d_lo)
     width, steps = hi - lo, 0
     for _ in range(200):
@@ -312,11 +313,16 @@ def expand(
     count k gallops (0, 1, 2, 4, ..., at most max_iter - 1) until ``pred``
     holds and is then bisected between the last two counts, so for a
     monotone ``pred`` the result is that of trying k = 0, 1, 2, ... in
-    turn, found in O(log k) calls. This is the one bracket search of the
-    package: the conjugate, inverses, the density inverse and the Orlicz
-    multiplier.
+    turn, found in O(log k) calls. The gallop looks at counts up to twice
+    that result, so ``pred`` must be monotone there and must not raise
+    (see :func:`_reaches`); it looks past the float range only once the
+    last finite point fails, as the loop would. This is the one bracket
+    search of the package: the conjugate, inverses, the density inverse
+    and the Orlicz multiplier.
     """
     sign = 1 if factor > 1.0 else -1
+    # the last count whose point is finite: the gallop stops there first
+    top = 1024 - math.frexp(start)[1] if sign > 0 else max_iter
     # pred fails at count below and holds at count above, which stays
     # max_iter until a point is found
     below, above, found = -1, max_iter, None
@@ -324,15 +330,14 @@ def expand(
         if found is not None:
             k = (below + above) // 2
         elif below > 1:
-            k = min(2 * below, max_iter - 1)
+            k = min(2 * below, max_iter - 1, max(top, below + 1))
         else:
             k = below + 1
-        try:
-            x = math.ldexp(start, sign * k)
-        except OverflowError:
-            x = math.inf
+        x = math.ldexp(start, sign * k) if k <= top else math.inf
         if pred(x):
             above, found = k, x
+        elif x == math.inf:
+            break  # and so does every later point
         else:
             below = k
     return found
@@ -380,7 +385,7 @@ def inverse(phi: YoungFunction, y: float) -> float:
         return 0.0
 
     def reaches(x: float) -> bool:
-        return phi(x) >= y
+        return _reaches(phi.fn, x, y)
 
     hi = expand(reaches, 1.0, 2.0, 4000)
     if hi is None:
@@ -504,7 +509,8 @@ def from_density(
             return 0.0
 
         def reaches(x: float) -> bool:
-            return varphi(x) >= t
+            # NaN, as a bounded density may read at inf, is not reached
+            return _guarded(varphi, x) >= t
 
         hi = expand(reaches, 1.0, 2.0, 4000)
         if hi is None:

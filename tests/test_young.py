@@ -190,7 +190,7 @@ def plain_conjugate(phi, y):
         lo = math.ldexp(top, -k)
     x = 0.0
     if lo > 0.0:
-        x = young._derivative_root(phi.derivative, y, lo, phi.d(lo), phi.d(2.0 * lo))
+        x = young._derivative_root(phi.derivative, y, lo)
     return max(0.0, x * y - phi(x)), x
 
 
@@ -200,10 +200,15 @@ _CAP_BAND = 2.0 ** 37
 
 
 def _bits(phi, y):
-    """(value, maximiser) of both solvers as hex, or None in the cap band."""
+    """(value, maximiser) of both solvers as hex, or None in the cap band.
+
+    An infinite verdict must be the chord-slope bracket's too; the reverse,
+    a finite sup it reported infinite, lies in the cap band."""
     try:
         got = conjugate_with_argmax(phi, y)
     except ConjugateInfiniteError:
+        with pytest.raises(ConjugateInfiniteError):
+            plain_conjugate(phi, y)
         return None
     if got[1] >= _CAP_BAND:
         return None
@@ -253,6 +258,7 @@ def linear_expand(pred, start, factor, max_iter):
 
 
 @example(k0=1100, max_iter=1200, factor=2.0, exponent=0, mantissa=1.5)  # reads inf
+@example(k0=600, max_iter=1200, factor=2.0, exponent=0, mantissa=1.5)  # 2**1024 unread
 @example(k0=1100, max_iter=1200, factor=0.5, exponent=0, mantissa=1.0)  # reads 0
 @given(
     k0=st.integers(0, 1200),
@@ -275,12 +281,36 @@ def test_expand_gallops_to_the_linear_result(k0, max_iter, factor, exponent, man
 
     calls = []
     got = young.expand(pred, start, factor, max_iter)
-    assert len(calls) <= 2 * (k0 + 1).bit_length() + 1
+    gallop, calls = calls, []
+    assert len(gallop) <= 2 * (k0 + 1).bit_length() + 1
     assert got == linear_expand(pred, start, factor, max_iter)
+    # it looks past the float range only where the loop does
+    assert math.inf not in gallop or math.inf in calls
     if k0 < max_iter:
         assert got == threshold  # inf or 0 past the float range
     elif 0.0 < threshold < math.inf:
         assert got is None
+
+
+def test_expand_stops_once_past_the_float_range():
+    # every later point is inf too, where pred has already failed
+    calls = []
+    assert young.expand(lambda x: calls.append(x) or False, 1.0, 2.0, 4000) is None
+    assert calls[-1] == math.inf and len(calls) < 30
+
+
+def test_conjugate_of_a_numeric_conjugate_past_its_cap():
+    # Psi' of Phi = x^1.5/1.5 is x^2 up to 1e6 and infinite beyond, where
+    # the galloping search looks past the octave of y
+    psi = make_pair(
+        YoungFunction(fn=lambda x: x ** 1.5 / 1.5, derivative=math.sqrt), validate=False
+    ).psi
+    for y in (1e4, 1e8, 1e10):
+        assert conjugate_with_argmax(psi, y) == plain_conjugate(psi, y), y
+    # finite here, where the chord-slope bracket met Psi past its cap
+    value, x = conjugate_with_argmax(psi, 1e11)
+    assert x == pytest.approx(math.sqrt(1e11), rel=1e-12)
+    assert value == pytest.approx(1e11 ** 1.5 / 1.5, rel=1e-12)
 
 
 def test_conjugate_evaluates_phi_once_per_solve(catalog_pairs):
@@ -393,6 +423,24 @@ def test_inverse_matches_scalar_bisection_bit_for_bit(catalog_pairs):
                 assert phi.inverse(y) == got, (phi.describe(), y)
 
 
+@pytest.mark.parametrize(
+    "phi, y, expected",
+    [
+        # expand looks at 2**1024 = inf, where entropy reads inf - inf = NaN
+        (young_from_spec({"family": "entropy"}), 1e200, 2.205556822529634e197),
+        # and at 2**512, where cosh-conj reads inf / inf = NaN
+        (young._cosh_conjugate(), 1e100, 4.4535968185917655e97),
+        (young._cosh_conjugate(), 2e156, 5.654172806937875e153),
+        # and at 2**64, where Psi = conj[square_log] is past its cap
+        (pair_from_spec({"family": "square_log", "p": 1}, validate=False).psi,
+         1e20, 92694965699.08096),
+    ],
+    ids=["entropy", "cosh-conj", "cosh-conj-top", "conj-square_log"],
+)
+def test_inverse_far_up_matches_the_doubling_bracket(phi, y, expected):
+    assert inverse(phi, y) == scalar_bisection_inverse(phi, y) == expected
+
+
 # -- from_density ------------------------------------------------------------
 
 
@@ -431,6 +479,17 @@ def test_from_density_values_match_scalar_bisection_bit_for_bit():
             assert pair.psi.d(t) == varphi_inv(t), t
             ref = quad(varphi_inv, 0.0, t, epsabs=0.0, epsrel=1e-9, limit=200)[0]
             assert pair.psi(t) == ref, t
+
+
+def test_from_density_inverse_far_up():
+    # expand looks at 2**16, where expm1 overflows: that counts as reached
+    expm1 = from_density(math.expm1, label="expm1", validate=False)
+    assert expm1.psi.d(1e112) == scalar_bisection_inverse(math.expm1, 1e112, rtol=0.0)
+    # the doubling loop itself overflows at 2**10 here
+    assert expm1.psi.d(1e300) == pytest.approx(math.log(1e300), rel=1e-15)
+    # (1+x) log1p(x) - x reads inf - inf at 2**1024: expand stops at 2**1023
+    entropy = from_density(young._entropy_fn, label="entropy", validate=False)
+    assert entropy.psi.d(1e200) == scalar_bisection_inverse(young._entropy_fn, 1e200, rtol=0.0)
 
 
 def test_from_density_inverse_without_bracket_raises():

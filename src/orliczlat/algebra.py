@@ -125,7 +125,7 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
     if bad.any():
         i = int(bad.argmax())
         raise _overflow(keys[i], vals[i])
-    return FinSuppFn(f.dim, dict(zip(keys, vals.tolist())))
+    return FinSuppFn._trusted(f.dim, dict(zip(keys, vals.tolist())))
 
 
 def _convolve_loop(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
@@ -137,7 +137,7 @@ def _convolve_loop(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
     for key, v in out.items():
         if not cmath.isfinite(v):
             raise _overflow(key, v)
-    return FinSuppFn(f.dim, out)
+    return FinSuppFn._trusted(f.dim, out)
 
 
 def _overflow(key, value) -> NumericalFailureError:

@@ -21,6 +21,7 @@ numerical evidence behind the same dichotomy.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .algebra import AlgebraContext, ScanReport, _ratio_scan, convolve
-from .errors import InvalidInputError, PreconditionError
+from .errors import InvalidInputError, NumericalFailureError, PreconditionError
 from .finsupp import FinSuppFn, Point
 from .weights import (
     RATIO_MARGIN,
@@ -137,11 +138,18 @@ class Derivation:
 
 
 def apply_derivation(d: Derivation, f: FinSuppFn) -> FinSuppFn:
-    """D(f) = window * h with h(x) = f(-x) * xi(-x); linear in f."""
+    """D(f) = window * h with h(x) = f(-x) * xi(-x); linear in f.
+
+    Raises :class:`NumericalFailureError` naming the point x where h(x)
+    overflows: D(f) is then no finite function.
+    """
     if f.dim != d.window.dim:
         raise InvalidInputError(f"dimension mismatch: {f.dim} vs {d.window.dim}")
     h = {tuple(-c for c in p): v * d.form(p) for p, v in f}
-    return convolve(d.window, FinSuppFn(f.dim, h))
+    for x, v in h.items():
+        if not cmath.isfinite(v):
+            raise NumericalFailureError(f"derivation value {v!r} at {x!r} is not finite")
+    return convolve(d.window, FinSuppFn._trusted(f.dim, h))
 
 
 def pairing(u: FinSuppFn, w: FinSuppFn) -> complex:

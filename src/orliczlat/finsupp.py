@@ -9,6 +9,17 @@ Wire format (shared with the CLI):
     {"dim": d, "entries": [[[x1, ..., xd], [re, im]], ...]}
 
 with entries sorted lexicographically by point.
+
+Every public construction validates its entries in ``__post_init__``:
+points become int tuples of length ``dim``, values become finite complex
+numbers. Hot paths whose producer already guarantees that build through
+the internal :meth:`FinSuppFn._trusted`, which skips those checks and
+keeps the one rule they share with it: exact zeros are dropped, since the
+support size sets the Luxemburg bracket and ``pairing`` sums over the
+smaller support. Its callers, each of which hands it int-tuple points of
+length ``dim`` and complex values it has checked to be finite, are
+``algebra.convolve`` (both paths), :meth:`FinSuppFn.flip`,
+``norms.apply_weight`` and ``amenability.apply_derivation``.
 """
 
 from __future__ import annotations
@@ -43,7 +54,8 @@ class FinSuppFn:
 
     dim: int
     entries: Mapping[Point, complex] = field(default_factory=dict)
-    # memo of norms.luxemburg_norm, keyed by the Young function
+    # memo of norms.luxemburg_norm, keyed by the Young function, and of
+    # norms.weighted_norm's Luxemburg kind, keyed by (Young function, weight)
     _luxemburg: dict[object, float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -66,6 +78,19 @@ class FinSuppFn:
         object.__setattr__(self, "entries", MappingProxyType(clean))
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, dim: int, entries: Mapping[Point, complex]) -> "FinSuppFn":
+        """The function with these entries, minus exact zeros, unchecked:
+        the caller guarantees int-tuple points of length ``dim`` and finite
+        complex values (see the module docstring)."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "dim", dim)
+        object.__setattr__(
+            f, "entries", MappingProxyType({p: v for p, v in entries.items() if v != 0})
+        )
+        object.__setattr__(f, "_luxemburg", {})
+        return f
 
     @classmethod
     def zero(cls, dim: int) -> "FinSuppFn":
@@ -135,7 +160,9 @@ class FinSuppFn:
 
     def flip(self) -> "FinSuppFn":
         """The reflection f(-x); an involution compatible with convolution."""
-        return FinSuppFn(self.dim, {tuple(-c for c in p): v for p, v in self.entries.items()})
+        return FinSuppFn._trusted(
+            self.dim, {tuple(-c for c in p): v for p, v in self.entries.items()}
+        )
 
     def abs(self) -> "FinSuppFn":
         return FinSuppFn(self.dim, {p: abs(v) for p, v in self.entries.items()})

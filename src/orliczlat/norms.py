@@ -40,6 +40,17 @@ subnormals up to the largest float. A norm beyond the float range raises
 :class:`NumericalFailureError` instead of reading inf. Every Orlicz-norm
 result is gated by the equivalence N_Phi <= ||.||_Phi <= 2 N_Phi; a
 violation raises instead of returning a silently wrong value.
+
+Weighted norms are norms of the pointwise product f*omega. The scans'
+reader is :func:`weighted_norm` of the Luxemburg kind under a
+:class:`~orliczlat.weights.Weight`, which ``AlgebraContext`` calls: it
+reads omega from the weight's radial table at the word lengths of the
+support, forms the magnitudes of f*omega in arrays
+(:func:`_weighted_magnitudes`), runs the Luxemburg body on them, and
+memoises the norm on f keyed by (Phi, omega). Its bits are those of
+``luxemburg_norm(Phi, apply_weight(f, omega))``, and an overflowing
+product raises the error :func:`apply_weight` raises. Other callables
+and the Orlicz kind go through :func:`apply_weight`.
 """
 
 from __future__ import annotations
@@ -53,6 +64,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 from .finsupp import FinSuppFn, Point
+from .weights import Weight
 from .young import ComplementaryPair, YoungFunction, bisect, expand
 
 __all__ = [
@@ -167,13 +179,13 @@ def _unscaled(k: float, e: int, phi: YoungFunction) -> float:
     return y if math.ldexp(y, -e) >= k else math.nextafter(y, math.inf)
 
 
-def _luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
-    """The body of :func:`luxemburg_norm`, without its memo."""
-    if f.is_zero:
-        return 0.0
-    mags = f.magnitudes()
-    m, e = math.frexp(float(mags.max()))
+def _luxemburg_norm(phi: YoungFunction, mags: np.ndarray) -> float:
+    """The body of :func:`luxemburg_norm`, without its memo, on the
+    magnitudes of a support (all positive; none for the zero function)."""
     n = len(mags)
+    if not n:
+        return 0.0
+    m, e = math.frexp(float(mags.max()))
     k = m / phi.inverse(1.0)  # the bracket's lower end; closed for one entry
     if n > 1:
         scaled = np.ldexp(mags, -e)
@@ -213,7 +225,7 @@ def luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
     """
     norm = f._luxemburg.get(phi)
     if norm is None:
-        norm = f._luxemburg[phi] = _luxemburg_norm(phi, f)
+        norm = f._luxemburg[phi] = _luxemburg_norm(phi, f.magnitudes())
     return norm
 
 
@@ -242,8 +254,9 @@ def orlicz_norm(pair: ComplementaryPair, f: FinSuppFn) -> float:
     to relative width 1e-13, reusing the constraint values at the two
     bracket ends. The window skips only decisions it has certified, so the
     multiplier is the one a plain bisection finds; on the norm-sandwich
-    functions a call takes a median of 23 constraint evaluations instead
-    of 46. The value sum |f| Phi'(|f|/t) is then summed over the
+    functions (every catalog pair both ways) a call takes a median of 20
+    constraint evaluations (quartiles 18 and 21, range 15-50) instead of
+    46. The value sum |f| Phi'(|f|/t) is then summed over the
     magnitudes as given, so a term that the division by 2**e takes below
     the normal range still counts.
 
@@ -308,7 +321,25 @@ def apply_weight(f: FinSuppFn, omega: Callable[[Point], float]) -> FinSuppFn:
                 f"weighted value {vw!r} at {p!r} (weight {w!r}) is not finite"
             )
         out[p] = vw
-    return FinSuppFn(f.dim, out)
+    return FinSuppFn._trusted(f.dim, out)
+
+
+def _weighted_magnitudes(omega: Weight, f: FinSuppFn) -> np.ndarray:
+    """The magnitudes of ``apply_weight(f, omega)`` bit for bit, without
+    building it: omega from :meth:`Weight.at_points`, and the products
+    re*w and im*w, which equal CPython's complex times float up to signed
+    zeros that ``np.hypot`` ignores. Products that underflow to 0 leave
+    the support. Where a product or a magnitude is not finite, or a
+    point leaves the int64 range, this is ``apply_weight`` itself, which
+    raises as before."""
+    w = omega.at_points(f.entries, f.dim)
+    if w is not None:
+        vals = np.fromiter(f.entries.values(), dtype=complex, count=len(f))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mags = np.hypot(vals.real * w, vals.imag * w)
+        if np.isfinite(mags).all():
+            return mags[mags != 0.0]
+    return apply_weight(f, omega).magnitudes()
 
 
 def weighted_norm(
@@ -317,21 +348,33 @@ def weighted_norm(
     f: FinSuppFn,
     kind: str = "luxemburg",
 ) -> float:
-    """Norm of the pointwise product f*omega, of the requested kind."""
-    fw = apply_weight(f, omega)
+    """Norm of the pointwise product f*omega, of the requested kind; the
+    Luxemburg kind under a :class:`Weight` is the scans' weighted reader
+    (see the module docstring), memoised on f keyed by (Phi, omega)."""
     if kind == "luxemburg":
         phi = young.phi if isinstance(young, ComplementaryPair) else young
-        return luxemburg_norm(phi, fw)
+        if not isinstance(omega, Weight):
+            return luxemburg_norm(phi, apply_weight(f, omega))
+        key = (phi, omega)
+        norm = f._luxemburg.get(key)
+        if norm is None:
+            norm = f._luxemburg[key] = _luxemburg_norm(phi, _weighted_magnitudes(omega, f))
+        return norm
     if kind == "orlicz":
         if not isinstance(young, ComplementaryPair):
             raise InvalidInputError("the orlicz kind needs a complementary pair")
-        return orlicz_norm(young, fw)
+        return orlicz_norm(young, apply_weight(f, omega))
     raise InvalidInputError(f"unknown norm kind {kind!r}")
 
 
 def weighted_l1_norm(omega: Callable[[Point], float], f: FinSuppFn) -> float:
-    """sum |f(s)| * omega(s)."""
-    return math.fsum(abs(v) * omega(p) for p, v in f)
+    """sum |f(s)| * omega(s); a :class:`Weight` is read from
+    :meth:`Weight.at_points`, with the same products and the same sum."""
+    w = omega.at_points(f.entries, f.dim) if isinstance(omega, Weight) else None
+    if w is None:
+        return math.fsum(abs(v) * omega(p) for p, v in f)
+    with np.errstate(over="ignore"):
+        return math.fsum((f.magnitudes() * w).tolist())
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -99,12 +99,34 @@ class Weight:
     params: Mapping[str, float]
     radial: Callable[[int], float]
     submult_C: float = 1.0
+    # radial values by word length, filled by at_points
+    _table: dict[int, float] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "radial", functools.partial(_guarded, self.radial))
 
     def __call__(self, x: Iterable[int] | int) -> float:
         return self.radial(word_length(x))
+
+    def at_points(self, points: Collection[Point], dim: int) -> np.ndarray | None:
+        """The weight at each point (int tuples of length dim), in order:
+        ``radial`` read from a table memoised per word length, so each
+        value is the float ``self(p)`` returns. None when a coordinate
+        leaves the int64 range."""
+        n = len(points)
+        try:
+            coords = np.fromiter(itertools.chain.from_iterable(points), np.int64, n * dim)
+        except OverflowError:
+            return None
+        # |c| as uint64 is exact, even at -2**63
+        lengths, at = np.unique(
+            np.abs(coords).view(np.uint64).reshape(n, dim).max(axis=1), return_inverse=True
+        )
+        table, ks = self._table, lengths.tolist()
+        for k in ks:
+            if k not in table:
+                table[k] = self.radial(k)
+        return np.array([table[k] for k in ks])[at]
 
     def describe(self) -> str:
         inner = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))

@@ -672,12 +672,28 @@ def _coshm1(x: float) -> float:
 def _power(p: float) -> YoungFunction:
     if p <= 1:
         raise InvalidInputError(f"power family needs p > 1, got {p!r}")
+    # x**p overflows before the division by p where x**p / p may still be
+    # a float; there, and only there, the value is (x * p**(-1/p))**p
+    shrink = p ** (-1.0 / p)
+
+    def fn(x: float) -> float:
+        try:
+            return x ** p / p
+        except OverflowError:
+            return (x * shrink) ** p
+
+    def array_fn(xs: np.ndarray) -> np.ndarray:
+        out = xs ** p / p
+        if out.max(initial=0.0) == math.inf:
+            out = np.where(out == math.inf, (xs * shrink) ** p, out)
+        return out
+
     return YoungFunction(
-        fn=lambda x: x ** p / p,
+        fn=fn,
         derivative=lambda x: x ** (p - 1.0),
         label="power",
         params={"p": p},
-        array_fn=lambda xs: xs ** p / p,
+        array_fn=array_fn,
     )
 
 
@@ -702,11 +718,20 @@ def _cosh_pow(p: float) -> YoungFunction:
     return _raised("cosh", _coshm1, math.sinh, p)
 
 
-def _cosh_conjugate() -> YoungFunction:
+def _cosh_conjugate_fn(y: float) -> float:
     # sup x*y - (cosh x - 1) is attained at x = asinh(y); sqrt(1+y^2) - 1
-    # is written as y^2/(1 + sqrt(1+y^2)) to stay accurate near 0.
+    # is written as y^2/(1 + sqrt(1+y^2)) to stay accurate near 0, and as
+    # y/(1/y + sqrt(1/y^2 + 1)) where y^2 overflows (y above ~1.34e154).
+    yy = y * y
+    if yy == math.inf:
+        r = 1.0 / y
+        return y * math.asinh(y) - y / (r + math.sqrt(r * r + 1.0))
+    return y * math.asinh(y) - yy / (1.0 + math.sqrt(1.0 + yy))
+
+
+def _cosh_conjugate() -> YoungFunction:
     return YoungFunction(
-        fn=lambda y: y * math.asinh(y) - y * y / (1.0 + math.sqrt(1.0 + y * y)),
+        fn=_cosh_conjugate_fn,
         derivative=math.asinh,
         label="cosh-conj",
         params={},

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import seeded_rng
-from orliczlat import algebra
+from orliczlat import algebra, norms
 from orliczlat.algebra import (
     _sqrt_pair,
     AlgebraContext,
@@ -36,10 +36,10 @@ from orliczlat.errors import (
     ResourceLimitError,
 )
 from orliczlat.finsupp import FinSuppFn
-from orliczlat.norms import luxemburg_norm, weighted_l1_norm
+from orliczlat.norms import apply_weight, luxemburg_norm, weighted_l1_norm
 from orliczlat.sampling import random_finsupp, scan_pairs
 from orliczlat.verify import sqrt_pair_margin
-from orliczlat.weights import polynomial_weight, subexp_alpha_weight
+from orliczlat.weights import Weight, polynomial_weight, subexp_alpha_weight, weight_from_spec
 from orliczlat.young import default_grid, inverse, pair_from_spec
 
 
@@ -145,6 +145,85 @@ def test_convolve_bit_identical_to_loop_on_scan_pools(dim):
             want_pair = pairing(want_dfg, h)
             assert got_pair.real.hex() == want_pair.real.hex(), (dim, r, kind)
             assert got_pair.imag.hex() == want_pair.imag.hex(), (dim, r, kind)
+
+
+# the four weights of the benchmark's scans
+_SCAN_WEIGHTS = (
+    {"family": "polynomial", "beta": 0.4},
+    {"family": "polynomial", "beta": 0.7},
+    {"family": "subexp_alpha", "alpha": 0.5, "C": 1.0},
+    {"family": "subexp_log", "gamma": 1.0, "C": 1.0},
+)
+
+
+def weighted_pins(ctx: AlgebraContext, f: FinSuppFn) -> tuple[str, str, str, str]:
+    """(weighted Luxemburg norm, its per-point oracle, weighted L1 norm, its
+    per-point oracle), as hex: the oracles build f*omega point by point."""
+    lux = ctx.weighted_luxemburg(f)
+    want = luxemburg_norm(ctx.pair.phi, apply_weight(f, ctx.omega))
+    l1 = weighted_l1_norm(ctx.omega, f)
+    want_l1 = math.fsum(abs(v) * ctx.omega(p) for p, v in f)
+    return lux.hex(), want.hex(), l1.hex(), want_l1.hex()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_weighted_norms_bit_identical_on_scan_pools(dim):
+    xi = Homomorphism((1.0, -0.5)[:dim])
+    radii = (1, 3, 8, 32, 128) if dim == 1 else (1, 3, 8, 16)
+    for spec in _SCAN_WEIGHTS:
+        for p in (1.5, 3.0):
+            ctx = AlgebraContext(pair_from_spec({"family": "power", "p": p}),
+                                 weight_from_spec(spec), dim)
+            for r in radii:
+                for kind, f, g in scan_pairs(dim, r, 3, 27, omega=ctx.omega, xi=xi):
+                    for h in (f, g):
+                        lux, want, l1, want_l1 = weighted_pins(ctx, h)
+                        assert lux == want and l1 == want_l1, (spec, p, r, kind)
+                        # the memoised second read returns the same bits
+                        assert ctx.weighted_luxemburg(h).hex() == lux
+
+
+def test_weighted_norms_bit_identical_where_products_underflow():
+    # omega < 1 off the origin (no catalog weight), so a product can round
+    # to 0 and leave the support: the bracket then counts two entries, not three
+    omega = Weight("halving", {}, lambda n: 0.5 ** n)
+    ctx = AlgebraContext(pair_from_spec({"family": "power", "p": 1.5}), omega, 1)
+    tiny = 5e-324
+    for entries in (
+        {(0,): 1.0, (1,): 2.0 - 1j, (3,): tiny},
+        {(0,): 1.0, (-1,): 0.5j, (3,): complex(tiny, 1.0)},  # only the real part goes
+        {(2,): tiny, (-3,): -tiny},  # every product goes: the norm is 0
+    ):
+        f = FinSuppFn(1, entries)
+        lux, want, l1, want_l1 = weighted_pins(ctx, f)
+        assert lux == want and l1 == want_l1, entries
+    assert len(apply_weight(FinSuppFn(1, {(0,): 1.0, (1,): 2.0, (3,): tiny}), omega)) == 2
+    assert ctx.weighted_luxemburg(FinSuppFn(1, {(2,): tiny})) == 0.0
+
+
+def test_weighted_norms_bit_identical_at_int64_ends():
+    # points beyond int64 take the per-point path; -2**63 has |x| = 2**63
+    ctx = AlgebraContext(pair_from_spec({"family": "power", "p": 1.5}), polynomial_weight(0.4), 1)
+    for pts in ([-2**63, 2**63 - 1, 0], [2**70, 3], [-2**63]):
+        f = FinSuppFn(1, {(x,): 1.0 + 0.5j * k for k, x in enumerate(pts)})
+        lux, want, l1, want_l1 = weighted_pins(ctx, f)
+        assert lux == want and l1 == want_l1, pts
+
+
+def test_weighted_norm_overflow_raises_the_per_point_error():
+    omega = subexp_alpha_weight(1.0, 1.0)
+    ctx = AlgebraContext(pair_from_spec({"family": "power", "p": 2.0}), omega, 1)
+    # e^700 * 1e300 overflows; e^800 is itself inf
+    for entries in ({(0,): 1.0, (700,): 1e300}, {(1,): 1j, (-800,): 1.0}):
+        f = FinSuppFn(1, entries)
+        with pytest.raises(NumericalFailureError) as want:
+            apply_weight(f, omega)
+        with pytest.raises(NumericalFailureError) as got:
+            ctx.weighted_luxemburg(f)
+        assert str(got.value) == str(want.value)
+        assert not f._luxemburg
+        # the weighted L1 norm reads inf on both paths
+        assert weighted_l1_norm(omega, f) == math.fsum(abs(v) * omega(p) for p, v in f)
 
 
 _PARTS = st.sampled_from([1.0, -1.0, 0.5, -2.0, 0.0, -0.0, 3.0, 1e-300, 0.1])
@@ -480,8 +559,18 @@ def test_ratio_scan_norms_a_same_pair_once():
                         trials, seed, omega=ctx.omega)
     assert len(seen) == len(expected) + n_same
 
-    # the bound method itself is recognised: one weighted norm per /same pair
-    with mock.patch.object(algebra, "weighted_norm", wraps=algebra.weighted_norm) as wn:
+    # through the bound method the memo on f computes one weighted norm per
+    # distinct f: a candidate's /flipped and /same pairs share its f
+    distinct = len({id(f) for f in expected})
+    assert distinct == len(expected) - n_same
+    with mock.patch.object(norms, "_luxemburg_norm", wraps=norms._luxemburg_norm) as body:
         algebra._ratio_scan("count", {}, radii, lambda f, g: 1.0, ctx.weighted_luxemburg,
                             ctx.weighted_luxemburg, 1, trials, seed, omega=ctx.omega)
-    assert wn.call_count == len(expected)
+        assert body.call_count == distinct
+        # the memo is per context: with another weight on the left, f of a
+        # candidate is normed once in each context and its flip once
+        other = AlgebraContext(ctx.pair, polynomial_weight(0.4), 1)
+        body.reset_mock()
+        algebra._ratio_scan("count", {}, radii, lambda f, g: 1.0, other.weighted_luxemburg,
+                            ctx.weighted_luxemburg, 1, trials, seed, omega=ctx.omega)
+    assert body.call_count == len(expected)

@@ -251,6 +251,21 @@ def test_certify_algebra_runs():
     assert "trend: plateau" in r.stdout
 
 
+def test_derivation_scan_overflow_in_d_of_f_is_numerical_failure_exit_1():
+    # the damped-form profile f = xi / omega^2 is near 1e300, so
+    # h(4) = f(-4) xi(-4) overflows: a numerical outcome, once reported as a
+    # config error (exit 2)
+    r = run_cli(
+        "derivation-scan",
+        "--young", '{"family":"power","p":1.5}',
+        "--weight", '{"family":"polynomial","beta":0.4}',
+        "--radii", "4,8", "--trials", "2", "--xi", "1e300",
+    )
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert "numerical failure: derivation value" in r.stderr and "at (4,)" in r.stderr
+    assert "config error" not in r.stderr and "Traceback" not in r.stderr
+
+
 def test_derivation_scan_trials_zero_exit_2():
     r = run_cli(
         "derivation-scan",

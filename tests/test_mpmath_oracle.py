@@ -14,7 +14,7 @@ import pytest
 
 from orliczlat.finsupp import FinSuppFn
 from orliczlat.norms import luxemburg_norm
-from orliczlat.young import catalog
+from orliczlat.young import catalog, pair_from_spec
 
 # (family, p) -> (Phi, Phi') in mpmath arithmetic.
 MEMBERS = {
@@ -124,3 +124,14 @@ def test_luxemburg_norms_match_mpmath(key):
         ):
             exact = mp_luxemburg(oracle, mags)
             assert abs(luxemburg_norm(young, f) - exact) <= 1e-12 * exact, (key, young.label)
+
+
+def test_cosh_conjugate_matches_mpmath_past_the_square_overflow():
+    # the closed form y asinh(y) - (sqrt(1 + y^2) - 1) of the conjugate of
+    # cosh x - 1, on both sides of 1.34e154, where y^2 overflows
+    psi = pair_from_spec({"family": "cosh", "p": 1.0}).psi
+    with mp.workdps(50):
+        for y in (1e-3, 1.0, 1e100, 1e154, 1.34e154, 1.35e154, 1e155, 1e200, 1e300):
+            v = mp.mpf(y)
+            exact = v * mp.asinh(v) - (mp.sqrt(1 + v * v) - 1)
+            assert abs(psi(y) - exact) <= 1e-15 * exact, y

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -657,6 +658,48 @@ def test_catalog_unknown_family_rejected():
         young_from_spec({"p": 2})
     with pytest.raises(InvalidInputError):
         young_from_spec({"family": "power", "p": 10**400})  # beyond the float range
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_power_near_float_max_is_finite_where_its_value_is(p):
+    phi = young_from_spec({"family": "power", "p": p})
+    # below the overflow of x**p both forms are x**p / p, bit for bit
+    edge = math.nextafter(1.7976931348623157e308 ** (1.0 / p), 0.0)
+    below = [float(x) for x in np.geomspace(1e-3, edge, 40)]
+    assert [phi(x) for x in below] == [x ** p / p for x in below]
+    assert phi.values(below) == (np.array(below) ** p / p).tolist()
+    # x**p / p = 1e308 is a float; at p = 2 and 3, x**p is not, and it read inf
+    with mpmath.workdps(30):
+        x = float((p * mpmath.mpf(1e308)) ** (1 / mpmath.mpf(p)))
+        exact = mpmath.mpf(x) ** p / p
+    with np.errstate(over="ignore"):
+        values = [phi(x), *phi.values([x])]
+    for v in values:
+        assert abs(v - exact) <= 1e-15 * exact, (p, v)
+    # a value above the float range still reads inf
+    assert phi(1.7976931348623157e308) == math.inf
+    with np.errstate(over="ignore"):
+        assert phi.values([1.7976931348623157e308]) == [math.inf]
+    # the inverse used to stall below its target
+    x = inverse(phi, 1e308)
+    assert phi(x) == pytest.approx(1e308, rel=1e-10)
+
+
+def test_cosh_conjugate_past_the_square_overflow():
+    psi = pair_from_spec({"family": "cosh", "p": 1.0}).psi
+    assert psi.label == "cosh-conj"
+
+    def squared(y):
+        return y * math.asinh(y) - y * y / (1.0 + math.sqrt(1.0 + y * y))
+
+    # the same bits wherever y * y is finite
+    ys = [float(y) for y in np.geomspace(1e-300, 1.3407807929942596e154, 200)]
+    assert [psi(y) for y in ys] == [squared(y) for y in ys]
+    # it read nan above 1.34e154; the inverse now answers far up
+    assert math.isnan(squared(1e200))
+    assert math.isfinite(psi(1e200)) and math.isfinite(psi(1e300))
+    x = inverse(psi, 1e200)
+    assert math.isfinite(x) and psi(x) == pytest.approx(1e200, rel=1e-10)
 
 
 def test_exp_power_requires_p_above_one():

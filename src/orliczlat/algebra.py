@@ -234,10 +234,7 @@ def _ratio_scan(
     """Worst top(f, g) / (left(f) right(g)) per radius over the seeded pairs.
 
     This is the one bounded-bilinear-map scan: a pair where either norm
-    is 0 is skipped. A ``/same`` pair (g is f) under one norm on both
-    sides computes that norm once; ``==`` rather than ``is`` because each
-    access to a bound method such as ``ctx.weighted_luxemburg`` makes a new
-    method object.
+    is 0 is skipped.
 
     The radii are scanned in ascending order, each once; the trend needs
     two distinct radii, and a radius below 1 is refused.
@@ -251,8 +248,7 @@ def _ratio_scan(
     for r in radii:
         best, best_kind = 0.0, ""
         for kind, f, g in scan_pairs(dim, r, trials, seed, omega=omega, xi=xi):
-            nf = left(f)
-            ng = nf if g is f and right == left else right(g)
+            nf, ng = left(f), right(g)
             if nf == 0.0 or ng == 0.0:
                 continue
             ratio = top(f, g) / (nf * ng)

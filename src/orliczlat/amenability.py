@@ -22,7 +22,6 @@ numerical evidence behind the same dichotomy.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -31,9 +30,11 @@ import numpy as np
 
 from .algebra import AlgebraContext, ScanReport, _ratio_scan, convolve
 from .errors import InvalidInputError, NumericalFailureError, PreconditionError
-from .finsupp import FinSuppFn, Point
+from .finsupp import FinSuppFn
 from .weights import (
     RATIO_MARGIN,
+    DampedHomomorphism,
+    Homomorphism,
     SeriesReport,
     Weight,
     ball,
@@ -63,64 +64,6 @@ __all__ = [
     "ClassificationResult",
     "classify",
 ]
-
-
-@dataclass(frozen=True)
-class Homomorphism:
-    """Additive map Z^d -> C given by coefficients: x -> sum c_i x_i."""
-
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise InvalidInputError("a homomorphism needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-
-    @classmethod
-    def basis(cls, dim: int, axis: int = 0) -> "Homomorphism":
-        if not 0 <= axis < dim:
-            raise InvalidInputError(f"axis {axis} out of range for dim {dim}")
-        return cls(tuple(1.0 if i == axis else 0.0 for i in range(dim)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __call__(self, x: Point | Sequence[int]) -> complex:
-        return sum(c * xi for c, xi in zip(self.coeffs, x))
-
-    def corner_vertex(self) -> tuple[int, ...]:
-        """The first sign pattern s, from (1, ..., 1), maximising |xi(s)|;
-        |xi| on the shell of radius n attains its maximum at n * s."""
-        return max(itertools.product((1, -1), repeat=self.dim), key=lambda s: abs(self(s)))
-
-    def corner_amplitude(self) -> float:
-        """max over sign patterns of |sum +-c_i|, the maximum of |xi| on
-        the shell of radius 1 (n times it on the shell of radius n)."""
-        return abs(self(self.corner_vertex()))
-
-
-@dataclass(frozen=True, eq=False)
-class DampedHomomorphism:
-    """xi(s) / (omega(s) * omega(-s)) as a pointwise evaluator; omega is
-    radial, so omega(-s) = omega(s) exactly."""
-
-    xi: Homomorphism
-    omega: Weight
-
-    def __call__(self, s: Point | Sequence[int]) -> complex:
-        pt = tuple(int(c) for c in s)
-        w = self.omega(pt)
-        return self.xi(pt) / (w * w)
-
-    def shell_max(self, n: int) -> float:
-        """Exact max of the damped magnitude over the shell of radius n."""
-        r = self.omega.radial(n)
-        return n * self.xi.corner_amplitude() / (r * r)
 
 
 @dataclass(frozen=True, eq=False)

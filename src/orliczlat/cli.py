@@ -33,7 +33,7 @@ from .finsupp import FinSuppFn
 from .norms import weighted_norm
 from .reports import ReportTable, make_metadata
 from .verify import VerifyRow, run_battery
-from .weights import MAX_BALL_POINTS, ball_size, weight_from_spec
+from .weights import MAX_BALL_POINTS, ball_size, polynomial_weight, weight_from_spec
 from .young import catalog, conjugate, pair_from_spec
 
 EXIT_OK = 0
@@ -183,17 +183,13 @@ def _cmd_norm(config: dict, seed: int) -> tuple[ReportTable, int]:
     kind = str(config.get("kind", "luxemburg"))
     pair = pair_from_spec(config.get("young"))
     f = FinSuppFn.from_json_obj(config.get("f"))
-    if "weight" in config:
-        omega = weight_from_spec(config["weight"])
-        wdesc = omega.describe()
-    else:
-        omega = lambda p: 1.0  # noqa: E731 - trivial weight
-        wdesc = "1"
+    weighted = "weight" in config
+    omega = weight_from_spec(config["weight"]) if weighted else polynomial_weight(0.0)
     value = weighted_norm(pair, omega, f, kind)
     rows = [
         {
             "young": pair.phi.describe(),
-            "weight": wdesc,
+            "weight": omega.describe() if weighted else "1",
             "kind": kind,
             "support": len(f),
             "value": value,

@@ -41,16 +41,15 @@ subnormals up to the largest float. A norm beyond the float range raises
 result is gated by the equivalence N_Phi <= ||.||_Phi <= 2 N_Phi; a
 violation raises instead of returning a silently wrong value.
 
-Weighted norms are norms of the pointwise product f*omega. The scans'
-reader is :func:`weighted_norm` of the Luxemburg kind under a
-:class:`~orliczlat.weights.Weight`, which ``AlgebraContext`` calls: it
-reads omega from the weight's radial table at the word lengths of the
-support, forms the magnitudes of f*omega in arrays
-(:func:`_weighted_magnitudes`), runs the Luxemburg body on them, and
-memoises the norm on f keyed by (Phi, omega). Its bits are those of
-``luxemburg_norm(Phi, apply_weight(f, omega))``, and an overflowing
-product raises the error :func:`apply_weight` raises. Other callables
-and the Orlicz kind go through :func:`apply_weight`.
+Weighted norms are norms of the pointwise product f*omega under a
+:class:`~orliczlat.weights.Weight`. The scans' reader is
+:func:`weighted_norm` of the Luxemburg kind, which ``AlgebraContext``
+calls: it reads omega from :meth:`Weight.at_points`, forms the magnitudes
+of f*omega in arrays (:func:`_weighted_magnitudes`), runs the Luxemburg
+body on them, and memoises the norm on f keyed by (Phi, omega). Its bits
+are those of ``luxemburg_norm(Phi, apply_weight(f, omega))``, and an
+overflowing product raises the error :func:`apply_weight` raises. The
+Orlicz kind goes through :func:`apply_weight`.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .finsupp import FinSuppFn, Point
+from .finsupp import FinSuppFn
 from .weights import Weight
 from .young import ComplementaryPair, YoungFunction, bisect, expand
 
@@ -305,7 +304,7 @@ def orlicz_norm(pair: ComplementaryPair, f: FinSuppFn) -> float:
     return value
 
 
-def apply_weight(f: FinSuppFn, omega: Callable[[Point], float]) -> FinSuppFn:
+def apply_weight(f: FinSuppFn, omega: Weight) -> FinSuppFn:
     """Pointwise product f(s) * omega(s).
 
     Raises :class:`NumericalFailureError` naming the point where the
@@ -329,32 +328,28 @@ def _weighted_magnitudes(omega: Weight, f: FinSuppFn) -> np.ndarray:
     building it: omega from :meth:`Weight.at_points`, and the products
     re*w and im*w, which equal CPython's complex times float up to signed
     zeros that ``np.hypot`` ignores. Products that underflow to 0 leave
-    the support. Where a product or a magnitude is not finite, or a
-    point leaves the int64 range, this is ``apply_weight`` itself, which
-    raises as before."""
+    the support. Where a product or a magnitude is not finite, this is
+    ``apply_weight`` itself, which raises as before."""
     w = omega.at_points(f.entries, f.dim)
-    if w is not None:
-        vals = np.fromiter(f.entries.values(), dtype=complex, count=len(f))
-        with np.errstate(over="ignore", invalid="ignore"):
-            mags = np.hypot(vals.real * w, vals.imag * w)
-        if np.isfinite(mags).all():
-            return mags[mags != 0.0]
+    vals = np.fromiter(f.entries.values(), dtype=complex, count=len(f))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.hypot(vals.real * w, vals.imag * w)
+    if np.isfinite(mags).all():
+        return mags[mags != 0.0]
     return apply_weight(f, omega).magnitudes()
 
 
 def weighted_norm(
     young: YoungFunction | ComplementaryPair,
-    omega: Callable[[Point], float],
+    omega: Weight,
     f: FinSuppFn,
     kind: str = "luxemburg",
 ) -> float:
     """Norm of the pointwise product f*omega, of the requested kind; the
-    Luxemburg kind under a :class:`Weight` is the scans' weighted reader
-    (see the module docstring), memoised on f keyed by (Phi, omega)."""
+    Luxemburg kind is the scans' weighted reader (see the module
+    docstring), memoised on f keyed by (Phi, omega)."""
     if kind == "luxemburg":
         phi = young.phi if isinstance(young, ComplementaryPair) else young
-        if not isinstance(omega, Weight):
-            return luxemburg_norm(phi, apply_weight(f, omega))
         key = (phi, omega)
         norm = f._luxemburg.get(key)
         if norm is None:
@@ -367,14 +362,10 @@ def weighted_norm(
     raise InvalidInputError(f"unknown norm kind {kind!r}")
 
 
-def weighted_l1_norm(omega: Callable[[Point], float], f: FinSuppFn) -> float:
-    """sum |f(s)| * omega(s); a :class:`Weight` is read from
-    :meth:`Weight.at_points`, with the same products and the same sum."""
-    w = omega.at_points(f.entries, f.dim) if isinstance(omega, Weight) else None
-    if w is None:
-        return math.fsum(abs(v) * omega(p) for p, v in f)
+def weighted_l1_norm(omega: Weight, f: FinSuppFn) -> float:
+    """sum |f(s)| * omega(s), with omega read from :meth:`Weight.at_points`."""
     with np.errstate(over="ignore"):
-        return math.fsum((f.magnitudes() * w).tolist())
+        return math.fsum((f.magnitudes() * omega.at_points(f.entries, f.dim)).tolist())
 
 
 @dataclass(frozen=True)

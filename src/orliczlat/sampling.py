@@ -7,24 +7,21 @@ results do not depend on evaluation order.
 
 Deterministic adversarial candidates ride along with the random draws:
 ball indicators (the classic witnesses against unweighted convolution
-bounds), single atoms placed where the damped homomorphism is largest
-(the witnesses for derivation growth), and reciprocal-weight profiles.
+bounds), the atom at :meth:`DampedHomomorphism.peak_point` (the witness
+for derivation growth), and the inverse-weight and damped-form profiles.
 Candidate pairs are emitted as (f, flip f) and (f, f).
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .finsupp import FinSuppFn, Point
-from .weights import Weight, ball, ball_size
-
-if TYPE_CHECKING:
-    from .amenability import Homomorphism
+from .weights import DampedHomomorphism, Homomorphism, Weight, ball, ball_size
 
 __all__ = ["rng_for", "random_finsupp", "adversarial_candidates", "scan_pairs"]
 
@@ -67,37 +64,23 @@ def adversarial_candidates(
     omega: Weight | None = None,
     xi: Homomorphism | None = None,
 ) -> list[tuple[str, FinSuppFn]]:
-    cands: list[tuple[str, FinSuppFn]] = []
-    corner = (radius,) * dim
-    cands.append(("corner-atom", FinSuppFn.delta(corner)))
-    cands.append(("axis-atom", FinSuppFn.delta((radius,) + (0,) * (dim - 1))))
-    if omega is not None and xi is not None:
-        # Atom where |xi| / (omega * flipped omega) peaks along the vertex
-        # ray n*s, s = xi.corner_vertex(): omega is radial in max|c|, so it
-        # is one value on the shell of radius n, where |xi| peaks at n*s.
-        # A radial weight is even, so the flipped value is omega(pt) again.
-        vertex = xi.corner_vertex()
-        best_pt, best_val = corner, -1.0
-        for n in range(1, radius + 1):
-            pt = tuple(n * c for c in vertex)
-            w = omega(pt)
-            val = abs(xi(pt)) / (w * w)
-            if val > best_val:
-                best_pt, best_val = pt, val
-        cands.append(("damped-peak-atom", FinSuppFn.delta(best_pt)))
+    cands = [
+        ("corner-atom", FinSuppFn.delta((radius,) * dim)),
+        ("axis-atom", FinSuppFn.delta((radius,) + (0,) * (dim - 1))),
+    ]
+    dh = DampedHomomorphism(xi, omega) if omega is not None and xi is not None else None
+    if dh is not None:
+        cands.append(("damped-peak-atom", FinSuppFn.delta(dh.peak_point(radius))))
     if ball_size(radius, dim) <= PROFILE_SUPPORT_CAP:
         pts = ball(radius, dim)
         cands.append(("ball-indicator", FinSuppFn.indicator(pts)))
         if radius >= 2:
             cands.append(("half-ball-indicator", FinSuppFn.indicator(ball(radius // 2, dim))))
         if omega is not None:
-            ws = {p: omega(p) for p in pts}
-            cands.append(
-                ("inverse-weight-profile", FinSuppFn(dim, {p: 1.0 / w for p, w in ws.items()}))
-            )
-            if xi is not None:
-                prof = {p: xi(p) / (w * w) for p, w in ws.items()}
-                cands.append(("damped-form-profile", FinSuppFn(dim, prof)))
+            inverse = (1.0 / omega.at_points(pts, dim)).tolist()
+            cands.append(("inverse-weight-profile", FinSuppFn(dim, dict(zip(pts, inverse)))))
+        if dh is not None:
+            cands.append(("damped-form-profile", FinSuppFn(dim, dict(zip(pts, dh.values(pts))))))
     return cands
 
 

@@ -21,6 +21,7 @@ polynomial-weight power-function case has an exact test (beta*q > d).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -39,6 +40,8 @@ __all__ = [
     "ball_size",
     "shell_count",
     "Weight",
+    "Homomorphism",
+    "DampedHomomorphism",
     "make_weight",
     "weight_from_spec",
     "polynomial_weight",
@@ -108,25 +111,24 @@ class Weight:
     def __call__(self, x: Iterable[int] | int) -> float:
         return self.radial(word_length(x))
 
-    def at_points(self, points: Collection[Point], dim: int) -> np.ndarray | None:
+    def at_points(self, points: Collection[Point], dim: int) -> np.ndarray:
         """The weight at each point (int tuples of length dim), in order:
         ``radial`` read from a table memoised per word length, so each
-        value is the float ``self(p)`` returns. None when a coordinate
-        leaves the int64 range."""
+        value is the float ``self(p)`` returns. Coordinates past the int64
+        range are measured as Python ints."""
         n = len(points)
+        coords = itertools.chain.from_iterable(points)
         try:
-            coords = np.fromiter(itertools.chain.from_iterable(points), np.int64, n * dim)
+            # |c| as uint64 is exact, even at -2**63
+            lengths = np.abs(np.fromiter(coords, np.int64, n * dim)).view(np.uint64)
         except OverflowError:
-            return None
-        # |c| as uint64 is exact, even at -2**63
-        lengths, at = np.unique(
-            np.abs(coords).view(np.uint64).reshape(n, dim).max(axis=1), return_inverse=True
-        )
+            lengths = np.abs(np.array(list(itertools.chain.from_iterable(points)), object))
+        lengths, at = np.unique(lengths.reshape(n, dim).max(axis=1), return_inverse=True)
         table, ks = self._table, lengths.tolist()
         for k in ks:
             if k not in table:
                 table[k] = self.radial(k)
-        return np.array([table[k] for k in ks])[at]
+        return np.array([table[k] for k in ks], dtype=float)[at]
 
     def describe(self) -> str:
         inner = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
@@ -134,6 +136,94 @@ class Weight:
 
     def spec(self) -> dict:
         return {"family": self.family, **{k: float(v) for k, v in self.params.items()}}
+
+
+@dataclass(frozen=True)
+class Homomorphism:
+    """Additive map Z^d -> C given by coefficients: x -> sum c_i x_i."""
+
+    coeffs: tuple[complex, ...]
+
+    def __post_init__(self) -> None:
+        if not self.coeffs:
+            raise InvalidInputError("a homomorphism needs at least one coefficient")
+        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        for c in self.coeffs:
+            if not cmath.isfinite(c):
+                raise InvalidInputError(f"homomorphism coefficient {c!r} is not finite")
+
+    @classmethod
+    def basis(cls, dim: int, axis: int = 0) -> "Homomorphism":
+        if not 0 <= axis < dim:
+            raise InvalidInputError(f"axis {axis} out of range for dim {dim}")
+        return cls(tuple(1.0 if i == axis else 0.0 for i in range(dim)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.coeffs)
+
+    @property
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def __call__(self, x: Point | Sequence[int]) -> complex:
+        return sum(c * xi for c, xi in zip(self.coeffs, x))
+
+    def corner_vertex(self) -> tuple[int, ...]:
+        """The first sign pattern s, from (1, ..., 1), maximising |xi(s)|;
+        |xi| on the shell of radius n attains its maximum at n * s."""
+        return max(itertools.product((1, -1), repeat=self.dim), key=lambda s: abs(self(s)))
+
+    def corner_amplitude(self) -> float:
+        """max over sign patterns of |sum +-c_i|, the maximum of |xi| on
+        the shell of radius 1 (n times it on the shell of radius n)."""
+        return abs(self(self.corner_vertex()))
+
+
+@dataclass(frozen=True, eq=False)
+class DampedHomomorphism:
+    """The damped form xi(s) / (omega(s) * omega(-s)), the one place the
+    package forms it. Every weight here is radial in max|x_i|, so
+    omega(-s) = omega(s) exactly and the damping is omega(s)**2: this is
+    the only code that assumes it."""
+
+    xi: Homomorphism
+    omega: Weight
+    _amplitude: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_amplitude", self.xi.corner_amplitude())
+
+    def values(self, points: Sequence[Point]) -> list[complex]:
+        """The damped form at each point of Z^(xi.dim), in order, omega read
+        by :meth:`Weight.at_points`; raises :class:`NumericalFailureError`
+        naming the first point where it is not finite."""
+        ws = self.omega.at_points(points, self.xi.dim).tolist()
+        out = [self.xi(p) / (w * w) for p, w in zip(points, ws)]
+        for p, v in zip(points, out):
+            if not cmath.isfinite(v):
+                raise NumericalFailureError(f"damped form value {v!r} at {p!r} is not finite")
+        return out
+
+    def __call__(self, s: Point | Sequence[int]) -> complex:
+        return self.values([tuple(int(c) for c in s)])[0]
+
+    def shell_max(self, n: int) -> float:
+        """Exact max of the damped magnitude over the shell of radius n."""
+        r = self.omega.radial(n)
+        return n * self._amplitude / (r * r)
+
+    def peak_point(self, radius: int) -> Point:
+        """Where the damped magnitude peaks on the ball of this radius:
+        n * xi.corner_vertex() for the first n in 1..radius of largest
+        :meth:`shell_max`, the origin for radius 0. A ray longer than
+        ``MAX_BALL_POINTS`` raises :class:`ResourceLimitError`."""
+        if radius > MAX_BALL_POINTS:
+            raise ResourceLimitError(
+                f"damped-peak ray to radius {radius}: {radius} points, budget {MAX_BALL_POINTS}"
+            )
+        n = max(range(1, radius + 1), key=self.shell_max, default=0)
+        return tuple(n * c for c in self.xi.corner_vertex())
 
 
 def _validate_radial(w: Weight) -> None:
@@ -159,9 +249,10 @@ def _validate_radial(w: Weight) -> None:
 
 
 def polynomial_weight(beta: float) -> Weight:
-    if beta < 0:
-        raise InvalidInputError(f"polynomial weight needs beta >= 0, got {beta!r}")
-    w = Weight("polynomial", {"beta": beta}, lambda n: (1.0 + n) ** beta)
+    if not 0 <= beta < math.inf:
+        raise InvalidInputError(f"polynomial weight needs finite beta >= 0, got {beta!r}")
+    # beta = 0 is 1 at every point, also where 1 + n passes the float range
+    w = Weight("polynomial", {"beta": beta}, lambda n: (1.0 + n) ** beta if beta else 1.0)
     _validate_radial(w)
     return w
 
@@ -169,8 +260,8 @@ def polynomial_weight(beta: float) -> Weight:
 def subexp_alpha_weight(alpha: float, C: float) -> Weight:
     if not 0 < alpha <= 1:
         raise InvalidInputError(f"subexp_alpha needs 0 < alpha <= 1, got {alpha!r}")
-    if C <= 0:
-        raise InvalidInputError(f"subexp_alpha needs C > 0, got {C!r}")
+    if not 0 < C < math.inf:
+        raise InvalidInputError(f"subexp_alpha needs finite C > 0, got {C!r}")
     w = Weight(
         "subexp_alpha", {"alpha": alpha, "C": C}, lambda n: math.exp(C * n ** alpha)
     )
@@ -179,10 +270,10 @@ def subexp_alpha_weight(alpha: float, C: float) -> Weight:
 
 
 def subexp_log_weight(gamma: float, C: float) -> Weight:
-    if not gamma > 0:  # also refuses NaN, which the horizon below cannot take
-        raise InvalidInputError(f"subexp_log needs gamma > 0, got {gamma!r}")
-    if C <= 0:
-        raise InvalidInputError(f"subexp_log needs C > 0, got {C!r}")
+    if not 0 < gamma < math.inf:
+        raise InvalidInputError(f"subexp_log needs finite gamma > 0, got {gamma!r}")
+    if not 0 < C < math.inf:
+        raise InvalidInputError(f"subexp_log needs finite C > 0, got {C!r}")
 
     def radial(n: int) -> float:
         if n == 0:

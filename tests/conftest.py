@@ -31,5 +31,14 @@ def entropy_pair():
     return pair_from_spec({"family": "entropy"})
 
 
+# the four weights of the benchmark's scans
+SCAN_WEIGHTS = (
+    {"family": "polynomial", "beta": 0.4},
+    {"family": "polynomial", "beta": 0.7},
+    {"family": "subexp_alpha", "alpha": 0.5, "C": 1.0},
+    {"family": "subexp_log", "gamma": 1.0, "C": 1.0},
+)
+
+
 def seeded_rng(*key: int) -> np.random.Generator:
     return np.random.default_rng((20260808,) + key)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import seeded_rng
+from conftest import SCAN_WEIGHTS, seeded_rng
 from orliczlat import amenability
 from orliczlat.algebra import AlgebraContext, convolve, flip
 from orliczlat.amenability import (
@@ -24,16 +24,24 @@ from orliczlat.amenability import (
     derivation_norm_scan,
     leibniz_check,
 )
-from orliczlat.errors import InvalidInputError, PreconditionError
+from orliczlat.errors import (
+    InvalidInputError,
+    NumericalFailureError,
+    PreconditionError,
+    ResourceLimitError,
+)
 from orliczlat.finsupp import FinSuppFn
 from orliczlat.sampling import PROFILE_SUPPORT_CAP, adversarial_candidates, random_finsupp
 from orliczlat.weights import (
+    MAX_BALL_POINTS,
+    Weight,
     ball,
     ball_size,
     generic_weight,
     polynomial_weight,
     subexp_alpha_weight,
     subexp_log_weight,
+    weight_from_spec,
 )
 from orliczlat.young import numeric_conjugate, pair_from_spec, sqrt_transform, young_from_spec
 
@@ -75,6 +83,9 @@ def test_homomorphism_additivity_and_basis():
     assert Homomorphism((0.0, 0.0)).is_zero
     with pytest.raises(InvalidInputError):
         Homomorphism(())
+    for bad in (math.nan, math.inf, complex(1.0, -math.inf)):
+        with pytest.raises(InvalidInputError, match="coefficient .* is not finite"):
+            Homomorphism((1.0, bad))
 
 
 def test_corner_amplitude_matches_shell_enumeration():
@@ -87,6 +98,18 @@ def test_corner_amplitude_matches_shell_enumeration():
             shell = [p for p in ball(n, d) if max(abs(c) for c in p) == n]
             explicit = max(abs(xi(p)) for p in shell)
             assert explicit == pytest.approx(n * xi.corner_amplitude(), rel=1e-12)
+
+
+def test_damped_form_batch_values_and_overflow():
+    dh = DampedHomomorphism(Homomorphism((1.0, -0.5j)), subexp_alpha_weight(0.5, 1.0))
+    pts = ball(3, 2) + [(2**70, 1), (-2**63, 0)]
+    want = [dh.xi(p) / (dh.omega(p) * dh.omega(p)) for p in pts]
+    assert dh.values(pts) == want and dh(pts[-1]) == want[-1]
+    assert dh.values([]) == []
+    # 1e308 * 4 overflows at the first ball point, however far it is damped
+    big = DampedHomomorphism(Homomorphism((1e308,)), polynomial_weight(0.4))
+    with pytest.raises(NumericalFailureError, match=r"at \(-4,\) is not finite"):
+        big.values(ball(4, 1))
 
 
 def test_damped_form_values_and_shell_max():
@@ -400,20 +423,90 @@ def test_damped_peak_atom_of_an_antidiagonal_form():
 
 
 def test_damped_peak_rays_walked_once_in_one_dimension():
-    # the atom search walks the vertex ray alone; at this radius the ball
-    # is past PROFILE_SUPPORT_CAP, so only the atom search evaluates the
-    # weight
-    omega = polynomial_weight(0.4)
+    # the atom search reads the weight once per radius of the vertex ray;
+    # at this radius the ball is past PROFILE_SUPPORT_CAP, so only the atom
+    # search evaluates the weight
     calls = []
 
-    def counted(pt):
-        calls.append(pt)
-        return omega(pt)
+    def radial(n):
+        calls.append(n)
+        return (1.0 + n) ** 0.4
 
+    omega = Weight("counted", {}, radial)
     radius = 5000
     assert ball_size(radius, 1) > PROFILE_SUPPORT_CAP
-    adversarial_candidates(1, radius, counted, Homomorphism((1.0,)))
-    assert calls == [(n,) for n in range(1, radius + 1)]
+    adversarial_candidates(1, radius, omega, Homomorphism((1.0,)))
+    assert calls == list(range(1, radius + 1))
+
+
+def test_damped_peak_ray_past_the_budget_raises_at_once():
+    dh = DampedHomomorphism(Homomorphism((1.0,)), polynomial_weight(0.4))
+    start = time.perf_counter()
+    for radius in (MAX_BALL_POINTS + 1, 4 * 10**21):
+        with pytest.raises(ResourceLimitError, match=f"radius {radius}:.*budget {MAX_BALL_POINTS}"):
+            adversarial_candidates(1, radius, dh.omega, dh.xi)
+    assert time.perf_counter() - start < 1.0
+    assert dh.peak_point(0) == (0,)
+
+
+def _ray_walk_atom(radius, omega, xi):
+    """The damped-peak atom found point by point: the first n*s, s the
+    corner vertex of xi, of largest |xi(n*s)| / (omega(n*s) * omega(n*s))."""
+    vertex = xi.corner_vertex()
+    best_pt, best_val = (radius,) * len(vertex), -1.0
+    for n in range(1, radius + 1):
+        pt = tuple(n * c for c in vertex)
+        w = omega(pt)
+        val = abs(xi(pt)) / (w * w)
+        if val > best_val:
+            best_pt, best_val = pt, val
+    return best_pt
+
+
+def _pointwise_candidates(dim, radius, omega, xi):
+    """The adversarial candidates formed point by point: the atom by
+    :func:`_ray_walk_atom`, the profiles from omega at each ball point."""
+    cands = [
+        ("corner-atom", FinSuppFn.delta((radius,) * dim)),
+        ("axis-atom", FinSuppFn.delta((radius,) + (0,) * (dim - 1))),
+        ("damped-peak-atom", FinSuppFn.delta(_ray_walk_atom(radius, omega, xi))),
+    ]
+    if ball_size(radius, dim) <= PROFILE_SUPPORT_CAP:
+        pts = ball(radius, dim)
+        cands.append(("ball-indicator", FinSuppFn.indicator(pts)))
+        if radius >= 2:
+            cands.append(("half-ball-indicator", FinSuppFn.indicator(ball(radius // 2, dim))))
+        ws = {p: omega(p) for p in pts}
+        cands.append(("inverse-weight-profile", FinSuppFn(dim, {p: 1.0 / w for p, w in ws.items()})))
+        prof = {p: xi(p) / (w * w) for p, w in ws.items()}
+        cands.append(("damped-form-profile", FinSuppFn(dim, prof)))
+    return cands
+
+
+def _hexed(cands):
+    return [(kind, [(p, v.real.hex(), v.imag.hex()) for p, v in f]) for kind, f in cands]
+
+
+@pytest.mark.parametrize("coeffs", [(1.0,), (1.0, -0.5), (0.3, -0.7j)])
+def test_adversarial_candidates_bit_identical_to_pointwise(coeffs):
+    dim, xi = len(coeffs), Homomorphism(coeffs)
+    for spec in SCAN_WEIGHTS:
+        omega = weight_from_spec(spec)
+        for radius in range(1, 65):
+            got = _hexed(adversarial_candidates(dim, radius, omega, xi))
+            assert got == _hexed(_pointwise_candidates(dim, radius, omega, xi)), (spec, radius)
+
+
+@pytest.mark.parametrize("coeffs", [(1.0,), (1.0, -0.5), (0.3, -0.7j)])
+def test_damped_peak_atom_matches_the_ray_walk_on_a_beta_grid(coeffs):
+    # at beta = ln 2 / (2 ln 1.5) the shell maxima at radii 1 and 2 tie
+    # exactly: 1/2^(2 beta) = 2/3^(2 beta)
+    xi = Homomorphism(coeffs)
+    betas = [k / 20 for k in range(41)] + [math.log(2.0) / (2.0 * math.log(1.5))]
+    for beta in betas:
+        dh = DampedHomomorphism(xi, polynomial_weight(beta))
+        for radius in (1, 2, 3, 7, 64):
+            assert dh.peak_point(radius) == _ray_walk_atom(radius, dh.omega, xi), (beta, radius)
 
 
 # -- decay chain -----------------------------------------------------------------------

@@ -18,13 +18,14 @@ from orliczlat.verify import young_inequality_margin
 from orliczlat.young import ComplementaryPair, YoungFunction, pair_from_spec
 
 
-def run_cli(*args: str, inp: str | None = None) -> subprocess.CompletedProcess:
+def run_cli(*args: str, inp: str | None = None,
+            timeout: float = 600) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "orliczlat.cli", *args],
         capture_output=True,
         text=True,
         input=inp,
-        timeout=600,
+        timeout=timeout,
     )
 
 
@@ -264,6 +265,43 @@ def test_derivation_scan_overflow_in_d_of_f_is_numerical_failure_exit_1():
     assert r.returncode == 1, r.stdout + r.stderr
     assert "numerical failure: derivation value" in r.stderr and "at (4,)" in r.stderr
     assert "config error" not in r.stderr and "Traceback" not in r.stderr
+
+
+_POWER_15 = '{"family":"power","p":1.5}'
+_POLY_04 = '{"family":"polynomial","beta":0.4}'
+
+
+def test_derivation_scan_overflow_in_the_damped_form_is_numerical_failure_exit_1():
+    # xi(-4) = -4e308 overflows in the damped-form profile: a numerical
+    # outcome, once reported as a config error about a non-finite value
+    r = run_cli("derivation-scan", "--young", _POWER_15, "--weight", _POLY_04,
+                "--radii", "4,8", "--trials", "1", "--xi", "1e308")
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert "numerical failure: damped form value" in r.stderr and "at (-4,)" in r.stderr
+    assert "config error" not in r.stderr and "Traceback" not in r.stderr
+
+
+def test_derivation_scan_past_the_damped_peak_ray_budget_exit_3_at_once():
+    # the vertex ray is walked one radius at a time, so a radius past the
+    # budget is refused before the walk starts
+    r = run_cli("derivation-scan", "--young", _POWER_15, "--weight", _POLY_04,
+                "--radii", "4000000000000000000000", "--trials", "1", timeout=60)
+    assert r.returncode == 3, r.stdout + r.stderr
+    assert r.stderr.startswith("budget exceeded") and "radius 4000000000000000000000" in r.stderr
+    assert "budget 2000000" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("xi, weight, named", [
+    ("nan", _POLY_04, "homomorphism coefficient (nan+0j)"),
+    ("inf", _POLY_04, "homomorphism coefficient (inf+0j)"),
+    ("1", '{"family":"subexp_alpha","alpha":0.5,"C":"inf"}', "subexp_alpha needs finite C"),
+])
+def test_non_finite_form_or_weight_parameter_exit_2_naming_it(xi, weight, named):
+    r = run_cli("derivation-scan", "--young", _POWER_15, "--weight", weight,
+                "--radii", "4,8", "--trials", "1", "--xi", xi)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith("config error:") and named in r.stderr, r.stderr
+    assert "at (" not in r.stderr and "Traceback" not in r.stderr
 
 
 def test_derivation_scan_trials_zero_exit_2():

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from conftest import seeded_rng
-from orliczlat.errors import InvalidInputError, ResourceLimitError
+from orliczlat.errors import InvalidInputError, NumericalFailureError, ResourceLimitError
 from orliczlat.weights import (
     ball,
     generic_weight,
@@ -133,6 +133,32 @@ def test_weight_parameter_validation():
         weight_from_spec({"beta": 1.0})
     with pytest.raises(InvalidInputError):
         weight_from_spec({"family": "polynomial", "beta": 10**400})  # beyond the float range
+
+
+@pytest.mark.parametrize("family, params, named", [
+    ("polynomial", {"beta": math.nan}, "beta"),
+    ("polynomial", {"beta": math.inf}, "beta"),
+    ("subexp_alpha", {"alpha": 0.5, "C": math.nan}, "C"),
+    ("subexp_alpha", {"alpha": 0.5, "C": math.inf}, "C"),
+    ("subexp_log", {"gamma": 1.0, "C": math.nan}, "C"),
+    ("subexp_log", {"gamma": 1.0, "C": math.inf}, "C"),
+    ("subexp_log", {"gamma": math.inf, "C": 1.0}, "gamma"),
+])
+def test_weight_makers_refuse_non_finite_parameters_by_name(family, params, named):
+    with pytest.raises(InvalidInputError, match=rf"{family}.* finite {named} .*got (nan|inf)"):
+        make_weight(family, **params)
+
+
+def test_weight_maker_overflow_on_a_finite_parameter_stays_numerical():
+    with pytest.raises(NumericalFailureError, match="overflows at radius 1"):
+        polynomial_weight(1e308)
+
+
+def test_unit_weight_is_one_past_the_float_range():
+    # the unweighted CLI norm reads omega from this weight: a point whose
+    # word length overflows 1 + n still carries weight exactly 1
+    one = polynomial_weight(0.0)
+    assert one.at_points([(10**400,), (-(2**63),), (0,)], 1).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_generic_weight():

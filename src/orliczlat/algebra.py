@@ -10,7 +10,6 @@ Reports carry ``certificate="empirical"`` to make this status explicit.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +19,6 @@ import numpy as np
 from .errors import (
     ConvexityError,
     InvalidInputError,
-    NumericalFailureError,
     PreconditionError,
     ResourceLimitError,
 )
@@ -120,12 +118,7 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
     lo = [fl + gl for fl, gl in zip(f_lo, g_lo)]
     axes = [[c + base for c in axis.tolist()]
             for axis, base in zip(np.unravel_index(order, extent), lo)]
-    keys = list(zip(*axes))
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i = int(bad.argmax())
-        raise _overflow(keys[i], vals[i])
-    return FinSuppFn._trusted(f.dim, dict(zip(keys, vals.tolist())))
+    return FinSuppFn._computed(f.dim, dict(zip(zip(*axes), vals.tolist())), "convolution")
 
 
 def _convolve_loop(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
@@ -134,14 +127,7 @@ def _convolve_loop(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
         for q, b in g:
             key = tuple(x + y for x, y in zip(p, q))
             out[key] = out.get(key, 0j) + a * b
-    for key, v in out.items():
-        if not cmath.isfinite(v):
-            raise _overflow(key, v)
-    return FinSuppFn._trusted(f.dim, out)
-
-
-def _overflow(key, value) -> NumericalFailureError:
-    return NumericalFailureError(f"convolution value {complex(value)!r} at {key!r} is not finite")
+    return FinSuppFn._computed(f.dim, out, "convolution")
 
 
 def _bounds(f: FinSuppFn) -> tuple[list[int], list[int]]:

@@ -21,7 +21,6 @@ numerical evidence behind the same dichotomy.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -29,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .algebra import AlgebraContext, ScanReport, _ratio_scan, convolve
-from .errors import InvalidInputError, NumericalFailureError, PreconditionError
+from .errors import InvalidInputError, PreconditionError
 from .finsupp import FinSuppFn
 from .weights import (
     RATIO_MARGIN,
@@ -77,7 +76,7 @@ class Derivation:
     def with_ball_window(cls, form: Homomorphism, dim: int, r: int = 1) -> "Derivation":
         if form.dim != dim:
             raise InvalidInputError(f"form has dim {form.dim}, lattice has {dim}")
-        return cls(FinSuppFn.indicator(ball(r, dim)), form)
+        return cls(FinSuppFn._computed(dim, dict.fromkeys(ball(r, dim), 1 + 0j), "window"), form)
 
 
 def apply_derivation(d: Derivation, f: FinSuppFn) -> FinSuppFn:
@@ -89,10 +88,7 @@ def apply_derivation(d: Derivation, f: FinSuppFn) -> FinSuppFn:
     if f.dim != d.window.dim:
         raise InvalidInputError(f"dimension mismatch: {f.dim} vs {d.window.dim}")
     h = {tuple(-c for c in p): v * d.form(p) for p, v in f}
-    for x, v in h.items():
-        if not cmath.isfinite(v):
-            raise NumericalFailureError(f"derivation value {v!r} at {x!r} is not finite")
-    return convolve(d.window, FinSuppFn._trusted(f.dim, h))
+    return convolve(d.window, FinSuppFn._computed(f.dim, h, "derivation"))
 
 
 def pairing(u: FinSuppFn, w: FinSuppFn) -> complex:

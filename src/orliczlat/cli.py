@@ -27,6 +27,7 @@ from .errors import (
     NumericalFailureError,
     OrliczError,
     ResourceLimitError,
+    as_int,
     coerce,
 )
 from .finsupp import FinSuppFn
@@ -34,7 +35,7 @@ from .norms import weighted_norm
 from .reports import ReportTable, make_metadata
 from .verify import VerifyRow, run_battery
 from .weights import MAX_BALL_POINTS, ball_size, polynomial_weight, weight_from_spec
-from .young import catalog, conjugate, pair_from_spec
+from .young import catalog, catalog_ids, conjugate, pair_from_spec
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -80,7 +81,7 @@ def _finite(value) -> float:
 def _read_dim(config: dict) -> int:
     """The lattice dimension; one whose radius-1 ball is over budget is refused
     before any point is built (3^d exceeds the budget once d reaches its bit length)."""
-    dim = coerce(int, config.get("dim", 1), "dim")
+    dim = coerce(as_int, config.get("dim", 1), "dim")
     if dim >= MAX_BALL_POINTS.bit_length() or ball_size(1, dim) > MAX_BALL_POINTS:
         raise ResourceLimitError(
             f"dim {dim}: the radius-1 ball has 3^{dim} points, budget {MAX_BALL_POINTS}"
@@ -111,7 +112,7 @@ def _cmd_classify(config: dict, seed: int) -> tuple[ReportTable, int]:
     weights = config.get("weights")
     if isinstance(weights, Mapping) or weights and not isinstance(weights, list):
         weights = [weights]
-    dims = _as_list(config.get("dim", 1), int, "dim")
+    dims = _as_list(config.get("dim", 1), as_int, "dim")
     omegas = [weight_from_spec(w) for w in weights] if ps and weights and dims else []
     rows = []
     blocks = []
@@ -154,7 +155,7 @@ def _cmd_conjugate(config: dict, seed: int) -> tuple[ReportTable, int]:
     if isinstance(ygrid, Mapping):
         lo = coerce(_finite, ygrid.get("min", 1e-3), "y.min")
         hi = coerce(_finite, ygrid.get("max", 1e2), "y.max")
-        points = coerce(int, ygrid.get("points", 40), "y.points")
+        points = coerce(as_int, ygrid.get("points", 40), "y.points")
         if not (lo > 0.0 and hi > 0.0):
             raise InvalidInputError(f"y.min and y.max must be positive, got {lo!r} and {hi!r}")
         try:
@@ -205,7 +206,7 @@ def _cmd_norm(config: dict, seed: int) -> tuple[ReportTable, int]:
 
 def _scan_context(config: dict, default_trials: int) -> tuple[AlgebraContext, int]:
     """The scan's (pair, weight, dim) context and its positive trial count."""
-    trials = coerce(int, config.get("trials", default_trials), "trials")
+    trials = coerce(as_int, config.get("trials", default_trials), "trials")
     if trials <= 0:
         raise InvalidInputError("trials must be positive")
     ctx = AlgebraContext(pair_from_spec(config.get("young")),
@@ -233,7 +234,7 @@ def _scan_table(report) -> ReportTable:
 
 def _cmd_certify_algebra(config: dict, seed: int) -> tuple[ReportTable, int]:
     ctx, trials = _scan_context(config, 60)
-    report = submult_estimate(ctx, coerce(int, config.get("radius", 64), "radius"), trials, seed)
+    report = submult_estimate(ctx, coerce(as_int, config.get("radius", 64), "radius"), trials, seed)
     return _scan_table(report), EXIT_OK
 
 
@@ -242,9 +243,9 @@ def _cmd_certify_algebra(config: dict, seed: int) -> tuple[ReportTable, int]:
 
 def _cmd_derivation_scan(config: dict, seed: int) -> tuple[ReportTable, int]:
     ctx, trials = _scan_context(config, 200)
-    radii = _as_list(config.get("radii", [16, 64, 256]), int, "radii")
+    radii = _as_list(config.get("radii", [16, 64, 256]), as_int, "radii")
     coeffs = _as_list(config.get("xi", [1.0] + [0.0] * (ctx.dim - 1)), complex, "xi")
-    window = coerce(int, config.get("window_radius", 1), "window_radius")
+    window = coerce(as_int, config.get("window_radius", 1), "window_radius")
     d = Derivation.with_ball_window(Homomorphism(tuple(coeffs)), ctx.dim, window)
     report = derivation_norm_scan(ctx, d, radii, trials, seed)
     return _scan_table(report), EXIT_OK
@@ -257,6 +258,8 @@ def _cmd_verify(config: dict, seed: int) -> tuple[ReportTable, int]:
     pairs = catalog()
     if "families" in config:
         wanted = set(_as_list(config["families"], str, "families"))
+        if unknown := sorted(wanted - set(catalog_ids())):
+            raise InvalidInputError(f"unknown families {unknown} (known: {catalog_ids()})")
         pairs = [p for p in pairs if p.phi.label in wanted]
     rows_raw = run_battery(pairs)
     table = ReportTable(columns=[f.name for f in fields(VerifyRow)],
@@ -307,7 +310,7 @@ class _Flag:
 
 _YOUNG = _Flag("--young", "young", _parse_json_flag, {"help": "young spec JSON"})
 _WEIGHT = _Flag("--weight", "weight", _parse_json_flag, {"help": "weight spec JSON"})
-_INT = partial(coerce, int)
+_INT = partial(coerce, as_int)
 _FLOAT = partial(coerce, float)
 _DIM = _Flag("--dim", "dim", _INT)
 _TRIALS = _Flag("--trials", "trials", _INT)
@@ -323,7 +326,7 @@ _COMMANDS = {
         _Flag("--p", "p", _csv(float), {"help": "comma-separated p values"}),
         _Flag("--weight", "weights", _json_objects,
               {"action": "append", "help": "weight spec JSON; repeatable"}),
-        _Flag("--dim", "dim", _csv(int), {"help": "comma-separated dimensions"}),
+        _Flag("--dim", "dim", _csv(as_int), {"help": "comma-separated dimensions"}),
     )),
     "conjugate": _Command(_cmd_conjugate, "tabulate the numerical conjugate", (
         _YOUNG,
@@ -343,7 +346,7 @@ _COMMANDS = {
         _YOUNG,
         _WEIGHT,
         _DIM,
-        _Flag("--radii", "radii", _csv(int), {"help": "comma-separated radii"}),
+        _Flag("--radii", "radii", _csv(as_int), {"help": "comma-separated radii"}),
         _TRIALS,
         _Flag("--window-radius", "window_radius", _INT),
         _Flag("--xi", "xi", _csv(float), {"help": "comma-separated coefficients"}),
@@ -391,7 +394,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        seed = coerce(int, args.seed, "--seed")
+        seed = coerce(as_int, args.seed, "--seed")
         if args.out:
             _check_out(args.out)
         config = _apply_flags(args, _load_config(args.config))

@@ -2,9 +2,10 @@
 
 The CLI maps these onto its exit-code contract: config problems exit 2,
 budget overruns exit 3, failed invariant batteries exit 1.
-Every outside value is read through :func:`coerce` and every
-``{"family": id, <params>}`` spec is built by :func:`from_spec`, so an
-unreadable value is always an :class:`InvalidInputError`.
+Every outside value is read through :func:`coerce`, every integer by the
+one rule :func:`as_int`, and every ``{"family": id, <params>}`` spec is
+built by :func:`from_spec`, so an unreadable value is always an
+:class:`InvalidInputError`.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ def coerce(convert: Callable[[Any], Any], value: Any, what: str) -> Any:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{what}: cannot read {value!r} ({exc})") from exc
+
+
+def as_int(value: Any) -> int:
+    """The integer rule: an int, an integral float or integer text; a boolean
+    or a float with a fraction raises ValueError instead of being truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def from_spec(what: str, families: Mapping[str, Callable[..., Any]], spec: Any) -> Any:

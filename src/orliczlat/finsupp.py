@@ -10,28 +10,27 @@ Wire format (shared with the CLI):
 
 with entries sorted lexicographically by point.
 
-Every public construction validates its entries in ``__post_init__``:
-points become int tuples of length ``dim``, values become finite complex
-numbers. Hot paths whose producer already guarantees that build through
-the internal :meth:`FinSuppFn._trusted`, which skips those checks and
-keeps the one rule they share with it: exact zeros are dropped, since the
-support size sets the Luxemburg bracket and ``pairing`` sums over the
-smaller support. Its callers, each of which hands it int-tuple points of
-length ``dim`` and complex values it has checked to be finite, are
-``algebra.convolve`` (both paths), :meth:`FinSuppFn.flip`,
-``norms.apply_weight`` and ``amenability.apply_derivation``.
+Two doors lead in, and each checks once. The public constructor takes
+values from outside: :func:`as_point` reads the points, values become
+complex, and a point of the wrong dimension or a value that is not finite
+is an :class:`InvalidInputError`. The internal :meth:`FinSuppFn._computed`
+takes every function the package computes, as int-tuple points of length
+``dim`` and complex values; a value that is not finite there is a
+:class:`NumericalFailureError` naming its point. Both drop exact zeros,
+since the support size sets the Luxemburg bracket and ``pairing`` sums
+over the smaller support.
 """
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError, as_int, coerce
 
 Point = tuple[int, ...]
 
@@ -39,10 +38,14 @@ __all__ = ["FinSuppFn", "Point", "as_point"]
 
 
 def as_point(x: Iterable[int] | int) -> Point:
-    """Normalise an int or an int sequence to a lattice point tuple."""
-    if isinstance(x, int):
+    """Normalise an int or an int sequence to a lattice point tuple; each
+    coordinate is read by the integer rule :func:`~orliczlat.errors.as_int`."""
+    if type(x) is int:
         return (x,)
-    pt = tuple(int(c) for c in x)
+    if type(x) is tuple and x and all(type(c) is int for c in x):
+        return x
+    coords = x if isinstance(x, Iterable) else (x,)
+    pt = tuple(coerce(as_int, c, "lattice coordinate") for c in coords)
     if not pt:
         raise InvalidInputError("lattice points must have positive dimension")
     return pt
@@ -67,11 +70,8 @@ class FinSuppFn:
         for raw_pt, raw_v in self.entries.items():
             pt = as_point(raw_pt)
             if len(pt) != self.dim:
-                raise InvalidInputError(
-                    f"point {pt!r} has dimension {len(pt)}, expected {self.dim}"
-                )
-            v = complex(raw_v)
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+                raise InvalidInputError(f"point {pt!r} has dimension {len(pt)}, not {self.dim}")
+            if not cmath.isfinite(v := complex(raw_v)):
                 raise InvalidInputError(f"non-finite value {v!r} at {pt!r}")
             if v != 0:
                 clean[pt] = v
@@ -80,16 +80,17 @@ class FinSuppFn:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, dim: int, entries: Mapping[Point, complex]) -> "FinSuppFn":
-        """The function with these entries, minus exact zeros, unchecked:
-        the caller guarantees int-tuple points of length ``dim`` and finite
-        complex values (see the module docstring)."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "dim", dim)
-        object.__setattr__(
-            f, "entries", MappingProxyType({p: v for p, v in entries.items() if v != 0})
-        )
-        object.__setattr__(f, "_luxemburg", {})
+    def _computed(cls, dim: int, entries: Mapping[Point, complex], what: str) -> "FinSuppFn":
+        """The function a producer in this package computed, minus exact zeros:
+        its points are int tuples of length ``dim`` and its values complex.
+        Raises :class:`NumericalFailureError` naming the first entry, in
+        insertion order, whose value is not finite."""
+        if not all(map(cmath.isfinite, entries.values())):
+            p, v = next((p, v) for p, v in entries.items() if not cmath.isfinite(v))
+            raise NumericalFailureError(f"{what} value {v!r} at {p!r} is not finite")
+        f = object.__new__(cls)  # frozen: the fields are set past __setattr__
+        kept = MappingProxyType({p: v for p, v in entries.items() if v != 0})
+        vars(f).update(dim=dim, entries=kept, _luxemburg={})
         return f
 
     @classmethod
@@ -138,14 +139,16 @@ class FinSuppFn:
     # -- arithmetic --------------------------------------------------------
 
     def scale(self, c: complex) -> "FinSuppFn":
-        return FinSuppFn(self.dim, {p: c * v for p, v in self.entries.items()})
+        if not cmath.isfinite(c := complex(c)):
+            raise InvalidInputError(f"scale factor {c!r} is not finite")
+        return FinSuppFn._computed(self.dim, {p: c * v for p, v in self.entries.items()}, "scaled")
 
     def __add__(self, other: "FinSuppFn") -> "FinSuppFn":
         self._check_dim(other)
         out = dict(self.entries)
         for p, v in other.entries.items():
             out[p] = out.get(p, 0.0) + v
-        return FinSuppFn(self.dim, out)
+        return FinSuppFn._computed(self.dim, out, "sum")
 
     def __sub__(self, other: "FinSuppFn") -> "FinSuppFn":
         return self + other.scale(-1.0)
@@ -153,19 +156,22 @@ class FinSuppFn:
     def pointwise_mul(self, other: "FinSuppFn") -> "FinSuppFn":
         self._check_dim(other)
         small, big = (self, other) if len(self) <= len(other) else (other, self)
-        return FinSuppFn(
+        return FinSuppFn._computed(
             self.dim,
             {p: v * big.entries[p] for p, v in small.entries.items() if p in big.entries},
+            "product",
         )
 
     def flip(self) -> "FinSuppFn":
         """The reflection f(-x); an involution compatible with convolution."""
-        return FinSuppFn._trusted(
-            self.dim, {tuple(-c for c in p): v for p, v in self.entries.items()}
+        return FinSuppFn._computed(
+            self.dim, {tuple(-c for c in p): v for p, v in self.entries.items()}, "flip"
         )
 
     def abs(self) -> "FinSuppFn":
-        return FinSuppFn(self.dim, {p: abs(v) for p, v in self.entries.items()})
+        with np.errstate(over="ignore"):  # abs(complex) raises OverflowError there
+            mags = self.magnitudes().astype(complex).tolist()
+        return FinSuppFn._computed(self.dim, dict(zip(self.entries, mags)), "abs")
 
     def _check_dim(self, other: "FinSuppFn") -> None:
         if self.dim != other.dim:
@@ -184,11 +190,11 @@ class FinSuppFn:
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "FinSuppFn":
         try:
-            dim = int(obj["dim"])
-            entries = {
-                tuple(int(c) for c in pt): complex(float(val[0]), float(val[1]))
-                for pt, val in obj["entries"]
-            }
+            dim, entries = obj["dim"], {}
+            for pt, val in obj["entries"]:
+                if (key := as_point(pt)) in entries:
+                    raise ValueError(f"point {key!r} is repeated")
+                entries[key] = complex(float(val[0]), float(val[1]))
         except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise InvalidInputError(f"malformed sparse-function object: {exc}") from exc
-        return cls(dim, entries)
+        return cls(coerce(as_int, dim, "sparse-function dim"), entries)

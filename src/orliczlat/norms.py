@@ -320,7 +320,7 @@ def apply_weight(f: FinSuppFn, omega: Weight) -> FinSuppFn:
                 f"weighted value {vw!r} at {p!r} (weight {w!r}) is not finite"
             )
         out[p] = vw
-    return FinSuppFn._trusted(f.dim, out)
+    return FinSuppFn._computed(f.dim, out, "weighted")
 
 
 def _weighted_magnitudes(omega: Weight, f: FinSuppFn) -> np.ndarray:

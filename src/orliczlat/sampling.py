@@ -52,10 +52,8 @@ def random_finsupp(
     for row, m, th in zip(pts, mags, phases):
         if m == 0.0:
             continue
-        entries[tuple(int(c) for c in row)] = m * complex(math.cos(th), math.sin(th))
-    if not entries:
-        entries[(0,) * dim] = 1.0
-    return FinSuppFn(dim, entries)
+        entries[tuple(int(c) for c in row)] = complex(m * complex(math.cos(th), math.sin(th)))
+    return FinSuppFn._computed(dim, entries or {(0,) * dim: 1 + 0j}, "random draw")
 
 
 def adversarial_candidates(
@@ -64,24 +62,25 @@ def adversarial_candidates(
     omega: Weight | None = None,
     xi: Homomorphism | None = None,
 ) -> list[tuple[str, FinSuppFn]]:
-    cands = [
-        ("corner-atom", FinSuppFn.delta((radius,) * dim)),
-        ("axis-atom", FinSuppFn.delta((radius,) + (0,) * (dim - 1))),
+    one = 1 + 0j
+    cands: list[tuple[str, dict[Point, complex]]] = [
+        ("corner-atom", {(radius,) * dim: one}),
+        ("axis-atom", {(radius,) + (0,) * (dim - 1): one}),
     ]
     dh = DampedHomomorphism(xi, omega) if omega is not None and xi is not None else None
     if dh is not None:
-        cands.append(("damped-peak-atom", FinSuppFn.delta(dh.peak_point(radius))))
+        cands.append(("damped-peak-atom", {dh.peak_point(radius): one}))
     if ball_size(radius, dim) <= PROFILE_SUPPORT_CAP:
         pts = ball(radius, dim)
-        cands.append(("ball-indicator", FinSuppFn.indicator(pts)))
+        cands.append(("ball-indicator", dict.fromkeys(pts, one)))
         if radius >= 2:
-            cands.append(("half-ball-indicator", FinSuppFn.indicator(ball(radius // 2, dim))))
+            cands.append(("half-ball-indicator", dict.fromkeys(ball(radius // 2, dim), one)))
         if omega is not None:
-            inverse = (1.0 / omega.at_points(pts, dim)).tolist()
-            cands.append(("inverse-weight-profile", FinSuppFn(dim, dict(zip(pts, inverse)))))
+            inverse = (1.0 / omega.at_points(pts, dim)).astype(complex).tolist()
+            cands.append(("inverse-weight-profile", dict(zip(pts, inverse))))
         if dh is not None:
-            cands.append(("damped-form-profile", FinSuppFn(dim, dict(zip(pts, dh.values(pts))))))
-    return cands
+            cands.append(("damped-form-profile", dict(zip(pts, dh.values(pts)))))
+    return [(kind, FinSuppFn._computed(dim, entries, kind)) for kind, entries in cands]
 
 
 def scan_pairs(

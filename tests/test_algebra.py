@@ -4,6 +4,7 @@ import math
 import operator
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,7 +38,7 @@ from orliczlat.errors import (
 )
 from orliczlat.finsupp import FinSuppFn
 from orliczlat.norms import apply_weight, luxemburg_norm, weighted_l1_norm
-from orliczlat.sampling import random_finsupp, scan_pairs
+from orliczlat.sampling import random_finsupp, rng_for, scan_pairs
 from orliczlat.verify import sqrt_pair_margin
 from orliczlat.weights import Weight, polynomial_weight, subexp_alpha_weight, weight_from_spec
 from orliczlat.young import default_grid, inverse, pair_from_spec
@@ -145,6 +146,33 @@ def test_convolve_bit_identical_to_loop_on_scan_pools(dim):
             want_pair = pairing(want_dfg, h)
             assert got_pair.real.hex() == want_pair.real.hex(), (dim, r, kind)
             assert got_pair.imag.hex() == want_pair.imag.hex(), (dim, r, kind)
+
+
+def _public_door_draw(dim: int, radius: int, rng, max_support: int = 40) -> FinSuppFn:
+    """random_finsupp's draws in its order, built through the public constructor."""
+    size = int(rng.integers(1, max_support + 1))
+    pts = rng.integers(-radius, radius + 1, size=(size, dim))
+    mags = np.abs(rng.standard_normal(size))
+    phases = rng.uniform(0.0, 2.0 * math.pi, size)
+    entries = {tuple(row): m * complex(math.cos(th), math.sin(th))
+               for row, m, th in zip(pts, mags, phases) if m != 0.0}
+    return FinSuppFn(dim, entries or {(0,) * dim: 1.0})
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_random_finsupp_bit_identical_to_the_public_door_on_scan_pools(dim):
+    # keys and their coordinate types, order, value types and every bit,
+    # for the draws of scan_pairs over the radii of the convolve pins
+    def pins(f):
+        return [(p, tuple(map(type, p)), type(v), v.real.hex(), v.imag.hex()) for p, v in f]
+
+    for r in range(1, 21):
+        for t in range(3):
+            got, want = rng_for(26, r, t), rng_for(26, r, t)
+            for _ in range(2):  # f and g of one random pair
+                f = random_finsupp(dim, r, got)
+                assert pins(f) == pins(_public_door_draw(dim, r, want)), (dim, r, t)
+                assert {type(v) for _, v in f} == {complex}
 
 
 def weighted_pins(ctx: AlgebraContext, f: FinSuppFn) -> tuple[str, str, str, str]:

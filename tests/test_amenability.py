@@ -484,7 +484,9 @@ def _pointwise_candidates(dim, radius, omega, xi):
 
 
 def _hexed(cands):
-    return [(kind, [(p, v.real.hex(), v.imag.hex()) for p, v in f]) for kind, f in cands]
+    """Kind, then per entry the point, the value's type (``.hex()`` cannot
+    tell 1.0 from (1+0j)) and the bits of both parts."""
+    return [(kind, [(p, type(v), v.real.hex(), v.imag.hex()) for p, v in f]) for kind, f in cands]
 
 
 @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, -0.5), (0.3, -0.7j)])
@@ -495,6 +497,7 @@ def test_adversarial_candidates_bit_identical_to_pointwise(coeffs):
         for radius in range(1, 65):
             got = _hexed(adversarial_candidates(dim, radius, omega, xi))
             assert got == _hexed(_pointwise_candidates(dim, radius, omega, xi)), (spec, radius)
+            assert {t for _, f in got for _, t, _, _ in f} == {complex}, (spec, radius)
 
 
 @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, -0.5), (0.3, -0.7j)])

@@ -371,6 +371,76 @@ def test_config_radius_below_one_exit_2(tmp_path):
     assert main(["derivation-scan", str(cfg)]) == 2
 
 
+def _main_on_config(tmp_path, capsys, command: str, config: dict, *flags: str):
+    """main() on a config file; (exit code, stdout, stderr)."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code = main([command, str(cfg), *flags])
+    return (code, *capsys.readouterr())
+
+
+_SCAN = {"young": {"family": "power", "p": 1.5}, "weight": {"family": "polynomial", "beta": 0.7}}
+
+
+@pytest.mark.parametrize("command, config, named", [
+    # these were truncated to radius 8 and 2 trials, d = 1 and 3 points
+    ("certify-algebra", {**_SCAN, "radius": 8.9, "trials": 2}, "radius: cannot read 8.9"),
+    ("certify-algebra", {**_SCAN, "radius": 8, "trials": 2.5}, "trials: cannot read 2.5"),
+    ("classify", {"p": [1.5], "weights": _SCAN["weight"], "dim": [True]}, "dim: cannot read True"),
+    ("conjugate", {"young": _SCAN["young"], "y": {"points": 3.7}}, "y.points: cannot read 3.7"),
+    ("derivation-scan", {**_SCAN, "radii": [4, 8.5], "trials": 1}, "radii: cannot read 8.5"),
+])
+def test_non_integral_integer_in_a_config_exit_2_like_the_flag(tmp_path, capsys, command, config,
+                                                               named):
+    code, _, err = _main_on_config(tmp_path, capsys, command, config)
+    assert code == 2 and err.startswith("config error:") and named in err, err
+    assert len(err.splitlines()) == 1
+
+
+def test_integral_floats_and_integer_text_read_as_the_integer(tmp_path, capsys):
+    code, out, _ = _main_on_config(tmp_path, capsys, "certify-algebra",
+                                   {**_SCAN, "radius": 8.0, "trials": "2"})
+    assert code == 0
+    assert main(["certify-algebra", "--young", json.dumps(_SCAN["young"]),
+                 "--weight", json.dumps(_SCAN["weight"]), "--radius", "8", "--trials", "2"]) == 0
+    assert capsys.readouterr().out == out and "radius=   8" in out
+
+
+@pytest.mark.parametrize("f, named", [
+    # the 3.0 at (0,) was dropped: the norm read 2.8284271247461894
+    ({"dim": 1, "entries": [[[0], [3, 0]], [[0], [4, 0]]]}, "point (0,) is repeated"),
+    ({"dim": 1, "entries": [[[0.5], [3, 0]]]}, "lattice coordinate: cannot read 0.5"),
+    ({"dim": 1.7, "entries": [[[0], [3, 0]]]}, "sparse-function dim: cannot read 1.7"),
+    # a value from outside that is not finite stays a config error
+    ({"dim": 1, "entries": [[[0], [1e400, 0]]]}, "non-finite value (inf+0j) at (0,)"),
+])
+def test_norm_sparse_function_read_as_given_or_exit_2(tmp_path, capsys, f, named):
+    code, _, err = _main_on_config(tmp_path, capsys, "norm", {"young": _SCAN["young"], "f": f})
+    assert code == 2 and err.startswith("config error:") and named in err, err
+    assert "Traceback" not in err
+
+
+def test_arithmetic_overflow_exits_1_not_2(tmp_path, capsys, monkeypatch):
+    # an overflow in FinSuppFn arithmetic is a numerical failure, once a
+    # config error about a non-finite value
+    import orliczlat.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "weighted_norm", lambda pair, omega, f, kind: f.pointwise_mul(f))
+    f = {"dim": 1, "entries": [[[3], [1e200, 0]]]}
+    code, _, err = _main_on_config(tmp_path, capsys, "norm", {"young": _SCAN["young"], "f": f})
+    assert code == 1 and err.startswith("numerical failure: product value (inf+0j) at (3,)"), err
+
+
+def test_verify_unknown_family_exit_2_naming_it(capsys):
+    # a typo in the filter used to run no check and pass: "0 checks, 0 failures"
+    from orliczlat.young import catalog_ids
+
+    assert main(["verify", "--families", "power,nosuch"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: unknown families ['nosuch']"), err
+    assert str(catalog_ids()) in err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     r = subprocess.run(
         [sys.executable, "-c", "import sys, orliczlat.cli; print('scipy' in sys.modules)"],
@@ -735,7 +805,8 @@ def _invocations(draw):
     if draw(st.integers(0, 7)) == 0:
         config = draw(_JUNK)
     else:
-        # the fuzz base for verify names no family, so the battery stays cheap
+        # the fuzz base for verify names an unknown family, which exits 2
+        # before the battery runs, so it stays cheap
         config = dict(_BASE[command]) if command != "verify" else {"families": ["x"]}
         keys = draw(st.lists(st.sampled_from(sorted(_KEYS[command])), min_size=1, max_size=2,
                              unique=True))

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from orliczlat.errors import InvalidInputError
-from orliczlat.finsupp import FinSuppFn
+from orliczlat.errors import InvalidInputError, NumericalFailureError
+from orliczlat.finsupp import FinSuppFn, as_point
+from orliczlat.norms import holder_check
+from orliczlat.young import pair_from_spec
 
 
 def test_zero_entries_are_dropped():
@@ -22,10 +25,55 @@ def test_dimension_checked():
 
 
 def test_non_finite_rejected():
+    # values from outside, including a scale factor: a config error
     with pytest.raises(InvalidInputError):
         FinSuppFn(1, {(0,): math.inf})
     with pytest.raises(InvalidInputError):
         FinSuppFn(1, {(0,): complex(0, math.nan)})
+    with pytest.raises(InvalidInputError, match=r"non-finite value \(nan\+0j\) at \(3,\)"):
+        FinSuppFn(1, {(0,): 1.0, (3,): math.nan})
+    for c in (math.nan, math.inf, complex(1.0, -math.inf)):
+        with pytest.raises(InvalidInputError, match="scale factor .* is not finite"):
+            FinSuppFn.delta(0, 2.0).scale(c)
+
+
+def test_arithmetic_overflow_is_a_numerical_failure_naming_the_point():
+    big = FinSuppFn(1, {(0,): 1.0, (2,): 1e200})
+    huge = FinSuppFn.delta(2, 1.7e308)
+    cases = [
+        (lambda: big.scale(1e200), r"scaled value \(inf\+0j\)"),
+        (lambda: huge + huge, r"sum value \(inf\+0j\)"),
+        (lambda: huge - huge.scale(-1.0), r"sum value \(inf\+0j\)"),
+        (lambda: big.pointwise_mul(big), r"product value \(inf\+0j\)"),
+        # abs(complex) would raise OverflowError here
+        (lambda: FinSuppFn.delta(2, complex(1.7e308, 1.7e308)).abs(), r"abs value \(inf\+0j\)"),
+        (lambda: holder_check(pair_from_spec({"family": "power", "p": 2}), big, big),
+         r"product value \(inf\+0j\)"),
+    ]
+    for op, message in cases:
+        with pytest.raises(NumericalFailureError, match=message + r" at \(2,\) is not finite"):
+            op()
+
+
+def test_values_stay_python_complex():
+    f = FinSuppFn(1, {(0,): 1, (1,): -2.5, (2,): 1j})
+    for g in (f, f.scale(2), f + f, f - f.scale(0.5), f.pointwise_mul(f), f.abs(), f.flip(),
+              FinSuppFn.delta(0), FinSuppFn.indicator([0, 1])):
+        assert g.entries and {type(v) for _, v in g} == {complex}
+    assert [v.real.hex() for _, v in f.abs()] == [abs(v).hex() for _, v in f]
+
+
+@pytest.mark.parametrize("raw, point", [
+    ((3, -4), (3, -4)), (7, (7,)), ([2.0, -1], (2, -1)), (("5", 0), (5, 0)), (np.int64(4), (4,)),
+])
+def test_as_point_reads_integers_only(raw, point):
+    assert as_point(raw) == point and {type(c) for c in as_point(raw)} == {int}
+
+
+@pytest.mark.parametrize("raw", [(0.5,), (True,), True, (1, 2.5), ("1.5",), (None,), ()])
+def test_as_point_refuses_what_is_not_an_integer(raw):
+    with pytest.raises(InvalidInputError):
+        as_point(raw)
 
 
 def test_delta_and_indicator():
@@ -72,6 +120,21 @@ def test_json_malformed_rejected():
         FinSuppFn.from_json_obj({"dim": 1})
     with pytest.raises(InvalidInputError):
         FinSuppFn.from_json_obj({"dim": 1, "entries": [[[0], [1.0]]]})
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"dim": 1, "entries": [[[0], [3, 0]], [[0], [4, 0]]]}, r"point \(0,\) is repeated"),
+    ({"dim": 1, "entries": [[[0], [3, 0]], [["0"], [4, 0]]]}, r"point \(0,\) is repeated"),
+    ({"dim": 1, "entries": [[[0.5], [3, 0]]]}, r"lattice coordinate: cannot read 0\.5"),
+    ({"dim": 1.7, "entries": [[[0], [3, 0]]]}, r"sparse-function dim: cannot read 1\.7"),
+    ({"dim": True, "entries": [[[0], [3, 0]]]}, r"sparse-function dim: cannot read True"),
+])
+def test_json_read_changes_nothing_silently(obj, message):
+    with pytest.raises(InvalidInputError, match=message):
+        FinSuppFn.from_json_obj(obj)
+    # integral floats and integer text are the same point
+    f = FinSuppFn.from_json_obj({"dim": 2.0, "entries": [[[1.0, "-2"], [3, 0]]]})
+    assert f == FinSuppFn.delta((1, -2), 3.0)
 
 
 def test_entries_are_read_only():

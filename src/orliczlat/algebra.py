@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -80,31 +80,72 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
       indices not seen before, in the iteration order of g.
 
     Small pairs and boxes much larger than ``len(f) * len(g)`` take the
-    loop itself. Raises :class:`ResourceLimitError` above ``MAX_CONV_OPS``
-    products and :class:`NumericalFailureError` naming the first output
-    point, in key order, whose value overflows.
+    loop itself (:func:`_takes_loop`, :func:`_array_extent`). Raises
+    :class:`ResourceLimitError` above ``MAX_CONV_OPS`` products and
+    :class:`NumericalFailureError` naming the first output point, in key
+    order, whose value overflows. ``amenability._derivation_pairing`` reads
+    D(f) = window * h off the same box accumulation
+    (:func:`_box_accumulate`), under the same rules for taking the loop.
     """
     f._check_dim(g)
     ops = len(f) * len(g)
     if ops > MAX_CONV_OPS:
         raise ResourceLimitError(f"convolution needs {ops} products, budget {MAX_CONV_OPS}")
-    if len(g) < _ARRAY_MIN_ROW or ops < _ARRAY_MIN_OPS:
+    if _takes_loop(len(g), ops):
         return _convolve_loop(f, g)
     f_lo, f_hi = _bounds(f)
     g_lo, g_hi = _bounds(g)
-    extent = [fh - fl + gh - gl + 1 for fl, fh, gl, gh in zip(f_lo, f_hi, g_lo, g_hi)]
-    box = math.prod(extent)
-    if box > _ARRAY_MAX_BOX_PER_OP * ops:
+    extent = _array_extent(ops, f_lo, f_hi, g_lo, g_hi)
+    if extent is None:
         return _convolve_loop(f, g)
 
-    g_at = np.array(_box_offsets(g, g_lo, extent), dtype=np.intp)
     gv = np.fromiter(g.entries.values(), dtype=complex, count=len(g))
-    gr, gi = gv.real.copy(), gv.imag.copy()
+    re, im, order = _box_accumulate(
+        _box_offsets(f, f_lo, extent), f.entries.values(),
+        np.array(_box_offsets(g, g_lo, extent), dtype=np.intp), gv.real.copy(), gv.imag.copy(),
+        math.prod(extent),
+    )
+    vals = np.empty(len(order), dtype=complex)
+    vals.real, vals.imag = re[order], im[order]
+    lo = [fl + gl for fl, gl in zip(f_lo, g_lo)]
+    axes = [[c + base for c in axis.tolist()]
+            for axis, base in zip(np.unravel_index(order, extent), lo)]
+    return FinSuppFn._computed(f.dim, dict(zip(zip(*axes), vals.tolist())), "convolution")
+
+
+def _takes_loop(ng: int, ops: int) -> bool:
+    """convolve's first rule: a row of g shorter than ``_ARRAY_MIN_ROW`` or
+    fewer than ``_ARRAY_MIN_OPS`` products take the loop."""
+    return ng < _ARRAY_MIN_ROW or ops < _ARRAY_MIN_OPS
+
+
+def _array_extent(
+    ops: int, f_lo: list[int], f_hi: list[int], g_lo: list[int], g_hi: list[int]
+) -> list[int] | None:
+    """Per-axis extent of the bounding box of supp f + supp g, from the
+    per-axis bounds of both supports; None, for the loop, where the box has
+    more than ``_ARRAY_MAX_BOX_PER_OP`` cells per product."""
+    extent = [fh - fl + gh - gl + 1 for fl, fh, gl, gh in zip(f_lo, f_hi, g_lo, g_hi)]
+    return extent if math.prod(extent) <= _ARRAY_MAX_BOX_PER_OP * ops else None
+
+
+def _box_accumulate(
+    f_at: Sequence[int],
+    f_vals: Iterable[complex],
+    g_at: np.ndarray,
+    gr: np.ndarray,
+    gi: np.ndarray,
+    box: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The array path of :func:`convolve` on box offsets: for each entry a
+    of f in order, a*g added into the box at ``g_at + shift`` in CPython's
+    complex-multiply order. Returns the real and imaginary box and the
+    cells reached, in first-appearance order."""
     re, im = np.zeros(box), np.zeros(box)
     seen = np.zeros(box, dtype=bool)
     fresh = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for shift, a in zip(_box_offsets(f, f_lo, extent), f.entries.values()):
+        for shift, a in zip(f_at, f_vals):
             at = g_at + shift
             ar, ai = a.real, a.imag
             re[at] += ar * gr - ai * gi
@@ -112,13 +153,7 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
             new = at[~seen[at]]
             seen[new] = True
             fresh.append(new)
-    order = np.concatenate(fresh)
-    vals = np.empty(len(order), dtype=complex)
-    vals.real, vals.imag = re[order], im[order]
-    lo = [fl + gl for fl, gl in zip(f_lo, g_lo)]
-    axes = [[c + base for c in axis.tolist()]
-            for axis, base in zip(np.unravel_index(order, extent), lo)]
-    return FinSuppFn._computed(f.dim, dict(zip(zip(*axes), vals.tolist())), "convolution")
+    return re, im, np.concatenate(fresh)
 
 
 def _convolve_loop(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:

@@ -39,12 +39,13 @@ __all__ = ["FinSuppFn", "Point", "as_point"]
 
 def as_point(x: Iterable[int] | int) -> Point:
     """Normalise an int or an int sequence to a lattice point tuple; each
-    coordinate is read by the integer rule :func:`~orliczlat.errors.as_int`."""
+    coordinate is read by the integer rule :func:`~orliczlat.errors.as_int`,
+    and a string is one coordinate."""
     if type(x) is int:
         return (x,)
     if type(x) is tuple and x and all(type(c) is int for c in x):
         return x
-    coords = x if isinstance(x, Iterable) else (x,)
+    coords = x if isinstance(x, Iterable) and not isinstance(x, str) else (x,)
     pt = tuple(coerce(as_int, c, "lattice coordinate") for c in coords)
     if not pt:
         raise InvalidInputError("lattice points must have positive dimension")

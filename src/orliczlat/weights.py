@@ -206,7 +206,10 @@ class DampedHomomorphism:
         return out
 
     def __call__(self, s: Point | Sequence[int]) -> complex:
-        return self.values([tuple(int(c) for c in s)])[0]
+        pt = as_point(s)
+        if len(pt) != self.xi.dim:
+            raise InvalidInputError(f"point {pt!r} has dimension {len(pt)}, not {self.xi.dim}")
+        return self.values([pt])[0]
 
     def shell_max(self, n: int) -> float:
         """Exact max of the damped magnitude over the shell of radius n."""

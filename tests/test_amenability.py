@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from unittest import mock
@@ -31,7 +32,12 @@ from orliczlat.errors import (
     ResourceLimitError,
 )
 from orliczlat.finsupp import FinSuppFn
-from orliczlat.sampling import PROFILE_SUPPORT_CAP, adversarial_candidates, random_finsupp
+from orliczlat.sampling import (
+    PROFILE_SUPPORT_CAP,
+    adversarial_candidates,
+    random_finsupp,
+    scan_pairs,
+)
 from orliczlat.weights import (
     MAX_BALL_POINTS,
     Weight,
@@ -110,6 +116,14 @@ def test_damped_form_batch_values_and_overflow():
     big = DampedHomomorphism(Homomorphism((1e308,)), polynomial_weight(0.4))
     with pytest.raises(NumericalFailureError, match=r"at \(-4,\) is not finite"):
         big.values(ball(4, 1))
+
+
+def test_damped_form_reads_its_point_as_a_lattice_point():
+    dh = DampedHomomorphism(Homomorphism((1.0,)), polynomial_weight(0.4))
+    assert dh([2]) == dh((2,)) == dh(2) == dh.values([(2,)])[0]
+    for bad in ((1.9,), (0.5,), (1, 2), ()):
+        with pytest.raises(InvalidInputError):
+            dh(bad)
 
 
 def test_damped_form_values_and_shell_max():
@@ -369,6 +383,99 @@ def test_leibniz_matches_raw_expansion_oracle():
         assert rep.lhs == pytest.approx(lhs_o, rel=1e-12, abs=1e-12)
         assert rep.rhs == pytest.approx(rhs_o, rel=1e-12, abs=1e-12)
         assert rep.ok
+
+
+# -- the fused derivation pairing ---------------------------------------------------
+
+
+def _hex(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def _pin_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> tuple[bool, bool]:
+    """Assert that the fused kernel gives pairing(apply_derivation(d, f), g)
+    bit for bit; returns (it took its array path, D(f) was the smaller side)."""
+    want_d = apply_derivation(d, f)
+    want = amenability.pairing(want_d, g)
+    with mock.patch.object(amenability, "apply_derivation", wraps=apply_derivation) as ref:
+        got = amenability._derivation_pairing(d, f, g)
+    assert type(got) is complex and _hex(got) == _hex(want)
+    return not ref.called, len(want_d) <= len(g)
+
+
+def _same_error(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> str:
+    with pytest.raises(Exception) as want:
+        amenability.pairing(apply_derivation(d, f), g)
+    with pytest.raises(want.type) as got:
+        amenability._derivation_pairing(d, f, g)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+_PIN_RADII = {1: (1, 4, 16, 64, 256), 2: (1, 3, 8, 16), 3: (1, 2, 4)}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_derivation_pairing_bit_identical_to_apply_then_pair(dim):
+    # the scan pools' pairs (f, flip f) and (f, f), and each f against its
+    # pool's ball indicator, which puts D(f) on the smaller side; real,
+    # mixed-sign and complex forms, cycled to the dimension
+    seen = set()
+    for coeffs in ((1.0,), (1.0, -0.5), (0.3 - 0.7j, 2 + 1j)):
+        xi = Homomorphism(tuple(itertools.islice(itertools.cycle(coeffs), dim)))
+        for window_radius in (1, 2):
+            d = Derivation.with_ball_window(xi, dim, window_radius)
+            for spec, r in itertools.product(SCAN_WEIGHTS[::2], _PIN_RADII[dim]):
+                pool = list(scan_pairs(dim, r, 3, 27, omega=weight_from_spec(spec), xi=xi))
+                ball_ind = next(f for kind, f, _ in pool if kind.startswith("ball-indicator"))
+                for _, f, g in pool:
+                    seen.add(_pin_pairing(d, f, g))
+                    seen.add(_pin_pairing(d, f, ball_ind))
+    # both sides of the fallback, both pairing branches
+    assert seen == set(itertools.product((True, False), repeat=2))
+
+
+def test_derivation_pairing_edge_cases_match_the_reference():
+    d1 = Derivation.with_ball_window(Homomorphism((1.0,)), 1, 1)
+    # h is exactly 0 on the axis where xi(p) = p_0 vanishes
+    d2 = Derivation.with_ball_window(Homomorphism.basis(2), 2, 1)
+    ball3 = FinSuppFn.indicator(ball(3, 2))
+    for g in (ball3, ball3.flip(), FinSuppFn.indicator(ball(8, 2))):
+        assert _pin_pairing(d2, ball3, g)[0]
+    # f = delta_1 + delta_-1 with xi(x) = x: D(f)(0) = 1 - 1 = 0 exactly, on
+    # the loop and, with more far entries, on the array path; g has as many
+    # points as D(f) has nonzero values, so only the dropped zero puts D(f)
+    # on the smaller side
+    pair = FinSuppFn.indicator([1, -1])
+    assert (0,) not in apply_derivation(d1, pair).entries
+    assert _pin_pairing(d1, pair, FinSuppFn.indicator(range(-3, 4))) == (False, True)
+    f = FinSuppFn.indicator([1, -1] + [x for x in range(-30, 31) if abs(x) >= 3])
+    support = list(apply_derivation(d1, f).entries)
+    assert (0,) not in support and f[0] == 0
+    g = FinSuppFn(1, {p: complex(0.3 + 0.1 * k, -0.7 * k) for k, p in enumerate(reversed(support))})
+    assert _pin_pairing(d1, f, g) == (True, True)
+    assert _pin_pairing(d1, f, FinSuppFn.indicator(range(-10, 11))) == (True, False)
+    # g disjoint from D(f), on both branches
+    f = FinSuppFn.indicator(range(50))
+    for g in (FinSuppFn.delta(1000, 2.0), FinSuppFn.indicator(range(500, 700))):
+        assert _pin_pairing(d1, f, g)[0]
+        assert amenability._derivation_pairing(d1, f, g) == 0j
+    # coordinates that leave int64 take the reference
+    far = FinSuppFn.indicator([2**63 + k for k in range(50)])
+    low = FinSuppFn.indicator([-(2**63) + k for k in range(50)])
+    for f, g in ((far, far.flip()), (low, low.flip()), (FinSuppFn.indicator(range(50)), far)):
+        assert _pin_pairing(d1, f, g)[0] is False
+    # a dimension mismatch of f or of g
+    line = FinSuppFn.indicator(range(50))
+    assert "dimension mismatch" in _same_error(d2, line, line)
+    assert "dimension mismatch" in _same_error(d1, line, ball3)
+    # overflow in h, and in D(f) with h finite
+    big_h = FinSuppFn.indicator(range(-30, 31)).scale(1e300)
+    d_big = Derivation.with_ball_window(Homomorphism((1e10,)), 1, 1)
+    assert "derivation value" in _same_error(d_big, big_h, big_h)
+    big_d = FinSuppFn(1, {(x,): 1e308 / x for x in range(-30, 31) if x})
+    assert all(math.isfinite(abs(v * x)) for (x,), v in big_d)  # h(-x) = f(x) * x
+    assert "convolution value" in _same_error(d1, big_d, big_d)
 
 
 # -- derivation norm scan -------------------------------------------------------------

@@ -65,12 +65,13 @@ def test_values_stay_python_complex():
 
 @pytest.mark.parametrize("raw, point", [
     ((3, -4), (3, -4)), (7, (7,)), ([2.0, -1], (2, -1)), (("5", 0), (5, 0)), (np.int64(4), (4,)),
+    ("12", (12,)), ("-3", (-3,)),  # a string is one coordinate
 ])
 def test_as_point_reads_integers_only(raw, point):
     assert as_point(raw) == point and {type(c) for c in as_point(raw)} == {int}
 
 
-@pytest.mark.parametrize("raw", [(0.5,), (True,), True, (1, 2.5), ("1.5",), (None,), ()])
+@pytest.mark.parametrize("raw", [(0.5,), (True,), True, (1, 2.5), ("1.5",), (None,), (), "ab", "1.5", ""])
 def test_as_point_refuses_what_is_not_an_integer(raw):
     with pytest.raises(InvalidInputError):
         as_point(raw)

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .finsupp import FinSuppFn
+from .finsupp import FinSuppFn, _int64_points
 from .norms import luxemburg_norm, weighted_l1_norm, weighted_norm
 from .sampling import scan_pairs
 from .weights import Weight
@@ -79,13 +79,16 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
       insertion order of its smaller argument): each step appends the
       indices not seen before, in the iteration order of g.
 
-    Small pairs and boxes much larger than ``len(f) * len(g)`` take the
-    loop itself (:func:`_takes_loop`, :func:`_array_extent`). Raises
+    Small pairs take the loop itself (:func:`_takes_loop`, checked before any
+    array is read), and so do pairs with a point that has no int64 view
+    (:func:`~orliczlat.finsupp._int64_points`) and the pairs
+    :func:`_box_convolve` refuses: a box corner outside int64, or a box
+    much larger than ``len(f) * len(g)``. Raises
     :class:`ResourceLimitError` above ``MAX_CONV_OPS`` products and
     :class:`NumericalFailureError` naming the first output point, in key
     order, whose value overflows. ``amenability._derivation_pairing`` reads
-    D(f) = window * h off the same box accumulation
-    (:func:`_box_accumulate`), under the same rules for taking the loop.
+    D(f) = window * h off the same kernel, under the same rules for taking
+    the loop.
     """
     f._check_dim(g)
     ops = len(f) * len(g)
@@ -93,23 +96,18 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
         raise ResourceLimitError(f"convolution needs {ops} products, budget {MAX_CONV_OPS}")
     if _takes_loop(len(g), ops):
         return _convolve_loop(f, g)
-    f_lo, f_hi = _bounds(f)
-    g_lo, g_hi = _bounds(g)
-    extent = _array_extent(ops, f_lo, f_hi, g_lo, g_hi)
-    if extent is None:
-        return _convolve_loop(f, g)
-
+    f_pts, g_pts = _int64_points(f.entries, f.dim), _int64_points(g.entries, f.dim)
     gv = np.fromiter(g.entries.values(), dtype=complex, count=len(g))
-    re, im, order = _box_accumulate(
-        _box_offsets(f, f_lo, extent), f.entries.values(),
-        np.array(_box_offsets(g, g_lo, extent), dtype=np.intp), gv.real.copy(), gv.imag.copy(),
-        math.prod(extent),
+    box = None if f_pts is None or g_pts is None else _box_convolve(
+        f_pts, f.entries.values(), g_pts, gv.real.copy(), gv.imag.copy()
     )
+    if box is None:
+        return _convolve_loop(f, g)
+    re, im, order, corner, extent = box
     vals = np.empty(len(order), dtype=complex)
     vals.real, vals.imag = re[order], im[order]
-    lo = [fl + gl for fl, gl in zip(f_lo, g_lo)]
     axes = [[c + base for c in axis.tolist()]
-            for axis, base in zip(np.unravel_index(order, extent), lo)]
+            for axis, base in zip(np.unravel_index(order, extent), corner)]
     return FinSuppFn._computed(f.dim, dict(zip(zip(*axes), vals.tolist())), "convolution")
 
 
@@ -119,28 +117,29 @@ def _takes_loop(ng: int, ops: int) -> bool:
     return ng < _ARRAY_MIN_ROW or ops < _ARRAY_MIN_OPS
 
 
-def _array_extent(
-    ops: int, f_lo: list[int], f_hi: list[int], g_lo: list[int], g_hi: list[int]
-) -> list[int] | None:
-    """Per-axis extent of the bounding box of supp f + supp g, from the
-    per-axis bounds of both supports; None, for the loop, where the box has
-    more than ``_ARRAY_MAX_BOX_PER_OP`` cells per product."""
+def _box_convolve(
+    f_pts: np.ndarray, f_vals: Iterable[complex], g_pts: np.ndarray, gr: np.ndarray, gi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[int]] | None:
+    """The array path of :func:`convolve` on int64 point arrays: for each
+    entry a of f in order, a*g added into the bounding box of supp f +
+    supp g in CPython's complex-multiply order.
+
+    Returns the real and imaginary box, the cells reached in
+    first-appearance order, and the box's lowest corner and per-axis
+    extent (row-major cells); None, for the loop, where the box has more
+    than ``_ARRAY_MAX_BOX_PER_OP`` cells per product or a corner of it
+    leaves int64.
+    """
+    f_lo, f_hi = f_pts.min(axis=0).tolist(), f_pts.max(axis=0).tolist()
+    g_lo, g_hi = g_pts.min(axis=0).tolist(), g_pts.max(axis=0).tolist()
     extent = [fh - fl + gh - gl + 1 for fl, fh, gl, gh in zip(f_lo, f_hi, g_lo, g_hi)]
-    return extent if math.prod(extent) <= _ARRAY_MAX_BOX_PER_OP * ops else None
-
-
-def _box_accumulate(
-    f_at: Sequence[int],
-    f_vals: Iterable[complex],
-    g_at: np.ndarray,
-    gr: np.ndarray,
-    gi: np.ndarray,
-    box: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The array path of :func:`convolve` on box offsets: for each entry a
-    of f in order, a*g added into the box at ``g_at + shift`` in CPython's
-    complex-multiply order. Returns the real and imaginary box and the
-    cells reached, in first-appearance order."""
+    corner = [fl + gl for fl, gl in zip(f_lo, g_lo)]
+    box = math.prod(extent)
+    if (box > _ARRAY_MAX_BOX_PER_OP * len(f_pts) * len(g_pts) or min(corner) < -(2**63)
+            or max(fh + gh for fh, gh in zip(f_hi, g_hi)) >= 2**63):
+        return None
+    f_at = np.ravel_multi_index(tuple((f_pts - f_lo).T), extent).tolist()
+    g_at = np.ravel_multi_index(tuple((g_pts - g_lo).T), extent)
     re, im = np.zeros(box), np.zeros(box)
     seen = np.zeros(box, dtype=bool)
     fresh = []
@@ -153,7 +152,7 @@ def _box_accumulate(
             new = at[~seen[at]]
             seen[new] = True
             fresh.append(new)
-    return re, im, np.concatenate(fresh)
+    return re, im, np.concatenate(fresh), corner, extent
 
 
 def _convolve_loop(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
@@ -163,26 +162,6 @@ def _convolve_loop(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
             key = tuple(x + y for x, y in zip(p, q))
             out[key] = out.get(key, 0j) + a * b
     return FinSuppFn._computed(f.dim, out, "convolution")
-
-
-def _bounds(f: FinSuppFn) -> tuple[list[int], list[int]]:
-    """Per-axis minimum and maximum of the support, as Python ints."""
-    axes = list(zip(*f.entries))
-    return [min(a) for a in axes], [max(a) for a in axes]
-
-
-def _box_offsets(f: FinSuppFn, lo: list[int], extent: list[int]) -> list[int]:
-    """Row-major offsets of p - lo in a box of the given extent, per point p of f.
-
-    The offset is linear in p, so the offset of p + q is the sum of theirs.
-    """
-    out = []
-    for p in f.entries:
-        at = 0
-        for c, base, n in zip(p, lo, extent):
-            at = at * n + (c - base)
-        out.append(at)
-    return out
 
 
 flip = FinSuppFn.flip

@@ -21,7 +21,6 @@ numerical evidence behind the same dichotomy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -31,7 +30,7 @@ import numpy as np
 from . import algebra
 from .algebra import AlgebraContext, ScanReport, _ratio_scan, convolve
 from .errors import InvalidInputError, PreconditionError
-from .finsupp import FinSuppFn
+from .finsupp import FinSuppFn, _int64_points
 from .weights import (
     RATIO_MARGIN,
     DampedHomomorphism,
@@ -100,9 +99,6 @@ def pairing(u: FinSuppFn, w: FinSuppFn) -> complex:
     return sum((v * big.entries[p] for p, v in small if p in big.entries), 0j)
 
 
-_INT64 = np.iinfo(np.int64)
-
-
 def _derivation_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> complex:
     """``pairing(apply_derivation(d, f), g)`` bit for bit, without building
     h or D(f) as sparse functions.
@@ -113,16 +109,18 @@ def _derivation_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> complex:
       ``re = cr*x - ci*0.0`` and ``im = cr*0.0 + ci*x``, summed from
       (0.0, 0.0); then h = f(p) * xi(p) at -p in complex-multiply order,
       less its exact zeros.
-    - D(f) = window * h goes into :func:`~orliczlat.algebra.convolve`'s box
-      (``algebra._box_accumulate``), and g's points are indexed into it.
+    - D(f) = window * h goes through :func:`~orliczlat.algebra.convolve`'s
+      box kernel (``algebra._box_convolve``), and g's points are indexed
+      into the box.
     - ``pairing`` walks its smaller argument in its insertion order: the
       nonzero cells of D(f) in first-appearance order if there are no more
       of them than entries of g, else g. The products are summed by
       Python's ``sum(..., 0j)``.
 
-    The reference itself runs where ``convolve`` takes its loop, where a
-    coordinate leaves int64, and where h or D(f) is not finite (it raises
-    the same errors).
+    The reference itself runs where ``convolve`` takes its loop (the pair
+    is small, or ``_box_convolve`` refuses it), where a point of f or g has
+    no int64 view, and where h or D(f) is not finite (it raises the same
+    errors).
     """
     fused = _fused_pairing(d, f, g)
     return pairing(apply_derivation(d, f), g) if fused is None else fused
@@ -135,12 +133,8 @@ def _fused_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> complex | None:
     if (dim != window.dim or g.dim != dim or nw * nf > algebra.MAX_CONV_OPS
             or algebra._takes_loop(nf, nw * nf)):  # |h| <= |f|
         return None
-    try:
-        pts = np.fromiter(itertools.chain.from_iterable(f.entries), np.int64, nf * dim)
-    except OverflowError:
-        return None
-    pts = pts.reshape(nf, dim)
-    if pts.min() == _INT64.min:  # -p leaves int64
+    pts, w_pts, g_pts = (_int64_points(u.entries, dim) for u in (f, window, g))
+    if pts is None or w_pts is None or g_pts is None:
         return None
     vals = np.fromiter(f.entries.values(), complex, nf)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -153,33 +147,19 @@ def _fused_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> complex | None:
     if not (np.isfinite(hr).all() and np.isfinite(hi).all()):
         return None
     keep = (hr != 0.0) | (hi != 0.0)
-    h_pts, hr, hi = -pts[keep], hr[keep], hi[keep]
-    ops = nw * len(hr)
-    if algebra._takes_loop(len(hr), ops):
+    hr, hi = hr[keep], hi[keep]
+    if algebra._takes_loop(len(hr), nw * len(hr)):
         return None
-    w_lo, w_hi = algebra._bounds(window)
-    h_lo, h_hi = h_pts.min(axis=0).tolist(), h_pts.max(axis=0).tolist()
-    extent = algebra._array_extent(ops, w_lo, w_hi, h_lo, h_hi)
-    box_lo = [wl + hl for wl, hl in zip(w_lo, h_lo)]
-    box_hi = [wh + hh for wh, hh in zip(w_hi, h_hi)]
-    if extent is None or min(box_lo) < _INT64.min or max(box_hi) > _INT64.max:
+    box = algebra._box_convolve(w_pts, window.entries.values(), -pts[keep], hr, hi)
+    if box is None:
         return None
-
-    strides = np.array([math.prod(extent[k + 1:]) for k in range(dim)], dtype=np.intp)
-    re, im, order = algebra._box_accumulate(
-        algebra._box_offsets(window, w_lo, extent), window.entries.values(),
-        (h_pts - h_lo) @ strides, hr, hi, math.prod(extent),
-    )
+    re, im, order, corner, extent = box
     dr, di = re[order], im[order]
     if not (np.isfinite(dr).all() and np.isfinite(di).all()):
         return None
-    try:
-        g_pts = np.fromiter(itertools.chain.from_iterable(g.entries), np.int64, len(g) * dim)
-    except OverflowError:
-        return None
-    g_pts = g_pts.reshape(len(g), dim)
-    inside = ((g_pts >= box_lo) & (g_pts <= box_hi)).all(axis=1)
-    g_at = (g_pts[inside] - box_lo) @ strides
+    top = [c + n - 1 for c, n in zip(corner, extent)]
+    inside = ((g_pts >= corner) & (g_pts <= top)).all(axis=1)
+    g_at = np.ravel_multi_index(tuple((g_pts[inside] - corner).T), extent)
     gv = np.fromiter(g.entries.values(), complex, len(g))
     gr, gi = gv.real, gv.imag
     nonzero = (dr != 0.0) | (di != 0.0)

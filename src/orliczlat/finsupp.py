@@ -19,14 +19,20 @@ takes every function the package computes, as int-tuple points of length
 :class:`NumericalFailureError` naming its point. Both drop exact zeros,
 since the support size sets the Luxemburg bracket and ``pairing`` sums
 over the smaller support.
+
+One array view leads out: :func:`_int64_points` reads the points of a
+support as an int64 array, or says None when a coordinate does not fit,
+so the array paths of convolution, the derivation pairing and the weight
+reader share one rule for the lattice's int64 range.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -50,6 +56,17 @@ def as_point(x: Iterable[int] | int) -> Point:
     if not pt:
         raise InvalidInputError("lattice points must have positive dimension")
     return pt
+
+
+def _int64_points(points: Collection[Point], dim: int) -> np.ndarray | None:
+    """The points (int tuples of length ``dim``) as an int64 (n, dim) array,
+    in order; None when a coordinate lies outside (-2**63, 2**63), so that
+    -p and |p| of every point read are int64 too."""
+    try:
+        pts = np.fromiter(itertools.chain.from_iterable(points), np.int64, len(points) * dim)
+    except OverflowError:
+        return None
+    return None if pts.size and pts.min() == -(2**63) else pts.reshape(len(points), dim)
 
 
 @dataclass(frozen=True)

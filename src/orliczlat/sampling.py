@@ -46,13 +46,13 @@ def random_finsupp(
         )
     size = int(rng.integers(1, max_support + 1))
     entries: dict[Point, complex] = {}
-    pts = rng.integers(-radius, radius + 1, size=(size, dim))
-    mags = np.abs(rng.standard_normal(size))
-    phases = rng.uniform(0.0, 2.0 * math.pi, size)
+    pts = rng.integers(-radius, radius + 1, size=(size, dim)).tolist()
+    mags = np.abs(rng.standard_normal(size)).tolist()
+    phases = rng.uniform(0.0, 2.0 * math.pi, size).tolist()
     for row, m, th in zip(pts, mags, phases):
         if m == 0.0:
             continue
-        entries[tuple(int(c) for c in row)] = complex(m * complex(math.cos(th), math.sin(th)))
+        entries[tuple(row)] = m * complex(math.cos(th), math.sin(th))
     return FinSuppFn._computed(dim, entries or {(0,) * dim: 1 + 0j}, "random draw")
 
 

@@ -31,7 +31,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, ResourceLimitError, from_spec
-from .finsupp import Point, as_point
+from .finsupp import Point, _int64_points, as_point
 from .young import YoungFunction, _guarded
 
 __all__ = [
@@ -114,16 +114,12 @@ class Weight:
     def at_points(self, points: Collection[Point], dim: int) -> np.ndarray:
         """The weight at each point (int tuples of length dim), in order:
         ``radial`` read from a table memoised per word length, so each
-        value is the float ``self(p)`` returns. Coordinates past the int64
-        range are measured as Python ints."""
-        n = len(points)
-        coords = itertools.chain.from_iterable(points)
-        try:
-            # |c| as uint64 is exact, even at -2**63
-            lengths = np.abs(np.fromiter(coords, np.int64, n * dim)).view(np.uint64)
-        except OverflowError:
-            lengths = np.abs(np.array(list(itertools.chain.from_iterable(points)), object))
-        lengths, at = np.unique(lengths.reshape(n, dim).max(axis=1), return_inverse=True)
+        value is the float ``self(p)`` returns. Points with no int64 view
+        (:func:`~orliczlat.finsupp._int64_points`) are measured as Python ints."""
+        coords = _int64_points(points, dim)
+        if coords is None:
+            coords = np.array(list(points), dtype=object).reshape(len(points), dim)
+        lengths, at = np.unique(np.abs(coords).max(axis=1), return_inverse=True)
         table, ks = self._table, lengths.tolist()
         for k in ks:
             if k not in table:

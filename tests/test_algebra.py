@@ -125,6 +125,33 @@ def test_convolve_overflow_is_numerical_failure_on_both_paths():
         assert spy.called == loop
 
 
+def test_convolve_bit_identical_to_loop_at_int64_ends():
+    # 20 x 20 products, so only the int64 view of the points and of the
+    # box corners picks the path (array: the array path's side)
+    def line(xs, dim=1, axis=0):
+        return FinSuppFn(dim, {tuple(x if i == axis else k for i in range(dim)):
+                               complex(0.5 + k, 0.25 - k) for k, x in enumerate(xs)})
+
+    low, high = [-(2**63) + k for k in range(1, 21)], [2**63 - 1 - k for k in range(20)]
+    cases = [
+        (line(low), line(range(20)), True),
+        (line(high), line(range(-19, 1)), True),
+        (line([-(2**63) + k for k in range(20)]), line(range(20)), False),  # -2**63 itself
+        (line([2**63 + k for k in range(20)]), line([-(2**63) - k for k in range(20)]), False),
+        (line([2**70] + list(range(19))), line(range(20)), False),
+        (line(low), line(range(-20, 0)), False),  # the lowest corner leaves int64
+        (line(high), line(range(1, 21)), False),  # the highest corner leaves int64
+        (line(low, 2, 1), line(range(20), 2), True),
+        (line(low, 2, 1), line(range(-20, 0), 2, 1), False),
+    ]
+    for f, g, array in cases:
+        with mock.patch.object(algebra, "_convolve_loop", wraps=algebra._convolve_loop) as spy:
+            got = convolve(f, g)
+        assert bits(got) == bits(algebra._convolve_loop(f, g)), (f.support()[0], g.support()[0])
+        assert {type(c) for p in got.entries for c in p} == {int}
+        assert spy.called != array, (f.support()[0], g.support()[0])
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_convolve_bit_identical_to_loop_on_scan_pools(dim):
     # keys, their order and every bit of both parts, through pairing too:

@@ -465,6 +465,12 @@ def test_derivation_pairing_edge_cases_match_the_reference():
     low = FinSuppFn.indicator([-(2**63) + k for k in range(50)])
     for f, g in ((far, far.flip()), (low, low.flip()), (FinSuppFn.indicator(range(50)), far)):
         assert _pin_pairing(d1, f, g)[0] is False
+    # every coordinate fits int64: the box corner -2**63 does with window
+    # radius 1, and -2**63 - 1 does not with radius 2
+    top = FinSuppFn.indicator([2**63 - 1 - k for k in range(50)])
+    assert _pin_pairing(d1, top, top.flip())[0] is True
+    d_wide = Derivation.with_ball_window(Homomorphism((1.0,)), 1, 2)
+    assert _pin_pairing(d_wide, top, top.flip())[0] is False
     # a dimension mismatch of f or of g
     line = FinSuppFn.indicator(range(50))
     assert "dimension mismatch" in _same_error(d2, line, line)

@@ -11,6 +11,7 @@ Reports carry ``certificate="empirical"`` to make this status explicit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,7 +24,12 @@ from .errors import (
     ResourceLimitError,
 )
 from .finsupp import FinSuppFn, _int64_points
-from .norms import luxemburg_norm, weighted_l1_norm, weighted_norm
+from .norms import (
+    _luxemburg_of,
+    _weighted_luxemburg_of,
+    luxemburg_norm,
+    weighted_l1_norm,
+)
 from .sampling import scan_pairs
 from .weights import Weight
 from .young import ComplementaryPair, YoungFunction, numeric_conjugate, sqrt_transform
@@ -157,10 +163,11 @@ def _box_convolve(
 
 def _convolve_loop(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
     out: dict = {}
+    get = out.get
     for p, a in f:
         for q, b in g:
-            key = tuple(x + y for x, y in zip(p, q))
-            out[key] = out.get(key, 0j) + a * b
+            key = tuple(map(operator.add, p, q))
+            out[key] = get(key, 0j) + a * b
     return FinSuppFn._computed(f.dim, out, "convolution")
 
 
@@ -175,8 +182,10 @@ class AlgebraContext:
     omega: Weight
     dim: int = 1
 
-    def weighted_luxemburg(self, f: FinSuppFn) -> float:
-        return weighted_norm(self.pair.phi, self.omega, f)
+    def weighted_luxemburg_norms(self, fs: Sequence[FinSuppFn]) -> list[float]:
+        """``weighted_norm(phi, omega, f)`` of the Luxemburg kind for each f,
+        the distinct unmemoised fs measured in one batch."""
+        return _weighted_luxemburg_of(self.pair.phi, self.omega, fs)
 
     def describe(self) -> str:
         return f"{self.pair.phi.describe()} / {self.omega.describe()} / Z^{self.dim}"
@@ -236,6 +245,15 @@ def _ratio_scan(
     This is the one bounded-bilinear-map scan: a pair where either norm
     is 0 is skipped.
 
+    ``left`` and ``right`` measure a list of functions at once and return
+    their norms in order. A radius draws all its pairs first, then measures
+    every f with one ``left`` call and every g with one ``right`` call (the
+    Luxemburg measures run the distinct functions of the batch in lockstep,
+    see :func:`~orliczlat.norms._luxemburg_norms`), and only then forms the
+    ratios in pair order. If drawing or measuring raises, the radius is
+    replayed a pair at a time, each measure on a list of one, so the error
+    surfaces that the pair order meets first.
+
     The radii are scanned in ascending order, each once; the trend needs
     two distinct radii, and a radius below 1 is refused.
     """
@@ -246,9 +264,16 @@ def _ratio_scan(
         raise InvalidInputError(f"{op}: radius {radii[0]} is below 1")
     per_radius = []
     for r in radii:
+        try:
+            drawn = list(scan_pairs(dim, r, trials, seed, omega=omega, xi=xi))
+            measured = zip(drawn, left([f for _, f, _ in drawn]), right([g for _, _, g in drawn]))
+        except Exception:  # any error: the pair-at-a-time replay raises the one met first
+            measured = (
+                ((kind, f, g), left([f])[0], right([g])[0])
+                for kind, f, g in scan_pairs(dim, r, trials, seed, omega=omega, xi=xi)
+            )
         best, best_kind = 0.0, ""
-        for kind, f, g in scan_pairs(dim, r, trials, seed, omega=omega, xi=xi):
-            nf, ng = left(f), right(g)
+        for (kind, f, g), nf, ng in measured:
             if nf == 0.0 or ng == 0.0:
                 continue
             ratio = top(f, g) / (nf * ng)
@@ -281,9 +306,9 @@ def submult_estimate(
         "submult_estimate",
         {"context": ctx.describe(), "radius": radius, "trials": trials, "seed": seed},
         _radius_ladder(radius),
-        lambda f, g: ctx.weighted_luxemburg(convolve(f, g)),
-        ctx.weighted_luxemburg,
-        ctx.weighted_luxemburg,
+        lambda f, g: ctx.weighted_luxemburg_norms([convolve(f, g)])[0],
+        ctx.weighted_luxemburg_norms,
+        ctx.weighted_luxemburg_norms,
         ctx.dim, trials, seed, omega=ctx.omega,
     )
 
@@ -304,9 +329,9 @@ def l1_module_check(
         "l1_module_check",
         {"context": ctx.describe(), "radius": radius, "trials": trials, "seed": seed},
         _radius_ladder(radius),
-        lambda f, g: ctx.weighted_luxemburg(convolve(f, g)),
-        lambda f: weighted_l1_norm(ctx.omega, f),
-        ctx.weighted_luxemburg,
+        lambda f, g: ctx.weighted_luxemburg_norms([convolve(f, g)])[0],
+        lambda fs: [weighted_l1_norm(ctx.omega, f) for f in fs],
+        ctx.weighted_luxemburg_norms,
         ctx.dim, trials, seed, omega=ctx.omega,
     )
 
@@ -336,8 +361,8 @@ def conv_inclusion_check(
         {"pair": pair.describe(), "radius": radius, "trials": trials, "seed": seed},
         _radius_ladder(radius),
         lambda u, f: luxemburg_norm(pair.psi, convolve(u, f)),
-        lambda u: luxemburg_norm(psi_tilde, u),
-        lambda f: luxemburg_norm(pair.phi, f),
+        lambda us: _luxemburg_of(psi_tilde, us),
+        lambda fs: _luxemburg_of(pair.phi, fs),
         dim, trials, seed,
     )
 
@@ -357,7 +382,7 @@ def pointwise_inclusion_check(
         {"pair": pair.describe(), "radius": radius, "trials": trials, "seed": seed},
         _radius_ladder(radius),
         lambda u, g: luxemburg_norm(pair.phi, u.pointwise_mul(g)),
-        lambda u: luxemburg_norm(phi_tilde, u),
-        lambda g: luxemburg_norm(pair.psi, g),
+        lambda us: _luxemburg_of(phi_tilde, us),
+        lambda gs: _luxemburg_of(pair.psi, gs),
         dim, trials, seed,
     )

@@ -389,8 +389,8 @@ def derivation_norm_scan(
         },
         list(radii),
         lambda f, g: abs(_derivation_pairing(d, f, g)),
-        ctx.weighted_luxemburg,
-        ctx.weighted_luxemburg,
+        ctx.weighted_luxemburg_norms,
+        ctx.weighted_luxemburg_norms,
         ctx.dim, trials, seed, omega=ctx.omega, xi=d.form,
     )
 

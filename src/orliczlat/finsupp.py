@@ -181,10 +181,15 @@ class FinSuppFn:
         )
 
     def flip(self) -> "FinSuppFn":
-        """The reflection f(-x); an involution compatible with convolution."""
-        return FinSuppFn._computed(
-            self.dim, {tuple(-c for c in p): v for p, v in self.entries.items()}, "flip"
-        )
+        """The reflection f(-x); an involution compatible with convolution.
+        The points are negated as one int64 array where they have a view
+        (:func:`_int64_points`), one at a time where they do not."""
+        pts = _int64_points(self.entries, self.dim)
+        if pts is None:
+            keys = [tuple(-c for c in p) for p in self.entries]
+        else:
+            keys = map(tuple, (-pts).tolist())
+        return FinSuppFn._computed(self.dim, dict(zip(keys, self.entries.values())), "flip")
 
     def abs(self) -> "FinSuppFn":
         with np.errstate(over="ignore"):  # abs(complex) raises OverflowError there

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Generator, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -126,6 +126,18 @@ class YoungFunction:
         if arr.size and arr.min() < 0:
             raise InvalidInputError(f"Young function evaluated at negative x={arr.min()!r}")
         return self.array_fn(arr).tolist()
+
+    def _fsums(self, xs: np.ndarray, ends: Sequence[int]) -> list[float]:
+        """``math.fsum`` of Phi over each slice of a float64 array the caller
+        knows to be nonnegative, the slices ending at ``ends``: the values
+        of :meth:`values` from one pass over the whole array, listed a slice
+        at a time."""
+        starts = [0, *ends[:-1]]
+        if self.array_fn is None:
+            vals = self.values(xs)
+            return [math.fsum(vals[a:b]) for a, b in zip(starts, ends)]
+        arr = self.array_fn(xs)
+        return [math.fsum(arr[a:b].tolist()) for a, b in zip(starts, ends)]
 
     def inverse(self, y: float) -> float:
         """Memoised :func:`inverse` of this function at ``y``."""
@@ -358,19 +370,41 @@ def bisect(
     ``lo`` and ``hi`` are adjacent floats, where every further halving
     would leave them as they are; so ``rtol=0`` returns what all 200
     halvings would. This is the one bisection of the package: inverses,
-    the Luxemburg norm and the Orlicz multiplier.
+    the Luxemburg norm and the Orlicz multiplier. The halvings are
+    :func:`_halvings`, which a caller that decides many bisections in
+    lockstep steps itself.
     """
+    return _drive(_halvings(lo, hi, rtol, floor), pred)
+
+
+def _halvings(
+    lo: float, hi: float, rtol: float, floor: float = 0.0
+) -> Generator[float, bool, tuple[float, float]]:
+    """The halving loop of :func:`bisect`: yields each midpoint, receives
+    the decision there, and returns the final (lo, hi)."""
     for _ in range(200):
         if hi - lo <= rtol * (hi if hi > floor else floor):
             break
         mid = 0.5 * lo + 0.5 * hi  # lo + hi would overflow near the top of the range
         if mid == lo or mid == hi:
             break  # adjacent floats: every further halving repeats this one
-        if pred(mid):
+        if (yield mid):
             hi = mid
         else:
             lo = mid
     return lo, hi
+
+
+def _drive(steps: Generator, answer: Callable):
+    """Run a search generator to its end, sending ``answer(x)`` for each x
+    it yields; returns what the generator returns."""
+    send = steps.send
+    try:
+        x = next(steps)
+        while True:
+            x = send(answer(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 def inverse(phi: YoungFunction, y: float) -> float:
@@ -756,7 +790,11 @@ def _square_log(p: float) -> YoungFunction:
         return x * x * math.log1p(x)
 
     def dbase(x: float) -> float:
-        return 2.0 * x * math.log1p(x) + x * x / (1.0 + x)
+        # x * x overflows from about 1.34e154, where x**2/(1+x) is still a
+        # float: there, and only there, it is x * (x/(1+x))
+        xx = x * x
+        tail = xx / (1.0 + x) if xx != math.inf else x * (x / (1.0 + x))
+        return 2.0 * x * math.log1p(x) + tail
 
     return _raised("square_log", base, dbase, p)
 

@@ -205,7 +205,7 @@ def test_random_finsupp_bit_identical_to_the_public_door_on_scan_pools(dim):
 def weighted_pins(ctx: AlgebraContext, f: FinSuppFn) -> tuple[str, str, str, str]:
     """(weighted Luxemburg norm, its per-point oracle, weighted L1 norm, its
     per-point oracle), as hex: the oracles build f*omega point by point."""
-    lux = ctx.weighted_luxemburg(f)
+    lux = ctx.weighted_luxemburg_norms([f])[0]
     want = luxemburg_norm(ctx.pair.phi, apply_weight(f, ctx.omega))
     l1 = weighted_l1_norm(ctx.omega, f)
     want_l1 = math.fsum(abs(v) * ctx.omega(p) for p, v in f)
@@ -226,7 +226,7 @@ def test_weighted_norms_bit_identical_on_scan_pools(dim):
                         lux, want, l1, want_l1 = weighted_pins(ctx, h)
                         assert lux == want and l1 == want_l1, (spec, p, r, kind)
                         # the memoised second read returns the same bits
-                        assert ctx.weighted_luxemburg(h).hex() == lux
+                        assert ctx.weighted_luxemburg_norms([h])[0].hex() == lux
 
 
 def test_weighted_norms_bit_identical_where_products_underflow():
@@ -244,7 +244,7 @@ def test_weighted_norms_bit_identical_where_products_underflow():
         lux, want, l1, want_l1 = weighted_pins(ctx, f)
         assert lux == want and l1 == want_l1, entries
     assert len(apply_weight(FinSuppFn(1, {(0,): 1.0, (1,): 2.0, (3,): tiny}), omega)) == 2
-    assert ctx.weighted_luxemburg(FinSuppFn(1, {(2,): tiny})) == 0.0
+    assert ctx.weighted_luxemburg_norms([FinSuppFn(1, {(2,): tiny})]) == [0.0]
 
 
 def test_weighted_norms_bit_identical_at_int64_ends():
@@ -265,11 +265,88 @@ def test_weighted_norm_overflow_raises_the_per_point_error():
         with pytest.raises(NumericalFailureError) as want:
             apply_weight(f, omega)
         with pytest.raises(NumericalFailureError) as got:
-            ctx.weighted_luxemburg(f)
+            ctx.weighted_luxemburg_norms([f])
         assert str(got.value) == str(want.value)
         assert not f._luxemburg
         # the weighted L1 norm reads inf on both paths
         assert weighted_l1_norm(omega, f) == math.fsum(abs(v) * omega(p) for p, v in f)
+
+
+def weighted_batch_outcome(ctx: AlgebraContext, fs: list[FinSuppFn]) -> list[str] | str:
+    """The bits of each weighted Luxemburg norm of one batch, or the class
+    and message of the error it raised; the memos are cleared first, so
+    the batch measures every f."""
+    for f in fs:
+        f._luxemburg.clear()
+    try:
+        return [v.hex() for v in ctx.weighted_luxemburg_norms(fs)]
+    except NumericalFailureError as exc:
+        return f"NumericalFailureError: {exc}"
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_weighted_norms_batch_bit_identical_to_one_at_a_time(dim):
+    # 2**(n - 60) below word length 2**20, 1 past it: products underflow
+    # near the origin, a product with 1e300 overflows at n = 1000, the
+    # weight itself is inf from n = 1084, and points past int64 weigh 1, so
+    # they send every point of their batch through the object-array reader
+    # and still have a norm
+    omega = Weight("zigzag", {}, lambda n: 2.0 ** (n - 60) if n < 2**20 else 1.0)
+    ctx = AlgebraContext(pair_from_spec({"family": "power", "p": 1.5}), omega, dim)
+
+    def fn(entries):
+        return FinSuppFn(dim, {(x,) + (0,) * (dim - 1): v for x, v in entries.items()})
+
+    tiny = 5e-324
+    special = [
+        FinSuppFn.zero(dim),
+        fn({0: 1.0, 1: 2.0 - 1j, 3: tiny}),  # one product underflows
+        fn({0: 1.0, -1: 0.5j, 3: complex(tiny, 1.0)}),  # only its real part does
+        fn({2: tiny, -3: -tiny}),  # every product does: the norm is 0
+        fn({-2**63: 1.0, 2**63 - 1: 0.5j, 0: 1.0}),  # past int64
+        fn({2**70: 1.0 - 1j, 3: 2.0}),
+        fn({0: 1.0, 1000: 1e300}),  # the product overflows
+        fn({1: 1j, -1100: 1.0}),  # the weight itself is inf
+        fn({2**21 + i: 1.7e308 for i in range(3)}),  # the norm passes the float range
+    ]
+    pool = []
+    for r in (1, 3, 8):
+        for _, f, g in scan_pairs(dim, r, 2, 29):
+            pool += [f] if g is f else [f, g]
+    fs = pool + special
+
+    def one_at_a_time(f):
+        try:
+            return luxemburg_norm(ctx.pair.phi, apply_weight(f, omega)).hex()
+        except NumericalFailureError as exc:
+            return f"NumericalFailureError: {exc}"
+
+    want = [one_at_a_time(f) for f in fs]
+    assert sum(not w.startswith("0x") for w in want) == 3
+    for i, f in enumerate(fs):
+        assert weighted_batch_outcome(ctx, [f]) in ([want[i]], want[i])
+    # each special function amid scan functions, one of them twice, then
+    # shuffled batches of 2 to 20, each holding its first f twice
+    n = len(pool)
+    batches = [[0, 1, n + k, 2, 0] for k in range(len(special))]
+    rng = seeded_rng(31)
+    for _ in range(3):
+        order = rng.permutation(len(fs)).tolist()
+        while order:
+            size = int(rng.integers(1, 20))
+            batch, order = order[:size] + order[:1], order[size:]
+            batches.append(batch)
+    for batch in batches:
+        got = weighted_batch_outcome(ctx, [fs[i] for i in batch])
+        expected = [want[i] for i in batch]
+        errors = [w for w in expected if not w.startswith("0x")]
+        weighting = [w for w in errors if "weighted value" in w]
+        if weighting:  # apply_weight raises for the first such f of the batch
+            assert got == weighting[0], batch
+        elif errors:  # a norm past the float range: the error some lane raises alone
+            assert got in errors, batch
+        else:
+            assert got == expected, batch
 
 
 _PARTS = st.sampled_from([1.0, -1.0, 0.5, -2.0, 0.0, -0.0, 3.0, 1e-300, 0.1])
@@ -369,7 +446,8 @@ def test_submult_identity_atom_ratio_is_phi_inverse_of_one():
     pair = pair_from_spec({"family": "power", "p": 1.5})
     ctx = AlgebraContext(pair, polynomial_weight(0.7), 1)
     f = FinSuppFn.delta(0)
-    ratio = ctx.weighted_luxemburg(convolve(f, f)) / ctx.weighted_luxemburg(f) ** 2
+    n_ff, n_f = ctx.weighted_luxemburg_norms([convolve(f, f), f])
+    ratio = n_ff / n_f ** 2
     assert ratio == pytest.approx(inverse(pair.phi, 1.0), rel=1e-9)
 
 
@@ -384,8 +462,8 @@ def test_l1_module_translate_bound():
         da = FinSuppFn.delta(a)
         for t in range(5):
             g = random_finsupp(1, 6, seeded_rng(25, a % 7, t), max_support=8)
-            num = ctx.weighted_luxemburg(convolve(da, g))
-            den = weighted_l1_norm(w, da) * ctx.weighted_luxemburg(g)
+            num = ctx.weighted_luxemburg_norms([convolve(da, g)])[0]
+            den = weighted_l1_norm(w, da) * ctx.weighted_luxemburg_norms([g])[0]
             assert num <= den * (1.0 + 1e-9)
 
 
@@ -500,8 +578,10 @@ def test_every_scan_matches_a_loop_over_scan_pairs(dim, radius):
     ctx = AlgebraContext(pair, polynomial_weight(0.7), dim)
     der = Derivation.with_ball_window(Homomorphism.basis(dim), dim)
     psi_tilde, phi_tilde = _sqrt_pair(pair)
-    lux = ctx.weighted_luxemburg
     radii = sorted({max(1, radius // 4), max(1, radius // 2), radius})
+
+    def lux(f):
+        return ctx.weighted_luxemburg_norms([f])[0]
 
     def submult(f, g):
         nf, ng = lux(f), lux(g)
@@ -576,6 +656,41 @@ def test_ratio_scan_reads_sorted_distinct_radii():
         submult_estimate(ctx, -3, 5, 17)
 
 
+def test_ratio_scan_raises_the_error_the_pair_order_meets_first():
+    # the measures see every function of a radius at once; where that batch
+    # raises, the radius is replayed a pair at a time, so an earlier pair's
+    # top still wins over a later pair's norm, and the other way round
+    drawn = list(scan_pairs(1, 4, 3, 17))
+    kinds = [kind for kind, _, _ in drawn]
+    early, late = kinds.index("axis-atom/flipped"), kinds.index("random[1]")
+
+    class TopError(Exception):
+        pass
+
+    class NormError(Exception):
+        pass
+
+    def scan(top_at, norm_at):
+        def top(f, g):
+            if (f, g) == drawn[top_at][1:]:
+                raise TopError
+            return 1.0
+
+        def left(fs):
+            if norm_at is not None and drawn[norm_at][1] in fs:
+                raise NormError
+            return [1.0] * len(fs)
+
+        return algebra._ratio_scan("t", {}, [4], top, left, left, 1, 3, 17)
+
+    with pytest.raises(TopError):
+        scan(early, late)
+    with pytest.raises(NormError):
+        scan(late, early)
+    with pytest.raises(TopError):  # no norm raises: the batch goes through
+        scan(early, None)
+
+
 def test_ratio_scan_norms_a_same_pair_once():
     ctx = AlgebraContext(pair_from_spec({"family": "power", "p": 1.5}), polynomial_weight(0.7), 1)
     radii, trials, seed = [2, 4], 3, 17
@@ -590,14 +705,15 @@ def test_ratio_scan_norms_a_same_pair_once():
     # distinct f: a candidate's /flipped and /same pairs share its f
     distinct = len({id(f) for f in expected})
     assert distinct == len(expected) - n_same
-    with mock.patch.object(norms, "_luxemburg_norm", wraps=norms._luxemburg_norm) as body:
-        algebra._ratio_scan("count", {}, radii, lambda f, g: 1.0, ctx.weighted_luxemburg,
-                            ctx.weighted_luxemburg, 1, trials, seed, omega=ctx.omega)
-        assert body.call_count == distinct
+    # the body runs one lane per support it measures, in batches
+    with mock.patch.object(norms, "_luxemburg_norms", wraps=norms._luxemburg_norms) as body:
+        algebra._ratio_scan("count", {}, radii, lambda f, g: 1.0, ctx.weighted_luxemburg_norms,
+                            ctx.weighted_luxemburg_norms, 1, trials, seed, omega=ctx.omega)
+        assert sum(len(call.args[1]) for call in body.call_args_list) == distinct
         # the memo is per context: with another weight on the left, f of a
         # candidate is normed once in each context and its flip once
         other = AlgebraContext(ctx.pair, polynomial_weight(0.4), 1)
         body.reset_mock()
-        algebra._ratio_scan("count", {}, radii, lambda f, g: 1.0, other.weighted_luxemburg,
-                            ctx.weighted_luxemburg, 1, trials, seed, omega=ctx.omega)
-    assert body.call_count == len(expected)
+        algebra._ratio_scan("count", {}, radii, lambda f, g: 1.0, other.weighted_luxemburg_norms,
+                            ctx.weighted_luxemburg_norms, 1, trials, seed, omega=ctx.omega)
+    assert sum(len(call.args[1]) for call in body.call_args_list) == len(expected)

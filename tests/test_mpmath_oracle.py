@@ -135,3 +135,14 @@ def test_cosh_conjugate_matches_mpmath_past_the_square_overflow():
             v = mp.mpf(y)
             exact = v * mp.asinh(v) - (mp.sqrt(1 + v * v) - 1)
             assert abs(psi(y) - exact) <= 1e-15 * exact, y
+
+
+def test_square_log_derivative_matches_mpmath_past_the_square_overflow():
+    # Phi'(x) = 2x ln(1+x) + x^2/(1+x) of x^2 ln(1+x) is a float up to
+    # about 1.2e305, but x*x overflows from about 1.34e154
+    phi = pair_from_spec({"family": "square_log", "p": 1.0}).phi
+    _, dphi = MEMBERS[("square_log", 1.0)]
+    with mp.workdps(50):
+        for x in (1e-3, 1.0, 1e100, 1e154, 1.4e154, 1e200, 1e300):
+            exact = dphi(mp.mpf(x))
+            assert abs(phi.d(x) - exact) <= 1e-15 * exact, x

@@ -296,7 +296,9 @@ def scan_pool(dim: int, radius: int, trials: int, seed: int) -> list[FinSuppFn]:
     return pool
 
 
-def test_luxemburg_bit_identical_to_plain_bisection(catalog_pairs):
+def luxemburg_cases(catalog_pairs) -> list[tuple[list[YoungFunction], list[FinSuppFn]]]:
+    """The closed-form and the numeric Phi of the Luxemburg pins, each with
+    its pool: the scan pools plus the extremes."""
     transforms = [sqrt_transform(young_from_spec({"family": "power", "p": q})) for q in (2.0, 3.0)]
     closed = [pair.phi for pair in catalog_pairs] + transforms + [
         pair.psi for pair in catalog_pairs if pair.conjugation_mode != "numerical"
@@ -305,15 +307,59 @@ def test_luxemburg_bit_identical_to_plain_bisection(catalog_pairs):
     numeric += [numeric_conjugate(t) for t in transforms]
     extremes = extreme_functions()
     # numeric conjugates solve an optimiser per abscissa: smaller pools
-    cases = [
+    return [
         (closed, scan_pool(1, 16, 2, 101) + scan_pool(2, 4, 2, 101) + extremes),
         (numeric, scan_pool(1, 8, 1, 101) + scan_pool(2, 2, 1, 101) + extremes),
     ]
-    for phis, fs in cases:
+
+
+def test_luxemburg_bit_identical_to_plain_bisection(catalog_pairs):
+    for phis, fs in luxemburg_cases(catalog_pairs):
         for phi in phis:
             for f in fs:
                 want = outcome(plain_luxemburg, phi, f)
                 assert outcome(luxemburg_norm, phi, f) == want, (phi.describe(), dict(f.entries))
+
+
+def batch_outcome(phi: YoungFunction, fs: list[FinSuppFn]) -> list[str] | str:
+    """The bits of each norm of one lockstep batch, or the name of the
+    error the batch raised."""
+    try:
+        return [v.hex() for v in norms._luxemburg_norms(phi, [f.magnitudes() for f in fs])]
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def test_luxemburg_norms_batch_bit_identical_to_one_at_a_time(catalog_pairs):
+    # the zero function, subnormal entries and a norm past the float range
+    # join each pool; the extremes bring atoms, a constant support and
+    # near-float-max entries
+    extra = [
+        FinSuppFn.zero(1),
+        FinSuppFn(1, {(0,): 5e-324, (1,): 5e-324, (4,): 1e-310j}),
+        FinSuppFn(1, {(i,): 1.7e308 for i in range(3)}),
+    ]
+    rng = seeded_rng(13)
+    for phis, pool in luxemburg_cases(catalog_pairs):
+        fs = pool + extra
+        for phi in phis:
+            want = [outcome(plain_luxemburg, phi, f) for f in fs]
+            quiet = [i for i, w in enumerate(want) if w.startswith("0x")]
+            # shuffled batches of 1 to 60, each longer one holding its first
+            # f twice: first of the functions with a norm, then of all of them
+            for indices in (quiet, range(len(fs))):
+                order = rng.permutation(indices).tolist()
+                while order:
+                    size = int(rng.integers(1, 61))
+                    batch, order = order[:size], order[size:]
+                    batch += batch[:1] if size > 1 else []
+                    got = batch_outcome(phi, [fs[i] for i in batch])
+                    expected = [want[i] for i in batch]
+                    names = {w for w in expected if not w.startswith("0x")}
+                    if names:  # an error some f of the batch raises alone
+                        assert got in names, (phi.describe(), got, names)
+                    else:
+                        assert got == expected, (phi.describe(), batch)
 
 
 @settings(max_examples=60)
@@ -333,27 +379,48 @@ def test_luxemburg_bit_identical_to_plain_bisection_drawn(p, values):
 WINDOW_COST = 7
 
 
-def test_luxemburg_modular_evaluation_count(monkeypatch):
+def count_lane_modulars(monkeypatch) -> list[int]:
+    """Count the modular values the Luxemburg lanes receive: one per
+    modular evaluation of a lane, whichever batch it runs in."""
     calls = [0]
+    lane = norms._luxemburg_lane
+
+    def counting(*args):
+        search, answer = lane(*args), None
+        while True:
+            try:
+                k = search.send(answer)
+            except StopIteration as stop:
+                return stop.value
+            answer = yield k
+            calls[0] += 1
+
+    monkeypatch.setattr(norms, "_luxemburg_lane", counting)
+    return calls
+
+
+def test_luxemburg_modular_evaluation_count(monkeypatch):
+    # the plain oracle calls norms._modular once per evaluation
+    plain_calls = [0]
     counted = norms._modular
 
     def counting(phi, mags):
-        calls[0] += 1
+        plain_calls[0] += 1
         return counted(phi, mags)
 
     monkeypatch.setattr(norms, "_modular", counting)
+    calls = count_lane_modulars(monkeypatch)
     phi = young_from_spec({"family": "power", "p": 1.5})
     pool = scan_pool(1, 48, 8, 101)
     windowed = 0
     for f in pool:
-        start = calls[0]
+        plain_calls[0] = 0
         want = plain_luxemburg(phi, f)
-        plain = calls[0] - start
-        start = calls[0]
+        plain = plain_calls[0]
+        calls[0] = 0
         assert luxemburg_norm(phi, f) == want
-        used = calls[0] - start
-        assert used <= plain + WINDOW_COST, (plain, used, len(f))
-        windowed += used
+        assert calls[0] <= plain + WINDOW_COST, (plain, calls[0], len(f))
+        windowed += calls[0]
     # 35.4 per call with no window, 13.3 with it
     assert windowed / len(pool) <= 15.0, windowed / len(pool)
 
@@ -361,14 +428,7 @@ def test_luxemburg_modular_evaluation_count(monkeypatch):
 def test_luxemburg_atom_evaluates_no_modular(monkeypatch):
     # the bracket of a one-entry support is [lo, lo]: a numeric conjugate
     # would pay an optimiser solve for a modular value that decides nothing
-    calls = [0]
-    counted = norms._modular
-
-    def counting(phi, mags):
-        calls[0] += 1
-        return counted(phi, mags)
-
-    monkeypatch.setattr(norms, "_modular", counting)
+    calls = count_lane_modulars(monkeypatch)
     phi = numeric_conjugate(young_from_spec({"family": "power", "p": 3.0}))
     for value in (1e-300, 0.37, 2.5 - 1j, 4e307):
         f = FinSuppFn.delta((3,), value)
@@ -570,15 +630,15 @@ def test_norms_near_float_max_are_finite_or_raise():
 
 
 def count_luxemburg_bodies(monkeypatch) -> list[int]:
-    """Count the runs of the Luxemburg norm's body behind its memo."""
+    """Count the supports the Luxemburg norm's body measures behind its memo."""
     calls = [0]
-    counted = norms._luxemburg_norm
+    counted = norms._luxemburg_norms
 
-    def counting(phi, f):
-        calls[0] += 1
-        return counted(phi, f)
+    def counting(phi, mags_list):
+        calls[0] += len(mags_list)
+        return counted(phi, mags_list)
 
-    monkeypatch.setattr(norms, "_luxemburg_norm", counting)
+    monkeypatch.setattr(norms, "_luxemburg_norms", counting)
     return calls
 
 

@@ -6,6 +6,12 @@ and reports how that worst case moves as the support radius grows. A
 plateau (growth below 15% across a 4x radius increase) is consistency
 evidence for boundedness; growth of 25% or more is evidence against it.
 Reports carry ``certificate="empirical"`` to make this status explicit.
+
+A scan measures a radius in three batches: the left norms, the right
+norms and the tops (:func:`_ratio_scan`). The convolution tops read the
+magnitudes of omega * (f*g) straight off the box kernel of
+:func:`convolve`, with no function built, and measure every top of the
+radius in one lockstep Luxemburg batch (:func:`_convolution_norms`).
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ from .errors import (
 )
 from .finsupp import FinSuppFn, _int64_points
 from .norms import (
+    _luxemburg_norms,
     _luxemburg_of,
     _weighted_luxemburg_of,
-    luxemburg_norm,
+    _weighted_magnitudes,
     weighted_l1_norm,
 )
 from .sampling import scan_pairs
@@ -83,7 +90,8 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
       multiply differs from CPython's in the last ulp.
     - Keys are listed in first-appearance order (``pairing`` sums in the
       insertion order of its smaller argument): each step appends the
-      indices not seen before, in the iteration order of g.
+      indices not seen before, in the iteration order of g
+      (:func:`_first_appearance`, a pass of its own after the products).
 
     Small pairs take the loop itself (:func:`_takes_loop`, checked before any
     array is read), and so do pairs with a point that has no int64 view
@@ -94,22 +102,18 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
     :class:`NumericalFailureError` naming the first output point, in key
     order, whose value overflows. ``amenability._derivation_pairing`` reads
     D(f) = window * h off the same kernel, under the same rules for taking
-    the loop.
+    the loop, and so do the scans' convolution tops
+    (:func:`_convolution_magnitudes`), which read no key order.
     """
     f._check_dim(g)
     ops = len(f) * len(g)
     if ops > MAX_CONV_OPS:
         raise ResourceLimitError(f"convolution needs {ops} products, budget {MAX_CONV_OPS}")
-    if _takes_loop(len(g), ops):
-        return _convolve_loop(f, g)
-    f_pts, g_pts = _int64_points(f.entries, f.dim), _int64_points(g.entries, f.dim)
-    gv = np.fromiter(g.entries.values(), dtype=complex, count=len(g))
-    box = None if f_pts is None or g_pts is None else _box_convolve(
-        f_pts, f.entries.values(), g_pts, gv.real.copy(), gv.imag.copy()
-    )
+    box = _box_of(f, g)
     if box is None:
         return _convolve_loop(f, g)
-    re, im, order, corner, extent = box
+    re, im, steps, corner, extent = box
+    order = _first_appearance(steps, len(re))
     vals = np.empty(len(order), dtype=complex)
     vals.real, vals.imag = re[order], im[order]
     axes = [[c + base for c in axis.tolist()]
@@ -123,18 +127,36 @@ def _takes_loop(ng: int, ops: int) -> bool:
     return ng < _ARRAY_MIN_ROW or ops < _ARRAY_MIN_OPS
 
 
+def _box_of(f: FinSuppFn, g: FinSuppFn) -> tuple | None:
+    """:func:`_box_convolve` on f and g where :func:`convolve` takes its
+    array path; None where it takes the loop or raises (f and g differ in
+    dimension, or the pair passes ``MAX_CONV_OPS``)."""
+    ops = len(f) * len(g)
+    if f.dim != g.dim or ops > MAX_CONV_OPS or _takes_loop(len(g), ops):
+        return None
+    f_pts, g_pts = _int64_points(f.entries, f.dim), _int64_points(g.entries, f.dim)
+    if f_pts is None or g_pts is None:
+        return None
+    gv = np.fromiter(g.entries.values(), dtype=complex, count=len(g))
+    return _box_convolve(f_pts, f.entries.values(), g_pts, gv.real.copy(), gv.imag.copy())
+
+
 def _box_convolve(
     f_pts: np.ndarray, f_vals: Iterable[complex], g_pts: np.ndarray, gr: np.ndarray, gi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[int]] | None:
+) -> tuple[np.ndarray, np.ndarray, tuple[list[int], np.ndarray], list[int], list[int]] | None:
     """The array path of :func:`convolve` on int64 point arrays: for each
     entry a of f in order, a*g added into the bounding box of supp f +
     supp g in CPython's complex-multiply order.
 
-    Returns the real and imaginary box, the cells reached in
-    first-appearance order, and the box's lowest corner and per-axis
+    Returns the real and imaginary box, the steps (the cell offsets of
+    f's entries and of g's, whose sums are the cells the products of a
+    pair of entries land in), and the box's lowest corner and per-axis
     extent (row-major cells); None, for the loop, where the box has more
     than ``_ARRAY_MAX_BOX_PER_OP`` cells per product or a corner of it
-    leaves int64.
+    leaves int64. A cell no step reaches holds 0.0 in both boxes, so the
+    nonzero cells are the support of f*g; their key order, which only
+    ``convolve`` and the derivation pairing read, is
+    :func:`_first_appearance` of the steps.
     """
     f_lo, f_hi = f_pts.min(axis=0).tolist(), f_pts.max(axis=0).tolist()
     g_lo, g_hi = g_pts.min(axis=0).tolist(), g_pts.max(axis=0).tolist()
@@ -147,18 +169,70 @@ def _box_convolve(
     f_at = np.ravel_multi_index(tuple((f_pts - f_lo).T), extent).tolist()
     g_at = np.ravel_multi_index(tuple((g_pts - g_lo).T), extent)
     re, im = np.zeros(box), np.zeros(box)
-    seen = np.zeros(box, dtype=bool)
-    fresh = []
     with np.errstate(over="ignore", invalid="ignore"):
         for shift, a in zip(f_at, f_vals):
             at = g_at + shift
             ar, ai = a.real, a.imag
             re[at] += ar * gr - ai * gi
             im[at] += ar * gi + ai * gr
-            new = at[~seen[at]]
-            seen[new] = True
-            fresh.append(new)
-    return re, im, np.concatenate(fresh), corner, extent
+    return re, im, (f_at, g_at), corner, extent
+
+
+def _first_appearance(steps: tuple[list[int], np.ndarray], size: int) -> np.ndarray:
+    """The cells the steps of :func:`_box_convolve` reach, in first-appearance
+    order: each step appends the cells not reached before, in the
+    iteration order of g."""
+    f_at, g_at = steps
+    seen = np.zeros(size, dtype=bool)
+    fresh = []
+    for shift in f_at:
+        at = g_at + shift
+        new = at[~seen[at]]
+        seen[new] = True
+        fresh.append(new)
+    return np.concatenate(fresh)
+
+
+def _convolution_magnitudes(f: FinSuppFn, g: FinSuppFn, omega: Weight | None) -> np.ndarray:
+    """The magnitudes the scans' readers take of ``convolve(f, g)``, bit for
+    bit and in some order: those of omega * (f*g) as
+    :func:`~orliczlat.norms._weighted_magnitudes` forms them, or of f*g
+    itself where omega is None.
+
+    Where ``convolve`` takes its array path they are read off the box at
+    its nonzero cells, with no function, dict or key order built: omega
+    from :meth:`Weight.at_points` on the cells' int64 coordinates, and the
+    products re*w and im*w. Everywhere else the pair goes through
+    ``convolve`` and the reader, which raise their errors as before: where
+    ``convolve`` takes its loop, where a cell may lie at -2**63 (no int64
+    view), and where a value or a weighted magnitude is not finite.
+    """
+    box = _box_of(f, g)
+    if box is not None:
+        re, im, _, corner, extent = box
+        cells = np.flatnonzero((re != 0.0) | (im != 0.0))
+        re, im = re[cells], im[cells]
+        if np.isfinite(re).all() and np.isfinite(im).all():
+            if omega is None:
+                return np.hypot(re, im)
+            if min(corner) > -(2**63):
+                coords = np.stack(np.unravel_index(cells, extent), axis=1) + corner
+                w = omega.at_points(coords, f.dim)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mags = np.hypot(re * w, im * w)
+                if np.isfinite(mags).all():
+                    return mags[mags != 0.0]
+    h = convolve(f, g)
+    return h.magnitudes() if omega is None else _weighted_magnitudes(omega, [h])[0]
+
+
+def _convolution_norms(
+    phi: YoungFunction, omega: Weight | None, fs: Sequence[FinSuppFn], gs: Sequence[FinSuppFn]
+) -> list[float]:
+    """The Luxemburg norm under phi of omega * (f*g), or of f*g where omega
+    is None, for each pair: every pair's magnitudes
+    (:func:`_convolution_magnitudes`) measured in one lockstep batch."""
+    return _luxemburg_norms(phi, [_convolution_magnitudes(f, g, omega) for f, g in zip(fs, gs)])
 
 
 def _convolve_loop(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
@@ -245,14 +319,16 @@ def _ratio_scan(
     This is the one bounded-bilinear-map scan: a pair where either norm
     is 0 is skipped.
 
-    ``left`` and ``right`` measure a list of functions at once and return
-    their norms in order. A radius draws all its pairs first, then measures
-    every f with one ``left`` call and every g with one ``right`` call (the
-    Luxemburg measures run the distinct functions of the batch in lockstep,
-    see :func:`~orliczlat.norms._luxemburg_norms`), and only then forms the
-    ratios in pair order. If drawing or measuring raises, the radius is
-    replayed a pair at a time, each measure on a list of one, so the error
-    surfaces that the pair order meets first.
+    The three measures take lists and return their values in order:
+    ``left(fs)`` and ``right(gs)`` the norms of the fs and of the gs,
+    ``top(fs, gs)`` the numerator of each pair (f, g). A radius draws all
+    its pairs first, measures every f with one ``left`` call and every g
+    with one ``right`` call, then the pairs whose two norms are nonzero
+    with one ``top`` call (the Luxemburg measures run the functions of a
+    batch in lockstep, see :func:`~orliczlat.norms._luxemburg_norms`), and
+    only then forms the ratios in pair order. If drawing or measuring
+    raises, the radius is replayed a pair at a time, each measure on lists
+    of one, so the error surfaces that the pair order meets first.
 
     The radii are scanned in ascending order, each once; the trend needs
     two distinct radii, and a radius below 1 is refused.
@@ -265,18 +341,13 @@ def _ratio_scan(
     per_radius = []
     for r in radii:
         try:
-            drawn = list(scan_pairs(dim, r, trials, seed, omega=omega, xi=xi))
-            measured = zip(drawn, left([f for _, f, _ in drawn]), right([g for _, _, g in drawn]))
+            ratios = _ratios(list(scan_pairs(dim, r, trials, seed, omega=omega, xi=xi)),
+                             top, left, right)
         except Exception:  # any error: the pair-at-a-time replay raises the one met first
-            measured = (
-                ((kind, f, g), left([f])[0], right([g])[0])
-                for kind, f, g in scan_pairs(dim, r, trials, seed, omega=omega, xi=xi)
-            )
+            ratios = [row for pair in scan_pairs(dim, r, trials, seed, omega=omega, xi=xi)
+                      for row in _ratios([pair], top, left, right)]
         best, best_kind = 0.0, ""
-        for (kind, f, g), nf, ng in measured:
-            if nf == 0.0 or ng == 0.0:
-                continue
-            ratio = top(f, g) / (nf * ng)
+        for kind, ratio in ratios:
             if ratio > best:
                 best, best_kind = ratio, kind
         per_radius.append({"radius": r, "max_ratio": best, "argmax": best_kind})
@@ -288,6 +359,16 @@ def _ratio_scan(
         max_ratio=max(row["max_ratio"] for row in per_radius),
         trend=classify_trend(first, last) if len(radii) > 1 else "indeterminate",
     )
+
+
+def _ratios(pairs: list, top, left, right) -> list[tuple[str, float]]:
+    """(kind, top / (left right)) for each pair whose two norms are nonzero,
+    in pair order: one call of each measure."""
+    nfs, ngs = left([f for _, f, _ in pairs]), right([g for _, _, g in pairs])
+    kept = [(kind, f, g, nf * ng)
+            for (kind, f, g), nf, ng in zip(pairs, nfs, ngs) if nf != 0.0 and ng != 0.0]
+    tops = top([f for _, f, _, _ in kept], [g for _, _, g, _ in kept])
+    return [(kind, t / den) for (kind, _, _, den), t in zip(kept, tops)]
 
 
 def submult_estimate(
@@ -306,7 +387,7 @@ def submult_estimate(
         "submult_estimate",
         {"context": ctx.describe(), "radius": radius, "trials": trials, "seed": seed},
         _radius_ladder(radius),
-        lambda f, g: ctx.weighted_luxemburg_norms([convolve(f, g)])[0],
+        lambda fs, gs: _convolution_norms(ctx.pair.phi, ctx.omega, fs, gs),
         ctx.weighted_luxemburg_norms,
         ctx.weighted_luxemburg_norms,
         ctx.dim, trials, seed, omega=ctx.omega,
@@ -329,7 +410,7 @@ def l1_module_check(
         "l1_module_check",
         {"context": ctx.describe(), "radius": radius, "trials": trials, "seed": seed},
         _radius_ladder(radius),
-        lambda f, g: ctx.weighted_luxemburg_norms([convolve(f, g)])[0],
+        lambda fs, gs: _convolution_norms(ctx.pair.phi, ctx.omega, fs, gs),
         lambda fs: [weighted_l1_norm(ctx.omega, f) for f in fs],
         ctx.weighted_luxemburg_norms,
         ctx.dim, trials, seed, omega=ctx.omega,
@@ -360,7 +441,7 @@ def conv_inclusion_check(
         "conv_inclusion_check",
         {"pair": pair.describe(), "radius": radius, "trials": trials, "seed": seed},
         _radius_ladder(radius),
-        lambda u, f: luxemburg_norm(pair.psi, convolve(u, f)),
+        lambda us, fs: _convolution_norms(pair.psi, None, us, fs),
         lambda us: _luxemburg_of(psi_tilde, us),
         lambda fs: _luxemburg_of(pair.phi, fs),
         dim, trials, seed,
@@ -381,7 +462,7 @@ def pointwise_inclusion_check(
         "pointwise_inclusion_check",
         {"pair": pair.describe(), "radius": radius, "trials": trials, "seed": seed},
         _radius_ladder(radius),
-        lambda u, g: luxemburg_norm(pair.phi, u.pointwise_mul(g)),
+        lambda us, gs: _luxemburg_of(pair.phi, [u.pointwise_mul(g) for u, g in zip(us, gs)]),
         lambda us: _luxemburg_of(phi_tilde, us),
         lambda gs: _luxemburg_of(pair.psi, gs),
         dim, trials, seed,

@@ -113,9 +113,10 @@ def _derivation_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> complex:
       box kernel (``algebra._box_convolve``), and g's points are indexed
       into the box.
     - ``pairing`` walks its smaller argument in its insertion order: the
-      nonzero cells of D(f) in first-appearance order if there are no more
-      of them than entries of g, else g. The products are summed by
-      Python's ``sum(..., 0j)``.
+      nonzero cells of D(f) in first-appearance order
+      (``algebra._first_appearance``, computed only on this side) if there
+      are no more of them than entries of g, else g. The products are
+      summed by Python's ``sum(..., 0j)``.
 
     The reference itself runs where ``convolve`` takes its loop (the pair
     is small, or ``_box_convolve`` refuses it), where a point of f or g has
@@ -153,21 +154,20 @@ def _fused_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> complex | None:
     box = algebra._box_convolve(w_pts, window.entries.values(), -pts[keep], hr, hi)
     if box is None:
         return None
-    re, im, order, corner, extent = box
-    dr, di = re[order], im[order]
-    if not (np.isfinite(dr).all() and np.isfinite(di).all()):
+    re, im, steps, corner, extent = box
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # a cell no step reaches holds 0
         return None
     top = [c + n - 1 for c, n in zip(corner, extent)]
     inside = ((g_pts >= corner) & (g_pts <= top)).all(axis=1)
     g_at = np.ravel_multi_index(tuple((g_pts[inside] - corner).T), extent)
     gv = np.fromiter(g.entries.values(), complex, len(g))
     gr, gi = gv.real, gv.imag
-    nonzero = (dr != 0.0) | (di != 0.0)
-    if np.count_nonzero(nonzero) <= len(g):
+    if np.count_nonzero((re != 0.0) | (im != 0.0)) <= len(g):
         # small = D(f) in first-appearance order, big = g
         row = np.full(len(re), -1, dtype=np.intp)
         row[g_at] = np.flatnonzero(inside)
-        cells = order[nonzero]
+        order = algebra._first_appearance(steps, len(re))
+        cells = order[(re[order] != 0.0) | (im[order] != 0.0)]
         hit = row[cells]
         found = hit >= 0
         ar, ai = re[cells[found]], im[cells[found]]
@@ -388,7 +388,7 @@ def derivation_norm_scan(
             "seed": seed,
         },
         list(radii),
-        lambda f, g: abs(_derivation_pairing(d, f, g)),
+        lambda fs, gs: [abs(_derivation_pairing(d, f, g)) for f, g in zip(fs, gs)],
         ctx.weighted_luxemburg_norms,
         ctx.weighted_luxemburg_norms,
         ctx.dim, trials, seed, omega=ctx.omega, xi=d.form,

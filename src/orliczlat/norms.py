@@ -57,7 +57,12 @@ magnitudes are then one array pass over all their points, and the norms
 one batch. Its bits are those of
 ``luxemburg_norm(Phi, apply_weight(f, omega))``, and an overflowing
 product raises the error :func:`apply_weight` raises. The Orlicz kind
-goes through :func:`apply_weight`.
+goes through :func:`apply_weight`. The scans' convolution tops form the
+same magnitudes of omega * (f*g) off the convolution kernel
+(``algebra._convolution_magnitudes``) and pass every top of a radius to
+:func:`_luxemburg_norms` at once. The weighted L1 norm sums
+|f(s)| omega(s) with ``math.fsum`` and raises where that passes the
+float range.
 """
 
 from __future__ import annotations
@@ -466,9 +471,20 @@ def weighted_norm(
 
 
 def weighted_l1_norm(omega: Weight, f: FinSuppFn) -> float:
-    """sum |f(s)| * omega(s), with omega read from :meth:`Weight.at_points`."""
+    """sum |f(s)| * omega(s), with omega read from :meth:`Weight.at_points`.
+    Raises :class:`NumericalFailureError` where a term or the sum passes
+    the float range."""
     with np.errstate(over="ignore"):
-        return math.fsum((f.magnitudes() * omega.at_points(f.entries, f.dim)).tolist())
+        terms = (f.magnitudes() * omega.at_points(f.entries, f.dim)).tolist()
+    try:
+        total = math.fsum(terms)
+    except OverflowError:  # the partial sums pass the float range
+        total = math.inf
+    if total == math.inf:
+        raise NumericalFailureError(
+            f"weighted L1 norm overflows the float range under {omega.describe()}"
+        )
+    return total
 
 
 @dataclass(frozen=True)

@@ -111,12 +111,13 @@ class Weight:
     def __call__(self, x: Iterable[int] | int) -> float:
         return self.radial(word_length(x))
 
-    def at_points(self, points: Collection[Point], dim: int) -> np.ndarray:
-        """The weight at each point (int tuples of length dim), in order:
-        ``radial`` read from a table memoised per word length, so each
-        value is the float ``self(p)`` returns. Points with no int64 view
+    def at_points(self, points: Collection[Point] | np.ndarray, dim: int) -> np.ndarray:
+        """The weight at each point (int tuples of length dim, or their int64
+        view as an (n, dim) array), in order: ``radial`` read from a table
+        memoised per word length, so each value is the float ``self(p)``
+        returns. Points with no int64 view
         (:func:`~orliczlat.finsupp._int64_points`) are measured as Python ints."""
-        coords = _int64_points(points, dim)
+        coords = points if isinstance(points, np.ndarray) else _int64_points(points, dim)
         if coords is None:
             coords = np.array(list(points), dtype=object).reshape(len(points), dim)
         lengths, at = np.unique(np.abs(coords).max(axis=1), return_inverse=True)

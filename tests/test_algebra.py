@@ -268,8 +268,10 @@ def test_weighted_norm_overflow_raises_the_per_point_error():
             ctx.weighted_luxemburg_norms([f])
         assert str(got.value) == str(want.value)
         assert not f._luxemburg
-        # the weighted L1 norm reads inf on both paths
-        assert weighted_l1_norm(omega, f) == math.fsum(abs(v) * omega(p) for p, v in f)
+        # the per-point weighted L1 sum reads inf, and the weighted L1 norm raises
+        assert math.fsum(abs(v) * omega(p) for p, v in f) == math.inf
+        with pytest.raises(NumericalFailureError, match="weighted L1 norm overflows"):
+            weighted_l1_norm(omega, f)
 
 
 def weighted_batch_outcome(ctx: AlgebraContext, fs: list[FinSuppFn]) -> list[str] | str:
@@ -558,17 +560,65 @@ def test_random_finsupp_rejects_out_of_range(max_support, radius):
 # -- the shared bilinear-bound scan ---------------------------------------------------------
 
 
-def _loop_scan(radii, ratio, dim, trials, seed, omega=None, xi=None):
-    """Worst ratio per radius, written out as a plain loop over scan_pairs."""
+def _loop_scan(radii, ratio, dim, trials, seed, omega=None, xi=None, draw=scan_pairs):
+    """Worst ratio per radius, written out as a plain loop over scan_pairs
+    (or ``draw``, which stands for it)."""
     rows = []
     for r in radii:
         best, best_kind = 0.0, ""
-        for kind, f, g in scan_pairs(dim, r, trials, seed, omega=omega, xi=xi):
+        for kind, f, g in draw(dim, r, trials, seed, omega=omega, xi=xi):
             value = ratio(f, g)
             if value is not None and value > best:
                 best, best_kind = value, kind
         rows.append({"radius": r, "max_ratio": best, "argmax": best_kind})
     return rows
+
+
+def algebra_scans(pair, omega, dim, radius, trials, seed, draw=scan_pairs):
+    """Each algebra scan as (op, scan, loop): the scan's report, and the
+    rows of a plain loop over the same pairs (``draw`` stands for
+    scan_pairs) that builds each top, by convolve or pointwise_mul, and
+    measures it alone, as the scans did before their tops were batched."""
+    ctx = AlgebraContext(pair, omega, dim)
+    psi_tilde, phi_tilde = _sqrt_pair(pair)
+    radii = sorted(set(algebra._radius_ladder(radius)))
+
+    def lux(f):
+        return ctx.weighted_luxemburg_norms([f])[0]
+
+    def ratio(top, nf, ng):  # the top is built only where both norms are nonzero
+        return None if nf == 0.0 or ng == 0.0 else top() / (nf * ng)
+
+    def loop(measure, weighted=True):
+        w = omega if weighted else None
+        return lambda: _loop_scan(radii, measure, dim, trials, seed, w, draw=draw)
+
+    return [
+        ("submult_estimate", lambda: submult_estimate(ctx, radius, trials, seed),
+         loop(lambda f, g: ratio(lambda: lux(convolve(f, g)), lux(f), lux(g)))),
+        ("l1_module_check", lambda: l1_module_check(ctx, radius, trials, seed),
+         loop(lambda f, g: ratio(lambda: lux(convolve(f, g)),
+                                 weighted_l1_norm(omega, f), lux(g)))),
+        ("conv_inclusion_check", lambda: conv_inclusion_check(pair, radius, trials, seed, dim),
+         loop(lambda u, f: ratio(lambda: luxemburg_norm(pair.psi, convolve(u, f)),
+                                 luxemburg_norm(psi_tilde, u), luxemburg_norm(pair.phi, f)),
+              weighted=False)),
+        ("pointwise_inclusion_check",
+         lambda: pointwise_inclusion_check(pair, radius, trials, seed, dim),
+         loop(lambda u, g: ratio(lambda: luxemburg_norm(pair.phi, u.pointwise_mul(g)),
+                                 luxemburg_norm(phi_tilde, u), luxemburg_norm(pair.psi, g)),
+              weighted=False)),
+    ]
+
+
+def scan_outcome(run) -> str:
+    """repr of a scan's rows (every float bit for bit), or the class and
+    message of the error it raised."""
+    try:
+        rows = run()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr(rows if isinstance(rows, list) else rows.per_radius)
 
 
 @pytest.mark.parametrize("dim, radius", [(1, 4), (2, 2)])
@@ -577,38 +627,10 @@ def test_every_scan_matches_a_loop_over_scan_pairs(dim, radius):
     pair = pair_from_spec({"family": "power", "p": 1.5})
     ctx = AlgebraContext(pair, polynomial_weight(0.7), dim)
     der = Derivation.with_ball_window(Homomorphism.basis(dim), dim)
-    psi_tilde, phi_tilde = _sqrt_pair(pair)
     radii = sorted({max(1, radius // 4), max(1, radius // 2), radius})
 
     def lux(f):
         return ctx.weighted_luxemburg_norms([f])[0]
-
-    def submult(f, g):
-        nf, ng = lux(f), lux(g)
-        if nf == 0.0 or ng == 0.0:
-            return None
-        return lux(convolve(f, g)) / (nf * ng)
-
-    def l1_module(f, g):
-        nf = weighted_l1_norm(ctx.omega, f)
-        ng = lux(g)
-        if nf == 0.0 or ng == 0.0:
-            return None
-        return lux(convolve(f, g)) / (nf * ng)
-
-    def conv_inclusion(u, f):
-        nu = luxemburg_norm(psi_tilde, u)
-        nf = luxemburg_norm(pair.phi, f)
-        if nu == 0.0 or nf == 0.0:
-            return None
-        return luxemburg_norm(pair.psi, convolve(u, f)) / (nu * nf)
-
-    def pointwise_inclusion(u, g):
-        nu = luxemburg_norm(phi_tilde, u)
-        ng = luxemburg_norm(pair.psi, g)
-        if nu == 0.0 or ng == 0.0:
-            return None
-        return luxemburg_norm(pair.phi, u.pointwise_mul(g)) / (nu * ng)
 
     def derivation(f, g):
         nf, ng = lux(f), lux(g)
@@ -616,22 +638,133 @@ def test_every_scan_matches_a_loop_over_scan_pairs(dim, radius):
             return None
         return abs(pairing(apply_derivation(der, f), g)) / (nf * ng)
 
-    cases = [
-        (submult_estimate(ctx, radius, trials, seed),
-         _loop_scan(radii, submult, dim, trials, seed, ctx.omega)),
-        (l1_module_check(ctx, radius, trials, seed),
-         _loop_scan(radii, l1_module, dim, trials, seed, ctx.omega)),
-        (conv_inclusion_check(pair, radius, trials, seed, dim),
-         _loop_scan(radii, conv_inclusion, dim, trials, seed)),
-        (pointwise_inclusion_check(pair, radius, trials, seed, dim),
-         _loop_scan(radii, pointwise_inclusion, dim, trials, seed)),
-        (derivation_norm_scan(ctx, der, radii, trials, seed),
-         _loop_scan(radii, derivation, dim, trials, seed, ctx.omega, der.form)),
-    ]
+    cases = [(scan(), loop())
+             for _, scan, loop in algebra_scans(pair, ctx.omega, dim, radius, trials, seed)]
+    cases.append((derivation_norm_scan(ctx, der, radii, trials, seed),
+                  _loop_scan(radii, derivation, dim, trials, seed, ctx.omega, der.form)))
     for rep, expected in cases:
         # repr pins every float bit for bit
         assert repr(rep.per_radius) == repr(expected), rep.op
         assert rep.max_ratio == max(row["max_ratio"] for row in expected), rep.op
+
+
+def top_outcome(measure) -> str:
+    """The bits of one top, or the class and message of its error."""
+    try:
+        return measure().hex()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_convolution_tops_match(pair, omega, pairs):
+    """Each convolution top, weighted by omega (submult, l1-module) and
+    unweighted under Psi (conv-inclusion), against convolve and the
+    single-function reader, by .hex() or by the error raised: each pair
+    alone, and all pairs in one batch where none raises."""
+    ctx = AlgebraContext(pair, omega, pairs[0][0].dim)
+    readers = (
+        (pair.phi, omega, lambda h: ctx.weighted_luxemburg_norms([h])[0]),
+        (pair.psi, None, lambda h: luxemburg_norm(pair.psi, h)),
+    )
+    for phi, w, reader in readers:
+        want = [top_outcome(lambda: reader(convolve(f, g))) for f, g in pairs]
+        alone = [top_outcome(lambda: algebra._convolution_norms(phi, w, [f], [g])[0])
+                 for f, g in pairs]
+        assert alone == want, w
+        if all(v.startswith("0x") for v in want):
+            fs, gs = zip(*pairs)
+            assert [v.hex() for v in algebra._convolution_norms(phi, w, fs, gs)] == want, w
+
+
+# the scan pools of the benchmark's algebra scans: d = 1 to r = 48 and d = 2
+# to r = 16, whose ball self-products are the largest convolution tops
+@pytest.mark.parametrize("dim, radius, spec", [
+    (1, 48, {"family": "polynomial", "beta": 0.7}),
+    (1, 48, {"family": "subexp_alpha", "alpha": 0.5, "C": 1.0}),
+    (2, 6, {"family": "polynomial", "beta": 0.4}),
+    (2, 16, {"family": "polynomial", "beta": 0.7}),
+])
+def test_scan_tops_bit_identical_to_building_each_top(dim, radius, spec):
+    pair, omega = pair_from_spec({"family": "power", "p": 1.5}), weight_from_spec(spec)
+    for op, scan, loop in algebra_scans(pair, omega, dim, radius, 4, 23):
+        assert scan_outcome(scan) == scan_outcome(loop), op
+    for r in algebra._radius_ladder(radius):
+        assert_convolution_tops_match(
+            pair, omega, [(f, g) for _, f, g in scan_pairs(dim, r, 4, 23, omega=omega)])
+
+
+def test_scan_tops_bit_identical_where_weighted_products_underflow():
+    # omega is 2**-1073 past word length 40, which only f*g reaches: there
+    # the products of small values round to 0 and leave the top's support,
+    # while f and g keep their norms
+    omega = Weight("cliff", {}, lambda n: 1.0 if n <= 40 else 2.0 ** -1073)
+    pair = pair_from_spec({"family": "power", "p": 1.5})
+    drawn = [(f, g) for _, f, g in scan_pairs(1, 24, 4, 23, omega=omega)]
+    assert any(len(apply_weight(convolve(f, g), omega)) < len(convolve(f, g)) for f, g in drawn)
+    assert_convolution_tops_match(pair, omega, drawn)
+    for op, scan, loop in algebra_scans(pair, omega, 1, 24, 4, 23):
+        assert scan_outcome(scan) == scan_outcome(loop), op
+
+
+def _end_line(xs, dim=1, axis=0, value=None) -> FinSuppFn:
+    """An entry at each x on one axis, the other coordinates counting up."""
+    return FinSuppFn(dim, {tuple(x if i == axis else k for i in range(dim)):
+                           complex(0.5 + k, 0.25 - k) if value is None else value
+                           for k, x in enumerate(xs)})
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_scan_tops_bit_identical_at_int64_ends(dim):
+    # 20 x 20 products, so the int64 view picks each pair's path: cells near
+    # both ends, a purely imaginary f*g (its real parts all 0), a corner at
+    # -2**63 itself (a cell there has no int64 view), a point past int64
+    # and box corners outside it
+    low, high = [-(2**63) + k for k in range(1, 21)], [2**63 - 1 - k for k in range(20)]
+    half = [-(2**62) + k for k in range(20)]
+    axis = dim - 1
+    pairs = [
+        (_end_line(low, dim, axis), _end_line(range(20), dim)),
+        (_end_line(high, dim, axis), _end_line(range(-19, 1), dim, axis)),
+        (_end_line(high, dim, axis, 1j), _end_line(range(-19, 1), dim, axis, 2.0)),
+        (_end_line(half, dim, axis), _end_line(half, dim, axis)),  # the corner is -2**63
+        (_end_line([2**70] + list(range(19)), dim, axis), _end_line(range(20), dim)),
+        (_end_line(low, dim, axis), _end_line(range(-20, 0), dim, axis)),
+        (_end_line(high, dim, axis), _end_line(range(1, 21), dim, axis)),
+    ]
+
+    def draw(dim, r, trials, seed, omega=None, xi=None):
+        return [(f"end[{i}]", f, g) for i, (f, g) in enumerate(pairs)]
+
+    # the first three are read off the box, the others go through convolve
+    omega = polynomial_weight(0.4)
+    for i, (f, g) in enumerate(pairs):
+        with mock.patch.object(algebra, "convolve", wraps=algebra.convolve) as spy:
+            algebra._convolution_magnitudes(f, g, omega)
+        assert spy.called == (i >= 3), i
+    pair = pair_from_spec({"family": "power", "p": 1.5})
+    assert_convolution_tops_match(pair, omega, pairs)
+    with mock.patch.object(algebra, "scan_pairs", draw):
+        for op, scan, loop in algebra_scans(pair, omega, dim, 4, 1, 23, draw):
+            want = scan_outcome(loop)
+            assert want.startswith("[{"), (op, want)
+            assert scan_outcome(scan) == want, op
+
+
+def test_scan_tops_raise_the_per_pair_error_where_omega_overflows():
+    # omega(48) = e^816 is inf, so the tops of the radius-24 pairs that
+    # reach word length 48 overflow, the atoms' (the loop) and the balls'
+    # (the box) alike; the scans raise the error the per-pair loop meets
+    # first. A box top whose f*g itself overflows raises convolve's error.
+    omega = subexp_alpha_weight(1.0, 17.0)
+    pair = pair_from_spec({"family": "power", "p": 1.5})
+    drawn = [(f, g) for _, f, g in scan_pairs(1, 24, 4, 0, omega=omega)]
+    huge = _end_line(range(20), value=1e200)
+    assert_convolution_tops_match(pair, omega, drawn + [(huge, huge)])
+    for op, scan, loop in algebra_scans(pair, omega, 1, 24, 4, 0):
+        assert scan_outcome(scan) == scan_outcome(loop), op
+        if op == "submult_estimate":
+            assert scan_outcome(scan) == ("NumericalFailureError: weighted value (inf+nanj) "
+                                          "at (48,) (weight inf) is not finite")
 
 
 def test_ratio_scan_reads_sorted_distinct_radii():
@@ -657,9 +790,11 @@ def test_ratio_scan_reads_sorted_distinct_radii():
 
 
 def test_ratio_scan_raises_the_error_the_pair_order_meets_first():
-    # the measures see every function of a radius at once; where that batch
+    # the measures see every pair of a radius at once; where that batch
     # raises, the radius is replayed a pair at a time, so an earlier pair's
-    # top still wins over a later pair's norm, and the other way round
+    # top still wins over a later pair's norm, and the other way round, and
+    # of two tops that raise, the earlier pair's wins though the batch
+    # meets the later one first
     drawn = list(scan_pairs(1, 4, 3, 17))
     kinds = [kind for kind, _, _ in drawn]
     early, late = kinds.index("axis-atom/flipped"), kinds.index("random[1]")
@@ -667,14 +802,22 @@ def test_ratio_scan_raises_the_error_the_pair_order_meets_first():
     class TopError(Exception):
         pass
 
+    class LateTopError(Exception):
+        pass
+
     class NormError(Exception):
         pass
 
-    def scan(top_at, norm_at):
-        def top(f, g):
-            if (f, g) == drawn[top_at][1:]:
-                raise TopError
-            return 1.0
+    def scan(top_at, norm_at, late_top_at=None):
+        raising = [(at, error) for at, error in ((top_at, TopError), (late_top_at, LateTopError))
+                   if at is not None]
+
+        def top(fs, gs):
+            for f, g in reversed(list(zip(fs, gs))):  # the later pair first
+                for at, error in raising:
+                    if (f, g) == drawn[at][1:]:
+                        raise error
+            return [1.0] * len(fs)
 
         def left(fs):
             if norm_at is not None and drawn[norm_at][1] in fs:
@@ -689,6 +832,8 @@ def test_ratio_scan_raises_the_error_the_pair_order_meets_first():
         scan(late, early)
     with pytest.raises(TopError):  # no norm raises: the batch goes through
         scan(early, None)
+    with pytest.raises(TopError):  # the batch raises LateTopError, the replay TopError
+        scan(early, None, late)
 
 
 def test_ratio_scan_norms_a_same_pair_once():
@@ -701,19 +846,31 @@ def test_ratio_scan_norms_a_same_pair_once():
             expected += [f] if kind.endswith("/same") else [f, g]
     assert n_same > 0
 
+    def ones(fs, gs):
+        return [1.0] * len(fs)
+
     # through the bound method the memo on f computes one weighted norm per
     # distinct f: a candidate's /flipped and /same pairs share its f
     distinct = len({id(f) for f in expected})
     assert distinct == len(expected) - n_same
-    # the body runs one lane per support it measures, in batches
-    with mock.patch.object(norms, "_luxemburg_norms", wraps=norms._luxemburg_norms) as body:
-        algebra._ratio_scan("count", {}, radii, lambda f, g: 1.0, ctx.weighted_luxemburg_norms,
+    # the body runs one lane per support it measures, in batches; the
+    # convolution tops call it by algebra's own name for it
+    body = mock.Mock(wraps=norms._luxemburg_norms)
+    with mock.patch.object(norms, "_luxemburg_norms", body), \
+            mock.patch.object(algebra, "_luxemburg_norms", body):
+        algebra._ratio_scan("count", {}, radii, ones, ctx.weighted_luxemburg_norms,
                             ctx.weighted_luxemburg_norms, 1, trials, seed, omega=ctx.omega)
         assert sum(len(call.args[1]) for call in body.call_args_list) == distinct
         # the memo is per context: with another weight on the left, f of a
         # candidate is normed once in each context and its flip once
         other = AlgebraContext(ctx.pair, polynomial_weight(0.4), 1)
         body.reset_mock()
-        algebra._ratio_scan("count", {}, radii, lambda f, g: 1.0, other.weighted_luxemburg_norms,
+        algebra._ratio_scan("count", {}, radii, ones, other.weighted_luxemburg_norms,
                             ctx.weighted_luxemburg_norms, 1, trials, seed, omega=ctx.omega)
-    assert sum(len(call.args[1]) for call in body.call_args_list) == len(expected)
+        assert sum(len(call.args[1]) for call in body.call_args_list) == len(expected)
+        # each radius of a submult scan takes three batches: the lefts, the
+        # rights and the tops
+        body.reset_mock()
+        rep = submult_estimate(ctx, 4, trials, seed)
+        assert len(rep.per_radius) == 3
+        assert body.call_count == 3 * len(rep.per_radius)

@@ -252,6 +252,18 @@ def test_certify_algebra_runs():
     assert "trend: plateau" in r.stdout
 
 
+def test_certify_algebra_weight_overflow_in_the_tops_exit_1(capsys):
+    # omega(48) = e^816 is inf: only the tops f*g of the radius-24 pairs
+    # reach it, and the first pair to do so names its point
+    code = main(["certify-algebra", "--young", '{"family":"power","p":1.5}',
+                 "--weight", '{"family":"subexp_alpha","alpha":1.0,"C":17.0}',
+                 "--radius", "24", "--trials", "4"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "weighted value (inf+nanj) at (48,) (weight inf) is not finite" in err
+    assert "Traceback" not in err
+
+
 def test_derivation_scan_overflow_in_d_of_f_is_numerical_failure_exit_1():
     # the damped-form profile f = xi / omega^2 is near 1e300, so
     # h(4) = f(-4) xi(-4) overflows: a numerical outcome, once reported as a

@@ -362,6 +362,24 @@ def test_luxemburg_norms_batch_bit_identical_to_one_at_a_time(catalog_pairs):
                         assert got == expected, (phi.describe(), batch)
 
 
+def test_fsums_sum_each_slice_exactly(catalog_pairs):
+    # abscissae over 17 decades make a float sum of Phi drift from the
+    # exact one, which the bisection would absorb unless a midpoint lay
+    # within an ulp of the root; so each slice's sum is pinned to math.fsum
+    xs = np.exp(seeded_rng(14).uniform(-20.0, 20.0, 1000))
+    ends = list(range(25, 1001, 25))
+    starts = [0, *ends[:-1]]
+    numeric = next(p.psi for p in catalog_pairs if p.conjugation_mode == "numerical")
+    for phi in (young_from_spec({"family": "power", "p": 1.5}), numeric):
+        values = phi.values(xs)
+        # the pin can fail: a plain float sum differs on some slice
+        assert any(float(np.sum(values[a:b])) != math.fsum(values[a:b])
+                   for a, b in zip(starts, ends)), phi.describe()
+        got = [s.hex() for s in phi._fsums(xs, ends)]
+        want = [math.fsum(phi.values(xs[a:b])).hex() for a, b in zip(starts, ends)]
+        assert got == want, phi.describe()
+
+
 @settings(max_examples=60)
 @given(
     p=st.floats(1.05, 40.0),
@@ -717,6 +735,16 @@ def test_weighted_l1_norm():
     w = polynomial_weight(1.0)
     f = FinSuppFn(1, {(0,): 1.0, (2,): -2.0})
     assert weighted_l1_norm(w, f) == pytest.approx(1.0 + 2.0 * 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("entries", [
+    {(0,): 1e308, (1,): 1e308},  # fsum's partial sums overflow
+    {(5,): 1e308},  # the one term is inf
+])
+def test_weighted_l1_norm_past_the_float_range_raises(entries):
+    w = polynomial_weight(0.7)
+    with pytest.raises(NumericalFailureError, match="weighted L1 norm overflows the float range"):
+        weighted_l1_norm(w, FinSuppFn(1, entries))
 
 
 # -- holder ------------------------------------------------------------------------

@@ -10,8 +10,12 @@ Reports carry ``certificate="empirical"`` to make this status explicit.
 A scan measures a radius in three batches: the left norms, the right
 norms and the tops (:func:`_ratio_scan`). The convolution tops read the
 magnitudes of omega * (f*g) straight off the box kernel of
-:func:`convolve`, with no function built, and measure every top of the
-radius in one lockstep Luxemburg batch (:func:`_convolution_norms`).
+:func:`convolve`, with no function built, and measure every distinct top
+of the radius once, in one lockstep Luxemburg batch
+(:func:`_convolution_norms`): a symmetric candidate's /flipped top is its
+/same top. The box kernel (:func:`_box_convolve`) adds a chunk of f's
+entries at a time in one ordered ``np.add.at`` pass, bit for bit the sum
+one entry at a time gives.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,6 +71,10 @@ _ARRAY_MIN_ROW = 16
 _ARRAY_MIN_OPS = 128
 _ARRAY_MAX_BOX_PER_OP = 8
 
+# Products per chunk of f's rows in the box kernel: the chunk's cell and
+# product arrays stay under 1 MB.
+_CHUNK_PRODUCTS = 2**14
+
 # Trend thresholds: below the first is a plateau, at or above the second is
 # growth, anything between is reported as indeterminate.
 PLATEAU_MAX_GROWTH = 0.15
@@ -81,16 +89,17 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
 
     - Each output key sums its terms in the iteration order of f, starting
       from ``0j``, and for one key and one entry a of f exactly one entry b
-      of g contributes. So the array path walks the entries of f in order
-      and adds a*g into the bounding box of supp f + supp g with one
-      fancy-indexed ``+=`` per entry (the indices of one step are distinct).
+      of g contributes. So the array path adds the products into the
+      bounding box of supp f + supp g with ``np.add.at``, a chunk of f's
+      entries at a time, which applies them in f's order
+      (:func:`_box_convolve`).
     - Products are formed from real arrays in CPython's complex-multiply
       order, ``re = ar*br - ai*bi`` and ``im = ar*bi + ai*br``, and summed
       into separate float64 arrays that start at 0.0; numpy's own complex
       multiply differs from CPython's in the last ulp.
     - Keys are listed in first-appearance order (``pairing`` sums in the
-      insertion order of its smaller argument): each step appends the
-      indices not seen before, in the iteration order of g
+      insertion order of its smaller argument): each entry of f appends
+      the cells not seen before, in the iteration order of g
       (:func:`_first_appearance`, a pass of its own after the products).
 
     Small pairs take the loop itself (:func:`_takes_loop`, checked before any
@@ -143,10 +152,18 @@ def _box_of(f: FinSuppFn, g: FinSuppFn) -> tuple | None:
 
 def _box_convolve(
     f_pts: np.ndarray, f_vals: Iterable[complex], g_pts: np.ndarray, gr: np.ndarray, gi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple[list[int], np.ndarray], list[int], list[int]] | None:
-    """The array path of :func:`convolve` on int64 point arrays: for each
-    entry a of f in order, a*g added into the bounding box of supp f +
-    supp g in CPython's complex-multiply order.
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], list[int], list[int]] | None:
+    """The array path of :func:`convolve` on int64 point arrays: a*b for
+    each entry a of f and b of g, added into the bounding box of supp f +
+    supp g in f's order.
+
+    The entries of f are taken a chunk of rows at a time
+    (:func:`_chunked_cells`). A chunk's products are one 2-D broadcast in
+    CPython's complex-multiply order, added by ``np.add.at``, which is
+    unbuffered and applies its indices in order: each cell sums its terms
+    in f's order from 0.0, as one ``+=`` per entry of f would. A chunk
+    summed apart (``np.bincount``, ``reduceat``, ``sum``) and then added
+    would associate differently.
 
     Returns the real and imaginary box, the steps (the cell offsets of
     f's entries and of g's, whose sums are the cells the products of a
@@ -166,28 +183,39 @@ def _box_convolve(
     if (box > _ARRAY_MAX_BOX_PER_OP * len(f_pts) * len(g_pts) or min(corner) < -(2**63)
             or max(fh + gh for fh, gh in zip(f_hi, g_hi)) >= 2**63):
         return None
-    f_at = np.ravel_multi_index(tuple((f_pts - f_lo).T), extent).tolist()
+    f_at = np.ravel_multi_index(tuple((f_pts - f_lo).T), extent)
     g_at = np.ravel_multi_index(tuple((g_pts - g_lo).T), extent)
+    fv = np.fromiter(f_vals, dtype=complex, count=len(f_pts))
+    fr, fi = fv.real[:, None], fv.imag[:, None]
     re, im = np.zeros(box), np.zeros(box)
     with np.errstate(over="ignore", invalid="ignore"):
-        for shift, a in zip(f_at, f_vals):
-            at = g_at + shift
-            ar, ai = a.real, a.imag
-            re[at] += ar * gr - ai * gi
-            im[at] += ar * gi + ai * gr
+        for rows, cells in _chunked_cells(f_at, g_at):
+            ar, ai = fr[rows], fi[rows]
+            np.add.at(re, cells, (ar * gr - ai * gi).ravel())
+            np.add.at(im, cells, (ar * gi + ai * gr).ravel())
     return re, im, (f_at, g_at), corner, extent
 
 
-def _first_appearance(steps: tuple[list[int], np.ndarray], size: int) -> np.ndarray:
+def _chunked_cells(f_at: np.ndarray, g_at: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """The rows of f in chunks of about ``_CHUNK_PRODUCTS`` products (one
+    row where g alone is longer), each with the cells its products land
+    in, f-major: row by row of f, each in g's order."""
+    step = max(1, _CHUNK_PRODUCTS // len(g_at))
+    for start in range(0, len(f_at), step):
+        rows = slice(start, start + step)
+        yield rows, (f_at[rows, None] + g_at).ravel()
+
+
+def _first_appearance(steps: tuple[np.ndarray, np.ndarray], size: int) -> np.ndarray:
     """The cells the steps of :func:`_box_convolve` reach, in first-appearance
-    order: each step appends the cells not reached before, in the
-    iteration order of g."""
-    f_at, g_at = steps
+    order: each entry of f appends the cells not reached before, in the
+    iteration order of g. Per chunk of rows (:func:`_chunked_cells`) that
+    is the first occurrence of each unseen cell, in f-major order."""
     seen = np.zeros(size, dtype=bool)
     fresh = []
-    for shift in f_at:
-        at = g_at + shift
-        new = at[~seen[at]]
+    for _, cells in _chunked_cells(*steps):
+        new = cells[~seen[cells]]
+        new = new[np.sort(np.unique(new, return_index=True)[1])]
         seen[new] = True
         fresh.append(new)
     return np.concatenate(fresh)
@@ -230,9 +258,31 @@ def _convolution_norms(
     phi: YoungFunction, omega: Weight | None, fs: Sequence[FinSuppFn], gs: Sequence[FinSuppFn]
 ) -> list[float]:
     """The Luxemburg norm under phi of omega * (f*g), or of f*g where omega
-    is None, for each pair: every pair's magnitudes
-    (:func:`_convolution_magnitudes`) measured in one lockstep batch."""
-    return _luxemburg_norms(phi, [_convolution_magnitudes(f, g, omega) for f, g in zip(fs, gs)])
+    is None, for each pair: the magnitudes (:func:`_convolution_magnitudes`)
+    of every distinct pair (:func:`_each_distinct_pair`) measured in one
+    lockstep batch."""
+    return _each_distinct_pair(fs, gs, lambda fs, gs: _luxemburg_norms(
+        phi, [_convolution_magnitudes(f, g, omega) for f, g in zip(fs, gs)]))
+
+
+def _each_distinct_pair(fs: Sequence[FinSuppFn], gs: Sequence[FinSuppFn], measure) -> list:
+    """``measure(fs, gs)`` with each distinct pair measured once, its value
+    handed back to every pair in order.
+
+    Pairs are keyed by f's identity and g's, where g counts as f if it
+    has f's entries (a symmetric candidate's flip). That is exact for a top
+    built from f*g or f.g and measured by its magnitudes: each cell of f*g
+    sums over f in f's order whatever g's order, the Luxemburg norm reads
+    no order, and the signed zeros that dict equality ignores vanish in
+    the magnitudes.
+    """
+    keys = [(id(f), id(f) if g is f or g.entries == f.entries else id(g)) for f, g in zip(fs, gs)]
+    firsts: dict = {}
+    for key, f, g in zip(keys, fs, gs):
+        firsts.setdefault(key, (f, g))
+    distinct = list(firsts.values())
+    values = dict(zip(firsts, measure([f for f, _ in distinct], [g for _, g in distinct])))
+    return [values[key] for key in keys]
 
 
 def _convolve_loop(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
@@ -462,7 +512,8 @@ def pointwise_inclusion_check(
         "pointwise_inclusion_check",
         {"pair": pair.describe(), "radius": radius, "trials": trials, "seed": seed},
         _radius_ladder(radius),
-        lambda us, gs: _luxemburg_of(pair.phi, [u.pointwise_mul(g) for u, g in zip(us, gs)]),
+        lambda us, gs: _each_distinct_pair(us, gs, lambda us, gs: _luxemburg_of(
+            pair.phi, [u.pointwise_mul(g) for u, g in zip(us, gs)])),
         lambda us: _luxemburg_of(phi_tilde, us),
         lambda gs: _luxemburg_of(pair.psi, gs),
         dim, trials, seed,

@@ -388,6 +388,10 @@ def derivation_norm_scan(
             "seed": seed,
         },
         list(radii),
+        # every pair measured: unlike the algebra scans' tops, a symmetric
+        # candidate's /flipped pair is not its /same pair here: pairing may
+        # sum in g's insertion order, so <D(f), flip f> and <D(f), f> can
+        # differ in the last bits
         lambda fs, gs: [abs(_derivation_pairing(d, f, g)) for f, g in zip(fs, gs)],
         ctx.weighted_luxemburg_norms,
         ctx.weighted_luxemburg_norms,

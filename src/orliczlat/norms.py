@@ -59,8 +59,8 @@ one batch. Its bits are those of
 product raises the error :func:`apply_weight` raises. The Orlicz kind
 goes through :func:`apply_weight`. The scans' convolution tops form the
 same magnitudes of omega * (f*g) off the convolution kernel
-(``algebra._convolution_magnitudes``) and pass every top of a radius to
-:func:`_luxemburg_norms` at once. The weighted L1 norm sums
+(``algebra._convolution_magnitudes``) and pass every distinct top of a
+radius to :func:`_luxemburg_norms` at once. The weighted L1 norm sums
 |f(s)| omega(s) with ``math.fsum`` and raises where that passes the
 float range.
 """

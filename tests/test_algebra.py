@@ -396,6 +396,37 @@ def test_convolve_drops_exact_cancellations_like_the_loop():
     assert len(got) < 35  # alternating sums over a full window cancel to 0
 
 
+def _grid(n: int, dim: int, width: int, values: np.ndarray) -> FinSuppFn:
+    """n points filling rows of the given width (a line where dim is 1)."""
+    pts = [(k,) if dim == 1 else (k % width, k // width) for k in range(n)]
+    return FinSuppFn(dim, dict(zip(pts, values.tolist())))
+
+
+_ROWS = algebra._CHUNK_PRODUCTS // 64  # rows of f per chunk against 64 entries of g
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("nf, ng", [
+    (2 * _ROWS + 5, 64),  # f spans three chunks, the last one short
+    (2 * _ROWS, 64),  # the last chunk ends exactly at |f|
+    (3, algebra._CHUNK_PRODUCTS + 7),  # g alone is longer than a chunk: one row each
+])
+def test_convolve_bit_identical_to_loop_across_chunk_edges(dim, nf, ng):
+    # the supports overlap, so most cells sum terms from rows of several
+    # chunks; keys, their order and both parts of each value by .hex()
+    rng = seeded_rng(31, dim, nf, ng)
+
+    def values(n):
+        parts = rng.standard_normal((2, n)) * 2.0 ** rng.integers(-30, 30, (2, n))
+        return parts[0] + 1j * parts[1]
+
+    f, g = _grid(nf, dim, 7, values(nf)), _grid(ng, dim, 5, values(ng))
+    with mock.patch.object(algebra, "_convolve_loop", wraps=algebra._convolve_loop) as spy:
+        got = convolve(f, g)
+    assert not spy.called
+    assert bits(got) == bits(algebra._convolve_loop(f, g))
+
+
 # -- flip --------------------------------------------------------------------------
 
 
@@ -691,6 +722,52 @@ def test_scan_tops_bit_identical_to_building_each_top(dim, radius, spec):
     for r in algebra._radius_ladder(radius):
         assert_convolution_tops_match(
             pair, omega, [(f, g) for _, f, g in scan_pairs(dim, r, 4, 23, omega=omega)])
+
+
+def test_scan_tops_measure_each_distinct_pair_once():
+    # the ball, half-ball and inverse-weight candidates equal their flip, so
+    # their /flipped top is their /same top: a radius of the benchmark's
+    # d = 1 submult scan reads the magnitudes of each distinct pair once,
+    # and the rows, argmax labels included (/flipped, drawn first, wins a
+    # tie), are those of building and measuring every top
+    pair, omega = pair_from_spec({"family": "power", "p": 1.5}), polynomial_weight(0.7)
+    ctx = AlgebraContext(pair, omega, 1)
+    radius, trials, seed = 48, 8, 1007
+
+    def distinct_pairs(omega):
+        """Pairs of the scan's radii less the symmetric candidates' /same
+        pairs, and those candidates."""
+        count, symmetric = 0, set()
+        for r in algebra._radius_ladder(radius):
+            drawn = list(scan_pairs(1, r, trials, seed, omega=omega))
+            same = {kind.split("/")[0] for kind, f, g in drawn
+                    if kind.endswith("/flipped") and g.entries == f.entries}
+            symmetric |= same
+            count += len(drawn) - len(same)
+        return count, symmetric
+
+    distinct, symmetric = distinct_pairs(omega)
+    assert symmetric == {"ball-indicator", "half-ball-indicator", "inverse-weight-profile"}
+    magnitudes = mock.Mock(wraps=algebra._convolution_magnitudes)
+    with mock.patch.object(algebra, "_convolution_magnitudes", magnitudes):
+        rep = submult_estimate(ctx, radius, trials, seed)
+    assert magnitudes.call_count == distinct
+    (_, _, loop), = [s for s in algebra_scans(pair, omega, 1, radius, trials, seed)
+                     if s[0] == "submult_estimate"]
+    assert repr(rep.per_radius) == repr(loop())
+    assert any(row["argmax"] == f"{kind}/flipped"
+               for row in rep.per_radius for kind in symmetric)
+    # the pointwise inclusion's top u.g is one product per distinct pair too
+    products = []
+
+    def pointwise_mul(u, g, real=FinSuppFn.pointwise_mul):
+        products.append((u, g))
+        return real(u, g)
+
+    with mock.patch.object(FinSuppFn, "pointwise_mul", pointwise_mul):
+        pointwise_inclusion_check(pair, radius, trials, seed)
+    distinct, symmetric = distinct_pairs(None)
+    assert symmetric and len(products) == distinct
 
 
 def test_scan_tops_bit_identical_where_weighted_products_underflow():

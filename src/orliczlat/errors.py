@@ -22,17 +22,16 @@ class InvalidInputError(OrliczError, ValueError):
 
 
 class ConjugateInfiniteError(OrliczError):
-    """The convex conjugate is +inf at the requested point.
+    """The convex conjugate is +inf, as a float, at the requested point.
 
-    Raised when the bracket expansion hits its cap while the slope of the
-    function is still below the query point, i.e. the supremum does not
-    stabilise at any finite argument.
+    Raised when no finite x has Phi'(x) >= y, so the supremum does not
+    stabilise at any float (a bounded slope, or a root past the float
+    range), or when x*y - Phi(x) at the maximiser is inf - inf.
     """
 
-    def __init__(self, y: float, cap: float):
+    def __init__(self, y: float):
         self.y = y
-        self.cap = cap
-        super().__init__(f"conjugate infinite at y={y!r} (bracket cap {cap:g} reached)")
+        super().__init__(f"conjugate infinite at y={y!r}: the sup passes the float range")
 
 
 class ConvexityError(InvalidInputError):

@@ -336,17 +336,17 @@ def orlicz_norm(pair: ComplementaryPair, f: FinSuppFn) -> float:
     The multiplier is sought for |f| / 2**e, so it is t / 2**e for the
     multiplier t of f: the quotients |f|/t are the same, and the search
     stays finite where t would pass the top of the float range. ``expand``
-    doubles it from max(m, 1e-300 / 2**e) until the constraint
-    sum Psi(Phi'(|f|/t)) <= 1 holds and then halves it until the
-    constraint is >= 1; from that bracket :func:`_windowed_root` narrows it
-    to relative width 1e-13, reusing the constraint values at the two
-    bracket ends. The window skips only decisions it has certified, so the
-    multiplier is the one a plain bisection finds; on the norm-sandwich
-    functions (every catalog pair both ways) a call takes a median of 20
-    constraint evaluations (quartiles 18 and 21, range 15-50) instead of
-    46. The value sum |f| Phi'(|f|/t) is then summed over the
-    magnitudes as given, so a term that the division by 2**e takes below
-    the normal range still counts.
+    doubles it from max(m, 1e-300 / 2**e) until the constraint sum
+    Psi(Phi'(|f|/t)) <= 1 holds and then halves it until the constraint is
+    >= 1 (either search ending off the positive floats raises);
+    :func:`_windowed_root` narrows that bracket to relative width 1e-13,
+    reusing the constraint values at its two ends. The window skips only
+    decisions it has certified, so the multiplier is the one a plain
+    bisection finds; on the norm-sandwich functions (every catalog pair both
+    ways) a call takes a median of 20 constraint evaluations (quartiles 18
+    and 21, range 15-50) instead of 46. The value sum |f| Phi'(|f|/t) is
+    then summed over the magnitudes as given, so a term that the division by
+    2**e takes below the normal range still counts.
 
     Raises :class:`NumericalFailureError` if the norm exceeds the float
     range, or if the optimiser output falls outside the [N_Phi, 2 N_Phi]
@@ -368,11 +368,11 @@ def orlicz_norm(pair: ComplementaryPair, f: FinSuppFn) -> float:
         return c
 
     start = max(m, math.ldexp(1e-300, -e))
-    hi = expand(lambda t: constraint(t) <= 1.0, start, 2.0, 400)
-    if hi is None:
+    hi = expand(lambda t: constraint(t) <= 1.0, start, 2.0)
+    if hi in (None, math.inf):
         raise NumericalFailureError("dual multiplier bracket failed to expand")
-    lo = expand(lambda t: constraint(t) >= 1.0, hi * 0.5, 0.5, 400)
-    if lo is None:
+    lo = expand(lambda t: t == 0.0 or constraint(t) >= 1.0, hi * 0.5, 0.5)
+    if lo == 0.0:
         raise NumericalFailureError("dual multiplier bracket failed to shrink")
     hi = _drive(_windowed_root(lo, hi, constraint(lo)), constraint)
     try:

@@ -97,7 +97,7 @@ def sqrt_pair_margin(pair: ComplementaryPair) -> float | None:
             continue
         try:
             upper = phi_tilde(2.0 * x * x / fx)
-        except ConjugateInfiniteError:
+        except ConjugateInfiniteError:  # past a bounded slope, as of sqrt[power(p=2)] = x/2
             upper = math.inf  # an infinite upper bound holds trivially
         try:
             lower = phi_tilde(x * x / (4.0 * fx))

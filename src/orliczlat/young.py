@@ -57,8 +57,6 @@ __all__ = [
 # Working range for grid validations.
 GRID_MIN = 1e-6
 GRID_MAX = 1e3
-# Bracket cap for conjugate evaluation; beyond this the sup is reported infinite.
-BRACKET_CAP = 1e12
 
 
 def default_grid(n: int = 61, lo: float = GRID_MIN, hi: float = GRID_MAX) -> list[float]:
@@ -77,7 +75,7 @@ def _guarded(fn: Callable[[float], float], x: float) -> float:
 
 def _reaches(fn: Callable[[float], float], x: float, y: float) -> bool:
     """fn(x) >= y, where :func:`expand` may look past its answer: there an
-    overflow, a NaN (inf - inf) and a numeric conjugate past its cap reach y."""
+    overflow, a NaN (inf - inf) and an infinite numeric conjugate reach y."""
     try:
         return not fn(x) < y
     except (OverflowError, ConjugateInfiniteError):
@@ -198,29 +196,30 @@ def conjugate_with_argmax(phi: YoungFunction, y: float) -> tuple[float, float]:
     """Conjugate value sup{x*y - Phi(x)} and its maximiser.
 
     The maximiser is the root of Phi'(x) = y. :func:`expand` doubles x from
-    1 until Phi'(x) >= y, at most 40 times, or else takes the cap 1e12,
-    where Phi' < y means the objective still climbs: the sup is reported
-    infinite. It then halves from half that end until Phi' < y, taking
-    x = 0 as below y unevaluated. The octave [lo, 2 lo] goes to
+    1 until Phi'(x) >= y, and halves from half that end until Phi' < y,
+    taking x = 0 as below y unevaluated. The octave [lo, 2 lo] goes to
     :func:`_derivative_root`; if lo is 0, Phi'(0+) >= y and the maximiser
-    is 0. Phi is evaluated once, for max(0, x*y - Phi(x)).
+    is 0. Phi is evaluated once, for max(0, x*y - Phi(x)), which reads inf
+    where x*y alone passes the float range. The sup is reported infinite
+    where no finite x has Phi'(x) >= y, or where that difference is
+    inf - inf, which max(0, .) would read as 0.
     """
     if not y >= 0:  # also refuses NaN
         raise InvalidInputError(f"conjugate requested at negative or NaN y={y!r}")
     if y == 0.0:
         return 0.0, 0.0
     dphi = phi.derivative
-    hi = expand(lambda x: _reaches(dphi, x, y), 1.0, 2.0, 40)
-    if hi is None:
-        if not _reaches(dphi, BRACKET_CAP, y):
-            raise ConjugateInfiniteError(y, BRACKET_CAP)
-        hi = BRACKET_CAP
-    # hi / 2 < 2**39 halves to 0 in fewer than 1200 steps
-    lo = expand(lambda x: x == 0.0 or not _reaches(dphi, x, y), 0.5 * hi, 0.5, 1200)
+    hi = expand(lambda x: _reaches(dphi, x, y), 1.0, 2.0)
+    if hi in (None, math.inf):
+        raise ConjugateInfiniteError(y)
+    lo = expand(lambda x: x == 0.0 or not _reaches(dphi, x, y), 0.5 * hi, 0.5)
     x = 0.0
     if lo > 0.0:
         x = _derivative_root(dphi, y, lo)
-    return max(0.0, x * y - phi(x)), x
+    value = x * y - phi(x)
+    if value != value:  # inf - inf
+        raise ConjugateInfiniteError(y)
+    return max(0.0, value), x
 
 
 def _derivative_root(dphi: Callable[[float], float], y: float, lo: float) -> float:
@@ -315,40 +314,40 @@ def numeric_conjugate(phi: YoungFunction) -> YoungFunction:
     )
 
 
-def expand(
-    pred: Callable[[float], bool], start: float, factor: float, max_iter: int
-) -> float | None:
-    """The first point x_k (k < max_iter) where ``pred`` holds, or None.
+def expand(pred: Callable[[float], bool], start: float, factor: float) -> float | None:
+    """The first point x_k = start * factor**k (``factor`` 2 or 1/2, taken
+    as ``ldexp(start, ±k)``) where ``pred`` holds, trying k = 0, 1, 2, ...
+    up to the first point off the positive floats (inf or 0.0), or None.
 
-    ``factor`` is 2 or 1/2 and x_k = start * factor**k, taken as
-    ``ldexp(start, ±k)``, so a point past the float range reads inf. The
-    count k gallops (0, 1, 2, 4, ..., at most max_iter - 1) until ``pred``
-    holds and is then bisected between the last two counts, so for a
-    monotone ``pred`` the result is that of trying k = 0, 1, 2, ... in
-    turn, found in O(log k) calls. The gallop looks at counts up to twice
-    that result, so ``pred`` must be monotone there and must not raise
-    (see :func:`_reaches`); it looks past the float range only once the
-    last finite point fails, as the loop would. This is the one bracket
-    search of the package: the conjugate, inverses, the density inverse
-    and the Orlicz multiplier.
+    The count k gallops (0, 1, 2, 4, ...) until ``pred`` holds and is then
+    bisected between the last two counts, so for a monotone ``pred`` the
+    result is that of the plain loop, found in O(log k) calls. The gallop
+    looks at counts up to twice that result, so ``pred`` must be monotone
+    there and must not raise (see :func:`_reaches`); it looks past the
+    positive floats only once the last positive point fails, as the loop
+    would. This is the one bracket search of the package: the conjugate,
+    inverses, the density inverse and the Orlicz multiplier.
     """
     sign = 1 if factor > 1.0 else -1
-    # the last count whose point is finite: the gallop stops there first
-    top = 1024 - math.frexp(start)[1] if sign > 0 else max_iter
-    # pred fails at count below and holds at count above, which stays
-    # max_iter until a point is found
-    below, above, found = -1, max_iter, None
+    m, e = math.frexp(start)
+    # the last count whose point is a positive float, where the gallop
+    # stops first: halving m * 2**e (0.5 <= m < 1) reaches 2**-1074 at count
+    # e + 1073, and only m = 0.5 rounds to 0.0 (a tie, to even) one later
+    last = 1024 - e if sign > 0 else e + 1073 + (m > 0.5)
+    # pred fails at count below and holds at count above, which stays one
+    # past the end until a point is found
+    below, above, found = -1, last + 2, None
     while above - below > 1:
         if found is not None:
             k = (below + above) // 2
         elif below > 1:
-            k = min(2 * below, max_iter - 1, max(top, below + 1))
+            k = min(2 * below, max(last, below + 1))
         else:
             k = below + 1
-        x = math.ldexp(start, sign * k) if k <= top else math.inf
+        x = math.ldexp(start, sign * k) if k <= last else (math.inf if sign > 0 else 0.0)
         if pred(x):
             above, found = k, x
-        elif x == math.inf:
+        elif k > last:
             break  # and so does every later point
         else:
             below = k
@@ -421,7 +420,7 @@ def inverse(phi: YoungFunction, y: float) -> float:
     def reaches(x: float) -> bool:
         return _reaches(phi.fn, x, y)
 
-    hi = expand(reaches, 1.0, 2.0, 4000)
+    hi = expand(reaches, 1.0, 2.0)
     if hi is None:
         raise NumericalFailureError(f"no bracket for inverse at y={y!r}")
     lo, hi = bisect(reaches, 0.0, hi, 1e-15, floor=1.0)
@@ -546,7 +545,7 @@ def from_density(
             # NaN, as a bounded density may read at inf, is not reached
             return _guarded(varphi, x) >= t
 
-        hi = expand(reaches, 1.0, 2.0, 4000)
+        hi = expand(reaches, 1.0, 2.0)
         if hi is None:
             raise NumericalFailureError(f"density never reaches {t!r}: no bracket for its inverse")
         lo, hi = bisect(reaches, 0.0, hi, 0.0)

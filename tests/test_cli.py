@@ -120,10 +120,14 @@ def test_conjugate_entropy_and_explicit_grid_with_zero(tmp_path):
     [
         ('{"family":"power","p":2}', "1e12", 5e23),
         ('{"family":"power","p":1.5}', "1e6", 1e18 / 3.0),
+        ('{"family":"power","p":1.5}', "1e10", 1e30 / 3.0),
+        ('{"family":"power","p":1.5}', "1e100", 1e300 / 3.0),
     ],
+    ids=["power2-at-1e12", "power1p5-at-1e6", "power1p5-at-1e10", "power1p5-at-1e100"],
 )
-def test_conjugate_with_its_maximiser_at_the_cap_is_finite(tmp_path, young, y, value):
-    # both suprema are attained at x = 1e12, so they are finite, not infinite
+def test_conjugate_with_a_large_maximiser_is_finite(tmp_path, young, y, value):
+    # the suprema are attained at x = 1e12, 1e20 and 1e200, so they are
+    # finite, not infinite, and match the closed form
     out = tmp_path / "c.csv"
     r = run_cli(
         "conjugate", "--young", young, "--ymin", y, "--ymax", y, "--points", "1",

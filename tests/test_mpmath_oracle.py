@@ -146,3 +146,34 @@ def test_square_log_derivative_matches_mpmath_past_the_square_overflow():
         for x in (1e-3, 1.0, 1e100, 1e154, 1.4e154, 1e200, 1e300):
             exact = dphi(mp.mpf(x))
             assert abs(phi.d(x) - exact) <= 1e-15 * exact, x
+
+
+def halving_root(fn, target):
+    """The x > 0 with fn(x) = target, for fn increasing from fn(0) <= target:
+    doubling from 1, then 200 halvings, which at 50 digits leave a relative
+    width far below double precision (findroot's residual test, absolute,
+    fails at values near 1e100)."""
+    lo, hi = mp.mpf(0), mp.mpf(1)
+    while fn(hi) < target:
+        hi *= 2
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def test_square_log_conjugate_and_its_inverse_match_mpmath_at_1e100():
+    # Psi(1e100) is about 1.1153e197, at a maximiser near 2.2e97. Psi^{-1}
+    # at 1e100 is Phi'(x) for the x with x Phi'(x) - Phi(x) = 1e100.
+    psi = pair_from_spec({"family": "square_log", "p": 1.0}).psi
+    phi, dphi = MEMBERS[("square_log", 1.0)]
+    with mp.workdps(50):
+        x = halving_root(dphi, mp.mpf(1e100))
+        exact = x * 1e100 - phi(x)
+        assert abs(psi(1e100) - exact) <= 1e-12 * exact
+        x = halving_root(lambda x: x * dphi(x) - phi(x), mp.mpf(1e100))
+        exact = dphi(x)
+        assert abs(psi.inverse(1e100) - exact) <= 1e-12 * exact

@@ -507,11 +507,11 @@ def plain_orlicz(pair: ComplementaryPair, f: FinSuppFn) -> float:
     def constraint(t: float) -> float:
         return norms._dual_constraint(phi, mags, t)
 
-    hi = expand(lambda t: constraint(t) <= 1.0, max(max(mags), 1e-300), 2.0, 400)
-    if hi is None:
+    hi = expand(lambda t: constraint(t) <= 1.0, max(max(mags), 1e-300), 2.0)
+    if hi in (None, math.inf):
         raise NumericalFailureError("dual multiplier bracket failed to expand")
-    lo = expand(lambda t: constraint(t) >= 1.0, hi * 0.5, 0.5, 400)
-    if lo is None:
+    lo = expand(lambda t: t == 0.0 or constraint(t) >= 1.0, hi * 0.5, 0.5)
+    if lo == 0.0:
         raise NumericalFailureError("dual multiplier bracket failed to shrink")
     _, hi = bisect(lambda t: constraint(t) <= 1.0, lo, hi, 1e-13)
     value = math.fsum(a * phi.d(a / hi) for a in mags)

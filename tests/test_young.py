@@ -159,8 +159,8 @@ def test_conjugate_far_below_the_bracket_costs_few_evaluations(fn, dfn, y, argma
     ],
 )
 def test_conjugate_finite_with_its_maximiser_near_the_cap(spec, swap, y):
-    # sup{x*y - Phi(x)} = Psi(y) is attained at x = Psi'(y) <= 1e12, so it
-    # is finite although the objective climbs up to the cap
+    # sup{x*y - Phi(x)} = Psi(y) is attained at x = Psi'(y), about 1e12
+    # here, so it is finite although the objective climbs that far
     pair = pair_from_spec(spec, validate=False)
     if swap:
         pair = pair.swap()
@@ -174,17 +174,17 @@ def plain_conjugate(phi, y):
     """The conjugate as its chord-slope bracket found it, written out here so
     the galloping bracket search is pinned against it bit for bit.
 
-    x doubles from 1 until the chord slope Phi(x)/x exceeds y (capped at
-    1e12, where this loop's verdict is not the package's), then halves one
-    octave at a time until Phi' < y; that octave goes to the package's root
-    finder."""
+    x doubles from 1 until the chord slope Phi(x)/x exceeds y (the sup is
+    infinite if it never does below inf), then halves one octave at a time
+    until Phi' < y; that octave goes to the package's root finder. The sup
+    is infinite too where x*y - Phi(x) is inf - inf."""
     if y == 0.0:
         return 0.0, 0.0
     top = 1.0
-    while phi(top) / top <= y:
-        if top >= young.BRACKET_CAP:
-            raise ConjugateInfiniteError(y, top)
-        top = min(2.0 * top, young.BRACKET_CAP)
+    while not phi(top) / top > y:  # inf / inf is NaN
+        if top == math.inf:
+            raise ConjugateInfiniteError(y)
+        top *= 2.0
     k, lo = 1, 0.5 * top
     while lo > 0.0 and phi.d(lo) >= y:
         k += 1
@@ -192,26 +192,20 @@ def plain_conjugate(phi, y):
     x = 0.0
     if lo > 0.0:
         x = young._derivative_root(phi.derivative, y, lo)
-    return max(0.0, x * y - phi(x)), x
-
-
-# Solves from here up reach the cap band, where the chord-slope bracket of
-# plain_conjugate ends at 1e12 and its octaves are not powers of two.
-_CAP_BAND = 2.0 ** 37
+    value = x * y - phi(x)
+    if value != value:
+        raise ConjugateInfiniteError(y)
+    return max(0.0, value), x
 
 
 def _bits(phi, y):
-    """(value, maximiser) of both solvers as hex, or None in the cap band.
-
-    An infinite verdict must be the chord-slope bracket's too; the reverse,
-    a finite sup it reported infinite, lies in the cap band."""
+    """(value, maximiser) of both solvers as hex, or None where the sup is
+    infinite, which must then be the chord-slope bracket's verdict too."""
     try:
         got = conjugate_with_argmax(phi, y)
     except ConjugateInfiniteError:
         with pytest.raises(ConjugateInfiniteError):
             plain_conjugate(phi, y)
-        return None
-    if got[1] >= _CAP_BAND:
         return None
     return [v.hex() for v in got], [v.hex() for v in plain_conjugate(phi, y)]
 
@@ -238,9 +232,32 @@ def test_conjugate_bit_identical_to_the_chord_slope_bracket(phi):
     assert compared >= 2000
 
 
+@pytest.mark.parametrize("phi", _oracle_functions(), ids=YoungFunction.describe)
+def test_conjugate_is_finite_or_raises_over_the_whole_float_range(phi):
+    # a finite maximiser and value, or the sup reported infinite: never NaN,
+    # never the 0.0 that max(0, inf - inf) reads, and inf only where x*y
+    # alone passes the float range, as an overflowing Phi reads inf
+    for y in np.geomspace(5e-324, 1.7e308, 12).tolist():
+        try:
+            value, x = conjugate_with_argmax(phi, y)
+        except ConjugateInfiniteError:
+            continue
+        diff = x * y - phi(x)
+        assert math.isfinite(x) and (value < math.inf or x * y == math.inf), (phi.describe(), y)
+        assert diff == diff and value == max(0.0, diff), (phi.describe(), y)
+
+
+def test_square_log_conjugate_raises_where_its_difference_overflows():
+    # the maximiser of x*1e200 - x^2 ln(1+x) is about 1.1e197, where both
+    # terms pass the float range: inf - inf is reported, not read as 0.0
+    psi = pair_from_spec({"family": "square_log", "p": 1}).psi
+    with pytest.raises(ConjugateInfiniteError):
+        psi(1e200)
+
+
 @given(
     p=st.floats(1.01, 40.0, allow_nan=False),
-    log_y=st.floats(-300.0, 12.0, allow_nan=False),
+    log_y=st.floats(-300.0, 300.0, allow_nan=False),
 )
 def test_power_conjugate_bit_identical_to_the_chord_slope_bracket(p, log_y):
     pair = _bits(young_from_spec({"family": "power", "p": p}), 10.0 ** log_y)
@@ -248,27 +265,28 @@ def test_power_conjugate_bit_identical_to_the_chord_slope_bracket(p, log_y):
         assert pair[0] == pair[1]
 
 
-def linear_expand(pred, start, factor, max_iter):
-    """The bracket search as a plain loop over start * factor**k, k = 0, 1, ..."""
+def linear_expand(pred, start, factor):
+    """The bracket search as a plain loop over start * factor**k, k = 0, 1,
+    ..., up to the first point off the positive floats (inf or 0.0)."""
     x = start
-    for _ in range(max_iter):
-        if pred(x):
-            return x
+    while not pred(x):
+        if x in (0.0, math.inf):
+            return None
         x *= factor
-    return None
+    return x
 
 
-@example(k0=1100, max_iter=1200, factor=2.0, exponent=0, mantissa=1.5)  # reads inf
-@example(k0=600, max_iter=1200, factor=2.0, exponent=0, mantissa=1.5)  # 2**1024 unread
-@example(k0=1100, max_iter=1200, factor=0.5, exponent=0, mantissa=1.0)  # reads 0
+@example(k0=1100, factor=2.0, exponent=0, mantissa=1.5)  # reads inf
+@example(k0=600, factor=2.0, exponent=0, mantissa=1.5)  # 2**1024 unread
+@example(k0=1100, factor=0.5, exponent=0, mantissa=1.0)  # reads 0
+@example(k0=1074, factor=0.5, exponent=0, mantissa=1.0)  # 2**-1074, 0 unread
 @given(
     k0=st.integers(0, 1200),
-    max_iter=st.integers(0, 1200),
     factor=st.sampled_from([2.0, 0.5]),
     exponent=st.integers(-60, 60),
     mantissa=st.floats(1.0, 2.0, exclude_max=True),
 )
-def test_expand_gallops_to_the_linear_result(k0, max_iter, factor, exponent, mantissa):
+def test_expand_gallops_to_the_linear_result(k0, factor, exponent, mantissa):
     # a halving into the subnormals rounds at every step of the loop but
     # once in ldexp, so halvings start from a power of two
     start = math.ldexp(mantissa if factor == 2.0 else 1.0, exponent)
@@ -281,32 +299,40 @@ def test_expand_gallops_to_the_linear_result(k0, max_iter, factor, exponent, man
         return x >= threshold if factor == 2.0 else x <= threshold
 
     calls = []
-    got = young.expand(pred, start, factor, max_iter)
+    got = young.expand(pred, start, factor)
     gallop, calls = calls, []
     assert len(gallop) <= 2 * (k0 + 1).bit_length() + 1
-    assert got == linear_expand(pred, start, factor, max_iter)
-    # it looks past the float range only where the loop does
-    assert math.inf not in gallop or math.inf in calls
-    if k0 < max_iter:
-        assert got == threshold  # inf or 0 past the float range
-    elif 0.0 < threshold < math.inf:
-        assert got is None
+    assert got == linear_expand(pred, start, factor) == threshold
+    # it looks past the positive floats only where the loop does
+    for end in (math.inf, 0.0):
+        assert end not in gallop or end in calls
 
 
 def test_expand_stops_once_past_the_float_range():
-    # every later point is inf too, where pred has already failed
-    calls = []
-    assert young.expand(lambda x: calls.append(x) or False, 1.0, 2.0, 4000) is None
-    assert calls[-1] == math.inf and len(calls) < 30
+    # every later point is inf (or 0.0) too, where pred has already failed
+    for factor, end in ((2.0, math.inf), (0.5, 0.0)):
+        calls = []
+        assert young.expand(lambda x: calls.append(x) or False, 1.0, factor) is None
+        assert calls[-1] == end and len(calls) < 30
+
+
+def test_expand_halves_through_the_subnormals_to_zero():
+    # each point is ldexp(start, -k), rounded once: from a start that is not
+    # a power of two, 2**-1074 comes one count later than from a power of two
+    for start in (1.0, 1.25, 1.5, 1.75, 2.0 - 2.0 ** -52):
+        points = [math.ldexp(start, -k) for k in range(1080)]
+        for target in (5e-324, 0.0):
+            want = next(x for x in points if x <= target)
+            assert young.expand(lambda x: x <= target, start, 0.5) == want, (start, target)
 
 
 def test_conjugate_of_a_numeric_conjugate_past_its_cap():
-    # Psi' of Phi = x^1.5/1.5 is x^2 up to 1e6 and infinite beyond, where
-    # the galloping search looks past the octave of y
+    # Psi' of Phi = x^1.5/1.5 is x^2 below 2**512 and infinite from there,
+    # where the galloping search looks past the octave of y = 1e160
     psi = make_pair(
         YoungFunction(fn=lambda x: x ** 1.5 / 1.5, derivative=math.sqrt), validate=False
     ).psi
-    for y in (1e4, 1e8, 1e10):
+    for y in (1e4, 1e8, 1e10, 1e160):
         assert conjugate_with_argmax(psi, y) == plain_conjugate(psi, y), y
     # finite here, where the chord-slope bracket met Psi past its cap
     value, x = conjugate_with_argmax(psi, 1e11)
@@ -775,10 +801,9 @@ def test_biconjugation_recovers_original():
 
 
 def test_numeric_conjugate_matches_closed_forms(catalog_pairs):
-    # capped at y=20: conjugating a function with logarithmic slope growth
-    # (entropy) needs a bracket of size ~ e^y, and the documented bracket
-    # cap 1e12 reports "infinite" past y ~ 27.
-    grid = [float(x) for x in np.geomspace(1e-2, 20.0, 17)]
+    # up to y = 700: conjugating a function with logarithmic slope growth
+    # (entropy) needs a bracket of size ~ e^y, about 1e304 there
+    grid = [float(x) for x in np.geomspace(1e-2, 700.0, 17)]
     for pair in catalog_pairs:
         if pair.conjugation_mode != "closed_form":
             continue

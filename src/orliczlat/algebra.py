@@ -62,12 +62,11 @@ __all__ = [
 MAX_CONV_OPS = 10_000_000
 
 # Where convolve takes the plain loop instead of the array path (measured
-# crossovers, see CHANGES.md). Each entry of f costs the array path one
-# numpy pass over g of ~10 us, so it loses when g has fewer than
-# _ARRAY_MIN_ROW entries or the pair fewer than _ARRAY_MIN_OPS products.
-# Its box costs 17 bytes a cell: beyond _ARRAY_MAX_BOX_PER_OP cells per
+# crossovers, see CHANGES.md). The box kernel pays a fixed run of numpy
+# calls per pair, whatever the length of g, and the loop a step per product:
+# in convolve, the tops and the fused pairing they meet at 64-192 products.
+# The box costs 17 bytes a cell: beyond _ARRAY_MAX_BOX_PER_OP cells per
 # product (sparse draws) it would outgrow the loop's dict.
-_ARRAY_MIN_ROW = 16
 _ARRAY_MIN_OPS = 128
 _ARRAY_MAX_BOX_PER_OP = 8
 
@@ -102,17 +101,16 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
       the cells not seen before, in the iteration order of g
       (:func:`_first_appearance`, a pass of its own after the products).
 
-    Small pairs take the loop itself (:func:`_takes_loop`, checked before any
-    array is read), and so do pairs with a point that has no int64 view
-    (:func:`~orliczlat.finsupp._int64_points`) and the pairs
-    :func:`_box_convolve` refuses: a box corner outside int64, or a box
-    much larger than ``len(f) * len(g)``. Raises
-    :class:`ResourceLimitError` above ``MAX_CONV_OPS`` products and
-    :class:`NumericalFailureError` naming the first output point, in key
-    order, whose value overflows. ``amenability._derivation_pairing`` reads
-    D(f) = window * h off the same kernel, under the same rules for taking
-    the loop, and so do the scans' convolution tops
-    (:func:`_convolution_magnitudes`), which read no key order.
+    Pairs below ``_ARRAY_MIN_OPS`` products take the loop (:func:`_takes_box`,
+    checked before any array is read), and so do pairs with a point that has
+    no int64 view (:func:`~orliczlat.finsupp._int64_points`) and the pairs
+    :func:`_box_convolve` refuses: a box corner outside int64, or a box much
+    larger than ``len(f) * len(g)``. Raises :class:`ResourceLimitError`
+    above ``MAX_CONV_OPS`` products and :class:`NumericalFailureError`
+    naming the first output point, in key order, whose value overflows. The
+    scans' convolution tops (:func:`_convolution_magnitudes`, which read no
+    key order) and ``amenability._derivation_pairing`` (D(f) = window * h)
+    read the same kernel under the same rule.
     """
     f._check_dim(g)
     ops = len(f) * len(g)
@@ -130,18 +128,17 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
     return FinSuppFn._computed(f.dim, dict(zip(zip(*axes), vals.tolist())), "convolution")
 
 
-def _takes_loop(ng: int, ops: int) -> bool:
-    """convolve's first rule: a row of g shorter than ``_ARRAY_MIN_ROW`` or
-    fewer than ``_ARRAY_MIN_OPS`` products take the loop."""
-    return ng < _ARRAY_MIN_ROW or ops < _ARRAY_MIN_OPS
+def _takes_box(ops: int) -> bool:
+    """The one route rule: a pair of ``ops`` products takes the box kernel
+    from ``_ARRAY_MIN_OPS`` up to ``MAX_CONV_OPS``, whatever its shape."""
+    return _ARRAY_MIN_OPS <= ops <= MAX_CONV_OPS
 
 
 def _box_of(f: FinSuppFn, g: FinSuppFn) -> tuple | None:
     """:func:`_box_convolve` on f and g where :func:`convolve` takes its
-    array path; None where it takes the loop or raises (f and g differ in
-    dimension, or the pair passes ``MAX_CONV_OPS``)."""
-    ops = len(f) * len(g)
-    if f.dim != g.dim or ops > MAX_CONV_OPS or _takes_loop(len(g), ops):
+    array path (:func:`_takes_box`); None where it takes the loop or raises
+    (f and g differ in dimension, or the pair passes ``MAX_CONV_OPS``)."""
+    if f.dim != g.dim or not _takes_box(len(f) * len(g)):
         return None
     f_pts, g_pts = _int64_points(f.entries, f.dim), _int64_points(g.entries, f.dim)
     if f_pts is None or g_pts is None:

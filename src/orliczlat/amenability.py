@@ -118,10 +118,10 @@ def _derivation_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> complex:
       are no more of them than entries of g, else g. The products are
       summed by Python's ``sum(..., 0j)``.
 
-    The reference itself runs where ``convolve`` takes its loop (the pair
-    is small, or ``_box_convolve`` refuses it), where a point of f or g has
-    no int64 view, and where h or D(f) is not finite (it raises the same
-    errors).
+    The reference itself runs where ``convolve`` takes its loop (window * h
+    fails ``algebra._takes_box``, asked of f and of h less its exact zeros,
+    or ``_box_convolve`` refuses it), where a point of f or g has no int64
+    view, and where h or D(f) is not finite (it raises the same errors).
     """
     fused = _fused_pairing(d, f, g)
     return pairing(apply_derivation(d, f), g) if fused is None else fused
@@ -131,8 +131,7 @@ def _fused_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> complex | None:
     """The array path of :func:`_derivation_pairing`; None where it falls back."""
     window = d.window
     nw, nf, dim = len(window), len(f), f.dim
-    if (dim != window.dim or g.dim != dim or nw * nf > algebra.MAX_CONV_OPS
-            or algebra._takes_loop(nf, nw * nf)):  # |h| <= |f|
+    if dim != window.dim or g.dim != dim or not algebra._takes_box(nw * nf):  # |h| <= |f|
         return None
     pts, w_pts, g_pts = (_int64_points(u.entries, dim) for u in (f, window, g))
     if pts is None or w_pts is None or g_pts is None:
@@ -149,7 +148,7 @@ def _fused_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> complex | None:
         return None
     keep = (hr != 0.0) | (hi != 0.0)
     hr, hi = hr[keep], hi[keep]
-    if algebra._takes_loop(len(hr), nw * len(hr)):
+    if not algebra._takes_box(nw * len(hr)):  # the zero form leaves no h
         return None
     box = algebra._box_convolve(w_pts, window.entries.values(), -pts[keep], hr, hi)
     if box is None:

@@ -293,18 +293,21 @@ def numeric_conjugate(phi: YoungFunction) -> YoungFunction:
     Values come from :func:`conjugate_with_argmax`; the derivative is the
     maximiser itself (the envelope rule for the conjugate of a strictly
     convex function), which falls out of the same computation: the root of
-    Phi'(x) = y to about an ulp. Results are memoised per abscissa since
-    downstream solvers revisit points.
+    Phi'(x) = y to about an ulp. Results, infinite ones too, are memoised
+    per abscissa since downstream solvers revisit points.
     """
-    cache: dict[float, tuple[float, float]] = {}
+    cache: dict[float, tuple[float, float] | None] = {}  # None: infinite there
 
     def solve(y: float) -> tuple[float, float]:
-        got = cache.get(y)
-        if got is None:
-            got = conjugate_with_argmax(phi, y)
+        if y not in cache:
             if len(cache) > 100_000:
                 cache.clear()
-            cache[y] = got
+            try:
+                cache[y] = conjugate_with_argmax(phi, y)
+            except ConjugateInfiniteError:
+                cache[y] = None
+        if (got := cache[y]) is None:  # a fresh error, so tracebacks do not pile up
+            raise ConjugateInfiniteError(y)
         return got
 
     return YoungFunction(

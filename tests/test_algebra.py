@@ -362,18 +362,17 @@ def _line(n: int, dim: int, far: int, values: list[complex]) -> FinSuppFn:
 
 @given(
     dim=st.sampled_from([1, 2]),
-    shape=st.sampled_from(["row", "ops", "box"]),
+    shape=st.sampled_from(["ops", "short-g", "box"]),
     array=st.booleans(),
     data=st.data(),
 )
 def test_convolve_bit_identical_to_loop_around_the_crossovers(dim, shape, array, data):
     # a pair on each side of each constant that picks the path (array: the
     # array path's side), with -0.0 parts and exact cancellations
-    row, ops, per_op = algebra._ARRAY_MIN_ROW, algebra._ARRAY_MIN_OPS, algebra._ARRAY_MAX_BOX_PER_OP
-    if shape == "row":  # len(g) around its minimum, plenty of products
-        nf, ng = 40, row if array else row - 1
-    elif shape == "ops":  # products around their minimum, g long enough
-        nf, ng = (ops // row, row) if array else (ops // row - 1, row)
+    ops, per_op = algebra._ARRAY_MIN_OPS, algebra._ARRAY_MAX_BOX_PER_OP
+    if shape != "box":  # products around their minimum, whatever len(g)
+        ng = 16 if shape == "ops" else 4
+        nf = -(-ops // ng) if array else (ops - 1) // ng
     else:  # box cells per product around their maximum
         nf, ng = 20, 20
     far_g, far_f = ng - 1, nf - 1

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import SCAN_WEIGHTS, seeded_rng
-from orliczlat import amenability
+from orliczlat import algebra, amenability
 from orliczlat.algebra import AlgebraContext, convolve, flip
 from orliczlat.amenability import (
     ChainReport,
@@ -433,6 +433,32 @@ def test_derivation_pairing_bit_identical_to_apply_then_pair(dim):
                     seen.add(_pin_pairing(d, f, ball_ind))
     # both sides of the fallback, both pairing branches
     assert seen == set(itertools.product((True, False), repeat=2))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_derivation_pairing_bit_identical_around_the_crossover(dim):
+    # window * h on each side of algebra._ARRAY_MIN_OPS products: the route
+    # is asked with |f| and again with |h|, which has dropped its exact zeros
+    ops = algebra._ARRAY_MIN_OPS
+    rng = seeded_rng(41, dim)
+    d = Derivation.with_ball_window(Homomorphism((1.0 - 0.5j,) + (0.3,) * (dim - 1)), dim, 1)
+    nw = len(d.window)
+    box, loop = -(-ops // nw), (ops - 1) // nw  # |f| with nw * |f| on each side
+
+    def line(xs: range) -> FinSuppFn:
+        vals = rng.standard_normal(len(xs)) + 1j * rng.standard_normal(len(xs))
+        return FinSuppFn(dim, {(x,) + (0,) * (dim - 1): v for x, v in zip(xs, vals.tolist())})
+
+    g = line(range(-box - 3, 4))
+    assert _pin_pairing(d, line(range(1, box + 1)), g)[0] is True
+    assert _pin_pairing(d, line(range(1, loop + 1)), g)[0] is False
+    # xi vanishes at the origin, so h drops one entry and falls below
+    assert _pin_pairing(d, line(range(box)), g)[0] is False
+    # the zero form drops all of h
+    zero = Derivation.with_ball_window(Homomorphism((0.0,) * dim), dim, 1)
+    f = line(range(1, box + 1))
+    assert _pin_pairing(zero, f, g) == (False, True)
+    assert amenability._derivation_pairing(zero, f, g) == 0j
 
 
 def test_derivation_pairing_edge_cases_match_the_reference():

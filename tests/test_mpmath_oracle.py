@@ -49,24 +49,28 @@ def numeric_pairs():
     }
 
 
-def increasing_root(fn, target, lo, hi):
-    """The x in [lo, hi] with fn(x) = target, for fn increasing there with
-    fn(lo) <= target <= fn(hi): 40 halvings, then the secant method."""
-    for _ in range(40):
+def increasing_root(fn, target, hi):
+    """The x > 0 with fn(x) = target, for fn increasing from fn(0) <= target:
+    hi doubles until fn(hi) >= target, then the bracket halves until its
+    width is below 1e-20 of hi. The test is relative, so a root near 1e100
+    comes out as exact as one near 1 (``mp.findroot``'s residual test is
+    absolute and fails there); at 50 digits the bracket ends far inside
+    double precision."""
+    lo = mp.mpf(0)
+    while fn(hi) < target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > mp.mpf("1e-20") * hi:
         mid = (lo + hi) / 2
         if fn(mid) < target:
             lo = mid
         else:
             hi = mid
-    return mp.findroot(lambda x: fn(x) - target, (lo + hi) / 2)
+    return (lo + hi) / 2
 
 
 def mp_argmax(dphi, y):
     """The maximiser of x y - Phi(x): the root of Phi'(x) = y."""
-    hi = mp.mpf(1)
-    while dphi(hi) < y:
-        hi *= 2
-    return increasing_root(dphi, mp.mpf(y), mp.mpf(0), hi)
+    return increasing_root(dphi, mp.mpf(y), mp.mpf(1))
 
 
 def mp_conjugate(phi, dphi, y):
@@ -80,10 +84,7 @@ def mp_luxemburg(phi, mags):
     def modular(t):
         return mp.fsum(phi(m * t) for m in mags)
 
-    hi = 1 / max(mags)
-    while modular(hi) < 1:
-        hi *= 2
-    return 1 / increasing_root(modular, 1, mp.mpf(0), hi)
+    return 1 / increasing_root(modular, 1, 1 / max(mags))
 
 
 def test_oracle_covers_every_numeric_catalog_member():
@@ -148,32 +149,14 @@ def test_square_log_derivative_matches_mpmath_past_the_square_overflow():
             assert abs(phi.d(x) - exact) <= 1e-15 * exact, x
 
 
-def halving_root(fn, target):
-    """The x > 0 with fn(x) = target, for fn increasing from fn(0) <= target:
-    doubling from 1, then 200 halvings, which at 50 digits leave a relative
-    width far below double precision (findroot's residual test, absolute,
-    fails at values near 1e100)."""
-    lo, hi = mp.mpf(0), mp.mpf(1)
-    while fn(hi) < target:
-        hi *= 2
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
 def test_square_log_conjugate_and_its_inverse_match_mpmath_at_1e100():
     # Psi(1e100) is about 1.1153e197, at a maximiser near 2.2e97. Psi^{-1}
     # at 1e100 is Phi'(x) for the x with x Phi'(x) - Phi(x) = 1e100.
     psi = pair_from_spec({"family": "square_log", "p": 1.0}).psi
     phi, dphi = MEMBERS[("square_log", 1.0)]
     with mp.workdps(50):
-        x = halving_root(dphi, mp.mpf(1e100))
-        exact = x * 1e100 - phi(x)
+        exact = mp_conjugate(phi, dphi, 1e100)
         assert abs(psi(1e100) - exact) <= 1e-12 * exact
-        x = halving_root(lambda x: x * dphi(x) - phi(x), mp.mpf(1e100))
+        x = increasing_root(lambda x: x * dphi(x) - phi(x), mp.mpf(1e100), mp.mpf(1))
         exact = dphi(x)
         assert abs(psi.inverse(1e100) - exact) <= 1e-12 * exact

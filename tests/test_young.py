@@ -340,6 +340,31 @@ def test_conjugate_of_a_numeric_conjugate_past_its_cap():
     assert value == pytest.approx(1e11 ** 1.5 / 1.5, rel=1e-12)
 
 
+def test_numeric_conjugate_remembers_where_it_raised():
+    # Psi' of the numeric Psi of (cosh x - 1)^2 grows like log y, so the
+    # conjugate of Psi at 400 is infinite, found where Psi'(inf) raises;
+    # no later solve goes back to a point that raised
+    phi = young_from_spec({"family": "cosh", "p": 2.0})
+    calls = []
+    psi = numeric_conjugate(YoungFunction(
+        fn=phi.fn, derivative=lambda x: calls.append(x) or phi.derivative(x)))
+    counts = []
+    for z in (400.0, 400.0, 500.0, 450.0):
+        calls.clear()
+        with pytest.raises(ConjugateInfiniteError):
+            conjugate_with_argmax(psi, z)
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[1:] == [0, 0, 0]
+    # each call raises an error of its own, so tracebacks do not pile up
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ConjugateInfiniteError) as err:
+            psi.d(math.inf)
+        errors.append(err.value)
+    assert not calls and errors[0] is not errors[1]
+    assert [e.y for e in errors] == [math.inf, math.inf]
+
+
 def test_conjugate_evaluates_phi_once_per_solve(catalog_pairs):
     for pair in catalog_pairs:
         for f in (pair.phi, pair.psi):

@@ -14,8 +14,8 @@ magnitudes of omega * (f*g) straight off the box kernel of
 of the radius once, in one lockstep Luxemburg batch
 (:func:`_convolution_norms`): a symmetric candidate's /flipped top is its
 /same top. The box kernel (:func:`_box_convolve`) adds a chunk of f's
-entries at a time in one ordered ``np.add.at`` pass, bit for bit the sum
-one entry at a time gives.
+entries at a time in one ordered ``np.add.at`` pass, so each cell is bit
+for bit the sum one entry at a time gives.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ GROWTH_MIN = 0.25
 def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
     """Exact sparse convolution (f*g)(x) = sum_y f(y) g(x-y).
 
-    The result is the one the plain double loop over f, then g, gives, bit
-    for bit and in the same key order:
+    Each value is the one the plain double loop over f, then g, gives, bit
+    for bit:
 
     - Each output key sums its terms in the iteration order of f, starting
       from ``0j``, and for one key and one entry a of f exactly one entry b
@@ -96,36 +96,23 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
       order, ``re = ar*br - ai*bi`` and ``im = ar*bi + ai*br``, and summed
       into separate float64 arrays that start at 0.0; numpy's own complex
       multiply differs from CPython's in the last ulp.
-    - Keys are listed in first-appearance order (``pairing`` sums in the
-      insertion order of its smaller argument): each entry of f appends
-      the cells not seen before, in the iteration order of g
-      (:func:`_first_appearance`, a pass of its own after the products).
 
-    Pairs below ``_ARRAY_MIN_OPS`` products take the loop (:func:`_takes_box`,
-    checked before any array is read), and so do pairs with a point that has
-    no int64 view (:func:`~orliczlat.finsupp._int64_points`) and the pairs
+    The array path lists the box's nonzero cells row-major, the loop its
+    keys as they first appear; no value the package reports reads that
+    order. The route is asked once (:func:`_box_of`): pairs below
+    ``_ARRAY_MIN_OPS`` products take the loop (:func:`_takes_box`, checked
+    before any array is read), and so do pairs with a point that has no
+    int64 view (:func:`~orliczlat.finsupp._int64_points`) and the pairs
     :func:`_box_convolve` refuses: a box corner outside int64, or a box much
     larger than ``len(f) * len(g)``. Raises :class:`ResourceLimitError`
     above ``MAX_CONV_OPS`` products and :class:`NumericalFailureError`
     naming the first output point, in key order, whose value overflows. The
-    scans' convolution tops (:func:`_convolution_magnitudes`, which read no
-    key order) and ``amenability._derivation_pairing`` (D(f) = window * h)
-    read the same kernel under the same rule.
+    scans' convolution tops (:func:`_convolution_magnitudes`) and
+    ``amenability._derivation_pairing`` (D(f) = window * h) read the same
+    kernel under the same rule.
     """
-    f._check_dim(g)
-    ops = len(f) * len(g)
-    if ops > MAX_CONV_OPS:
-        raise ResourceLimitError(f"convolution needs {ops} products, budget {MAX_CONV_OPS}")
     box = _box_of(f, g)
-    if box is None:
-        return _convolve_loop(f, g)
-    re, im, steps, corner, extent = box
-    order = _first_appearance(steps, len(re))
-    vals = np.empty(len(order), dtype=complex)
-    vals.real, vals.imag = re[order], im[order]
-    axes = [[c + base for c in axis.tolist()]
-            for axis, base in zip(np.unravel_index(order, extent), corner)]
-    return FinSuppFn._computed(f.dim, dict(zip(zip(*axes), vals.tolist())), "convolution")
+    return _convolve_loop(f, g) if box is None else _box_function(f.dim, *box)
 
 
 def _takes_box(ops: int) -> bool:
@@ -135,10 +122,15 @@ def _takes_box(ops: int) -> bool:
 
 
 def _box_of(f: FinSuppFn, g: FinSuppFn) -> tuple | None:
-    """:func:`_box_convolve` on f and g where :func:`convolve` takes its
-    array path (:func:`_takes_box`); None where it takes the loop or raises
-    (f and g differ in dimension, or the pair passes ``MAX_CONV_OPS``)."""
-    if f.dim != g.dim or not _takes_box(len(f) * len(g)):
+    """The route of f*g, asked once: :func:`_box_convolve` on f and g where
+    :func:`convolve` takes its array path (:func:`_takes_box`), None where
+    it takes the loop. Raises what ``convolve`` raises before either: f and
+    g differ in dimension, or the pair passes ``MAX_CONV_OPS``."""
+    f._check_dim(g)
+    ops = len(f) * len(g)
+    if ops > MAX_CONV_OPS:
+        raise ResourceLimitError(f"convolution needs {ops} products, budget {MAX_CONV_OPS}")
+    if not _takes_box(ops):
         return None
     f_pts, g_pts = _int64_points(f.entries, f.dim), _int64_points(g.entries, f.dim)
     if f_pts is None or g_pts is None:
@@ -147,9 +139,21 @@ def _box_of(f: FinSuppFn, g: FinSuppFn) -> tuple | None:
     return _box_convolve(f_pts, f.entries.values(), g_pts, gv.real.copy(), gv.imag.copy())
 
 
+def _box_function(dim: int, re: np.ndarray, im: np.ndarray, corner: list[int],
+                  extent: list[int]) -> FinSuppFn:
+    """f*g as a sparse function read off its box: the nonzero cells,
+    row-major."""
+    cells = np.flatnonzero((re != 0.0) | (im != 0.0))
+    vals = np.empty(len(cells), dtype=complex)
+    vals.real, vals.imag = re[cells], im[cells]
+    axes = [[c + base for c in axis.tolist()]
+            for axis, base in zip(np.unravel_index(cells, extent), corner)]
+    return FinSuppFn._computed(dim, dict(zip(zip(*axes), vals.tolist())), "convolution")
+
+
 def _box_convolve(
     f_pts: np.ndarray, f_vals: Iterable[complex], g_pts: np.ndarray, gr: np.ndarray, gi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], list[int], list[int]] | None:
+) -> tuple[np.ndarray, np.ndarray, list[int], list[int]] | None:
     """The array path of :func:`convolve` on int64 point arrays: a*b for
     each entry a of f and b of g, added into the bounding box of supp f +
     supp g in f's order.
@@ -162,15 +166,11 @@ def _box_convolve(
     summed apart (``np.bincount``, ``reduceat``, ``sum``) and then added
     would associate differently.
 
-    Returns the real and imaginary box, the steps (the cell offsets of
-    f's entries and of g's, whose sums are the cells the products of a
-    pair of entries land in), and the box's lowest corner and per-axis
-    extent (row-major cells); None, for the loop, where the box has more
-    than ``_ARRAY_MAX_BOX_PER_OP`` cells per product or a corner of it
-    leaves int64. A cell no step reaches holds 0.0 in both boxes, so the
-    nonzero cells are the support of f*g; their key order, which only
-    ``convolve`` and the derivation pairing read, is
-    :func:`_first_appearance` of the steps.
+    Returns the real and imaginary box and the box's lowest corner and
+    per-axis extent (row-major cells); None, for the loop, where the box
+    has more than ``_ARRAY_MAX_BOX_PER_OP`` cells per product or a corner
+    of it leaves int64. A cell no product lands in holds 0.0 in both boxes,
+    so the nonzero cells are the support of f*g.
     """
     f_lo, f_hi = f_pts.min(axis=0).tolist(), f_pts.max(axis=0).tolist()
     g_lo, g_hi = g_pts.min(axis=0).tolist(), g_pts.max(axis=0).tolist()
@@ -190,7 +190,7 @@ def _box_convolve(
             ar, ai = fr[rows], fi[rows]
             np.add.at(re, cells, (ar * gr - ai * gi).ravel())
             np.add.at(im, cells, (ar * gi + ai * gr).ravel())
-    return re, im, (f_at, g_at), corner, extent
+    return re, im, corner, extent
 
 
 def _chunked_cells(f_at: np.ndarray, g_at: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
@@ -203,38 +203,26 @@ def _chunked_cells(f_at: np.ndarray, g_at: np.ndarray) -> Iterator[tuple[slice, 
         yield rows, (f_at[rows, None] + g_at).ravel()
 
 
-def _first_appearance(steps: tuple[np.ndarray, np.ndarray], size: int) -> np.ndarray:
-    """The cells the steps of :func:`_box_convolve` reach, in first-appearance
-    order: each entry of f appends the cells not reached before, in the
-    iteration order of g. Per chunk of rows (:func:`_chunked_cells`) that
-    is the first occurrence of each unseen cell, in f-major order."""
-    seen = np.zeros(size, dtype=bool)
-    fresh = []
-    for _, cells in _chunked_cells(*steps):
-        new = cells[~seen[cells]]
-        new = new[np.sort(np.unique(new, return_index=True)[1])]
-        seen[new] = True
-        fresh.append(new)
-    return np.concatenate(fresh)
-
-
 def _convolution_magnitudes(f: FinSuppFn, g: FinSuppFn, omega: Weight | None) -> np.ndarray:
     """The magnitudes the scans' readers take of ``convolve(f, g)``, bit for
     bit and in some order: those of omega * (f*g) as
     :func:`~orliczlat.norms._weighted_magnitudes` forms them, or of f*g
     itself where omega is None.
 
-    Where ``convolve`` takes its array path they are read off the box at
-    its nonzero cells, with no function, dict or key order built: omega
-    from :meth:`Weight.at_points` on the cells' int64 coordinates, and the
-    products re*w and im*w. Everywhere else the pair goes through
-    ``convolve`` and the reader, which raise their errors as before: where
-    ``convolve`` takes its loop, where a cell may lie at -2**63 (no int64
-    view), and where a value or a weighted magnitude is not finite.
+    The route is asked once (:func:`_box_of`). Where ``convolve`` takes its
+    array path they are read off the box at its nonzero cells, with no
+    function or dict built: omega from :meth:`Weight.at_points` on the
+    cells' int64 coordinates, and the products re*w and im*w. Everywhere
+    else f*g is built as ``convolve`` builds it and goes through the
+    reader, which raise their errors as before: where ``convolve`` takes
+    its loop, where a cell may lie at -2**63 (no int64 view), and where a
+    value or a weighted magnitude is not finite.
     """
     box = _box_of(f, g)
-    if box is not None:
-        re, im, _, corner, extent = box
+    if box is None:
+        h = _convolve_loop(f, g)
+    else:
+        re, im, corner, extent = box
         cells = np.flatnonzero((re != 0.0) | (im != 0.0))
         re, im = re[cells], im[cells]
         if np.isfinite(re).all() and np.isfinite(im).all():
@@ -247,7 +235,7 @@ def _convolution_magnitudes(f: FinSuppFn, g: FinSuppFn, omega: Weight | None) ->
                     mags = np.hypot(re * w, im * w)
                 if np.isfinite(mags).all():
                     return mags[mags != 0.0]
-    h = convolve(f, g)
+        h = _box_function(f.dim, *box)
     return h.magnitudes() if omega is None else _weighted_magnitudes(omega, [h])[0]
 
 
@@ -267,11 +255,13 @@ def _each_distinct_pair(fs: Sequence[FinSuppFn], gs: Sequence[FinSuppFn], measur
     handed back to every pair in order.
 
     Pairs are keyed by f's identity and g's, where g counts as f if it
-    has f's entries (a symmetric candidate's flip). That is exact for a top
-    built from f*g or f.g and measured by its magnitudes: each cell of f*g
-    sums over f in f's order whatever g's order, the Luxemburg norm reads
-    no order, and the signed zeros that dict equality ignores vanish in
-    the magnitudes.
+    has f's entries (a symmetric candidate's flip). That is exact for a
+    measure that reads no order of g and no sign of a zero: a top built
+    from f*g or f.g and measured by its magnitudes (each cell of f*g sums
+    over f in f's order whatever g's order, the Luxemburg norm reads no
+    order, and the signed zeros that dict equality ignores vanish in the
+    magnitudes), and |<D(f), g>|, whose pairing is an exact sum
+    (``amenability._exact_sum``).
     """
     keys = [(id(f), id(f) if g is f or g.entries == f.entries else id(g)) for f, g in zip(fs, gs)]
     firsts: dict = {}

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import AlgebraContext, ScanReport, _ratio_scan, convolve
-from .errors import InvalidInputError, PreconditionError
+from .errors import InvalidInputError, NumericalFailureError, PreconditionError
 from .finsupp import FinSuppFn, _int64_points
 from .weights import (
     RATIO_MARGIN,
@@ -93,10 +93,33 @@ def apply_derivation(d: Derivation, f: FinSuppFn) -> FinSuppFn:
 
 
 def pairing(u: FinSuppFn, w: FinSuppFn) -> complex:
-    """Bilinear pairing <u, w> = sum u(s) w(s) (no conjugation)."""
+    """Bilinear pairing <u, w> = sum u(s) w(s) (no conjugation), summed
+    exactly (:func:`_exact_sum`): the same bits in any order of u and w."""
     u._check_dim(w)
     small, big = (u, w) if len(u) <= len(w) else (w, u)
-    return sum((v * big.entries[p] for p, v in small if p in big.entries), 0j)
+    return _exact_sum([v * big.entries[p] for p, v in small if p in big.entries])
+
+
+def _exact_sum(terms: list[complex]) -> complex:
+    """The sum of the terms, each part by ``math.fsum``: correctly rounded,
+    so the same bits in any order.
+
+    Where the largest |part| times the number of terms reaches 2**1023,
+    fsum's partial sums could pass the float range, and whether they do
+    depends on the order. Every part is then scaled by 2**-k first, with k
+    the bit length of that number, and the sum scaled back. Raises
+    :class:`NumericalFailureError` where a term or the sum is not finite.
+    """
+    n, parts = len(terms), []
+    for part in ([z.real for z in terms], [z.imag for z in terms]):
+        if not all(map(math.isfinite, part)):
+            raise NumericalFailureError("pairing value is not finite: a product overflows")
+        k = n.bit_length() if max(map(abs, part), default=0.0) * n >= 2.0**1023 else 0
+        total = math.fsum([math.ldexp(t, -k) for t in part] if k else part)
+        if k and abs(total) >= math.ldexp(1.0, 1024 - k):
+            raise NumericalFailureError("pairing value is not finite: the sum overflows")
+        parts.append(math.ldexp(total, k))
+    return complex(*parts)
 
 
 def _derivation_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> complex:
@@ -112,11 +135,8 @@ def _derivation_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> complex:
     - D(f) = window * h goes through :func:`~orliczlat.algebra.convolve`'s
       box kernel (``algebra._box_convolve``), and g's points are indexed
       into the box.
-    - ``pairing`` walks its smaller argument in its insertion order: the
-      nonzero cells of D(f) in first-appearance order
-      (``algebra._first_appearance``, computed only on this side) if there
-      are no more of them than entries of g, else g. The products are
-      summed by Python's ``sum(..., 0j)``.
+    - The products with g, at the points where D(f) is nonzero, are summed
+      exactly (:func:`_exact_sum`), so their order does not matter.
 
     The reference itself runs where ``convolve`` takes its loop (window * h
     fails ``algebra._takes_box``, asked of f and of h less its exact zeros,
@@ -153,34 +173,19 @@ def _fused_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> complex | None:
     box = algebra._box_convolve(w_pts, window.entries.values(), -pts[keep], hr, hi)
     if box is None:
         return None
-    re, im, steps, corner, extent = box
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # a cell no step reaches holds 0
+    re, im, corner, extent = box
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # a cell nothing lands in holds 0
         return None
     top = [c + n - 1 for c, n in zip(corner, extent)]
     inside = ((g_pts >= corner) & (g_pts <= top)).all(axis=1)
     g_at = np.ravel_multi_index(tuple((g_pts[inside] - corner).T), extent)
-    gv = np.fromiter(g.entries.values(), complex, len(g))
-    gr, gi = gv.real, gv.imag
-    if np.count_nonzero((re != 0.0) | (im != 0.0)) <= len(g):
-        # small = D(f) in first-appearance order, big = g
-        row = np.full(len(re), -1, dtype=np.intp)
-        row[g_at] = np.flatnonzero(inside)
-        order = algebra._first_appearance(steps, len(re))
-        cells = order[(re[order] != 0.0) | (im[order] != 0.0)]
-        hit = row[cells]
-        found = hit >= 0
-        ar, ai = re[cells[found]], im[cells[found]]
-        br, bi = gr[hit[found]], gi[hit[found]]
-    else:
-        # small = g in insertion order, big = D(f)
-        found = (re[g_at] != 0.0) | (im[g_at] != 0.0)
-        rows = np.flatnonzero(inside)[found]
-        ar, ai = gr[rows], gi[rows]
-        br, bi = re[g_at[found]], im[g_at[found]]
-    prods = np.empty(len(ar), dtype=complex)
+    found = (re[g_at] != 0.0) | (im[g_at] != 0.0)
+    gv = np.fromiter(g.entries.values(), complex, len(g))[inside][found]
+    ar, ai = re[g_at[found]], im[g_at[found]]
+    prods = np.empty(len(gv), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        prods.real, prods.imag = ar * br - ai * bi, ar * bi + ai * br
-    return sum(prods.tolist(), 0j)
+        prods.real, prods.imag = ar * gv.real - ai * gv.imag, ar * gv.imag + ai * gv.real
+    return _exact_sum(prods.tolist())
 
 
 @dataclass(frozen=True)
@@ -375,7 +380,8 @@ def derivation_norm_scan(
 
     Each <D(f), g> is read by :func:`_derivation_pairing`, bit for bit the
     ``pairing(apply_derivation(d, f), g)`` it replaces, without building
-    D(f).
+    D(f), and each distinct pair once (``algebra._each_distinct_pair``): a
+    symmetric candidate's /flipped pair is its /same pair.
     """
     return _ratio_scan(
         "derivation_norm_scan",
@@ -387,11 +393,8 @@ def derivation_norm_scan(
             "seed": seed,
         },
         list(radii),
-        # every pair measured: unlike the algebra scans' tops, a symmetric
-        # candidate's /flipped pair is not its /same pair here: pairing may
-        # sum in g's insertion order, so <D(f), flip f> and <D(f), f> can
-        # differ in the last bits
-        lambda fs, gs: [abs(_derivation_pairing(d, f, g)) for f, g in zip(fs, gs)],
+        lambda fs, gs: algebra._each_distinct_pair(fs, gs, lambda fs, gs: [
+            abs(_derivation_pairing(d, f, g)) for f, g in zip(fs, gs)]),
         ctx.weighted_luxemburg_norms,
         ctx.weighted_luxemburg_norms,
         ctx.dim, trials, seed, omega=ctx.omega, xi=d.form,

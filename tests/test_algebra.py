@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import SCAN_WEIGHTS, seeded_rng
-from orliczlat import algebra, norms
+from orliczlat import algebra, amenability, norms
 from orliczlat.algebra import (
     _sqrt_pair,
     AlgebraContext,
@@ -45,7 +45,7 @@ from orliczlat.young import default_grid, inverse, pair_from_spec
 
 
 def conv_oracle(f: FinSuppFn, g: FinSuppFn) -> dict:
-    """Independent double-sum convolution, keys in first-appearance order."""
+    """Independent double-sum convolution."""
     out: dict = {}
     for p, a in f:
         for q, b in g:
@@ -55,8 +55,9 @@ def conv_oracle(f: FinSuppFn, g: FinSuppFn) -> dict:
 
 
 def bits(entries) -> list:
-    """Keys in order with the exact bits of both parts of each value."""
-    return [(k, v.real.hex(), v.imag.hex()) for k, v in entries]
+    """Every key with the exact bits of both parts of its value, keys sorted:
+    the pins compare per key, not the order the keys are listed in."""
+    return sorted((k, v.real.hex(), v.imag.hex()) for k, v in entries)
 
 
 # -- convolution ----------------------------------------------------------------
@@ -154,8 +155,8 @@ def test_convolve_bit_identical_to_loop_at_int64_ends():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_convolve_bit_identical_to_loop_on_scan_pools(dim):
-    # keys, their order and every bit of both parts, through pairing too:
-    # pairing sums in the insertion order of its smaller argument
+    # every key and every bit of both parts, and the pairing of D(f*g)
+    # with h too
     d = Derivation.with_ball_window(Homomorphism((1.0, -0.5, 0.25)[:dim]), dim, 1)
     for r in range(1, 21):
         h = random_finsupp(dim, r, seeded_rng(25, dim, r))
@@ -412,7 +413,7 @@ _ROWS = algebra._CHUNK_PRODUCTS // 64  # rows of f per chunk against 64 entries 
 ])
 def test_convolve_bit_identical_to_loop_across_chunk_edges(dim, nf, ng):
     # the supports overlap, so most cells sum terms from rows of several
-    # chunks; keys, their order and both parts of each value by .hex()
+    # chunks; every key and both parts of its value by .hex()
     rng = seeded_rng(31, dim, nf, ng)
 
     def values(n):
@@ -769,6 +770,63 @@ def test_scan_tops_measure_each_distinct_pair_once():
     assert symmetric and len(products) == distinct
 
 
+@pytest.mark.parametrize("dim, radii, coeffs", [
+    (1, [16, 64, 256], (1.0,)),
+    (2, [2, 4, 8], (0.3 - 0.7j, 2 + 1j)),
+])
+def test_derivation_scan_pairs_each_distinct_pair_once(dim, radii, coeffs):
+    # the pairing is an exact sum, so a symmetric candidate's /flipped pair
+    # <D(f), flip f> is its /same pair <D(f), f>: the scan pairs each
+    # distinct pair once, and its rows, argmax labels included, are those
+    # of pairing every pair alone
+    pair, omega = pair_from_spec({"family": "power", "p": 1.5}), polynomial_weight(0.4)
+    ctx = AlgebraContext(pair, omega, dim)
+    der = Derivation.with_ball_window(Homomorphism(coeffs), dim)
+    trials, seed = 8, 1009
+    distinct, symmetric = 0, set()
+    for r in radii:
+        drawn = list(scan_pairs(dim, r, trials, seed, omega=omega, xi=der.form))
+        same = {kind.split("/")[0] for kind, f, g in drawn
+                if kind.endswith("/flipped") and g.entries == f.entries}
+        symmetric |= same
+        distinct += len(drawn) - len(same)
+    assert {"ball-indicator", "half-ball-indicator", "inverse-weight-profile"} <= symmetric
+    pairings = mock.Mock(wraps=amenability._derivation_pairing)
+    with mock.patch.object(amenability, "_derivation_pairing", pairings):
+        rep = derivation_norm_scan(ctx, der, radii, trials, seed)
+    assert pairings.call_count == distinct
+
+    def ratio(f, g):
+        nf, ng = ctx.weighted_luxemburg_norms([f])[0], ctx.weighted_luxemburg_norms([g])[0]
+        return None if nf == 0.0 or ng == 0.0 else (
+            abs(pairing(apply_derivation(der, f), g)) / (nf * ng))
+
+    loop = _loop_scan(radii, ratio, dim, trials, seed, omega, der.form)
+    assert repr(rep.per_radius) == repr(loop)
+
+
+def test_each_convolution_top_makes_one_route_decision():
+    # a top asks the route once (algebra._takes_box), whether it is read off
+    # the box or takes the loop, and so does convolve
+    pair, omega = pair_from_spec({"family": "power", "p": 1.5}), polynomial_weight(0.7)
+    ctx = AlgebraContext(pair, omega, 1)
+    spies = {name: mock.Mock(wraps=getattr(algebra, name))
+             for name in ("_takes_box", "_convolution_magnitudes", "_convolve_loop")}
+    with mock.patch.multiple(algebra, **spies):
+        submult_estimate(ctx, 48, 8, 1007)
+    tops, loops = spies["_convolution_magnitudes"].call_count, spies["_convolve_loop"].call_count
+    assert 0 < loops < tops
+    assert spies["_takes_box"].call_count == tops
+    # convolve on the loop, the box, a box it refuses and a point past int64
+    line = FinSuppFn.indicator(range(20))
+    for f, g in ((line, FinSuppFn.delta(3)), (line, line),
+                 (line, FinSuppFn.indicator([0, 10**6])),
+                 (FinSuppFn.indicator([2**70] + list(range(19))), line)):
+        with mock.patch.object(algebra, "_takes_box", wraps=algebra._takes_box) as decide:
+            convolve(f, g)
+        assert decide.call_count == 1
+
+
 def test_scan_tops_bit_identical_where_weighted_products_underflow():
     # omega is 2**-1073 past word length 40, which only f*g reaches: there
     # the products of small values round to 0 and leave the top's support,
@@ -811,12 +869,14 @@ def test_scan_tops_bit_identical_at_int64_ends(dim):
     def draw(dim, r, trials, seed, omega=None, xi=None):
         return [(f"end[{i}]", f, g) for i, (f, g) in enumerate(pairs)]
 
-    # the first three are read off the box, the others go through convolve
+    # the first three are read off the box, the others build f*g as
+    # convolve builds it (the loop, or the function read off the box)
     omega = polynomial_weight(0.4)
     for i, (f, g) in enumerate(pairs):
-        with mock.patch.object(algebra, "convolve", wraps=algebra.convolve) as spy:
+        with mock.patch.object(algebra, "_box_function", wraps=algebra._box_function) as box, \
+                mock.patch.object(algebra, "_convolve_loop", wraps=algebra._convolve_loop) as loop:
             algebra._convolution_magnitudes(f, g, omega)
-        assert spy.called == (i >= 3), i
+        assert (box.called or loop.called) == (i >= 3), i
     pair = pair_from_spec({"family": "power", "p": 1.5})
     assert_convolution_tops_match(pair, omega, pairs)
     with mock.patch.object(algebra, "scan_pairs", draw):

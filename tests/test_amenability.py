@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import time
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -392,15 +394,14 @@ def _hex(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
 
-def _pin_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> tuple[bool, bool]:
+def _pin_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> bool:
     """Assert that the fused kernel gives pairing(apply_derivation(d, f), g)
-    bit for bit; returns (it took its array path, D(f) was the smaller side)."""
-    want_d = apply_derivation(d, f)
-    want = amenability.pairing(want_d, g)
+    bit for bit; returns whether it took its array path."""
+    want = amenability.pairing(apply_derivation(d, f), g)
     with mock.patch.object(amenability, "apply_derivation", wraps=apply_derivation) as ref:
         got = amenability._derivation_pairing(d, f, g)
     assert type(got) is complex and _hex(got) == _hex(want)
-    return not ref.called, len(want_d) <= len(g)
+    return not ref.called
 
 
 def _same_error(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> str:
@@ -418,8 +419,8 @@ _PIN_RADII = {1: (1, 4, 16, 64, 256), 2: (1, 3, 8, 16), 3: (1, 2, 4)}
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_derivation_pairing_bit_identical_to_apply_then_pair(dim):
     # the scan pools' pairs (f, flip f) and (f, f), and each f against its
-    # pool's ball indicator, which puts D(f) on the smaller side; real,
-    # mixed-sign and complex forms, cycled to the dimension
+    # pool's ball indicator, which covers more of D(f); real, mixed-sign
+    # and complex forms, cycled to the dimension
     seen = set()
     for coeffs in ((1.0,), (1.0, -0.5), (0.3 - 0.7j, 2 + 1j)):
         xi = Homomorphism(tuple(itertools.islice(itertools.cycle(coeffs), dim)))
@@ -431,8 +432,8 @@ def test_derivation_pairing_bit_identical_to_apply_then_pair(dim):
                 for _, f, g in pool:
                     seen.add(_pin_pairing(d, f, g))
                     seen.add(_pin_pairing(d, f, ball_ind))
-    # both sides of the fallback, both pairing branches
-    assert seen == set(itertools.product((True, False), repeat=2))
+    # both sides of the fallback
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -450,14 +451,14 @@ def test_derivation_pairing_bit_identical_around_the_crossover(dim):
         return FinSuppFn(dim, {(x,) + (0,) * (dim - 1): v for x, v in zip(xs, vals.tolist())})
 
     g = line(range(-box - 3, 4))
-    assert _pin_pairing(d, line(range(1, box + 1)), g)[0] is True
-    assert _pin_pairing(d, line(range(1, loop + 1)), g)[0] is False
+    assert _pin_pairing(d, line(range(1, box + 1)), g) is True
+    assert _pin_pairing(d, line(range(1, loop + 1)), g) is False
     # xi vanishes at the origin, so h drops one entry and falls below
-    assert _pin_pairing(d, line(range(box)), g)[0] is False
+    assert _pin_pairing(d, line(range(box)), g) is False
     # the zero form drops all of h
     zero = Derivation.with_ball_window(Homomorphism((0.0,) * dim), dim, 1)
     f = line(range(1, box + 1))
-    assert _pin_pairing(zero, f, g) == (False, True)
+    assert _pin_pairing(zero, f, g) is False
     assert amenability._derivation_pairing(zero, f, g) == 0j
 
 
@@ -467,36 +468,35 @@ def test_derivation_pairing_edge_cases_match_the_reference():
     d2 = Derivation.with_ball_window(Homomorphism.basis(2), 2, 1)
     ball3 = FinSuppFn.indicator(ball(3, 2))
     for g in (ball3, ball3.flip(), FinSuppFn.indicator(ball(8, 2))):
-        assert _pin_pairing(d2, ball3, g)[0]
+        assert _pin_pairing(d2, ball3, g)
     # f = delta_1 + delta_-1 with xi(x) = x: D(f)(0) = 1 - 1 = 0 exactly, on
-    # the loop and, with more far entries, on the array path; g has as many
-    # points as D(f) has nonzero values, so only the dropped zero puts D(f)
-    # on the smaller side
+    # the loop and, with more far entries, on the array path; g has a point
+    # at every point of D(f)'s box, the dropped zero included
     pair = FinSuppFn.indicator([1, -1])
     assert (0,) not in apply_derivation(d1, pair).entries
-    assert _pin_pairing(d1, pair, FinSuppFn.indicator(range(-3, 4))) == (False, True)
+    assert _pin_pairing(d1, pair, FinSuppFn.indicator(range(-3, 4))) is False
     f = FinSuppFn.indicator([1, -1] + [x for x in range(-30, 31) if abs(x) >= 3])
     support = list(apply_derivation(d1, f).entries)
     assert (0,) not in support and f[0] == 0
     g = FinSuppFn(1, {p: complex(0.3 + 0.1 * k, -0.7 * k) for k, p in enumerate(reversed(support))})
-    assert _pin_pairing(d1, f, g) == (True, True)
-    assert _pin_pairing(d1, f, FinSuppFn.indicator(range(-10, 11))) == (True, False)
-    # g disjoint from D(f), on both branches
+    assert _pin_pairing(d1, f, g) is True
+    assert _pin_pairing(d1, f, FinSuppFn.indicator(range(-10, 11))) is True
+    # g disjoint from D(f): a point, and a stretch longer than D(f)
     f = FinSuppFn.indicator(range(50))
     for g in (FinSuppFn.delta(1000, 2.0), FinSuppFn.indicator(range(500, 700))):
-        assert _pin_pairing(d1, f, g)[0]
+        assert _pin_pairing(d1, f, g)
         assert amenability._derivation_pairing(d1, f, g) == 0j
     # coordinates that leave int64 take the reference
     far = FinSuppFn.indicator([2**63 + k for k in range(50)])
     low = FinSuppFn.indicator([-(2**63) + k for k in range(50)])
     for f, g in ((far, far.flip()), (low, low.flip()), (FinSuppFn.indicator(range(50)), far)):
-        assert _pin_pairing(d1, f, g)[0] is False
+        assert _pin_pairing(d1, f, g) is False
     # every coordinate fits int64: the box corner -2**63 does with window
     # radius 1, and -2**63 - 1 does not with radius 2
     top = FinSuppFn.indicator([2**63 - 1 - k for k in range(50)])
-    assert _pin_pairing(d1, top, top.flip())[0] is True
+    assert _pin_pairing(d1, top, top.flip()) is True
     d_wide = Derivation.with_ball_window(Homomorphism((1.0,)), 1, 2)
-    assert _pin_pairing(d_wide, top, top.flip())[0] is False
+    assert _pin_pairing(d_wide, top, top.flip()) is False
     # a dimension mismatch of f or of g
     line = FinSuppFn.indicator(range(50))
     assert "dimension mismatch" in _same_error(d2, line, line)
@@ -508,6 +508,79 @@ def test_derivation_pairing_edge_cases_match_the_reference():
     big_d = FinSuppFn(1, {(x,): 1e308 / x for x in range(-30, 31) if x})
     assert all(math.isfinite(abs(v * x)) for (x,), v in big_d)  # h(-x) = f(x) * x
     assert "convolution value" in _same_error(d1, big_d, big_d)
+
+
+def _shuffled(u: FinSuppFn, rng: random.Random) -> FinSuppFn:
+    """u with its points inserted in a shuffled order."""
+    items = list(u)
+    rng.shuffle(items)
+    return FinSuppFn(u.dim, dict(items))
+
+
+def _rounded_sum(terms: list[complex]) -> complex:
+    """Each part of the sum by exact rationals, then rounded once."""
+    return complex(float(sum(map(Fraction, (z.real for z in terms)), Fraction())),
+                   float(sum(map(Fraction, (z.imag for z in terms)), Fraction())))
+
+
+def _near_max(df: FinSuppFn, points, signs) -> FinSuppFn:
+    """g whose product with D(f) is about sign * 1e308 at each point."""
+    return FinSuppFn(1, {s: sign * 1e308 / df[s].real for s, sign in zip(points, signs)})
+
+
+def test_pairing_exact_in_any_insertion_order():
+    # pairing and the derivation pairing are the correctly rounded sums of
+    # their products: the same bits whatever order u, w, f and g list their
+    # points in, on both routes of the derivation pairing; one past the
+    # float range raises in every order. fsum alone is not enough there:
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308, -1e308])
+    assert math.fsum([1e308, -1e308, 1e308]) == 1e308
+    rng = random.Random(43)
+    top = FinSuppFn(1, {(0,): 1e308, (1,): 1e308, (2,): -1e308})
+    ones = FinSuppFn.indicator([0, 1, 2, 7])
+    cases = [(top, ones)]
+    for dim in (1, 2):
+        for t in range(20):
+            draws = seeded_rng(44, dim, t)
+            cases.append(tuple(random_finsupp(dim, 3, draws, max_support=30) for _ in range(2)))
+    for u, w in cases:
+        common = [p for p in u.entries if p in w.entries]
+        want = _hex(_rounded_sum([u[p] * w[p] for p in common]))
+        for _ in range(6):
+            a, b = _shuffled(u, rng), _shuffled(w, rng)
+            assert _hex(amenability.pairing(a, b)) == want
+            assert _hex(amenability.pairing(b, a)) == want
+    assert amenability.pairing(top, ones) == 1e308
+    # past the float range: the sum, a product, and inf - inf among products
+    over = [(FinSuppFn(1, {(0,): 1e308, (1,): 1e308, (2,): -1e307}), ones),
+            (FinSuppFn.delta(0, 1e200), FinSuppFn.delta(0, 1e200)),
+            (FinSuppFn(1, {(0,): 1e200, (1,): -1e200}), FinSuppFn.indicator([0, 1]).scale(1e200))]
+    for u, w in over:
+        for _ in range(6):
+            a, b = _shuffled(u, rng), _shuffled(w, rng)
+            for args in ((a, b), (b, a)):
+                with pytest.raises(NumericalFailureError, match="pairing value is not finite"):
+                    amenability.pairing(*args)
+    # the derivation pairing on the array path (f of 59 points) and on the
+    # loop (f of 3), with products of D(f) and g near 1e308
+    d = Derivation.with_ball_window(Homomorphism((1.0,)), 1, 1)
+    routes = set()
+    for f, points in ((FinSuppFn.indicator(range(1, 60)), [(-10,), (-20,), (-30,)]),
+                      (FinSuppFn.indicator([1, 2, 3]), [(-1,), (-2,), (-3,)])):
+        df = apply_derivation(d, f)
+        drawn = random_finsupp(1, 70, seeded_rng(45, len(f)), max_support=60)
+        for g in (drawn, _near_max(df, points, (1, 1, -1))):
+            want = _hex(_rounded_sum([v * g[p] for p, v in df if p in g.entries]))
+            for _ in range(6):
+                a, b = _shuffled(f, rng), _shuffled(g, rng)
+                routes.add(_pin_pairing(d, a, b))
+                assert _hex(amenability._derivation_pairing(d, a, b)) == want
+        g = _near_max(df, points, (1, 1, 1))
+        for _ in range(6):
+            a, b = _shuffled(f, rng), _shuffled(g, rng)
+            assert "pairing value is not finite" in _same_error(d, a, b)
+    assert routes == {True, False}
 
 
 # -- derivation norm scan -------------------------------------------------------------

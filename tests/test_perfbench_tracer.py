@@ -14,6 +14,7 @@ from pathlib import Path
 
 import orliczlat.algebra as algebra
 import orliczlat.verify as verify
+from orliczlat.finsupp import FinSuppFn
 from orliczlat.weights import polynomial_weight
 from orliczlat.young import pair_from_spec
 
@@ -41,6 +42,9 @@ def test_tracer_records_spans_for_a_scan_and_the_battery():
     try:
         assert algebra.convolve is not original_convolve
         algebra.submult_estimate(ctx, 4, 2, 0)
+        # the scan's tops take the box kernel or the loop without calling
+        # convolve, so the convolve span is fed by a call of its own
+        algebra.convolve(FinSuppFn.indicator(range(3)), FinSuppFn.indicator(range(2)))
         rows = verify.run_battery([pair])
     finally:
         tracer.uninstall()

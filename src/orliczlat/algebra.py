@@ -8,14 +8,15 @@ evidence for boundedness; growth of 25% or more is evidence against it.
 Reports carry ``certificate="empirical"`` to make this status explicit.
 
 A scan measures a radius in three batches: the left norms, the right
-norms and the tops (:func:`_ratio_scan`). The convolution tops read the
-magnitudes of omega * (f*g) straight off the box kernel of
-:func:`convolve`, with no function built, and measure every distinct top
-of the radius once, in one lockstep Luxemburg batch
-(:func:`_convolution_norms`): a symmetric candidate's /flipped top is its
-/same top. The box kernel (:func:`_box_convolve`) adds a chunk of f's
-entries at a time in one ordered ``np.add.at`` pass, so each cell is bit
-for bit the sum one entry at a time gives.
+norms and the tops (:func:`_ratio_scan`), each distinct pair of objects
+once. A symmetric candidate is its own flip
+(:func:`~orliczlat.sampling.scan_pairs`), so its /flipped pair is its
+/same pair by identity. The convolution tops read the magnitudes of
+omega * (f*g) straight off the box kernel of :func:`convolve`, with no
+function built, and measure a batch in one lockstep Luxemburg call
+(:func:`_convolution_norms`). The box kernel (:func:`_box_convolve`) adds
+a chunk of f's entries at a time in one ordered ``np.add.at`` pass, so
+each cell is bit for bit the sum one entry at a time gives.
 """
 
 from __future__ import annotations
@@ -244,32 +245,8 @@ def _convolution_norms(
 ) -> list[float]:
     """The Luxemburg norm under phi of omega * (f*g), or of f*g where omega
     is None, for each pair: the magnitudes (:func:`_convolution_magnitudes`)
-    of every distinct pair (:func:`_each_distinct_pair`) measured in one
-    lockstep batch."""
-    return _each_distinct_pair(fs, gs, lambda fs, gs: _luxemburg_norms(
-        phi, [_convolution_magnitudes(f, g, omega) for f, g in zip(fs, gs)]))
-
-
-def _each_distinct_pair(fs: Sequence[FinSuppFn], gs: Sequence[FinSuppFn], measure) -> list:
-    """``measure(fs, gs)`` with each distinct pair measured once, its value
-    handed back to every pair in order.
-
-    Pairs are keyed by f's identity and g's, where g counts as f if it
-    has f's entries (a symmetric candidate's flip). That is exact for a
-    measure that reads no order of g and no sign of a zero: a top built
-    from f*g or f.g and measured by its magnitudes (each cell of f*g sums
-    over f in f's order whatever g's order, the Luxemburg norm reads no
-    order, and the signed zeros that dict equality ignores vanish in the
-    magnitudes), and |<D(f), g>|, whose pairing is an exact sum
-    (``amenability._exact_sum``).
-    """
-    keys = [(id(f), id(f) if g is f or g.entries == f.entries else id(g)) for f, g in zip(fs, gs)]
-    firsts: dict = {}
-    for key, f, g in zip(keys, fs, gs):
-        firsts.setdefault(key, (f, g))
-    distinct = list(firsts.values())
-    values = dict(zip(firsts, measure([f for f, _ in distinct], [g for _, g in distinct])))
-    return [values[key] for key in keys]
+    of every pair measured in one lockstep batch."""
+    return _luxemburg_norms(phi, [_convolution_magnitudes(f, g, omega) for f, g in zip(fs, gs)])
 
 
 def _convolve_loop(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
@@ -360,10 +337,11 @@ def _ratio_scan(
     ``left(fs)`` and ``right(gs)`` the norms of the fs and of the gs,
     ``top(fs, gs)`` the numerator of each pair (f, g). A radius draws all
     its pairs first, measures every f with one ``left`` call and every g
-    with one ``right`` call, then the pairs whose two norms are nonzero
-    with one ``top`` call (the Luxemburg measures run the functions of a
-    batch in lockstep, see :func:`~orliczlat.norms._luxemburg_norms`), and
-    only then forms the ratios in pair order. If drawing or measuring
+    with one ``right`` call, then each distinct pair (by identity) whose
+    two norms are nonzero with one ``top`` call (the Luxemburg measures run
+    the functions of a batch in lockstep, see
+    :func:`~orliczlat.norms._luxemburg_norms`), and only then forms the
+    ratios in pair order. If drawing or measuring
     raises, the radius is replayed a pair at a time, each measure on lists
     of one, so the error surfaces that the pair order meets first.
 
@@ -400,12 +378,15 @@ def _ratio_scan(
 
 def _ratios(pairs: list, top, left, right) -> list[tuple[str, float]]:
     """(kind, top / (left right)) for each pair whose two norms are nonzero,
-    in pair order: one call of each measure."""
+    in pair order: one call of each measure, ``top`` on each distinct
+    (f, g) by identity once, the only place a top is deduped."""
     nfs, ngs = left([f for _, f, _ in pairs]), right([g for _, _, g in pairs])
     kept = [(kind, f, g, nf * ng)
             for (kind, f, g), nf, ng in zip(pairs, nfs, ngs) if nf != 0.0 and ng != 0.0]
-    tops = top([f for _, f, _, _ in kept], [g for _, _, g, _ in kept])
-    return [(kind, t / den) for (kind, _, _, den), t in zip(kept, tops)]
+    distinct = {(id(f), id(g)): (f, g) for _, f, g, _ in kept}
+    tops = dict(zip(distinct, top([f for f, _ in distinct.values()],
+                                  [g for _, g in distinct.values()])))
+    return [(kind, tops[id(f), id(g)] / den) for kind, f, g, den in kept]
 
 
 def submult_estimate(
@@ -499,8 +480,7 @@ def pointwise_inclusion_check(
         "pointwise_inclusion_check",
         {"pair": pair.describe(), "radius": radius, "trials": trials, "seed": seed},
         _radius_ladder(radius),
-        lambda us, gs: _each_distinct_pair(us, gs, lambda us, gs: _luxemburg_of(
-            pair.phi, [u.pointwise_mul(g) for u, g in zip(us, gs)])),
+        lambda us, gs: _luxemburg_of(pair.phi, [u.pointwise_mul(g) for u, g in zip(us, gs)]),
         lambda us: _luxemburg_of(phi_tilde, us),
         lambda gs: _luxemburg_of(pair.psi, gs),
         dim, trials, seed,

@@ -380,8 +380,8 @@ def derivation_norm_scan(
 
     Each <D(f), g> is read by :func:`_derivation_pairing`, bit for bit the
     ``pairing(apply_derivation(d, f), g)`` it replaces, without building
-    D(f), and each distinct pair once (``algebra._each_distinct_pair``): a
-    symmetric candidate's /flipped pair is its /same pair.
+    D(f), and each distinct pair once (``algebra._ratios``): a symmetric
+    candidate's /flipped pair is its /same pair, (f, f).
     """
     return _ratio_scan(
         "derivation_norm_scan",
@@ -393,8 +393,7 @@ def derivation_norm_scan(
             "seed": seed,
         },
         list(radii),
-        lambda fs, gs: algebra._each_distinct_pair(fs, gs, lambda fs, gs: [
-            abs(_derivation_pairing(d, f, g)) for f, g in zip(fs, gs)]),
+        lambda fs, gs: [abs(_derivation_pairing(d, f, g)) for f, g in zip(fs, gs)],
         ctx.weighted_luxemburg_norms,
         ctx.weighted_luxemburg_norms,
         ctx.dim, trials, seed, omega=ctx.omega, xi=d.form,

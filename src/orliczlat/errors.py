@@ -10,6 +10,8 @@ built by :func:`from_spec`, so an unreadable value is always an
 
 from __future__ import annotations
 
+import decimal
+import sys
 from typing import Any, Callable, Mapping
 
 
@@ -63,9 +65,20 @@ def coerce(convert: Callable[[Any], Any], value: Any, what: str) -> Any:
 
 
 def as_int(value: Any) -> int:
-    """The integer rule: an int, an integral float or integer text; a boolean
-    or a float with a fraction raises ValueError instead of being truncated."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """The integer rule: an int, an integral float, or integral decimal text
+    read exactly, as a config reads ``8.0`` or ``1e3``. A boolean, a
+    fraction, nan, inf or an exponent above the float's largest (a config
+    reads that number as inf) raises ValueError instead of being truncated."""
+    if isinstance(value, str):
+        try:
+            exact = decimal.Decimal(value)
+        except decimal.InvalidOperation:
+            raise ValueError(f"{value!r} is not decimal text") from None
+        if (not exact.is_finite() or exact.as_tuple().exponent > sys.float_info.max_10_exp
+                or exact != exact.to_integral_value()):
+            raise ValueError(f"{value!r} is not integer text")
+        value = f"{exact.to_integral_value():f}"  # int's own text rule and digit limit
+    elif isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 

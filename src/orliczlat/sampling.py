@@ -9,7 +9,9 @@ Deterministic adversarial candidates ride along with the random draws:
 ball indicators (the classic witnesses against unweighted convolution
 bounds), the atom at :meth:`DampedHomomorphism.peak_point` (the witness
 for derivation growth), and the inverse-weight and damped-form profiles.
-Candidate pairs are emitted as (f, flip f) and (f, f).
+Candidate pairs are emitted as (f, flip f) and (f, f), and as (f, f) twice
+where flip f has f's entries (the ball indicators and the 1/omega profile),
+so the scans dedupe pairs by identity.
 """
 
 from __future__ import annotations
@@ -91,10 +93,13 @@ def scan_pairs(
     omega: Weight | None = None,
     xi: Homomorphism | None = None,
 ) -> Iterator[tuple[str, FinSuppFn, FinSuppFn]]:
-    """Adversarial pairs first, then ``trials`` seeded random pairs."""
+    """Adversarial pairs first, then ``trials`` seeded random pairs. A
+    candidate whose flip has its entries is its own flip: every measure
+    reads magnitudes, an order-free Luxemburg norm or an exact sum, so
+    neither g's key order nor a zero's sign can change a value."""
     for kind, f in adversarial_candidates(dim, radius, omega, xi):
         g = f.flip()
-        yield f"{kind}/flipped", f, g
+        yield f"{kind}/flipped", f, f if g.entries == f.entries else g
         yield f"{kind}/same", f, f
     for t in range(trials):
         rng = rng_for(seed, radius, t)

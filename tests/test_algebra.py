@@ -805,6 +805,44 @@ def test_derivation_scan_pairs_each_distinct_pair_once(dim, radii, coeffs):
     assert repr(rep.per_radius) == repr(loop)
 
 
+@pytest.mark.parametrize("dim, radius, coeffs", [
+    (1, 8, (1.0,)),
+    (2, 4, (0.3 - 0.7j, 2 + 1j)),
+])
+def test_symmetric_candidates_are_their_own_flip(dim, radius, coeffs):
+    # scan_pairs decides once whether a candidate equals its flip: the ball
+    # indicators and the 1/omega profile are paired with themselves, the
+    # same object twice, and every other candidate with its distinct flip
+    pair, omega = pair_from_spec({"family": "power", "p": 1.5}), polynomial_weight(0.7)
+    symmetric = {"ball-indicator", "half-ball-indicator", "inverse-weight-profile"}
+    trials, seed, xi = 4, 31, Homomorphism(coeffs)
+    own_flips, other_flips = [], []
+    for r in algebra._radius_ladder(radius):
+        flipped = [(kind.split("/")[0], f, g)
+                   for kind, f, g in scan_pairs(dim, r, trials, seed, omega=omega, xi=xi)
+                   if kind.endswith("/flipped")]
+        for kind, f, g in flipped:
+            if g is f:
+                own_flips.append(kind)
+            else:
+                other_flips.append(kind)
+                assert g.entries == f.flip().entries and g.entries != f.entries, kind
+        assert {kind for kind, f, g in flipped if g is f} == {
+            kind for kind, _, _ in flipped if kind in symmetric}, r
+    assert set(own_flips) == symmetric and "damped-peak-atom" in other_flips
+    # so the memo on f serves their right norms: a submult radius's right
+    # batch has a lane for each other flip and each random g, none for f
+    ctx = AlgebraContext(pair, omega, dim)
+    body = mock.Mock(wraps=norms._luxemburg_norms)
+    with mock.patch.object(norms, "_luxemburg_norms", body):
+        submult_estimate(ctx, radius, trials, seed)
+    rights = [len(call.args[1]) for call in body.call_args_list[1::2]]
+    assert rights == [
+        sum(kind.endswith("/flipped") and g is not f for kind, f, g in scan_pairs(
+            dim, r, trials, seed, omega=omega)) + trials
+        for r in algebra._radius_ladder(radius)]
+
+
 def test_each_convolution_top_makes_one_route_decision():
     # a top asks the route once (algebra._takes_box), whether it is read off
     # the box or takes the loop, and so does convolve
@@ -975,20 +1013,22 @@ def test_ratio_scan_raises_the_error_the_pair_order_meets_first():
 def test_ratio_scan_norms_a_same_pair_once():
     ctx = AlgebraContext(pair_from_spec({"family": "power", "p": 1.5}), polynomial_weight(0.7), 1)
     radii, trials, seed = [2, 4], 3, 17
-    expected, n_same = [], 0
+    expected, n_same, n_own_flip = [], 0, 0
     for r in radii:
         for kind, f, g in scan_pairs(1, r, trials, seed, omega=ctx.omega):
             n_same += kind.endswith("/same")
+            n_own_flip += kind.endswith("/flipped") and g is f
             expected += [f] if kind.endswith("/same") else [f, g]
-    assert n_same > 0
+    assert n_same > 0 and n_own_flip > 0
 
     def ones(fs, gs):
         return [1.0] * len(fs)
 
     # through the bound method the memo on f computes one weighted norm per
-    # distinct f: a candidate's /flipped and /same pairs share its f
+    # distinct object: a candidate's /flipped and /same pairs share its f,
+    # and a symmetric candidate's flip is f itself
     distinct = len({id(f) for f in expected})
-    assert distinct == len(expected) - n_same
+    assert distinct == len(expected) - n_same - n_own_flip
     # the body runs one lane per support it measures, in batches; the
     # convolution tops call it by algebra's own name for it
     body = mock.Mock(wraps=norms._luxemburg_norms)
@@ -998,12 +1038,14 @@ def test_ratio_scan_norms_a_same_pair_once():
                             ctx.weighted_luxemburg_norms, 1, trials, seed, omega=ctx.omega)
         assert sum(len(call.args[1]) for call in body.call_args_list) == distinct
         # the memo is per context: with another weight on the left, f of a
-        # candidate is normed once in each context and its flip once
+        # candidate is normed once in each context and its flip once, unless
+        # the flip is f, whose right norm its /same pair shares
         other = AlgebraContext(ctx.pair, polynomial_weight(0.4), 1)
         body.reset_mock()
         algebra._ratio_scan("count", {}, radii, ones, other.weighted_luxemburg_norms,
                             ctx.weighted_luxemburg_norms, 1, trials, seed, omega=ctx.omega)
-        assert sum(len(call.args[1]) for call in body.call_args_list) == len(expected)
+        assert sum(len(call.args[1]) for call in body.call_args_list) == (
+            len(expected) - n_own_flip)
         # each radius of a submult scan takes three batches: the lefts, the
         # rights and the tops
         body.reset_mock()

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -597,6 +598,44 @@ def test_derivation_scan_dichotomy_small():
     rep = derivation_norm_scan(ctx_wa, d, [8, 16, 32], trials=40, seed=5)
     assert rep.trend == "growth", rep.per_radius
 
+
+
+def _exact_sup_at_p_2(d: Derivation, omega: Weight, radius: int) -> float:
+    """The sup of |<D(f), g>| / (||f||_{Phi,w} ||g||_{Phi,w}) over f and g
+    supported in the ball of the radius, for Phi = x^2/2: there
+    ||f||_{Phi,w} = ||f w||_2 / sqrt 2, so it is 2 sigma_max(M) with
+    M = W^-1 B W^-1, B[x, y] = xi(y) 1[x + y in window] the bilinear form
+    of <D(f), g> = sum g(x) B[x, y] f(y), and W = diag(w) on the ball."""
+    dim = d.window.dim
+    pts = ball(radius, dim)
+    at = {p: i for i, p in enumerate(pts)}
+    b = np.zeros((len(pts), len(pts)), dtype=complex)
+    for j, y in enumerate(pts):
+        for u in d.window.support():
+            i = at.get(tuple(c - e for c, e in zip(u, y)))
+            if i is not None:
+                b[i, j] = d.form(y)
+    w = omega.at_points(pts, dim)
+    return 2.0 * np.linalg.svd(b / np.outer(w, w), compute_uv=False)[0]
+
+
+@pytest.mark.parametrize("dim, radii, coeffs", [
+    (1, [16, 64, 256], (1.0,)),
+    (2, [4, 8, 16], (1.0, 0.5j)),
+])
+@pytest.mark.parametrize("beta", [0.4, 0.495, 0.7])
+def test_derivation_scan_is_a_lower_bound_of_the_exact_sup_at_p_2(dim, radii, coeffs, beta):
+    # at p = 2 the supremum the scan samples is an SVD (ROADMAP item 6): no
+    # sampled pair may pass it, and the message reports how far below it
+    # the scan stays
+    ctx = AlgebraContext(pair_from_spec({"family": "power", "p": 2.0}), polynomial_weight(beta),
+                         dim)
+    d = Derivation.with_ball_window(Homomorphism(coeffs), dim)
+    rows = [(row["radius"], row["max_ratio"], _exact_sup_at_p_2(d, ctx.omega, row["radius"]))
+            for row in derivation_norm_scan(ctx, d, radii, trials=8, seed=7).per_radius]
+    gaps = "; ".join(f"R={r}: scan {scan:.4f}, exact {exact:.4f}, exact/scan {exact / scan:.3f}"
+                     for r, scan, exact in rows)
+    assert all(scan <= exact * (1 + 1e-12) for _, scan, exact in rows), gaps
 
 
 @pytest.mark.parametrize(

@@ -422,6 +422,51 @@ def test_integral_floats_and_integer_text_read_as_the_integer(tmp_path, capsys):
     assert capsys.readouterr().out == out and "radius=   8" in out
 
 
+def test_integral_decimal_flag_reads_as_the_config_does(tmp_path, capsys):
+    # "--radius 8.0" once exited 2 while "radius": 8.0 in a config scanned 8
+    code, out, _ = _main_on_config(tmp_path, capsys, "certify-algebra",
+                                   {**_SCAN, "radius": 8.0, "trials": 2},
+                                   "--out", str(tmp_path / "config.csv"))
+    assert code == 0 and "radius=   8" in out
+    assert main(["certify-algebra", "--young", json.dumps(_SCAN["young"]),
+                 "--weight", json.dumps(_SCAN["weight"]), "--radius", "8.0", "--trials", "2",
+                 "--out", str(tmp_path / "flag.csv")]) == 0
+    assert capsys.readouterr().out == out
+    assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "config.csv").read_bytes()
+    # "dim": 1e3 is over budget in a config, and so is "--dim 1e3"
+    flags = ["--young", json.dumps(_SCAN["young"]), "--weight", json.dumps(_SCAN["weight"])]
+    code, _, err = _main_on_config(tmp_path, capsys, "derivation-scan", {**_SCAN, "dim": 1e3})
+    assert code == 3 and err.startswith("budget exceeded: dim 1000"), err
+    assert main(["derivation-scan", *flags, "--dim", "1e3"]) == 3
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("flag, text", [
+    # "--points 2.5" and "--radius 1.5" are test_bad_values_exit_2_without_traceback's
+    ("--points", "8.000001"), ("--radius", "nan"), ("--radius", "inf"), ("--radius", ""),
+    ("--radius", "1e999999999"), ("--trials", "0x10"),
+])
+def test_integer_flag_that_is_no_integral_decimal_exit_2(capsys, flag, text):
+    command = "conjugate" if flag == "--points" else "certify-algebra"
+    assert main([command, flag, text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}: cannot read {text!r}"), err
+    assert len(err.splitlines()) == 1
+
+
+_INTEGRAL_TEXT = [
+    ("8", 8), ("8.0", 8), ("-8.000", -8), ("1e3", 1000), ("1.5e3", 1500), (" 12 ", 12),
+    ("1_000", 1000), ("9007199254740993.0", 2**53 + 1), ("1e308", 10**308),
+]
+
+
+@pytest.mark.parametrize("text, value", _INTEGRAL_TEXT, ids=[t for t, _ in _INTEGRAL_TEXT])
+def test_as_int_reads_integral_decimal_text_exactly(text, value):
+    from orliczlat.errors import as_int
+
+    assert as_int(text) == value and type(as_int(text)) is int
+
+
 @pytest.mark.parametrize("f, named", [
     # the 3.0 at (0,) was dropped: the norm read 2.8284271247461894
     ({"dim": 1, "entries": [[[0], [3, 0]], [[0], [4, 0]]]}, "point (0,) is repeated"),

@@ -19,8 +19,12 @@ root. Before bisecting, a few secant steps locate the root and two more
 values certify a narrow window around it; the bisection then answers
 every midpoint outside that window without evaluating, and evaluates the
 rest as before, so it visits the same midpoints and returns the same
-float (:func:`_windowed_root`). The body measures a batch of supports in
-lockstep (:func:`_luxemburg_norms`): each round evaluates Phi once, on
+float (:func:`_windowed_root`). The window is as narrow as the rounding
+error of the modular allows (:func:`_modular_margin`): for x^p/p a few
+ulps times p, so the bisection is left with about one midpoint to
+evaluate; for every other Phi it keeps the margin of the numeric
+conjugates. The body measures a batch of supports in lockstep
+(:func:`_luxemburg_norms`): each round evaluates Phi once, on
 the quotients of every support still searching, and sums each support's
 own slice with ``math.fsum``, so every norm is the float its support gets
 alone while the scans pay one Phi pass per round instead of one per
@@ -62,7 +66,7 @@ same magnitudes of omega * (f*g) off the convolution kernel
 (``algebra._convolution_magnitudes``) and pass every distinct top of a
 radius to :func:`_luxemburg_norms` at once. The weighted L1 norm sums
 |f(s)| omega(s) with ``math.fsum`` and raises where that passes the
-float range.
+float range; so does the Hölder check's sum |f g|.
 """
 
 from __future__ import annotations
@@ -103,36 +107,72 @@ def modular(phi: YoungFunction, f: FinSuppFn) -> float:
         return _modular(phi, f.magnitudes())
 
 
+def _finite_sum(terms: list[float], message: str) -> float:
+    """``math.fsum`` of nonnegative terms; raises :class:`NumericalFailureError`
+    with ``message`` where a term or the sum passes the float range."""
+    try:
+        total = math.fsum(terms)
+    except OverflowError:  # the partial sums pass the float range
+        total = math.inf
+    if total == math.inf:
+        raise NumericalFailureError(message)
+    return total
+
+
 # The root window. Let F(k) be a strictly decreasing function of k, computed
 # as a sum of terms: the modular sum Phi(|f(s)|/k) of the Luxemburg norm, or
-# the constraint sum Psi(Phi'(|f(s)|/t)) of the Orlicz multiplier. Suppose
-# the computed F at every float k (rounded quotients, each term, fsum) is
-# within relative eps of the exact one. For the modular, eps is a few ulps
-# times the index x Phi'(x)/Phi(x) for the closed and array forms (which
-# agree to 4e-16 per term), and at most 1e-12 for the numeric conjugates
-# (their mpmath oracle). A constraint term u Phi'(u) - Phi(u) amplifies the
-# errors of Phi and Phi' by its cancellation, (i + 1)/(i - 1) for the index
-# i of Phi at u: at most 30 on the catalog over [1e-4, 1e4]. Phi' of a
-# numeric conjugate is the root of the Young derivative, accurate to about
-# 1e-16, and its terms are within 2.4e-15 of the 50-digit oracle over
-# [1e-3, 1e4]. If the computed F(a) > 1 + MARGIN, then for k <= a the exact
-# F(k) >= F(a) > (1 + MARGIN)/(1 + eps), so the computed
-# F(k) > (1 + MARGIN)(1 - eps)/(1 + eps) > 1 as MARGIN > 2 eps: the
-# bisection's test F(k) <= 1 reads False there, and need not be evaluated.
-# The mirror argument covers k >= b once the computed F(b) < 1 - MARGIN.
-# Along log k, log F falls with slope at least 1 for the modular (x Phi'(x)
-# >= Phi(x) for convex Phi with Phi(0) = 0) and p for the constraint of
-# x^p/p, so with WINDOW = 10 MARGIN both sides certify once the estimate is
-# within about 9e-11 of the root.
-WINDOW = 1e-10
+# the constraint sum Psi(Phi'(|f(s)|/t)) of the Orlicz multiplier. Suppose the
+# computed F at every float k where it reads near 1 (rounded quotients, each
+# term, fsum) is within relative eps of the exact sum at that k; where F is
+# far from 1, no error short of a factor 2 (and no overflow to inf) changes
+# the test F(k) <= 1. If the computed F(a) > 1 + margin, then for k <= a the
+# exact F(k) >= F(a) > (1 + margin)/(1 + eps), so the computed F(k) > (1 +
+# margin)(1 - eps)/(1 + eps) > 1 as margin > 2 eps: the bisection's test F(k)
+# <= 1 reads False there, and need not be evaluated. The mirror argument
+# covers k >= b once the computed F(b) < 1 - margin. Along log k, log F falls
+# with slope at least 1 for the modular (x Phi'(x) >= Phi(x) for convex Phi
+# with Phi(0) = 0) and p for the constraint of x^p/p, so with a window of 10
+# margin both sides certify once the estimate is within about 9 margin of the
+# root.
+#
+# The margin per F, with u = 2**-53 (:func:`_modular_margin`):
+# - the modular of x^p/p: eps = (p + 4) u. Rounding a quotient by u moves its
+#   x^p by p u; numpy's pow is within 1 ulp (2 u), and /p and fsum round by
+#   u each. Subnormal quotients add at most n 2**-1074 in absolute terms,
+#   nothing next to F near 1; there every term is at most 1, so the overflow
+#   branch (x shrink)^p never runs. The margin is 4 eps, twice what the
+#   argument needs (tests/test_mpmath_oracle.py pins eps).
+# - the modular of every other Phi: MARGIN, which covers eps up to 5e-12.
+#   For the other closed forms and the sqrt transforms eps is a few ulps
+#   times the index x Phi'(x)/Phi(x) (the array and scalar forms agree to
+#   4e-16 per term); for the numeric conjugates it is at most 1e-12 (their
+#   mpmath oracle). from_density keeps MARGIN too.
+# - the Orlicz constraint: MARGIN. A term u Phi'(u) - Phi(u) amplifies the
+#   errors of Phi and Phi' by its cancellation, (i + 1)/(i - 1) for the index
+#   i of Phi at u: at most 30 on the catalog over [1e-4, 1e4]. Phi' of a
+#   numeric conjugate is the root of the Young derivative, accurate to about
+#   1e-16, and its terms are within 2.4e-15 of the 50-digit oracle over
+#   [1e-3, 1e4].
 MARGIN = 1e-11
 
 
-def _windowed_root(lo: float, hi: float, f_lo: float) -> Generator[float, float, float]:
+def _modular_margin(phi: YoungFunction) -> float:
+    """The margin that certifies a side of the Luxemburg root window under
+    phi: 4 (p + 4) 2**-53 for the power family (keyed on its label and p,
+    as ``young._closed_form_conjugate`` is), MARGIN for every other Phi."""
+    if phi.label == "power":
+        return 4.0 * (float(phi.params["p"]) + 4.0) * 2.0**-53
+    return MARGIN
+
+
+def _windowed_root(
+    lo: float, hi: float, f_lo: float, margin: float
+) -> Generator[float, float, float]:
     """The root of F(k) = 1 on [lo, hi] as :func:`bisect` finds it: the
     upper end of the bracket narrowed to relative width 1e-13. F is a
-    decreasing function of k (see the comment above WINDOW) and f_lo > 1
-    its value at lo. A generator: it yields each k at which it needs F,
+    decreasing function of k (see the comment above MARGIN), f_lo > 1 its
+    value at lo, and margin exceeds twice the relative error of the
+    computed F near 1. A generator: it yields each k at which it needs F,
     receives F(k) and returns the root, so that one caller can drive it
     with a function (:func:`~orliczlat.young._drive`) and another can
     step many roots in lockstep.
@@ -141,9 +181,12 @@ def _windowed_root(lo: float, hi: float, f_lo: float) -> Generator[float, float,
     bracket ends (exact to rounding after the first for a homogeneous Phi)
     give the estimate est; a step that leaves the bracket ends them at the
     end it passed, where the root lies when F(hi) rounds to about 1 (a
-    constant support). F at est*(1 -+ WINDOW) then certifies each side
-    that clears 1 by MARGIN: the window (below, above) with F > 1 at every
-    k <= below and F <= 1 at every k >= above. The bisection answers every
+    constant support); a step ends them once log F(est) is within
+    margin / 10 of 0, and a flat secant ends them at the last estimate
+    (near the root, F rounds to the same value at neighbouring estimates).
+    F at est*(1 -+ 10 margin) then certifies each side that clears 1 by
+    margin: the window (below, above) with F > 1 at every k <= below and
+    F <= 1 at every k >= above. The bisection answers every
     midpoint outside it without asking for F, so it visits the same
     midpoints and returns the same float as with no window. The
     certificate holds for any est; a poor one certifies less, and a value
@@ -156,8 +199,7 @@ def _windowed_root(lo: float, hi: float, f_lo: float) -> Generator[float, float,
         x_lo, x_hi = math.log(lo), math.log(hi)
         x0, y0, x1, y1 = x_lo, math.log(f_lo), x_hi, math.log(f_hi)
         for _ in range(4):
-            if y1 == y0:
-                est = None
+            if y1 == y0:  # no slope to step on: the last estimate stands
                 break
             x = x1 - y1 * (x1 - x0) / (y1 - y0)
             if not x_lo < x < x_hi:  # the root is at that end or the step is wild
@@ -169,15 +211,15 @@ def _windowed_root(lo: float, hi: float, f_lo: float) -> Generator[float, float,
                 est = None
                 break
             x0, y0, x1, y1 = x1, y1, x, math.log(f_est)
-            if abs(y1) < 1e-12:
+            if abs(y1) < 0.1 * margin:
                 break
     if est is not None:
-        a, b = est * (1.0 - WINDOW), est * (1.0 + WINDOW)
+        a, b = est * (1.0 - 10.0 * margin), est * (1.0 + 10.0 * margin)
         f_a = yield a
         f_b = yield b
         if 0.0 < f_a < math.inf and 0.0 < f_b < math.inf:
-            below = a if f_a > 1.0 + MARGIN else 0.0
-            above = b if f_b < 1.0 - MARGIN else math.inf
+            below = a if f_a > 1.0 + margin else 0.0
+            above = b if f_b < 1.0 - margin else math.inf
     steps = _halvings(lo, hi, 1e-13)
     send = steps.send
     try:
@@ -214,7 +256,8 @@ def _luxemburg_lane(
     if n > 1:
         f_lo = yield k
         if not f_lo <= 1.0:
-            k = yield from _windowed_root(k, m / phi.inverse(1.0 / n), f_lo)
+            hi = m / phi.inverse(1.0 / n)
+            k = yield from _windowed_root(k, hi, f_lo, _modular_margin(phi))
     return _unscaled(k, e, phi)
 
 
@@ -305,8 +348,11 @@ def luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
 
     The bisection goes through :func:`_windowed_root`, whose certified
     window skips the modular at every midpoint outside it; the comment
-    above WINDOW shows that each skipped decision equals the computed one,
-    so the norm is the float a plain bisection returns. The body is
+    above MARGIN shows that each skipped decision equals the computed one,
+    so the norm is the float a plain bisection returns. The window is
+    sized to the rounding error of the modular (:func:`_modular_margin`):
+    in the scans a norm under x^p/p takes about 5 modular values, one
+    under any other Phi about 16. The body is
     :func:`_luxemburg_norms` on a batch of one: the scans pass it every
     distinct function of a radius at once, and their lanes share one
     evaluation of Phi per round.
@@ -374,15 +420,11 @@ def orlicz_norm(pair: ComplementaryPair, f: FinSuppFn) -> float:
     lo = expand(lambda t: t == 0.0 or constraint(t) >= 1.0, hi * 0.5, 0.5)
     if lo == 0.0:
         raise NumericalFailureError("dual multiplier bracket failed to shrink")
-    hi = _drive(_windowed_root(lo, hi, constraint(lo)), constraint)
-    try:
-        value = math.fsum(a * phi.d(b / hi) for a, b in zip(mags.tolist(), quotients))
-    except OverflowError:  # the partial sums pass the float range
-        value = math.inf
-    if value == math.inf:
-        raise NumericalFailureError(
-            f"Orlicz norm overflows the float range for pair {pair.describe()}"
-        )
+    hi = _drive(_windowed_root(lo, hi, constraint(lo), MARGIN), constraint)
+    value = _finite_sum(
+        [a * phi.d(b / hi) for a, b in zip(mags.tolist(), quotients)],
+        f"Orlicz norm overflows the float range for pair {pair.describe()}",
+    )
 
     n_phi = luxemburg_norm(phi, f)
     if not (n_phi * (1.0 - 1e-9) <= value <= 2.0 * n_phi * (1.0 + 1e-9)):
@@ -476,15 +518,9 @@ def weighted_l1_norm(omega: Weight, f: FinSuppFn) -> float:
     the float range."""
     with np.errstate(over="ignore"):
         terms = (f.magnitudes() * omega.at_points(f.entries, f.dim)).tolist()
-    try:
-        total = math.fsum(terms)
-    except OverflowError:  # the partial sums pass the float range
-        total = math.inf
-    if total == math.inf:
-        raise NumericalFailureError(
-            f"weighted L1 norm overflows the float range under {omega.describe()}"
-        )
-    return total
+    return _finite_sum(
+        terms, f"weighted L1 norm overflows the float range under {omega.describe()}"
+    )
 
 
 @dataclass(frozen=True)
@@ -495,8 +531,13 @@ class HolderReport:
 
 
 def holder_check(pair: ComplementaryPair, f: FinSuppFn, g: FinSuppFn) -> HolderReport:
-    """Pairing bound sum|fg| <= min(N_Phi(f)*||g||_Psi, ||f||_Phi*N_Psi(g))."""
-    lhs = math.fsum(abs(v) for _, v in f.pointwise_mul(g))
+    """Pairing bound sum|fg| <= min(N_Phi(f)*||g||_Psi, ||f||_Phi*N_Psi(g)).
+    The left-hand side sums the magnitudes of fg as :func:`weighted_l1_norm`
+    does, raising :class:`NumericalFailureError` where it passes the float
+    range."""
+    with np.errstate(over="ignore"):
+        terms = f.pointwise_mul(g).magnitudes().tolist()
+    lhs = _finite_sum(terms, "Hölder sum |fg| overflows the float range")
     swapped = pair.swap()
     rhs = min(
         luxemburg_norm(pair.phi, f) * orlicz_norm(swapped, g),

@@ -8,6 +8,9 @@ from hypothesis import settings
 settings.register_profile("orliczlat", derandomize=True, deadline=None, database=None)
 settings.load_profile("orliczlat")
 
+from orliczlat.algebra import _radius_ladder
+from orliczlat.finsupp import FinSuppFn
+from orliczlat.sampling import scan_pairs
 from orliczlat.young import catalog, pair_from_spec
 
 
@@ -42,3 +45,29 @@ SCAN_WEIGHTS = (
 
 def seeded_rng(*key: int) -> np.random.Generator:
     return np.random.default_rng((20260808,) + key)
+
+
+def scan_pool(dim: int, radius: int, trials: int, seed: int) -> list[FinSuppFn]:
+    """Every function that the scans at this radius draw, once each."""
+    pool = []
+    for r in _radius_ladder(radius):
+        for _, f, g in scan_pairs(dim, r, trials, seed):
+            pool += [f] if g is f else [f, g]
+    return pool
+
+
+def extreme_functions() -> list[FinSuppFn]:
+    """Magnitudes from the subnormals to the top of the float range: the
+    extremes of the plain-bisection and the mpmath oracle tests."""
+    rng = seeded_rng(11)
+    extremes = [
+        FinSuppFn(1, {(i,): float(v) for i, v in enumerate(rng.uniform(0.1, 1.0, n) * scale)})
+        for scale in (1e-300, 1e-150, 1.0, 1e150, 4e307)
+        for n in (1, 2, 9)
+    ]
+    return extremes + [
+        FinSuppFn(1, {(i,): 1.5 for i in range(300)}),
+        FinSuppFn(1, {(0,): 1e200, (1,): 3.0, (2,): -1e150j}),
+        FinSuppFn(1, {(0,): 1e-300, (5,): 4e307}),
+        FinSuppFn(1, {(i,): v for i, v in enumerate([1.0, 1.0, 1.0, 1.0, 4e307, 4e307])}),
+    ]

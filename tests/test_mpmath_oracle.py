@@ -4,17 +4,23 @@ conjugate: (cosh x - 1)^2, (e^x - x - 1)^2, x^2 ln(1+x) and e^{x^2} - 1.
 The oracle conjugate solves Phi'(x) = y for the maximiser (the oracle
 Psi'(y)) in 50-digit arithmetic and returns x y - Phi(x); the oracle
 Luxemburg norm solves sum Phi(|f(s)| / k) = 1 for k the same way, under
-Phi and under the oracle conjugate.
+Phi and under the oracle conjugate. The power modular is summed in 60-digit
+arithmetic to pin the rounding bound that sizes its Luxemburg root window.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
+import numpy as np
 import pytest
 
+from conftest import extreme_functions, scan_pool
+from orliczlat import norms
 from orliczlat.finsupp import FinSuppFn
 from orliczlat.norms import luxemburg_norm
-from orliczlat.young import catalog, pair_from_spec
+from orliczlat.young import catalog, pair_from_spec, young_from_spec
 
 # (family, p) -> (Phi, Phi') in mpmath arithmetic.
 MEMBERS = {
@@ -125,6 +131,38 @@ def test_luxemburg_norms_match_mpmath(key):
         ):
             exact = mp_luxemburg(oracle, mags)
             assert abs(luxemburg_norm(young, f) - exact) <= 1e-12 * exact, (key, young.label)
+
+
+def test_power_modular_within_its_error_bound():
+    # the Luxemburg root window certifies a side once the computed modular
+    # clears 1 by norms._modular_margin(Phi) = 4 eps, where for x^p/p the
+    # relative error against the exact sum at the same float k is claimed
+    # below eps = (p + 4) 2**-53 (the comment above norms.MARGIN). Checked at
+    # the root k of each support (the search runs on |f| / 2**e) and at the
+    # window's ends, against the sum over the exact quotients, so the
+    # rounding of each quotient counts too.
+    subnormal = [
+        FinSuppFn(1, {(0,): 5e-324, (1,): 5e-324, (4,): 1e-310j}),
+        FinSuppFn(1, {(0,): 1.0, (1,): 3e-310, (2,): 0.5 - 2e-320j}),
+        FinSuppFn(1, {(0,): 2.2e-308, (1,): 1e-308, (2,): 4e-309, (3,): 7e-315}),
+    ]
+    pool = scan_pool(1, 48, 8, 101) + scan_pool(2, 8, 2, 101) + extreme_functions() + subnormal
+    scaled = []
+    for f in pool:
+        if len(f) > 1:  # an atom has no windowed root
+            mags = f.magnitudes()
+            scaled.append(np.ldexp(mags, -math.frexp(float(mags.max()))[1]))
+    with mp.workdps(60):
+        exact_mags = [[mp.mpf(a) for a in mags.tolist()] for mags in scaled]
+        for p in (1.0625, 1.5, 2.0, 3.0, 7.0, 30.0, 40.0):
+            phi = young_from_spec({"family": "power", "p": p})
+            margin = norms._modular_margin(phi)
+            for mags, exact_m, k in zip(scaled, exact_mags, norms._luxemburg_norms(phi, scaled)):
+                for t in (k, k * (1.0 - 10.0 * margin), k * (1.0 + 10.0 * margin)):
+                    got = norms._modular(phi, mags / t)
+                    exact = mp.fsum((a / t) ** p for a in exact_m) / p
+                    err = abs(got - exact) / exact
+                    assert err <= margin / 4, (p, mags.tolist(), t, float(err / (margin / 4)))
 
 
 def test_cosh_conjugate_matches_mpmath_past_the_square_overflow():

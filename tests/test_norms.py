@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded_rng
+from conftest import extreme_functions, scan_pool, seeded_rng
 from orliczlat import norms
-from orliczlat.algebra import _radius_ladder, flip
+from orliczlat.algebra import flip
 from orliczlat.errors import InvalidInputError, NumericalFailureError
 from orliczlat.finsupp import FinSuppFn
 from orliczlat.norms import (
@@ -23,7 +23,7 @@ from orliczlat.norms import (
     weighted_l1_norm,
     weighted_norm,
 )
-from orliczlat.sampling import random_finsupp, rng_for, scan_pairs
+from orliczlat.sampling import random_finsupp, rng_for
 from orliczlat.verify import BATTERY_SEED, norm_sandwich_margin
 from orliczlat.weights import polynomial_weight
 from orliczlat.young import (
@@ -287,15 +287,6 @@ def outcome(norm, phi, f) -> str:
         return type(exc).__name__
 
 
-def scan_pool(dim: int, radius: int, trials: int, seed: int) -> list[FinSuppFn]:
-    """Every function that the scans at this radius draw, once each."""
-    pool = []
-    for r in _radius_ladder(radius):
-        for _, f, g in scan_pairs(dim, r, trials, seed):
-            pool += [f] if g is f else [f, g]
-    return pool
-
-
 def luxemburg_cases(catalog_pairs) -> list[tuple[list[YoungFunction], list[FinSuppFn]]]:
     """The closed-form and the numeric Phi of the Luxemburg pins, each with
     its pool: the scan pools plus the extremes."""
@@ -439,8 +430,20 @@ def test_luxemburg_modular_evaluation_count(monkeypatch):
         assert luxemburg_norm(phi, f) == want
         assert calls[0] <= plain + WINDOW_COST, (plain, calls[0], len(f))
         windowed += calls[0]
-    # 35.4 per call with no window, 13.3 with it
-    assert windowed / len(pool) <= 15.0, windowed / len(pool)
+    # 35.4 per call with no window; 11.71 with a window of 1e-10 for every
+    # Phi, 3.81 with one sized to the power modular's rounding
+    assert windowed / len(pool) <= 4.25, windowed / len(pool)
+
+
+def test_luxemburg_modular_evaluation_count_of_a_numeric_phi(monkeypatch):
+    # a numeric conjugate keeps the margin MARGIN: its lanes receive the
+    # 1,049 modular values they received when every Phi had that margin
+    calls = count_lane_modulars(monkeypatch)
+    psi = pair_from_spec({"family": "cosh", "p": 2.0}).psi
+    assert psi.label.startswith("conj[")
+    for f in scan_pool(1, 48, 8, 101):
+        luxemburg_norm(psi, f)
+    assert calls[0] == 1049
 
 
 def test_luxemburg_atom_evaluates_no_modular(monkeypatch):
@@ -527,23 +530,6 @@ def orlicz_outcome_matches_plain(pair: ComplementaryPair, f: FinSuppFn) -> bool:
     OverflowError from fsum), orlicz_norm names the overflow instead."""
     got, want = outcome(orlicz_norm, pair, f), outcome(plain_orlicz, pair, f)
     return got == ("NumericalFailureError" if want == "OverflowError" else want)
-
-
-def extreme_functions() -> list[FinSuppFn]:
-    """Magnitudes from the subnormals to the top of the float range: the
-    extremes of both plain-bisection oracle tests."""
-    rng = seeded_rng(11)
-    extremes = [
-        FinSuppFn(1, {(i,): float(v) for i, v in enumerate(rng.uniform(0.1, 1.0, n) * scale)})
-        for scale in (1e-300, 1e-150, 1.0, 1e150, 4e307)
-        for n in (1, 2, 9)
-    ]
-    return extremes + [
-        FinSuppFn(1, {(i,): 1.5 for i in range(300)}),
-        FinSuppFn(1, {(0,): 1e200, (1,): 3.0, (2,): -1e150j}),
-        FinSuppFn(1, {(0,): 1e-300, (5,): 4e307}),
-        FinSuppFn(1, {(i,): v for i, v in enumerate([1.0, 1.0, 1.0, 1.0, 4e307, 4e307])}),
-    ]
 
 
 def test_orlicz_bit_identical_to_plain_bisection(catalog_pairs):
@@ -760,6 +746,17 @@ def test_holder_single_atoms(power_pair_2):
     assert rep.lhs == pytest.approx(1.0, rel=1e-12)
     assert rep.rhs >= 1.0 - 1e-9
     assert rep.ok
+
+
+@pytest.mark.parametrize("f, g", [
+    # abs(complex) of the product raised a raw OverflowError
+    (FinSuppFn.delta(0, 1.5e308 + 1.5e308j), FinSuppFn.delta(0)),
+    # fsum of the magnitudes raised "intermediate overflow in fsum"
+    (FinSuppFn(1, {(0,): 1e308, (1,): 1e308}), FinSuppFn.indicator([0, 1])),
+])
+def test_holder_lhs_past_the_float_range_raises(power_pair_2, f, g):
+    with pytest.raises(NumericalFailureError, match=r"Hölder sum \|fg\| overflows"):
+        holder_check(power_pair_2, f, g)
 
 
 def test_holder_property_suite(catalog_pairs):

@@ -11,10 +11,10 @@ A scan measures a radius in three batches: the left norms, the right
 norms and the tops (:func:`_ratio_scan`), each distinct pair of objects
 once. A symmetric candidate is its own flip
 (:func:`~orliczlat.sampling.scan_pairs`), so its /flipped pair is its
-/same pair by identity. The convolution tops read the magnitudes of
-omega * (f*g) straight off the box kernel of :func:`convolve`, with no
-function built, and measure a batch in one lockstep Luxemburg call
-(:func:`_convolution_norms`). The box kernel (:func:`_box_convolve`) adds
+/same pair by identity. A convolution top is the function :func:`convolve`
+returns: the weighted tops of a radius are read in one weighted pass and
+measured in one lockstep Luxemburg call (:func:`_convolution_norms`).
+The box kernel (:func:`_box_convolve`) adds
 a chunk of f's entries at a time in one ordered ``np.add.at`` pass, so
 each cell is bit for bit the sum one entry at a time gives.
 """
@@ -100,20 +100,30 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
 
     The array path lists the box's nonzero cells row-major, the loop its
     keys as they first appear; no value the package reports reads that
-    order. The route is asked once (:func:`_box_of`): pairs below
-    ``_ARRAY_MIN_OPS`` products take the loop (:func:`_takes_box`, checked
-    before any array is read), and so do pairs with a point that has no
-    int64 view (:func:`~orliczlat.finsupp._int64_points`) and the pairs
+    order. The route is asked once: pairs below ``_ARRAY_MIN_OPS`` products
+    take the loop (:func:`_takes_box`, checked before any array is read),
+    and so do pairs with a point that has no int64 view
+    (:func:`~orliczlat.finsupp._int64_points`) and the pairs
     :func:`_box_convolve` refuses: a box corner outside int64, or a box much
     larger than ``len(f) * len(g)``. Raises :class:`ResourceLimitError`
     above ``MAX_CONV_OPS`` products and :class:`NumericalFailureError`
     naming the first output point, in key order, whose value overflows. The
-    scans' convolution tops (:func:`_convolution_magnitudes`) and
-    ``amenability._derivation_pairing`` (D(f) = window * h) read the same
-    kernel under the same rule.
+    scans' convolution tops are the functions it returns
+    (:func:`_convolution_norms`); ``amenability._derivation_pairing``
+    (D(f) = window * h) reads the same kernel under the same rule.
     """
-    box = _box_of(f, g)
-    return _convolve_loop(f, g) if box is None else _box_function(f.dim, *box)
+    f._check_dim(g)
+    ops = len(f) * len(g)
+    if ops > MAX_CONV_OPS:
+        raise ResourceLimitError(f"convolution needs {ops} products, budget {MAX_CONV_OPS}")
+    if _takes_box(ops):
+        f_pts, g_pts = _int64_points(f.entries, f.dim), _int64_points(g.entries, f.dim)
+        if f_pts is not None and g_pts is not None:
+            gv = np.fromiter(g.entries.values(), dtype=complex, count=len(g))
+            box = _box_convolve(f_pts, f.entries.values(), g_pts, gv.real.copy(), gv.imag.copy())
+            if box is not None:
+                return _box_function(f.dim, *box)
+    return _convolve_loop(f, g)
 
 
 def _takes_box(ops: int) -> bool:
@@ -122,33 +132,15 @@ def _takes_box(ops: int) -> bool:
     return _ARRAY_MIN_OPS <= ops <= MAX_CONV_OPS
 
 
-def _box_of(f: FinSuppFn, g: FinSuppFn) -> tuple | None:
-    """The route of f*g, asked once: :func:`_box_convolve` on f and g where
-    :func:`convolve` takes its array path (:func:`_takes_box`), None where
-    it takes the loop. Raises what ``convolve`` raises before either: f and
-    g differ in dimension, or the pair passes ``MAX_CONV_OPS``."""
-    f._check_dim(g)
-    ops = len(f) * len(g)
-    if ops > MAX_CONV_OPS:
-        raise ResourceLimitError(f"convolution needs {ops} products, budget {MAX_CONV_OPS}")
-    if not _takes_box(ops):
-        return None
-    f_pts, g_pts = _int64_points(f.entries, f.dim), _int64_points(g.entries, f.dim)
-    if f_pts is None or g_pts is None:
-        return None
-    gv = np.fromiter(g.entries.values(), dtype=complex, count=len(g))
-    return _box_convolve(f_pts, f.entries.values(), g_pts, gv.real.copy(), gv.imag.copy())
-
-
 def _box_function(dim: int, re: np.ndarray, im: np.ndarray, corner: list[int],
                   extent: list[int]) -> FinSuppFn:
     """f*g as a sparse function read off its box: the nonzero cells,
-    row-major."""
+    row-major. The box lies in int64 (:func:`_box_convolve`), so the
+    coordinates are added there."""
     cells = np.flatnonzero((re != 0.0) | (im != 0.0))
     vals = np.empty(len(cells), dtype=complex)
     vals.real, vals.imag = re[cells], im[cells]
-    axes = [[c + base for c in axis.tolist()]
-            for axis, base in zip(np.unravel_index(cells, extent), corner)]
+    axes = [(axis + base).tolist() for axis, base in zip(np.unravel_index(cells, extent), corner)]
     return FinSuppFn._computed(dim, dict(zip(zip(*axes), vals.tolist())), "convolution")
 
 
@@ -204,49 +196,19 @@ def _chunked_cells(f_at: np.ndarray, g_at: np.ndarray) -> Iterator[tuple[slice, 
         yield rows, (f_at[rows, None] + g_at).ravel()
 
 
-def _convolution_magnitudes(f: FinSuppFn, g: FinSuppFn, omega: Weight | None) -> np.ndarray:
-    """The magnitudes the scans' readers take of ``convolve(f, g)``, bit for
-    bit and in some order: those of omega * (f*g) as
-    :func:`~orliczlat.norms._weighted_magnitudes` forms them, or of f*g
-    itself where omega is None.
-
-    The route is asked once (:func:`_box_of`). Where ``convolve`` takes its
-    array path they are read off the box at its nonzero cells, with no
-    function or dict built: omega from :meth:`Weight.at_points` on the
-    cells' int64 coordinates, and the products re*w and im*w. Everywhere
-    else f*g is built as ``convolve`` builds it and goes through the
-    reader, which raise their errors as before: where ``convolve`` takes
-    its loop, where a cell may lie at -2**63 (no int64 view), and where a
-    value or a weighted magnitude is not finite.
-    """
-    box = _box_of(f, g)
-    if box is None:
-        h = _convolve_loop(f, g)
-    else:
-        re, im, corner, extent = box
-        cells = np.flatnonzero((re != 0.0) | (im != 0.0))
-        re, im = re[cells], im[cells]
-        if np.isfinite(re).all() and np.isfinite(im).all():
-            if omega is None:
-                return np.hypot(re, im)
-            if min(corner) > -(2**63):
-                coords = np.stack(np.unravel_index(cells, extent), axis=1) + corner
-                w = omega.at_points(coords, f.dim)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    mags = np.hypot(re * w, im * w)
-                if np.isfinite(mags).all():
-                    return mags[mags != 0.0]
-        h = _box_function(f.dim, *box)
-    return h.magnitudes() if omega is None else _weighted_magnitudes(omega, [h])[0]
-
-
 def _convolution_norms(
     phi: YoungFunction, omega: Weight | None, fs: Sequence[FinSuppFn], gs: Sequence[FinSuppFn]
 ) -> list[float]:
     """The Luxemburg norm under phi of omega * (f*g), or of f*g where omega
-    is None, for each pair: the magnitudes (:func:`_convolution_magnitudes`)
-    of every pair measured in one lockstep batch."""
-    return _luxemburg_norms(phi, [_convolution_magnitudes(f, g, omega) for f, g in zip(fs, gs)])
+    is None, for each pair, measured in one lockstep batch. Each f*g is the
+    function :func:`convolve` returns: the weighted tops are read in one
+    :func:`~orliczlat.norms._weighted_magnitudes` pass, and each unweighted
+    top as soon as it is built, so only its magnitudes stay alive."""
+    if omega is None:
+        mags = [convolve(f, g).magnitudes() for f, g in zip(fs, gs)]
+    else:
+        mags = _weighted_magnitudes(omega, [convolve(f, g) for f, g in zip(fs, gs)])
+    return _luxemburg_norms(phi, mags)
 
 
 def _convolve_loop(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:

@@ -101,14 +101,17 @@ class FinSuppFn:
     def _computed(cls, dim: int, entries: Mapping[Point, complex], what: str) -> "FinSuppFn":
         """The function a producer in this package computed, minus exact zeros:
         its points are int tuples of length ``dim`` and its values complex.
+        The producer hands over a fresh dict, which the function keeps as
+        its entries where no value is an exact zero, without a copy.
         Raises :class:`NumericalFailureError` naming the first entry, in
         insertion order, whose value is not finite."""
         if not all(map(cmath.isfinite, entries.values())):
             p, v = next((p, v) for p, v in entries.items() if not cmath.isfinite(v))
             raise NumericalFailureError(f"{what} value {v!r} at {p!r} is not finite")
+        if not all(entries.values()):
+            entries = {p: v for p, v in entries.items() if v != 0}
         f = object.__new__(cls)  # frozen: the fields are set past __setattr__
-        kept = MappingProxyType({p: v for p, v in entries.items() if v != 0})
-        vars(f).update(dim=dim, entries=kept, _luxemburg={})
+        vars(f).update(dim=dim, entries=MappingProxyType(entries), _luxemburg={})
         return f
 
     @classmethod
@@ -144,9 +147,6 @@ class FinSuppFn:
 
     def support(self) -> list[Point]:
         return sorted(self.entries)
-
-    def max_abs(self) -> float:
-        return max((abs(v) for v in self.entries.values()), default=0.0)
 
     def magnitudes(self) -> np.ndarray:
         """|f(s)| over the support in insertion order, equal to ``abs(complex)``

@@ -61,10 +61,11 @@ magnitudes are then one array pass over all their points, and the norms
 one batch. Its bits are those of
 ``luxemburg_norm(Phi, apply_weight(f, omega))``, and an overflowing
 product raises the error :func:`apply_weight` raises. The Orlicz kind
-goes through :func:`apply_weight`. The scans' convolution tops form the
-same magnitudes of omega * (f*g) off the convolution kernel
-(``algebra._convolution_magnitudes``) and pass every distinct top of a
-radius to :func:`_luxemburg_norms` at once. The weighted L1 norm sums
+goes through :func:`apply_weight`. The scans' convolution tops are the
+functions ``algebra.convolve`` returns: every distinct top of a radius
+goes through one :func:`_weighted_magnitudes` pass and one
+:func:`_luxemburg_norms` batch (``algebra._convolution_norms``), unmemoised
+since each top is measured once. The weighted L1 norm sums
 |f(s)| omega(s) with ``math.fsum`` and raises where that passes the
 float range; so does the Hölder check's sum |f g|.
 """

@@ -25,6 +25,7 @@ import cmath
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -492,14 +493,23 @@ def reciprocal_summability(
     beta*q > d overrides the heuristics; everything else is decided by
     :func:`shell_series_verdict` on the shell terms
     |shell(n)| * Psi(alpha / omega_radial(n)).
+
+    Raises :class:`NumericalFailureError` naming d where a shell count
+    passes the float range. The largest count, at n_max, is at least
+    2 (2 n_max + 1)^(d-1), so that is decided before any count is built.
     """
     if alpha <= 0:
         raise InvalidInputError(f"alpha must be positive, got {alpha!r}")
     if n_max < 1:
         raise InvalidInputError(f"n_max must be >= 1, got {n_max!r}")
-    terms = [
-        shell_count(n, dim) * psi(alpha / omega.radial(n)) for n in range(0, n_max + 1)
-    ]
+    too_many = f"shell counts of Z^d up to radius {n_max} pass the float range at d = {dim}"
+    if math.log(2.0) + (dim - 1) * math.log(2 * n_max + 1) > math.log(sys.float_info.max):
+        raise NumericalFailureError(too_many)
+    try:
+        counts = [float(shell_count(n, dim)) for n in range(0, n_max + 1)]
+    except OverflowError:
+        raise NumericalFailureError(too_many) from None
+    terms = [c * psi(alpha / omega.radial(n)) for n, c in enumerate(counts)]
     partial = math.fsum(terms)
     if omega.family == "polynomial" and psi.label == "power":
         beta = float(omega.params["beta"])

@@ -156,11 +156,17 @@ def test_convolve_bit_identical_to_loop_at_int64_ends():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_convolve_bit_identical_to_loop_on_scan_pools(dim):
     # every key and every bit of both parts, and the pairing of D(f*g)
-    # with h too
+    # with h too, for each distinct pair: a symmetric candidate's /flipped
+    # pair is its /same pair, the same objects (drawn holds them alive, so
+    # no id is reused)
     d = Derivation.with_ball_window(Homomorphism((1.0, -0.5, 0.25)[:dim]), dim, 1)
     for r in range(1, 21):
         h = random_finsupp(dim, r, seeded_rng(25, dim, r))
-        for kind, f, g in scan_pairs(dim, r, 3, 26):
+        drawn = list(scan_pairs(dim, r, 3, 26))
+        distinct = {}
+        for kind, f, g in drawn:
+            distinct.setdefault((id(f), id(g)), (kind, f, g))
+        for kind, f, g in distinct.values():
             if len(f) * len(g) > algebra.MAX_CONV_OPS:
                 with pytest.raises(ResourceLimitError):
                     convolve(f, g)
@@ -727,7 +733,7 @@ def test_scan_tops_bit_identical_to_building_each_top(dim, radius, spec):
 def test_scan_tops_measure_each_distinct_pair_once():
     # the ball, half-ball and inverse-weight candidates equal their flip, so
     # their /flipped top is their /same top: a radius of the benchmark's
-    # d = 1 submult scan reads the magnitudes of each distinct pair once,
+    # d = 1 submult scan convolves each distinct pair once,
     # and the rows, argmax labels included (/flipped, drawn first, wins a
     # tie), are those of building and measuring every top
     pair, omega = pair_from_spec({"family": "power", "p": 1.5}), polynomial_weight(0.7)
@@ -748,10 +754,10 @@ def test_scan_tops_measure_each_distinct_pair_once():
 
     distinct, symmetric = distinct_pairs(omega)
     assert symmetric == {"ball-indicator", "half-ball-indicator", "inverse-weight-profile"}
-    magnitudes = mock.Mock(wraps=algebra._convolution_magnitudes)
-    with mock.patch.object(algebra, "_convolution_magnitudes", magnitudes):
+    tops = mock.Mock(wraps=algebra.convolve)
+    with mock.patch.object(algebra, "convolve", tops):
         rep = submult_estimate(ctx, radius, trials, seed)
-    assert magnitudes.call_count == distinct
+    assert tops.call_count == distinct
     (_, _, loop), = [s for s in algebra_scans(pair, omega, 1, radius, trials, seed)
                      if s[0] == "submult_estimate"]
     assert repr(rep.per_radius) == repr(loop())
@@ -844,15 +850,15 @@ def test_symmetric_candidates_are_their_own_flip(dim, radius, coeffs):
 
 
 def test_each_convolution_top_makes_one_route_decision():
-    # a top asks the route once (algebra._takes_box), whether it is read off
-    # the box or takes the loop, and so does convolve
+    # a top is one convolve call, which asks the route once
+    # (algebra._takes_box), whether it takes the box or the loop
     pair, omega = pair_from_spec({"family": "power", "p": 1.5}), polynomial_weight(0.7)
     ctx = AlgebraContext(pair, omega, 1)
     spies = {name: mock.Mock(wraps=getattr(algebra, name))
-             for name in ("_takes_box", "_convolution_magnitudes", "_convolve_loop")}
+             for name in ("_takes_box", "convolve", "_convolve_loop")}
     with mock.patch.multiple(algebra, **spies):
         submult_estimate(ctx, 48, 8, 1007)
-    tops, loops = spies["_convolution_magnitudes"].call_count, spies["_convolve_loop"].call_count
+    tops, loops = spies["convolve"].call_count, spies["_convolve_loop"].call_count
     assert 0 < loops < tops
     assert spies["_takes_box"].call_count == tops
     # convolve on the loop, the box, a box it refuses and a point past int64
@@ -907,14 +913,7 @@ def test_scan_tops_bit_identical_at_int64_ends(dim):
     def draw(dim, r, trials, seed, omega=None, xi=None):
         return [(f"end[{i}]", f, g) for i, (f, g) in enumerate(pairs)]
 
-    # the first three are read off the box, the others build f*g as
-    # convolve builds it (the loop, or the function read off the box)
     omega = polynomial_weight(0.4)
-    for i, (f, g) in enumerate(pairs):
-        with mock.patch.object(algebra, "_box_function", wraps=algebra._box_function) as box, \
-                mock.patch.object(algebra, "_convolve_loop", wraps=algebra._convolve_loop) as loop:
-            algebra._convolution_magnitudes(f, g, omega)
-        assert (box.called or loop.called) == (i >= 3), i
     pair = pair_from_spec({"family": "power", "p": 1.5})
     assert_convolution_tops_match(pair, omega, pairs)
     with mock.patch.object(algebra, "scan_pairs", draw):

@@ -227,6 +227,18 @@ def test_weight_constructor_overflow_names_family_exit_1():
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("dim", ["83", "1000000000"])
+def test_classify_shell_counts_past_the_float_range_exit_1(dim):
+    # the p > 2 summability probe's shell counts pass the float range: once
+    # a raw OverflowError at d = 83, and at d = 10**9 a hang building 3^d
+    r = run_cli("classify", "--p", "3", "--weight",
+                '{"family":"subexp_alpha","alpha":0.5,"C":1}', "--dim", dim, timeout=60)
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert r.stderr == f"numerical failure: shell counts of Z^d up to radius 3000 pass the " \
+                       f"float range at d = {dim}\n"
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("weight, radius", [
     ('{"family":"subexp_alpha","alpha":1,"C":800}', 1),  # e^800
     ('{"family":"polynomial","beta":400}', 5),  # 6^400

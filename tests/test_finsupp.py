@@ -63,6 +63,23 @@ def test_values_stay_python_complex():
     assert [v.real.hex() for _, v in f.abs()] == [abs(v).hex() for _, v in f]
 
 
+def test_computed_door_keeps_the_producers_entries():
+    # the internal door keeps a dict with no exact zero as it is handed
+    # over (entries, order, Python complex values), drops 0j and -0.0+0j
+    # wherever they stand, and names the first non-finite value
+    src = {(3,): 1 + 2j, (-1,): -0.5 + 0j, (7,): 5e-324j, (0,): complex(2.0, -0.0)}
+    f = FinSuppFn._computed(1, dict(src), "test")
+    assert list(f.entries.items()) == list(src.items())
+    assert {type(v) for _, v in f} == {complex}
+    assert [v.imag.hex() for _, v in f] == [v.imag.hex() for v in src.values()]
+    zeros = {(5,): 0j, **src, (6,): complex(-0.0, 0.0), (8,): complex(0.0, -0.0)}
+    g = FinSuppFn._computed(1, zeros, "test")
+    assert list(g.entries.items()) == list(src.items())
+    bad = {(0,): 1 + 0j, (3,): complex(math.nan, 0.0), (4,): complex(math.inf, 0.0), (5,): 0j}
+    with pytest.raises(NumericalFailureError, match=r"^test value \(nan\+0j\) at \(3,\) is not finite$"):
+        FinSuppFn._computed(1, bad, "test")
+
+
 @pytest.mark.parametrize("raw, point", [
     ((3, -4), (3, -4)), (7, (7,)), ([2.0, -1], (2, -1)), (("5", 0), (5, 0)), (np.int64(4), (4,)),
     ("12", (12,)), ("-3", (-3,)),  # a string is one coordinate
@@ -95,7 +112,6 @@ def test_arithmetic():
     prod = f.pointwise_mul(g)
     assert prod.support() == [(1,)] and prod[(1,)] == -4.0
     assert f.abs()[(1,)] == 2.0
-    assert f.max_abs() == 2.0
 
 
 def test_dim_mismatch_rejected():

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import pytest
 
 from conftest import seeded_rng
+from orliczlat import weights
+from orliczlat.amenability import Verdict, classify
 from orliczlat.errors import InvalidInputError, NumericalFailureError, ResourceLimitError
 from orliczlat.weights import (
     ball,
@@ -239,6 +242,25 @@ def test_reciprocal_summability_polynomial_exact_rule():
     assert r.verdict == "converges" and r.method == "exact-power-polynomial"
     r = reciprocal_summability(polynomial_weight(0.2), q15, 1.0, 2000, 1)
     assert r.verdict == "diverges"
+
+
+def test_reciprocal_summability_refuses_shell_counts_past_the_float_range():
+    # classify's probe runs to radius 3000, whose shell count 6001^d - 5999^d
+    # passes the float range at d = 83: a numerical failure naming d, decided
+    # there and at d = 10**9 from the bound 2 * 6001^(d-1) before any count
+    # is built (building 3^(10**9) alone would take minutes)
+    spec = {"family": "subexp_alpha", "alpha": 0.5, "C": 1}
+    assert classify(3, spec, 82).verdict == Verdict.UNDECIDED
+    for d in (83, 10**9):
+        with mock.patch.object(weights, "shell_count", side_effect=AssertionError("built")), \
+                pytest.raises(NumericalFailureError, match=f"pass the float range at d = {d}$"):
+            classify(3, spec, d)
+    # at radius 3 and d = 365 the bound 2 * 7^364 is a float and the count
+    # 7^365 - 5^365 is not: it is built, and refused the same way
+    psi = young_from_spec({"family": "power", "p": 1.5})
+    assert 2 * 7.0**364 < math.inf and shell_count(3, 364) < 2**1024 <= shell_count(3, 365)
+    with pytest.raises(NumericalFailureError, match="pass the float range at d = 365$"):
+        reciprocal_summability(subexp_alpha_weight(0.5, 1.0), psi, 1.0, 3, 365)
 
 
 def test_reciprocal_summability_exact_rule_grid():

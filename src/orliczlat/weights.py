@@ -16,7 +16,8 @@ they satisfy the inequality with C = 1:
 Summability of 1/omega in an Orlicz space drives the algebra and
 weak-amenability criteria; :func:`reciprocal_summability` renders a
 three-way verdict (converges / diverges / inconclusive) because only the
-polynomial-weight power-function case has an exact test (beta*q > d).
+power-function cases have an exact test: beta*q > d for the polynomial
+weight, and convergence in every d for the two subexponential weights.
 """
 
 from __future__ import annotations
@@ -489,8 +490,11 @@ def reciprocal_summability(
 ) -> SeriesReport:
     """Verdict on sum over Z^d of Psi(alpha / omega(s)) via shell partial sums.
 
-    For the polynomial weight against the power scale the exact criterion
-    beta*q > d overrides the heuristics; everything else is decided by
+    Against the power scale two exact rules override the heuristics: the
+    criterion beta*q > d for the polynomial weight, and convergence in
+    every d for the subexponential weights, which outgrow every polynomial
+    (|shell(n)| (alpha / omega(n))^q / q is n^(d-1) times a factor that
+    decays faster than any power of n). Everything else is decided by
     :func:`shell_series_verdict` on the shell terms
     |shell(n)| * Psi(alpha / omega_radial(n)).
 
@@ -531,4 +535,12 @@ def reciprocal_summability(
             detail=f"beta*q={beta * q:g} <= d={dim}",
         )
     report = shell_series_verdict(terms[1:])
+    if omega.family in ("subexp_alpha", "subexp_log") and psi.label == "power":
+        return SeriesReport(
+            "converges",
+            partial,
+            report.estimate,
+            "exact-power-subexponential",
+            detail=f"{omega.describe()} outgrows every polynomial",
+        )
     return SeriesReport(report.verdict, partial, report.estimate, report.method, report.detail)

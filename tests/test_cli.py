@@ -227,6 +227,16 @@ def test_weight_constructor_overflow_names_family_exit_1():
     assert "Traceback" not in r.stderr
 
 
+def test_classify_subexponential_in_high_dimension():
+    # the shell-series heuristic read 'diverges' here, at radius 3000, for a
+    # series that converges in every d: the exact rule decides it
+    r = run_cli("classify", "--p", "3", "--weight",
+                '{"family":"subexp_alpha","alpha":0.5,"C":1}', "--dim", "50")
+    assert r.returncode == 0, r.stdout + r.stderr
+    rows = [line for line in r.stdout.splitlines() if line.startswith("p=")]
+    assert len(rows) == 1 and "NotWeaklyAmenable" in rows[0], r.stdout
+
+
 @pytest.mark.parametrize("dim", ["83", "1000000000"])
 def test_classify_shell_counts_past_the_float_range_exit_1(dim):
     # the p > 2 summability probe's shell counts pass the float range: once

@@ -4,13 +4,15 @@ conjugate: (cosh x - 1)^2, (e^x - x - 1)^2, x^2 ln(1+x) and e^{x^2} - 1.
 The oracle conjugate solves Phi'(x) = y for the maximiser (the oracle
 Psi'(y)) in 50-digit arithmetic and returns x y - Phi(x); the oracle
 Luxemburg norm solves sum Phi(|f(s)| / k) = 1 for k the same way, under
-Phi and under the oracle conjugate. The power modular is summed in 60-digit
-arithmetic to pin the rounding bound that sizes its Luxemburg root window.
+Phi and under the oracle conjugate. The modular and the Orlicz constraint of
+every catalog member are summed in 60-digit arithmetic to pin the rounding
+bounds that size their root windows.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
@@ -20,17 +22,42 @@ from conftest import extreme_functions, scan_pool
 from orliczlat import norms
 from orliczlat.finsupp import FinSuppFn
 from orliczlat.norms import luxemburg_norm
+from orliczlat.sampling import random_finsupp, rng_for
+from orliczlat.verify import BATTERY_SEED
 from orliczlat.young import catalog, pair_from_spec, young_from_spec
+
+
+def _series(x, coef):
+    """sum coef(k) x^k for k >= 2: the forms below near 0, where the closed
+    ones cancel (x < 0.01, so 46 terms pass 60 digits)."""
+    return mp.fsum(coef(k) * x**k for k in range(2, 48))
+
+
+def coshm1(x):
+    return 2 * mp.sinh(x / 2) ** 2
+
+
+def expm1mx(x):
+    if x < mp.mpf("0.01"):
+        return _series(x, lambda k: 1 / mp.factorial(k))
+    return mp.expm1(x) - x
+
+
+def entropy(x):
+    if x < mp.mpf("0.01"):
+        return _series(x, lambda k: (-1) ** k / (k * (k - 1)))
+    return (1 + x) * mp.log1p(x) - x
+
 
 # (family, p) -> (Phi, Phi') in mpmath arithmetic.
 MEMBERS = {
     ("cosh", 2.0): (
-        lambda x: (mp.cosh(x) - 1) ** 2,
-        lambda x: 2 * (mp.cosh(x) - 1) * mp.sinh(x),
+        lambda x: coshm1(x) ** 2,
+        lambda x: 2 * coshm1(x) * mp.sinh(x),
     ),
     ("exp_taylor", 2.0): (
-        lambda x: (mp.exp(x) - x - 1) ** 2,
-        lambda x: 2 * (mp.exp(x) - x - 1) * (mp.exp(x) - 1),
+        lambda x: expm1mx(x) ** 2,
+        lambda x: 2 * expm1mx(x) * mp.expm1(x),
     ),
     ("square_log", 1.0): (
         lambda x: x * x * mp.log1p(x),
@@ -135,7 +162,7 @@ def test_luxemburg_norms_match_mpmath(key):
 
 def test_power_modular_within_its_error_bound():
     # the Luxemburg root window certifies a side once the computed modular
-    # clears 1 by norms._modular_margin(Phi) = 4 eps, where for x^p/p the
+    # clears 1 by norms._modular_margin(Phi, n) = 4 eps, where for x^p/p the
     # relative error against the exact sum at the same float k is claimed
     # below eps = (p + 4) 2**-53 (the comment above norms.MARGIN). Checked at
     # the root k of each support (the search runs on |f| / 2**e) and at the
@@ -156,13 +183,187 @@ def test_power_modular_within_its_error_bound():
         exact_mags = [[mp.mpf(a) for a in mags.tolist()] for mags in scaled]
         for p in (1.0625, 1.5, 2.0, 3.0, 7.0, 30.0, 40.0):
             phi = young_from_spec({"family": "power", "p": p})
-            margin = norms._modular_margin(phi)
             for mags, exact_m, k in zip(scaled, exact_mags, norms._luxemburg_norms(phi, scaled)):
+                margin = norms._modular_margin(phi, len(mags))
                 for t in (k, k * (1.0 - 10.0 * margin), k * (1.0 + 10.0 * margin)):
                     got = norms._modular(phi, mags / t)
                     exact = mp.fsum((a / t) ** p for a in exact_m) / p
                     err = abs(got - exact) / exact
                     assert err <= margin / 4, (p, mags.tolist(), t, float(err / (margin / 4)))
+
+
+# (label, p) -> (Phi, Phi') of the closed-form catalog members besides x^p/p
+CLOSED = {
+    ("cosh", 1.0): (coshm1, mp.sinh),
+    ("cosh-conj", None): (lambda y: y * mp.asinh(y) - y * y / (1 + mp.sqrt(1 + y * y)), mp.asinh),
+    ("entropy", None): (entropy, mp.log1p),
+    ("exp_taylor", 1.0): (expm1mx, mp.expm1),
+    **MEMBERS,
+}
+
+
+def mp_argmax_near(dphi, y, x0):
+    """The root of Phi'(x) = y from the float maximiser x0: a bracket of
+    x0 (1 -+ 1e-6), widened until it holds the root, closed by regula falsi
+    (Illinois) to 1e-45 relative."""
+    lo, hi = x0 * (1 - mp.mpf("1e-6")), x0 * (1 + mp.mpf("1e-6"))
+    while dphi(lo) > y:
+        lo /= 2
+    while dphi(hi) < y:
+        hi *= 2
+    while hi > 2 * lo:
+        mid = mp.sqrt(lo * hi)
+        lo, hi = (mid, hi) if dphi(mid) < y else (lo, mid)
+    f_lo, f_hi, side = dphi(lo) - y, dphi(hi) - y, 0
+    while hi - lo > mp.mpf("1e-45") * hi:
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:  # a step that stalls on an end halves instead
+            x = (lo + hi) / 2
+        fx = dphi(x) - y
+        if fx == 0:
+            return x
+        if fx < 0:
+            lo, f_lo, f_hi, side = x, fx, f_hi / 2 if side < 0 else f_hi, -1
+        else:
+            hi, f_hi, f_lo, side = x, fx, f_lo / 2 if side > 0 else f_lo, 1
+    return (lo + hi) / 2
+
+
+def oracle_terms(young):
+    """(modular term, constraint term) of a catalog member in mpmath: Phi(x)
+    and x Phi'(x) - Phi(x); for a numeric conjugate Psi(y) = x y - Phi(x)
+    and Phi(x) at the maximiser x, found from the float one."""
+    key = (young.label, young.params.get("p"))
+    if young.label.startswith("conj["):
+        phi, dphi = next(
+            MEMBERS[k] for k, pair in numeric_pairs().items() if pair.psi.label == young.label
+        )
+
+        def argmax(y):
+            return mp_argmax_near(dphi, y, mp.mpf(young.d(float(y)) or 1e-300))
+
+        def conjugate(y):
+            x = argmax(y)
+            return x * y - phi(x)
+
+        return conjugate, (lambda y: phi(argmax(y)))
+    if young.label == "power":
+        p = mp.mpf(key[1])
+        phi, dphi = (lambda x: x**p / p), (lambda x: x ** (p - 1))
+    else:
+        phi, dphi = CLOSED[key]
+    return phi, (lambda x: x * dphi(x) - phi(x))
+
+
+def battery_functions():
+    """The random functions of verify's norm-sandwich and Hölder checks."""
+    fs = [
+        random_finsupp(dim=1 + t % 2, radius=6, rng=rng_for(BATTERY_SEED, 1, t), max_support=12)
+        for t in range(50)
+    ]
+    for t in range(25):
+        rng = rng_for(BATTERY_SEED, 2, t)
+        fs += [random_finsupp(dim=1, radius=5, rng=rng, max_support=10) for _ in range(2)]
+    return fs
+
+
+SUBNORMAL = [
+    FinSuppFn(1, {(0,): 5e-324, (1,): 5e-324, (4,): 1e-310j}),
+    FinSuppFn(1, {(0,): 1.0, (1,): 3e-310, (2,): 0.5 - 2e-320j}),
+    FinSuppFn(1, {(0,): 2.2e-308, (1,): 1e-308, (2,): 4e-309, (3,): 7e-315}),
+]
+
+
+def scaled_supports(numeric: bool) -> list[np.ndarray]:
+    """|f| / 2**e, as the searches see it, for every f with two entries or
+    more of the battery, a scan pool (smaller where each term is an
+    optimiser solve), the extremes, the subnormals and constant supports of
+    2 to 399 entries: n equal terms err alike, which shows a cancelling
+    form's growth with n and each form's worst rounding at many abscissae."""
+    scans = scan_pool(1, 16, 2, 101) + scan_pool(2, 4, 2, 101) if numeric else (
+        scan_pool(1, 48, 8, 101) + scan_pool(2, 8, 2, 101)
+    )
+    pool = battery_functions() + scans + extreme_functions() + SUBNORMAL
+    pool += [FinSuppFn(1, {(i,): 1.5 for i in range(n)}) for n in range(2, 400)]
+    scaled = []
+    for f in pool:
+        if len(f) > 1:  # an atom has no windowed root
+            mags = f.magnitudes()
+            scaled.append(np.ldexp(mags, -math.frexp(float(mags.max()))[1]))
+    return scaled
+
+
+def relative_error(got, term, mags, t):
+    """|got - exact| / exact for the exact sum of term(a / t) over the
+    magnitudes, each distinct one evaluated once; a magnitude that the
+    scaling took to 0 adds term(0) = 0."""
+    counts = Counter(mags.tolist())
+    exact = mp.fsum(c * term(mp.mpf(a) / t) for a, c in counts.items() if a)
+    return abs(got - exact) / exact
+
+
+def catalog_members():
+    """Every Young function of the catalog pairs, once each."""
+    return list({y.describe(): y for pair in catalog() for y in (pair.phi, pair.psi)}.values())
+
+
+def ids(members):
+    return [y.describe() for y in members]
+
+
+MODULAR_PINNED = [
+    y for y in catalog_members() if (y.label, y.params.get("p")) in norms._MODULAR_EPS
+]
+CONSTRAINT_PINNED = [
+    y for y in catalog_members()
+    if y.label == "power" or (y.label, y.params.get("p")) in norms._CONSTRAINT_EPS
+] + [young_from_spec({"family": "power", "p": p}) for p in (1.0625, 7.0, 40.0)]
+
+
+def test_margins_cover_the_catalog():
+    # every catalog member has a derived modular bound, and a constraint
+    # bound but for the three numeric conjugates the comment above MARGIN names
+    members = catalog_members()
+    assert {y.describe() for y in members} - set(ids(MODULAR_PINNED)) == {
+        "power(p=1.5)", "power(p=2)", "power(p=3)"
+    }
+    assert set(ids(members)) - set(ids(CONSTRAINT_PINNED)) == {
+        "conj[cosh(p=2)]", "conj[exp_taylor(p=2)]", "conj[exp_power(p=2)]"
+    }
+    for y in members:
+        assert norms._modular_margin(y, 2) < norms.MARGIN, y.describe()
+
+
+@pytest.mark.parametrize("young", MODULAR_PINNED, ids=ids(MODULAR_PINNED))
+def test_modular_within_its_error_bound(young):
+    # the window's margin norms._modular_margin(Phi, n) = 4 eps, with the eps
+    # of the comment above norms.MARGIN: checked at the root k of each
+    # support and at the window's ends, as the power modular's is
+    term = oracle_terms(young)[0]
+    scaled = scaled_supports(young.label.startswith("conj["))
+    with mp.workdps(60):
+        for mags, k in zip(scaled, norms._luxemburg_norms(young, scaled)):
+            margin = norms._modular_margin(young, len(mags))
+            for t in (k, k * (1.0 - 10.0 * margin), k * (1.0 + 10.0 * margin)):
+                err = relative_error(norms._modular(young, mags / t), term, mags, t)
+                assert err <= margin / 4, (len(mags), mags[:4].tolist(), t, float(err / margin))
+
+
+@pytest.mark.parametrize("young", CONSTRAINT_PINNED, ids=ids(CONSTRAINT_PINNED))
+def test_constraint_within_its_error_bound(young):
+    # the Orlicz multiplier's margin norms._constraint_margin(Phi, n) = 4 eps,
+    # checked at the multiplier t of each support and at the window's ends
+    # against the exact sum of x Phi'(x) - Phi(x), x = |f| / t
+    term = oracle_terms(young)[1]
+    with mp.workdps(60):
+        for mags in scaled_supports(young.label.startswith("conj[")):
+            quotients = mags.tolist()
+            t = norms._multiplier(young, quotients, max(quotients))
+            margin = norms._constraint_margin(young, len(mags))
+            for s in (t, t * (1.0 - 10.0 * margin), t * (1.0 + 10.0 * margin)):
+                got = norms._dual_constraint(young, quotients, s)
+                err = relative_error(got, term, mags, s)
+                assert err <= margin / 4, (len(mags), quotients[:4], s, float(err / margin))
 
 
 def test_cosh_conjugate_matches_mpmath_past_the_square_overflow():

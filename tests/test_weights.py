@@ -250,7 +250,7 @@ def test_reciprocal_summability_refuses_shell_counts_past_the_float_range():
     # there and at d = 10**9 from the bound 2 * 6001^(d-1) before any count
     # is built (building 3^(10**9) alone would take minutes)
     spec = {"family": "subexp_alpha", "alpha": 0.5, "C": 1}
-    assert classify(3, spec, 82).verdict == Verdict.UNDECIDED
+    assert classify(3, spec, 82).verdict == Verdict.NOT_WEAKLY_AMENABLE
     for d in (83, 10**9):
         with mock.patch.object(weights, "shell_count", side_effect=AssertionError("built")), \
                 pytest.raises(NumericalFailureError, match=f"pass the float range at d = {d}$"):
@@ -270,6 +270,26 @@ def test_reciprocal_summability_exact_rule_grid():
                 psi = young_from_spec({"family": "power", "p": q})
                 r = reciprocal_summability(polynomial_weight(beta), psi, 1.0, 400, d)
                 assert r.verdict == ("converges" if beta * q > d else "diverges")
+
+
+def test_reciprocal_summability_subexponential_exact_rule():
+    # against the power scale a subexponential weight makes the shell series
+    # converge in every d; at radius 3000 the heuristic read 'inconclusive'
+    # at d = 26 and 'diverges' from d = 27 for subexp_alpha(0.5, 1), and
+    # 'diverges' from d = 2 for subexp_log(3, 0.5)
+    psi = young_from_spec({"family": "power", "p": 1.5})
+    for omega in (subexp_alpha_weight(0.5, 1.0), subexp_log_weight(3.0, 0.5)):
+        for d in (1, 2, 26, 27, 50, 82):
+            r = reciprocal_summability(omega, psi, 1.0, 3000, d)
+            assert (r.verdict, r.method) == ("converges", "exact-power-subexponential"), (
+                omega.describe(), d
+            )
+            assert r.detail == f"{omega.describe()} outgrows every polynomial"
+    spec = {"family": "subexp_alpha", "alpha": 0.5, "C": 1}
+    for d in (25, 26, 27, 50):
+        got = classify(3, spec, d)
+        assert got.verdict == Verdict.NOT_WEAKLY_AMENABLE, d
+        assert got.evidence[-1].startswith("reciprocal weight q-summable"), d
 
 
 def test_reciprocal_summability_subexponential_converges(catalog_pairs):

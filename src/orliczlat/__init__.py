@@ -17,13 +17,12 @@ from .young import (
     catalog,
     catalog_ids,
     conjugate,
-    delta2_estimate,
+    find_strong_equiv_constants,
     from_density,
     inverse,
     make_pair,
     pair_from_spec,
     sqrt_transform,
-    strong_equiv_check,
     young_from_spec,
 )
 from .finsupp import FinSuppFn
@@ -31,7 +30,6 @@ from .norms import holder_check, luxemburg_norm, modular, orlicz_norm, weighted_
 from .weights import (
     Weight,
     ball,
-    make_weight,
     reciprocal_summability,
     shell_count,
     submult_constant,
@@ -39,7 +37,7 @@ from .weights import (
     weight_from_spec,
     word_length,
 )
-from .algebra import AlgebraContext, convolve, flip
+from .algebra import AlgebraContext, convolve
 from .amenability import ClassificationResult, Homomorphism, classify
 
 __version__ = "0.1.0"
@@ -60,8 +58,7 @@ __all__ = [
     "pair_from_spec",
     "young_from_spec",
     "from_density",
-    "delta2_estimate",
-    "strong_equiv_check",
+    "find_strong_equiv_constants",
     "sqrt_transform",
     "modular",
     "luxemburg_norm",
@@ -71,13 +68,11 @@ __all__ = [
     "word_length",
     "ball",
     "shell_count",
-    "make_weight",
     "weight_from_spec",
     "submult_constant",
     "uv_decomposition_check",
     "reciprocal_summability",
     "convolve",
-    "flip",
     "classify",
     "__version__",
 ]

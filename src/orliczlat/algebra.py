@@ -48,7 +48,6 @@ from .young import ComplementaryPair, YoungFunction, numeric_conjugate, sqrt_tra
 
 __all__ = [
     "convolve",
-    "flip",
     "AlgebraContext",
     "ScanReport",
     "classify_trend",
@@ -219,9 +218,6 @@ def _convolve_loop(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
             key = tuple(map(operator.add, p, q))
             out[key] = get(key, 0j) + a * b
     return FinSuppFn._computed(f.dim, out, "convolution")
-
-
-flip = FinSuppFn.flip
 
 
 @dataclass(frozen=True, eq=False)

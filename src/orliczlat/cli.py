@@ -280,6 +280,15 @@ def _csv(convert):
     return lambda text, what: _as_list([v for v in text.split(",") if v], convert, what)
 
 
+def _coefficient(text: str) -> float | str:
+    """An ``--xi`` item as a config gives it: a float, else complex text (``0.5j``)."""
+    try:
+        return float(text)
+    except ValueError:
+        complex(text)
+        return text
+
+
 def _json_objects(texts: list[str], what: str) -> list[dict]:
     return [_parse_json_flag(t, what) for t in texts]
 
@@ -349,7 +358,7 @@ _COMMANDS = {
         _Flag("--radii", "radii", _csv(as_int), {"help": "comma-separated radii"}),
         _TRIALS,
         _Flag("--window-radius", "window_radius", _INT),
-        _Flag("--xi", "xi", _csv(float), {"help": "comma-separated coefficients"}),
+        _Flag("--xi", "xi", _csv(_coefficient), {"help": "comma-separated coefficients"}),
     )),
     "verify": _Command(_cmd_verify, "run the catalog invariant battery", (
         _Flag("--families", "families", _csv(str), {"help": "comma-separated family filter"}),

@@ -44,7 +44,6 @@ __all__ = [
     "Weight",
     "Homomorphism",
     "DampedHomomorphism",
-    "make_weight",
     "weight_from_spec",
     "polynomial_weight",
     "subexp_alpha_weight",
@@ -330,10 +329,6 @@ _WEIGHT_FAMILIES: dict[str, Callable[..., Weight]] = {
     "subexp_alpha": subexp_alpha_weight,
     "subexp_log": subexp_log_weight,
 }
-
-
-def make_weight(family: str, **params: float) -> Weight:
-    return from_spec("weight", _WEIGHT_FAMILIES, {"family": family, **params})
 
 
 def weight_from_spec(spec: Mapping[str, object]) -> Weight:

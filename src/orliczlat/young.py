@@ -43,8 +43,6 @@ __all__ = [
     "make_pair",
     "numeric_conjugate",
     "from_density",
-    "delta2_estimate",
-    "strong_equiv_check",
     "find_strong_equiv_constants",
     "sqrt_transform",
     "catalog",
@@ -573,36 +571,6 @@ def from_density(
     return pair
 
 
-def delta2_estimate(phi: YoungFunction, x_max: float) -> float:
-    """Sup of Phi(2x)/Phi(x) over a log grid in (0, x_max], 24 points per decade.
-
-    Returns the sup when it has stabilised (relative growth below 1e-3 over
-    the last decade of the grid), else ``math.inf`` as the unbounded flag.
-    """
-    if x_max <= 0:
-        raise InvalidInputError("x_max must be positive")
-    lo = min(1e-8, x_max * 1e-10)
-    decades = math.log10(x_max / lo)
-    n = max(16, int(decades * 24))
-    xs = np.geomspace(lo, x_max, n)
-    sup_head = 0.0
-    sup_all = 0.0
-    cutoff = x_max / 10.0
-    for x in xs:
-        fx = phi(float(x))
-        if fx == 0.0:
-            continue
-        r = phi(float(2 * x)) / fx
-        if math.isinf(r):
-            return math.inf
-        sup_all = max(sup_all, r)
-        if x <= cutoff:
-            sup_head = max(sup_head, r)
-    if sup_head > 0.0 and sup_all <= sup_head * (1.0 + 1e-3):
-        return sup_all
-    return math.inf
-
-
 def _below(phi1: YoungFunction, phi2: YoungFunction, c: float, xs: Sequence[float]) -> bool:
     """Phi1(c*x) <= Phi2(x) for every grid x, up to a relative 1e-12."""
     return all(phi1(c * x) <= phi2(x) * (1.0 + 1e-12) + 1e-300 for x in xs)
@@ -613,28 +581,17 @@ def _above(phi1: YoungFunction, phi2: YoungFunction, c: float, xs: Sequence[floa
     return all(phi2(x) <= phi1(c * x) * (1.0 + 1e-12) + 1e-300 for x in xs)
 
 
-def strong_equiv_check(
-    phi1: YoungFunction,
-    phi2: YoungFunction,
-    a: float,
-    b: float,
-    grid: Sequence[float],
-) -> bool:
-    """True iff Phi1(a*x) <= Phi2(x) <= Phi1(b*x) for every grid x."""
-    if not 0 < a <= b:
-        raise InvalidInputError(f"need 0 < a <= b, got a={a!r}, b={b!r}")
-    if len(grid) == 0:
-        raise InvalidInputError("empty grid")
-    return _below(phi1, phi2, a, grid) and _above(phi1, phi2, b, grid)
-
-
 def find_strong_equiv_constants(
     phi1: YoungFunction,
     phi2: YoungFunction,
     grid: Sequence[float] | None = None,
 ) -> tuple[float, float] | None:
-    """Grid-search constants (a, b) witnessing strong equivalence, or None."""
+    """Powers of two a <= b in [2^-24, 2^8], a the largest and b the smallest with
+    Phi1(a*x) <= Phi2(x) <= Phi1(b*x) on every grid x, or None. An empty grid
+    would witness any pair, so it is refused."""
     xs = list(grid) if grid is not None else default_grid(41)
+    if not xs:
+        raise InvalidInputError("empty grid")
     candidates = [2.0 ** k for k in range(-24, 9)]
     for a in reversed(candidates):
         if _below(phi1, phi2, a, xs):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import SCAN_WEIGHTS, seeded_rng
 from orliczlat import algebra, amenability
-from orliczlat.algebra import AlgebraContext, convolve, flip
+from orliczlat.algebra import AlgebraContext, convolve
 from orliczlat.amenability import (
     ChainReport,
     DampedHomomorphism,
@@ -301,7 +301,7 @@ def test_derivation_translation_covariance():
         f = random_finsupp(1, 4, rng, max_support=6)
         left = apply_derivation(d, convolve(FinSuppFn.delta(a), f))
         right = convolve(FinSuppFn.delta(-a), apply_derivation(d, f)) + convolve(
-            d.window, convolve(FinSuppFn.delta(-a), flip(f))
+            d.window, convolve(FinSuppFn.delta(-a), f.flip())
         ).scale(xi((a,)))
         assert left.support() == right.support()
         for p, v in left:

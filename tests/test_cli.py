@@ -785,6 +785,26 @@ def test_flag_and_config_key_give_identical_out_files(tmp_path, capsys, command,
     assert outs[0] == outs[1]
 
 
+def test_xi_flag_reads_complex_items_as_the_config_does(tmp_path, capsys):
+    # "--xi 1,0.5j" once exited 2 while "xi": [1.0, "0.5j"] in a config ran
+    base = {**_BASE["derivation-scan"], "dim": 2}
+    outs = []
+    for name, config, extra in (("flag", base, ["--xi", "1,0.5j"]),
+                                ("config", {**base, "xi": [1.0, "0.5j"]}, [])):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / f"{name}.out.json"
+        code = main(["derivation-scan", str(cfg), *extra, "--seed", "3",
+                     "--out", str(out), "--format", "json"])
+        assert code == 0, capsys.readouterr()
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    cfg = tmp_path / "flag.json"
+    assert main(["derivation-scan", str(cfg), "--xi", "1,abc"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --xi: cannot read 'abc'") and len(err.splitlines()) == 1
+
+
 # -- unreadable configs -----------------------------------------------------------
 
 _UNREADABLE_CONFIGS = {

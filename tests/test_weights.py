@@ -14,7 +14,6 @@ from orliczlat.weights import (
     ball,
     generic_weight,
     loglog_slope,
-    make_weight,
     polynomial_weight,
     reciprocal_summability,
     shell_count,
@@ -131,7 +130,7 @@ def test_weight_parameter_validation():
     with pytest.raises(InvalidInputError):
         subexp_log_weight(math.nan, 1.0)
     with pytest.raises(InvalidInputError):
-        make_weight("nope")
+        weight_from_spec({"family": "nope"})
     with pytest.raises(InvalidInputError):
         weight_from_spec({"beta": 1.0})
     with pytest.raises(InvalidInputError):
@@ -149,7 +148,7 @@ def test_weight_parameter_validation():
 ])
 def test_weight_makers_refuse_non_finite_parameters_by_name(family, params, named):
     with pytest.raises(InvalidInputError, match=rf"{family}.* finite {named} .*got (nan|inf)"):
-        make_weight(family, **params)
+        weight_from_spec({"family": family, **params})
 
 
 def test_weight_maker_overflow_on_a_finite_parameter_stays_numerical():

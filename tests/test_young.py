@@ -22,7 +22,6 @@ from orliczlat.young import (
     conjugate,
     conjugate_with_argmax,
     default_grid,
-    delta2_estimate,
     find_strong_equiv_constants,
     from_density,
     inverse,
@@ -30,7 +29,6 @@ from orliczlat.young import (
     numeric_conjugate,
     pair_from_spec,
     sqrt_transform,
-    strong_equiv_check,
     young_from_spec,
 )
 
@@ -404,10 +402,7 @@ def test_make_pair_cosh_strongly_equivalent_to_x_log():
         derivative=lambda x: math.log1p(x) + x / (1.0 + x),
         label="xlog1p",
     )
-    consts = find_strong_equiv_constants(pair.psi, xlog)
-    assert consts is not None
-    a, b = consts
-    assert strong_equiv_check(pair.psi, xlog, a, b, default_grid(41))
+    assert find_strong_equiv_constants(pair.psi, xlog) is not None
 
 
 def test_make_pair_entropy_closed_form():
@@ -557,33 +552,12 @@ def test_from_density_rejects_non_monotone():
         from_density(lambda y: math.sin(y) + y * 1e-3)
 
 
-# -- delta2 ------------------------------------------------------------------
-
-
-def test_delta2_power_is_two_to_p():
-    for p in (1.5, 2.0, 3.0):
-        phi = young_from_spec({"family": "power", "p": p})
-        assert delta2_estimate(phi, 100.0) == pytest.approx(2.0 ** p, rel=1e-9)
-
-
-def test_delta2_exponential_unbounded():
-    phi = young_from_spec({"family": "exp_taylor", "p": 1})
-    assert math.isinf(delta2_estimate(phi, 200.0))
-
-
-def test_delta2_square_log_finite():
-    phi = young_from_spec({"family": "square_log", "p": 1})
-    k = delta2_estimate(phi, 1000.0)
-    assert math.isfinite(k)
-    assert 4.0 <= k <= 8.0 + 1e-6
-
-
 # -- strong equivalence -------------------------------------------------------
 
 
 def test_strong_equiv_identity(entropy_pair):
-    grid = default_grid(31)
-    assert strong_equiv_check(entropy_pair.psi, entropy_pair.psi, 1.0, 1.0, grid)
+    psi = entropy_pair.psi
+    assert find_strong_equiv_constants(psi, psi, default_grid(31)) == (1.0, 1.0)
 
 
 def test_strong_equiv_half_scaling(entropy_pair):
@@ -591,23 +565,18 @@ def test_strong_equiv_half_scaling(entropy_pair):
     half = YoungFunction(
         fn=lambda x: psi(x / 2.0), derivative=lambda x: psi.d(x / 2.0) / 2.0, label="half"
     )
-    assert strong_equiv_check(psi, half, 0.5, 1.0, default_grid(31))
+    assert find_strong_equiv_constants(psi, half, default_grid(31)) == (0.5, 0.5)
 
 
 def test_strong_equiv_fails_for_different_powers():
     p2 = young_from_spec({"family": "power", "p": 2})
     p3 = young_from_spec({"family": "power", "p": 3})
-    # x^2-type vs x^3-type cannot be strongly equivalent: the ratio is
-    # unbounded along the grid for any fixed constants.
+    # x^2-type vs x^3-type cannot be strongly equivalent: a finite grid can
+    # always be sandwiched, but only by constants far apart. The finder's a
+    # is the largest and b the smallest that hold, so no pair with b/a below
+    # 2^11, such as (0.5, 2), (1, 1) or (0.1, 10), sandwiches this grid.
     grid = [float(x) for x in np.geomspace(1e-3, 1e3, 41)]
-    for a, b in ((0.5, 2.0), (1.0, 1.0), (0.1, 10.0)):
-        assert not strong_equiv_check(p2, p3, a, b, grid)
-    # a finite grid can always be sandwiched with extreme enough constants,
-    # so the helper may return a degenerate witness; it must be far from 1.
-    consts = find_strong_equiv_constants(p2, p3, grid)
-    if consts is not None:
-        a, b = consts
-        assert b / a > 1e3
+    assert find_strong_equiv_constants(p2, p3, grid) == (2.0 ** -6, 2.0 ** 5)
 
 
 def test_strong_equiv_slack_is_relative_near_zero():
@@ -616,17 +585,17 @@ def test_strong_equiv_slack_is_relative_near_zero():
     p2 = young_from_spec({"family": "power", "p": 2})
     p3 = young_from_spec({"family": "power", "p": 3})
     grid = [float(x) for x in np.geomspace(1e-9, 1e-7, 21)]
-    assert not strong_equiv_check(p2, p3, 1.0, 1.0, grid)
-    a, b = find_strong_equiv_constants(p2, p3, grid)
-    assert (a, b) == (2.0 ** -16, 2.0 ** -11)
-    assert strong_equiv_check(p2, p3, a, b, grid)
-    assert not strong_equiv_check(p2, p3, 2 * a, b, grid)
-    assert not strong_equiv_check(p2, p3, a, b / 2, grid)
+    assert find_strong_equiv_constants(p2, p3, grid) == (2.0 ** -16, 2.0 ** -11)
 
 
 def test_strong_equiv_empty_grid_rejected(entropy_pair):
-    with pytest.raises(InvalidInputError):
-        strong_equiv_check(entropy_pair.phi, entropy_pair.psi, 1.0, 1.0, [])
+    # every sandwich holds on no points at all: (256, 256) once read as a
+    # witness that x^2/2 and x^3/3 are strongly equivalent
+    p2 = young_from_spec({"family": "power", "p": 2})
+    p3 = young_from_spec({"family": "power", "p": 3})
+    for phi1, phi2 in ((p2, p3), (entropy_pair.phi, entropy_pair.psi)):
+        with pytest.raises(InvalidInputError, match="empty grid"):
+            find_strong_equiv_constants(phi1, phi2, [])
 
 
 # -- sqrt transform ----------------------------------------------------------

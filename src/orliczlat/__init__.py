@@ -28,6 +28,7 @@ from .young import (
 from .finsupp import FinSuppFn
 from .norms import holder_check, luxemburg_norm, modular, orlicz_norm, weighted_norm
 from .weights import (
+    Homomorphism,
     Weight,
     ball,
     reciprocal_summability,
@@ -38,7 +39,7 @@ from .weights import (
     word_length,
 )
 from .algebra import AlgebraContext, convolve
-from .amenability import ClassificationResult, Homomorphism, classify
+from .amenability import ClassificationResult, classify
 
 __version__ = "0.1.0"
 

@@ -44,11 +44,9 @@ from .weights import (
     slope_verdict,
     weight_from_spec,
 )
-from .young import YoungFunction, young_from_spec
+from .young import YoungFunction
 
 __all__ = [
-    "Homomorphism",
-    "DampedHomomorphism",
     "Derivation",
     "apply_derivation",
     "leibniz_check",
@@ -507,8 +505,8 @@ def classify(
     Verdicts: "NotBanachAlgebra" when the reciprocal weight fails the
     conjugate-exponent summability needed for convolution to be bounded;
     otherwise "WeaklyAmenable" or "NotWeaklyAmenable" according to whether
-    a nonzero linear form survives the weight damping; "Undecided" when a
-    heuristic summability probe cannot settle the remaining case.
+    a nonzero linear form survives the weight damping, each by a rule with
+    nothing computed; "Undecided" only for a weight family without a rule.
     """
     if not p > 1.0 or math.isinf(p):
         raise InvalidInputError(f"need 1 < p < inf, got {p!r}")
@@ -576,17 +574,6 @@ def classify(
         if p <= 2.0:
             evidence.append(sqrt_extends)
         else:
-            probe = reciprocal_summability(
-                omega, young_from_spec({"family": "power", "p": q}), 1.0, 3000, dim
-            )
-            if probe.verdict != "converges":
-                return ClassificationResult(
-                    Verdict.UNDECIDED,
-                    thresholds,
-                    evidence,
-                    params,
-                    reason=f"summability probe returned {probe.verdict!r} for p > 2",
-                )
             evidence.append(
                 "reciprocal weight q-summable (shell-series probe converges), so "
                 "the decay chain applies for p > 2"

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import AlgebraContext, submult_estimate
-from .amenability import Derivation, Homomorphism, classify, derivation_norm_scan
+from .amenability import Derivation, classify, derivation_norm_scan
 from .errors import (
     InvalidInputError,
     NumericalFailureError,
@@ -34,7 +34,7 @@ from .finsupp import FinSuppFn
 from .norms import weighted_norm
 from .reports import ReportTable, make_metadata
 from .verify import VerifyRow, run_battery
-from .weights import MAX_BALL_POINTS, ball_size, polynomial_weight, weight_from_spec
+from .weights import MAX_BALL_POINTS, Homomorphism, ball_size, polynomial_weight, weight_from_spec
 from .young import catalog, catalog_ids, conjugate, pair_from_spec
 
 EXIT_OK = 0

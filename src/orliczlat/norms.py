@@ -105,9 +105,12 @@ def _modular(phi: YoungFunction, mags: np.ndarray) -> float:
 
 
 def modular(phi: YoungFunction, f: FinSuppFn) -> float:
-    """sum of Phi(|f(s)|) over the support."""
+    """sum of Phi(|f(s)|) over the support; inf past the float range."""
     with np.errstate(over="ignore"):
-        return _modular(phi, f.magnitudes())
+        try:
+            return _modular(phi, f.magnitudes())
+        except OverflowError:  # finite terms whose sum passes the float range
+            return math.inf
 
 
 def _finite_sum(terms: list[float], message: str) -> float:
@@ -562,8 +565,9 @@ def _weighted_magnitudes(omega: Weight, fs: Sequence[FinSuppFn]) -> list[np.ndar
     :meth:`Weight.at_points` over all their points, and the products
     re*w and im*w, which equal CPython's complex times float up to signed
     zeros that ``np.hypot`` ignores. Products that underflow to 0 leave
-    the support. For an f with a product or a magnitude that is not
-    finite, this is ``apply_weight`` itself, which raises as before."""
+    the support. Where any magnitude of the batch is not finite, the
+    whole batch goes through ``apply_weight`` in order, which raises the
+    first such f's error."""
     if not fs:
         return []
     points = list(itertools.chain.from_iterable(f.entries for f in fs))
@@ -572,16 +576,14 @@ def _weighted_magnitudes(omega: Weight, fs: Sequence[FinSuppFn]) -> list[np.ndar
     vals = np.fromiter(values, dtype=complex, count=len(points))
     with np.errstate(over="ignore", invalid="ignore"):
         mags = np.hypot(vals.real * w, vals.imag * w)
+    if not np.isfinite(mags).all():
+        return [apply_weight(f, omega).magnitudes() for f in fs]
     keep = mags != 0.0
     ends = [0, *itertools.accumulate(len(f) for f in fs)]
-    # per f, its range among the kept magnitudes and its count of non-finite ones
+    # per f, its range among the kept magnitudes
     kept_at = np.concatenate(([0], np.cumsum(keep)))[ends].tolist()
-    bad_at = np.concatenate(([0], np.cumsum(~np.isfinite(mags))))[ends].tolist()
     kept = mags[keep]
-    return [
-        kept[a:b] if bad_a == bad_b else apply_weight(f, omega).magnitudes()
-        for f, a, b, bad_a, bad_b in zip(fs, kept_at, kept_at[1:], bad_at, bad_at[1:])
-    ]
+    return [kept[a:b] for a, b in zip(kept_at, kept_at[1:])]
 
 
 def _weighted_luxemburg_of(

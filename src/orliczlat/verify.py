@@ -23,7 +23,6 @@ from .young import ComplementaryPair, catalog, default_grid, young_inequality_ma
 
 __all__ = [
     "VerifyRow",
-    "young_inequality_margin",
     "inverse_sandwich_margin",
     "norm_sandwich_margin",
     "holder_margin",

@@ -443,14 +443,18 @@ def shell_series_verdict(terms: Sequence[float]) -> SeriesReport:
     tail window (the last 10 ratios) gives "converges" with a completed
     estimate; a sustained non-decaying tail gives "diverges"; otherwise a
     log-log slope fit over the last decade decides through
-    :func:`slope_verdict`.
+    :func:`slope_verdict`. Finite terms that sum past the float range
+    raise :class:`NumericalFailureError`.
     """
     ts = [float(t) for t in terms]
     if any(t < 0 or math.isnan(t) for t in ts):
         raise InvalidInputError("shell terms must be nonnegative numbers")
     if any(math.isinf(t) for t in ts):
         return SeriesReport("diverges", math.inf, None, "infinite-term")
-    partial = math.fsum(ts)
+    try:
+        partial = math.fsum(ts)
+    except OverflowError:  # finite terms whose partial sums pass the float range
+        raise NumericalFailureError("shell terms sum past the float range") from None
     if ts and ts[-1] == 0.0:
         # the tail underflowed to exact zero: the float sum is complete
         return SeriesReport("converges", partial, partial, "zero-tail")
@@ -493,9 +497,9 @@ def reciprocal_summability(
     :func:`shell_series_verdict` on the shell terms
     |shell(n)| * Psi(alpha / omega_radial(n)).
 
-    Raises :class:`NumericalFailureError` naming d where a shell count
-    passes the float range. The largest count, at n_max, is at least
-    2 (2 n_max + 1)^(d-1), so that is decided before any count is built.
+    Raises :class:`NumericalFailureError` naming d where a shell count or
+    the terms' sum passes the float range. The largest count, at n_max, is
+    at least 2 (2 n_max + 1)^(d-1), so that is decided before any count is built.
     """
     if alpha <= 0:
         raise InvalidInputError(f"alpha must be positive, got {alpha!r}")
@@ -509,7 +513,12 @@ def reciprocal_summability(
     except OverflowError:
         raise NumericalFailureError(too_many) from None
     terms = [c * psi(alpha / omega.radial(n)) for n, c in enumerate(counts)]
-    partial = math.fsum(terms)
+    try:
+        partial = math.fsum(terms)
+    except OverflowError:  # partial sums past the float range; an infinite term reads inf
+        if not any(map(math.isinf, terms)):
+            raise NumericalFailureError(f"shell terms sum past the float range at d = {dim}") from None
+        partial = math.inf
     if omega.family == "polynomial" and psi.label == "power":
         beta = float(omega.params["beta"])
         q = float(psi.params["p"])

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
@@ -17,9 +19,7 @@ from orliczlat import algebra, amenability
 from orliczlat.algebra import AlgebraContext, convolve
 from orliczlat.amenability import (
     ChainReport,
-    DampedHomomorphism,
     Derivation,
-    Homomorphism,
     apply_derivation,
     classify,
     damped_form_bounded,
@@ -43,6 +43,8 @@ from orliczlat.sampling import (
 )
 from orliczlat.weights import (
     MAX_BALL_POINTS,
+    DampedHomomorphism,
+    Homomorphism,
     Weight,
     ball,
     ball_size,
@@ -880,6 +882,29 @@ def test_classify_never_weakly_amenable_when_bounded_form_exists():
                 dh = DampedHomomorphism(xi, w)
                 assert damped_form_bounded(dh).verdict == "unbounded"
     assert count == 30
+
+
+CLASSIFY_DIGEST = "4879ada2c8108dfc727a8d3f1163a648ecd13dd071c037fe98bbbb05075a6196"
+
+
+def test_classify_digest_pinned():
+    # every verdict, threshold, param and evidence string over p x the three
+    # families with a rule x d, 665 cases, in one sha256: a change to the rules
+    # or their wording takes a deliberate diff of this digest
+    specs = [{"family": "polynomial", "beta": b} for b in (0.0, 0.2, 0.4, 0.5, 0.7, 1.0, 2.5)]
+    specs += [{"family": "subexp_alpha", "alpha": a, "C": c}
+              for a in (0.2, 0.5, 1.0) for c in (0.3, 1.0)]
+    specs += [{"family": "subexp_log", "gamma": g, "C": c}
+              for g in (0.5, 1.0, 3.0) for c in (0.5, 1.0)]
+    objs = [
+        classify(p, w, d).to_json_obj()
+        for p in (1.1, 1.5, 2.0, 2.5, 3.0, 5.0, 40.0)
+        for w in specs
+        for d in (1, 2, 3, 7, 40)
+    ]
+    assert len(objs) == 665
+    digest = hashlib.sha256(json.dumps(objs, sort_keys=True).encode()).hexdigest()
+    assert digest == CLASSIFY_DIGEST
 
 
 def test_classify_result_serialises():

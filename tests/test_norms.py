@@ -71,6 +71,16 @@ def test_modular_examples():
     assert modular(et, FinSuppFn.delta(0)) == pytest.approx(math.e - 2.0, rel=1e-12)
 
 
+def test_modular_of_finite_terms_past_the_float_range_reads_inf():
+    # each term 1.3e154^2 / 2 is finite and their sum is not: once a raw
+    # OverflowError out of math.fsum, now inf as one overflowing term reads
+    p2 = young_from_spec({"family": "power", "p": 2})
+    f = FinSuppFn(1, {(0,): 1.3e154, (1,): 1.3e154, (2,): 1.3e154})
+    assert math.isfinite(p2(1.3e154))
+    assert modular(p2, f) == math.inf
+    assert modular(p2, FinSuppFn(1, {(0,): 1e155})) == math.inf
+
+
 # -- luxemburg -------------------------------------------------------------------
 
 

@@ -244,22 +244,35 @@ def test_reciprocal_summability_polynomial_exact_rule():
 
 
 def test_reciprocal_summability_refuses_shell_counts_past_the_float_range():
-    # classify's probe runs to radius 3000, whose shell count 6001^d - 5999^d
-    # passes the float range at d = 83: a numerical failure naming d, decided
-    # there and at d = 10**9 from the bound 2 * 6001^(d-1) before any count
-    # is built (building 3^(10**9) alone would take minutes)
-    spec = {"family": "subexp_alpha", "alpha": 0.5, "C": 1}
-    assert classify(3, spec, 82).verdict == Verdict.NOT_WEAKLY_AMENABLE
+    # to radius 3000 the shell count 6001^d - 5999^d passes the float range
+    # at d = 83: a numerical failure naming d, decided there and at d = 10**9
+    # from the bound 2 * 6001^(d-1) before any count is built (building
+    # 3^(10**9) alone would take minutes)
+    omega = subexp_alpha_weight(0.5, 1.0)
+    psi = young_from_spec({"family": "power", "p": 1.5})
+    assert reciprocal_summability(omega, psi, 1.0, 3000, 82).verdict == "converges"
     for d in (83, 10**9):
         with mock.patch.object(weights, "shell_count", side_effect=AssertionError("built")), \
                 pytest.raises(NumericalFailureError, match=f"pass the float range at d = {d}$"):
-            classify(3, spec, d)
+            reciprocal_summability(omega, psi, 1.0, 3000, d)
     # at radius 3 and d = 365 the bound 2 * 7^364 is a float and the count
     # 7^365 - 5^365 is not: it is built, and refused the same way
-    psi = young_from_spec({"family": "power", "p": 1.5})
     assert 2 * 7.0**364 < math.inf and shell_count(3, 364) < 2**1024 <= shell_count(3, 365)
     with pytest.raises(NumericalFailureError, match="pass the float range at d = 365$"):
-        reciprocal_summability(subexp_alpha_weight(0.5, 1.0), psi, 1.0, 3, 365)
+        reciprocal_summability(omega, psi, 1.0, 3, 365)
+
+
+def test_reciprocal_summability_refuses_shell_sums_past_the_float_range():
+    # at d = 82 every shell count is a float, but the terms near radius 3000
+    # (about 6001^81 * 3000^-0.15) sum past the float range: once a raw
+    # OverflowError out of math.fsum
+    psi = young_from_spec({"family": "power", "p": 1.5})
+    with pytest.raises(NumericalFailureError, match="sum past the float range at d = 82$"):
+        reciprocal_summability(polynomial_weight(0.1), psi, 1.0, 3000, 82)
+    # past infinite terms (radius below 10,250) the finite ones overflow
+    # fsum too: the sum reads inf, as it does where fsum meets no overflow
+    r = reciprocal_summability(subexp_alpha_weight(1.0, 0.01), psi, 1e250, 12000, 1)
+    assert r.partial_sum == math.inf
 
 
 def test_reciprocal_summability_exact_rule_grid():
@@ -331,6 +344,16 @@ def test_shell_series_verdict_edge_cases():
     assert shell_series_verdict([float(n) ** -0.3 for n in range(1, 200)]).verdict == "diverges"
     # the p-series boundary stays inconclusive
     assert shell_series_verdict([1.0 / n for n in range(1, 200)]).verdict == "inconclusive"
+
+
+def test_shell_series_verdict_refuses_sums_past_the_float_range():
+    # finite terms whose sum passes the float range: once a raw OverflowError
+    with pytest.raises(NumericalFailureError, match="sum past the float range"):
+        shell_series_verdict([1e308] * 30)
+    # an infinite term keeps its report, before and after the finite ones
+    for terms in ([math.inf] + [1e308] * 30, [1e308] * 30 + [math.inf]):
+        r = shell_series_verdict(terms)
+        assert (r.verdict, r.partial_sum, r.method) == ("diverges", math.inf, "infinite-term")
 
 
 def test_loglog_slope():

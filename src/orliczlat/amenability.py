@@ -575,8 +575,8 @@ def classify(
             evidence.append(sqrt_extends)
         else:
             evidence.append(
-                "reciprocal weight q-summable (shell-series probe converges), so "
-                "the decay chain applies for p > 2"
+                "reciprocal weight q-summable in every d, since the weight "
+                "outgrows every polynomial, so the decay chain applies for p > 2"
             )
     else:
         return ClassificationResult(

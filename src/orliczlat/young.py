@@ -14,6 +14,12 @@ a sampled grid when a pair is built.
 
 All grid validations use log-spaced abscissae on [1e-6, 1e3]; inequalities
 stated for all x >= 0 are checked on that working range.
+
+The inverse here and the Luxemburg norm and Orlicz multiplier of ``norms``
+find their roots by one windowed bisection (:func:`_windowed_root`): a
+window around an estimate, as narrow as the rounding error of the searched
+value allows, decides the midpoints outside it unevaluated. The margins
+are derived per family in the comment above MARGIN.
 """
 
 from __future__ import annotations
@@ -88,7 +94,11 @@ class YoungFunction:
     function is always built with its derivative, which :meth:`d` returns
     and the numeric conjugate solves for. ``array_fn``, when given,
     evaluates ``fn`` elementwise on a float64 array with numpy, so overflow
-    yields +inf as ``fn`` does; :meth:`values` uses it.
+    yields +inf as ``fn`` does; :meth:`values` uses it. ``origin`` is
+    ("conj", Phi) for :func:`numeric_conjugate` of Phi and ("sqrt", Psi)
+    for :func:`sqrt_transform` of Psi: the root windows key their margins
+    on it (:func:`_family`), and it stays out of ``repr``, equality and
+    :meth:`describe`.
     """
 
     fn: Callable[[float], float]
@@ -96,6 +106,7 @@ class YoungFunction:
     label: str = "custom"
     params: Mapping[str, float] = field(default_factory=dict)
     array_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    origin: tuple[str, "YoungFunction"] | None = field(default=None, repr=False, compare=False)
     _inverses: dict[float, float] = field(default_factory=dict, init=False, repr=False)
 
     def __call__(self, x: float) -> float:
@@ -312,6 +323,7 @@ def numeric_conjugate(phi: YoungFunction) -> YoungFunction:
         fn=lambda y: solve(y)[0],
         derivative=lambda y: solve(y)[1],
         label=f"conj[{phi.describe()}]",
+        origin=("conj", phi),
     )
 
 
@@ -327,7 +339,9 @@ def expand(pred: Callable[[float], bool], start: float, factor: float) -> float 
     there and must not raise (see :func:`_reaches`); it looks past the
     positive floats only once the last positive point fails, as the loop
     would. This is the one bracket search of the package: the conjugate,
-    inverses, the density inverse and the Orlicz multiplier.
+    inverses, the density inverse and the Orlicz multiplier. The inverse
+    and the multiplier keep the values ``pred`` computed, so their root
+    estimates start from the bracket's ends at no cost.
     """
     sign = 1 if factor > 1.0 else -1
     m, e = math.frexp(start)
@@ -369,10 +383,11 @@ def bisect(
     ``hi - lo <= rtol * max(floor, hi)``, after 200 halvings, or when
     ``lo`` and ``hi`` are adjacent floats, where every further halving
     would leave them as they are; so ``rtol=0`` returns what all 200
-    halvings would. This is the one bisection of the package: inverses,
-    the Luxemburg norm and the Orlicz multiplier. The halvings are
-    :func:`_halvings`, which a caller that decides many bisections in
-    lockstep steps itself.
+    halvings would. The halvings are :func:`_halvings`, the one bisection
+    of the package: the density inverse runs them here, and the inverse,
+    the Luxemburg norm and the Orlicz multiplier through
+    :func:`_windowed_root`, which answers the midpoints outside a
+    certified window without evaluating and so returns what this returns.
     """
     return _drive(_halvings(lo, hi, rtol, floor), pred)
 
@@ -407,28 +422,431 @@ def _drive(steps: Generator, answer: Callable):
         return stop.value
 
 
+def _windowed_root(
+    lo: float,
+    hi: float,
+    f_lo: float | None,
+    margin: float,
+    rtol: float = 1e-13,
+    floor: float = 0.0,
+    est: float | None = None,
+    target: float = 1.0,
+    rises: bool = False,
+) -> Generator[float, float, tuple[float, float]]:
+    """:func:`bisect` of [lo, hi] on a computed value F that falls through
+    ``target`` (with ``rises``, that rises through it), skipping the
+    decisions a window around an estimate of the root certifies. A
+    generator: it yields each point where it needs F, receives F there and
+    returns the final (lo, hi), so one caller can drive it with a function
+    (:func:`_drive`) and another can step many roots in lockstep.
+
+    A midpoint k decides ``F(k) <= target`` (rising: ``not F(k) <
+    target``), and where that holds it becomes the new hi. ``margin``
+    exceeds twice the relative error of the computed F near the target
+    (see the comment above MARGIN). F at a = est (1 - 10 margin) and b =
+    est (1 + 10 margin) certifies each side that clears the target by
+    margin: every midpoint at or below a then decides False and every
+    one at or above b True, without asking for F, so the bisection visits
+    the same midpoints and returns the same floats as with no window. The
+    certificate holds for any est; a poor one certifies less, a value at a
+    or b that is not finite and positive certifies nothing, and no
+    estimate (or a margin of 0.1 or more) asks for no window at all.
+
+    The inverse brings its own ``est``. The Luxemburg norm and the Orlicz
+    multiplier (F falling through 1) pass ``f_lo`` > 1, F at lo, instead:
+    at most 8 secant steps on (log k, log F(k)) from the bracket ends
+    (exact to rounding after the first for a homogeneous Phi) give est; a
+    step that leaves the bracket ends them at the end it passed, where the
+    root lies when F(hi) rounds to about 1 (a constant support); a step
+    ends them once log F(est) is within margin / 10 of 0, and a flat secant
+    ends them at the last estimate (near the root, F rounds to the same
+    value at neighbouring estimates). A value of F met on the way that is
+    not finite and positive leaves no estimate.
+    """
+    if f_lo is not None:
+        f_hi = yield hi
+        if f_lo < math.inf and 0.0 < f_hi < math.inf:
+            x_lo, x_hi = math.log(lo), math.log(hi)
+            x0, y0, x1, y1 = x_lo, math.log(f_lo), x_hi, math.log(f_hi)
+            for _ in range(8):
+                if y1 == y0:  # no slope to step on: the last estimate stands
+                    break
+                x = x1 - y1 * (x1 - x0) / (y1 - y0)
+                if not x_lo < x < x_hi:  # the root is at that end or the step is wild
+                    est = lo if x <= x_lo else hi
+                    break
+                est = math.exp(x)
+                f_est = yield est
+                if not 0.0 < f_est < math.inf:
+                    est = None
+                    break
+                x0, y0, x1, y1 = x1, y1, x, math.log(f_est)
+                if abs(y1) < 0.1 * margin:
+                    break
+    below, above = 0.0, math.inf  # nothing certified
+    if est is not None and margin < 0.1:
+        a, b = est * (1.0 - 10.0 * margin), est * (1.0 + 10.0 * margin)
+        f_a = yield a
+        f_b = yield b
+        if 0.0 < f_a < math.inf and 0.0 < f_b < math.inf:
+            low, high = target * (1.0 - margin), target * (1.0 + margin)
+            if rises:
+                below = a if f_a < low else 0.0
+                above = b if f_b > high else math.inf
+            else:
+                below = a if f_a > high else 0.0
+                above = b if f_b < low else math.inf
+    steps = _halvings(lo, hi, rtol, floor)
+    send = steps.send
+    try:
+        k = next(steps)
+        if rises:
+            while True:
+                k = send(k >= above or (k > below and not (yield k) < target))
+        while True:
+            k = send(k >= above or (k > below and (yield k) <= target))
+    except StopIteration as stop:
+        return stop.value
+
+
+# The root window. Three searches bisect for the point where a computed
+# monotone F crosses a target: the Luxemburg norm (the modular sum
+# Phi(|f(s)|/k), falling in k through 1), the Orlicz multiplier (the
+# constraint sum Psi(Phi'(|f(s)|/t)), falling in t through 1) and the inverse
+# (one value Phi(x), rising in x through y). Suppose the computed F at every
+# float k where it reads near the target (rounded quotients, each term,
+# fsum) is within relative eps of the exact F at that k; where F is far from
+# the target, no error short of a factor 2 (and no overflow to inf) changes
+# the test. Take F falling through 1: if the computed F(a) > 1 + margin, then
+# for k <= a the exact F(k) >= F(a) > (1 + margin)/(1 + eps), so the computed
+# F(k) > (1 + margin)(1 - eps)/(1 + eps) > 1 as margin > 2 eps: the
+# bisection's test F(k) <= 1 reads False there, and need not be evaluated.
+# The mirror argument covers k >= b once the computed F(b) < 1 - margin, and
+# a rising F mirrors both. Along log k, |log F| moves with slope at least 1
+# for the modular and for Phi itself (x Phi'(x) >= Phi(x) for convex Phi with
+# Phi(0) = 0) and for the constraints of the catalog (the index j below), so
+# with a window of 10 margin both sides certify once the estimate is within
+# about 9 margin of the root.
+#
+# The margin is 4 eps, twice what the argument needs; each eps is pinned
+# against 60-digit values (tests/test_mpmath_oracle.py). Take u = 2**-53,
+# every libm call (pow, sinh, asinh, log1p, expm1, exp) within 1 ulp (2 u) and
+# + - * / sqrt within u. Near the root of a sum every term is at most 1: x <=
+# X with Phi(X) = 1 for the modular, x <= Xc with Psi(Phi'(Xc)) = 1 for the
+# constraint. So no overflow branch runs, and subnormal quotients add at most
+# n 2**-1074, nothing next to F near 1. On that range i = x Phi'/Phi is the
+# index of Phi, j that of a constraint term T = x Phi' - Phi (T = (i - 1)
+# Phi), k that of Phi', and e, e' are the errors of the scalar Phi and Phi'
+# in u.
+# - The modular, eps/u = i + e + 1: the rounded quotient moves a term by i u,
+#   and fsum rounds once. x^p/p (:func:`_modular_margin`): p + 4 (numpy's
+#   pow, /p). cosh 1: 8.3 (i <= 2.29; 2 sinh(x/2)^2, e = 5); cosh 2: 17.6 (i
+#   <= 4.57, e = 12); cosh-conj: 15 (i <= 2; y asinh y - y^2/(1 + sqrt(1 +
+#   y^2)), e = 3 i + 5 (i - 1) + 1 <= 12); square_log 1: 8 (i <= 3, e = 4);
+#   exp_power 2: 8.6 (i <= 2.78; expm1 amplifies the 2 u of x^2 by 1.39, e =
+#   4.78).
+# - A numeric conjugate Psi(y) = x y - Phi(x) at the maximiser x, so an error
+#   of x moves it only to second order: eps/u = (2 i + e)/(i - 1) + 2 at the
+#   smallest i of the base Phi (the product x y, Phi, the subtraction, the
+#   quotient through Psi's index i/(i - 1), fsum). conj[cosh 2]: 8.7 (i >= 4);
+#   conj[square_log 1]: 7.5 (i >= 2.73); conj[exp_power 2]: 10.8 (i >= 2).
+# - The constraint, eps/u = j + ((e' + 1) i + e)/(i - 1) + 2: x Phi' and Phi
+#   cancel to T. x^p/p (:func:`_constraint_margin`): p + 2 + 3 (p + 1)/(p - 1)
+#   (j = i = p, e' = 2, e = 3). cosh 1: 15.7 (j <= 2.61, i >= 2, e' = 2);
+#   cosh 2: 22.6 (j <= 4.53, i >= 4, e' = 8); square_log 1: 15.2 (j <= 3, i >=
+#   2.73, e' = 4); exp_power 2: 20.1 (j <= 3.3, i >= 2, e' = 4). Where Phi
+#   computes x Phi' itself, the term subtracts the same product twice and
+#   cancels exactly but for one rounding: cosh-conj, T = y^2/(1 + sqrt(1 +
+#   y^2)) (e = 5) plus a rounding of Psi, 10.3 (j <= 2, i >= 1.78); a numeric
+#   conjugate, T = Phi(x) at the solver's maximiser, which lies within 2 u
+#   plus (e' + 1)/k u of the exact one (its bracket width, the noise of Phi',
+#   the quotient): e + i + 1 + i (2 + (e' + 1)/k), with i, k and the errors of
+#   the base Phi. conj[square_log 1]: 23 (i <= 3, k >= 1.67); conj[cosh 2]:
+#   40.4 (i <= 4.57, k >= 3, e = 12, e' = 8); conj[exp_power 2]: 29.1 (i <=
+#   2.78, k >= 1, e = 4.78, e' = 4.4). These bounds read 3.3 (conj[square_log
+#   1]) to 5.5 (conj[exp_power 2]) times what the oracle sees, conj[exp_taylor
+#   2]'s below too: their windows are wider than need be, not unsound.
+# - Cancelling forms. entropy's (1 + x) log1p(x) - x and exp_taylor's
+#   expm1(x) - x lose a term's digits near 0: its error is about u x, not u
+#   Phi(x), so eps grows with the support (n equal entries make every term's
+#   error alike): eps/u = A + B n**(1/r) with, on n terms summing to about
+#   1, sum x <= sqrt(n sum x^2) (r = 2) or sum x^3 <= n**(1/4) (sum
+#   x^4)**(3/4) (r = 4). The subtractions of x are exact (Sterbenz), and
+#   below x = 1e-4 a series of relative error 6 u takes over. entropy
+#   modular: 7 + 6.9 sqrt(n) (error 4 u (Phi + x), Phi >= (x/(e - 1))^2);
+#   constraint: 11.4 + 8.6 sqrt(n) (T = x - log1p x shares log1p: error u (4
+#   log1p x + 3 x log1p x + T), x log1p x <= 2.46 T, T >= (x/2.15)^2).
+#   exp_taylor 1 modular: 5.5 + 2.9 sqrt(n) (error 2 u (Phi + x), Phi >=
+#   x^2/2); constraint: 8.8 + 2.9 sqrt(n) (x expm1 x <= 2 T, T >= x^2/2).
+#   exp_taylor 2, b = expm1(x) - x: modular 12 + 5.7 n**(1/4) (i <= 4.93,
+#   error u (6 Phi + 4 x b), b >= x^2/2); constraint 22 + 2.5 n**(1/4) (j <=
+#   4.88, i >= 4; expm1's error moves T by 4 u expm1(x) (x expm1 x + x b - b)
+#   <= u x^3 (2 + 8.8 x), T >= 0.75 x^4); conj[exp_taylor 2] modular 6.7 +
+#   0.83 n**(1/4) (Phi's 4 u x b over i - 1 >= 3, sum Phi <= 1/3); constraint
+#   31.6 + 10.3 n**(1/4) (the numeric conjugate's rule with e = 6 + 4 x/b, e'
+#   = 5 + 2 x/b, i <= 4.92, k >= 3: the parts in x/b add (4 + 2 i/k) u x b <=
+#   7.3 sqrt(2) u T**(3/4) to a term, and sum T**(3/4) <= n**(1/4)).
+# - The square-root transform T = sqrt[x^q/q], computed as Psi(sqrt(x)) for
+#   Psi = x^q/q: its index is q/2 and its error q + 3 (sqrt's u moves Psi by
+#   q u, pow, /q). Its modular: 1.5 q + 4; its numeric conjugate's modular:
+#   2 (2 q + 3)/(q - 2) + 2, 20 at q = 3 (:func:`_modular_margin`). The
+#   transform accepts q >= 2; its conjugate's bound needs q > 2, as at q = 2
+#   T = x/2 and its conjugate is infinite past 1/2.
+# - The inverse (:func:`_inverse_margin`): one value of Phi at a float x, no
+#   quotient and no sum, so eps/u = e, but on the whole range where Phi is
+#   near y, not only where it is at most 1. For y below 2**-1000 values near
+#   y may be subnormal, and the inverse keeps no window. A computed Phi that
+#   composes increasing operations is, at x >= b, at least its value at b
+#   with every rounding taken down, so the error near y is the one that
+#   matters on either side. x^p/p: 3 (pow, /p), and 3.4 p + 2 where y p >=
+#   2**1023, as values near y take the branch (x p**(-1/p))**p there; the
+#   transform T: q + 3, 4.4 q + 2 there. cosh 1: 5; cosh 2: 12; cosh-conj: 12
+#   (i in (1, 2] everywhere); square_log 1: 4; exp_power 2: 2 g + 2, where g =
+#   z e^z/expm1(z), the amplification of the 2 u of z = x^2 by expm1, grows
+#   with x and is taken at z = log1p(2 y). A numeric conjugate: 2 + (1 +
+#   e)/(i - 1) at the smallest i of the base over the whole range (the
+#   product x y, Phi, the subtraction): conj[cosh 2] 6.4 (i >= 4, e = 12);
+#   conj[square_log 1] 7 (i >= 2, e = 4); conj[exp_power 2] 7 (i = 2 g, e =
+#   2 g + 2, (2 g + 3)/(2 g - 1) <= 5); conj[T] 2 + 2 (q + 4)/(q - 2).
+#   Cancelling forms are read through their absolute error E(x) = u (A Phi +
+#   B x Phi**(1 - 1/r)), which grows with x: for x <= a, the computed Phi(x)
+#   <= Phi(a) + E(a) <= computed Phi(a) + 2 E(a), with Phi(a) < y, so eps/u
+#   = A + B a/y**(1/r) at the window end a nearer 0; for x >= b the relative
+#   error A + B x/Phi**(1/r) falls with x (Phi(x)/x rises), so it is at most
+#   its value at the root. The inverse reads both at the estimate, x = est:
+#   the window's ends and the root lie within a factor 1 +- 10 margin of it,
+#   which the factor 2 the margin spares covers. entropy: A 5, B 4, r 1 (the
+#   product's 4 u (Phi + x), u Phi where the subtraction of x is no longer
+#   exact, past x = 2.5; the series' 6 u Phi lies inside), up to 33,368 u
+#   at x = 1.3e-4 where the closed form takes over; exp_taylor 1: A 3, B 2,
+#   r 1; exp_taylor 2: A 8, B 4, r 2 (b = expm1(x) - x errs by u (3 b + 2
+#   x), and Phi = b^2). conj[exp_taylor 2] at t: u (5 Psi + 4 x b) at the
+#   maximiser x = Psi'(t) (the product, Phi's u (8 Phi + 4 x b), the
+#   subtraction, Phi <= Psi/3), with x <= 4 Psi/(3 t) and b <= (Psi/3)**(1/2),
+#   so eps/u = 5 + 3.1 sqrt(y)/est; this absolute error grows with t as well,
+#   and the relative one falls.
+# - Every other Phi keeps MARGIN, which covers eps up to 5e-12: from_density,
+#   a custom Phi and a catalog family at another p have no pin.
+MARGIN = 1e-11
+
+_U = 2.0**-53
+
+# eps/u of the modular and of the constraint of the catalog members other
+# than x^p/p, keyed on :func:`_family` as the comment above derives it: (A, B,
+# r) stands for A + B n**(1/r) on n terms.
+_MODULAR_EPS: dict[tuple, tuple[float, float, int]] = {
+    ("cosh", 1.0): (8.3, 0.0, 2),
+    ("cosh", 2.0): (17.6, 0.0, 2),
+    ("cosh-conj", None): (15.0, 0.0, 2),
+    ("entropy", None): (7.0, 6.9, 2),
+    ("exp_taylor", 1.0): (5.5, 2.9, 2),
+    ("exp_taylor", 2.0): (12.0, 5.7, 4),
+    ("square_log", 1.0): (8.0, 0.0, 2),
+    ("exp_power", 2.0): (8.6, 0.0, 2),
+    ("conj", ("cosh", 2.0)): (8.7, 0.0, 2),
+    ("conj", ("exp_taylor", 2.0)): (6.7, 0.83, 4),
+    ("conj", ("square_log", 1.0)): (7.5, 0.0, 2),
+    ("conj", ("exp_power", 2.0)): (10.8, 0.0, 2),
+}
+_CONSTRAINT_EPS: dict[tuple, tuple[float, float, int]] = {
+    ("cosh", 1.0): (15.7, 0.0, 2),
+    ("cosh", 2.0): (22.6, 0.0, 2),
+    ("cosh-conj", None): (10.3, 0.0, 2),
+    ("entropy", None): (11.4, 8.6, 2),
+    ("exp_taylor", 1.0): (8.8, 2.9, 2),
+    ("exp_taylor", 2.0): (22.0, 2.5, 4),
+    ("square_log", 1.0): (15.2, 0.0, 2),
+    ("exp_power", 2.0): (20.1, 0.0, 2),
+    ("conj", ("cosh", 2.0)): (40.4, 0.0, 2),
+    ("conj", ("exp_taylor", 2.0)): (31.6, 10.3, 4),
+    ("conj", ("square_log", 1.0)): (23.0, 0.0, 2),
+    ("conj", ("exp_power", 2.0)): (29.1, 0.0, 2),
+}
+# eps/u of one value near y of the catalog members other than x^p/p, at the
+# estimated root x.
+_INVERSE_EPS: dict[tuple, Callable[[float, float], float]] = {
+    ("cosh", 1.0): lambda x, y: 5.0,
+    ("cosh", 2.0): lambda x, y: 12.0,
+    ("cosh-conj", None): lambda x, y: 12.0,
+    ("entropy", None): lambda x, y: 5.0 + 4.0 * x / y,
+    ("exp_taylor", 1.0): lambda x, y: 3.0 + 2.0 * x / y,
+    ("exp_taylor", 2.0): lambda x, y: 8.0 + 4.0 * x / math.sqrt(y),
+    ("square_log", 1.0): lambda x, y: 4.0,
+    ("exp_power", 2.0): lambda x, y: 2.0 + 2.0 * math.log1p(2.0 * y) * (1.0 + 0.5 / y),
+    ("conj", ("cosh", 2.0)): lambda x, y: 6.4,
+    ("conj", ("exp_taylor", 2.0)): lambda x, y: 5.0 + 3.1 * math.sqrt(y) / x,
+    ("conj", ("square_log", 1.0)): lambda x, y: 7.0,
+    ("conj", ("exp_power", 2.0)): lambda x, y: 7.0,
+}
+
+
+def _family(phi: YoungFunction) -> tuple:
+    """The key of phi's margins: (label, p), or (how, key of the base) for a
+    function built by :func:`numeric_conjugate` or :func:`sqrt_transform`
+    from another, as its ``origin`` records. The power family is keyed on
+    its label and p, as ``_closed_form_conjugate`` knows it."""
+    if phi.origin is None:
+        return phi.label, phi.params.get("p")
+    how, base = phi.origin
+    return how, _family(base)
+
+
+def _margin(eps: dict, key: tuple, n: int) -> float | None:
+    """4 eps for the entry of ``key`` in ``eps`` on n terms, None without one."""
+    entry = eps.get(key)
+    if entry is None:
+        return None
+    a, b, r = entry
+    return 4.0 * (a + b * n ** (1.0 / r) if b else a) * _U
+
+
+def _modular_margin(phi: YoungFunction, n: int) -> float:
+    """The margin that certifies a side of the Luxemburg root window under
+    phi on a support of n terms: 4 eps from the table for the catalog
+    members, 4 (p + 4) u for the power family, formulas in q for the
+    square-root transform of x^q/q and its numeric conjugate, MARGIN for
+    every other Phi."""
+    if phi.label == "power":
+        return 4.0 * (float(phi.params["p"]) + 4.0) * _U
+    key = _family(phi)
+    margin = _margin(_MODULAR_EPS, key, n)
+    if margin is not None:
+        return margin
+    match key:
+        case ("sqrt", ("power", q)):
+            eps = 1.5 * q + 4.0
+        case ("conj", ("sqrt", ("power", q))) if q > 2.0:
+            eps = 2.0 * (2.0 * q + 3.0) / (q - 2.0) + 2.0
+        case _:
+            return MARGIN
+    return 4.0 * eps * _U
+
+
+def _constraint_margin(phi: YoungFunction, n: int) -> float:
+    """The margin of the Orlicz multiplier's window under phi on n terms:
+    4 eps from the table for the catalog members, 4 (p + 2 + 3 (p + 1)/(p
+    - 1)) u for the power family, MARGIN for every other Phi."""
+    if phi.label == "power":
+        p = float(phi.params["p"])
+        return 4.0 * (p + 2.0 + 3.0 * (p + 1.0) / (p - 1.0)) * _U
+    margin = _margin(_CONSTRAINT_EPS, _family(phi), n)
+    return MARGIN if margin is None else margin
+
+
+def _inverse_margin(phi: YoungFunction, x: float, y: float) -> float:
+    """The margin of the inverse's window where phi(x) is near y: 4 eps of
+    one value of phi, from the table for the catalog members, by formula
+    for the power family, the square-root transform of x^q/q and its
+    numeric conjugate; MARGIN for every other Phi."""
+    if phi.label == "power":
+        p = float(phi.params["p"])
+        return 4.0 * (3.0 if y * p < 2.0**1023 else 3.4 * p + 2.0) * _U
+    key = _family(phi)
+    rule = _INVERSE_EPS.get(key)
+    if rule is not None:
+        return 4.0 * rule(x, y) * _U
+    match key:
+        case ("sqrt", ("power", q)):
+            eps = q + 3.0 if y * q < 2.0**1023 else 4.4 * q + 2.0
+        case ("conj", ("sqrt", ("power", q))) if q > 2.0:
+            eps = 2.0 + 2.0 * (q + 4.0) / (q - 2.0)
+        case _:
+            return MARGIN
+    return 4.0 * eps * _U
+
+
 def inverse(phi: YoungFunction, y: float) -> float:
     """Solve Phi(x) = y for x by bracketed bisection.
 
-    Requires strictly increasing continuous ``phi``; the residual satisfies
-    |Phi(x) - y| <= 1e-10 * max(1, y).
+    :func:`expand` doubles x from 1 until Phi(x) >= y, and the bisection
+    halves [0, x] to relative width 1e-15 (floor 1), deciding each
+    midpoint by ``not Phi(x) < y``, where an overflow or an infinite
+    numeric conjugate reaches y; the result is the midpoint of the last
+    bracket. Requires strictly increasing continuous ``phi``; the residual
+    satisfies |Phi(x) - y| <= 1e-10 * max(1, y).
+
+    The bisection goes through :func:`_windowed_root`. Newton steps on
+    log Phi against log x from the bracket's top (:func:`_inverse_estimate`)
+    estimate the root, and the window around it is sized by
+    :func:`_inverse_margin` to the rounding error of one value of Phi, so
+    the bisection evaluates only the midpoints inside it and returns the
+    float a plain bisection returns. Phi is evaluated once per point:
+    the bracket search, the estimate, the window and the bisection share
+    the values. Over the catalog battery (``verify.run_battery``) an
+    inverse takes 12.5 values of Phi on average, where the plain bisection
+    takes 53.
     """
     if not y >= 0:  # also refuses NaN
         raise InvalidInputError(f"inverse requested below Phi(0)=0 or at NaN, y={y!r}")
     if y == 0.0:
         return 0.0
+    values: dict[float, float] = {}
 
-    def reaches(x: float) -> bool:
-        return _reaches(phi.fn, x, y)
+    def value(x: float) -> float:
+        v = values.get(x)
+        if v is None:
+            try:
+                v = phi.fn(x)
+            except (OverflowError, ConjugateInfiniteError):  # these reach y
+                v = math.inf
+            values[x] = v
+        return v
 
-    hi = expand(reaches, 1.0, 2.0)
+    hi = expand(lambda x: not value(x) < y, 1.0, 2.0)
     if hi is None:
         raise NumericalFailureError(f"no bracket for inverse at y={y!r}")
-    lo, hi = bisect(reaches, 0.0, hi, 1e-15, floor=1.0)
+    est = _inverse_estimate(phi, y, hi, value) if y >= 2.0**-1000 and hi < math.inf else None
+    margin = MARGIN if est is None else _inverse_margin(phi, est, y)
+    steps = _windowed_root(0.0, hi, None, margin, 1e-15, floor=1.0, est=est, target=y, rises=True)
+    lo, hi = _drive(steps, value)
     x = 0.5 * (lo + hi)
     if abs(phi(x) - y) <= 1e-10 * max(1.0, y):
         return x
     raise NumericalFailureError(f"inverse bisection stalled at y={y!r}")
+
+
+def _inverse_estimate(
+    phi: YoungFunction, y: float, hi: float, value: Callable[[float], float]
+) -> float | None:
+    """An estimate of the root of Phi(x) = y in (0, hi], or None.
+
+    At most 8 Newton steps on log Phi against log x, from hi, where Phi >=
+    y (from hi/2 where Phi(hi) overflows): each takes Phi from ``value``
+    and its slope x Phi'/Phi from :meth:`YoungFunction.d` (for a numeric
+    conjugate, the maximiser of the solve ``value`` made, so the slope
+    costs nothing). A step of at most 2**-26 ends them at the point it
+    reaches, unevaluated: Newton's error there is about the square of the
+    step, below the rounding of Phi. A step that leaves the bracket [lo,
+    hi] the values have shown (lo is hi/2 when ``expand`` doubled at least
+    once) goes to its geometric middle instead. A value or slope that is
+    not finite and positive ends the steps without an estimate; after 8
+    steps the last point stands.
+    """
+    lo = 0.5 * hi if hi > 1.0 else 0.0
+    x = hi if lo == 0.0 or value(hi) < math.inf else lo
+    for _ in range(8):
+        v = value(x)
+        ratio = v / y
+        if not 0.0 < ratio < math.inf:
+            return None
+        try:
+            slope = x * (phi.d(x) / v)
+        except ConjugateInfiniteError:
+            return None
+        if not 0.0 < slope < math.inf:
+            return None
+        step = -math.log(ratio) / slope
+        t = x * math.exp(step) if step < 700.0 else math.inf
+        if abs(step) <= 2.0**-26:
+            return t
+        if v < y:
+            lo = x
+        else:
+            hi = x
+        if not lo < t < hi:
+            t = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
+        x = t
+    return x
 
 
 # Product-inequality grid of the invariant battery.
@@ -633,6 +1051,7 @@ def sqrt_transform(psi: YoungFunction) -> YoungFunction:
         array_fn=(
             (lambda xs: psi.array_fn(np.sqrt(xs))) if psi.array_fn is not None else None
         ),
+        origin=("sqrt", psi),
     )
 
 

@@ -11,7 +11,14 @@ settings.load_profile("orliczlat")
 from orliczlat.algebra import _radius_ladder
 from orliczlat.finsupp import FinSuppFn
 from orliczlat.sampling import scan_pairs
-from orliczlat.young import catalog, pair_from_spec
+from orliczlat.young import (
+    YoungFunction,
+    catalog,
+    numeric_conjugate,
+    pair_from_spec,
+    sqrt_transform,
+    young_from_spec,
+)
 
 
 @pytest.fixture(scope="session")
@@ -71,3 +78,21 @@ def extreme_functions() -> list[FinSuppFn]:
         FinSuppFn(1, {(0,): 1e-300, (5,): 4e307}),
         FinSuppFn(1, {(i,): v for i, v in enumerate([1.0, 1.0, 1.0, 1.0, 4e307, 4e307])}),
     ]
+
+
+def inclusion_sqrt_pair() -> list[YoungFunction]:
+    """T = sqrt[x^3/3] and its numeric conjugate: the square-root transforms
+    that the inclusion scans on power(1.5) measure with (Psi = x^3/3)."""
+    t = sqrt_transform(young_from_spec({"family": "power", "p": 3.0}))
+    return [t, numeric_conjugate(t)]
+
+
+def inverse_targets(phi: YoungFunction) -> list[float]:
+    """The y of the inverse pins: nine decades either side of 1, and phi
+    where the entropy- and exp_taylor-type forms cancel, at x from 1e-4
+    to 3e-4 (for a numeric conjugate, at the y whose maximiser is there)."""
+    xs = [float(x) for x in np.geomspace(1e-4, 3e-4, 9)]
+    near_zero = [phi(x) for x in xs]
+    if phi.origin is not None and phi.origin[0] == "conj":
+        near_zero += [phi(phi.origin[1].d(x)) for x in xs]
+    return [float(y) for y in np.geomspace(1e-9, 1e9, 37)] + near_zero

@@ -884,7 +884,7 @@ def test_classify_never_weakly_amenable_when_bounded_form_exists():
     assert count == 30
 
 
-CLASSIFY_DIGEST = "4879ada2c8108dfc727a8d3f1163a648ecd13dd071c037fe98bbbb05075a6196"
+CLASSIFY_DIGEST = "cb30b2ed2a02795c4bddd8a4c8b94054cf0d6a4a18861469b7b6d7bbe027350c"
 
 
 def test_classify_digest_pinned():

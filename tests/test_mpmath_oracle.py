@@ -5,12 +5,15 @@ The oracle conjugate solves Phi'(x) = y for the maximiser (the oracle
 Psi'(y)) in 50-digit arithmetic and returns x y - Phi(x); the oracle
 Luxemburg norm solves sum Phi(|f(s)| / k) = 1 for k the same way, under
 Phi and under the oracle conjugate. The modular and the Orlicz constraint of
-every catalog member are summed in 60-digit arithmetic to pin the rounding
-bounds that size their root windows.
+every catalog member, and single values of each, are taken in 60-digit
+arithmetic to pin the rounding bounds that size their root windows (the
+comment above ``young.MARGIN``), as are the modular and single values of the
+square-root transform T = sqrt[x^3/3] and its numeric conjugate.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections import Counter
 
@@ -18,13 +21,22 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import extreme_functions, scan_pool
-from orliczlat import norms
+from conftest import extreme_functions, inclusion_sqrt_pair, inverse_targets, scan_pool
+from orliczlat import norms, young as young_module
 from orliczlat.finsupp import FinSuppFn
 from orliczlat.norms import luxemburg_norm
 from orliczlat.sampling import random_finsupp, rng_for
 from orliczlat.verify import BATTERY_SEED
-from orliczlat.young import catalog, pair_from_spec, young_from_spec
+from orliczlat.young import (
+    MARGIN,
+    _constraint_margin,
+    _inverse_margin,
+    _modular_margin,
+    catalog,
+    inverse,
+    pair_from_spec,
+    young_from_spec,
+)
 
 
 def _series(x, coef):
@@ -162,9 +174,9 @@ def test_luxemburg_norms_match_mpmath(key):
 
 def test_power_modular_within_its_error_bound():
     # the Luxemburg root window certifies a side once the computed modular
-    # clears 1 by norms._modular_margin(Phi, n) = 4 eps, where for x^p/p the
+    # clears 1 by young._modular_margin(Phi, n) = 4 eps, where for x^p/p the
     # relative error against the exact sum at the same float k is claimed
-    # below eps = (p + 4) 2**-53 (the comment above norms.MARGIN). Checked at
+    # below eps = (p + 4) 2**-53 (the comment above young.MARGIN). Checked at
     # the root k of each support (the search runs on |f| / 2**e) and at the
     # window's ends, against the sum over the exact quotients, so the
     # rounding of each quotient counts too.
@@ -184,7 +196,7 @@ def test_power_modular_within_its_error_bound():
         for p in (1.0625, 1.5, 2.0, 3.0, 7.0, 30.0, 40.0):
             phi = young_from_spec({"family": "power", "p": p})
             for mags, exact_m, k in zip(scaled, exact_mags, norms._luxemburg_norms(phi, scaled)):
-                margin = norms._modular_margin(phi, len(mags))
+                margin = _modular_margin(phi, len(mags))
                 for t in (k, k * (1.0 - 10.0 * margin), k * (1.0 + 10.0 * margin)):
                     got = norms._modular(phi, mags / t)
                     exact = mp.fsum((a / t) ** p for a in exact_m) / p
@@ -200,6 +212,19 @@ CLOSED = {
     ("exp_taylor", 1.0): (expm1mx, mp.expm1),
     **MEMBERS,
 }
+
+
+def mp_closed(young):
+    """(Phi, Phi') in mpmath of a closed-form member: x^p/p, the square-root
+    transform of x^q/q (x^(q/2)/q) or a member of CLOSED."""
+    key = (young.label, young.params.get("p"))
+    if young.origin is not None:  # the square-root transform
+        q = mp.mpf(young.origin[1].params["p"])
+        return (lambda x: x ** (q / 2) / q), (lambda x: x ** (q / 2 - 1) / 2)
+    if young.label == "power":
+        p = mp.mpf(key[1])
+        return (lambda x: x**p / p), (lambda x: x ** (p - 1))
+    return CLOSED[key]
 
 
 def mp_argmax_near(dphi, y, x0):
@@ -233,11 +258,8 @@ def oracle_terms(young):
     """(modular term, constraint term) of a catalog member in mpmath: Phi(x)
     and x Phi'(x) - Phi(x); for a numeric conjugate Psi(y) = x y - Phi(x)
     and Phi(x) at the maximiser x, found from the float one."""
-    key = (young.label, young.params.get("p"))
-    if young.label.startswith("conj["):
-        phi, dphi = next(
-            MEMBERS[k] for k, pair in numeric_pairs().items() if pair.psi.label == young.label
-        )
+    if young.origin is not None and young.origin[0] == "conj":
+        phi, dphi = mp_closed(young.origin[1])
 
         def argmax(y):
             return mp_argmax_near(dphi, y, mp.mpf(young.d(float(y)) or 1e-300))
@@ -247,11 +269,7 @@ def oracle_terms(young):
             return x * y - phi(x)
 
         return conjugate, (lambda y: phi(argmax(y)))
-    if young.label == "power":
-        p = mp.mpf(key[1])
-        phi, dphi = (lambda x: x**p / p), (lambda x: x ** (p - 1))
-    else:
-        phi, dphi = CLOSED[key]
+    phi, dphi = mp_closed(young)
     return phi, (lambda x: x * dphi(x) - phi(x))
 
 
@@ -311,39 +329,42 @@ def ids(members):
     return [y.describe() for y in members]
 
 
+SQRT_PAIR = inclusion_sqrt_pair()
+# x^p/p's modular has its own pin, test_power_modular_within_its_error_bound
 MODULAR_PINNED = [
-    y for y in catalog_members() if (y.label, y.params.get("p")) in norms._MODULAR_EPS
+    y for y in catalog_members() + SQRT_PAIR
+    if y.label != "power" and _modular_margin(y, 2) < MARGIN
 ]
-CONSTRAINT_PINNED = [
-    y for y in catalog_members()
-    if y.label == "power" or (y.label, y.params.get("p")) in norms._CONSTRAINT_EPS
-] + [young_from_spec({"family": "power", "p": p}) for p in (1.0625, 7.0, 40.0)]
+CONSTRAINT_PINNED = [y for y in catalog_members() if _constraint_margin(y, 2) < MARGIN] + [
+    young_from_spec({"family": "power", "p": p}) for p in (1.0625, 7.0, 40.0)
+]
+INVERSE_PINNED = catalog_members() + SQRT_PAIR
 
 
 def test_margins_cover_the_catalog():
-    # every catalog member has a derived modular bound, and a constraint
-    # bound but for the three numeric conjugates the comment above MARGIN names
+    # every catalog member has a derived margin for each of its windows, the
+    # Luxemburg norm's, the Orlicz multiplier's and the inverse's, and so do
+    # the inclusion scans' T and its conjugate for theirs: none keeps MARGIN
     members = catalog_members()
-    assert {y.describe() for y in members} - set(ids(MODULAR_PINNED)) == {
+    assert set(ids(members + SQRT_PAIR)) - set(ids(MODULAR_PINNED)) == {
         "power(p=1.5)", "power(p=2)", "power(p=3)"
     }
-    assert set(ids(members)) - set(ids(CONSTRAINT_PINNED)) == {
-        "conj[cosh(p=2)]", "conj[exp_taylor(p=2)]", "conj[exp_power(p=2)]"
-    }
-    for y in members:
-        assert norms._modular_margin(y, 2) < norms.MARGIN, y.describe()
+    assert set(ids(members)) - set(ids(CONSTRAINT_PINNED)) == set()
+    for y in members + SQRT_PAIR:
+        assert _modular_margin(y, 2) < MARGIN, y.describe()
+        assert _inverse_margin(y, 1.0, 1.0) < MARGIN, y.describe()
 
 
 @pytest.mark.parametrize("young", MODULAR_PINNED, ids=ids(MODULAR_PINNED))
 def test_modular_within_its_error_bound(young):
-    # the window's margin norms._modular_margin(Phi, n) = 4 eps, with the eps
-    # of the comment above norms.MARGIN: checked at the root k of each
+    # the window's margin young._modular_margin(Phi, n) = 4 eps, with the eps
+    # of the comment above young.MARGIN: checked at the root k of each
     # support and at the window's ends, as the power modular's is
     term = oracle_terms(young)[0]
     scaled = scaled_supports(young.label.startswith("conj["))
     with mp.workdps(60):
         for mags, k in zip(scaled, norms._luxemburg_norms(young, scaled)):
-            margin = norms._modular_margin(young, len(mags))
+            margin = _modular_margin(young, len(mags))
             for t in (k, k * (1.0 - 10.0 * margin), k * (1.0 + 10.0 * margin)):
                 err = relative_error(norms._modular(young, mags / t), term, mags, t)
                 assert err <= margin / 4, (len(mags), mags[:4].tolist(), t, float(err / margin))
@@ -351,7 +372,7 @@ def test_modular_within_its_error_bound(young):
 
 @pytest.mark.parametrize("young", CONSTRAINT_PINNED, ids=ids(CONSTRAINT_PINNED))
 def test_constraint_within_its_error_bound(young):
-    # the Orlicz multiplier's margin norms._constraint_margin(Phi, n) = 4 eps,
+    # the Orlicz multiplier's margin young._constraint_margin(Phi, n) = 4 eps,
     # checked at the multiplier t of each support and at the window's ends
     # against the exact sum of x Phi'(x) - Phi(x), x = |f| / t
     term = oracle_terms(young)[1]
@@ -359,11 +380,40 @@ def test_constraint_within_its_error_bound(young):
         for mags in scaled_supports(young.label.startswith("conj[")):
             quotients = mags.tolist()
             t = norms._multiplier(young, quotients, max(quotients))
-            margin = norms._constraint_margin(young, len(mags))
+            margin = _constraint_margin(young, len(mags))
             for s in (t, t * (1.0 - 10.0 * margin), t * (1.0 + 10.0 * margin)):
                 got = norms._dual_constraint(young, quotients, s)
                 err = relative_error(got, term, mags, s)
                 assert err <= margin / 4, (len(mags), quotients[:4], s, float(err / margin))
+
+
+@pytest.mark.parametrize("young", INVERSE_PINNED, ids=ids(INVERSE_PINNED))
+def test_inverse_within_its_error_bound(young, monkeypatch):
+    # the inverse's margin young._inverse_margin(Phi, est, y) = 4 eps, for
+    # one value of Phi: checked at the root, at the estimate and at the
+    # window's ends, each window of inverse_targets (the cancelling region
+    # near x = 1.3e-4 included), through the absolute error against eps y
+    # where Phi < y, as the comment above young.MARGIN reads it there
+    windows = []
+    window = young_module._windowed_root
+    signature = inspect.signature(window)
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        windows.append((bound["est"], bound["margin"]))
+        return window(*args, **kwargs)
+
+    monkeypatch.setattr(young_module, "_windowed_root", recording)
+    term = oracle_terms(young)[0]
+    with mp.workdps(60):
+        for y in inverse_targets(young):
+            x = inverse(young, y)
+            est, margin = windows.pop()
+            assert est is not None, y
+            for t in (x, est, est * (1.0 - 10.0 * margin), est * (1.0 + 10.0 * margin)):
+                exact = term(mp.mpf(t))
+                err = abs(young(t) - exact) / max(exact, mp.mpf(y))
+                assert err <= margin / 4, (y, t, float(err / margin))
 
 
 def test_cosh_conjugate_matches_mpmath_past_the_square_overflow():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 import statistics
 import warnings
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import extreme_functions, scan_pool, seeded_rng
-from orliczlat import norms
+from conftest import extreme_functions, inclusion_sqrt_pair, scan_pool, seeded_rng
+from orliczlat import norms, young
+from orliczlat.algebra import conv_inclusion_check, pointwise_inclusion_check
 from orliczlat.errors import InvalidInputError, NumericalFailureError
 from orliczlat.finsupp import FinSuppFn
 from orliczlat.norms import (
@@ -603,55 +605,93 @@ def test_orlicz_constraint_evaluation_count(monkeypatch, catalog_pairs):
     assert statistics.median(used) <= 11, statistics.median(used)
 
 
-def test_battery_roots_certify_both_sides(monkeypatch):
-    # every windowed root of the catalog battery, Luxemburg and Orlicz,
-    # certifies both sides: F > 1 + margin at est (1 - 10 margin) and F < 1 -
-    # margin at est (1 + 10 margin), for an estimate est the secant reached.
-    # With at most 4 secant steps e^{x^2} - 1's estimates stayed about 2e-9
-    # off and 125 of its 189 roots bisected one side in full (30 to 45 values)
-    roots = []  # (Orlicz?, margin, [(k, F(k)) asked for], lo, hi)
-    windowed, multiplier, orlicz = norms._windowed_root, norms._multiplier, [False]
+def recorder(search, log: list):
+    """``search`` with each call logged as (its arguments bound to its
+    signature, [(k, F(k)) asked for])."""
+    signature = inspect.signature(search)
 
-    def recording(lo, hi, f_lo, margin):
-        search, answer, asked = windowed(lo, hi, f_lo, margin), None, []
-        roots.append((orlicz[0], margin, asked, lo, hi))
+    def recording(*args, **kwargs):
+        steps, answer, asked = search(*args, **kwargs), None, []
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        log.append((bound.arguments, asked))
         while True:
             try:
-                k = search.send(answer)
+                k = steps.send(answer)
             except StopIteration as stop:
                 return stop.value
             answer = yield k
             asked.append((k, answer))
 
-    def flagged(*args):
-        orlicz[0] = True
-        try:
-            return multiplier(*args)
-        finally:
-            orlicz[0] = False
+    return recording
 
-    monkeypatch.setattr(norms, "_windowed_root", recording)
+
+def test_battery_roots_certify_both_sides(monkeypatch):
+    # every windowed root of the catalog battery and of the inclusion scans
+    # on power(1.5) (Luxemburg norms under T = sqrt[x^3/3] and its numeric
+    # conjugate), Luxemburg, Orlicz and inverse, certifies both sides: F
+    # clears the target by margin on the far side at est (1 - 10 margin)
+    # and at est (1 + 10 margin), for the estimate est its secant or Newton
+    # steps reached. With at most 4 secant steps e^{x^2} - 1's estimates
+    # stayed about 2e-9 off and 125 of its 189 roots bisected one side in
+    # full (30 to 45 values). The pairs are built here, so that no inverse
+    # is memoised from elsewhere.
+    windows = []  # (arguments, [(k, F(k)) asked for]) of each root, and group tags
+    multiplier = norms._multiplier
+    certify = recorder(young._windowed_root, windows)
+    monkeypatch.setattr(young, "_windowed_root", certify)
+    monkeypatch.setattr(norms, "_windowed_root", certify)
+
+    def flagged(phi, *args):
+        # the multiplier's root, tagged with its Phi
+        windows.append(phi.describe())
+        try:
+            return multiplier(phi, *args)
+        finally:
+            windows.append(None)
+
     monkeypatch.setattr(norms, "_multiplier", flagged)
-    run_battery()
-    counts = {False: [], True: []}
-    for is_orlicz, margin, asked, lo, hi in roots:
-        ests = {lo, hi} | {k for k, _ in asked}
+    run_battery([pair_from_spec(spec) for spec in young._CATALOG_SPECS])
+    windows.append("scan")
+    for check in (conv_inclusion_check, pointwise_inclusion_check):
+        check(pair_from_spec({"family": "power", "p": 1.5}), radius=16, trials=8, seed=7)
+    sqrt_margins = {young._modular_margin(t, 2) for t in inclusion_sqrt_pair()}
+    counts: dict[str, list[int]] = {}  # values asked per root, per group
+    group = "luxemburg"
+    for entry in windows:
+        if not isinstance(entry, tuple):
+            group = entry or "luxemburg"
+            continue
+        args, asked = entry
+        margin, target = args["margin"], args["target"]
+        ests = {args["lo"], args["hi"], args["est"]} - {None} | {k for k, _ in asked}
         ends = [
-            (f_a, f_b)
+            (f_b, f_a) if args["rises"] else (f_a, f_b)
             for (a, f_a), (b, f_b) in zip(asked, asked[1:])
-            if any(a == e * (1.0 - 10.0 * margin) and b == e * (1.0 + 10.0 * margin) for e in ests)
+            if any((a, b) == (e * (1.0 - 10.0 * margin), e * (1.0 + 10.0 * margin)) for e in ests)
         ]
-        assert any(f_a > 1.0 + margin and f_b < 1.0 - margin for f_a, f_b in ends), (
-            is_orlicz, margin, asked
-        )
-        if margin < norms.MARGIN:
-            assert len(asked) <= 15, (is_orlicz, margin, len(asked))
-        counts[is_orlicz].append(len(asked))
-    assert (len(counts[False]), len(counts[True])) == (890, 1000)
-    # 8.16 and 9.53 values per root; 15.86 and 20.32 with the margin MARGIN
-    # for every Phi but x^p/p and at most 4 secant steps
-    assert statistics.mean(counts[False]) <= 8.2, statistics.mean(counts[False])
-    assert statistics.mean(counts[True]) <= 9.6, statistics.mean(counts[True])
+        assert any(
+            f_a > target * (1.0 + margin) and f_b < target * (1.0 - margin) for f_a, f_b in ends
+        ), (group, args, asked)
+        assert len(asked) <= 15, (group, args, len(asked))
+        if args["rises"]:
+            counts.setdefault("inverse", []).append(len(asked))
+        elif group != "scan" or margin in sqrt_margins:
+            counts.setdefault(group, []).append(len(asked))
+    orlicz = [n for g, ns in counts.items() if g not in ("luxemburg", "scan", "inverse")
+              for n in ns]
+    assert (len(counts["luxemburg"]), len(orlicz), len(counts["scan"])) == (890, 1000, 60)
+    assert len(counts["inverse"]) == 826, len(counts["inverse"])
+    # 8.16 and 8.88 values per root; 15.86 and 20.32 with the margin MARGIN
+    # for every Phi but x^p/p and at most 4 secant steps, and 9.53 (Orlicz)
+    # with MARGIN for the three numeric conjugates' constraints below
+    assert statistics.mean(counts["luxemburg"]) <= 8.2, statistics.mean(counts["luxemburg"])
+    assert statistics.mean(orlicz) <= 8.9, statistics.mean(orlicz)
+    # 10.7 to 11.3 values per root; 18.4 to 19.2 with MARGIN
+    for psi in ("conj[cosh(p=2)]", "conj[exp_taylor(p=2)]", "conj[exp_power(p=2)]"):
+        assert statistics.mean(counts[psi]) <= 12, (psi, statistics.mean(counts[psi]))
+    # 5.33 values per root; 16.0 with MARGIN
+    assert statistics.mean(counts["scan"]) <= 8, statistics.mean(counts["scan"])
 
 
 def test_orlicz_norm_near_float_max():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import statistics
 
 import mpmath
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import inclusion_sqrt_pair, inverse_targets
 from orliczlat import young
 from orliczlat.errors import (
     ConjugateInfiniteError,
@@ -15,6 +18,7 @@ from orliczlat.errors import (
     InvalidInputError,
     NumericalFailureError,
 )
+from orliczlat.verify import run_battery
 from orliczlat.young import (
     YoungFunction,
     catalog,
@@ -461,13 +465,14 @@ def test_inverse_method_memoises_bit_identical_values():
 
 
 def test_inverse_matches_scalar_bisection_bit_for_bit(catalog_pairs):
-    ys = [float(y) for y in np.geomspace(1e-9, 1e9, 37)]
-    for pair in catalog_pairs:
-        for phi in (pair.phi, pair.psi):
-            for y in ys:
-                got = inverse(phi, y)
-                assert got == scalar_bisection_inverse(phi, y), (phi.describe(), y)
-                assert phi.inverse(y) == got, (phi.describe(), y)
+    # the windowed inverse against a plain bisection written out here, on
+    # every catalog member and the inclusion scans' square-root pair
+    members = [phi for pair in catalog_pairs for phi in (pair.phi, pair.psi)]
+    for phi in members + inclusion_sqrt_pair():
+        for y in inverse_targets(phi):
+            got = inverse(phi, y)
+            assert got == scalar_bisection_inverse(phi, y), (phi.describe(), y)
+            assert phi.inverse(y) == got, (phi.describe(), y)
 
 
 @pytest.mark.parametrize(
@@ -486,6 +491,62 @@ def test_inverse_matches_scalar_bisection_bit_for_bit(catalog_pairs):
 )
 def test_inverse_far_up_matches_the_doubling_bracket(phi, y, expected):
     assert inverse(phi, y) == scalar_bisection_inverse(phi, y) == expected
+
+
+def counted(phi: YoungFunction) -> tuple[YoungFunction, list[int]]:
+    """A copy of phi (``origin`` too, so the same margins) that counts the
+    values of Phi asked of it."""
+    calls, fn = [0], phi.fn
+
+    def counting(x: float) -> float:
+        calls[0] += 1
+        return fn(x)
+
+    return dataclasses.replace(phi, fn=counting), calls
+
+
+def plain_inverse(phi: YoungFunction, y: float) -> float:
+    """Oracle: the inverse with no window, the bracket search and every
+    bisection midpoint deciding ``not Phi(x) < y``, then the residual."""
+    def reaches(x: float) -> bool:
+        return young._reaches(phi.fn, x, y)
+
+    lo, hi = young.bisect(reaches, 0.0, young.expand(reaches, 1.0, 2.0), 1e-15, floor=1.0)
+    x = 0.5 * (lo + hi)
+    assert abs(phi(x) - y) <= 1e-10 * max(1.0, y)
+    return x
+
+
+# Newton's at most 8 values and the window's two
+INVERSE_WINDOW_COST = 10
+
+
+def test_inverse_evaluation_count(monkeypatch):
+    # the inverses that run_battery asks for, on fresh pairs (the cached
+    # catalog has memoised them): each the plain bisection's float, at no
+    # more values of Phi than it plus the window's, and few on average
+    pairs = [pair_from_spec(spec) for spec in young._CATALOG_SPECS]
+    asked = []
+    solve = young.inverse
+
+    def recording(phi, y):
+        asked.append((phi, y))
+        return solve(phi, y)
+
+    monkeypatch.setattr(young, "inverse", recording)
+    run_battery(pairs)
+    monkeypatch.undo()
+    windowed = []
+    for phi, y in asked:
+        plain_phi, plain = counted(phi)
+        want = plain_inverse(plain_phi, y)
+        phi, calls = counted(phi)
+        assert inverse(phi, y) == want, (phi.describe(), y)
+        assert calls[0] <= plain[0] + INVERSE_WINDOW_COST, (phi.describe(), y, plain[0], calls[0])
+        windowed.append(calls[0])
+    # 12.48 values per inverse; 52.93 with no window
+    assert len(windowed) == 410, len(windowed)
+    assert statistics.mean(windowed) <= 13, statistics.mean(windowed)
 
 
 # -- from_density ------------------------------------------------------------

@@ -34,7 +34,14 @@ from .finsupp import FinSuppFn
 from .norms import weighted_norm
 from .reports import ReportTable, make_metadata
 from .verify import VerifyRow, run_battery
-from .weights import MAX_BALL_POINTS, Homomorphism, ball_size, polynomial_weight, weight_from_spec
+from .weights import (
+    MAX_BALL_POINTS,
+    MAX_GRID_POINTS,
+    Homomorphism,
+    ball_size,
+    polynomial_weight,
+    weight_from_spec,
+)
 from .young import catalog, catalog_ids, conjugate, pair_from_spec
 
 EXIT_OK = 0
@@ -158,6 +165,8 @@ def _cmd_conjugate(config: dict, seed: int) -> tuple[ReportTable, int]:
         points = coerce(as_int, ygrid.get("points", 40), "y.points")
         if not (lo > 0.0 and hi > 0.0):
             raise InvalidInputError(f"y.min and y.max must be positive, got {lo!r} and {hi!r}")
+        if points > MAX_GRID_POINTS:
+            raise ResourceLimitError(f"y.points {points}: budget {MAX_GRID_POINTS}")
         try:
             ys = [float(v) for v in np.geomspace(lo, hi, points)]
         except ValueError as exc:

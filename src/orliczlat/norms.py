@@ -8,9 +8,10 @@ finite sum over the support. The Luxemburg norm is
 computed by bisection in k (:func:`~orliczlat.young.bisect`; the modular
 is monotone in k and the bracket endpoints are available in closed form
 from the largest entry). The modular is one array pass over the support
-(:meth:`YoungFunction.values`). The magnitudes are taken once
-(:meth:`FinSuppFn.magnitudes`, ``np.hypot``) and the terms are added with
-``math.fsum``: these match Python's ``abs(complex)`` and exact summation
+(:meth:`YoungFunction.values`), or, for a Phi without an array form, one
+loop calling Phi itself on each quotient, an overflow read as inf. The
+magnitudes are taken once (:meth:`FinSuppFn.magnitudes`, ``np.hypot``)
+and the terms are added with ``math.fsum``: these match Python's ``abs(complex)`` and exact summation
 bit for bit, so the norm does not depend on the order of the support. An
 array form of Phi may differ from its scalar form in the last ulp; the
 bisection stays because its fixed grid of midpoints absorbs that noise,
@@ -42,8 +43,9 @@ The Orlicz norm is the dual expression
 solved through its first-order conditions: the maximiser is v = Phi'(|f|/t)
 for the multiplier t at which the constraint binds, and the constraint
 value needs no Psi evaluations because Psi(Phi'(u)) = u*Phi'(u) - Phi(u)
-at conjugate points. The constraint falls in t as the modular falls in k,
-and the multiplier is found by the same windowed bisection, its window
+at conjugate points: one loop calling Phi and Phi' themselves on each
+quotient, an overflow read as inf. The constraint falls in t as the
+modular falls in k, and the multiplier is found by the same windowed bisection, its window
 sized to the rounding error of the constraint (``young._constraint_margin``),
 for every catalog member, its numeric conjugates included.
 
@@ -273,17 +275,27 @@ def luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
     return _luxemburg_of(phi, [f])[0]
 
 
-def _dual_constraint_term(phi: YoungFunction, u: float) -> float:
-    """Psi(Phi'(u)) via the conjugacy identity u*Phi'(u) - Phi(u)."""
-    fu = phi(u)
-    if math.isinf(fu):
-        return math.inf
-    return u * phi.d(u) - fu
-
-
 def _dual_constraint(phi: YoungFunction, mags: list[float], t: float) -> float:
-    """sum Psi(Phi'(a/t)) over the magnitudes a; decreasing in t."""
-    return math.fsum(_dual_constraint_term(phi, a / t) for a in mags)
+    """sum Psi(Phi'(a/t)) over the magnitudes a, each term by the conjugacy
+    identity u*Phi'(u) - Phi(u) at u = a/t, and inf where Phi(u) is;
+    decreasing in t. Phi and Phi' are called directly, an overflow read as
+    inf as :meth:`YoungFunction.__call__` and :meth:`YoungFunction.d` read it."""
+    fn, dfn, inf, terms = phi.fn, phi.derivative, math.inf, []
+    for a in mags:
+        u = a / t
+        try:
+            fu = float(fn(u))
+        except OverflowError:
+            fu = inf
+        if fu == inf or fu == -inf:
+            terms.append(inf)
+            continue
+        try:
+            du = float(dfn(u))
+        except OverflowError:
+            du = inf
+        terms.append(u * du - fu)
+    return math.fsum(terms)
 
 
 def _multiplier(phi: YoungFunction, quotients: list[float], start: float) -> float:

@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 MAX_BALL_POINTS = 2_000_000
+# the conjugate command's log-spaced y grid
+MAX_GRID_POINTS = 100_000
 MAX_PAIR_OPS = 20_000_000
 
 

@@ -25,6 +25,7 @@ are derived per family in the comment above MARGIN.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Generator, Iterable, Mapping, Sequence
@@ -86,6 +87,91 @@ def _reaches(fn: Callable[[float], float], x: float, y: float) -> bool:
         return True
 
 
+# the exponents e whose 2**e is a positive float
+_LOWEST, _HIGHEST = -1074, 1023
+
+
+class _Octaves:
+    """Phi' at the powers of two that the conjugate's octave searches of one
+    Phi have visited: exponents in ascending order, each with Phi'(2**e)
+    (inf where Phi' overflows or is an infinite numeric conjugate, as both
+    reach every y). The table stays sorted by value as long as Phi' is
+    non-decreasing at the powers of two; a value that would break that
+    order (a NaN among them) is not stored, and from then on the table
+    decides nothing."""
+
+    __slots__ = ("exps", "vals", "ordered")
+
+    def __init__(self) -> None:
+        self.exps: list[int] = []
+        self.vals: list[float] = []
+        self.ordered = True
+
+    def _add(self, dphi: Callable[[float], float], e: int) -> float | None:
+        """Phi'(2**e), stored in order; None where it breaks the order."""
+        try:
+            v = float(dphi(math.ldexp(1.0, e)))
+        except (OverflowError, ConjugateInfiniteError):
+            v = math.inf
+        exps, vals = self.exps, self.vals
+        j = bisect_left(exps, e)
+        if v != v or (j and vals[j - 1] > v) or (j < len(vals) and v > vals[j]):
+            self.ordered = False
+            return None
+        exps.insert(j, e)
+        vals.insert(j, v)
+        return v
+
+    def find(
+        self, dphi: Callable[[float], float], y: float
+    ) -> tuple[float, float, float | None] | None:
+        """(lo, Phi'(lo), Phi'(2 lo)) for the octave [lo, 2 lo] = [2**(k-1),
+        2**k] of the first exponent k with Phi'(2**k) >= y, the value at 2 lo
+        None where it is inf (the root finder evaluates it again, and so
+        raises where the conjugate is infinite); None where the table cannot
+        decide: it is out of order, or Phi' reaches y already at 2**-1074
+        (the maximiser may be 0) or not yet at 2**1023 (the sup may be
+        infinite).
+
+        The nearest stored exponents where Phi' is below y and where it
+        reaches y bound k; where one side has none, the search gallops out
+        from the other (from 2**0 on an empty table), doubling the distance,
+        and then bisects the exponents between the two. Only the exponents
+        it visits are stored, so a cold search asks for no more values than
+        the gallops of :func:`expand` from 1, and a warm one for a few or
+        none.
+        """
+        if not self.ordered:
+            return None
+        exps, vals = self.exps, self.vals
+        if not exps and self._add(dphi, 0) is None:
+            return None
+        i = bisect_left(vals, y)  # Phi' < y at exps[:i], >= y from there
+        below = exps[i - 1] if i else None
+        above = exps[i] if i < len(exps) else None
+        start, step = (above if below is None else below), 1  # where a gallop starts
+        while below is None or above is None or above - below > 1:
+            if below is None:
+                e = max(start - step, _LOWEST)
+            elif above is None:
+                e = min(start + step, _HIGHEST)
+            else:
+                e = (below + above) // 2
+            if e == below or e == above:
+                return None  # the gallop is past the float range: expand decides
+            step *= 2
+            v = self._add(dphi, e)
+            if v is None:
+                return None
+            if v < y:
+                below = e
+            else:
+                above = e
+        i = bisect_left(exps, below)
+        d_hi = vals[i + 1]
+        return math.ldexp(1.0, below), vals[i], (d_hi if d_hi < math.inf else None)
+
+
 @dataclass(frozen=True, eq=False)
 class YoungFunction:
     """Evaluator for a convex function on [0, inf) and its derivative.
@@ -108,6 +194,7 @@ class YoungFunction:
     array_fn: Callable[[np.ndarray], np.ndarray] | None = None
     origin: tuple[str, "YoungFunction"] | None = field(default=None, repr=False, compare=False)
     _inverses: dict[float, float] = field(default_factory=dict, init=False, repr=False)
+    _octaves: _Octaves = field(default_factory=_Octaves, init=False, repr=False)
 
     def __call__(self, x: float) -> float:
         if x < 0:
@@ -123,12 +210,21 @@ class YoungFunction:
     def values(self, xs: Iterable[float] | np.ndarray) -> list[float]:
         """Phi at each abscissa: one pass of ``array_fn`` if there is one.
 
-        Without an array form every element goes through :meth:`__call__`
-        as a Python float. Callers that may overflow the array form wrap
-        the call in ``np.errstate(over="ignore")``.
+        Without an array form each element is ``fn`` of it as a Python
+        float, inf where ``fn`` overflows, as :meth:`__call__` reads it; a
+        negative abscissa raises as there. Callers that may overflow the
+        array form wrap the call in ``np.errstate(over="ignore")``.
         """
         if self.array_fn is None:
-            return [self(x) for x in (xs.tolist() if isinstance(xs, np.ndarray) else xs)]
+            fn, out = self.fn, []
+            for x in xs.tolist() if isinstance(xs, np.ndarray) else xs:
+                if x < 0:
+                    raise InvalidInputError(f"Young function evaluated at negative x={x!r}")
+                try:
+                    out.append(float(fn(x)))
+                except OverflowError:
+                    out.append(math.inf)
+            return out
         arr = np.asarray(xs, dtype=float)
         if arr.size and arr.min() < 0:
             raise InvalidInputError(f"Young function evaluated at negative x={arr.min()!r}")
@@ -204,37 +300,57 @@ class YoungFunction:
 def conjugate_with_argmax(phi: YoungFunction, y: float) -> tuple[float, float]:
     """Conjugate value sup{x*y - Phi(x)} and its maximiser.
 
-    The maximiser is the root of Phi'(x) = y. :func:`expand` doubles x from
-    1 until Phi'(x) >= y, and halves from half that end until Phi' < y,
-    taking x = 0 as below y unevaluated. The octave [lo, 2 lo] goes to
-    :func:`_derivative_root`; if lo is 0, Phi'(0+) >= y and the maximiser
-    is 0. Phi is evaluated once, for max(0, x*y - Phi(x)), which reads inf
-    where x*y alone passes the float range. The sup is reported infinite
-    where no finite x has Phi'(x) >= y, or where that difference is
-    inf - inf, which max(0, .) would read as 0.
+    The maximiser is the root of Phi'(x) = y, in the octave [lo, 2 lo] =
+    [2**(k-1), 2**k] of the first power of two 2**k where Phi' >= y. Phi's
+    octave table (:class:`_Octaves`) keeps Phi' at the powers of two that
+    earlier solves visited and finds k by bisecting the exponents between
+    the nearest stored ones on either side of y, so a solve on a warm table
+    asks for few values of Phi' there or none; it hands Phi' at both ends
+    to :func:`_derivative_root`. Where Phi' is non-decreasing at the powers
+    of two this is the octave that :func:`expand` finds, doubling x from 1
+    until Phi'(x) >= y and halving from half that end until Phi' < y, and
+    that search still decides where the table cannot: a Phi' out of order
+    there, and the octaves past 2**-1074 (then Phi'(0+) >= y, lo is 0 and
+    so is the maximiser) or past 2**1023 (then no finite x may reach y).
+    Phi is evaluated once, for max(0, x*y - Phi(x)), which reads inf where
+    x*y alone passes the float range. The sup is reported infinite where
+    no finite x has Phi'(x) >= y, or where that difference is inf - inf,
+    which max(0, .) would read as 0.
     """
     if not y >= 0:  # also refuses NaN
         raise InvalidInputError(f"conjugate requested at negative or NaN y={y!r}")
     if y == 0.0:
         return 0.0, 0.0
     dphi = phi.derivative
-    hi = expand(lambda x: _reaches(dphi, x, y), 1.0, 2.0)
-    if hi in (None, math.inf):
-        raise ConjugateInfiniteError(y)
-    lo = expand(lambda x: x == 0.0 or not _reaches(dphi, x, y), 0.5 * hi, 0.5)
+    octave = phi._octaves.find(dphi, y)
+    if octave is None:
+        hi = expand(lambda x: _reaches(dphi, x, y), 1.0, 2.0)
+        if hi in (None, math.inf):
+            raise ConjugateInfiniteError(y)
+        lo = expand(lambda x: x == 0.0 or not _reaches(dphi, x, y), 0.5 * hi, 0.5)
+        octave = lo, None, None
+    lo, d_lo, d_hi = octave
     x = 0.0
     if lo > 0.0:
-        x = _derivative_root(dphi, y, lo)
+        x = _derivative_root(dphi, y, lo, d_lo, d_hi)
     value = x * y - phi(x)
     if value != value:  # inf - inf
         raise ConjugateInfiniteError(y)
     return max(0.0, value), x
 
 
-def _derivative_root(dphi: Callable[[float], float], y: float, lo: float) -> float:
+def _derivative_root(
+    dphi: Callable[[float], float],
+    y: float,
+    lo: float,
+    d_lo: float | None = None,
+    d_hi: float | None = None,
+) -> float:
     """The root of Phi'(x) = y in the octave [lo, 2 lo], to about an ulp.
 
-    Phi' < y at lo and Phi' >= y at 2 lo. A secant on (log x, log Phi'(x))
+    Phi' < y at lo and Phi' >= y at 2 lo; ``d_lo`` and ``d_hi`` are Phi'
+    there where the caller has them, and are evaluated where None. Phi'
+    is called directly, an overflow read as inf. A secant on (log x, log Phi'(x))
     through the last two iterates (exact in one step for a power) picks
     each point. A step that leaves the bracket, or that follows two steps
     which together failed to halve it, is a halving step instead. A secant
@@ -256,7 +372,10 @@ def _derivative_root(dphi: Callable[[float], float], y: float, lo: float) -> flo
         return log1p(q) if -1.0 < q < inf else nan
 
     hi = 2.0 * lo
-    d_lo, d_hi = _guarded(dphi, lo), _guarded(dphi, hi)
+    if d_lo is None:
+        d_lo = _guarded(dphi, lo)
+    if d_hi is None:
+        d_hi = _guarded(dphi, hi)
     x0, r0, x1, r1 = hi, residual(d_hi), lo, residual(d_lo)
     width, steps = hi - lo, 0
     for _ in range(200):
@@ -277,7 +396,10 @@ def _derivative_root(dphi: Callable[[float], float], y: float, lo: float) -> flo
                         t = hi - tol
                     if lo < t < hi:
                         x = t
-        d = _guarded(dphi, x)
+        try:
+            d = float(dphi(x))
+        except OverflowError:
+            d = inf
         if d == y:
             return x
         if d > y:
@@ -303,7 +425,9 @@ def numeric_conjugate(phi: YoungFunction) -> YoungFunction:
     maximiser itself (the envelope rule for the conjugate of a strictly
     convex function), which falls out of the same computation: the root of
     Phi'(x) = y to about an ulp. Results, infinite ones too, are memoised
-    per abscissa since downstream solvers revisit points.
+    per abscissa since downstream solvers revisit points; every solve
+    shares phi's octave table of Phi' at the powers of two, so a solve at
+    a new abscissa asks for Phi' at few powers of two, or none.
     """
     cache: dict[float, tuple[float, float] | None] = {}  # None: infinite there
 
@@ -338,10 +462,12 @@ def expand(pred: Callable[[float], bool], start: float, factor: float) -> float 
     looks at counts up to twice that result, so ``pred`` must be monotone
     there and must not raise (see :func:`_reaches`); it looks past the
     positive floats only once the last positive point fails, as the loop
-    would. This is the one bracket search of the package: the conjugate,
-    inverses, the density inverse and the Orlicz multiplier. The inverse
-    and the multiplier keep the values ``pred`` computed, so their root
-    estimates start from the bracket's ends at no cost.
+    would. This is the one bracket search of the package: inverses, the
+    density inverse and the Orlicz multiplier, whose inverse and
+    multiplier keep the values ``pred`` computed, so their root estimates
+    start from the bracket's ends at no cost. The conjugate finds its
+    octave in Phi's octave table instead, and comes here only where the
+    table cannot decide (see :func:`conjugate_with_argmax`).
     """
     sign = 1 if factor > 1.0 else -1
     m, e = math.frexp(start)

@@ -572,6 +572,20 @@ def test_dim_over_ball_budget_exit_3_before_any_work(capsys, command, dim):
     assert err.startswith("budget exceeded") and "budget 2000000" in err, err
 
 
+@pytest.mark.parametrize("points", ["100001", "1000000000"])
+def test_conjugate_points_over_the_grid_budget_exit_3_before_any_work(capsys, points):
+    # a billion points asked numpy for 7.45 GiB and ended in a raw
+    # allocation traceback; a grid over MAX_GRID_POINTS is refused before
+    # it is built
+    start = time.perf_counter()
+    code = main(["conjugate", "--young", '{"family":"power","p":2}', "--points", points])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "", out + err
+    assert err.startswith("budget exceeded") and f"y.points {points}" in err, err
+    assert "budget 100000" in err and "Traceback" not in err
+
+
 def test_verify_full_catalog_passes(tmp_path):
     out = tmp_path / "verify.json"
     r = run_cli("verify", "--out", str(out), "--format", "json")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import itertools
 import math
 import statistics
 import warnings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import extreme_functions, inclusion_sqrt_pair, scan_pool, seeded_rng
 from orliczlat import norms, young
 from orliczlat.algebra import conv_inclusion_check, pointwise_inclusion_check
-from orliczlat.errors import InvalidInputError, NumericalFailureError
+from orliczlat.errors import ConjugateInfiniteError, InvalidInputError, NumericalFailureError
 from orliczlat.finsupp import FinSuppFn
 from orliczlat.norms import (
     holder_check,
@@ -380,6 +381,89 @@ def test_fsums_sum_each_slice_exactly(catalog_pairs):
         got = [s.hex() for s in phi._fsums(xs, ends)]
         want = [math.fsum(phi.values(xs[a:b])).hex() for a, b in zip(starts, ends)]
         assert got == want, phi.describe()
+
+
+def _wrapped_values(phi, xs):
+    """Phi at each abscissa through ``YoungFunction.__call__``, one at a time."""
+    return [phi(x) for x in xs]
+
+
+def _wrapped_constraint(phi, mags, t):
+    """The Orlicz constraint through ``YoungFunction.__call__`` and ``d``:
+    each term u Phi'(u) - Phi(u), inf where Phi(u) is."""
+    terms = []
+    for a in mags:
+        u = a / t
+        fu = phi(u)
+        terms.append(math.inf if math.isinf(fu) else u * phi.d(u) - fu)
+    return math.fsum(terms)
+
+
+def _overflowing_functions():
+    """Scalar-only Phi whose values or derivatives overflow: cosh (sinh
+    raises past 710), (cosh - 1)^2, a numeric conjugate, and a custom Phi
+    whose derivative alone raises OverflowError on (709.8, 1e6] and whose
+    value alone raises past 1e6, returning a numpy float where it does not."""
+    def fn(x):
+        if x > 1e6:
+            raise OverflowError("value past the float range")
+        return np.float64(x ** 3 / 3.0)
+
+    def dfn(x):
+        return math.exp(x) if 700.0 < x <= 1e6 else np.float64(x * x)
+
+    return [
+        young_from_spec({"family": "cosh", "p": 1}),
+        young_from_spec({"family": "cosh", "p": 2}),
+        pair_from_spec({"family": "exp_power", "p": 2}).psi,
+        YoungFunction(fn=fn, derivative=dfn, label="numpy-valued"),
+    ]
+
+
+@pytest.mark.parametrize("phi", _overflowing_functions(), ids=YoungFunction.describe)
+def test_scalar_loops_read_overflow_as_inf_per_term(phi):
+    # values, _fsums and the Orlicz constraint call Phi and Phi' without
+    # the per-value wrappers: each term is the wrapped one, Python floats
+    # included, and one that overflows reads inf in its own term and slice
+    assert phi.array_fn is None
+    xs = [0.0, 1e-3, 0.5, 2.0, 30.0, 705.0, 800.0, 2e6, 1e103, 1e200, 1.7e308]
+    got = phi.values(np.array(xs))
+    want = _wrapped_values(phi, xs)
+    assert [(type(v), v.hex()) for v in got] == [(float, v.hex()) for v in want]
+    assert math.inf in got, phi.describe()
+    lanes = [[0.5, 2.0], [2.0, 1.7e308, 1e-3], [30.0]]
+    ends = list(itertools.accumulate(map(len, lanes)))
+    sums = phi._fsums(np.array([x for lane in lanes for x in lane]), ends)
+    assert [type(s) for s in sums] == [float] * 3
+    assert [s.hex() for s in sums] == [math.fsum(_wrapped_values(phi, lane)).hex() for lane in lanes]
+    assert sums[0] < math.inf and sums[1] == math.inf and sums[2] < math.inf
+    f = FinSuppFn(1, {(0,): 1.0, (1,): 1.7e308})
+    assert modular(phi, f) == math.inf
+    for mags in ([0.5, 2.0, 30.0], [0.5, 705.0], [1.0, 800.0, 2e6], [1e103], [1e200, 1e300]):
+        for t in (1e-3, 0.7, 1.0, 3.0):
+            got = norms._dual_constraint(phi, mags, t)
+            assert type(got) is float
+            assert got.hex() == _wrapped_constraint(phi, mags, t).hex(), (phi.describe(), mags, t)
+
+
+def test_scalar_loops_raise_as_the_wrappers_do():
+    # a negative abscissa still raises from values, and an infinite numeric
+    # conjugate from values, _fsums and the constraint alike
+    cosh = young_from_spec({"family": "cosh", "p": 1})
+    with pytest.raises(InvalidInputError, match="negative x=-0.001"):
+        cosh.values([1.0, -1e-3])
+    with pytest.raises(InvalidInputError, match="negative x=-0.001"):
+        cosh.values(np.array([1.0, -1e-3]))
+    # conj[x/2] is infinite past 1/2
+    capped = numeric_conjugate(sqrt_transform(young_from_spec({"family": "power", "p": 2})))
+    assert capped.values([0.25, 0.5]) == [0.0, 0.0]
+    for evaluate in (
+        lambda: capped.values([0.25, 1.0]),
+        lambda: capped._fsums(np.array([0.25, 1.0, 0.5]), [1, 3]),
+        lambda: norms._dual_constraint(capped, [0.25, 1.0], 1.0),
+    ):
+        with pytest.raises(ConjugateInfiniteError):
+            evaluate()
 
 
 @settings(max_examples=60)

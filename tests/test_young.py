@@ -267,6 +267,161 @@ def test_power_conjugate_bit_identical_to_the_chord_slope_bracket(p, log_y):
         assert pair[0] == pair[1]
 
 
+def expand_conjugate(phi, y):
+    """The conjugate with its octave found by the two galloping bracket
+    searches, written out here so that the octave table is pinned against
+    them bit for bit: ``young.expand`` doubles x from 1 until Phi'(x) >= y,
+    then halves from half that end until Phi' < y; the octave goes to the
+    package's root finder, which evaluates both its ends itself."""
+    if y == 0.0:
+        return 0.0, 0.0
+    dphi = phi.derivative
+    hi = young.expand(lambda x: young._reaches(dphi, x, y), 1.0, 2.0)
+    if hi in (None, math.inf):
+        raise ConjugateInfiniteError(y)
+    lo = young.expand(lambda x: x == 0.0 or not young._reaches(dphi, x, y), 0.5 * hi, 0.5)
+    x = young._derivative_root(dphi, y, lo) if lo > 0.0 else 0.0
+    value = x * y - phi(x)
+    if value != value:
+        raise ConjugateInfiniteError(y)
+    return max(0.0, value), x
+
+
+def _solved(solve, phi, y):
+    """(value, maximiser) as hex with their types, or None where the sup is infinite."""
+    try:
+        got = solve(phi, y)
+    except ConjugateInfiniteError:
+        return None
+    return [(type(v), v.hex()) for v in got]
+
+
+def _octave_functions() -> list[YoungFunction]:
+    """Every catalog Phi and Psi once, both sqrt transforms and their
+    numeric conjugates, and a Phi built from a density."""
+    members = {f.describe(): f for pair in catalog() for f in (pair.phi, pair.psi)}
+    transforms = [sqrt_transform(young_from_spec({"family": "power", "p": q})) for q in (2, 3)]
+    density = from_density(lambda t: t * t, validate=False).phi
+    return [*members.values(), *transforms, *map(numeric_conjugate, transforms), density]
+
+
+# y from the least subnormal to near the largest float, a third of a decade apart
+_OCTAVE_YS = [5e-324, *(10.0 ** (k / 3) for k in range(-969, 925)), 1.7e308]
+
+
+# quad warns where the density's Phi passes the float range; both solvers
+# read the same value there
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("phi", _octave_functions(), ids=YoungFunction.describe)
+def test_conjugate_octave_table_bit_identical_to_the_expand_bracket(phi):
+    # the table's state depends on the solves before: each order of the
+    # same queries starts from a fresh copy of phi, with an empty table
+    want = {y: _solved(expand_conjugate, phi, y) for y in _OCTAVE_YS}
+    shuffled = _OCTAVE_YS.copy()
+    np.random.default_rng(34).shuffle(shuffled)
+    for ys in (_OCTAVE_YS, _OCTAVE_YS[::-1], shuffled):
+        fresh = dataclasses.replace(phi)
+        for y in ys:
+            assert _solved(conjugate_with_argmax, fresh, y) == want[y], (phi.describe(), y)
+        assert fresh._octaves.ordered, phi.describe()
+    finite = [y for y in _OCTAVE_YS if want[y] is not None]
+    assert all(t is float for y in finite for t, _ in want[y])
+    # conj[x/2] is 0 up to 1/2 and infinite past it, where its Phi' raises:
+    # every octave's upper end raises, so each sup reads infinite
+    assert len(finite) >= 300 or phi.describe() == "conj[sqrt[power(p=2)]]", len(finite)
+
+
+def test_constant_slope_conjugate_is_left_to_the_expand_bracket():
+    # sqrt[x^2/2] = x/2: Phi' reaches y <= 1/2 already at 2**-1074, so the
+    # maximiser is 0, and y > 1/2 not yet at 2**1023, so the sup is
+    # infinite; the table decides neither, and expand answers both
+    phi = sqrt_transform(young_from_spec({"family": "power", "p": 2}))
+    for y in (5e-324, 0.25, 0.5):
+        assert phi._octaves.find(phi.derivative, y) is None
+        assert conjugate_with_argmax(phi, y) == expand_conjugate(phi, y) == (0.0, 0.0)
+    for y in (0.5000000000000001, 1.0, 1e300):
+        assert phi._octaves.find(phi.derivative, y) is None
+        with pytest.raises(ConjugateInfiniteError):
+            conjugate_with_argmax(phi, y)
+    assert phi._octaves.ordered
+
+
+@pytest.mark.parametrize("bad", [0.1, math.nan], ids=["dip", "nan"])
+def test_derivative_out_of_order_at_the_powers_of_two_takes_the_expand_answer(bad):
+    # Phi'(4) reads below Phi'(2) (or NaN): the first solve whose search
+    # stores it finds the order broken, and from then on every solve, in
+    # any order, is the one expand finds
+    def dphi(x):
+        return bad if x == 4.0 else x
+
+    phi = YoungFunction(fn=lambda x: 0.5 * x * x, derivative=dphi, label="out-of-order")
+    ys = [0.3, 1.5, 3.0, 5.0, 7.5, 1e3, 0.7, 2.5]
+    want = {y: _solved(expand_conjugate, phi, y) for y in ys}
+    for order in (ys, sorted(ys), sorted(ys, reverse=True)):
+        fresh = dataclasses.replace(phi)
+        assert [_solved(conjugate_with_argmax, fresh, y) for y in order] == [want[y] for y in order]
+        assert not fresh._octaves.ordered
+    if bad == 0.1:
+        # at y = 3 the octave expand finds is [4, 8], past the dip, where
+        # the root of x = 3 in [2, 4] is 3
+        assert float.fromhex(want[3.0][1][1]) >= 4.0
+
+
+def test_conjugate_infinite_past_the_octave_table_propagates():
+    # Psi' of Phi = x^1.5/1.5 is x^2 below 2**512 and raises from there: the
+    # table keeps inf at those powers of two, and the root finder evaluates
+    # the octave's upper end again, so the error of the numeric Psi'
+    # surfaces where Psi' first reaches y at 2**512
+    psi = make_pair(
+        YoungFunction(fn=lambda x: x ** 1.5 / 1.5, derivative=math.sqrt), validate=False
+    ).psi
+    for y in (1e4, 1e160, 1e300, 1e308):
+        assert _solved(conjugate_with_argmax, psi, y) == _solved(expand_conjugate, psi, y), y
+    with pytest.raises(ConjugateInfiniteError):
+        conjugate_with_argmax(psi, 1e308)
+    assert math.inf in psi._octaves.vals and psi._octaves.ordered
+
+
+def test_conjugate_solves_ask_few_derivative_values(monkeypatch):
+    # Phi' values asked inside the solves of the numeric conjugates that
+    # run_battery makes, on fresh copies of the four numerically conjugated
+    # catalog Phi, whose octave tables start empty: 6.66 per solve, 11.70
+    # when each solve galloped its octave from 1 with expand
+    solve = young.conjugate_with_argmax
+    tallies: dict[int, list[int]] = {}  # id(phi) -> [solves, values of Phi']
+    active: list[list[int] | None] = []
+
+    def counting_solve(phi, y):
+        tally = tallies.get(id(phi))
+        if tally is not None:
+            tally[0] += 1
+        active.append(tally)
+        try:
+            return solve(phi, y)
+        finally:
+            active.pop()
+
+    def counted(phi):
+        def dphi(x):
+            if active and active[-1] is tally:
+                tally[1] += 1
+            return phi.derivative(x)
+
+        tally = [0, 0]
+        fresh = dataclasses.replace(phi, derivative=dphi)
+        tallies[id(fresh)] = tally
+        return fresh
+
+    monkeypatch.setattr(young, "conjugate_with_argmax", counting_solve)
+    numeric = [pair.phi for pair in catalog() if pair.conjugation_mode == "numerical"]
+    assert len(numeric) == 4
+    run_battery([make_pair(counted(phi), validate=False) for phi in numeric])
+    solves = sum(s for s, _ in tallies.values())
+    values = sum(v for _, v in tallies.values())
+    assert solves > 8000, solves
+    assert values / solves <= 8.5, values / solves
+
+
 def linear_expand(pred, start, factor):
     """The bracket search as a plain loop over start * factor**k, k = 0, 1,
     ..., up to the first point off the positive floats (inf or 0.0)."""

@@ -393,14 +393,15 @@ def l1_module_check(
     )
 
 
-def _sqrt_pair(pair: ComplementaryPair) -> tuple[YoungFunction, YoungFunction]:
+def _sqrt_psi(pair: ComplementaryPair) -> YoungFunction:
+    """The sqrt transform T of the pair's Psi; a rejected one raises
+    PreconditionError."""
     try:
-        psi_tilde = sqrt_transform(pair.psi)
+        return sqrt_transform(pair.psi)
     except ConvexityError as exc:
         raise PreconditionError(
             f"sqrt transform rejected for {pair.psi.describe()}: {exc}"
         ) from exc
-    return psi_tilde, numeric_conjugate(psi_tilde)
 
 
 def conv_inclusion_check(
@@ -412,7 +413,7 @@ def conv_inclusion_check(
 ) -> ScanReport:
     """Scan the convolution inclusion: N_Psi(u*f) / (N_T(u) N_Phi(f)) where
     T is the sqrt transform of Psi."""
-    psi_tilde, _ = _sqrt_pair(pair)
+    psi_tilde = _sqrt_psi(pair)
     return _ratio_scan(
         "conv_inclusion_check",
         {"pair": pair.describe(), "radius": radius, "trials": trials, "seed": seed},
@@ -433,7 +434,7 @@ def pointwise_inclusion_check(
 ) -> ScanReport:
     """Scan the pointwise-product inclusion: N_Phi(u.g) / (N_T(u) N_Psi(g))
     where T is the conjugate of the sqrt transform of Psi."""
-    _, phi_tilde = _sqrt_pair(pair)
+    phi_tilde = numeric_conjugate(_sqrt_psi(pair))
     return _ratio_scan(
         "pointwise_inclusion_check",
         {"pair": pair.describe(), "radius": radius, "trials": trials, "seed": seed},

@@ -15,11 +15,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import _sqrt_pair
+from .algebra import _sqrt_psi
 from .errors import ConjugateInfiniteError, PreconditionError
 from .norms import holder_check, luxemburg_norm, orlicz_norm
 from .sampling import random_finsupp, rng_for
-from .young import ComplementaryPair, catalog, default_grid, young_inequality_margin
+from .young import (
+    ComplementaryPair,
+    catalog,
+    default_grid,
+    numeric_conjugate,
+    young_inequality_margin,
+)
 
 __all__ = [
     "VerifyRow",
@@ -85,7 +91,7 @@ def sqrt_pair_margin(pair: ComplementaryPair) -> float | None:
     """Worst relative violation of the sqrt-pair comparisons, or None when
     the sqrt transform of psi is rejected (the check is then vacuous)."""
     try:
-        _, phi_tilde = _sqrt_pair(pair)
+        phi_tilde = numeric_conjugate(_sqrt_psi(pair))
     except PreconditionError:
         return None
     worst = -math.inf

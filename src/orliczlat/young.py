@@ -78,27 +78,22 @@ def _guarded(fn: Callable[[float], float], x: float) -> float:
     return float(v)
 
 
-def _reaches(fn: Callable[[float], float], x: float, y: float) -> bool:
-    """fn(x) >= y, where :func:`expand` may look past its answer: there an
-    overflow, a NaN (inf - inf) and an infinite numeric conjugate reach y."""
+def _slope(dphi: Callable[[float], float], x: float) -> float:
+    """Phi'(x), inf where it overflows or is an infinite numeric conjugate,
+    as both reach every y."""
     try:
-        return not fn(x) < y
+        return float(dphi(x))
     except (OverflowError, ConjugateInfiniteError):
-        return True
-
-
-# the exponents e whose 2**e is a positive float
-_LOWEST, _HIGHEST = -1074, 1023
+        return math.inf
 
 
 class _Octaves:
     """Phi' at the powers of two that the conjugate's octave searches of one
-    Phi have visited: exponents in ascending order, each with Phi'(2**e)
-    (inf where Phi' overflows or is an infinite numeric conjugate, as both
-    reach every y). The table stays sorted by value as long as Phi' is
-    non-decreasing at the powers of two; a value that would break that
-    order (a NaN among them) is not stored, and from then on the table
-    decides nothing."""
+    Phi have evaluated: exponents in ascending order, each with
+    :func:`_slope` at 2**e. The table stays sorted by value as long as
+    Phi' is non-decreasing at the powers of two; a value that would break
+    that order (a NaN among them) is not stored, and from then on the
+    table stores nothing and answers only where it holds the value."""
 
     __slots__ = ("exps", "vals", "ordered")
 
@@ -107,69 +102,76 @@ class _Octaves:
         self.vals: list[float] = []
         self.ordered = True
 
-    def _add(self, dphi: Callable[[float], float], e: int) -> float | None:
-        """Phi'(2**e), stored in order; None where it breaks the order."""
-        try:
-            v = float(dphi(math.ldexp(1.0, e)))
-        except (OverflowError, ConjugateInfiniteError):
-            v = math.inf
+    def reaches(self, dphi: Callable[[float], float], x: float, y: float) -> bool:
+        """Phi'(x) >= y at a power of two x or at inf, a NaN reaching y as
+        :func:`expand` needs. The answer is a stored value where there is
+        one, or, while the table is in order, that of a stored neighbour:
+        one below that reaches y, or one above that does not. Otherwise
+        :func:`_slope` is evaluated and, at a power of two, stored."""
+        if x == math.inf:
+            return not _slope(dphi, x) < y
+        e = math.frexp(x)[1] - 1
         exps, vals = self.exps, self.vals
         j = bisect_left(exps, e)
-        if v != v or (j and vals[j - 1] > v) or (j < len(vals) and v > vals[j]):
-            self.ordered = False
-            return None
-        exps.insert(j, e)
-        vals.insert(j, v)
-        return v
+        above = j < len(exps)
+        if above and exps[j] == e:
+            return not vals[j] < y
+        if self.ordered:
+            if j and not vals[j - 1] < y:
+                return True
+            if above and vals[j] < y:
+                return False
+        v = _slope(dphi, x)
+        if self.ordered:
+            if v != v or (j and vals[j - 1] > v) or (above and v > vals[j]):
+                self.ordered = False
+            else:
+                exps.insert(j, e)
+                vals.insert(j, v)
+        return not v < y
 
     def find(
         self, dphi: Callable[[float], float], y: float
-    ) -> tuple[float, float, float | None] | None:
+    ) -> tuple[float, float | None, float | None]:
         """(lo, Phi'(lo), Phi'(2 lo)) for the octave [lo, 2 lo] = [2**(k-1),
-        2**k] of the first exponent k with Phi'(2**k) >= y, the value at 2 lo
-        None where it is inf (the root finder evaluates it again, and so
-        raises where the conjugate is infinite); None where the table cannot
-        decide: it is out of order, or Phi' reaches y already at 2**-1074
-        (the maximiser may be 0) or not yet at 2**1023 (the sup may be
-        infinite).
+        2**k] of the first exponent k with Phi'(2**k) >= y, each value None
+        where the table does not hold it or holds inf (the root finder
+        evaluates it, and so raises where the conjugate is infinite); lo is
+        0 where Phi' reaches y already at 2**-1074, and the sup is reported
+        infinite where Phi' does not reach y at 2**1023.
 
-        The nearest stored exponents where Phi' is below y and where it
-        reaches y bound k; where one side has none, the search gallops out
-        from the other (from 2**0 on an empty table), doubling the distance,
-        and then bisects the exponents between the two. Only the exponents
-        it visits are stored, so a cold search asks for no more values than
-        the gallops of :func:`expand` from 1, and a warm one for a few or
-        none.
+        Where the stored exponents next below and next reaching y are
+        adjacent, that is the octave. Otherwise :func:`expand` doubles x
+        from the nearest stored power of two (from 1 on an empty or
+        out-of-order table) until Phi'(x) >= y, then halves from half that
+        end until Phi' < y, each step read by :meth:`reaches`, and the
+        octave's ends are read back from the table.
         """
+        octave = self._stored(y)
+        if octave is not None:
+            return octave
+        start = 1.0
+        if self.ordered and self.exps:
+            i = bisect_left(self.vals, y)
+            start = math.ldexp(1.0, self.exps[max(i - 1, 0)])
+        reaches = self.reaches
+        hi = expand(lambda x: reaches(dphi, x, y), start, 2.0)
+        if hi in (None, math.inf):
+            raise ConjugateInfiniteError(y)
+        lo = expand(lambda x: x == 0.0 or not reaches(dphi, x, y), 0.5 * hi, 0.5)
+        return self._stored(y) or (lo, None, None)
+
+    def _stored(self, y: float) -> tuple[float, float, float | None] | None:
+        """The octave of y where the table is in order and holds both its
+        ends, else None."""
         if not self.ordered:
             return None
         exps, vals = self.exps, self.vals
-        if not exps and self._add(dphi, 0) is None:
-            return None
         i = bisect_left(vals, y)  # Phi' < y at exps[:i], >= y from there
-        below = exps[i - 1] if i else None
-        above = exps[i] if i < len(exps) else None
-        start, step = (above if below is None else below), 1  # where a gallop starts
-        while below is None or above is None or above - below > 1:
-            if below is None:
-                e = max(start - step, _LOWEST)
-            elif above is None:
-                e = min(start + step, _HIGHEST)
-            else:
-                e = (below + above) // 2
-            if e == below or e == above:
-                return None  # the gallop is past the float range: expand decides
-            step *= 2
-            v = self._add(dphi, e)
-            if v is None:
-                return None
-            if v < y:
-                below = e
-            else:
-                above = e
-        i = bisect_left(exps, below)
-        d_hi = vals[i + 1]
-        return math.ldexp(1.0, below), vals[i], (d_hi if d_hi < math.inf else None)
+        if not (0 < i < len(exps) and exps[i] - exps[i - 1] == 1):
+            return None
+        d_hi = vals[i]
+        return math.ldexp(1.0, exps[i - 1]), vals[i - 1], (d_hi if d_hi < math.inf else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,36 +302,21 @@ class YoungFunction:
 def conjugate_with_argmax(phi: YoungFunction, y: float) -> tuple[float, float]:
     """Conjugate value sup{x*y - Phi(x)} and its maximiser.
 
-    The maximiser is the root of Phi'(x) = y, in the octave [lo, 2 lo] =
-    [2**(k-1), 2**k] of the first power of two 2**k where Phi' >= y. Phi's
-    octave table (:class:`_Octaves`) keeps Phi' at the powers of two that
-    earlier solves visited and finds k by bisecting the exponents between
-    the nearest stored ones on either side of y, so a solve on a warm table
-    asks for few values of Phi' there or none; it hands Phi' at both ends
-    to :func:`_derivative_root`. Where Phi' is non-decreasing at the powers
-    of two this is the octave that :func:`expand` finds, doubling x from 1
-    until Phi'(x) >= y and halving from half that end until Phi' < y, and
-    that search still decides where the table cannot: a Phi' out of order
-    there, and the octaves past 2**-1074 (then Phi'(0+) >= y, lo is 0 and
-    so is the maximiser) or past 2**1023 (then no finite x may reach y).
-    Phi is evaluated once, for max(0, x*y - Phi(x)), which reads inf where
-    x*y alone passes the float range. The sup is reported infinite where
-    no finite x has Phi'(x) >= y, or where that difference is inf - inf,
-    which max(0, .) would read as 0.
+    The maximiser is the root of Phi'(x) = y, found by
+    :func:`_derivative_root` in the octave [lo, 2 lo] = [2**(k-1), 2**k] of
+    the first power of two 2**k where Phi' >= y, which Phi's octave table
+    gives (:meth:`_Octaves.find`); the maximiser is 0 where that octave
+    starts at 0. Phi is evaluated once, for max(0, x*y - Phi(x)), which
+    reads inf where x*y alone passes the float range. The sup is reported
+    infinite where no finite x has Phi'(x) >= y, or where that difference
+    is inf - inf, which max(0, .) would read as 0.
     """
     if not y >= 0:  # also refuses NaN
         raise InvalidInputError(f"conjugate requested at negative or NaN y={y!r}")
     if y == 0.0:
         return 0.0, 0.0
     dphi = phi.derivative
-    octave = phi._octaves.find(dphi, y)
-    if octave is None:
-        hi = expand(lambda x: _reaches(dphi, x, y), 1.0, 2.0)
-        if hi in (None, math.inf):
-            raise ConjugateInfiniteError(y)
-        lo = expand(lambda x: x == 0.0 or not _reaches(dphi, x, y), 0.5 * hi, 0.5)
-        octave = lo, None, None
-    lo, d_lo, d_hi = octave
+    lo, d_lo, d_hi = phi._octaves.find(dphi, y)
     x = 0.0
     if lo > 0.0:
         x = _derivative_root(dphi, y, lo, d_lo, d_hi)
@@ -427,7 +414,7 @@ def numeric_conjugate(phi: YoungFunction) -> YoungFunction:
     Phi'(x) = y to about an ulp. Results, infinite ones too, are memoised
     per abscissa since downstream solvers revisit points; every solve
     shares phi's octave table of Phi' at the powers of two, so a solve at
-    a new abscissa asks for Phi' at few powers of two, or none.
+    a new abscissa whose octave the table holds asks for no Phi' there.
     """
     cache: dict[float, tuple[float, float] | None] = {}  # None: infinite there
 
@@ -460,14 +447,14 @@ def expand(pred: Callable[[float], bool], start: float, factor: float) -> float 
     bisected between the last two counts, so for a monotone ``pred`` the
     result is that of the plain loop, found in O(log k) calls. The gallop
     looks at counts up to twice that result, so ``pred`` must be monotone
-    there and must not raise (see :func:`_reaches`); it looks past the
-    positive floats only once the last positive point fails, as the loop
-    would. This is the one bracket search of the package: inverses, the
-    density inverse and the Orlicz multiplier, whose inverse and
-    multiplier keep the values ``pred`` computed, so their root estimates
-    start from the bracket's ends at no cost. The conjugate finds its
-    octave in Phi's octave table instead, and comes here only where the
-    table cannot decide (see :func:`conjugate_with_argmax`).
+    there and must not raise (see :meth:`_Octaves.reaches`); it looks past
+    the positive floats only once the last positive point fails, as the
+    loop would. This is the one bracket search of the package: inverses,
+    the density inverse, the Orlicz multiplier and the conjugate's octaves
+    that its table does not yet hold. The inverse and the multiplier keep
+    the values ``pred`` computed, so their root estimates start from the
+    bracket's ends at no cost; the conjugate's predicate stores each
+    Phi' it evaluates in Phi's octave table (:class:`_Octaves`).
     """
     sign = 1 if factor > 1.0 else -1
     m, e = math.frexp(start)

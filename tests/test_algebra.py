@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import SCAN_WEIGHTS, seeded_rng
 from orliczlat import algebra, amenability, norms
 from orliczlat.algebra import (
-    _sqrt_pair,
+    _sqrt_psi,
     AlgebraContext,
     classify_trend,
     conv_inclusion_check,
@@ -40,7 +40,7 @@ from orliczlat.norms import apply_weight, luxemburg_norm, weighted_l1_norm
 from orliczlat.sampling import random_finsupp, rng_for, scan_pairs
 from orliczlat.verify import sqrt_pair_margin
 from orliczlat.weights import Weight, ball, polynomial_weight, subexp_alpha_weight, weight_from_spec
-from orliczlat.young import default_grid, inverse, pair_from_spec
+from orliczlat.young import default_grid, inverse, numeric_conjugate, pair_from_spec
 
 
 def conv_oracle(f: FinSuppFn, g: FinSuppFn) -> dict:
@@ -549,7 +549,7 @@ def test_sqrt_pair_inequalities_power_and_entropy():
     for spec in ({"family": "power", "p": 1.5}, {"family": "entropy"},
                  {"family": "power", "p": 2}):
         pair = pair_from_spec(spec)
-        _, phi_tilde = _sqrt_pair(pair)
+        phi_tilde = numeric_conjugate(_sqrt_psi(pair))
         for x in grid:
             fx = pair.phi(x)
             try:
@@ -575,7 +575,7 @@ def test_conv_inclusion_single_atom_and_plateau():
     rep = conv_inclusion_check(pair, 32, trials=40, seed=13)
     assert rep.trend == "plateau", rep.per_radius
     # closed-form single-atom ratio
-    psi_tilde, _ = _sqrt_pair(pair)
+    psi_tilde = _sqrt_psi(pair)
     d0 = FinSuppFn.delta(0)
     ratio = luxemburg_norm(pair.psi, d0) / (
         luxemburg_norm(psi_tilde, d0) * luxemburg_norm(pair.phi, d0)
@@ -642,7 +642,8 @@ def algebra_scans(pair, omega, dim, radius, trials, seed, draw=scan_pairs):
     scan_pairs) that builds each top, by convolve or pointwise_mul, and
     measures it alone, as the scans did before their tops were batched."""
     ctx = AlgebraContext(pair, omega, dim)
-    psi_tilde, phi_tilde = _sqrt_pair(pair)
+    psi_tilde = _sqrt_psi(pair)
+    phi_tilde = numeric_conjugate(psi_tilde)
     radii = sorted(set(algebra._radius_ladder(radius)))
 
     def lux(f):

@@ -257,6 +257,9 @@ def test_square_log_conjugate_raises_where_its_difference_overflows():
         psi(1e200)
 
 
+# on a cold table the octave is [2**-7, 2**-6] while the upward search
+# stops at 1: the root finder must get Phi' at the octave's two ends
+@example(p=1.5, log_y=-1.0)
 @given(
     p=st.floats(1.01, 40.0, allow_nan=False),
     log_y=st.floats(-300.0, 300.0, allow_nan=False),
@@ -267,19 +270,29 @@ def test_power_conjugate_bit_identical_to_the_chord_slope_bracket(p, log_y):
         assert pair[0] == pair[1]
 
 
+def fn_reaches(fn, x, y):
+    """fn(x) >= y, an overflow, a NaN and an infinite numeric conjugate
+    reaching every y."""
+    try:
+        return not fn(x) < y
+    except (OverflowError, ConjugateInfiniteError):
+        return True
+
+
 def expand_conjugate(phi, y):
     """The conjugate with its octave found by the two galloping bracket
-    searches, written out here so that the octave table is pinned against
-    them bit for bit: ``young.expand`` doubles x from 1 until Phi'(x) >= y,
-    then halves from half that end until Phi' < y; the octave goes to the
-    package's root finder, which evaluates both its ends itself."""
+    searches from 1, written out here so that the octave table is pinned
+    against them bit for bit: ``young.expand`` doubles x from 1 until
+    Phi'(x) >= y, then halves from half that end until Phi' < y; the octave
+    goes to the package's root finder, which evaluates both its ends
+    itself."""
     if y == 0.0:
         return 0.0, 0.0
     dphi = phi.derivative
-    hi = young.expand(lambda x: young._reaches(dphi, x, y), 1.0, 2.0)
+    hi = young.expand(lambda x: fn_reaches(dphi, x, y), 1.0, 2.0)
     if hi in (None, math.inf):
         raise ConjugateInfiniteError(y)
-    lo = young.expand(lambda x: x == 0.0 or not young._reaches(dphi, x, y), 0.5 * hi, 0.5)
+    lo = young.expand(lambda x: x == 0.0 or not fn_reaches(dphi, x, y), 0.5 * hi, 0.5)
     x = young._derivative_root(dphi, y, lo) if lo > 0.0 else 0.0
     value = x * y - phi(x)
     if value != value:
@@ -305,6 +318,14 @@ def _octave_functions() -> list[YoungFunction]:
     return [*members.values(), *transforms, *map(numeric_conjugate, transforms), density]
 
 
+def _derivative_or_inf(phi, e):
+    """Phi'(2**e), inf where it overflows or the conjugate is infinite."""
+    try:
+        return float(phi.derivative(math.ldexp(1.0, e)))
+    except (OverflowError, ConjugateInfiniteError):
+        return math.inf
+
+
 # y from the least subnormal to near the largest float, a third of a decade apart
 _OCTAVE_YS = [5e-324, *(10.0 ** (k / 3) for k in range(-969, 925)), 1.7e308]
 
@@ -323,7 +344,11 @@ def test_conjugate_octave_table_bit_identical_to_the_expand_bracket(phi):
         fresh = dataclasses.replace(phi)
         for y in ys:
             assert _solved(conjugate_with_argmax, fresh, y) == want[y], (phi.describe(), y)
-        assert fresh._octaves.ordered, phi.describe()
+        table = fresh._octaves
+        assert table.ordered, phi.describe()
+        # exponents strictly ascending, each value Phi'(2**e) read again
+        assert all(a < b for a, b in zip(table.exps, table.exps[1:])), phi.describe()
+        assert table.vals == [_derivative_or_inf(fresh, e) for e in table.exps], phi.describe()
     finite = [y for y in _OCTAVE_YS if want[y] is not None]
     assert all(t is float for y in finite for t, _ in want[y])
     # conj[x/2] is 0 up to 1/2 and infinite past it, where its Phi' raises:
@@ -331,26 +356,23 @@ def test_conjugate_octave_table_bit_identical_to_the_expand_bracket(phi):
     assert len(finite) >= 300 or phi.describe() == "conj[sqrt[power(p=2)]]", len(finite)
 
 
-def test_constant_slope_conjugate_is_left_to_the_expand_bracket():
+def test_constant_slope_conjugate_is_zero_up_to_its_slope_and_infinite_past_it():
     # sqrt[x^2/2] = x/2: Phi' reaches y <= 1/2 already at 2**-1074, so the
-    # maximiser is 0, and y > 1/2 not yet at 2**1023, so the sup is
-    # infinite; the table decides neither, and expand answers both
+    # maximiser is 0, and y > 1/2 not yet at 2**1023, so the sup is infinite
     phi = sqrt_transform(young_from_spec({"family": "power", "p": 2}))
     for y in (5e-324, 0.25, 0.5):
-        assert phi._octaves.find(phi.derivative, y) is None
         assert conjugate_with_argmax(phi, y) == expand_conjugate(phi, y) == (0.0, 0.0)
     for y in (0.5000000000000001, 1.0, 1e300):
-        assert phi._octaves.find(phi.derivative, y) is None
         with pytest.raises(ConjugateInfiniteError):
             conjugate_with_argmax(phi, y)
     assert phi._octaves.ordered
 
 
 @pytest.mark.parametrize("bad", [0.1, math.nan], ids=["dip", "nan"])
-def test_derivative_out_of_order_at_the_powers_of_two_takes_the_expand_answer(bad):
+def test_derivative_out_of_order_at_the_powers_of_two_gives_the_expand_answer(bad):
     # Phi'(4) reads below Phi'(2) (or NaN): the first solve whose search
-    # stores it finds the order broken, and from then on every solve, in
-    # any order, is the one expand finds
+    # evaluates it finds the order broken, and every solve, in any order,
+    # is the one the two searches from 1 find
     def dphi(x):
         return bad if x == 4.0 else x
 
@@ -664,7 +686,7 @@ def plain_inverse(phi: YoungFunction, y: float) -> float:
     """Oracle: the inverse with no window, the bracket search and every
     bisection midpoint deciding ``not Phi(x) < y``, then the residual."""
     def reaches(x: float) -> bool:
-        return young._reaches(phi.fn, x, y)
+        return fn_reaches(phi.fn, x, y)
 
     lo, hi = young.bisect(reaches, 0.0, young.expand(reaches, 1.0, 2.0), 1e-15, floor=1.0)
     x = 0.5 * (lo + hi)

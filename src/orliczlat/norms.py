@@ -5,9 +5,8 @@ finite sum over the support. The Luxemburg norm is
 
     N_Phi(f) = inf{ k > 0 : sum Phi(|f(s)|/k) <= 1 },
 
-computed by bisection in k (:func:`~orliczlat.young.bisect`; the modular
-is monotone in k and the bracket endpoints are available in closed form
-from the largest entry). The modular is one array pass over the support
+computed by bisection in k (the modular is monotone in k and the bracket
+endpoints are available in closed form from the largest entry). The modular is one array pass over the support
 (:meth:`YoungFunction.values`), or, for a Phi without an array form, one
 loop calling Phi itself on each quotient, an overflow read as inf. The
 magnitudes are taken once (:meth:`FinSuppFn.magnitudes`, ``np.hypot``)
@@ -184,9 +183,8 @@ def _luxemburg_norms(phi: YoungFunction, mags_list: Sequence[np.ndarray]) -> lis
     is the float :func:`luxemburg_norm` returns for it. An error raised on
     the way is one that some lane raises alone, not necessarily the first
     lane's. Every caller comes through here, a single f as a batch of one.
-    A batch of one has no round to share, so its lane is driven as
-    :func:`~orliczlat.young.bisect` drives its halvings
-    (:func:`~orliczlat.young._drive`), on the modular :func:`modular`
+    A batch of one has no round to share, so its lane is driven by
+    :func:`~orliczlat.young._drive`, on the modular :func:`modular`
     takes: the round bookkeeping made conjugate-battery's median op, whose
     norms are all single, 9% slower (``BENCH_21.json``).
     """

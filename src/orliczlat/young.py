@@ -450,11 +450,11 @@ def expand(pred: Callable[[float], bool], start: float, factor: float) -> float 
     there and must not raise (see :meth:`_Octaves.reaches`); it looks past
     the positive floats only once the last positive point fails, as the
     loop would. This is the one bracket search of the package: inverses,
-    the density inverse, the Orlicz multiplier and the conjugate's octaves
-    that its table does not yet hold. The inverse and the multiplier keep
-    the values ``pred`` computed, so their root estimates start from the
-    bracket's ends at no cost; the conjugate's predicate stores each
-    Phi' it evaluates in Phi's octave table (:class:`_Octaves`).
+    the Orlicz multiplier and the conjugate's octaves that its table does
+    not yet hold. The inverse and the multiplier keep the values ``pred``
+    computed, so their root estimates start from the bracket's ends at no
+    cost; the conjugate's predicate stores each Phi' it evaluates in Phi's
+    octave table (:class:`_Octaves`).
     """
     sign = 1 if factor > 1.0 else -1
     m, e = math.frexp(start)
@@ -482,47 +482,6 @@ def expand(pred: Callable[[float], bool], start: float, factor: float) -> float 
     return found
 
 
-def bisect(
-    pred: Callable[[float], bool],
-    lo: float,
-    hi: float,
-    rtol: float,
-    floor: float = 0.0,
-) -> tuple[float, float]:
-    """Halve [lo, hi] around the point where ``pred`` turns true.
-
-    ``pred`` must be false at ``lo`` and true at ``hi`` (monotone between);
-    a midpoint where it holds becomes the new ``hi``. Stops once
-    ``hi - lo <= rtol * max(floor, hi)``, after 200 halvings, or when
-    ``lo`` and ``hi`` are adjacent floats, where every further halving
-    would leave them as they are; so ``rtol=0`` returns what all 200
-    halvings would. The halvings are :func:`_halvings`, the one bisection
-    of the package: the density inverse runs them here, and the inverse,
-    the Luxemburg norm and the Orlicz multiplier through
-    :func:`_windowed_root`, which answers the midpoints outside a
-    certified window without evaluating and so returns what this returns.
-    """
-    return _drive(_halvings(lo, hi, rtol, floor), pred)
-
-
-def _halvings(
-    lo: float, hi: float, rtol: float, floor: float = 0.0
-) -> Generator[float, bool, tuple[float, float]]:
-    """The halving loop of :func:`bisect`: yields each midpoint, receives
-    the decision there, and returns the final (lo, hi)."""
-    for _ in range(200):
-        if hi - lo <= rtol * (hi if hi > floor else floor):
-            break
-        mid = 0.5 * lo + 0.5 * hi  # lo + hi would overflow near the top of the range
-        if mid == lo or mid == hi:
-            break  # adjacent floats: every further halving repeats this one
-        if (yield mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 def _drive(steps: Generator, answer: Callable):
     """Run a search generator to its end, sending ``answer(x)`` for each x
     it yields; returns what the generator returns."""
@@ -546,17 +505,21 @@ def _windowed_root(
     target: float = 1.0,
     rises: bool = False,
 ) -> Generator[float, float, tuple[float, float]]:
-    """:func:`bisect` of [lo, hi] on a computed value F that falls through
+    """The bisection of [lo, hi] on a computed value F that falls through
     ``target`` (with ``rises``, that rises through it), skipping the
-    decisions a window around an estimate of the root certifies. A
-    generator: it yields each point where it needs F, receives F there and
-    returns the final (lo, hi), so one caller can drive it with a function
-    (:func:`_drive`) and another can step many roots in lockstep.
+    decisions a window around an estimate of the root certifies: the one
+    halving loop of the package. A generator: it yields each point where
+    it needs F, receives F there and returns the final (lo, hi), so one
+    caller can drive it with a function (:func:`_drive`) and another can
+    step many roots in lockstep.
 
-    A midpoint k decides ``F(k) <= target`` (rising: ``not F(k) <
-    target``), and where that holds it becomes the new hi. ``margin``
-    exceeds twice the relative error of the computed F near the target
-    (see the comment above MARGIN). F at a = est (1 - 10 margin) and b =
+    A midpoint k = lo/2 + hi/2 decides ``F(k) <= target`` (rising: ``not
+    F(k) < target``), and where that holds it becomes the new hi. The
+    halving stops once ``hi - lo <= rtol * max(floor, hi)``, after 200
+    halvings, or when lo and hi are adjacent floats, where every further
+    halving would leave them as they are. ``margin`` exceeds twice the
+    relative error of the computed F near the target (see the comment
+    above MARGIN). F at a = est (1 - 10 margin) and b =
     est (1 + 10 margin) certifies each side that clears the target by
     margin: every midpoint at or below a then decides False and every
     one at or above b True, without asking for F, so the bisection visits
@@ -609,17 +572,23 @@ def _windowed_root(
             else:
                 below = a if f_a > high else 0.0
                 above = b if f_b < low else math.inf
-    steps = _halvings(lo, hi, rtol, floor)
-    send = steps.send
-    try:
-        k = next(steps)
-        if rises:
-            while True:
-                k = send(k >= above or (k > below and not (yield k) < target))
-        while True:
-            k = send(k >= above or (k > below and (yield k) <= target))
-    except StopIteration as stop:
-        return stop.value
+    for _ in range(200):
+        if hi - lo <= rtol * (hi if hi > floor else floor):
+            break
+        k = 0.5 * lo + 0.5 * hi  # lo + hi would overflow near the top of the range
+        if k == lo or k == hi:
+            break  # adjacent floats: every further halving repeats this one
+        if k >= above:
+            hi = k
+        elif k <= below:
+            lo = k
+        else:
+            f = yield k
+            if (not f < target) if rises else f <= target:
+                hi = k
+            else:
+                lo = k
+    return lo, hi
 
 
 # The root window. Three searches bisect for the point where a computed
@@ -991,8 +960,8 @@ class ComplementaryPair:
     """A Young function together with its convex conjugate.
 
     ``conjugation_mode`` records how psi was obtained: "closed_form" for
-    catalog members with a known conjugate, "numerical" for the optimiser
-    based conjugate, "quadrature" for pairs built from a density.
+    catalog members with a known conjugate, "numerical" for
+    :func:`numeric_conjugate`.
     """
 
     phi: YoungFunction
@@ -1049,11 +1018,14 @@ def from_density(
     label: str = "density",
     validate: bool = True,
 ) -> ComplementaryPair:
-    """Build the pair Phi(x) = int_0^x varphi, Psi(y) = int_0^y varphi^{-1}.
+    """The pair of Phi(x) = int_0^x varphi and its numeric conjugate.
 
     ``varphi`` must be continuous, strictly increasing, 0 at 0 and
     unbounded; monotonicity is probed on a grid before any quadrature.
-    Integrals use adaptive quadrature at 1e-9 relative accuracy.
+    Phi is adaptive quadrature at 1e-9 relative accuracy, with derivative
+    varphi, and :func:`make_pair` pairs it: Psi, labelled
+    ``conj[<label>:integral]``, is :func:`numeric_conjugate` of Phi, so
+    Psi' = varphi^{-1} is the conjugate's maximiser.
     """
     # scipy.integrate is most of the package's import time and only this
     # constructor needs it.
@@ -1069,37 +1041,13 @@ def from_density(
         if not vb > va:
             raise InvalidInputError(f"density not strictly increasing on [{a:g},{b:g}]")
 
-    def varphi_inv(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-
-        def reaches(x: float) -> bool:
-            # NaN, as a bounded density may read at inf, is not reached
-            return _guarded(varphi, x) >= t
-
-        hi = expand(reaches, 1.0, 2.0)
-        if hi is None:
-            raise NumericalFailureError(f"density never reaches {t!r}: no bracket for its inverse")
-        lo, hi = bisect(reaches, 0.0, hi, 0.0)
-        return 0.5 * (lo + hi)
-
     def phi_fn(x: float) -> float:
         if x == 0.0:
             return 0.0
         return quad(varphi, 0.0, x, epsabs=0.0, epsrel=1e-9, limit=200)[0]
 
-    def psi_fn(y: float) -> float:
-        if y == 0.0:
-            return 0.0
-        return quad(varphi_inv, 0.0, y, epsabs=0.0, epsrel=1e-9, limit=200)[0]
-
     phi = YoungFunction(fn=phi_fn, derivative=varphi, label=f"{label}:integral")
-    psi = YoungFunction(fn=psi_fn, derivative=varphi_inv, label=f"{label}:integral-inv")
-    pair = ComplementaryPair(phi, psi, "quadrature")
-    if validate:
-        phi.validate(default_grid(21))
-        pair.validate(default_grid(9, 1e-3, 1e2))
-    return pair
+    return make_pair(phi, validate=validate)
 
 
 def _below(phi1: YoungFunction, phi2: YoungFunction, c: float, xs: Sequence[float]) -> bool:

@@ -80,6 +80,26 @@ def extreme_functions() -> list[FinSuppFn]:
     ]
 
 
+def plain_bisect(
+    pred, lo: float, hi: float, rtol: float, floor: float = 0.0
+) -> tuple[float, float]:
+    """Oracle for the package's root windows: halve [lo, hi], ``pred``
+    false at lo and true at hi, a midpoint where it holds becoming hi;
+    stop once ``hi - lo <= rtol * max(floor, hi)``, after 200 halvings, or
+    at adjacent floats."""
+    for _ in range(200):
+        if hi - lo <= rtol * max(floor, hi):
+            break
+        mid = 0.5 * lo + 0.5 * hi
+        if mid == lo or mid == hi:
+            break
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def inclusion_sqrt_pair() -> list[YoungFunction]:
     """T = sqrt[x^3/3] and its numeric conjugate: the square-root transforms
     that the inclusion scans on power(1.5) measure with (Psi = x^3/3)."""

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import extreme_functions, inclusion_sqrt_pair, scan_pool, seeded_rng
+from conftest import extreme_functions, inclusion_sqrt_pair, plain_bisect, scan_pool, seeded_rng
 from orliczlat import norms, young
 from orliczlat.algebra import conv_inclusion_check, pointwise_inclusion_check
 from orliczlat.errors import ConjugateInfiniteError, InvalidInputError, NumericalFailureError
@@ -31,7 +31,6 @@ from orliczlat.weights import polynomial_weight
 from orliczlat.young import (
     ComplementaryPair,
     YoungFunction,
-    bisect,
     expand,
     inverse,
     numeric_conjugate,
@@ -287,7 +286,7 @@ def plain_luxemburg(phi: YoungFunction, f: FinSuppFn) -> float:
     with np.errstate(over="ignore"):
         if norms._modular(phi, mags / lo) <= 1.0:
             return norms._unscaled(lo, e, phi)
-        _, hi = bisect(lambda k: norms._modular(phi, mags / k) <= 1.0, lo, hi, 1e-13)
+        _, hi = plain_bisect(lambda k: norms._modular(phi, mags / k) <= 1.0, lo, hi, 1e-13)
     return norms._unscaled(hi, e, phi)
 
 
@@ -613,7 +612,7 @@ def plain_orlicz(pair: ComplementaryPair, f: FinSuppFn) -> float:
     lo = expand(lambda t: t == 0.0 or constraint(t) >= 1.0, hi * 0.5, 0.5)
     if lo == 0.0:
         raise NumericalFailureError("dual multiplier bracket failed to shrink")
-    _, hi = bisect(lambda t: constraint(t) <= 1.0, lo, hi, 1e-13)
+    _, hi = plain_bisect(lambda t: constraint(t) <= 1.0, lo, hi, 1e-13)
     value = math.fsum(a * phi.d(a / hi) for a in mags)
     n_phi = plain_luxemburg(phi, f)
     if not (n_phi * (1.0 - 1e-9) <= value <= 2.0 * n_phi * (1.0 + 1e-9)):

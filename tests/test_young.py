@@ -10,13 +10,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import inclusion_sqrt_pair, inverse_targets
+from conftest import inclusion_sqrt_pair, inverse_targets, plain_bisect
 from orliczlat import young
 from orliczlat.errors import (
     ConjugateInfiniteError,
     ConvexityError,
     InvalidInputError,
-    NumericalFailureError,
 )
 from orliczlat.verify import run_battery
 from orliczlat.young import (
@@ -688,7 +687,7 @@ def plain_inverse(phi: YoungFunction, y: float) -> float:
     def reaches(x: float) -> bool:
         return fn_reaches(phi.fn, x, y)
 
-    lo, hi = young.bisect(reaches, 0.0, young.expand(reaches, 1.0, 2.0), 1e-15, floor=1.0)
+    lo, hi = plain_bisect(reaches, 0.0, young.expand(reaches, 1.0, 2.0), 1e-15, floor=1.0)
     x = 0.5 * (lo + hi)
     assert abs(phi(x) - y) <= 1e-10 * max(1.0, y)
     return x
@@ -750,38 +749,56 @@ def test_from_density_exponential_density():
         assert pair.psi(x) == pytest.approx((1 + x) * math.log1p(x) - x, rel=1e-8)
 
 
-def test_from_density_values_match_scalar_bisection_bit_for_bit():
-    from scipy.integrate import quad
-
-    for varphi in (lambda y: y ** 1.5, math.sinh):
-        pair = from_density(varphi, label="pin")
-
-        def varphi_inv(t, varphi=varphi):
-            # rtol 0: all 200 halvings (the width test fires only once lo == hi)
-            return scalar_bisection_inverse(varphi, t, rtol=0.0) if t > 0.0 else 0.0
-
-        for t in (1e-3, 0.5, 2.0, 40.0):
-            assert pair.psi.d(t) == varphi_inv(t), t
-            ref = quad(varphi_inv, 0.0, t, epsabs=0.0, epsrel=1e-9, limit=200)[0]
-            assert pair.psi(t) == ref, t
+# (varphi, its inverse and the integral of its inverse, at 40 digits)
+_DENSITY_ORACLES = [
+    (
+        lambda y: y ** 1.5,
+        lambda t: t ** (mpmath.mpf(2) / 3),
+        lambda t: mpmath.mpf(3) / 5 * t ** (mpmath.mpf(5) / 3),
+    ),
+    (math.sinh, mpmath.asinh, lambda t: t * mpmath.asinh(t) - mpmath.sqrt(1 + t * t) + 1),
+]
 
 
+def test_from_density_conjugate_matches_the_40_digit_inverse():
+    # Psi' is the maximiser of the numeric conjugate: within 1.5 u of
+    # varphi^{-1}; Psi within 1e-14 of its integral
+    u = 2.0 ** -53
+    with mpmath.workdps(40):
+        for varphi, varphi_inv, integral in _DENSITY_ORACLES:
+            pair = from_density(varphi, label="pin")
+            for t in [1e-3, 0.5, 2.0, 40.0, *default_grid(41, 1e-3, 1e2)]:
+                exact = varphi_inv(mpmath.mpf(t))
+                assert abs(pair.psi.d(t) - exact) <= 1.5 * u * exact, t
+                exact = integral(mpmath.mpf(t))
+                assert abs(pair.psi(t) - exact) <= 1e-14 * exact, t
+
+
+# the quadrature of Phi up to entropy's maximiser at 1e200 overflows, and
+# scipy warns that it ran out of subdivisions
+@pytest.mark.filterwarnings("ignore:The maximum number of subdivisions")
 def test_from_density_inverse_far_up():
-    # expand looks at 2**16, where expm1 overflows: that counts as reached
+    # the octave search looks at 2**16, where expm1 overflows: that counts as reached
     expm1 = from_density(math.expm1, label="expm1", validate=False)
-    assert expm1.psi.d(1e112) == scalar_bisection_inverse(math.expm1, 1e112, rtol=0.0)
-    # the doubling loop itself overflows at 2**10 here
+    with mpmath.workdps(40):
+        assert expm1.psi.d(1e112) == float(mpmath.log1p(mpmath.mpf(1e112)))
     assert expm1.psi.d(1e300) == pytest.approx(math.log(1e300), rel=1e-15)
-    # (1+x) log1p(x) - x reads inf - inf at 2**1024: expand stops at 2**1023
+    # at the maximiser x y and Phi(x) both overflow: inf - inf, as for the
+    # catalog's numeric conjugate of square_log
     entropy = from_density(young._entropy_fn, label="entropy", validate=False)
-    assert entropy.psi.d(1e200) == scalar_bisection_inverse(young._entropy_fn, 1e200, rtol=0.0)
+    with pytest.raises(ConjugateInfiniteError):
+        entropy.psi.d(1e200)
+    square_log = next(p.psi for p in catalog() if p.psi.describe() == "conj[square_log(p=1)]")
+    with pytest.raises(ConjugateInfiniteError):
+        square_log.d(1e200)
 
 
 def test_from_density_inverse_without_bracket_raises():
-    # x/(1+x) passes the monotonicity probe but never reaches 1
+    # x/(1+x) passes the monotonicity probe but never reaches 1: the
+    # conjugate is infinite past it
     pair = from_density(lambda y: y / (1.0 + y), label="bounded", validate=False)
     assert pair.psi.d(0.5) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(NumericalFailureError):
+    with pytest.raises(ConjugateInfiniteError):
         pair.psi.d(2.0)
 
 

@@ -9,11 +9,12 @@ Reports carry ``certificate="empirical"`` to make this status explicit.
 
 A scan measures a radius in three batches: the left norms, the right
 norms and the tops (:func:`_ratio_scan`), each distinct pair of objects
-once. A symmetric candidate is its own flip
-(:func:`~orliczlat.sampling.scan_pairs`), so its /flipped pair is its
-/same pair by identity. A convolution top is the function :func:`convolve`
-returns: the weighted tops of a radius are read in one weighted pass and
-measured in one lockstep Luxemburg call (:func:`_convolution_norms`).
+once. A candidate that is even or odd under the reflection stands in for
+its own flip (:func:`~orliczlat.sampling.scan_pairs`), so its /flipped
+pair is its /same pair by identity. A convolution top is the function
+:func:`convolve` returns: the weighted tops of a radius are read in one
+weighted pass and measured in one lockstep Luxemburg call
+(:func:`_convolution_norms`).
 The box kernel (:func:`_box_convolve`) adds
 a chunk of f's entries at a time in one ordered ``np.add.at`` pass, so
 each cell is bit for bit the sum one entry at a time gives.
@@ -34,7 +35,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .finsupp import FinSuppFn, _int64_points
+from .finsupp import FinSuppFn
 from .norms import (
     _luxemburg_norms,
     _luxemburg_of,
@@ -102,7 +103,7 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
     order. The route is asked once: pairs below ``_ARRAY_MIN_OPS`` products
     take the loop (:func:`_takes_box`, checked before any array is read),
     and so do pairs with a point that has no int64 view
-    (:func:`~orliczlat.finsupp._int64_points`) and the pairs
+    (:meth:`~orliczlat.finsupp.FinSuppFn._int64_view`) and the pairs
     :func:`_box_convolve` refuses: a box corner outside int64, or a box much
     larger than ``len(f) * len(g)``. Raises :class:`ResourceLimitError`
     above ``MAX_CONV_OPS`` products and :class:`NumericalFailureError`
@@ -116,7 +117,7 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
     if ops > MAX_CONV_OPS:
         raise ResourceLimitError(f"convolution needs {ops} products, budget {MAX_CONV_OPS}")
     if _takes_box(ops):
-        f_pts, g_pts = _int64_points(f.entries, f.dim), _int64_points(g.entries, f.dim)
+        f_pts, g_pts = f._int64_view(), g._int64_view()
         if f_pts is not None and g_pts is not None:
             gv = np.fromiter(g.entries.values(), dtype=complex, count=len(g))
             box = _box_convolve(f_pts, f.entries.values(), g_pts, gv.real.copy(), gv.imag.copy())
@@ -135,12 +136,13 @@ def _box_function(dim: int, re: np.ndarray, im: np.ndarray, corner: list[int],
                   extent: list[int]) -> FinSuppFn:
     """f*g as a sparse function read off its box: the nonzero cells,
     row-major. The box lies in int64 (:func:`_box_convolve`), so the
-    coordinates are added there."""
+    coordinates are added there, and their array is the function's view."""
     cells = np.flatnonzero((re != 0.0) | (im != 0.0))
     vals = np.empty(len(cells), dtype=complex)
     vals.real, vals.imag = re[cells], im[cells]
-    axes = [(axis + base).tolist() for axis, base in zip(np.unravel_index(cells, extent), corner)]
-    return FinSuppFn._computed(dim, dict(zip(zip(*axes), vals.tolist())), "convolution")
+    axes = np.array(np.unravel_index(cells, extent)) + np.array(corner)[:, None]
+    keys = zip(*axes.tolist())
+    return FinSuppFn._computed(dim, dict(zip(keys, vals.tolist())), "convolution", axes.T)
 
 
 def _box_convolve(
@@ -305,6 +307,17 @@ def _ratio_scan(
 
     The radii are scanned in ascending order, each once; the trend needs
     two distinct radii, and a radius below 1 is refused.
+
+    ``scan_pairs`` pairs a candidate f that is even or odd under the
+    reflection with itself where its flip g would stand, which is exact
+    under one condition on the measures: each reads magnitudes, a
+    Luxemburg norm or an exact sum, so neither g's key order nor a zero's
+    sign changes a value, and each ``top`` reads |B(f, g)| or a norm of
+    f*g for a bilinear B. For odd f, g = -f: negating g negates every
+    product exactly, and the convolution's sums from 0.0 and the exact
+    pairing sum (``math.fsum`` is correctly rounded) are then negated
+    exactly, up to signed zeros, so every magnitude is unchanged. A
+    measure outside that condition must not be scanned over these pools.
     """
     radii = sorted(set(radii))
     if not radii:

@@ -30,7 +30,7 @@ import numpy as np
 from . import algebra
 from .algebra import AlgebraContext, ScanReport, _ratio_scan, convolve
 from .errors import InvalidInputError, NumericalFailureError, PreconditionError
-from .finsupp import FinSuppFn, _int64_points
+from .finsupp import FinSuppFn
 from .weights import (
     RATIO_MARGIN,
     DampedHomomorphism,
@@ -126,10 +126,10 @@ def _derivation_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> complex:
 
     Each step repeats the reference's float operations on arrays:
 
-    - xi(p) = sum c_i p_i over supp f in CPython's complex-times-int order,
-      ``re = cr*x - ci*0.0`` and ``im = cr*0.0 + ci*x``, summed from
-      (0.0, 0.0); then h = f(p) * xi(p) at -p in complex-multiply order,
-      less its exact zeros.
+    - xi(p) over supp f is read off f's int64 view
+      (``Homomorphism._on_view``, CPython's complex-times-int order); then
+      h = f(p) * xi(p) at -p in complex-multiply order, less its exact
+      zeros.
     - D(f) = window * h goes through :func:`~orliczlat.algebra.convolve`'s
       box kernel (``algebra._box_convolve``), and g's points are indexed
       into the box.
@@ -151,15 +151,12 @@ def _fused_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> complex | None:
     nw, nf, dim = len(window), len(f), f.dim
     if dim != window.dim or g.dim != dim or not algebra._takes_box(nw * nf):  # |h| <= |f|
         return None
-    pts, w_pts, g_pts = (_int64_points(u.entries, dim) for u in (f, window, g))
+    pts, w_pts, g_pts = f._int64_view(), window._int64_view(), g._int64_view()
     if pts is None or w_pts is None or g_pts is None:
         return None
     vals = np.fromiter(f.entries.values(), complex, nf)
+    xr, xi = d.form._on_view(pts)
     with np.errstate(over="ignore", invalid="ignore"):
-        xr, xi = 0.0, 0.0
-        for c, col in zip(d.form.coeffs, pts.T):
-            x = col.astype(float)
-            xr, xi = xr + (c.real * x - c.imag * 0.0), xi + (c.real * 0.0 + c.imag * x)
         vr, vi = vals.real, vals.imag
         hr, hi = vr * xr - vi * xi, vr * xi + vi * xr
     if not (np.isfinite(hr).all() and np.isfinite(hi).all()):
@@ -378,8 +375,10 @@ def derivation_norm_scan(
 
     Each <D(f), g> is read by :func:`_derivation_pairing`, bit for bit the
     ``pairing(apply_derivation(d, f), g)`` it replaces, without building
-    D(f), and each distinct pair once (``algebra._ratios``): a symmetric
-    candidate's /flipped pair is its /same pair, (f, f).
+    D(f), and each distinct pair once (``algebra._ratios``): the /flipped
+    pair of a candidate that is even or odd under the reflection (the ball
+    indicators, the 1/omega and damped-form profiles) is its /same pair,
+    (f, f).
     """
     return _ratio_scan(
         "derivation_norm_scan",

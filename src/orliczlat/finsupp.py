@@ -23,7 +23,10 @@ over the smaller support.
 One array view leads out: :func:`_int64_points` reads the points of a
 support as an int64 array, or says None when a coordinate does not fit,
 so the array paths of convolution, the derivation pairing and the weight
-reader share one rule for the lattice's int64 range.
+reader share one rule for the lattice's int64 range. Each function reads
+its view once (:meth:`FinSuppFn._int64_view`) and keeps it; a producer
+that already holds the array of its points hands it to
+:meth:`FinSuppFn._computed`, which keeps it in place of a second read.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ import numpy as np
 from .errors import InvalidInputError, NumericalFailureError, as_int, coerce
 
 Point = tuple[int, ...]
+
+_UNREAD = object()  # a view not read yet; None is a support with no view
 
 __all__ = ["FinSuppFn", "Point", "as_point"]
 
@@ -66,7 +71,17 @@ def _int64_points(points: Collection[Point], dim: int) -> np.ndarray | None:
         pts = np.fromiter(itertools.chain.from_iterable(points), np.int64, len(points) * dim)
     except OverflowError:
         return None
-    return None if pts.size and pts.min() == -(2**63) else pts.reshape(len(points), dim)
+    return _as_view(pts.reshape(len(points), dim))
+
+
+def _as_view(pts: np.ndarray) -> np.ndarray | None:
+    """An int64 (n, dim) array of points as their view, read-only since
+    functions share it; None where a coordinate is -2**63, as in
+    :func:`_int64_points`."""
+    if pts.size and pts.min() == -(2**63):
+        return None
+    pts.flags.writeable = False
+    return pts
 
 
 @dataclass(frozen=True)
@@ -80,6 +95,8 @@ class FinSuppFn:
     _luxemburg: dict[object, float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # memo of the support's int64 view, read by _int64_view
+    _view: object = field(default=_UNREAD, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -98,20 +115,28 @@ class FinSuppFn:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _computed(cls, dim: int, entries: Mapping[Point, complex], what: str) -> "FinSuppFn":
+    def _computed(
+        cls, dim: int, entries: Mapping[Point, complex], what: str,
+        view: np.ndarray | None = None,
+    ) -> "FinSuppFn":
         """The function a producer in this package computed, minus exact zeros:
         its points are int tuples of length ``dim`` and its values complex.
         The producer hands over a fresh dict, which the function keeps as
-        its entries where no value is an exact zero, without a copy.
+        its entries where no value is an exact zero, without a copy, and
+        may hand over ``view``, its points in key order as an int64
+        (n, dim) array, which the function keeps as its view.
         Raises :class:`NumericalFailureError` naming the first entry, in
         insertion order, whose value is not finite."""
         if not all(map(cmath.isfinite, entries.values())):
             p, v = next((p, v) for p, v in entries.items() if not cmath.isfinite(v))
             raise NumericalFailureError(f"{what} value {v!r} at {p!r} is not finite")
         if not all(entries.values()):
+            if view is not None:
+                view = view[[v != 0 for v in entries.values()]]
             entries = {p: v for p, v in entries.items() if v != 0}
         f = object.__new__(cls)  # frozen: the fields are set past __setattr__
-        vars(f).update(dim=dim, entries=MappingProxyType(entries), _luxemburg={})
+        vars(f).update(dim=dim, entries=MappingProxyType(entries), _luxemburg={},
+                       _view=_UNREAD if view is None else _as_view(view))
         return f
 
     @classmethod
@@ -140,6 +165,13 @@ class FinSuppFn:
 
     def __getitem__(self, point: Iterable[int] | int) -> complex:
         return self.entries.get(as_point(point), 0.0)
+
+    def _int64_view(self) -> np.ndarray | None:
+        """The support's int64 view, :func:`_int64_points` of its entries
+        (None where a coordinate does not fit), read once and kept."""
+        if self._view is _UNREAD:
+            object.__setattr__(self, "_view", _int64_points(self.entries, self.dim))
+        return self._view
 
     @property
     def is_zero(self) -> bool:
@@ -183,13 +215,16 @@ class FinSuppFn:
     def flip(self) -> "FinSuppFn":
         """The reflection f(-x); an involution compatible with convolution.
         The points are negated as one int64 array where they have a view
-        (:func:`_int64_points`), one at a time where they do not."""
-        pts = _int64_points(self.entries, self.dim)
+        (:meth:`_int64_view`), which the flip keeps as its own, and one at a
+        time where they do not."""
+        pts = self._int64_view()
         if pts is None:
             keys = [tuple(-c for c in p) for p in self.entries]
         else:
-            keys = map(tuple, (-pts).tolist())
-        return FinSuppFn._computed(self.dim, dict(zip(keys, self.entries.values())), "flip")
+            pts = -pts
+            keys = map(tuple, pts.tolist())
+        return FinSuppFn._computed(
+            self.dim, dict(zip(keys, self.entries.values())), "flip", pts)
 
     def abs(self) -> "FinSuppFn":
         with np.errstate(over="ignore"):  # abs(complex) raises OverflowError there

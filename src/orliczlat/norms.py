@@ -382,10 +382,20 @@ def apply_weight(f: FinSuppFn, omega: Weight) -> FinSuppFn:
     return FinSuppFn._computed(f.dim, out, "weighted")
 
 
+def _weights_at(omega: Weight, fs: Sequence[FinSuppFn]) -> np.ndarray:
+    """omega at every point of the fs (nonempty, of one dimension), f by f
+    in key order: one :meth:`Weight.at_points` on their kept int64 views,
+    or on their points where one f has no view."""
+    views = [f._int64_view() for f in fs]
+    if any(view is None for view in views):
+        return omega.at_points([p for f in fs for p in f.entries], fs[0].dim)
+    return omega.at_points(np.concatenate(views), fs[0].dim)
+
+
 def _weighted_magnitudes(omega: Weight, fs: Sequence[FinSuppFn]) -> list[np.ndarray]:
     """The magnitudes of each ``apply_weight(f, omega)`` bit for bit,
     without building it, for fs of one dimension: omega from one
-    :meth:`Weight.at_points` over all their points, and the products
+    :func:`_weights_at` over all their points, and the products
     re*w and im*w, which equal CPython's complex times float up to signed
     zeros that ``np.hypot`` ignores. Products that underflow to 0 leave
     the support. Where any magnitude of the batch is not finite, the
@@ -393,10 +403,9 @@ def _weighted_magnitudes(omega: Weight, fs: Sequence[FinSuppFn]) -> list[np.ndar
     first such f's error."""
     if not fs:
         return []
-    points = list(itertools.chain.from_iterable(f.entries for f in fs))
-    w = omega.at_points(points, fs[0].dim)
+    w = _weights_at(omega, fs)
     values = itertools.chain.from_iterable(f.entries.values() for f in fs)
-    vals = np.fromiter(values, dtype=complex, count=len(points))
+    vals = np.fromiter(values, dtype=complex, count=len(w))
     with np.errstate(over="ignore", invalid="ignore"):
         mags = np.hypot(vals.real * w, vals.imag * w)
     if not np.isfinite(mags).all():
@@ -440,11 +449,11 @@ def weighted_norm(
 
 
 def weighted_l1_norm(omega: Weight, f: FinSuppFn) -> float:
-    """sum |f(s)| * omega(s), with omega read from :meth:`Weight.at_points`.
+    """sum |f(s)| * omega(s), with omega read by :func:`_weights_at`.
     Raises :class:`NumericalFailureError` where a term or the sum passes
     the float range."""
     with np.errstate(over="ignore"):
-        terms = (f.magnitudes() * omega.at_points(f.entries, f.dim)).tolist()
+        terms = (f.magnitudes() * _weights_at(omega, [f])).tolist()
     return _finite_sum(
         terms, f"weighted L1 norm overflows the float range under {omega.describe()}"
     )

@@ -9,9 +9,12 @@ Deterministic adversarial candidates ride along with the random draws:
 ball indicators (the classic witnesses against unweighted convolution
 bounds), the atom at :meth:`DampedHomomorphism.peak_point` (the witness
 for derivation growth), and the inverse-weight and damped-form profiles.
-Candidate pairs are emitted as (f, flip f) and (f, f), and as (f, f) twice
-where flip f has f's entries (the ball indicators and the 1/omega profile),
-so the scans dedupe pairs by identity.
+The ball of a radius is read into one int64 array, which its candidates
+keep as their view. Candidate pairs are emitted as (f, flip f) and (f, f),
+and as (f, f) twice where f is even or odd under the reflection, decided
+from its values (the ball indicators and the 1/omega profile are even,
+the damped-form profile odd), so the scans dedupe pairs by identity and
+build flips only for the atoms.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvalidInputError
-from .finsupp import FinSuppFn, Point
+from .finsupp import FinSuppFn, Point, _int64_points
 from .weights import DampedHomomorphism, Homomorphism, Weight, ball, ball_size
 
 __all__ = ["rng_for", "random_finsupp", "adversarial_candidates", "scan_pairs"]
@@ -65,24 +68,28 @@ def adversarial_candidates(
     xi: Homomorphism | None = None,
 ) -> list[tuple[str, FinSuppFn]]:
     one = 1 + 0j
-    cands: list[tuple[str, dict[Point, complex]]] = [
-        ("corner-atom", {(radius,) * dim: one}),
-        ("axis-atom", {(radius,) + (0,) * (dim - 1): one}),
+    # (kind, entries, the int64 view of their points or None to read it later)
+    cands: list[tuple[str, dict[Point, complex], np.ndarray | None]] = [
+        ("corner-atom", {(radius,) * dim: one}, None),
+        ("axis-atom", {(radius,) + (0,) * (dim - 1): one}, None),
     ]
     dh = DampedHomomorphism(xi, omega) if omega is not None and xi is not None else None
     if dh is not None:
-        cands.append(("damped-peak-atom", {dh.peak_point(radius): one}))
+        cands.append(("damped-peak-atom", {dh.peak_point(radius): one}, None))
     if ball_size(radius, dim) <= PROFILE_SUPPORT_CAP:
         pts = ball(radius, dim)
-        cands.append(("ball-indicator", dict.fromkeys(pts, one)))
+        view = _int64_points(pts, dim)
+        cands.append(("ball-indicator", dict.fromkeys(pts, one), view))
         if radius >= 2:
-            cands.append(("half-ball-indicator", dict.fromkeys(ball(radius // 2, dim), one)))
+            half = dict.fromkeys(ball(radius // 2, dim), one)
+            cands.append(("half-ball-indicator", half, None))
         if omega is not None:
-            inverse = (1.0 / omega.at_points(pts, dim)).astype(complex).tolist()
-            cands.append(("inverse-weight-profile", dict(zip(pts, inverse))))
+            inverse = (1.0 / omega.at_points(view, dim)).astype(complex).tolist()
+            cands.append(("inverse-weight-profile", dict(zip(pts, inverse)), view))
         if dh is not None:
-            cands.append(("damped-form-profile", dict(zip(pts, dh.values(pts)))))
-    return [(kind, FinSuppFn._computed(dim, entries, kind)) for kind, entries in cands]
+            cands.append(("damped-form-profile", dict(zip(pts, dh.values(pts, view))), view))
+    return [(kind, FinSuppFn._computed(dim, entries, kind, view))
+            for kind, entries, view in cands]
 
 
 def scan_pairs(
@@ -93,16 +100,33 @@ def scan_pairs(
     omega: Weight | None = None,
     xi: Homomorphism | None = None,
 ) -> Iterator[tuple[str, FinSuppFn, FinSuppFn]]:
-    """Adversarial pairs first, then ``trials`` seeded random pairs. A
-    candidate whose flip has its entries is its own flip: every measure
-    reads magnitudes, an order-free Luxemburg norm or an exact sum, so
-    neither g's key order nor a zero's sign can change a value."""
+    """Adversarial pairs first, then ``trials`` seeded random pairs.
+
+    Each candidate f is paired with its flip, then with itself. Where f is
+    even or odd under the reflection (:func:`_reflection_partner`), the
+    flip pair is (f, f) too, the same object, so the scans measure it
+    once; ``algebra._ratio_scan`` states what makes that exact."""
     for kind, f in adversarial_candidates(dim, radius, omega, xi):
-        g = f.flip()
-        yield f"{kind}/flipped", f, f if g.entries == f.entries else g
+        yield f"{kind}/flipped", f, _reflection_partner(f)
         yield f"{kind}/same", f, f
     for t in range(trials):
         rng = rng_for(seed, radius, t)
         f = random_finsupp(dim, radius, rng)
         g = random_finsupp(dim, radius, rng)
         yield f"random[{t}]", f, g
+
+
+def _reflection_partner(f: FinSuppFn) -> FinSuppFn:
+    """f itself where f(-x) = f(x) at every x or f(-x) = -f(x) at every x,
+    else ``f.flip()``. Decided from f's values on its int64 view where its
+    keys run in an order that the reflection reverses, as a ball's
+    lexicographic order does (each candidate keeps it, less the zeros it
+    drops at pairs of points x and -x): the values read backwards then
+    equal the values, or their negatives, as complex numbers (a zero's sign
+    does not count). Any other f gets its flip."""
+    pts = f._int64_view()
+    if pts is not None and np.array_equal(pts[::-1], -pts):
+        vals = np.fromiter(f.entries.values(), complex, len(f))
+        if np.array_equal(vals[::-1], vals) or np.array_equal(vals[::-1], -vals):
+            return f
+    return f.flip()

@@ -7,16 +7,24 @@ log grid over (0, 100]^2, the inverse sandwich on a 25-point log grid
 over [1e-6, 1e3], the norm sandwich and the pairing bound on seeded
 random functions, and the sqrt-pair comparisons on a 25-point log grid
 over [1e-3, 1e3] for the orientations whose sqrt transform is accepted.
+
+The seeded functions depend on ``BATTERY_SEED`` alone, so their entries
+are drawn once per process (:func:`_battery_draws`); each check builds
+fresh functions from them, so no norm memoised on a function (keyed by
+its Young function, which would keep a numeric conjugate and its solve
+cache alive) outlives the call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .algebra import _sqrt_psi
 from .errors import ConjugateInfiniteError, PreconditionError
+from .finsupp import FinSuppFn, Point
 from .norms import holder_check, luxemburg_norm, orlicz_norm
 from .sampling import random_finsupp, rng_for
 from .young import (
@@ -42,6 +50,9 @@ BATTERY_SEED = 592035
 SANDWICH_GRID = default_grid(25)
 SQRT_GRID = default_grid(25, 1e-3, 1e3)
 
+# a seeded function of the battery as (dim, entries)
+Drawn = tuple[int, Mapping[Point, complex]]
+
 
 @dataclass(frozen=True)
 class VerifyRow:
@@ -63,12 +74,33 @@ def inverse_sandwich_margin(pair: ComplementaryPair) -> float:
     return worst
 
 
+@functools.cache
+def _battery_draws() -> tuple[list[Drawn], list[tuple[Drawn, Drawn]]]:
+    """The seeded functions of the norm sandwich (50 f) and of the pairing
+    bound (25 (f, g)) as (dim, entries), drawn once; the checks measure
+    functions built from them afresh (:func:`_fresh`)."""
+    sandwich = [random_finsupp(dim=1 + t % 2, radius=6, rng=rng_for(BATTERY_SEED, 1, t),
+                               max_support=12) for t in range(50)]
+    holder = []
+    for t in range(25):
+        rng = rng_for(BATTERY_SEED, 2, t)
+        holder.append([random_finsupp(dim=1, radius=5, rng=rng, max_support=10)
+                       for _ in range(2)])
+    return ([(f.dim, f.entries) for f in sandwich],
+            [((f.dim, f.entries), (g.dim, g.entries)) for f, g in holder])
+
+
+def _fresh(drawn: Drawn) -> FinSuppFn:
+    """A new function with the drawn entries, and so with no memo yet."""
+    dim, entries = drawn
+    return FinSuppFn._computed(dim, dict(entries), "random draw")
+
+
 def norm_sandwich_margin(pair: ComplementaryPair) -> float:
     """Worst relative escape of the Orlicz norm from [N, 2N] on 50 random f."""
     worst = -math.inf
-    for t in range(50):
-        rng = rng_for(BATTERY_SEED, 1, t)
-        f = random_finsupp(dim=1 + t % 2, radius=6, rng=rng, max_support=12)
+    for drawn in _battery_draws()[0]:
+        f = _fresh(drawn)
         n = luxemburg_norm(pair.phi, f)
         o = orlicz_norm(pair, f)
         worst = max(worst, (n - o) / n, (o - 2.0 * n) / (2.0 * n))
@@ -78,11 +110,8 @@ def norm_sandwich_margin(pair: ComplementaryPair) -> float:
 def holder_margin(pair: ComplementaryPair) -> float:
     """Worst of (sum|fg| - bound) / (1 + bound) over 25 seeded random pairs."""
     worst = -math.inf
-    for t in range(25):
-        rng = rng_for(BATTERY_SEED, 2, t)
-        f = random_finsupp(dim=1, radius=5, rng=rng, max_support=10)
-        g = random_finsupp(dim=1, radius=5, rng=rng, max_support=10)
-        rep = holder_check(pair, f, g)
+    for f, g in _battery_draws()[1]:
+        rep = holder_check(pair, _fresh(f), _fresh(g))
         worst = max(worst, (rep.lhs - rep.rhs) / (1.0 + rep.rhs))
     return worst
 

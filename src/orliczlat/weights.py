@@ -118,7 +118,8 @@ class Weight:
         """The weight at each point (int tuples of length dim, or their int64
         view as an (n, dim) array), in order: ``radial`` read from a table
         memoised per word length, so each value is the float ``self(p)``
-        returns. Points with no int64 view
+        returns. A function's points are best handed over as its kept view
+        (``FinSuppFn._int64_view``); points with no int64 view
         (:func:`~orliczlat.finsupp._int64_points`) are measured as Python ints."""
         coords = points if isinstance(points, np.ndarray) else _int64_points(points, dim)
         if coords is None:
@@ -169,6 +170,18 @@ class Homomorphism:
     def __call__(self, x: Point | Sequence[int]) -> complex:
         return sum(c * xi for c, xi in zip(self.coeffs, x))
 
+    def _on_view(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The form at each row of an int64 point view, as its real and
+        imaginary parts, bit for bit the complex ``self(p)``: CPython's
+        complex-times-int order, ``re = cr*x - ci*0.0`` and ``im = cr*0.0 +
+        ci*x``, summed from (0.0, 0.0) as ``sum`` adds to 0."""
+        xr, xi = 0.0, 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c, col in zip(self.coeffs, pts.T):
+                x = col.astype(float)
+                xr, xi = xr + (c.real * x - c.imag * 0.0), xi + (c.real * 0.0 + c.imag * x)
+        return xr, xi
+
     def corner_vertex(self) -> tuple[int, ...]:
         """The first sign pattern s, from (1, ..., 1), maximising |xi(s)|;
         |xi| on the shell of radius n attains its maximum at n * s."""
@@ -194,12 +207,31 @@ class DampedHomomorphism:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_amplitude", self.xi.corner_amplitude())
 
-    def values(self, points: Sequence[Point]) -> list[complex]:
+    def values(self, points: Sequence[Point], view: np.ndarray | None = None) -> list[complex]:
         """The damped form at each point of Z^(xi.dim), in order, omega read
         by :meth:`Weight.at_points`; raises :class:`NumericalFailureError`
-        naming the first point where it is not finite."""
-        ws = self.omega.at_points(points, self.xi.dim).tolist()
-        out = [self.xi(p) / (w * w) for p, w in zip(points, ws)]
+        naming the first point where it is not finite.
+
+        Each value is ``xi(p) / (w*w)``, bit for bit. Where the points have
+        an int64 view (``view``, or :func:`~orliczlat.finsupp._int64_points`
+        of them) it is read on arrays: xi by :meth:`Homomorphism._on_view`,
+        and the quotient in CPython's complex-by-float order, ``((re +
+        im*0.0) / d, (im - re*0.0) / d)`` with d = w*w. Points with no view,
+        a d that is not positive (Python raises there) and a value that is
+        not finite take the per-point loop."""
+        dim = self.xi.dim
+        if view is None:
+            view = _int64_points(points, dim)
+        ws = self.omega.at_points(points if view is None else view, dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = ws * ws
+            if view is not None and (d > 0.0).all():
+                xr, xi = self.xi._on_view(view)
+                out = np.empty(len(d), dtype=complex)
+                out.real, out.imag = (xr + xi * 0.0) / d, (xi - xr * 0.0) / d
+                if np.isfinite(out).all():
+                    return out.tolist()
+        out = [self.xi(p) / w2 for p, w2 in zip(points, d.tolist())]
         for p, v in zip(points, out):
             if not cmath.isfinite(v):
                 raise NumericalFailureError(f"damped form value {v!r} at {p!r} is not finite")

@@ -842,11 +842,14 @@ def test_derivation_scan_pairs_each_distinct_pair_once(dim, radii, coeffs):
     (2, 4, (0.3 - 0.7j, 2 + 1j)),
 ])
 def test_symmetric_candidates_are_their_own_flip(dim, radius, coeffs):
-    # scan_pairs decides once whether a candidate equals its flip: the ball
-    # indicators and the 1/omega profile are paired with themselves, the
-    # same object twice, and every other candidate with its distinct flip
+    # scan_pairs decides from the values whether a candidate is even or odd
+    # under the reflection: the ball indicators and the 1/omega profile
+    # (even) and the damped-form profile (odd, xi is odd and omega radial)
+    # are paired with themselves, the same object twice, and every other
+    # candidate with its distinct flip
     pair, omega = pair_from_spec({"family": "power", "p": 1.5}), polynomial_weight(0.7)
-    symmetric = {"ball-indicator", "half-ball-indicator", "inverse-weight-profile"}
+    even = {"ball-indicator", "half-ball-indicator", "inverse-weight-profile"}
+    symmetric = even | {"damped-form-profile"}
     trials, seed, xi = 4, 31, Homomorphism(coeffs)
     own_flips, other_flips = [], []
     for r in algebra._radius_ladder(radius):
@@ -856,9 +859,12 @@ def test_symmetric_candidates_are_their_own_flip(dim, radius, coeffs):
         for kind, f, g in flipped:
             if g is f:
                 own_flips.append(kind)
+                sign = 1 if kind in even else -1
+                assert f.flip().entries == f.scale(sign).entries, kind
             else:
                 other_flips.append(kind)
                 assert g.entries == f.flip().entries and g.entries != f.entries, kind
+                assert g.entries != f.scale(-1).entries, kind
         assert {kind for kind, f, g in flipped if g is f} == {
             kind for kind, _, _ in flipped if kind in symmetric}, r
     assert set(own_flips) == symmetric and "damped-peak-atom" in other_flips
@@ -873,6 +879,35 @@ def test_symmetric_candidates_are_their_own_flip(dim, radius, coeffs):
         sum(kind.endswith("/flipped") and g is not f for kind, f, g in scan_pairs(
             dim, r, trials, seed, omega=omega)) + trials
         for r in algebra._radius_ladder(radius)]
+
+
+def every_flip(dim, r, trials, seed, omega=None, xi=None):
+    """The reference pools: scan_pairs with each /flipped partner built by
+    ``f.flip()``, a distinct object whatever f's parity."""
+    return [(kind, f, f.flip() if kind.endswith("/flipped") else g)
+            for kind, f, g in scan_pairs(dim, r, trials, seed, omega=omega, xi=xi)]
+
+
+@pytest.mark.parametrize("dim, radius, coeffs", [
+    (1, 64, (1.0,)),
+    (2, 8, (0.3 - 0.7j, 2 + 1j)),
+])
+def test_scans_match_pools_that_build_every_flip(dim, radius, coeffs):
+    # pairing an even or odd candidate with itself in place of its flip
+    # changes no row of any scan, argmax labels included
+    pair, omega = pair_from_spec({"family": "power", "p": 1.5}), polynomial_weight(0.4)
+    ctx = AlgebraContext(pair, omega, dim)
+    der = Derivation.with_ball_window(Homomorphism(coeffs), dim)
+    trials, seed = 4, 41
+    scans = [lambda: derivation_norm_scan(ctx, der, algebra._radius_ladder(radius), trials, seed)]
+    scans += [scan for _, scan, _ in algebra_scans(pair, omega, dim, radius, trials, seed)]
+    with mock.patch.object(algebra, "scan_pairs", every_flip):
+        want = [scan_outcome(scan) for scan in scans]
+    assert all(rows.startswith("[{") for rows in want), want
+    assert [scan_outcome(scan) for scan in scans] == want
+    own = {kind for kind, f, g in scan_pairs(dim, radius, trials, seed, omega=omega, xi=der.form)
+           if g is f and kind.endswith("/flipped")}
+    assert "damped-form-profile/flipped" in own and "ball-indicator/flipped" in own
 
 
 def test_each_convolution_top_makes_one_route_decision():

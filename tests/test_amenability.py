@@ -34,7 +34,7 @@ from orliczlat.errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from orliczlat.finsupp import FinSuppFn
+from orliczlat.finsupp import FinSuppFn, _int64_points
 from orliczlat.sampling import (
     PROFILE_SUPPORT_CAP,
     adversarial_candidates,
@@ -121,6 +121,48 @@ def test_damped_form_batch_values_and_overflow():
     big = DampedHomomorphism(Homomorphism((1e308,)), polynomial_weight(0.4))
     with pytest.raises(NumericalFailureError, match=r"at \(-4,\) is not finite"):
         big.values(ball(4, 1))
+
+
+def _parts_hex(values) -> list[tuple[type, str, str]]:
+    """Each value's type and the bits of both parts, signed zeros included."""
+    return [(type(v), v.real.hex(), v.imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("coeffs, n", [
+    ((1.0,), 8),
+    ((-2.5j,), 8),
+    ((complex(-0.0, 3.0),), 8),
+    ((0.3 - 0.7j, 2 + 1j), 4),
+    ((complex(-0.0, -1.0), complex(1.5, -0.0)), 4),
+])
+def test_damped_form_array_values_bit_identical_to_pointwise(coeffs, n):
+    # the array path repeats xi(p) / (w*w) point by point, signed zeros
+    # included: "steep" damps every point off the origin to a zero whose
+    # sign is that of the quotient
+    xi, dim = Homomorphism(coeffs), len(coeffs)
+    steep = Weight("steep", {}, lambda k: 1e200 ** k)
+    pts = ball(n, dim)
+    zeros = set()
+    for omega in (polynomial_weight(0.4), subexp_alpha_weight(0.5, 1.0), steep):
+        dh = DampedHomomorphism(xi, omega)
+        want = _parts_hex([xi(p) / (omega(p) * omega(p)) for p in pts])
+        zeros |= {part for _, re, im in want for part in (re, im) if "0x0.0p" in part}
+        with mock.patch.object(Homomorphism, "__call__", side_effect=AssertionError("per point")):
+            got = [_parts_hex(dh.values(pts)), _parts_hex(dh.values(pts, _int64_points(pts, dim)))]
+        assert got == [want, want], omega.describe()
+    assert zeros == {"0x0.0p+0", "-0x0.0p+0"}
+
+
+def test_damped_form_point_past_int64_takes_the_per_point_path():
+    # (2**63,) has no int64 view, so the batch is formed point by point and
+    # raises the per-point error; the same value at a viewed point raises it too
+    big = DampedHomomorphism(Homomorphism((1e308,)), polynomial_weight(0.4))
+    for far in (2**63, 2**62):
+        w = big.omega((far,))
+        v = big.xi((far,)) / (w * w)
+        with pytest.raises(NumericalFailureError) as err:
+            big.values([(0,), (far,)])
+        assert str(err.value) == f"damped form value {v!r} at {(far,)!r} is not finite"
 
 
 def test_damped_form_reads_its_point_as_a_lattice_point():

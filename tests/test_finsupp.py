@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from orliczlat import finsupp
+from orliczlat.algebra import convolve
 from orliczlat.errors import InvalidInputError, NumericalFailureError
 from orliczlat.finsupp import FinSuppFn, as_point
 from orliczlat.norms import holder_check
+from orliczlat.sampling import adversarial_candidates, random_finsupp
+from orliczlat.weights import Homomorphism, polynomial_weight
 from orliczlat.young import pair_from_spec
 
 
@@ -78,6 +82,36 @@ def test_computed_door_keeps_the_producers_entries():
     bad = {(0,): 1 + 0j, (3,): complex(math.nan, 0.0), (4,): complex(math.inf, 0.0), (5,): 0j}
     with pytest.raises(NumericalFailureError, match=r"^test value \(nan\+0j\) at \(3,\) is not finite$"):
         FinSuppFn._computed(1, bad, "test")
+
+
+def test_int64_view_of_every_producer_matches_a_fresh_read():
+    # each function's kept int64 view, seeded by its producer or read on
+    # first use, is _int64_points of its entries (None where a coordinate
+    # leaves int64), read-only and read once
+    omega, xi = polynomial_weight(0.4), Homomorphism((0.3 - 0.7j, 2 + 1j))
+    cands = dict(adversarial_candidates(2, 4, omega, xi))
+    half = [-(2**62) + k for k in range(20)]
+    box = [convolve(FinSuppFn.indicator(range(20)), FinSuppFn.indicator(range(0, 40, 2))),
+           convolve(FinSuppFn.indicator(half), FinSuppFn.indicator(half))]  # a cell at -2**63
+    ends = [FinSuppFn(1, {(2**63 - 1,): 1.0, (1 - 2**63,): 2j}), FinSuppFn(1, {(2**63,): 1.0}),
+            FinSuppFn(2, {(0, -(2**63)): 1.0}), FinSuppFn(2, {(0, 5): 1.0, (-2**70, 1): 3.0})]
+    lazy = [*ends, random_finsupp(2, 9, np.random.default_rng(3)), FinSuppFn.zero(3)]
+    assert all(f._view is finsupp._UNREAD for f in lazy)
+    seeded = [cands[k] for k in ("ball-indicator", "inverse-weight-profile", "damped-form-profile")]
+    assert len(seeded[2]) < len(seeded[0])  # xi's zeros left the damped profile's support
+    seeded += box + [f.flip() for f in (*cands.values(), box[0], ends[0])]
+    assert all(f._view is not finsupp._UNREAD for f in seeded)
+    nones = 0
+    for f in [*seeded, *cands.values(), *lazy, *(f.flip() for f in ends)]:
+        want, got = finsupp._int64_points(f.entries, f.dim), f._int64_view()
+        assert got is f._int64_view()
+        if want is None:
+            nones += 1
+            assert got is None
+        else:
+            assert got.dtype == np.int64 and got.shape == (len(f), f.dim)
+            assert np.array_equal(got, want) and not got.flags.writeable
+    assert nones == 7  # the box with a cell at -2**63, and the last three ends and their flips
 
 
 @pytest.mark.parametrize("raw, point", [

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import inspect
 import itertools
 import math
 import statistics
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import extreme_functions, inclusion_sqrt_pair, plain_bisect, scan_pool, seeded_rng
-from orliczlat import norms, young
+from orliczlat import norms, verify, young
 from orliczlat.algebra import conv_inclusion_check, pointwise_inclusion_check
 from orliczlat.errors import ConjugateInfiniteError, InvalidInputError, NumericalFailureError
 from orliczlat.finsupp import FinSuppFn
@@ -847,6 +849,41 @@ def test_norm_sandwich_takes_one_luxemburg_norm_per_sample(monkeypatch, power_pa
     calls = count_luxemburg_bodies(monkeypatch)
     norm_sandwich_margin(power_pair_15)
     assert calls[0] == 50  # 100 without the memo
+
+
+# sha256 of run_battery()'s rows with each worst margin by .hex(): a change
+# to a margin's bits, a verdict or a row's wording takes a deliberate diff
+BATTERY_DIGEST = "7b8a9737267750369e4ffa7949e54fcdec5cf178abcdf9e6d0c34d419bc300ef"
+
+
+def test_run_battery_digest_pinned():
+    rows = [(r.invariant, r.pair, r.passed, r.worst_margin.hex(), r.tolerance, r.note)
+            for r in run_battery()]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == BATTERY_DIGEST
+
+
+def test_battery_draws_once_and_measures_fresh_functions(monkeypatch, power_pair_15):
+    # the seeded functions are drawn once per process, and each run
+    # measures new copies of them: no function, and so no norm memoised on
+    # one, is shared between two runs
+    measured: list[list[FinSuppFn]] = []
+    for name in ("luxemburg_norm", "orlicz_norm", "holder_check"):
+        def spy(young_or_pair, *fs, real=getattr(verify, name)):
+            measured[-1].extend(fs)
+            return real(young_or_pair, *fs)
+
+        monkeypatch.setattr(verify, name, spy)
+    draws = mock.Mock(wraps=random_finsupp)
+    monkeypatch.setattr(verify, "random_finsupp", draws)
+    verify._battery_draws.cache_clear()
+    runs = []
+    for _ in range(2):
+        measured.append([])
+        runs.append(run_battery([power_pair_15]))
+    assert draws.call_count == 100 and runs[0] == runs[1]
+    first, second = ({id(f) for f in fs} for fs in measured)
+    assert len(first) == len(second) == 100 and not first & second
+    assert [f.entries for f in measured[0]] == [f.entries for f in measured[1]]
 
 
 def test_luxemburg_memo_leaves_equality_and_repr(power_pair_15):

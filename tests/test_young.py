@@ -669,6 +669,24 @@ def test_inverse_far_up_matches_the_doubling_bracket(phi, y, expected):
     assert inverse(phi, y) == scalar_bisection_inverse(phi, y) == expected
 
 
+@pytest.mark.parametrize("est", [None, 1.5 * 2.0**1023], ids=["no-window", "window"])
+def test_windowed_root_midpoint_stays_in_range_near_the_top(est):
+    # lo + hi passes the float range on this bracket, so a midpoint written
+    # (lo + hi) / 2 reads inf; 0.5 * lo + 0.5 * hi halves it like the plain
+    # bisection, with or without a window around the root
+    lo, hi, target = 2.0**1022, 1.9 * 2.0**1023, 1.5 * 2.0**1023
+    asked = []
+
+    def value(x: float) -> float:
+        asked.append(x)
+        return x
+
+    steps = young._windowed_root(lo, hi, None, young.MARGIN, est=est, target=target, rises=True)
+    got = young._drive(steps, value)
+    assert got == plain_bisect(lambda x: not x < target, lo, hi, 1e-13)
+    assert got[0] < target <= got[1] and all(math.isfinite(x) for x in asked)
+
+
 def counted(phi: YoungFunction) -> tuple[YoungFunction, list[int]]:
     """A copy of phi (``origin`` too, so the same margins) that counts the
     values of Phi asked of it."""

@@ -32,9 +32,9 @@ The body measures a batch of supports in lockstep
 (:func:`_luxemburg_norms`): each round evaluates Phi once, on
 the quotients of every support still searching, and sums each support's
 own slice with ``math.fsum``, so every norm is the float its support gets
-alone while the scans pay one Phi pass per round instead of one per
-modular. The norm is memoised on the immutable f, keyed by Phi, so a
-caller that needs N_Phi(f) twice computes it once.
+alone while the scans and the ``verify`` battery pay one Phi pass per
+round instead of one per modular. The norm is memoised on the immutable
+f, keyed by Phi, so a caller that needs N_Phi(f) twice computes it once.
 The Orlicz norm is the dual expression
 
     ||f||_Phi = sup{ sum |f v| : sum Psi(|v|) <= 1 },
@@ -127,15 +127,16 @@ def modular(phi: YoungFunction, f: FinSuppFn) -> float:
             return math.inf
 
 
-def _finite_sum(terms: list[float], message: str) -> float:
+def _finite_sum(terms: list[float], message: Callable[[], str]) -> float:
     """``math.fsum`` of nonnegative terms; raises :class:`NumericalFailureError`
-    with ``message`` where a term or the sum passes the float range."""
+    with ``message()`` where a term or the sum passes the float range (the
+    message is built only then)."""
     try:
         total = math.fsum(terms)
     except OverflowError:  # the partial sums pass the float range
         total = math.inf
     if total == math.inf:
-        raise NumericalFailureError(message)
+        raise NumericalFailureError(message())
     return total
 
 
@@ -185,8 +186,11 @@ def _luxemburg_norms(phi: YoungFunction, mags_list: Sequence[np.ndarray]) -> lis
     lane's. Every caller comes through here, a single f as a batch of one.
     A batch of one has no round to share, so its lane is driven by
     :func:`~orliczlat.young._drive`, on the modular :func:`modular`
-    takes: the round bookkeeping made conjugate-battery's median op, whose
-    norms are all single, 9% slower (``BENCH_21.json``).
+    takes: the round bookkeeping made conjugate-battery's median op 9%
+    slower (``BENCH_21.json``) while its norms were all single. The
+    battery's norm sandwich and pairing bound pass each check's functions
+    as one batch per Young function (``verify._measure_ahead``), 50 or 25
+    lanes, and their single calls read the memo.
     """
     norms = [0.0] * len(mags_list)
     lanes = []
@@ -264,7 +268,8 @@ def luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
     its conjugate about 5.3, and over the catalog battery
     (``verify.run_battery``) a norm takes 8.2 on average. The body is
     :func:`_luxemburg_norms` on a batch of one: the scans pass it every
-    distinct function of a radius at once, and their lanes share one
+    distinct function of a radius at once, and the battery's norm sandwich
+    and pairing bound every function of a check, so their lanes share one
     evaluation of Phi per round.
 
     The result is memoised on f, keyed by phi (both are immutable), so a
@@ -351,7 +356,7 @@ def orlicz_norm(pair: ComplementaryPair, f: FinSuppFn) -> float:
     hi = _multiplier(phi, quotients, max(m, math.ldexp(1e-300, -e)))
     value = _finite_sum(
         [a * phi.d(b / hi) for a, b in zip(mags.tolist(), quotients)],
-        f"Orlicz norm overflows the float range for pair {pair.describe()}",
+        lambda: f"Orlicz norm overflows the float range for pair {pair.describe()}",
     )
 
     n_phi = luxemburg_norm(phi, f)
@@ -455,7 +460,7 @@ def weighted_l1_norm(omega: Weight, f: FinSuppFn) -> float:
     with np.errstate(over="ignore"):
         terms = (f.magnitudes() * _weights_at(omega, [f])).tolist()
     return _finite_sum(
-        terms, f"weighted L1 norm overflows the float range under {omega.describe()}"
+        terms, lambda: f"weighted L1 norm overflows the float range under {omega.describe()}"
     )
 
 
@@ -473,7 +478,7 @@ def holder_check(pair: ComplementaryPair, f: FinSuppFn, g: FinSuppFn) -> HolderR
     range."""
     with np.errstate(over="ignore"):
         terms = f.pointwise_mul(g).magnitudes().tolist()
-    lhs = _finite_sum(terms, "Hölder sum |fg| overflows the float range")
+    lhs = _finite_sum(terms, lambda: "Hölder sum |fg| overflows the float range")
     swapped = pair.swap()
     rhs = min(
         luxemburg_norm(pair.phi, f) * orlicz_norm(swapped, g),

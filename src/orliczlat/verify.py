@@ -12,7 +12,12 @@ The seeded functions depend on ``BATTERY_SEED`` alone, so their entries
 are drawn once per process (:func:`_battery_draws`); each check builds
 fresh functions from them, so no norm memoised on a function (keyed by
 its Young function, which would keep a numeric conjugate and its solve
-cache alive) outlives the call.
+cache alive) outlives the call. The norm sandwich and the pairing bound
+build all their functions first and measure their Luxemburg norms in one
+lockstep batch per Young function (:func:`_measure_ahead`): Phi for the
+sandwich's 50 f, Phi for the pairing's 25 f and Psi for its 25 g. Their
+loops then read those norms from the memo while they form the Orlicz
+norms, the pairing rows and the margin in draw order.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from typing import Mapping, Sequence
 from .algebra import _sqrt_psi
 from .errors import ConjugateInfiniteError, PreconditionError
 from .finsupp import FinSuppFn, Point
-from .norms import holder_check, luxemburg_norm, orlicz_norm
+from .norms import _luxemburg_of, holder_check, luxemburg_norm, orlicz_norm
 from .sampling import random_finsupp, rng_for
 from .young import (
     ComplementaryPair,
+    YoungFunction,
     catalog,
     default_grid,
     numeric_conjugate,
@@ -96,11 +102,26 @@ def _fresh(drawn: Drawn) -> FinSuppFn:
     return FinSuppFn._computed(dim, dict(entries), "random draw")
 
 
+def _measure_ahead(*batches: tuple[YoungFunction, list[FinSuppFn]]) -> None:
+    """Memoise the Luxemburg norm of every f of each (Phi, fs) batch, one
+    lockstep run per batch (:func:`~orliczlat.norms._luxemburg_of`), so
+    that the check's loop reads them from the memo; each norm is the float
+    the f gets alone. A batch that raises memoises nothing and stops the
+    rest, and the loop then replays the check one function at a time, so
+    the error that surfaces is the one it meets first in draw order."""
+    try:
+        for phi, fs in batches:
+            _luxemburg_of(phi, fs)
+    except Exception:  # any error: the function-at-a-time loop raises the one met first
+        pass
+
+
 def norm_sandwich_margin(pair: ComplementaryPair) -> float:
     """Worst relative escape of the Orlicz norm from [N, 2N] on 50 random f."""
+    fs = [_fresh(drawn) for drawn in _battery_draws()[0]]
+    _measure_ahead((pair.phi, fs))
     worst = -math.inf
-    for drawn in _battery_draws()[0]:
-        f = _fresh(drawn)
+    for f in fs:
         n = luxemburg_norm(pair.phi, f)
         o = orlicz_norm(pair, f)
         worst = max(worst, (n - o) / n, (o - 2.0 * n) / (2.0 * n))
@@ -109,9 +130,11 @@ def norm_sandwich_margin(pair: ComplementaryPair) -> float:
 
 def holder_margin(pair: ComplementaryPair) -> float:
     """Worst of (sum|fg| - bound) / (1 + bound) over 25 seeded random pairs."""
+    fgs = [(_fresh(f), _fresh(g)) for f, g in _battery_draws()[1]]
+    _measure_ahead((pair.phi, [f for f, _ in fgs]), (pair.psi, [g for _, g in fgs]))
     worst = -math.inf
-    for f, g in _battery_draws()[1]:
-        rep = holder_check(pair, _fresh(f), _fresh(g))
+    for f, g in fgs:
+        rep = holder_check(pair, f, g)
         worst = max(worst, (rep.lhs - rep.rhs) / (1.0 + rep.rhs))
     return worst
 

@@ -886,6 +886,95 @@ def test_battery_draws_once_and_measures_fresh_functions(monkeypatch, power_pair
     assert [f.entries for f in measured[0]] == [f.entries for f in measured[1]]
 
 
+def one_at_a_time_sandwich(pair: ComplementaryPair) -> float:
+    """verify.norm_sandwich_margin measuring each function alone, each
+    Luxemburg norm a batch of one; it reads the norms through the module,
+    so that a test may patch them."""
+    worst = -math.inf
+    for drawn in verify._battery_draws()[0]:
+        f = verify._fresh(drawn)
+        n = norms.luxemburg_norm(pair.phi, f)
+        o = norms.orlicz_norm(pair, f)
+        worst = max(worst, (n - o) / n, (o - 2.0 * n) / (2.0 * n))
+    return worst
+
+
+def one_at_a_time_holder(pair: ComplementaryPair) -> float:
+    """verify.holder_margin measuring each function alone."""
+    worst = -math.inf
+    for f, g in verify._battery_draws()[1]:
+        rep = norms.holder_check(pair, verify._fresh(f), verify._fresh(g))
+        worst = max(worst, (rep.lhs - rep.rhs) / (1.0 + rep.rhs))
+    return worst
+
+
+def test_battery_checks_bit_identical_to_one_function_at_a_time(monkeypatch):
+    # each side measures on pairs of its own, so no conjugate solve either
+    # side caches serves the other
+    sizes: list[int] = []
+    counted = norms._luxemburg_norms
+
+    def sizing(phi, mags_list):
+        sizes.append(len(mags_list))
+        return counted(phi, mags_list)
+
+    monkeypatch.setattr(norms, "_luxemburg_norms", sizing)
+    for spec in young._CATALOG_SPECS:
+        batched, single = pair_from_spec(spec), pair_from_spec(spec)
+        for b, s in ((batched, single), (batched.swap(), single.swap())):
+            sizes.clear()
+            assert verify.norm_sandwich_margin(b).hex() == one_at_a_time_sandwich(s).hex(), spec
+            assert verify.holder_margin(b).hex() == one_at_a_time_holder(s).hex(), spec
+            # the batched checks' three batches; every norm of the oracles alone
+            assert sizes[0] == 50 and sizes[51:53] == [25, 25], (spec, sizes)
+            assert set(sizes[1:51] + sizes[53:]) == {1}, (spec, sizes)
+
+
+@pytest.mark.parametrize("check, oracle, side", [
+    (verify.norm_sandwich_margin, one_at_a_time_sandwich, 0),
+    (verify.holder_margin, one_at_a_time_holder, 0),  # the Phi batch raises
+    (verify.holder_margin, one_at_a_time_holder, 1),  # the Psi batch raises
+])
+def test_battery_checks_raise_the_error_met_first(monkeypatch, power_pair_15, check, oracle,
+                                                   side):
+    # the Luxemburg norm of draw 20 raises, and the Orlicz norm of draw 5's
+    # f: measured one function at a time, the check meets the Orlicz error
+    # first, while the batch ahead of its loop meets the Luxemburg one
+    sandwich, holder = verify._battery_draws()
+    if check is verify.norm_sandwich_margin:
+        lux_side, orlicz_side = sandwich, sandwich
+    else:
+        lux_side, orlicz_side = [fg[side] for fg in holder], [f for f, _ in holder]
+
+    def key(drawn: verify.Drawn) -> tuple[float, int, int]:
+        mags = verify._fresh(drawn).magnitudes()
+        return (*math.frexp(float(mags.max())), len(mags))
+
+    # each raising function is told apart from every other draw
+    everything = sandwich + [d for fg in holder for d in fg]
+    lux_at, orlicz_at = key(lux_side[20]), orlicz_side[5][1]
+    assert [key(d) for d in everything].count(lux_at) == 1
+    assert [entries for _, entries in everything].count(orlicz_at) == 1
+    lane = norms._luxemburg_lane
+
+    def raising_lane(phi, m, e, n):
+        if (m, e, n) == lux_at:
+            raise NumericalFailureError("Luxemburg norm of draw 20")
+        return (yield from lane(phi, m, e, n))
+
+    def raising_orlicz(pair, f, real=norms.orlicz_norm):
+        if f.entries == orlicz_at:
+            raise NumericalFailureError("Orlicz norm of draw 5")
+        return real(pair, f)
+
+    monkeypatch.setattr(norms, "_luxemburg_lane", raising_lane)
+    for module in (norms, verify):
+        monkeypatch.setattr(module, "orlicz_norm", raising_orlicz)
+    for measure in (oracle, check):
+        with pytest.raises(NumericalFailureError, match="Orlicz norm of draw 5"):
+            measure(power_pair_15)
+
+
 def test_luxemburg_memo_leaves_equality_and_repr(power_pair_15):
     f = FinSuppFn(1, {(0,): 1.0, (3,): -2.5j})
     g = FinSuppFn(1, {(0,): 1.0, (3,): -2.5j})

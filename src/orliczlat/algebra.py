@@ -39,6 +39,7 @@ from .finsupp import FinSuppFn
 from .norms import (
     _luxemburg_norms,
     _luxemburg_of,
+    _scaled_back,
     _weighted_luxemburg_of,
     _weighted_magnitudes,
     weighted_l1_norm,
@@ -65,7 +66,7 @@ MAX_CONV_OPS = 10_000_000
 # Where convolve takes the plain loop instead of the array path (measured
 # crossovers, see CHANGES.md). The box kernel pays a fixed run of numpy
 # calls per pair, whatever the length of g, and the loop a step per product:
-# in convolve, the tops and the fused pairing they meet at 64-192 products.
+# in convolve and the tops they meet at 64-192 products.
 # The box costs 17 bytes a cell: beyond _ARRAY_MAX_BOX_PER_OP cells per
 # product (sparse draws) it would outgrow the loop's dict.
 _ARRAY_MIN_OPS = 128
@@ -109,8 +110,7 @@ def convolve(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:
     above ``MAX_CONV_OPS`` products and :class:`NumericalFailureError`
     naming the first output point, in key order, whose value overflows. The
     scans' convolution tops are the functions it returns
-    (:func:`_convolution_norms`); ``amenability._derivation_pairing``
-    (D(f) = window * h) reads the same kernel under the same rule.
+    (:func:`_convolution_norms`).
     """
     f._check_dim(g)
     ops = len(f) * len(g)
@@ -206,10 +206,12 @@ def _convolution_norms(
     :func:`~orliczlat.norms._weighted_magnitudes` pass, and each unweighted
     top as soon as it is built, so only its magnitudes stay alive."""
     if omega is None:
-        mags = [convolve(f, g).magnitudes() for f, g in zip(fs, gs)]
+        with np.errstate(over="ignore"):
+            scaled = [convolve(f, g)._scaled_magnitudes() for f, g in zip(fs, gs)]
+        mags_list, exponents = [m for m, _ in scaled], [s for _, s in scaled]
     else:
-        mags = _weighted_magnitudes(omega, [convolve(f, g) for f, g in zip(fs, gs)])
-    return _luxemburg_norms(phi, mags)
+        mags_list, exponents = _weighted_magnitudes(omega, [convolve(f, g) for f, g in zip(fs, gs)])
+    return _scaled_back(phi, _luxemburg_norms(phi, mags_list), exponents)
 
 
 def _convolve_loop(f: FinSuppFn, g: FinSuppFn) -> FinSuppFn:

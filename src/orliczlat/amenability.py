@@ -21,9 +21,10 @@ numerical evidence behind the same dichotomy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -95,12 +96,15 @@ def pairing(u: FinSuppFn, w: FinSuppFn) -> complex:
     exactly (:func:`_exact_sum`): the same bits in any order of u and w."""
     u._check_dim(w)
     small, big = (u, w) if len(u) <= len(w) else (w, u)
-    return _exact_sum([v * big.entries[p] for p, v in small if p in big.entries])
+    terms = np.array([v * big.entries[p] for p, v in small if p in big.entries], dtype=complex)
+    return _exact_sum(terms.real, terms.imag)
 
 
-def _exact_sum(terms: list[complex]) -> complex:
-    """The sum of the terms, each part by ``math.fsum``: correctly rounded,
-    so the same bits in any order.
+def _exact_sum(re: np.ndarray, im: np.ndarray, tops: Sequence[float] | None = None) -> complex:
+    """The sum of the terms re + i*im, each part by ``math.fsum``: correctly
+    rounded, so the same bits in any order. ``tops`` are each part's
+    largest |term|, NaN or inf where a term is not finite, for a caller
+    that has them.
 
     Where the largest |part| times the number of terms reaches 2**1023,
     fsum's partial sums could pass the float range, and whether they do
@@ -108,79 +112,240 @@ def _exact_sum(terms: list[complex]) -> complex:
     the bit length of that number, and the sum scaled back. Raises
     :class:`NumericalFailureError` where a term or the sum is not finite.
     """
-    n, parts = len(terms), []
-    for part in ([z.real for z in terms], [z.imag for z in terms]):
-        if not all(map(math.isfinite, part)):
+    n, parts = len(re), []
+    if tops is None:
+        tops = [float(np.abs(part).max(initial=0.0)) for part in (re, im)]  # NaN stays NaN
+    for part, top in zip((re, im), tops):
+        if not math.isfinite(top):
             raise NumericalFailureError("pairing value is not finite: a product overflows")
-        k = n.bit_length() if max(map(abs, part), default=0.0) * n >= 2.0**1023 else 0
-        total = math.fsum([math.ldexp(t, -k) for t in part] if k else part)
+        k = n.bit_length() if top * n >= 2.0**1023 else 0
+        total = math.fsum(np.ldexp(part, -k).tolist() if k else part.tolist())
         if k and abs(total) >= math.ldexp(1.0, 1024 - k):
             raise NumericalFailureError("pairing value is not finite: the sum overflows")
         parts.append(math.ldexp(total, k))
     return complex(*parts)
 
 
+def _segment_max(values: np.ndarray, ends: list[int]) -> list[float]:
+    """The largest of each segment ``values[a:b]`` between consecutive
+    ``ends`` (from 0 to len(values)), NaN where the segment holds one; 0.0
+    for an empty segment."""
+    starts = [a for a, b in zip(ends, ends[1:]) if b > a]
+    tops = iter(np.maximum.reduceat(values, starts).tolist() if starts else ())
+    return [next(tops) if b > a else 0.0 for a, b in zip(ends, ends[1:])]
+
+
+def _ends(sizes: Iterable[int]) -> list[int]:
+    return [0, *itertools.accumulate(sizes)]
+
+
+# A sub-batch of _derivation_pairings holds at most _BATCH_ROWS points of f
+# and of g, counted pair by pair, and a lookup table of at most
+# _TABLE_CELLS int64 cells (1 MB).
+_BATCH_ROWS = 4096
+_TABLE_CELLS = 2**17
+
+
 def _derivation_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> complex:
-    """``pairing(apply_derivation(d, f), g)`` bit for bit, without building
-    h or D(f) as sparse functions.
+    """``pairing(apply_derivation(d, f), g)`` bit for bit: a batch of one of
+    :func:`_derivation_pairings`."""
+    return _derivation_pairings(d, [f], [g])[0]
+
+
+def _derivation_pairings(
+    d: Derivation, fs: Sequence[FinSuppFn], gs: Sequence[FinSuppFn]
+) -> list[complex]:
+    """``pairing(apply_derivation(d, f), g)`` for each pair (f, g), bit for
+    bit, in one array pass, without building h or D(f) as sparse functions.
 
     Each step repeats the reference's float operations on arrays:
 
-    - xi(p) over supp f is read off f's int64 view
-      (``Homomorphism._on_view``, CPython's complex-times-int order); then
-      h = f(p) * xi(p) at -p in complex-multiply order, less its exact
-      zeros.
-    - D(f) = window * h goes through :func:`~orliczlat.algebra.convolve`'s
-      box kernel (``algebra._box_convolve``), and g's points are indexed
-      into the box.
+    - h(-p) = f(p) * xi(p) is formed once per distinct f (by identity), all
+      of them in one pass (:func:`_h_values`): xi on the int64 views by
+      ``Homomorphism._on_view``, the product in CPython's complex-multiply
+      order, less its exact zeros.
+    - D(f) = window * h is read only at g's points: D(f)(y) adds w * h(y - w)
+      over the window's entries w, in window order from 0.0, as
+      ``algebra.convolve`` does on either of its routes. h(y - w) comes from
+      one int64 lookup table per distinct h over the box of the points
+      y - w of a sub-batch; a cell that h misses reads a 0.0, whose product
+      adds nothing, since a sum started at 0.0 is never -0.0.
     - The products with g, at the points where D(f) is nonzero, are summed
-      exactly (:func:`_exact_sum`), so their order does not matter.
+      exactly (:func:`_exact_sum`), one pair at a time, so their order does
+      not matter.
 
-    The reference itself runs where ``convolve`` takes its loop (window * h
-    fails ``algebra._takes_box``, asked of f and of h less its exact zeros,
-    or ``_box_convolve`` refuses it), where a point of f or g has no int64
-    view, and where h or D(f) is not finite (it raises the same errors).
+    The pairs go in order, in sub-batches of at most ``_BATCH_ROWS`` points
+    of f and of g and a table of at most ``_TABLE_CELLS`` cells
+    (:func:`_sub_batches`). The reference runs for a pair where a point of
+    f, g or the window has no int64 view, a dimension differs, h is not
+    finite or D(f) might not be (:func:`_h_values`), window * h passes
+    ``algebra.MAX_CONV_OPS`` products, or the pair's box leaves int64 or
+    its table alone passes ``_TABLE_CELLS``: so every error is the
+    reference's, raised in pair order.
     """
-    fused = _fused_pairing(d, f, g)
-    return pairing(apply_derivation(d, f), g) if fused is None else fused
+    h = _h_values(d, fs)
+    batch_of = _sub_batches(d.window, fs, gs, h[0])
+    out, current, held = [], None, None
+    for f, g, batch in zip(fs, gs, batch_of):
+        if batch is None:
+            out.append(pairing(apply_derivation(d, f), g))
+            continue
+        if batch is not current:
+            current, held = batch, _batch_products(d.window, batch, h)
+        out.append(_exact_sum(*next(held)))
+    return out
 
 
-def _fused_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> complex | None:
-    """The array path of :func:`_derivation_pairing`; None where it falls back."""
+def _h_values(d: Derivation, fs: Sequence[FinSuppFn]) -> tuple:
+    """h(-p) = f(p) * xi(p) of each distinct f, in one pass over their int64
+    views, less its exact zeros: ({id(f): (start, stop)}, points, re, im),
+    each h a slice of the three arrays, re and im ending in a 0.0 that no h
+    holds. A function missing from the dict takes the reference: it has no
+    view or another dimension than the window, or its h is not finite, or
+    window * h passes ``algebra.MAX_CONV_OPS`` products, or max |h| times
+    sum |Re w| + |Im w| over the window reaches 2**1022, short of which no
+    partial sum of D(f) = window * h passes the float range."""
     window = d.window
-    nw, nf, dim = len(window), len(f), f.dim
-    if dim != window.dim or g.dim != dim or not algebra._takes_box(nw * nf):  # |h| <= |f|
-        return None
-    pts, w_pts, g_pts = f._int64_view(), window._int64_view(), g._int64_view()
-    if pts is None or w_pts is None or g_pts is None:
-        return None
-    vals = np.fromiter(f.entries.values(), complex, nf)
+    ok = list({id(f): f for f in fs
+               if f.dim == window.dim and f._int64_view() is not None}.values())
+    if not ok or not len(window) or window._int64_view() is None:
+        return {}, None, None, None
+    wv = np.fromiter(window.entries.values(), complex, len(window))
+    reach = float(np.abs(wv.real).sum() + np.abs(wv.imag).sum())
+    pts = np.concatenate([f._int64_view() for f in ok])
+    vals = np.fromiter(itertools.chain.from_iterable(f.entries.values() for f in ok),
+                       complex, len(pts))
     xr, xi = d.form._on_view(pts)
     with np.errstate(over="ignore", invalid="ignore"):
         vr, vi = vals.real, vals.imag
         hr, hi = vr * xr - vi * xi, vr * xi + vi * xr
-    if not (np.isfinite(hr).all() and np.isfinite(hi).all()):
-        return None
+        ends = _ends(len(f) for f in ok)
+        tops = _segment_max(np.maximum(np.abs(hr), np.abs(hi)), ends)  # NaN stays NaN
     keep = (hr != 0.0) | (hi != 0.0)
-    hr, hi = hr[keep], hi[keep]
-    if not algebra._takes_box(nw * len(hr)):  # the zero form leaves no h
+    kept = np.concatenate(([0], np.cumsum(keep)))[ends].tolist()
+    index = {id(f): (a, b) for f, top, a, b in zip(ok, tops, kept, kept[1:])
+             if top * reach < 2.0**1022 and len(window) * (b - a) <= algebra.MAX_CONV_OPS}
+    return (index, -pts[keep], np.append(hr[keep], 0.0), np.append(hi[keep], 0.0))
+
+
+def _table_cells(span: tuple | None, w_span: tuple, n_h: int) -> int | None:
+    """The cells of n_h tables over the box of the points y - w, for y in
+    the box ``span`` = (lo, hi) and w in the window's box ``w_span``, in
+    Python ints; None where that box leaves int64, 0 where there is no y."""
+    if span is None:
+        return 0
+    lo = [a - b for a, b in zip(span[0], w_span[1])]
+    hi = [a - b for a, b in zip(span[1], w_span[0])]
+    if min(lo) < -(2**63) or max(hi) >= 2**63:
         return None
-    box = algebra._box_convolve(w_pts, window.entries.values(), -pts[keep], hr, hi)
-    if box is None:
-        return None
-    re, im, corner, extent = box
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # a cell nothing lands in holds 0
-        return None
-    top = [c + n - 1 for c, n in zip(corner, extent)]
-    inside = ((g_pts >= corner) & (g_pts <= top)).all(axis=1)
-    g_at = np.ravel_multi_index(tuple((g_pts[inside] - corner).T), extent)
-    found = (re[g_at] != 0.0) | (im[g_at] != 0.0)
-    gv = np.fromiter(g.entries.values(), complex, len(g))[inside][found]
-    ar, ai = re[g_at[found]], im[g_at[found]]
-    prods = np.empty(len(gv), dtype=complex)
+    return n_h * math.prod(b - a + 1 for a, b in zip(lo, hi))
+
+
+def _joined(a: tuple | None, b: tuple | None) -> tuple | None:
+    """The bounding box of two boxes (lo, hi), either None for no point."""
+    if a is None or b is None:
+        return a or b
+    return list(map(min, a[0], b[0])), list(map(max, a[1], b[1]))
+
+
+def _sub_batches(window: FinSuppFn, fs: Sequence[FinSuppFn], gs: Sequence[FinSuppFn],
+                 index: dict) -> list[list | None]:
+    """Each pair's sub-batch, or None for the reference: the pairs in order,
+    each joining the open sub-batch while its points stay within
+    ``_BATCH_ROWS`` and its table within ``_TABLE_CELLS``. A sub-batch is
+    [pairs, the box of its gs' points, its points, the ids of its fs]."""
+    if not index:
+        return [None] * len(fs)
+    spans = _spans(window.dim, gs)
+    w_pts = window._int64_view()
+    w_span = w_pts.min(axis=0).tolist(), w_pts.max(axis=0).tolist()
+    batch_of, cur = [], None
+    for f, g in zip(fs, gs):
+        span = spans.get(id(g), False)
+        cells = None if span is False else _table_cells(span, w_span, 1)
+        if id(f) not in index or cells is None or cells > _TABLE_CELLS:
+            batch_of.append(None)
+            continue
+        rows, ids = len(f) + len(g), {id(f)}
+        if cur is not None:
+            joined = [_joined(cur[1], span), cur[2] + rows, cur[3] | ids]
+            if joined[1] <= _BATCH_ROWS and (
+                    _table_cells(joined[0], w_span, len(joined[2])) <= _TABLE_CELLS):
+                cur[0].append((f, g))
+                cur[1:] = joined
+                batch_of.append(cur)
+                continue
+        cur = [[(f, g)], span, rows, ids]
+        batch_of.append(cur)
+    return batch_of
+
+
+def _spans(dim: int, gs: Sequence[FinSuppFn]) -> dict:
+    """{id(g): the box (lo, hi) of g's points, or None for no point} for each
+    g of the dimension with an int64 view, in one pass."""
+    ok = {id(g): g for g in gs if g.dim == dim and g._int64_view() is not None}
+    spans = dict.fromkeys(ok)
+    full = [g for g in ok.values() if len(g)]
+    if full:
+        pts = np.concatenate([g._int64_view() for g in full])
+        starts = _ends(len(g) for g in full)[:-1]
+        lo = np.minimum.reduceat(pts, starts).tolist()
+        hi = np.maximum.reduceat(pts, starts).tolist()
+        spans.update(zip(map(id, full), zip(lo, hi)))
+    return spans
+
+
+def _batch_products(window: FinSuppFn, batch: list, h: tuple) -> Iterator[tuple]:
+    """For each pair of a sub-batch, in pair order, the real and imaginary
+    parts of the products D(f)(y) * g(y) at the points y of g where D(f)
+    is nonzero, and each part's largest magnitude (NaN where one is NaN):
+    the arguments of :func:`_exact_sum` (see :func:`_derivation_pairings`)."""
+    pairs, span = batch[0], batch[1]
+    if span is None:  # no g has a point
+        for _ in pairs:
+            yield np.empty(0), np.empty(0)
+        return
+    index, q_all, h_re, h_im = h
+    w_pts = window._int64_view()
+    w_lo, w_hi = w_pts.min(axis=0).tolist(), w_pts.max(axis=0).tolist()
+    lo = [a - b for a, b in zip(span[0], w_hi)]  # in int64 (_table_cells)
+    top = [a - b for a, b in zip(span[1], w_lo)]
+    extent = [b - a + 1 for a, b in zip(lo, top)]
+    box = math.prod(extent)
+    strides = np.array([math.prod(extent[i + 1:]) for i in range(len(extent))], np.int64)
+    # one table row per distinct h: at each cell of the box, the index of
+    # h's value there, or of the trailing 0.0
+    ranges = [index[i] for i in dict.fromkeys(id(f) for f, _ in pairs)]
+    row = {i: k * box for k, i in enumerate(dict.fromkeys(id(f) for f, _ in pairs))}
+    counts = [b - a for a, b in ranges]
+    ends = _ends(counts)
+    at = np.arange(ends[-1]) + np.repeat([a - e for (a, _), e in zip(ranges, ends)], counts)
+    q = q_all[at]
+    inside = ((q >= lo) & (q <= top)).all(axis=1)
+    cells = np.repeat(np.arange(len(ranges)) * box, counts)[inside] + (q[inside] - lo) @ strides
+    table = np.full(len(ranges) * box, len(h_re) - 1, np.int64)
+    table[cells] = at[inside]
+    sizes = [len(g) for _, g in pairs]
+    ys = np.concatenate([g._int64_view() for _, g in pairs])
+    base = (ys - span[0]) @ strides + np.repeat([row[id(f)] for f, _ in pairs], sizes)
+    wv = np.fromiter(window.entries.values(), complex, len(window))
+    re, im = np.zeros(len(ys)), np.zeros(len(ys))
     with np.errstate(over="ignore", invalid="ignore"):
-        prods.real, prods.imag = ar * gv.real - ai * gv.imag, ar * gv.imag + ai * gv.real
-    return _exact_sum(prods.tolist())
+        for wr, wi, off in zip(wv.real.tolist(), wv.imag.tolist(),
+                               ((w_hi - w_pts) @ strides).tolist()):
+            hit = table[base + off]
+            hr, hi = h_re[hit], h_im[hit]
+            re += wr * hr - wi * hi
+            im += wr * hi + wi * hr
+        gv = np.fromiter(itertools.chain.from_iterable(g.entries.values() for _, g in pairs),
+                         complex, len(ys))
+        found = (re != 0.0) | (im != 0.0)
+        re, im, gv = re[found], im[found], gv[found]
+        prod_re, prod_im = re * gv.real - im * gv.imag, re * gv.imag + im * gv.real
+    ends = np.concatenate(([0], np.cumsum(found)))[_ends(sizes)].tolist()
+    tops = zip(_segment_max(np.abs(prod_re), ends), _segment_max(np.abs(prod_im), ends))
+    for a, b, part_tops in zip(ends, ends[1:], tops):
+        yield prod_re[a:b], prod_im[a:b], part_tops
 
 
 @dataclass(frozen=True)
@@ -373,12 +538,12 @@ def derivation_norm_scan(
     regime no bounded extension exists and atoms pushed to the boundary of
     the ball make the worst case grow with the radius.
 
-    Each <D(f), g> is read by :func:`_derivation_pairing`, bit for bit the
-    ``pairing(apply_derivation(d, f), g)`` it replaces, without building
-    D(f), and each distinct pair once (``algebra._ratios``): the /flipped
-    pair of a candidate that is even or odd under the reflection (the ball
-    indicators, the 1/omega and damped-form profiles) is its /same pair,
-    (f, f).
+    The <D(f), g> of a radius are one batch of :func:`_derivation_pairings`:
+    one array pass, bit for bit the ``pairing(apply_derivation(d, f), g)``
+    of each pair, without building h or D(f), and each distinct pair once
+    (``algebra._ratios``): the /flipped pair of a candidate that is even or
+    odd under the reflection (the ball indicators, the 1/omega and
+    damped-form profiles) is its /same pair, (f, f).
     """
     return _ratio_scan(
         "derivation_norm_scan",
@@ -390,7 +555,7 @@ def derivation_norm_scan(
             "seed": seed,
         },
         list(radii),
-        lambda fs, gs: [abs(_derivation_pairing(d, f, g)) for f, g in zip(fs, gs)],
+        lambda fs, gs: [abs(z) for z in _derivation_pairings(d, fs, gs)],
         ctx.weighted_luxemburg_norms,
         ctx.weighted_luxemburg_norms,
         ctx.dim, trials, seed, omega=ctx.omega, xi=d.form,

@@ -84,6 +84,17 @@ def _as_view(pts: np.ndarray) -> np.ndarray | None:
     return pts
 
 
+def _at_scale(re: np.ndarray, im: np.ndarray, mags: np.ndarray) -> tuple[np.ndarray, int]:
+    """The magnitudes ``mags`` = ``np.hypot(re, im)`` of finite parts and the
+    exponent 0 where all are finite; where one passes the float range, those
+    of the halved parts and 1, so a norm up to the largest float stays
+    finite. Halving a part is exact above the subnormals, and a part below
+    them is far under every quotient a norm reads at that scale."""
+    if mags.max(initial=0.0) < np.inf:
+        return mags, 0
+    return np.hypot(re * 0.5, im * 0.5), 1
+
+
 @dataclass(frozen=True)
 class FinSuppFn:
     """Immutable sparse function: finite support in Z^d, complex values."""
@@ -185,6 +196,13 @@ class FinSuppFn:
         bit for bit (``np.hypot``; ``np.abs`` may differ in the last ulp)."""
         vals = np.fromiter(self.entries.values(), dtype=complex, count=len(self.entries))
         return np.hypot(vals.real, vals.imag)
+
+    def _scaled_magnitudes(self) -> tuple[np.ndarray, int]:
+        """:meth:`magnitudes` at the scale :func:`_at_scale` picks, and its
+        exponent: (|f|, 0), or (|f / 2|, 1) where some |f(s)| passes the
+        float range; callers ignore numpy overflow."""
+        vals = np.fromiter(self.entries.values(), dtype=complex, count=len(self.entries))
+        return _at_scale(vals.real, vals.imag, np.hypot(vals.real, vals.imag))
 
     # -- arithmetic --------------------------------------------------------
 

@@ -53,9 +53,12 @@ they search over |f| / 2**e, whose largest entry m lies in [0.5, 1), and
 the k or t found for it stands for k * 2**e or t * 2**e. The division is
 exact in the normal range, so it changes no quotient |f|/k there, and it
 keeps every bracket end and quotient inside the float range from the
-subnormals up to the largest float. A norm beyond the float range raises
-:class:`NumericalFailureError` instead of reading inf. Every Orlicz-norm
-result is gated by the equivalence N_Phi <= ||.||_Phi <= 2 N_Phi; a
+subnormals up to the largest float. Where a magnitude |f(s)| passes the
+float range though its parts do not, the support's magnitudes are taken
+at half scale and the norm found is doubled back
+(:meth:`FinSuppFn._scaled_magnitudes`). A norm beyond the float range
+raises :class:`NumericalFailureError` instead of reading inf. Every
+Orlicz-norm result is gated by the equivalence N_Phi <= ||.||_Phi <= 2 N_Phi; a
 violation raises instead of returning a silently wrong value.
 
 Weighted norms are norms of the pointwise product f*omega under a
@@ -89,7 +92,7 @@ from typing import Callable, Generator, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .finsupp import FinSuppFn
+from .finsupp import FinSuppFn, _at_scale
 from .weights import Weight
 from .young import (
     ComplementaryPair,
@@ -241,7 +244,43 @@ def _memoised(
 
 def _luxemburg_of(phi: YoungFunction, fs: Sequence[FinSuppFn]) -> list[float]:
     """:func:`luxemburg_norm` of each f, the distinct unmemoised fs in one batch."""
-    return _memoised(phi, fs, lambda todo: _luxemburg_norms(phi, [f.magnitudes() for f in todo]))
+    def measure(todo: list[FinSuppFn]) -> list[float]:
+        mags_list, exponents = _magnitudes_of(todo)
+        return _scaled_back(phi, _luxemburg_norms(phi, mags_list), exponents)
+
+    return _memoised(phi, fs, measure)
+
+
+def _magnitudes_of(fs: Sequence[FinSuppFn]) -> tuple[list[np.ndarray], list[int]]:
+    """:meth:`FinSuppFn._scaled_magnitudes` of each f bit for bit, in one pass
+    over all their values: the magnitudes at scale 2**-s, and the exponents
+    s."""
+    ends = [0, *itertools.accumulate(len(f) for f in fs)]
+    values = itertools.chain.from_iterable(f.entries.values() for f in fs)
+    vals = np.fromiter(values, dtype=complex, count=ends[-1])
+    with np.errstate(over="ignore"):
+        return _split_at_scale(vals.real, vals.imag, np.hypot(vals.real, vals.imag), ends)
+
+
+def _split_at_scale(
+    re: np.ndarray, im: np.ndarray, mags: np.ndarray, ends: list[int]
+) -> tuple[list[np.ndarray], list[int]]:
+    """The magnitudes ``mags`` = ``np.hypot(re, im)`` cut into the supports
+    between consecutive ``ends``, each with its exponent: 0 for all where
+    none passes the float range, else each support at the scale
+    :func:`~orliczlat.finsupp._at_scale` picks for it."""
+    cuts = list(zip(ends, ends[1:]))
+    if mags.max(initial=0.0) < math.inf:
+        return [mags[a:b] for a, b in cuts], [0] * len(cuts)
+    scaled = [_at_scale(re[a:b], im[a:b], mags[a:b]) for a, b in cuts]
+    return [m for m, _ in scaled], [s for _, s in scaled]
+
+
+def _scaled_back(phi: YoungFunction, norms: list[float], exponents: list[int]) -> list[float]:
+    """Each norm measured on magnitudes at the scale 2**-s, times 2**s: exact,
+    such a norm being far above the subnormals, and
+    :class:`NumericalFailureError` past the float range (:func:`_unscaled`)."""
+    return [_unscaled(n, s, phi) if s else n for n, s in zip(norms, exponents)]
 
 
 def luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
@@ -350,14 +389,21 @@ def orlicz_norm(pair: ComplementaryPair, f: FinSuppFn) -> float:
     if f.is_zero:
         return 0.0
     phi = pair.phi
-    mags = f.magnitudes()
-    m, e = math.frexp(float(mags.max()))
-    quotients = np.ldexp(mags, -e).tolist()  # their quotients by t / 2**e are |f| / t
-    hi = _multiplier(phi, quotients, max(m, math.ldexp(1e-300, -e)))
-    value = _finite_sum(
-        [a * phi.d(b / hi) for a, b in zip(mags.tolist(), quotients)],
-        lambda: f"Orlicz norm overflows the float range for pair {pair.describe()}",
-    )
+    try:  # |f| / 2**s, as FinSuppFn._scaled_magnitudes takes it
+        mags, s = [abs(v) for v in f.entries.values()], 0
+    except OverflowError:  # some |f(s)| passes the float range
+        mags, s = [abs(v * 0.5) for v in f.entries.values()], 1
+    m, e = math.frexp(max(mags))
+    quotients = [math.ldexp(a, -e) for a in mags]  # by t / 2**(e+s), |f| / t
+    hi = _multiplier(phi, quotients, max(m, math.ldexp(1e-300, -e - s)))
+
+    def overflow() -> str:
+        return f"Orlicz norm overflows the float range for pair {pair.describe()}"
+
+    value = _finite_sum([a * phi.d(b / hi) for a, b in zip(mags, quotients)], overflow)
+    value *= 2.0**s
+    if value == math.inf:
+        raise NumericalFailureError(overflow())
 
     n_phi = luxemburg_norm(phi, f)
     if not (n_phi * (1.0 - 1e-9) <= value <= 2.0 * n_phi * (1.0 + 1e-9)):
@@ -397,30 +443,31 @@ def _weights_at(omega: Weight, fs: Sequence[FinSuppFn]) -> np.ndarray:
     return omega.at_points(np.concatenate(views), fs[0].dim)
 
 
-def _weighted_magnitudes(omega: Weight, fs: Sequence[FinSuppFn]) -> list[np.ndarray]:
-    """The magnitudes of each ``apply_weight(f, omega)`` bit for bit,
-    without building it, for fs of one dimension: omega from one
-    :func:`_weights_at` over all their points, and the products
-    re*w and im*w, which equal CPython's complex times float up to signed
-    zeros that ``np.hypot`` ignores. Products that underflow to 0 leave
-    the support. Where any magnitude of the batch is not finite, the
-    whole batch goes through ``apply_weight`` in order, which raises the
-    first such f's error."""
+def _weighted_magnitudes(
+    omega: Weight, fs: Sequence[FinSuppFn]
+) -> tuple[list[np.ndarray], list[int]]:
+    """:func:`_magnitudes_of` the ``apply_weight(f, omega)`` bit for bit,
+    without building them, for fs of one dimension: omega from one
+    :func:`_weights_at` over all their points, and the products re*w and
+    im*w, which equal CPython's complex times float up to signed zeros
+    that ``np.hypot`` ignores. Products that underflow to 0 leave the
+    support. Where a product is not finite, the whole batch goes through
+    ``apply_weight`` in order, which raises the first such f's error."""
     if not fs:
-        return []
+        return [], []
     w = _weights_at(omega, fs)
     values = itertools.chain.from_iterable(f.entries.values() for f in fs)
     vals = np.fromiter(values, dtype=complex, count=len(w))
     with np.errstate(over="ignore", invalid="ignore"):
-        mags = np.hypot(vals.real * w, vals.imag * w)
-    if not np.isfinite(mags).all():
-        return [apply_weight(f, omega).magnitudes() for f in fs]
+        re, im = vals.real * w, vals.imag * w
+        mags = np.hypot(re, im)
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        return _magnitudes_of([apply_weight(f, omega) for f in fs])
     keep = mags != 0.0
     ends = [0, *itertools.accumulate(len(f) for f in fs)]
     # per f, its range among the kept magnitudes
     kept_at = np.concatenate(([0], np.cumsum(keep)))[ends].tolist()
-    kept = mags[keep]
-    return [kept[a:b] for a, b in zip(kept_at, kept_at[1:])]
+    return _split_at_scale(re[keep], im[keep], mags[keep], kept_at)
 
 
 def _weighted_luxemburg_of(
@@ -429,9 +476,11 @@ def _weighted_luxemburg_of(
     """``weighted_norm(phi, omega, f)`` of the Luxemburg kind for each f of
     one dimension: the distinct fs not yet memoised under (phi, omega)
     are weighted and measured in one batch."""
-    return _memoised(
-        (phi, omega), fs, lambda todo: _luxemburg_norms(phi, _weighted_magnitudes(omega, todo))
-    )
+    def measure(todo: list[FinSuppFn]) -> list[float]:
+        mags_list, exponents = _weighted_magnitudes(omega, todo)
+        return _scaled_back(phi, _luxemburg_norms(phi, mags_list), exponents)
+
+    return _memoised((phi, omega), fs, measure)
 
 
 def weighted_norm(

@@ -61,6 +61,8 @@ MAX_BALL_POINTS = 2_000_000
 # the conjugate command's log-spaced y grid
 MAX_GRID_POINTS = 100_000
 MAX_PAIR_OPS = 20_000_000
+# radii per float64 pass of DampedHomomorphism.peak_point
+_RAY_CHUNK = 2**16
 
 
 def word_length(x: Iterable[int] | int) -> int:
@@ -120,16 +122,29 @@ class Weight:
         memoised per word length, so each value is the float ``self(p)``
         returns. A function's points are best handed over as its kept view
         (``FinSuppFn._int64_view``); points with no int64 view
-        (:func:`~orliczlat.finsupp._int64_points`) are measured as Python ints."""
+        (:func:`~orliczlat.finsupp._int64_points`) are measured as Python ints.
+        Where the largest word length is below 4 times the point count, the
+        lengths index a dense array over 0..max instead of being sorted."""
         coords = points if isinstance(points, np.ndarray) else _int64_points(points, dim)
         if coords is None:
             coords = np.array(list(points), dtype=object).reshape(len(points), dim)
-        lengths, at = np.unique(np.abs(coords).max(axis=1), return_inverse=True)
-        table, ks = self._table, lengths.tolist()
+        lengths = np.abs(coords).max(axis=1)
+        if coords.dtype != object and len(lengths) and lengths.max() < 4 * len(lengths):
+            dense = np.zeros(int(lengths.max()) + 1)
+            dense[lengths] = 1.0
+            ks = np.flatnonzero(dense)
+            dense[ks] = self._radials(ks.tolist())
+            return dense[lengths]
+        ks, at = np.unique(lengths, return_inverse=True)
+        return np.array(self._radials(ks.tolist()), dtype=float)[at]
+
+    def _radials(self, ks: list[int]) -> list[float]:
+        """``radial`` at each word length, memoised in the table."""
+        table = self._table
         for k in ks:
             if k not in table:
                 table[k] = self.radial(k)
-        return np.array([table[k] for k in ks], dtype=float)[at]
+        return [table[k] for k in ks]
 
     def describe(self) -> str:
         inner = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
@@ -251,13 +266,29 @@ class DampedHomomorphism:
     def peak_point(self, radius: int) -> Point:
         """Where the damped magnitude peaks on the ball of this radius:
         n * xi.corner_vertex() for the first n in 1..radius of largest
-        :meth:`shell_max`, the origin for radius 0. A ray longer than
+        :meth:`shell_max`, the origin for radius 0. The shell maxima are
+        float64 passes of its operations, n * amp / (r * r), over
+        ``_RAY_CHUNK`` radii at a time, with r read from the weight's table
+        where it holds it; where one is NaN, the first maximum is ``max``'s
+        over the shells one at a time. A ray longer than
         ``MAX_BALL_POINTS`` raises :class:`ResourceLimitError`."""
         if radius > MAX_BALL_POINTS:
             raise ResourceLimitError(
                 f"damped-peak ray to radius {radius}: {radius} points, budget {MAX_BALL_POINTS}"
             )
-        n = max(range(1, radius + 1), key=self.shell_max, default=0)
+        get, radial = self.omega._table.get, self.omega.radial
+        n, best = 0, -math.inf
+        for start in range(1, radius + 1, _RAY_CHUNK):
+            ks = range(start, min(start + _RAY_CHUNK, radius + 1))
+            r = np.fromiter((get(k) or radial(k) for k in ks), float, len(ks))
+            with np.errstate(over="ignore", invalid="ignore"):
+                shells = np.arange(ks.start, ks.stop) * self._amplitude / (r * r)
+            if np.isnan(shells).any():
+                n = max(range(1, radius + 1), key=self.shell_max)
+                break
+            at = int(np.argmax(shells))
+            if shells[at] > best:  # an equal maximum further out is not the first
+                n, best = ks[at], shells[at]
         return tuple(n * c for c in self.xi.corner_vertex())
 
 

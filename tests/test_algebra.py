@@ -823,10 +823,12 @@ def test_derivation_scan_pairs_each_distinct_pair_once(dim, radii, coeffs):
         symmetric |= same
         distinct += len(drawn) - len(same)
     assert {"ball-indicator", "half-ball-indicator", "inverse-weight-profile"} <= symmetric
-    pairings = mock.Mock(wraps=amenability._derivation_pairing)
-    with mock.patch.object(amenability, "_derivation_pairing", pairings):
+    pairings = mock.Mock(wraps=amenability._derivation_pairings)
+    with mock.patch.object(amenability, "_derivation_pairings", pairings):
         rep = derivation_norm_scan(ctx, der, radii, trials, seed)
-    assert pairings.call_count == distinct
+    # one batch per radius, its pairs counted inside
+    assert pairings.call_count == len(radii)
+    assert sum(len(call.args[1]) for call in pairings.call_args_list) == distinct
 
     def ratio(f, g):
         nf, ng = ctx.weighted_luxemburg_norms([f])[0], ctx.weighted_luxemburg_norms([g])[0]

@@ -432,7 +432,7 @@ def test_leibniz_matches_raw_expansion_oracle():
         assert rep.ok
 
 
-# -- the fused derivation pairing ---------------------------------------------------
+# -- the batched derivation pairing -------------------------------------------------
 
 
 def _hex(z: complex) -> tuple[str, str]:
@@ -440,8 +440,8 @@ def _hex(z: complex) -> tuple[str, str]:
 
 
 def _pin_pairing(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> bool:
-    """Assert that the fused kernel gives pairing(apply_derivation(d, f), g)
-    bit for bit; returns whether it took its array path."""
+    """Assert that the batch of one gives pairing(apply_derivation(d, f), g)
+    bit for bit; returns whether it took its array pass."""
     want = amenability.pairing(apply_derivation(d, f), g)
     with mock.patch.object(amenability, "apply_derivation", wraps=apply_derivation) as ref:
         got = amenability._derivation_pairing(d, f, g)
@@ -477,14 +477,18 @@ def test_derivation_pairing_bit_identical_to_apply_then_pair(dim):
                 for _, f, g in pool:
                     seen.add(_pin_pairing(d, f, g))
                     seen.add(_pin_pairing(d, f, ball_ind))
-    # both sides of the fallback
+            # points with no int64 view take the reference
+            far = FinSuppFn.indicator([(2**63 + k,) * dim for k in range(5)])
+            seen.add(_pin_pairing(d, far, far.flip()))
+    # both sides of the fallback, which only points with no view reach
     assert seen == {True, False}
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_derivation_pairing_bit_identical_around_the_crossover(dim):
-    # window * h on each side of algebra._ARRAY_MIN_OPS products: the route
-    # is asked with |f| and again with |h|, which has dropped its exact zeros
+    # window * h on each side of algebra._ARRAY_MIN_OPS products, where
+    # convolve changes route and h has dropped its exact zeros: the batch
+    # takes its array pass on both sides
     ops = algebra._ARRAY_MIN_OPS
     rng = seeded_rng(41, dim)
     d = Derivation.with_ball_window(Homomorphism((1.0 - 0.5j,) + (0.3,) * (dim - 1)), dim, 1)
@@ -497,13 +501,13 @@ def test_derivation_pairing_bit_identical_around_the_crossover(dim):
 
     g = line(range(-box - 3, 4))
     assert _pin_pairing(d, line(range(1, box + 1)), g) is True
-    assert _pin_pairing(d, line(range(1, loop + 1)), g) is False
+    assert _pin_pairing(d, line(range(1, loop + 1)), g) is True
     # xi vanishes at the origin, so h drops one entry and falls below
-    assert _pin_pairing(d, line(range(box)), g) is False
+    assert _pin_pairing(d, line(range(box)), g) is True
     # the zero form drops all of h
     zero = Derivation.with_ball_window(Homomorphism((0.0,) * dim), dim, 1)
     f = line(range(1, box + 1))
-    assert _pin_pairing(zero, f, g) is False
+    assert _pin_pairing(zero, f, g) is True
     assert amenability._derivation_pairing(zero, f, g) == 0j
 
 
@@ -514,12 +518,12 @@ def test_derivation_pairing_edge_cases_match_the_reference():
     ball3 = FinSuppFn.indicator(ball(3, 2))
     for g in (ball3, ball3.flip(), FinSuppFn.indicator(ball(8, 2))):
         assert _pin_pairing(d2, ball3, g)
-    # f = delta_1 + delta_-1 with xi(x) = x: D(f)(0) = 1 - 1 = 0 exactly, on
-    # the loop and, with more far entries, on the array path; g has a point
-    # at every point of D(f)'s box, the dropped zero included
+    # f = delta_1 + delta_-1 with xi(x) = x: D(f)(0) = 1 - 1 = 0 exactly, also
+    # with more far entries; g has a point at every point of D(f)'s box, the
+    # dropped zero included
     pair = FinSuppFn.indicator([1, -1])
     assert (0,) not in apply_derivation(d1, pair).entries
-    assert _pin_pairing(d1, pair, FinSuppFn.indicator(range(-3, 4))) is False
+    assert _pin_pairing(d1, pair, FinSuppFn.indicator(range(-3, 4))) is True
     f = FinSuppFn.indicator([1, -1] + [x for x in range(-30, 31) if abs(x) >= 3])
     support = list(apply_derivation(d1, f).entries)
     assert (0,) not in support and f[0] == 0
@@ -553,6 +557,104 @@ def test_derivation_pairing_edge_cases_match_the_reference():
     big_d = FinSuppFn(1, {(x,): 1e308 / x for x in range(-30, 31) if x})
     assert all(math.isfinite(abs(v * x)) for (x,), v in big_d)  # h(-x) = f(x) * x
     assert "convolution value" in _same_error(d1, big_d, big_d)
+
+
+def _reference_outcome(d: Derivation, f: FinSuppFn, g: FinSuppFn) -> tuple:
+    """('ok', hex) of pairing(apply_derivation(d, f), g), or (type, message)
+    of the error it raises."""
+    try:
+        return "ok", _hex(amenability.pairing(apply_derivation(d, f), g))
+    except Exception as exc:  # any error: the batch must raise the same
+        return type(exc), str(exc)
+
+
+def _pin_batch(d: Derivation, pairs: list) -> list[int]:
+    """Assert that one batch gives each pair's reference bits, whole, cut
+    into sub-batches of at most 40 rows, and with a table too small for
+    some pairs; returns the number of sub-batches of each."""
+    want = [_reference_outcome(d, f, g) for f, g in pairs]
+    fs, gs = [f for f, _ in pairs], [g for _, g in pairs]
+    counts = []
+    for bound, value in (("_BATCH_ROWS", amenability._BATCH_ROWS), ("_BATCH_ROWS", 40),
+                         ("_TABLE_CELLS", 200)):
+        cuts = mock.Mock(wraps=amenability._batch_products)
+        with mock.patch.object(amenability, bound, value), \
+                mock.patch.object(amenability, "_batch_products", cuts):
+            got = amenability._derivation_pairings(d, fs, gs)
+        assert all(type(z) is complex for z in got)
+        assert [("ok", _hex(z)) for z in got] == want
+        counts.append(cuts.call_count)
+    return counts
+
+
+_BATCH_RADII = {1: (4, 64), 2: (3, 8), 3: (1, 2)}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_derivation_pairings_bit_identical_to_apply_then_pair(dim):
+    # the scan pools of two radii in one batch, the way the scan passes a
+    # radius (repeated f objects, a symmetric candidate paired with itself),
+    # with cross pairs: each f of the first pool against a g of the second
+    # and against the second's ball indicator; zero, real, mixed-sign and
+    # complex forms, window radius 1 and 2; each batch whole and cut into
+    # sub-batches (_pin_batch)
+    for coeffs in ((0.0,), (1.0,), (1.0, -0.5), (0.3 - 0.7j, 2 + 1j)):
+        xi = Homomorphism(tuple(itertools.islice(itertools.cycle(coeffs), dim)))
+        pools = [[(f, g) for _, f, g in scan_pairs(
+                     dim, r, 2, 31, omega=weight_from_spec(SCAN_WEIGHTS[k]), xi=xi)]
+                 for k, r in enumerate(_BATCH_RADII[dim])]
+        first, second = pools
+        ball_ind = FinSuppFn.indicator(ball(_BATCH_RADII[dim][1], dim))
+        pairs = first + second + [(f, g) for (f, _), (_, g) in zip(first, second)]
+        pairs += [(f, ball_ind) for f, _ in first]
+        for window_radius in (1, 2):
+            d = Derivation.with_ball_window(xi, dim, window_radius)
+            whole, cut, _ = _pin_batch(d, pairs)
+            assert cut > whole
+    # coordinates at the int64 ends: the box of the points y - w reaches
+    # -2**63 with window radius 1, and passes it with radius 2 or at the top
+    # (the reference), and h lies far outside the box of g
+    rng = seeded_rng(47, dim)
+    vals = (rng.standard_normal(6) + 1j * rng.standard_normal(6)).tolist()
+    top = FinSuppFn(dim, {(2**63 - 1 - k,) * dim: v for k, v in enumerate(vals)})
+    low = FinSuppFn(dim, {(-(2**63) + 1 + k,) + (0,) * (dim - 1): v for k, v in enumerate(vals)})
+    edges = [(top, top.flip()), (top, top), (low, low.flip()), (low, low), (top, low),
+             (low, top), (top.flip(), low), (low.flip(), top.flip())]
+    for window_radius in (1, 2):
+        d = Derivation.with_ball_window(Homomorphism((1.0 - 0.5j,) * dim), dim, window_radius)
+        _pin_batch(d, edges)
+    d = Derivation.with_ball_window(Homomorphism((1.0 - 0.5j,) * dim), dim, 1)
+    assert amenability._derivation_pairing(d, top, top.flip()) != 0j
+
+
+def test_derivation_pairings_raise_the_error_met_first():
+    # error pairs among finite ones, in every order and across sub-batches:
+    # a product past the float range on the array pass, h and D(f) past it
+    # and a dimension mismatch on the reference, each batch raising the
+    # error the reference meets first in pair order
+    d1 = Derivation.with_ball_window(Homomorphism((1.0,)), 1, 1)
+    line = FinSuppFn.indicator(range(-30, 31))
+    big_d = FinSuppFn(1, {(x,): 1e308 / x for x in range(-30, 31) if x})
+    errors = {
+        "product": (line.scale(1e200), line.scale(1e200)),
+        "h": (FinSuppFn(1, {(1,): 1.0, (30,): 1e307}), line),
+        "D(f)": (big_d, big_d),
+        "dim": (FinSuppFn.indicator(ball(2, 2)), line),
+    }
+    fine = [(line, line), (big_d.scale(1e-300), line), (FinSuppFn.indicator([3, -5]), line)]
+    outcome = {name: _reference_outcome(d1, f, g) for name, (f, g) in errors.items()}
+    assert [kind for kind, _ in outcome.values()] == [
+        NumericalFailureError, NumericalFailureError, NumericalFailureError, InvalidInputError]
+    assert "pairing value" in outcome["product"][1] and "dimension" in outcome["dim"][1]
+    assert "derivation value" in outcome["h"][1]
+    assert "convolution value" in outcome["D(f)"][1]
+    for order in itertools.permutations(errors, 2):
+        for rows in (amenability._BATCH_ROWS, 70):
+            pairs = fine[:1] + [errors[order[0]]] + fine[1:] + [errors[order[1]]] + fine
+            with mock.patch.object(amenability, "_BATCH_ROWS", rows):
+                with pytest.raises(Exception) as got:
+                    amenability._derivation_pairings(d1, *zip(*pairs))
+            assert (type(got.value), str(got.value)) == outcome[order[0]]
 
 
 def _shuffled(u: FinSuppFn, rng: random.Random) -> FinSuppFn:
@@ -607,12 +709,15 @@ def test_pairing_exact_in_any_insertion_order():
             for args in ((a, b), (b, a)):
                 with pytest.raises(NumericalFailureError, match="pairing value is not finite"):
                     amenability.pairing(*args)
-    # the derivation pairing on the array path (f of 59 points) and on the
-    # loop (f of 3), with products of D(f) and g near 1e308
+    # the derivation pairing on the array pass (f of 59 points and of 3) and
+    # on the reference (points past int64), with products of D(f) and g
+    # near 1e308
     d = Derivation.with_ball_window(Homomorphism((1.0,)), 1, 1)
     routes = set()
+    far = [2**63 + k for k in (1, 2, 3)]
     for f, points in ((FinSuppFn.indicator(range(1, 60)), [(-10,), (-20,), (-30,)]),
-                      (FinSuppFn.indicator([1, 2, 3]), [(-1,), (-2,), (-3,)])):
+                      (FinSuppFn.indicator([1, 2, 3]), [(-1,), (-2,), (-3,)]),
+                      (FinSuppFn.indicator(far), [(-x,) for x in far])):
         df = apply_derivation(d, f)
         drawn = random_finsupp(1, 70, seeded_rng(45, len(f)), max_support=60)
         for g in (drawn, _near_max(df, points, (1, 1, -1))):
@@ -798,13 +903,18 @@ def test_adversarial_candidates_bit_identical_to_pointwise(coeffs):
 @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, -0.5), (0.3, -0.7j)])
 def test_damped_peak_atom_matches_the_ray_walk_on_a_beta_grid(coeffs):
     # at beta = ln 2 / (2 ln 1.5) the shell maxima at radii 1 and 2 tie
-    # exactly: 1/2^(2 beta) = 2/3^(2 beta)
+    # exactly: 1/2^(2 beta) = 2/3^(2 beta); the one pass is also cut into
+    # chunks of 1 and 3 radii, so the tie and the maxima cross chunk edges
     xi = Homomorphism(coeffs)
     betas = [k / 20 for k in range(41)] + [math.log(2.0) / (2.0 * math.log(1.5))]
     for beta in betas:
         dh = DampedHomomorphism(xi, polynomial_weight(beta))
         for radius in (1, 2, 3, 7, 64):
-            assert dh.peak_point(radius) == _ray_walk_atom(radius, dh.omega, xi), (beta, radius)
+            want = _ray_walk_atom(radius, dh.omega, xi)
+            assert dh.peak_point(radius) == want, (beta, radius)
+            for chunk in (1, 3):
+                with mock.patch("orliczlat.weights._RAY_CHUNK", chunk):
+                    assert dh.peak_point(radius) == want, (beta, radius, chunk)
 
 
 # -- decay chain -----------------------------------------------------------------------

@@ -818,6 +818,37 @@ def test_norms_near_float_max_are_finite_or_raise():
         orlicz_norm(pair, g)
 
 
+def test_norms_of_finite_parts_past_the_float_range_in_magnitude():
+    # |1.7e308 + 1.7e308j| = 2.4e308 is no float, though both parts are: the
+    # magnitudes are taken at half scale, so the Luxemburg norm, about
+    # 1.7e308, is a float, with no numpy warning on the way; the Orlicz norm
+    # of this atom, |f| * Psi^-1(1) = 3.4e308, is not, and says so
+    pair = pair_from_spec({"family": "power", "p": 2})
+    f = FinSuppFn(1, {(0,): 1.7e308 + 1.7e308j})
+    mixed = FinSuppFn(1, {(0,): 1.0, (1,): -1.2e308 + 1.3e308j, (2,): 5e-324})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = luxemburg_norm(pair.phi, f)
+        assert got == pytest.approx(1.7e308, rel=1e-12)
+        assert got == 2.0 * luxemburg_norm(pair.phi, f.scale(0.5))
+        assert weighted_norm(pair, polynomial_weight(0.0), f) == got
+        with pytest.raises(NumericalFailureError, match="Orlicz norm overflows the float range"):
+            orlicz_norm(pair, f)
+        # entries far below the largest count as at full scale: the norm is
+        # sqrt(sum |f|^2 / 2) up to the bisection's width
+        want = math.hypot(1.2e308, 1.3e308) / math.sqrt(2.0) * math.sqrt(1.0 + 2e-616)
+        assert luxemburg_norm(pair.phi, mixed) == pytest.approx(want, rel=1e-12)
+        assert weighted_norm(pair, polynomial_weight(0.0), mixed) == luxemburg_norm(
+            pair.phi, mixed)
+        # a norm truly past the float range still raises
+        g = FinSuppFn(1, {(i,): 1.7e308 + 1.7e308j for i in range(4)})
+        for norm in (lambda: luxemburg_norm(pair.phi, g),
+                     lambda: weighted_norm(pair, polynomial_weight(0.0), g),
+                     lambda: orlicz_norm(pair, g)):
+            with pytest.raises(NumericalFailureError, match="overflows the float range"):
+                norm()
+
+
 # -- Luxemburg memo ------------------------------------------------------------------
 
 

@@ -24,12 +24,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import algebra
-from .algebra import AlgebraContext, ScanReport, _ratio_scan, convolve
+from .algebra import AlgebraContext, ScanReport, _ends, _ratio_scan, convolve
 from .errors import InvalidInputError, NumericalFailureError, PreconditionError
 from .finsupp import FinSuppFn
 from .weights import (
@@ -135,10 +135,6 @@ def _segment_max(values: np.ndarray, ends: list[int]) -> list[float]:
     return [next(tops) if b > a else 0.0 for a, b in zip(ends, ends[1:])]
 
 
-def _ends(sizes: Iterable[int]) -> list[int]:
-    return [0, *itertools.accumulate(sizes)]
-
-
 # A sub-batch of _derivation_pairings holds at most _BATCH_ROWS points of f
 # and of g, counted pair by pair, and a lookup table of at most
 # _TABLE_CELLS int64 cells (1 MB).
@@ -160,10 +156,10 @@ def _derivation_pairings(
 
     Each step repeats the reference's float operations on arrays:
 
-    - h(-p) = f(p) * xi(p) is formed once per distinct f (by identity), all
-      of them in one pass (:func:`_h_values`): xi on the int64 views by
-      ``Homomorphism._on_view``, the product in CPython's complex-multiply
-      order, less its exact zeros.
+    - h(-p) = f(p) * xi(p) is formed once per distinct f (by identity) of a
+      sub-batch, all of them in one pass (:func:`_h_values`): xi on the
+      int64 views by ``Homomorphism._on_view``, the product in CPython's
+      complex-multiply order, less its exact zeros.
     - D(f) = window * h is read only at g's points: D(f)(y) adds w * h(y - w)
       over the window's entries w, in window order from 0.0, as
       ``algebra.convolve`` does on either of its routes. h(y - w) comes from
@@ -176,23 +172,28 @@ def _derivation_pairings(
 
     The pairs go in order, in sub-batches of at most ``_BATCH_ROWS`` points
     of f and of g and a table of at most ``_TABLE_CELLS`` cells
-    (:func:`_sub_batches`). The reference runs for a pair where a point of
-    f, g or the window has no int64 view, a dimension differs, h is not
-    finite or D(f) might not be (:func:`_h_values`), window * h passes
+    (:func:`_sub_batches`), so no more h is alive at once than a sub-batch
+    holds. The reference runs for a pair where a point of f, g or the
+    window has no int64 view, a dimension differs, h is not finite or D(f)
+    might not be (:func:`_h_values`), window * h passes
     ``algebra.MAX_CONV_OPS`` products, or the pair's box leaves int64 or
     its table alone passes ``_TABLE_CELLS``: so every error is the
     reference's, raised in pair order.
     """
-    h = _h_values(d, fs)
-    batch_of = _sub_batches(d.window, fs, gs, h[0])
-    out, current, held = [], None, None
-    for f, g, batch in zip(fs, gs, batch_of):
-        if batch is None:
+    window = d.window
+    viewed = set() if window._int64_view() is None else {
+        id(f) for f in fs if f.dim == window.dim and f._int64_view() is not None}
+    out, current, index = [], None, {}
+    for f, g, batch in zip(fs, gs, _sub_batches(window, fs, gs, viewed)):
+        if batch is not None and batch is not current:
+            h = _h_values(d, [pair[0] for pair in batch[0]])
+            current, index = batch, h[0]
+            kept = [pair for pair in batch[0] if id(pair[0]) in index]
+            held = _batch_products(window, [kept, batch[1]], h)
+        if batch is None or id(f) not in index:
             out.append(pairing(apply_derivation(d, f), g))
-            continue
-        if batch is not current:
-            current, held = batch, _batch_products(d.window, batch, h)
-        out.append(_exact_sum(*next(held)))
+        else:
+            out.append(_exact_sum(*next(held)))
     return out
 
 
@@ -249,12 +250,13 @@ def _joined(a: tuple | None, b: tuple | None) -> tuple | None:
 
 
 def _sub_batches(window: FinSuppFn, fs: Sequence[FinSuppFn], gs: Sequence[FinSuppFn],
-                 index: dict) -> list[list | None]:
-    """Each pair's sub-batch, or None for the reference: the pairs in order,
-    each joining the open sub-batch while its points stay within
-    ``_BATCH_ROWS`` and its table within ``_TABLE_CELLS``. A sub-batch is
-    [pairs, the box of its gs' points, its points, the ids of its fs]."""
-    if not index:
+                 viewed: set[int]) -> list[list | None]:
+    """Each pair's sub-batch, or None for the reference: the pairs whose f
+    is in ``viewed`` (by id), in order, each joining the open sub-batch
+    while its points stay within ``_BATCH_ROWS`` and its table within
+    ``_TABLE_CELLS``. A sub-batch is [pairs, the box of its gs' points, its
+    points, the ids of its fs]."""
+    if not viewed:
         return [None] * len(fs)
     spans = _spans(window.dim, gs)
     w_pts = window._int64_view()
@@ -263,7 +265,7 @@ def _sub_batches(window: FinSuppFn, fs: Sequence[FinSuppFn], gs: Sequence[FinSup
     for f, g in zip(fs, gs):
         span = spans.get(id(g), False)
         cells = None if span is False else _table_cells(span, w_span, 1)
-        if id(f) not in index or cells is None or cells > _TABLE_CELLS:
+        if id(f) not in viewed or cells is None or cells > _TABLE_CELLS:
             batch_of.append(None)
             continue
         rows, ids = len(f) + len(g), {id(f)}

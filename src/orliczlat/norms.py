@@ -15,12 +15,16 @@ bit for bit, so the norm does not depend on the order of the support. An
 array form of Phi may differ from its scalar form in the last ulp; the
 bisection stays because its fixed grid of midpoints absorbs that noise,
 which can only flip the decision at a midpoint lying within an ulp of the
-root. Before bisecting, a few secant steps locate the root and two more
-values certify a narrow window around it; the bisection then answers
-every midpoint outside that window without evaluating, and evaluates the
-rest as before, so it visits the same midpoints and returns the same
-float. That windowed bisection is ``young._windowed_root``, which the
-inverse of a Young function runs too, from an estimate of its own.
+root. Before bisecting, an estimate locates the root and two more values
+certify a narrow window around it; the bisection then answers every
+midpoint outside that window without evaluating, and evaluates the rest
+as before, so it visits the same midpoints and returns the same float.
+Under a homogeneous Phi of degree r (x^p/p, the square-root transform of
+x^q/q and its numeric conjugate, ``young._degree``) the modular scales as
+k**-r, so the estimate is read off the value at the bracket's lower end;
+under any other Phi a few secant steps find it. That windowed bisection
+is ``young._windowed_root``, which the inverse of a Young function runs
+too, from an estimate of its own.
 The window is as narrow as the rounding error of the modular allows
 (``young._modular_margin``): for every catalog member, and for the
 square-root transform of x^q/q and its numeric conjugate, a few ulps
@@ -72,11 +76,13 @@ magnitudes are then one array pass over all their points, and the norms
 one batch. Its bits are those of
 ``luxemburg_norm(Phi, apply_weight(f, omega))``, and an overflowing
 product raises the error :func:`apply_weight` raises. The Orlicz kind
-goes through :func:`apply_weight`. The scans' convolution tops are the
-functions ``algebra.convolve`` returns: every distinct top of a radius
-goes through one :func:`_weighted_magnitudes` pass and one
-:func:`_luxemburg_norms` batch (``algebra._convolution_norms``), unmemoised
-since each top is measured once. The weighted L1 norm sums
+goes through :func:`apply_weight`. The scans' convolution tops are never
+built as functions: ``algebra._convolution_norms`` reads every distinct
+top of a radius off one box kernel call, weights its cells as
+:func:`_weighted_magnitudes` does, and measures them in one
+:func:`_luxemburg_norms` batch, unmemoised since each top is measured
+once; each norm is the float this module gives on the function
+``algebra.convolve`` returns. The weighted L1 norm sums
 |f(s)| omega(s) with ``math.fsum`` and raises where that passes the
 float range; so does the Hölder check's sum |f g|.
 """
@@ -98,6 +104,7 @@ from .young import (
     ComplementaryPair,
     YoungFunction,
     _constraint_margin,
+    _degree,
     _drive,
     _modular_margin,
     _windowed_root,
@@ -170,8 +177,20 @@ def _luxemburg_lane(
         f_lo = yield k
         if not f_lo <= 1.0:
             hi = m / phi.inverse(1.0 / n)
-            _, k = yield from _windowed_root(k, hi, f_lo, _modular_margin(phi, n))
+            _, k = yield from _root_from(k, hi, f_lo, _modular_margin(phi, n), _degree(phi))
     return _unscaled(k, e, phi)
+
+
+def _root_from(
+    lo: float, hi: float, f_lo: float, margin: float, degree: float | None
+) -> Generator[float, float, tuple[float, float]]:
+    """``young._windowed_root`` on [lo, hi] for a sum F falling through 1,
+    F(lo) = f_lo above 1: from the estimate lo f_lo**(1/r) where F is
+    homogeneous of degree r = ``degree`` in 1/k and f_lo is finite, else
+    from f_lo by secant steps."""
+    if degree is not None and f_lo < math.inf:
+        return _windowed_root(lo, hi, None, margin, est=lo * f_lo ** (1.0 / degree))
+    return _windowed_root(lo, hi, f_lo, margin)
 
 
 def _luxemburg_norms(phi: YoungFunction, mags_list: Sequence[np.ndarray]) -> list[float]:
@@ -302,10 +321,13 @@ def luxemburg_norm(phi: YoungFunction, f: FinSuppFn) -> float:
     above ``young.MARGIN`` shows that each skipped decision equals the
     computed one, so the norm is the float a plain bisection returns. The
     window is sized to the rounding error of the modular
-    (``young._modular_margin``): in the scans a norm under x^p/p takes
-    about 5 modular values, under the inclusion scans' T = sqrt[x^3/3] or
-    its conjugate about 5.3, and over the catalog battery
-    (``verify.run_battery``) a norm takes 8.2 on average. The body is
+    (``young._modular_margin``), and under a homogeneous Phi it starts at
+    the root read off the modular at the bracket's lower end
+    (``young._degree``): in the scans a norm under x^p/p takes about 3.7
+    modular values, that one included (5.9 from secant steps), under the
+    inclusion scans' T = sqrt[x^3/3] about 3.9 and under its numeric
+    conjugate about 5.0, and over the catalog battery
+    (``verify.run_battery``) the window asks for 7.5 on average. The body is
     :func:`_luxemburg_norms` on a batch of one: the scans pass it every
     distinct function of a radius at once, and the battery's norm sandwich
     and pairing bound every function of a check, so their lanes share one
@@ -343,7 +365,9 @@ def _dual_constraint(phi: YoungFunction, mags: list[float], t: float) -> float:
 def _multiplier(phi: YoungFunction, quotients: list[float], start: float) -> float:
     """The multiplier t at which the constraint sum Psi(Phi'(q/t)) over the
     quotients falls to 1, as :func:`orlicz_norm` describes: bracketed from
-    ``start``, then narrowed by ``young._windowed_root``."""
+    ``start``, then narrowed by ``young._windowed_root`` (:func:`_root_from`;
+    the constraint is homogeneous of Phi's degree in 1/t, as
+    Psi(Phi'(u)) = u Phi'(u) - Phi(u) is in u)."""
     values: dict[float, float] = {}
 
     def constraint(t: float) -> float:
@@ -359,7 +383,7 @@ def _multiplier(phi: YoungFunction, quotients: list[float], start: float) -> flo
     if lo == 0.0:
         raise NumericalFailureError("dual multiplier bracket failed to shrink")
     margin = _constraint_margin(phi, len(quotients))
-    return _drive(_windowed_root(lo, hi, constraint(lo), margin), constraint)[1]
+    return _drive(_root_from(lo, hi, constraint(lo), margin, _degree(phi)), constraint)[1]
 
 
 def orlicz_norm(pair: ComplementaryPair, f: FinSuppFn) -> float:
@@ -376,10 +400,12 @@ def orlicz_norm(pair: ComplementaryPair, f: FinSuppFn) -> float:
     constraint's rounding error (``young._constraint_margin``). The window
     skips only decisions it has certified, so the multiplier is the one a
     plain bisection finds; over the catalog battery a call asks the window
-    for 8.9 constraint values on average, where a plain bisection takes
-    about 46. The value sum |f| Phi'(|f|/t) is then summed over the
-    magnitudes as given, so a term that the division by 2**e takes below
-    the normal range still counts.
+    for 8.3 constraint values on average, where a plain bisection takes
+    about 46. Under x^p/p the constraint is homogeneous of degree p in 1/t,
+    so the window starts at the root read off the value at the bracket's
+    lower end, with no secant step (:func:`_root_from`). The value sum |f|
+    Phi'(|f|/t) is then summed over the magnitudes as given, so a term
+    that the division by 2**e takes below the normal range still counts.
 
     Raises :class:`NumericalFailureError` if the norm exceeds the float
     range, or if the optimiser output falls outside the [N_Phi, 2 N_Phi]

@@ -528,16 +528,17 @@ def _windowed_root(
     or b that is not finite and positive certifies nothing, and no
     estimate (or a margin of 0.1 or more) asks for no window at all.
 
-    The inverse brings its own ``est``. The Luxemburg norm and the Orlicz
-    multiplier (F falling through 1) pass ``f_lo`` > 1, F at lo, instead:
-    at most 8 secant steps on (log k, log F(k)) from the bracket ends
-    (exact to rounding after the first for a homogeneous Phi) give est; a
-    step that leaves the bracket ends them at the end it passed, where the
-    root lies when F(hi) rounds to about 1 (a constant support); a step
-    ends them once log F(est) is within margin / 10 of 0, and a flat secant
-    ends them at the last estimate (near the root, F rounds to the same
-    value at neighbouring estimates). A value of F met on the way that is
-    not finite and positive leaves no estimate.
+    The inverse brings its own ``est``, and so do the Luxemburg norm and
+    the Orlicz multiplier (F falling through 1) under a homogeneous Phi of
+    degree r (:func:`_degree`): their F scales as k**-r, so the root is lo
+    F(lo)**(1/r) up to rounding. Under any other Phi they pass ``f_lo`` >
+    1, F at lo, instead: at most 8 secant steps on (log k, log F(k)) from
+    the bracket ends give est; a step that leaves the bracket ends them at
+    the end it passed, where the root lies when F(hi) rounds to about 1 (a
+    constant support); a step ends them once log F(est) is within margin /
+    10 of 0, and a flat secant ends them at the last estimate (near the
+    root, F rounds to the same value at neighbouring estimates). A value of
+    F met on the way that is not finite and positive leaves no estimate.
     """
     if f_lo is not None:
         f_hi = yield hi
@@ -771,6 +772,22 @@ def _family(phi: YoungFunction) -> tuple:
         return phi.label, phi.params.get("p")
     how, base = phi.origin
     return how, _family(base)
+
+
+def _degree(phi: YoungFunction) -> float | None:
+    """The degree r of a homogeneous phi, phi(c x) = c**r phi(x) for c > 0:
+    p for x^p/p, q/2 for its square-root transform sqrt[x^q/q], and r/(r -
+    1) for that transform's numeric conjugate (q > 2); None for every other
+    Phi. A sum of phi over quotients a/k then scales as k**-r, so one value
+    of it estimates its root (:func:`_windowed_root`)."""
+    match _family(phi):
+        case ("power", p):
+            return float(p)
+        case ("sqrt", ("power", q)):
+            return 0.5 * q
+        case ("conj", ("sqrt", ("power", q))) if q > 2.0:
+            return 0.5 * q / (0.5 * q - 1.0)
+    return None
 
 
 def _margin(eps: dict, key: tuple, n: int) -> float | None:

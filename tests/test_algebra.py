@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from unittest import mock
@@ -756,10 +757,88 @@ def test_scan_tops_bit_identical_to_building_each_top(dim, radius, spec):
             pair, omega, [(f, g) for _, f, g in scan_pairs(dim, r, 4, 23, omega=omega)])
 
 
+def kernel_tops_match_convolve(pairs: list) -> list[bool]:
+    """Each top the box kernel adds for a pair, read off its box, against
+    the plain loop by .hex() per key; which pairs the kernel refused."""
+    re, im, ends, boxes = algebra._box_tops([f for f, _ in pairs], [g for _, g in pairs])
+    for (f, g), box, a, b in zip(pairs, boxes, ends, ends[1:]):
+        if box is not None:
+            got = algebra._box_function(f.dim, re[a:b], im[a:b], *box)
+            assert bits(got) == bits(algebra._convolve_loop(f, g)), (len(f), len(g))
+        else:
+            assert a == b
+    return [box is None for box in boxes]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 96, 1000])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_scan_tops_bit_identical_across_chunk_edges(dim, chunk):
+    # with _CHUNK_PRODUCTS patched small, runs of whole small pairs break
+    # at every size and each larger pair is cut into blocks of rows of f
+    # (a row at a time where g alone is longer): the ball self-products,
+    # the random pairs and a long line against atoms and itself, in one
+    # batch, each top the plain loop's to the bit, and each norm its
+    # reader's on convolve(f, g)
+    pairs = [(f, g) for r in (2, 5, 9) for _, f, g in scan_pairs(dim, r, 3, 61)]
+    line = _line(40, dim, 39, [complex(0.5 + k, 0.25 - k) for k in range(40)])
+    pairs += [(line, FinSuppFn.delta((0,) * dim, 2 - 1j)), (FinSuppFn.delta((3,) * dim), line),
+              (line, line)]
+    ops = [len(f) * len(g) for f, g in pairs]
+    assert min(ops) <= chunk < max(ops)
+    with mock.patch.object(algebra, "_CHUNK_PRODUCTS", chunk):
+        refused = kernel_tops_match_convolve(pairs)
+        assert not any(refused[-3:])
+        assert_convolution_tops_match(pair_from_spec({"family": "power", "p": 1.5}),
+                                      polynomial_weight(0.4), pairs)
+
+
+def test_scan_tops_raise_the_error_building_each_top_meets_first():
+    # a pair past MAX_CONV_OPS (patched to 1000), a top that overflows and
+    # a weighted product that does (omega(48) = e^816 is inf), among finite
+    # pairs, in every order of two and with chunks of 1 and 64 products:
+    # the batch raises the error of building every top in pair order, then
+    # weighting each, as convolve and apply_weight raise it
+    omega = subexp_alpha_weight(1.0, 17.0)
+    phi = pair_from_spec({"family": "power", "p": 1.5}).phi
+    fine = [(f, g) for _, f, g in scan_pairs(1, 10, 2, 67)]
+    errors = {
+        "budget": (FinSuppFn.indicator(range(40)), FinSuppFn.indicator(range(30))),
+        "overflow": (_end_line(range(20), value=1e200), _end_line(range(20), value=1e200)),
+        "weight": (FinSuppFn.delta(24, 1 - 1j), _end_line(range(20, 30))),
+    }
+
+    def reference(pairs):
+        try:
+            tops = [convolve(f, g) for f, g in pairs]
+            return [luxemburg_norm(phi, apply_weight(t, omega)).hex() for t in tops]
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    def batch(pairs):
+        try:
+            return [v.hex() for v in algebra._convolution_norms(
+                phi, omega, [f for f, _ in pairs], [g for _, g in pairs])]
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    seen = set()
+    with mock.patch.object(algebra, "MAX_CONV_OPS", 1000):
+        for first, second in itertools.permutations(errors, 2):
+            pairs = fine[:3] + [errors[first]] + fine[3:8] + [errors[second]] + fine[8:]
+            want = reference(pairs)
+            seen.add(want.split(":")[0])
+            for chunk in (1, 64):
+                with mock.patch.object(algebra, "_CHUNK_PRODUCTS", chunk):
+                    assert batch(pairs) == want, (first, second, chunk)
+        assert isinstance(reference(fine), list)
+        assert batch(fine) == reference(fine)
+    assert seen == {"ResourceLimitError", "NumericalFailureError"}
+
+
 def test_scan_tops_measure_each_distinct_pair_once():
     # the ball, half-ball and inverse-weight candidates equal their flip, so
     # their /flipped top is their /same top: a radius of the benchmark's
-    # d = 1 submult scan convolves each distinct pair once,
+    # d = 1 submult scan measures each distinct pair's top once,
     # and the rows, argmax labels included (/flipped, drawn first, wins a
     # tie), are those of building and measuring every top
     pair, omega = pair_from_spec({"family": "power", "p": 1.5}), polynomial_weight(0.7)
@@ -780,10 +859,12 @@ def test_scan_tops_measure_each_distinct_pair_once():
 
     distinct, symmetric = distinct_pairs(omega)
     assert symmetric == {"ball-indicator", "half-ball-indicator", "inverse-weight-profile"}
-    tops = mock.Mock(wraps=algebra.convolve)
-    with mock.patch.object(algebra, "convolve", tops):
+    tops = mock.Mock(wraps=algebra._box_tops)
+    with mock.patch.object(algebra, "_box_tops", tops):
         rep = submult_estimate(ctx, radius, trials, seed)
-    assert tops.call_count == distinct
+    # one kernel batch per radius, its pairs counted inside
+    assert tops.call_count == len(algebra._radius_ladder(radius))
+    assert sum(len(call.args[0]) for call in tops.call_args_list) == distinct
     (_, _, loop), = [s for s in algebra_scans(pair, omega, 1, radius, trials, seed)
                      if s[0] == "submult_estimate"]
     assert repr(rep.per_radius) == repr(loop())
@@ -912,22 +993,45 @@ def test_scans_match_pools_that_build_every_flip(dim, radius, coeffs):
     assert "damped-form-profile/flipped" in own and "ball-indicator/flipped" in own
 
 
+def _box_refused(f: FinSuppFn, g: FinSuppFn) -> bool:
+    """Whether the box kernel refuses a pair of points near the origin: its
+    box has more than _ARRAY_MAX_BOX_PER_OP cells per product."""
+    box = math.prod(max(p[i] for p in f.entries) + max(q[i] for q in g.entries)
+                    - min(p[i] for p in f.entries) - min(q[i] for q in g.entries) + 1
+                    for i in range(f.dim))
+    return box > algebra._ARRAY_MAX_BOX_PER_OP * len(f) * len(g)
+
+
 def test_each_convolution_top_makes_one_route_decision():
-    # a top is one convolve call, which asks the route once
-    # (algebra._takes_box), whether it takes the box or the loop
+    # a top is one pair of its radius's kernel batch; a pair the kernel
+    # refuses (a box of more than _ARRAY_MAX_BOX_PER_OP cells per product,
+    # sparse draws in d = 2) is one convolve call too, which asks the route
+    # once (algebra._takes_box), whether it takes the box or the loop
     pair, omega = pair_from_spec({"family": "power", "p": 1.5}), polynomial_weight(0.7)
-    ctx = AlgebraContext(pair, omega, 1)
-    spies = {name: mock.Mock(wraps=getattr(algebra, name))
-             for name in ("_takes_box", "convolve", "_convolve_loop")}
-    with mock.patch.multiple(algebra, **spies):
-        submult_estimate(ctx, 48, 8, 1007)
-    tops, loops = spies["convolve"].call_count, spies["_convolve_loop"].call_count
-    assert 0 < loops < tops
-    assert spies["_takes_box"].call_count == tops
+    trials, seed = 8, 1007
+    for dim, radius in ((1, 48), (2, 8)):
+        ctx = AlgebraContext(pair, omega, dim)
+        distinct, refused = 0, 0
+        for r in algebra._radius_ladder(radius):
+            drawn = [(f, g) for _, f, g in scan_pairs(dim, r, trials, seed, omega=omega)]
+            pairs = list({(id(f), id(g)): (f, g) for f, g in drawn}.values())
+            distinct += len(pairs)
+            refused += sum(_box_refused(f, g) for f, g in pairs)
+        assert (refused > 0) == (dim == 2)
+        spies = {name: mock.Mock(wraps=getattr(algebra, name))
+                 for name in ("_box_tops", "_takes_box", "convolve", "_convolve_loop")}
+        with mock.patch.multiple(algebra, **spies):
+            submult_estimate(ctx, radius, trials, seed)
+        batches = [call.args[0] for call in spies["_box_tops"].call_args_list
+                   if len(call.args[0]) > 1]
+        assert len(batches) == len(algebra._radius_ladder(radius))
+        assert sum(map(len, batches)) == distinct
+        assert spies["convolve"].call_count == spies["_takes_box"].call_count == refused
+        assert spies["_convolve_loop"].call_count == refused
     # convolve on the loop, the box, a box it refuses and a point past int64
     line = FinSuppFn.indicator(range(20))
     for f, g in ((line, FinSuppFn.delta(3)), (line, line),
-                 (line, FinSuppFn.indicator([0, 10**6])),
+                 (line, FinSuppFn.indicator(list(range(19)) + [10**6])),
                  (FinSuppFn.indicator([2**70] + list(range(19))), line)):
         with mock.patch.object(algebra, "_takes_box", wraps=algebra._takes_box) as decide:
             convolve(f, g)

@@ -557,6 +557,58 @@ def test_luxemburg_atom_evaluates_no_modular(monkeypatch):
         assert calls[0] == 0, value
 
 
+def test_homogeneous_lanes_start_at_the_root(monkeypatch):
+    # under x^p/p the modular scales as k**-p (young._degree), so a lane's
+    # window starts at lo F(lo)**(1/p) with no secant step: on the scan
+    # pools a lane of more than one entry takes at most 4 modular values
+    # on average (5.85 with the secant steps), at most 4 each for p <= 2 and
+    # at most 5 for p = 3, and every norm is the plain bisection's to the
+    # bit; a one-entry support takes none
+    calls = count_lane_modulars(monkeypatch)
+    pool = list({id(f): f for f in scan_pool(1, 48, 8, 101) + scan_pool(2, 16, 8, 101)}.values())
+    pool += [FinSuppFn.delta((3,), 2.5 - 1j), FinSuppFn.delta((1, -2), 4e307)]
+    for p in (1.5, 2.0, 3.0):
+        phi = young_from_spec({"family": "power", "p": p})
+        counts = []
+        for f in pool:
+            want = plain_luxemburg(phi, f)
+            calls[0] = 0
+            assert luxemburg_norm(phi, f).hex() == want.hex(), (p, dict(f.entries))
+            counts.append(calls[0])
+            if len(f) == 1:
+                assert calls[0] == 0, p
+        multi = [n for f, n in zip(pool, counts) if len(f) > 1]
+        assert statistics.mean(multi) <= 4.0, (p, statistics.mean(multi))
+        assert max(multi) <= (4 if p <= 2.0 else 5), (p, max(multi))
+
+
+def test_homogeneous_root_read_as_inf_takes_no_estimate():
+    # a lane or a multiplier whose F(lo) reads inf has no root to read off
+    # it: the window then starts from the secant steps, which find no
+    # estimate, so the bisection is the plain one
+    phi = young_from_spec({"family": "power", "p": 2.0})
+    f = FinSuppFn(1, {(0,): 1.0, (1,): 0.75j, (2,): -0.5, (7,): 0.25})
+    mags = f.magnitudes()
+    m, e = math.frexp(float(mags.max()))
+    scaled = np.ldexp(mags, -e)
+    lane, asked = norms._luxemburg_lane(phi, m, e, len(mags)), []
+    k = next(lane)
+    answer = math.inf  # F at lo, as an overflow would read it
+    try:
+        while True:
+            k = lane.send(answer)
+            asked.append(k)
+            answer = norms._modular(phi, scaled / k)
+    except StopIteration as stop:
+        got = stop.value
+    lo, hi = m / phi.inverse(1.0), m / phi.inverse(1.0 / len(mags))
+    _, want = plain_bisect(lambda k: norms._modular(phi, scaled / k) <= 1.0, lo, hi, 1e-13)
+    assert got.hex() == norms._unscaled(want, e, phi).hex()
+    assert asked[0] == hi and len(asked) > 30  # F(hi), then every midpoint
+    steps = norms._root_from(lo, hi, math.inf, young._modular_margin(phi, 4), 2.0)
+    assert next(steps) == hi
+
+
 # -- orlicz ----------------------------------------------------------------------
 
 
@@ -690,6 +742,36 @@ def test_orlicz_constraint_evaluation_count(monkeypatch, catalog_pairs):
     assert statistics.median(used) <= 11, statistics.median(used)
 
 
+def test_homogeneous_multiplier_starts_at_the_root(monkeypatch):
+    # the Orlicz constraint under x^p/p is homogeneous of degree p in 1/t
+    # (Psi(Phi'(u)) = u Phi'(u) - Phi(u)), so the multiplier's window starts
+    # at lo C(lo)**(1/p): on the scan pools a norm of more than one entry
+    # takes 6.58, 5.86 and 5.56 constraint values at p = 1.5, 2 and 3, the
+    # bracket's included (7.58, 6.86 and 6.66 with the secant steps), and
+    # every norm is the plain search's to the bit
+    calls = [0]
+    counted = norms._dual_constraint
+
+    def counting(phi, mags, t):
+        calls[0] += 1
+        return counted(phi, mags, t)
+
+    pool = [f for f in {id(f): f for f in scan_pool(1, 16, 4, 101)
+                        + scan_pool(2, 4, 4, 101)}.values() if len(f) > 1]
+    for p, bound in ((1.5, 6.6), (2.0, 5.9), (3.0, 5.6)):
+        pair = pair_from_spec({"family": "power", "p": p})
+        used = []
+        for f in pool:
+            assert orlicz_outcome_matches_plain(pair, f), (p, dict(f.entries))
+            f._luxemburg.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(norms, "_dual_constraint", counting)
+                calls[0] = 0
+                orlicz_norm(pair, f)
+            used.append(calls[0])
+        assert statistics.mean(used) <= bound, (p, statistics.mean(used))
+
+
 def recorder(search, log: list):
     """``search`` with each call logged as (its arguments bound to its
     signature, [(k, F(k)) asked for])."""
@@ -767,15 +849,18 @@ def test_battery_roots_certify_both_sides(monkeypatch):
               for n in ns]
     assert (len(counts["luxemburg"]), len(orlicz), len(counts["scan"])) == (890, 1000, 60)
     assert len(counts["inverse"]) == 826, len(counts["inverse"])
-    # 8.16 and 8.88 values per root; 15.86 and 20.32 with the margin MARGIN
-    # for every Phi but x^p/p and at most 4 secant steps, and 9.53 (Orlicz)
-    # with MARGIN for the three numeric conjugates' constraints below
+    # 7.51 and 8.26 values per root, the homogeneous Phi's windows started
+    # at the root read off F(lo) (8.16 and 8.88 from secant steps); 15.86
+    # and 20.32 with the margin MARGIN for every Phi but x^p/p and at most 4
+    # secant steps, and 9.53 (Orlicz) with MARGIN for the three numeric
+    # conjugates' constraints below
     assert statistics.mean(counts["luxemburg"]) <= 8.2, statistics.mean(counts["luxemburg"])
     assert statistics.mean(orlicz) <= 8.9, statistics.mean(orlicz)
     # 10.7 to 11.3 values per root; 18.4 to 19.2 with MARGIN
     for psi in ("conj[cosh(p=2)]", "conj[exp_taylor(p=2)]", "conj[exp_power(p=2)]"):
         assert statistics.mean(counts[psi]) <= 12, (psi, statistics.mean(counts[psi]))
-    # 5.33 values per root; 16.0 with MARGIN
+    # 3.42 values per root started at the root read off F(lo); 5.33 from
+    # secant steps, 16.0 with MARGIN
     assert statistics.mean(counts["scan"]) <= 8, statistics.mean(counts["scan"])
 
 
